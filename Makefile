@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-speed speed-smoke solutions-smoke topo-smoke fastpath-demo sweep examples all clean
+.PHONY: install test bench bench-speed speed-smoke e2e-smoke solutions-smoke topo-smoke fastpath-demo sweep examples all clean
 
 install:
 	pip install -e .
@@ -23,6 +23,13 @@ bench-speed:
 # tolerance, missing baseline is an error.
 speed-smoke:
 	$(PYTHON) tools/run_speed_bench.py --compare BENCH_speed.json --quick --tolerance 60 --repeats 2
+
+# End-to-end benchmark smoke (BENCHMARK.json, benchmarks/e2e): every
+# whole-Network workload at 1/10 duration, one round, traced pass
+# included (< 60 s).  Exits non-zero when a correctness gate or a
+# whole-Network run breaks; timings are not compared.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 # Loss-recovery solutions gate (EXPERIMENTS A6): the canned
 # corruption-burst scenario across all four solutions, every recovery

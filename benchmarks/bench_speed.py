@@ -253,51 +253,10 @@ def _run_sweep(workers: int) -> SpeedResult:
     return SpeedResult(elapsed, int.from_bytes(folded.digest()[:8], "big"))
 
 
-def _run_link_trains(batch: bool, bursts: int, burst_size: int) -> SpeedResult:
-    """Same-instant cell bursts over a long link: the train-forming shape.
-
-    Each burst's cells serialize back-to-back, so the batched link
-    delivers a whole burst with ~2 kernel events instead of one per
-    cell.  The checksum is the delivered-cell count, identical batched
-    or not.
-    """
-    from repro._types import parse_node_id
-    from repro.net.cell import Cell
-    from repro.net.link import Link
-    from repro.net.node import Node
-
-    class _Sink(Node):
-        def __init__(self, sim: Simulator, name: str) -> None:
-            super().__init__(sim, parse_node_id(name), 1)
-            self.count = 0
-
-        def on_cell(self, port, cell) -> None:
-            self.count += 1
-
-    sim = Simulator()
-    node_a = _Sink(sim, "h0")
-    node_b = _Sink(sim, "h1")
-    link = Link(
-        sim, node_a.port(0), node_b.port(0), length_km=2.0, batch_trains=batch
-    )
-
-    def burst() -> None:
-        for _ in range(burst_size):
-            link.transmit(0, Cell(vc=0))
-
-    gap_us = 50.0
-    for index in range(bursts):
-        sim.schedule_at(1.0 + index * gap_us, burst)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, node_b.count)
-
-
 def _run_link_retx(guarded: bool, bursts: int, burst_size: int) -> SpeedResult:
     """Link-local retransmission guard over a deterministically noisy link.
 
-    Same burst shape as :func:`_run_link_trains`, but every 7th cell is
+    Same-instant cell bursts over a long link; every 7th cell is
     corrupted exactly once (payload-keyed, once-only, so a guarded
     resend of the same cell survives the filter).  The unguarded variant
     surfaces the corruption as plain loss; the guarded one attaches a
@@ -360,8 +319,9 @@ def _run_link_retx(guarded: bool, bursts: int, burst_size: int) -> SpeedResult:
 def _run_obs_overhead(traced: bool) -> SpeedResult:
     """End-to-end network traffic, with and without full observability.
 
-    A 2x2 grid with two dual-homed hosts boots and converges untimed;
-    the timed region carries Poisson packet traffic over one circuit.
+    The conformance replay network (a 2x2 grid with two dual-homed
+    hosts) boots and converges untimed; the timed region carries
+    Poisson packet traffic over one circuit.
     The ``traced`` variant attaches a live :class:`~repro.obs.Tracer`
     with every category enabled (kernel instrumentation swap + journey
     contexts on every sampled cell) *after* boot, so the pair measures
@@ -372,39 +332,11 @@ def _run_obs_overhead(traced: bool) -> SpeedResult:
     The checksum folds delivered packets with the trace record count so
     a change that silently alters what gets traced fails the comparison.
     """
-    from repro.net.host import HostConfig
-    from repro.net.network import Network
-    from repro.net.topology import Topology
+    from repro.conform.digest import replay_network
     from repro.obs import Tracer
-    from repro.switch.switch import SwitchConfig
     from repro.traffic.workload import PoissonPacketWorkload
 
-    topo = Topology.grid(2, 2)
-    topo.add_host(0)
-    topo.add_host(1)
-    topo.connect("h0", "s0", port_a=0, bps=622_000_000)
-    topo.connect("h0", "s2", port_a=1, bps=622_000_000)
-    topo.connect("h1", "s3", port_a=0, bps=622_000_000)
-    topo.connect("h1", "s1", port_a=1, bps=622_000_000)
-    net = Network(
-        topo,
-        seed=TRACE_SEED,
-        switch_config=SwitchConfig(
-            frame_slots=32,
-            control_delay_us=10.0,
-            ping_interval_us=500.0,
-            ack_timeout_us=200.0,
-            miss_threshold=2,
-            boot_reconfig_delay_us=1_500.0,
-            resync_interval_us=5_000.0,
-        ),
-        host_config=HostConfig(
-            ping_interval_us=500.0,
-            ack_timeout_us=200.0,
-            miss_threshold=2,
-            frame_slots=32,
-        ),
-    )
+    net = replay_network(TRACE_SEED)
     net.start()
     net.run_until(net.converged, timeout_us=40_000.0)
     circuit = net.setup_circuit("h0", "h1")
@@ -713,12 +645,6 @@ WORKLOADS: List[SpeedWorkload] = [
         quick=True,
     ),
     SpeedWorkload(
-        "link_train_unbatched",
-        "Link: 1.5k bursts of 32 same-instant cells, one event per cell",
-        lambda: _run_link_trains(False, 1_500, 32),
-        quick=True,
-    ),
-    SpeedWorkload(
         "topo_rebuild_fattree_k32",
         "UpDownOrientation: 8 single-cable deltas, k=32 fat-tree (1280 sw), full rebuild each",
         lambda: _run_topo_delta(32, 8, incremental=False),
@@ -728,12 +654,6 @@ WORKLOADS: List[SpeedWorkload] = [
         "topo_incremental_fattree_k32",
         "UpDownOrientation: same 8 deltas on the same fabric, incremental apply_delta",
         lambda: _run_topo_delta(32, 8, incremental=True),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "link_train_batched",
-        "Link: same bursts with batch_trains, one event chain per train",
-        lambda: _run_link_trains(True, 1_500, 32),
         quick=True,
     ),
     SpeedWorkload(
@@ -771,7 +691,6 @@ SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
     "fifo_bitmask_speedup_n16": ("fifo_reference_n16", "fifo_bitmask_n16"),
     "route_cache_speedup_n24": ("route_cache_off_n24", "route_cache_on_n24"),
     "sweep_parallel_speedup_w4": ("sweep_parallel_serial", "sweep_parallel_w4"),
-    "link_train_speedup": ("link_train_unbatched", "link_train_batched"),
     "topo_incremental_vs_rebuild": (
         "topo_rebuild_fattree_k32",
         "topo_incremental_fattree_k32",

@@ -275,27 +275,11 @@ def fingerprint_network(net: Network) -> Dict[str, Any]:
 # ======================================================================
 # the canonical digest scenario
 # ======================================================================
-def digest_scenario(
-    seed: int = 0,
-    duration_us: float = 80_000.0,
-    flight_dump: Optional[str] = None,
-) -> str:
-    """Build, run, and digest the reference replay scenario.
-
-    A 2x2 redundant grid with two dual-homed hosts boots, converges, and
-    carries Poisson traffic over one circuit for ``duration_us``.  The
-    returned hex digest folds together the full event dispatch order and
-    the end-of-run :func:`fingerprint_network`; it must be identical for
-    the same ``seed`` across repeated runs, interpreter invocations, and
-    ``PYTHONHASHSEED`` values.
-
-    ``flight_dump``, if given, is a path to write the network's
-    flight-recorder rings to after the run -- the conformance gate uses
-    it to leave an autopsy artifact when digests diverge.
-    """
+def replay_network(seed: int = 0) -> Network:
+    """The reference replay installation, built but not started: a 2x2
+    redundant grid with two dual-homed hosts on fast-converging configs."""
     from repro.net.host import HostConfig
     from repro.switch.switch import SwitchConfig
-    from repro.traffic.workload import PoissonPacketWorkload
 
     topo = Topology.grid(2, 2)
     topo.add_host(0)
@@ -304,7 +288,7 @@ def digest_scenario(
     topo.connect("h0", "s2", port_a=1, bps=622_000_000)
     topo.connect("h1", "s3", port_a=0, bps=622_000_000)
     topo.connect("h1", "s1", port_a=1, bps=622_000_000)
-    net = Network(
+    return Network(
         topo,
         seed=seed,
         switch_config=SwitchConfig(
@@ -323,8 +307,13 @@ def digest_scenario(
             frame_slots=32,
         ),
     )
-    digest = RunDigest()
-    net.sim.digest = digest
+
+
+def run_replay_traffic(net: Network, duration_us: float) -> None:
+    """Boot ``net`` (a :func:`replay_network`), converge, and carry
+    Poisson traffic over one h0 -> h1 circuit for ``duration_us``."""
+    from repro.traffic.workload import PoissonPacketWorkload
+
     net.start()
     net.run_until(net.converged, timeout_us=duration_us)
     circuit = net.setup_circuit("h0", "h1")
@@ -340,6 +329,30 @@ def digest_scenario(
     )
     workload.start()
     net.run(duration_us)
+
+
+def digest_scenario(
+    seed: int = 0,
+    duration_us: float = 80_000.0,
+    flight_dump: Optional[str] = None,
+) -> str:
+    """Build, run, and digest the reference replay scenario.
+
+    :func:`replay_network` boots, converges, and carries Poisson traffic
+    over one circuit for ``duration_us``.  The returned hex digest folds
+    together the full event dispatch order and the end-of-run
+    :func:`fingerprint_network`; it must be identical for the same
+    ``seed`` across repeated runs, interpreter invocations, and
+    ``PYTHONHASHSEED`` values.
+
+    ``flight_dump``, if given, is a path to write the network's
+    flight-recorder rings to after the run -- the conformance gate uses
+    it to leave an autopsy artifact when digests diverge.
+    """
+    net = replay_network(seed)
+    digest = RunDigest()
+    net.sim.digest = digest
+    run_replay_traffic(net, duration_us)
     net.sim.digest = None
     digest.absorb("network-state", fingerprint_network(net))
     if flight_dump is not None:

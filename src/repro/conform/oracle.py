@@ -42,13 +42,8 @@ from repro.core.matching.bitmask import (
 from repro.core.matching.fifo import FifoScheduler
 from repro.core.matching.islip import IslipMatcher
 from repro.core.matching.pim import MatchResult, ParallelIterativeMatcher
-from repro._types import NodeId, parse_node_id
 from repro.core.routing.updown import UpDownOrientation
-from repro.net.cell import Cell, CellKind
-from repro.net.link import Link
-from repro.net.node import Node
 from repro.net.topology import Topology
-from repro.sim.kernel import Simulator
 from repro.sim.random import derived_stream
 from repro.switch.fabric import FifoFabric, VoqFabric
 from repro.traffic.arrivals import (
@@ -396,275 +391,6 @@ def routing_sweep(
 
 
 # ======================================================================
-# link cell-train differential
-# ======================================================================
-class _SinkNode(Node):
-    """Records delivered payloads in arrival order; the link oracle's
-    endpoint.  Payloads are unique per cell, so the recorded sequence
-    identifies exactly which cells got through and in what order."""
-
-    def __init__(self, sim, node_id: "NodeId") -> None:
-        super().__init__(sim, node_id, n_ports=1)
-        self.received: List[Any] = []
-
-    def on_cell(self, port, cell) -> None:
-        self.received.append(cell.payload)
-
-
-#: solution-shaped fault profiles for the link differential.  "plain"
-#: is the original script; the others reproduce the *deterministic* op
-#: shapes of the loss-recovery solutions so batching is exercised while
-#: recovery machinery flips link state mid-train.  (The closed-loop
-#: solutions themselves react at delivery times, which batching is
-#: allowed to shift -- so the oracle scripts their actions instead of
-#: letting them observe.)
-LINK_PROFILES = ("plain", "disable_and_repair", "link_retx")
-
-
-def _link_script(
-    seed: int, n_bursts: int, profile: str = "plain"
-) -> List[Tuple[float, str, Any]]:
-    """A deterministic (time, op, arg) fault-and-traffic script.
-
-    Bursts are multi-cell and same-instant -- the shape that actually
-    forms cell trains -- and the fault ops are the ones whose semantics
-    batching must not change: a mid-train cut, a restore, and
-    ``drop_filter`` windows that open and close while cells are on the
-    wire (the credit-loss-burst shape from the fault scenarios).
-
-    Profiles:
-
-    - ``plain`` -- the original mix (cuts and credit filters).
-    - ``disable_and_repair`` -- adds administrative fail/restore pairs
-      and full-corruption windows (``error_rate`` stepped to 1.0 and
-      back): 1.0 is the only rate the differential may use, because
-      every RNG draw then corrupts regardless of draw order, so batched
-      and unbatched schedules agree even though they interleave the
-      per-direction draws differently.
-    - ``link_retx`` -- wide burst gaps and once-only per-payload
-      corruption targets (``corrupt`` entries, collected by the driver
-      into a payload-keyed filter): each targeted cell is corrupted on
-      exactly its first delivery attempt wherever that falls in either
-      schedule, so the guard's NACK/resend/resequence cycle completes
-      identically.  No cuts: a resend over a dead link is a *timing*
-      race between schedules, not a batching property.
-    """
-    label = "link-script" if profile == "plain" else f"link-script/{profile}"
-    rng = _seeded_rng(label, seed)
-    script: List[Tuple[float, str, Any]] = []
-    t = 1.0
-    payload = 0
-    for _ in range(n_bursts):
-        if profile == "link_retx":
-            # Wide gaps: every NACK/resend cycle (~one link round trip)
-            # finishes before the next burst can crowd the wire, so the
-            # serialization horizon never diverges between schedules.
-            t += rng.uniform(45.0, 80.0)
-        else:
-            t += rng.uniform(3.0, 30.0)
-        direction = 1 if rng.random() < 0.3 else 0
-        size = rng.randint(1, 12)
-        cells = []
-        for _ in range(size):
-            kind = CellKind.CREDIT if rng.random() < 0.25 else CellKind.DATA
-            cells.append((kind, payload))
-            if profile == "link_retx" and rng.random() < 0.3:
-                script.append((0.0, "corrupt", payload))
-            payload += 1
-        script.append((t, "burst", (direction, cells)))
-        if profile == "link_retx":
-            continue
-        roll = rng.random()
-        if roll < 0.15:
-            # Cut while the burst is still serializing/propagating, then
-            # restore: the canonical mid-train fault.
-            script.append((t + rng.uniform(0.1, 8.0), "fail", None))
-            script.append((t + rng.uniform(9.0, 20.0), "restore", None))
-        elif roll < 0.30:
-            # Credit-loss window opening mid-flight.
-            script.append((t + rng.uniform(0.1, 8.0), "filter_on", None))
-            script.append((t + rng.uniform(9.0, 20.0), "filter_off", None))
-        elif profile == "disable_and_repair" and roll < 0.45:
-            # The administrative repair cycle: deliberate fail, held
-            # down, restore -- opening and closing around in-flight
-            # cells exactly like DisableAndRepair's repair window.
-            script.append((t + rng.uniform(0.1, 8.0), "fail", None))
-            script.append((t + rng.uniform(12.0, 25.0), "restore", None))
-        elif profile == "disable_and_repair" and roll < 0.60:
-            # Full-corruption window (the noisy-link phase that trips
-            # the repair threshold).
-            script.append((t + rng.uniform(0.1, 8.0), "error_full_on", None))
-            script.append((t + rng.uniform(9.0, 20.0), "error_off", None))
-    script.sort(key=lambda entry: (entry[0], entry[1]))
-    return script
-
-
-def _drive_link(
-    seed: int, batch: bool, n_bursts: int, profile: str = "plain"
-) -> Tuple[List[Any], List[Any], Tuple[int, ...]]:
-    """Run the scripted scenario on one link; returns (received at b,
-    received at a, (delivered, dropped, data_dropped, corrupted [, guard
-    counters for the link_retx profile]))."""
-    sim = Simulator()
-    node_a = _SinkNode(sim, parse_node_id("h0"))
-    node_b = _SinkNode(sim, parse_node_id("h1"))
-    link = Link(
-        sim,
-        node_a.port(0),
-        node_b.port(0),
-        length_km=2.0,
-        rng=_seeded_rng("link-err", seed),
-        batch_trains=batch,
-        max_train_cells=8,
-    )
-    script = _link_script(seed, n_bursts, profile)
-    guard = None
-    if profile == "link_retx":
-        from repro.solutions.link_retx import LinkRetxGuard
-
-        guard = LinkRetxGuard(link)
-        # Once-only per-payload corruption: schedule-invariant because
-        # the verdict is a pure function of the (unique) payload and
-        # whether its first attempt already happened.
-        targets = {arg for _, op, arg in script if op == "corrupt"}
-        corrupted_once: set = set()
-
-        def corrupt_filter(cell: Cell) -> bool:
-            if cell.payload in targets and cell.payload not in corrupted_once:
-                corrupted_once.add(cell.payload)
-                return True
-            return False
-
-        link.drop_filter = corrupt_filter
-
-    def burst(direction: int, cells) -> None:
-        for kind, payload in cells:
-            link.transmit(direction, Cell(vc=0, kind=kind, payload=payload))
-
-    ops: Dict[str, Callable[..., None]] = {
-        "burst": burst,
-        "fail": lambda _arg: link.fail(),
-        "restore": lambda _arg: link.restore(),
-        "filter_on": lambda _arg: setattr(
-            link, "drop_filter", lambda cell: cell.kind is CellKind.CREDIT
-        ),
-        "filter_off": lambda _arg: setattr(link, "drop_filter", None),
-        "error_full_on": lambda _arg: link.set_error_rate(1.0),
-        "error_off": lambda _arg: link.set_error_rate(0.0),
-    }
-    for time, op, arg in script:
-        if op == "corrupt":
-            continue  # collected above, not a scheduled event
-        if op == "burst":
-            sim.schedule_at(time, burst, *arg)
-        else:
-            sim.schedule_at(time, ops[op], arg)
-    sim.run()
-    counters: Tuple[int, ...] = (
-        link.cells_delivered,
-        link.cells_dropped,
-        link.data_cells_dropped,
-        link.cells_corrupted,
-    )
-    if guard is not None:
-        counters = counters + (
-            guard.nacks,
-            guard.resends,
-            guard.recovered,
-            guard.abandoned,
-            guard.duplicates,
-        )
-    return node_b.received, node_a.received, counters
-
-
-def compare_link_delivery(
-    seed: int, n_bursts: int = 40, profile: str = "plain"
-) -> Optional[Divergence]:
-    """Cell-train batching differential: batched vs unbatched link.
-
-    Runs an identical burst/cut/restore/drop-filter script through a
-    plain link and a ``batch_trains`` link and requires identical
-    delivered-payload sequences (per direction, in FIFO order) and
-    identical delivered/dropped/corrupted counters.  Batching is allowed
-    to change *when* a cell surfaces (by a bounded train span) and how
-    many kernel events that takes -- never *which* cells arrive or are
-    lost.  Arbitrary ``error_rate`` stays out of every profile: its RNG
-    draw order across concurrently-batched opposite directions is not
-    pinned by the batching contract (``disable_and_repair`` steps the
-    rate to exactly 1.0, where the verdict is draw-order independent).
-
-    The ``link_retx`` profile additionally attaches a live
-    :class:`~repro.solutions.link_retx.LinkRetxGuard` and requires its
-    recovery counters (nacks, resends, recovered, abandoned,
-    duplicates) to agree as well: the retransmission state machine must
-    settle every targeted corruption identically under both schedules.
-    """
-    if profile not in LINK_PROFILES:
-        raise ValueError(
-            f"unknown link profile {profile!r}; choose from {LINK_PROFILES}"
-        )
-    reference = _drive_link(seed, batch=False, n_bursts=n_bursts, profile=profile)
-    candidate = _drive_link(seed, batch=True, n_bursts=n_bursts, profile=profile)
-    cases = ("delivered@b", "delivered@a", "counters")
-    pair = (
-        "train-batching" if profile == "plain"
-        else f"train-batching:{profile}"
-    )
-    for case, ref, cand in zip(cases, reference, candidate):
-        if ref != cand:
-            port = -1
-            if case != "counters":
-                port = _first_divergent_index(list(ref), list(cand))
-            return Divergence(
-                kind="link",
-                pair=pair,
-                seed=seed,
-                size=n_bursts,
-                case=case,
-                round=-1,
-                port=port,
-                reference=ref,
-                candidate=cand,
-            )
-    return None
-
-
-def _first_divergent_index(reference: List[Any], candidate: List[Any]) -> int:
-    for index, (ref, cand) in enumerate(zip(reference, candidate)):
-        if ref != cand:
-            return index
-    return min(len(reference), len(candidate))
-
-
-def link_sweep(
-    seeds: Sequence[int],
-    n_bursts: int = 40,
-    profiles: Sequence[str] = LINK_PROFILES,
-) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """Train-batching differential over a grid of fault scripts, one
-    pass per solution-shaped profile."""
-    divergences: List[Divergence] = []
-    records: List[Dict[str, Any]] = []
-    for profile in profiles:
-        for seed in seeds:
-            divergence = compare_link_delivery(
-                seed, n_bursts=n_bursts, profile=profile
-            )
-            if divergence is not None:
-                divergences.append(divergence)
-            records.append(
-                {
-                    "kind": "link",
-                    "profile": profile,
-                    "seed": seed,
-                    "n_bursts": n_bursts,
-                    "agreed": divergence is None,
-                }
-            )
-    return divergences, records
-
-
-# ======================================================================
 # fastpath differential (stacked engine vs per-switch fabrics)
 # ======================================================================
 #: matcher configurations the engine vectorizes, including the strict-RNG
@@ -928,76 +654,41 @@ def _scrub_tick_phase(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 def compare_slot_driver(
     seed: int = 0, duration_us: float = 40_000.0
 ) -> Tuple[Optional[Divergence], Dict[str, Any]]:
-    """Run the replay scenario with and without the fabric slot driver.
+    """Run the replay scenario on private slot timers and on the wave.
 
-    Builds the same 2x2 grid + dual-homed-hosts scenario as the digest
-    gate, once with per-switch slot timers and once with
-    ``fabric_slot_driver=True``, then compares the end-of-run
+    Builds the digest gate's
+    :func:`~repro.conform.digest.replay_network` twice: the reference
+    has every switch detached from the network's slot driver right after
+    construction (``_slot_driver`` cleared, so ``_kick`` arms the
+    per-switch timer), the candidate is the default ``Network``.
+    Compares the end-of-run
     :func:`~repro.conform.digest.fingerprint_network` with the tick phase
-    scrubbed (see :func:`_scrub_tick_phase`).  The driver must also
-    *reduce* the kernel event count -- that is the whole point of wave
+    scrubbed (see :func:`_scrub_tick_phase`).  The wave must also
+    *reduce* the kernel event count -- that is the whole point of
     coalescing -- so equal-or-more events is reported as a divergence
     too.  Returns ``(divergence, record)``.
     """
-    import hashlib as _hashlib
+    from repro.conform.digest import (
+        canonical_bytes,
+        fingerprint_network,
+        replay_network,
+        run_replay_traffic,
+    )
 
-    from repro.conform.digest import canonical_bytes, fingerprint_network
-    from repro.net.host import HostConfig
-    from repro.net.network import Network
-    from repro.switch.switch import SwitchConfig
-    from repro.traffic.workload import PoissonPacketWorkload
-
-    def run_scenario(use_driver: bool):
-        topo = Topology.grid(2, 2)
-        topo.add_host(0)
-        topo.add_host(1)
-        topo.connect("h0", "s0", port_a=0, bps=622_000_000)
-        topo.connect("h0", "s2", port_a=1, bps=622_000_000)
-        topo.connect("h1", "s3", port_a=0, bps=622_000_000)
-        topo.connect("h1", "s1", port_a=1, bps=622_000_000)
-        net = Network(
-            topo,
-            seed=seed,
-            switch_config=SwitchConfig(
-                frame_slots=32,
-                control_delay_us=10.0,
-                ping_interval_us=500.0,
-                ack_timeout_us=200.0,
-                miss_threshold=2,
-                boot_reconfig_delay_us=1_500.0,
-                resync_interval_us=5_000.0,
-            ),
-            host_config=HostConfig(
-                ping_interval_us=500.0,
-                ack_timeout_us=200.0,
-                miss_threshold=2,
-                frame_slots=32,
-            ),
-            fabric_slot_driver=use_driver,
-        )
-        net.start()
-        net.run_until(net.converged, timeout_us=duration_us)
-        circuit = net.setup_circuit("h0", "h1")
-        workload = PoissonPacketWorkload(
-            net.sim,
-            net.host("h0"),
-            circuit.vc,
-            circuit.destination,
-            mean_interval_us=400.0,
-            packet_bytes=480,
-            rng=net.streams.stream("conform.digest.workload"),
-            duration_us=duration_us * 0.5,
-        )
-        workload.start()
-        net.run(duration_us)
+    def run_scenario(detach: bool):
+        net = replay_network(seed)
+        if detach:
+            for switch in net.switches.values():
+                switch._slot_driver = None
+        run_replay_traffic(net, duration_us)
         return fingerprint_network(net), net.sim.events_executed
 
-    baseline, events_off = run_scenario(use_driver=False)
-    driven, events_on = run_scenario(use_driver=True)
+    baseline, events_off = run_scenario(detach=True)
+    driven, events_on = run_scenario(detach=False)
     ref_scrubbed = _scrub_tick_phase(baseline)
     cand_scrubbed = _scrub_tick_phase(driven)
-    ref_sha = _hashlib.sha256(canonical_bytes(ref_scrubbed)).hexdigest()
-    cand_sha = _hashlib.sha256(canonical_bytes(cand_scrubbed)).hexdigest()
+    ref_sha = hashlib.sha256(canonical_bytes(ref_scrubbed)).hexdigest()
+    cand_sha = hashlib.sha256(canonical_bytes(cand_scrubbed)).hexdigest()
     record = {
         "kind": "slot-driver",
         "seed": seed,
@@ -1007,31 +698,23 @@ def compare_slot_driver(
         "state_sha256": ref_sha,
         "agreed": ref_sha == cand_sha and events_on < events_off,
     }
-    divergence: Optional[Divergence] = None
     if ref_sha != cand_sha:
-        divergence = Divergence(
-            kind="fastpath",
-            pair="slot-driver",
-            seed=seed,
-            size=len(baseline["switches"]),
-            case="replay-scenario",
-            round=-1,
-            port=-1,
-            reference=ref_sha,
-            candidate=cand_sha,
-        )
+        case, reference, candidate = "replay-scenario", ref_sha, cand_sha
     elif events_on >= events_off:
-        divergence = Divergence(
-            kind="fastpath",
-            pair="slot-driver",
-            seed=seed,
-            size=len(baseline["switches"]),
-            case="event-count",
-            round=-1,
-            port=-1,
-            reference=f"<{events_off}",
-            candidate=events_on,
-        )
+        case, reference, candidate = "event-count", f"<{events_off}", events_on
+    else:
+        return None, record
+    divergence = Divergence(
+        kind="fastpath",
+        pair="slot-driver",
+        seed=seed,
+        size=len(baseline["switches"]),
+        case=case,
+        round=-1,
+        port=-1,
+        reference=reference,
+        candidate=candidate,
+    )
     return divergence, record
 
 

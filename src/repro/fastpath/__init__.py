@@ -10,7 +10,6 @@ results.
 
 from repro.fastpath.backend import FORCE_PYTHON_ENV, load_numpy, python_forced
 from repro.fastpath.driver import FabricSlotDriver
-from repro.fastpath.engine import FabricArrayEngine
 
 __all__ = [
     "FORCE_PYTHON_ENV",
@@ -19,3 +18,13 @@ __all__ = [
     "load_numpy",
     "python_forced",
 ]
+
+
+def __getattr__(name: str):
+    # Every Network imports this package for the slot driver; only
+    # standalone-fabric users pay for loading the array engine.
+    if name == "FabricArrayEngine":
+        from repro.fastpath.engine import FabricArrayEngine
+
+        return FabricArrayEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,13 @@
 """One kernel slot event for the whole fabric.
 
-Without the driver every :class:`~repro.switch.switch.AN2Switch` with
-backlog schedules its *own* ``_slot_tick`` timer, so a busy S-switch
-network pays S heap pushes + S heap pops + S callback dispatches per
-cell slot.  :class:`FabricSlotDriver` replaces that with a single
-*wave* event: switches asking for a tick in the same slot window are
-batched and advanced together when the wave fires.
+On private timers every :class:`~repro.switch.switch.AN2Switch` with
+backlog schedules its *own* ``_slot_tick``, so a busy S-switch network
+pays S heap pushes + S heap pops + S callback dispatches per cell slot.
+:class:`FabricSlotDriver` replaces that with a single *wave* event:
+switches asking for a tick in the same slot window are batched and
+advanced together when the wave fires.  Every
+:class:`~repro.net.network.Network` builds one; it is how drift-free
+switches tick.
 
 Semantics: the driver models a **fabric-wide synchronized slot clock**
 -- all adopted switches tick on one shared slot boundary instead of S
@@ -44,6 +46,9 @@ class FabricSlotDriver:
         self.waves = 0
         self.ticks = 0
         self.adopted = 0
+        #: switches :meth:`adopt` left on their private timer because
+        #: their clock drifts.
+        self.refused_drift = 0
 
     def adopt(self, switch) -> bool:
         """Route ``switch``'s slot timers through this driver.
@@ -53,6 +58,7 @@ class FabricSlotDriver:
         boundary only stands in for timers it exactly replaces.
         """
         if switch.clock.drift_ppm != 0.0:
+            self.refused_drift += 1
             return False
         if switch.config.slot_time_us != self.slot_time_us:
             return False

@@ -683,7 +683,7 @@ class FabricArrayEngine:
     def offer_arrays(self, fabric, input_ports, output_ports, slot: int):
         """Bulk-enqueue one slot's arrivals for ``fabric`` from two
         parallel (input, output) sequences -- the stacked-array analogue
-        of the scalar ``offer_batch``/``offer_train`` fast paths, and
+        of the scalar ``offer_batch`` fast path, and
         what traffic generators should use at scale (one call per fabric
         per slot instead of one per cell)."""
         place = self._where[id(fabric)]

@@ -36,7 +36,7 @@ from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.aal import Reassembler, ReassemblyError, Segmenter
 from repro.net.cell import Cell, CellKind, TrafficClass
 from repro.obs.journey import attach_journey
-from repro.net.node import Node
+from repro.net.node import Node, validate_device_config
 from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
@@ -60,12 +60,16 @@ class HostConfig:
     #: setup cells for open best-effort circuits (guaranteed circuits
     #: need re-admission and are left to the application).
     auto_reopen_on_failover: bool = True
-    #: "credits" (AN2) or "drop" (send at link rate, let switches drop;
-    #: must match the switches' SwitchConfig.flow_control).
+    #: "credits" (AN2) or "drop" (send at link rate, let switches drop).
+    #: Must match the switches' SwitchConfig.flow_control; a Network
+    #: derives it when no host config is given and rejects a mismatch.
     flow_control: str = "credits"
     #: cell time used for guaranteed pacing; derived from the active link
     #: when ``None``.
     cell_time_us: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        validate_device_config(self, positive=("cell_time_us",))
 
 
 @dataclass

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.constants import CELL_BITS, FAST_LINK_BPS, PROPAGATION_US_PER_KM
 from repro.net.cell import Cell, CellKind
@@ -53,24 +52,9 @@ class Link:
         length_km: float = 0.1,
         bps: float = FAST_LINK_BPS,
         rng: Optional[_random_module.Random] = None,
-        batch_trains: bool = False,
-        max_train_cells: int = 64,
     ) -> None:
-        """``batch_trains`` enables cell-train delivery batching: cells
-        serialized back-to-back in one direction are delivered by a
-        shared kernel event per *train* instead of one event per cell.
-        Delivered/dropped/corrupted cell sets, per-cell ``drop_filter``
-        adjudication, FIFO order, and credit accounting are identical to
-        the unbatched path (mid-train faults flush the train cell by
-        cell against each cell's own arrival time); what changes is that
-        a cell inside a train may surface up to ``max_train_cells - 1``
-        cell times later than its nominal arrival.  Off by default --
-        latency-sensitive experiments and the frozen replay digests use
-        the exact per-cell schedule."""
         if length_km < 0:
             raise ValueError(f"negative link length {length_km}")
-        if max_train_cells < 1:
-            raise ValueError(f"max_train_cells {max_train_cells} must be >= 1")
         self.sim = sim
         self.port_a = port_a
         self.port_b = port_b
@@ -80,19 +64,11 @@ class Link:
         self.cell_time_us = CELL_BITS / bps * 1e6
         self.state = LinkState.WORKING
         self.error_rate = 0.0
-        self._drop_filter: Optional[Callable[[Cell], bool]] = None
-        self.batch_trains = batch_trains
-        self.max_train_cells = max_train_cells
-        # Per-direction (arrival_time, cell) FIFOs of cells in flight but
-        # not yet delivered, plus the single pending train event each.
-        self._pending_trains: List[Deque[Tuple[float, Cell]]] = [
-            deque(),
-            deque(),
-        ]
-        self._train_events: List[Optional[object]] = [None, None]
-        #: kernel events saved by train batching (delivered cells minus
-        #: train fires; a diagnostics metric for the speed workloads).
-        self.train_events_saved = 0
+        #: targeted fault injection: when set, a delivered cell for which
+        #: the predicate returns True is corrupted (dropped) regardless
+        #: of ``error_rate``.  Tests use this to lose, e.g., only CREDIT
+        #: cells, exercising the resynchronization machinery surgically.
+        self.drop_filter: Optional[Callable[[Cell], bool]] = None
         # Without an explicit RNG, derive a per-link substream keyed by
         # the endpoint labels.  A shared Random(0) here would make every
         # link in the network draw *identical* error streams -- injected
@@ -153,22 +129,6 @@ class Link:
     def working(self) -> bool:
         return self.state is LinkState.WORKING
 
-    @property
-    def drop_filter(self) -> Optional[Callable[[Cell], bool]]:
-        """Targeted fault injection: when set, a delivered cell for which
-        the predicate returns True is corrupted (dropped) regardless of
-        ``error_rate``.  Tests use this to lose, e.g., only CREDIT cells,
-        exercising the resynchronization machinery surgically."""
-        return self._drop_filter
-
-    @drop_filter.setter
-    def drop_filter(self, predicate: Optional[Callable[[Cell], bool]]) -> None:
-        # Cells whose arrival time has already passed were adjudicated
-        # under the old filter in the unbatched schedule; flush them
-        # first so batching can never change which cells a filter sees.
-        self._flush_due_trains()
-        self._drop_filter = predicate
-
     def other_port(self, port: "Port") -> "Port":
         if port is self.port_a:
             return self.port_b
@@ -221,57 +181,7 @@ class Link:
         if self.tx_observers:
             for observer in list(self.tx_observers):
                 observer(self, direction, cell)
-        if self.batch_trains:
-            self._pending_trains[direction].append((arrival, cell))
-            if self._train_events[direction] is None:
-                self._train_events[direction] = self.sim.schedule_at(
-                    arrival, self._fire_train, direction
-                )
-            return
         self.sim.schedule_at(arrival, self._deliver, direction, cell)
-
-    def _fire_train(self, direction: int) -> None:
-        """Deliver every pending cell whose arrival time has passed.
-
-        One kernel event serves a whole train: the first fire lands at
-        the head cell's arrival, delivers everything due, and reschedules
-        a single event at the arrival of the train's last cell (capped at
-        ``max_train_cells`` ahead, which bounds how late any one cell can
-        surface).  A same-instant burst of N cells therefore costs 2
-        events instead of N; a slow paced stream degrades gracefully to
-        one event per cell, never worse than the unbatched path.
-        """
-        pending = self._pending_trains[direction]
-        now = self.sim.now
-        delivered = 0
-        while pending and pending[0][0] <= now:
-            _, cell = pending.popleft()
-            self._deliver(direction, cell)
-            delivered += 1
-        if delivered > 1:
-            self.train_events_saved += delivered - 1
-        if pending:
-            index = min(self.max_train_cells, len(pending)) - 1
-            self._train_events[direction] = self.sim.schedule_at(
-                pending[index][0], self._fire_train, direction
-            )
-        else:
-            self._train_events[direction] = None
-
-    def _flush_due_trains(self) -> None:
-        """Deliver pending cells that have nominally arrived (both
-        directions).  Called before any adjudication input changes --
-        drop filter, error rate, link state -- so that every cell is
-        judged under the rules in force at its own arrival time, exactly
-        as in the unbatched schedule."""
-        if not self.batch_trains:
-            return
-        now = self.sim.now
-        for direction in (0, 1):
-            pending = self._pending_trains[direction]
-            while pending and pending[0][0] <= now:
-                _, cell = pending.popleft()
-                self._deliver(direction, cell)
 
     def journey_label(self) -> str:
         """Component name for this link's journey/flight records."""
@@ -333,22 +243,14 @@ class Link:
     # fault injection
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Cut the link.  Cells in flight and queued cells are lost.
-
-        With train batching, cells that nominally arrived before the cut
-        are flushed (delivered) first; cells still in flight stay on the
-        pending train and are adjudicated by the train event chain under
-        whatever link state holds at each cell's own arrival time --
-        dropped while the link is down, delivered if it was restored
-        first.  That is exactly the unbatched schedule's behavior, where
-        every cell's delivery event checks ``working`` at arrival.
+        """Cut the link.  Every cell's delivery event checks ``working``
+        at its own arrival time: cells arriving while the link is down
+        are lost, cells still in flight when it is restored get through.
         """
-        self._flush_due_trains()
         self._set_state(LinkState.DEAD)
 
     def restore(self) -> None:
         """Bring the link back up."""
-        self._flush_due_trains()
         self._set_state(LinkState.WORKING)
 
     def _set_state(self, state: LinkState) -> None:
@@ -362,7 +264,6 @@ class Link:
         """Fraction of delivered cells silently corrupted (dropped)."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"error rate {rate} out of [0, 1]")
-        self._flush_due_trains()
         self.error_rate = rate
 
     def __repr__(self) -> str:  # pragma: no cover

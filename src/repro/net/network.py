@@ -24,6 +24,7 @@ from repro.core.routing.circuits import (
     VirtualCircuit,
 )
 from repro.core.routing.signaling import SetupRequest
+from repro.fastpath.driver import FabricSlotDriver
 from repro.net.cell import TrafficClass
 from repro.net.host import Host, HostConfig
 from repro.net.link import Link
@@ -50,8 +51,6 @@ class Network:
         switch_config: Optional[SwitchConfig] = None,
         host_config: Optional[HostConfig] = None,
         drift_ppm: float = 0.0,
-        batch_cell_trains: bool = False,
-        fabric_slot_driver: bool = False,
     ) -> None:
         """Args:
             topology: the connection pattern to instantiate.
@@ -60,18 +59,11 @@ class Network:
             drift_ppm: if non-zero, each switch's slot clock rate is drawn
                 uniformly from [-drift_ppm, +drift_ppm] (the asynchronous-
                 network regime of section 4).
-            batch_cell_trains: build every link with cell-train delivery
-                batching (see :class:`~repro.net.link.Link`).  Delivered
-                and dropped cell sets are unchanged; kernel event counts
-                drop for bursty traffic.  Off by default because the
-                frozen replay digests record the per-cell event schedule.
-            fabric_slot_driver: coalesce all drift-free switches' slot
-                timers into one :class:`~repro.fastpath.FabricSlotDriver`
-                wave event per slot (DESIGN §13).  Switches with clock
-                drift keep their private timers.  Off by default: the
-                wave models a fabric-wide synchronized slot clock, so
-                event schedules (and digests) differ from per-switch
-                timing while delivered traffic does not.
+
+        Drift-free switches tick together on one
+        :class:`~repro.fastpath.FabricSlotDriver` wave event per slot
+        (section 4's synchronized network); a switch whose clock drifts
+        keeps its private slot timer (DESIGN §13.4).
         """
         self.topology = topology
         self.sim = Simulator()
@@ -93,8 +85,20 @@ class Network:
         self.switch_config = base_config
         if host_config is None:
             # Hosts must pace guaranteed circuits against the same frame
-            # length the switches schedule with.
-            host_config = HostConfig(frame_slots=base_config.frame_slots)
+            # length the switches schedule with, and speak the same
+            # best-effort flow control.
+            host_config = HostConfig(
+                frame_slots=base_config.frame_slots,
+                flow_control=base_config.flow_control,
+            )
+        elif host_config.flow_control != base_config.flow_control:
+            # Credit-mode hosts behind drop-mode switches never get a
+            # credit back and wedge silently.
+            raise ValueError(
+                f"host_config.flow_control={host_config.flow_control!r} "
+                f"does not match switch_config.flow_control="
+                f"{base_config.flow_control!r}"
+            )
         self.host_config = host_config
         self.switches: Dict[NodeId, AN2Switch] = {}
         self.hosts: Dict[NodeId, Host] = {}
@@ -102,14 +106,13 @@ class Network:
         self.vc_allocator = VcAllocator()
         self.circuits: Dict[int, VirtualCircuit] = {}
         drift_rng = self.streams.stream("clock_drift")
-        self.slot_driver = None
-        if fabric_slot_driver:
-            from repro.fastpath.driver import FabricSlotDriver
-
-            self.slot_driver = FabricSlotDriver(
-                self.sim, base_config.slot_time_us
-            )
-
+        driver = FabricSlotDriver(self.sim, base_config.slot_time_us)
+        self.slot_driver = driver
+        # Whether the wave was engaged, and why a switch was refused, as
+        # snapshot-time reads of the driver's plain ints.
+        driver_probes = self.registry.node("fabric.slot_driver")
+        for name in ("adopted", "refused_drift", "waves", "ticks"):
+            driver_probes.gauge(name, lambda name=name: getattr(driver, name))
         for node in topology.switches():
             config = base_config
             if drift_ppm:
@@ -125,8 +128,7 @@ class Network:
                 n_ports=topology.ports_of(node),
                 registry=self.registry,
             )
-            if self.slot_driver is not None:
-                self.slot_driver.adopt(self.switches[node])
+            driver.adopt(self.switches[node])
         for node in topology.hosts():
             self.hosts[node] = Host(
                 self.sim,
@@ -147,7 +149,6 @@ class Network:
                 length_km=spec.length_km,
                 bps=spec.bps,
                 rng=self.streams.stream(f"link.{node_a}.{pa}.{node_b}.{pb}"),
-                batch_trains=batch_cell_trains,
             )
             self.links[spec.endpoints] = link
             self._watch_link(f"link.{node_a}.{pa}-{node_b}.{pb}", link)

@@ -2,12 +2,56 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro._types import NodeId, PortIndex
 from repro.net.cell import Cell
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
+
+#: best-effort flow control disciplines a device config may name.
+FLOW_CONTROL_MODES = ("credits", "drop")
+
+_MONITOR_INTERVALS = (
+    "ping_interval_us",
+    "ack_timeout_us",
+    "ping_reply_delay_us",
+    "skeptic_base_wait_us",
+    "skeptic_decay_us",
+)
+
+
+def validate_device_config(
+    config,
+    positive: Sequence[str] = (),
+    at_least_one: Sequence[str] = (),
+    non_negative: Sequence[str] = (),
+) -> None:
+    """Reject a nonsensical ``SwitchConfig`` / ``HostConfig`` at
+    construction with a ``ValueError`` naming the field, instead of a
+    hang or a ``ZeroDivisionError`` deep in a run.  The fields both
+    configs share are checked here; the arguments name the rest."""
+
+    def check(names, ok, rule) -> None:
+        for name in names:
+            value = getattr(config, name)
+            if value is not None and not ok(value):  # None: derived later
+                raise ValueError(
+                    f"{type(config).__name__}.{name}={value!r} must be {rule}"
+                )
+
+    check(
+        ("flow_control",),
+        FLOW_CONTROL_MODES.__contains__,
+        f"one of {FLOW_CONTROL_MODES}",
+    )
+    check(positive, lambda v: v > 0, "> 0")
+    check(
+        ("frame_slots", "credit_allocation", *at_least_one),
+        lambda v: v >= 1,
+        ">= 1",
+    )
+    check((*_MONITOR_INTERVALS, *non_negative), lambda v: v >= 0, ">= 0")
 
 
 class Node:

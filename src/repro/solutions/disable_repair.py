@@ -24,9 +24,9 @@ Two disciplines keep this honest:
   endured.
 
 The threshold decision runs on the link's adjudication hook, but the
-repair itself is a zero-delay scheduled event: ``Link.fail`` flushes
-trains and fans out to state observers, which must not reenter from
-the middle of a ``_deliver`` call.
+repair itself is a zero-delay scheduled event: ``Link.fail`` fans out
+to state observers, which must not reenter from the middle of a
+``_deliver`` call.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ class DisableAndRepair(Solution):
         if len(window) < self.error_threshold:
             return
         window.clear()
-        # Decide here, act between deliveries: fail() flushes pending
-        # trains and fans out to the reconfiguration machinery, neither
-        # of which may reenter from inside this _deliver call.
+        # Decide here, act between deliveries: fail() fans out to the
+        # reconfiguration machinery, which may not reenter from inside
+        # this _deliver call.
         link.sim.schedule(0.0, self._begin_repair, link)
 
     def _begin_repair(self, link: Link) -> None:

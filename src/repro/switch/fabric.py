@@ -286,46 +286,6 @@ class VoqFabric:
             col_masks[output_port] |= pow2[input_port]
         self.union_mask |= union
 
-    def offer_train(
-        self, input_port: int, output_port: int, first_slot: int, count: int
-    ) -> int:
-        """Enqueue a cell train: ``count`` back-to-back cells from one
-        input to one output, arriving in consecutive slots starting at
-        ``first_slot``.  Returns how many were accepted.
-
-        This is the fabric-side counterpart of link cell-train batching
-        (:class:`~repro.net.link.Link` with ``batch_trains``): a burst
-        delivered by one train event enqueues with one call, touching
-        the VOQ dictionary and the request/column/union masks once
-        instead of ``count`` times.  Semantically identical to ``count``
-        :meth:`offer` calls -- capacity-limited or traced fabrics take
-        exactly that path so drop accounting and ``voq.active``
-        transitions are unchanged.
-        """
-        if count <= 0:
-            return 0
-        if (
-            self.buffer_capacity is not None
-            or self.per_vc_capacity is not None
-            or self.tracer is not None
-        ):
-            accepted = 0
-            for i in range(count):
-                if self.offer(input_port, output_port, first_slot + i):
-                    accepted += 1
-            return accepted
-        self.metrics.cells_offered += count
-        queues = self.queues[input_port]
-        queue = queues.get(output_port)
-        if queue is None:
-            queue = queues[output_port] = deque()
-        queue.extend(range(first_slot, first_slot + count))
-        obit = _POW2[output_port]
-        self.request_masks[input_port] |= obit
-        self.col_masks[output_port] |= _POW2[input_port]
-        self.union_mask |= obit
-        return count
-
     def offer_guaranteed(
         self, input_port: int, output_port: int, slot: int
     ) -> None:

@@ -58,7 +58,7 @@ from repro.core.routing.signaling import (
     TeardownRequest,
 )
 from repro.net.cell import Cell, CellKind, TrafficClass
-from repro.net.node import Node
+from repro.net.node import Node, validate_device_config
 from repro.net.port import Port
 from repro.net.topology import Edge, TopologyView
 from repro.sim.kernel import Simulator
@@ -110,6 +110,28 @@ class SwitchConfig:
     #: ``None`` keeps the flat frame schedule.
     nested_subframe_slots: Optional[int] = None
     clock_drift_ppm: float = 0.0
+
+    def __post_init__(self) -> None:
+        validate_device_config(
+            self,
+            positive=("slot_time_us",),
+            at_least_one=(
+                "n_ports", "pim_iterations", "nested_subframe_slots",
+            ),
+            non_negative=(
+                "control_delay_us",
+                "boot_reconfig_delay_us",
+                "reconfig_watchdog_us",
+                "resync_interval_us",
+                "paging_idle_us",
+            ),
+        )
+        subframe = self.nested_subframe_slots
+        if subframe is not None and self.frame_slots % subframe:
+            raise ValueError(
+                f"SwitchConfig.nested_subframe_slots={subframe!r} must "
+                f"divide frame_slots={self.frame_slots}"
+            )
 
 
 @dataclass
@@ -185,8 +207,8 @@ class AN2Switch(Node):
         self._vc_in_port: Dict[VcId, int] = {}
         self._slot_index = 0
         self._tick_scheduled = False
-        #: optional repro.fastpath.FabricSlotDriver; when set (and the
-        #: local clock is drift-free) slot timers coalesce into its wave.
+        #: the Network's repro.fastpath.FabricSlotDriver once adopted;
+        #: while the local clock is drift-free, slot ticks ride its wave.
         self._slot_driver = None
         self._started = False
         #: observers of verdict changes: callbacks (port_index, verdict).
@@ -687,12 +709,13 @@ class AN2Switch(Node):
         self._tick_scheduled = True
         driver = self._slot_driver
         if driver is not None and self.clock.drift_ppm == 0.0:
-            # Fabric-wide slot wave: one kernel event for every switch
-            # due this slot.  A mid-run clock-drift fault drops the
-            # switch back to its private timer (the branch above), the
-            # same blast-radius fallback the array engine uses.
+            # Section 4's synchronized network: one kernel wave event
+            # ticks every drift-free switch due this slot.
             driver.request_tick(self)
             return
+        # The asynchronous regime (a drifting oscillator, also after a
+        # mid-run clock-drift fault) or a switch outside any Network:
+        # a private timer at the local clock's own rate.
         self.sim.schedule(
             self.clock.global_delay(self.config.slot_time_us), self._slot_tick
         )

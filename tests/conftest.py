@@ -43,7 +43,10 @@ def fast_host_config(**overrides) -> HostConfig:
 
 
 def line_with_hosts(
-    n_switches: int = 3, seed: int = 1, **config_overrides
+    n_switches: int = 3,
+    seed: int = 1,
+    drift_ppm: float = 0.0,
+    **config_overrides,
 ) -> Network:
     """h0 - s0 - s1 - ... - s(n-1) - h1, all fast links, booted nowhere."""
     topo = Topology.line(n_switches)
@@ -56,6 +59,7 @@ def line_with_hosts(
         seed=seed,
         switch_config=fast_switch_config(**config_overrides),
         host_config=fast_host_config(),
+        drift_ppm=drift_ppm,
     )
 
 

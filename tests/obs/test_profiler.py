@@ -157,24 +157,11 @@ def test_classify_fastpath_slot_driver():
 
 
 def test_profiler_attributes_driver_waves_on_a_network():
-    from repro.net.network import Network
-    from repro.net.topology import Topology
     from repro.traffic.workload import PoissonPacketWorkload
 
-    from tests.conftest import fast_host_config, fast_switch_config
+    from tests.conftest import line_with_hosts
 
-    topo = Topology.line(3)
-    topo.add_host(0)
-    topo.add_host(1)
-    topo.connect("h0", "s0", port_a=0, bps=622_000_000)
-    topo.connect("h1", "s2", port_a=0, bps=622_000_000)
-    net = Network(
-        topo,
-        seed=1,
-        switch_config=fast_switch_config(),
-        host_config=fast_host_config(),
-        fabric_slot_driver=True,
-    )
+    net = line_with_hosts(3)  # every default Network ticks on the wave
     net.start()
     net.run_until_converged(timeout_us=500_000)
     circuit = net.setup_circuit("h0", "h1")

@@ -12,13 +12,12 @@ contract") in three stages:
    (``Pim``/``Islip``/``FifoScheduler``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
-   random topologies, drives batched (cell-train) links against the
-   per-cell reference schedule under scripted faults, proves the
-   whole-fabric slot engine (:mod:`repro.fastpath`) bit-identical to
-   per-switch scalar stepping on both its backends, and checks the
-   fabric slot driver leaves traffic outcomes untouched while executing
-   fewer kernel events.  Any divergence is reported as the first
-   divergent case and fails the gate.
+   random topologies, proves the whole-fabric slot engine
+   (:mod:`repro.fastpath`) bit-identical to per-switch scalar stepping
+   on both its backends, and checks the default ``Network`` (slot wave)
+   against its detached private-timer reference: same traffic outcomes,
+   strictly fewer kernel events.  Any divergence is reported as the
+   first divergent case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -45,7 +44,6 @@ sys.path.insert(0, str(SRC))
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
     fastpath_sweep,
-    link_sweep,
     matcher_sweep,
     routing_sweep,
     slot_driver_sweep,
@@ -108,7 +106,6 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     seeds = list(range(n_seeds))
     divergences, corpus = matcher_sweep(seeds, n_slots=n_slots)
     routing_div, routing_corpus = routing_sweep(seeds)
-    link_div, link_corpus = link_sweep(seeds)
     # The fastpath differential is heavier per case (scalar twins + the
     # stacked engine, both backends); cap its seed list so the stage
     # stays proportionate to the matcher sweep.
@@ -117,24 +114,17 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
         fastpath_seeds, n_slots=min(n_slots, 120)
     )
     driver_div, driver_corpus = slot_driver_sweep(fastpath_seeds[:2])
-    total = (
-        len(divergences) + len(routing_div) + len(link_div)
-        + len(fastpath_div) + len(driver_div)
-    )
-    label = "OK" if total == 0 else "FAIL"
+    found = divergences + routing_div + fastpath_div + driver_div
+    label = "OK" if not found else "FAIL"
     print(
         f"      {len(corpus)} matcher cases + {len(routing_corpus)} "
-        f"routing cases + {len(link_corpus)} link cases + "
-        f"{len(fastpath_corpus)} fastpath cases + {len(driver_corpus)} "
-        f"slot-driver cases -> "
-        f"{total} divergence(s) [{label}, {time.time() - t0:.1f}s]"
+        f"routing cases + {len(fastpath_corpus)} fastpath cases + "
+        f"{len(driver_corpus)} slot-driver cases -> "
+        f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
-    for div in (
-        list(divergences) + list(routing_div) + list(link_div)
-        + list(fastpath_div) + list(driver_div)
-    ):
+    for div in found:
         print(f"      {div}")
-    return total == 0
+    return not found
 
 
 def check_lint() -> bool:
