@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-speed speed-smoke e2e-smoke solutions-smoke topo-smoke fastpath-demo sweep examples all clean
+.PHONY: install test bench bench-speed speed-smoke e2e-smoke solutions-smoke topo-smoke sweep examples all clean
 
 install:
 	pip install -e .
@@ -44,12 +44,6 @@ solutions-smoke:
 # any divergence).
 topo-smoke:
 	$(PYTHON) tools/run_topo_smoke.py
-
-# Whole-fabric slot engine at scale: every switch of a 320-switch
-# fat-tree advanced scalar vs through the stacked engine; exit non-zero
-# on any work-checksum mismatch (timings are informational).
-fastpath-demo:
-	$(PYTHON) tools/run_fastpath.py
 
 # Parallel sweep with serial digest verification (exit non-zero on any
 # parallel-vs-serial divergence).

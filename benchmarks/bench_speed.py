@@ -35,11 +35,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.matching.bitmask import BitmaskFifoScheduler, BitmaskPim
-from repro.core.matching.fifo import FifoScheduler
+from repro.core.matching.bitmask import BitmaskPim
 from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.sim.kernel import Simulator
-from repro.switch.fabric import FifoFabric, VoqFabric
+from repro.switch.fabric import VoqFabric
 
 TRACE_SEED = 42
 MATCHER_SEED = 1
@@ -105,25 +104,6 @@ def _run_voq(
     start = time.perf_counter()
     for slot in range(warmup, warmup + slots):
         offer_batch(trace[slot], slot)
-        step(slot)
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, fabric.metrics.cells_delivered)
-
-
-def _run_fifo(
-    n_ports: int, scheduler_factory: Callable[[], object], slots: int, warmup: int
-) -> SpeedResult:
-    trace = _uniform_trace(n_ports, 0.9, slots + warmup)
-    fabric = FifoFabric(n_ports, scheduler_factory())
-    step = fabric.step
-    for slot in range(warmup):
-        for i, o in trace[slot]:
-            fabric.offer(i, o, slot)
-        step(slot)
-    start = time.perf_counter()
-    for slot in range(warmup, warmup + slots):
-        for i, o in trace[slot]:
-            fabric.offer(i, o, slot)
         step(slot)
     elapsed = time.perf_counter() - start
     return SpeedResult(elapsed, fabric.metrics.cells_delivered)
@@ -410,132 +390,6 @@ def _run_topo_delta(k: int, n_deltas: int, incremental: bool) -> SpeedResult:
     return SpeedResult(elapsed, int.from_bytes(folded.digest()[:8], "big"))
 
 
-def _fabric_bank_trace(
-    n_fabrics: int, n_ports: int, load: float, slots: int
-) -> List[List[List[Tuple[int, int]]]]:
-    """Per-slot, per-fabric arrival lists from one frozen seed."""
-    rng = random.Random(TRACE_SEED)
-    rng_random = rng.random
-    return [
-        [
-            [
-                (i, int(rng_random() * n_ports))
-                for i in range(n_ports)
-                if rng_random() < load
-            ]
-            for _ in range(n_fabrics)
-        ]
-        for _ in range(slots)
-    ]
-
-
-def _fabric_bank(n_fabrics: int, n_ports: int) -> List[VoqFabric]:
-    """One bitmask-PIM VoqFabric per switch, distinct seeded RNGs."""
-    return [
-        VoqFabric(
-            n_ports,
-            BitmaskPim(
-                n_ports, iterations=3, rng=random.Random(MATCHER_SEED + j)
-            ),
-        )
-        for j in range(n_fabrics)
-    ]
-
-
-def _bank_checksum(fabrics: List[VoqFabric]) -> int:
-    """Delivered count and summed waits folded into one comparable int."""
-    delivered = sum(f.metrics.cells_delivered for f in fabrics)
-    waited = sum(sum(f.metrics.latency._samples) for f in fabrics)
-    return delivered * 1_000_003 + waited
-
-
-def _run_fabric_slots_scalar(
-    n_fabrics: int, n_ports: int, slots: int, warmup: int
-) -> SpeedResult:
-    """Whole-fabric slot advance, per-switch scalar stepping.
-
-    The scalar half of the ``fabric_slot_engine_speedup`` pair: every
-    switch fabric is offered its arrivals (via ``offer_batch``, the
-    fastest committed scalar idiom) and stepped one at a time, the way
-    ``Network`` advances slots without the fastpath engine.
-    """
-    total = slots + warmup
-    trace = _fabric_bank_trace(n_fabrics, n_ports, 1.0, total)
-    fabrics = _fabric_bank(n_fabrics, n_ports)
-
-    def advance(first: int, last: int) -> None:
-        for slot in range(first, last):
-            per_fabric = trace[slot]
-            for j, fabric in enumerate(fabrics):
-                fabric.offer_batch(per_fabric[j], slot)
-            for fabric in fabrics:
-                fabric.step(slot)
-
-    advance(0, warmup)
-    start = time.perf_counter()
-    advance(warmup, total)
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, _bank_checksum(fabrics))
-
-
-def _run_fabric_slots_vectorized(
-    n_fabrics: int, n_ports: int, slots: int, warmup: int
-) -> SpeedResult:
-    """Same bank of switches advanced by the stacked FabricArrayEngine.
-
-    Identical trace, seeds, and work as
-    :func:`_run_fabric_slots_scalar` -- the checksum proves it -- but
-    all fabrics register into one :class:`FabricArrayEngine` and each
-    slot is one vectorized pass.  With numpy present the arrivals are
-    pre-split into int64 arrays (the zero-copy ``offer_arrays`` path);
-    without numpy the engine's pure-Python stacked loop runs, so this
-    workload degrades rather than breaking under the no-numpy job.
-    """
-    from repro.fastpath.backend import load_numpy
-    from repro.fastpath.engine import FabricArrayEngine
-
-    np = load_numpy()
-    total = slots + warmup
-    trace = _fabric_bank_trace(n_fabrics, n_ports, 1.0, total)
-    if np is not None:
-        trace_arrays = [
-            [
-                (
-                    np.asarray([c[0] for c in cells], np.int64),
-                    np.asarray([c[1] for c in cells], np.int64),
-                )
-                for cells in per_fabric
-            ]
-            for per_fabric in trace
-        ]
-    fabrics = _fabric_bank(n_fabrics, n_ports)
-    engine = FabricArrayEngine(backend="auto")
-    for fabric in fabrics:
-        engine.register(fabric)
-
-    def advance(first: int, last: int) -> None:
-        if np is not None:
-            for slot in range(first, last):
-                per_fabric = trace_arrays[slot]
-                for j, fabric in enumerate(fabrics):
-                    ins, outs = per_fabric[j]
-                    engine.offer_arrays(fabric, ins, outs, slot)
-                engine.step_all(slot)
-        else:
-            for slot in range(first, last):
-                per_fabric = trace[slot]
-                for j, fabric in enumerate(fabrics):
-                    engine.offer_batch(fabric, per_fabric[j], slot)
-                engine.step_all(slot)
-        engine.sync()
-
-    advance(0, warmup)
-    start = time.perf_counter()
-    advance(warmup, total)
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, _bank_checksum(fabrics))
-
-
 def _pim_reference(n_ports: int) -> ParallelIterativeMatcher:
     return ParallelIterativeMatcher(n_ports, rng=random.Random(MATCHER_SEED))
 
@@ -578,26 +432,6 @@ WORKLOADS: List[SpeedWorkload] = [
         "voq_pim_bitmask_n64",
         "VoqFabric + bitmask PIM, uniform load 1.0, N=64, 1.5k slots",
         lambda: _run_voq(64, lambda: _pim_bitmask(64), 1_500, 200),
-    ),
-    SpeedWorkload(
-        "fifo_reference_n16",
-        "FifoFabric + reference FIFO scheduler, load 0.9, N=16, 20k slots",
-        lambda: _run_fifo(
-            16,
-            lambda: FifoScheduler(16, rng=random.Random(MATCHER_SEED)),
-            20_000,
-            2_000,
-        ),
-    ),
-    SpeedWorkload(
-        "fifo_bitmask_n16",
-        "FifoFabric + bitmask FIFO scheduler, load 0.9, N=16, 20k slots",
-        lambda: _run_fifo(
-            16,
-            lambda: BitmaskFifoScheduler(16, rng=random.Random(MATCHER_SEED)),
-            20_000,
-            2_000,
-        ),
     ),
     SpeedWorkload(
         "voq_pim_bitmask_n16_traced",
@@ -657,18 +491,6 @@ WORKLOADS: List[SpeedWorkload] = [
         quick=True,
     ),
     SpeedWorkload(
-        "fabric_slot_scalar",
-        "64 VoqFabrics (bitmask PIM N=16), per-switch scalar slot stepping",
-        lambda: _run_fabric_slots_scalar(64, 16, 600, 100),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "fabric_slot_vectorized",
-        "Same 64 fabrics stacked into one FabricArrayEngine slot pass",
-        lambda: _run_fabric_slots_vectorized(64, 16, 600, 100),
-        quick=True,
-    ),
-    SpeedWorkload(
         "link_retx_unguarded",
         "Link: 1k bursts of 24 cells, every 7th corrupted once, plain loss",
         lambda: _run_link_retx(False, 1_000, 24),
@@ -688,7 +510,6 @@ SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
     "pim_bitmask_speedup_n16": ("voq_pim_reference_n16", "voq_pim_bitmask_n16"),
     "pim_bitmask_speedup_n32": ("voq_pim_reference_n32", "voq_pim_bitmask_n32"),
     "pim_bitmask_speedup_n64": ("voq_pim_reference_n64", "voq_pim_bitmask_n64"),
-    "fifo_bitmask_speedup_n16": ("fifo_reference_n16", "fifo_bitmask_n16"),
     "route_cache_speedup_n24": ("route_cache_off_n24", "route_cache_on_n24"),
     "sweep_parallel_speedup_w4": ("sweep_parallel_serial", "sweep_parallel_w4"),
     "topo_incremental_vs_rebuild": (
@@ -697,8 +518,4 @@ SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
     ),
     "obs_overhead_traced_cost": ("obs_overhead_traced", "obs_overhead_untraced"),
     "link_retx_recovery_cost": ("link_retx_guarded", "link_retx_unguarded"),
-    "fabric_slot_engine_speedup": (
-        "fabric_slot_scalar",
-        "fabric_slot_vectorized",
-    ),
 }

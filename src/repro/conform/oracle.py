@@ -1,13 +1,12 @@
 """Differential oracles: reference vs fast-path, AN1 vs AN2.
 
-Two families of cross-checks, both reporting the *first* divergence they
-find as a :class:`Divergence` (never just a boolean -- a conformance
+Three families of cross-checks, each reporting the *first* divergence it
+finds as a :class:`Divergence` (never just a boolean -- a conformance
 failure must say exactly where the implementations disagreed):
 
 - **Matchers** -- :func:`compare_matchers` drives a reference scheduler
   (:class:`~repro.core.matching.pim.ParallelIterativeMatcher`,
-  :class:`~repro.core.matching.islip.IslipMatcher`,
-  :class:`~repro.core.matching.fifo.FifoScheduler`) and its bitmask
+  :class:`~repro.core.matching.islip.IslipMatcher`) and its bitmask
   counterpart (strict-RNG mode) cell by cell through two identically-fed
   fabrics from identical seeds, comparing every slot's full matching.
   This checks the matchers *and* the fabric's incremental mask
@@ -20,6 +19,10 @@ failure must say exactly where the implementations disagreed):
   must terminate, stay legal, and be exactly as short as the end-to-end
   path; and the end-to-end answer must be identical across independently
   constructed orientations (no hash-order sensitivity).
+- **Slot driver** -- :func:`compare_slot_driver` runs the digest gate's
+  replay scenario on the default ``Network`` (fabric-wide slot wave) and
+  with every switch detached onto its private slot timer: same traffic
+  outcomes, strictly fewer kernel events.
 
 :func:`matcher_sweep` / :func:`routing_sweep` run these over a seeded
 grid of sizes and load patterns and also return plain-data records
@@ -34,18 +37,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.matching.bitmask import (
-    BitmaskFifoScheduler,
-    BitmaskIslip,
-    BitmaskPim,
-)
-from repro.core.matching.fifo import FifoScheduler
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.core.matching.islip import IslipMatcher
 from repro.core.matching.pim import MatchResult, ParallelIterativeMatcher
 from repro.core.routing.updown import UpDownOrientation
 from repro.net.topology import Topology
 from repro.sim.random import derived_stream
-from repro.switch.fabric import FifoFabric, VoqFabric
+from repro.switch.fabric import VoqFabric
 from repro.traffic.arrivals import (
     ArrivalProcess,
     BernoulliUniform,
@@ -59,8 +57,8 @@ from repro.traffic.arrivals import (
 class Divergence:
     """The first point where two implementations disagreed."""
 
-    kind: str        # "matcher" or "routing"
-    pair: str        # e.g. "pim", "fifo", "an1-vs-an2"
+    kind: str        # "matcher", "routing" or "fastpath"
+    pair: str        # e.g. "pim", "an1-vs-an2", "slot-driver"
     seed: int
     size: int        # fabric ports / topology switches
     case: str        # load pattern name / "src->dst" switch pair
@@ -81,7 +79,7 @@ class Divergence:
 # ======================================================================
 # matcher differential
 # ======================================================================
-MATCHER_KINDS = ("pim", "islip", "fifo")
+MATCHER_KINDS = ("pim", "islip")
 
 #: pattern name -> factory(n_ports, rng) for the sweep's load patterns.
 PATTERNS: Dict[str, Callable[[int, random.Random], ArrivalProcess]] = {
@@ -120,16 +118,6 @@ def _build_pair(kind: str, n_ports: int, seed: int):
     elif kind == "islip":
         reference = VoqFabric(n_ports, IslipMatcher(n_ports, iterations=3))
         candidate = VoqFabric(n_ports, BitmaskIslip(n_ports, iterations=3))
-    elif kind == "fifo":
-        reference = FifoFabric(
-            n_ports, FifoScheduler(n_ports, rng=_seeded_rng("fifo", seed))
-        )
-        candidate = FifoFabric(
-            n_ports,
-            BitmaskFifoScheduler(
-                n_ports, rng=_seeded_rng("fifo", seed), strict_rng=True
-            ),
-        )
     else:
         raise ValueError(f"unknown matcher kind {kind!r}")
     return reference, candidate
@@ -391,249 +379,8 @@ def routing_sweep(
 
 
 # ======================================================================
-# fastpath differential (stacked engine vs per-switch fabrics)
+# slot-driver differential (fabric-wide wave vs private slot timers)
 # ======================================================================
-#: matcher configurations the engine vectorizes, including the strict-RNG
-#: variants whose draws must come off the Python ``random.Random`` stream
-#: call-for-call.
-FASTPATH_KINDS = ("pim", "pim_strict", "islip", "fifo", "fifo_strict")
-
-
-def _build_fastpath_fabric(kind: str, n_ports: int, seed: int):
-    """One bitmask fabric of ``kind``; call twice for a scalar/engine twin."""
-    strict = kind.endswith("_strict")
-    if kind.startswith("pim"):
-        return VoqFabric(
-            n_ports,
-            BitmaskPim(
-                n_ports,
-                iterations=3,
-                rng=_seeded_rng(f"fastpath/{kind}", seed),
-                strict_rng=strict,
-            ),
-        )
-    if kind == "islip":
-        return VoqFabric(n_ports, BitmaskIslip(n_ports, iterations=3))
-    if kind.startswith("fifo"):
-        return FifoFabric(
-            n_ports,
-            BitmaskFifoScheduler(
-                n_ports,
-                rng=_seeded_rng(f"fastpath/{kind}", seed),
-                strict_rng=strict,
-            ),
-        )
-    raise ValueError(f"unknown fastpath kind {kind!r}")
-
-
-def _fastpath_state(fabric) -> Dict[str, Any]:
-    """Full observable state of a fabric as plain data.
-
-    Everything the engine's write-back contract covers: queue contents
-    (VOQ deques hold arrival slots; FIFO queues hold ``(slot, output)``
-    tuples), incremental masks, iSLIP pointers, the scheduler RNG's
-    Mersenne state, and every metric including raw sample order.
-    """
-    metrics = fabric.metrics
-    state: Dict[str, Any] = {
-        "metrics": [
-            metrics.slots,
-            metrics.cells_offered,
-            metrics.cells_delivered,
-            metrics.slots_with_backlog,
-            list(metrics.latency._samples),
-            list(metrics.iterations_to_maximal._samples),
-            sorted(metrics.maximal_within.items()),
-            sorted(
-                [list(pair), count]
-                for pair, count in metrics.delivered_per_pair.items()
-            ),
-        ],
-    }
-    if isinstance(fabric, VoqFabric):
-        state["queues"] = [
-            sorted([o, list(q)] for o, q in queues.items() if q)
-            for queues in fabric.queues
-        ]
-        state["masks"] = [
-            list(fabric.request_masks),
-            list(fabric.col_masks),
-            fabric.union_mask,
-        ]
-    else:
-        state["queues"] = [
-            [list(entry) for entry in q] for q in fabric.queues
-        ]
-    scheduler = fabric.scheduler
-    rng = getattr(scheduler, "rng", None)
-    if rng is not None:
-        version, internal, gauss = rng.getstate()
-        state["rng"] = [version, list(internal), gauss]
-    if hasattr(scheduler, "grant_pointers"):
-        state["pointers"] = [
-            list(scheduler.grant_pointers),
-            list(scheduler.accept_pointers),
-        ]
-    return state
-
-
-def _fastpath_metrics_view(fabric) -> List[Any]:
-    """The subset comparable while queue state still lives in the engine."""
-    state = _fastpath_state(fabric)
-    return [state["metrics"], state.get("rng")]
-
-
-def compare_fastpath(
-    kind: str,
-    n_ports: int,
-    seed: int,
-    pattern: str,
-    n_slots: int = 120,
-    backend: str = "auto",
-) -> Tuple[Optional[Divergence], str]:
-    """Drive scalar fabrics and their engine-resident twins from one seed.
-
-    Two sibling fabrics of ``kind`` share one
-    :class:`~repro.fastpath.engine.FabricArrayEngine` (so the stacked
-    arrays interleave rows, the hostile case for indexing bugs) while an
-    identically-seeded scalar pair steps independently.  Fabric 0 is
-    pinned back to the scalar path a third of the way in and re-adopted
-    at two thirds, exercising the mid-run write-back/re-register cycle.
-    Metrics and RNG streams are compared at every engine sync; the full
-    state (queues, masks, pointers, samples) is compared after the final
-    write-back.  Returns ``(divergence, state_hash)`` where the hash is a
-    SHA-256 over the scalar twins' end states -- the corpus pin.
-    """
-    from repro.conform.digest import canonical_bytes
-    from repro.fastpath.engine import FabricArrayEngine
-
-    n_fabrics = 2
-    scalar = [
-        _build_fastpath_fabric(kind, n_ports, seed * n_fabrics + j)
-        for j in range(n_fabrics)
-    ]
-    mirrored = [
-        _build_fastpath_fabric(kind, n_ports, seed * n_fabrics + j)
-        for j in range(n_fabrics)
-    ]
-    engine = FabricArrayEngine(backend=backend)
-    for fabric in mirrored:
-        engine.register(fabric)
-    traffic = [
-        PATTERNS[pattern](
-            n_ports, _seeded_rng(f"fastpath-traffic/{pattern}/{j}", seed)
-        )
-        for j in range(n_fabrics)
-    ]
-    pin_at, unpin_at = n_slots // 3, (2 * n_slots) // 3
-
-    def diverged(slot: int, j: int, reference: Any, candidate: Any):
-        return Divergence(
-            kind="fastpath",
-            pair=kind,
-            seed=seed,
-            size=n_ports,
-            case=f"{pattern}/{backend}",
-            round=slot,
-            port=j,
-            reference=repr(reference)[:200],
-            candidate=repr(candidate)[:200],
-        )
-
-    for slot in range(n_slots):
-        if slot == pin_at:
-            engine.pin_scalar(mirrored[0])
-        elif slot == unpin_at:
-            engine.unpin(mirrored[0])
-        for j in range(n_fabrics):
-            for input_port, output_port in traffic[j].arrivals(slot):
-                scalar[j].offer(input_port, output_port, slot)
-                engine.offer(mirrored[j], input_port, output_port, slot)
-        for fabric in scalar:
-            fabric.step(slot)
-        engine.step_all(slot)
-        if slot % 16 == 15:
-            engine.sync()
-            for j in range(n_fabrics):
-                ref = _fastpath_metrics_view(scalar[j])
-                cand = _fastpath_metrics_view(mirrored[j])
-                if ref != cand:
-                    return diverged(slot, j, ref, cand), ""
-    engine.sync()
-    for fabric in mirrored:
-        engine.unregister(fabric)
-    state_hash = hashlib.sha256()
-    for j in range(n_fabrics):
-        ref_state = _fastpath_state(scalar[j])
-        cand_state = _fastpath_state(mirrored[j])
-        state_hash.update(canonical_bytes(ref_state))
-        if ref_state != cand_state:
-            keys = [k for k in ref_state if ref_state[k] != cand_state.get(k)]
-            return (
-                diverged(
-                    n_slots,
-                    j,
-                    {k: ref_state[k] for k in keys},
-                    {k: cand_state.get(k) for k in keys},
-                ),
-                state_hash.hexdigest(),
-            )
-    return None, state_hash.hexdigest()
-
-
-def fastpath_sweep(
-    seeds: Sequence[int],
-    sizes: Sequence[int] = (4, 16),
-    kinds: Sequence[str] = FASTPATH_KINDS,
-    patterns: Sequence[str] = tuple(PATTERNS),
-    n_slots: int = 120,
-    backends: Optional[Sequence[str]] = None,
-) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """The engine differential grid over both backends.
-
-    The pure-Python stacked-loop backend is always swept (it is the
-    no-numpy fallback and must satisfy the same oracle); the numpy
-    backend is swept when numpy is importable and not forced off.
-    """
-    if backends is None:
-        from repro.fastpath.backend import load_numpy
-
-        backends = ("python",) if load_numpy() is None else (
-            "numpy", "python"
-        )
-    divergences: List[Divergence] = []
-    records: List[Dict[str, Any]] = []
-    for backend in backends:
-        for kind in kinds:
-            for n_ports in sizes:
-                for pattern in patterns:
-                    for seed in seeds:
-                        divergence, state_sha = compare_fastpath(
-                            kind,
-                            n_ports,
-                            seed,
-                            pattern,
-                            n_slots=n_slots,
-                            backend=backend,
-                        )
-                        if divergence is not None:
-                            divergences.append(divergence)
-                        records.append(
-                            {
-                                "kind": "fastpath",
-                                "matcher": kind,
-                                "backend": backend,
-                                "n_ports": n_ports,
-                                "pattern": pattern,
-                                "seed": seed,
-                                "n_slots": n_slots,
-                                "state_sha256": state_sha,
-                                "agreed": divergence is None,
-                            }
-                        )
-    return divergences, records
-
-
 def _scrub_tick_phase(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     """Drop the fields the slot driver is allowed to change.
 

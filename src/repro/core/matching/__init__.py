@@ -15,10 +15,9 @@ the schedulers:
 - :class:`~repro.core.matching.fifo.FifoScheduler` -- head-of-line FIFO
   contention, the 58%-throughput baseline,
 - :mod:`repro.core.matching.bitmask` -- bitmask fast-path
-  re-implementations of PIM, iSLIP, and the FIFO scheduler
+  re-implementations of PIM and iSLIP
   (:class:`~repro.core.matching.bitmask.BitmaskPim`,
-  :class:`~repro.core.matching.bitmask.BitmaskIslip`,
-  :class:`~repro.core.matching.bitmask.BitmaskFifoScheduler`), valid for
+  :class:`~repro.core.matching.bitmask.BitmaskIslip`), valid for
   N <= 64 and bit-identical to the references for a shared seed,
 
 plus legality/maximality analysis helpers in
@@ -31,7 +30,6 @@ from repro.core.matching.analysis import (
     match_size,
 )
 from repro.core.matching.bitmask import (
-    BitmaskFifoScheduler,
     BitmaskIslip,
     BitmaskPim,
     iter_bits,
@@ -43,7 +41,6 @@ from repro.core.matching.maximum import MaximumMatcher, hopcroft_karp
 from repro.core.matching.pim import MatchResult, ParallelIterativeMatcher
 
 __all__ = [
-    "BitmaskFifoScheduler",
     "BitmaskIslip",
     "BitmaskPim",
     "FifoScheduler",

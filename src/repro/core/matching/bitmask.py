@@ -1,11 +1,11 @@
 """Bitmask fast-path crossbar schedulers.
 
 The reference matchers (:mod:`repro.core.matching.pim`,
-:mod:`repro.core.matching.islip`, :mod:`repro.core.matching.fifo`) model
-the paper's distributed request/grant/accept wires with dictionaries of
-Python sets and lists.  That is the clearest rendering of section 3, but
-it is also the hot loop of every fabric experiment: at N = 16 a load
-sweep runs the matcher 10^5+ times, and each call churns through
+:mod:`repro.core.matching.islip`) model the paper's distributed
+request/grant/accept wires with dictionaries of Python sets and lists.
+That is the clearest rendering of section 3, but it is also the hot loop
+of every fabric experiment: at N = 16 a load sweep runs the matcher
+10^5+ times, and each call churns through
 ``setdefault``/``sorted``/set-membership machinery.
 
 This module re-implements the same algorithms on *port bitmasks*: each
@@ -35,9 +35,9 @@ choices among contenders -- but the *random draw protocol* is selectable:
 
 :class:`BitmaskIslip` involves no randomness at all, so it is exactly
 equivalent to :class:`~repro.core.matching.islip.IslipMatcher` in every
-mode.  All classes also accept plain request sets through the reference
-``match(requests, pre_matched)`` / ``match_heads(heads)`` entry points,
-so they are drop-in replacements anywhere a reference matcher is used.
+mode.  Both classes also accept plain request sets through the reference
+``match(requests, pre_matched)`` entry point, so they are drop-in
+replacements anywhere a reference matcher is used.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ del _m, _low
 # shift).  Both measurably matter at 10^6+ operations per load sweep.
 _LEN16: Tuple[int, ...] = tuple(len(_bits) for _bits in _BITS16)
 _POW2: Tuple[int, ...] = tuple(1 << _i for _i in range(MAX_PORTS))
-
-# Public aliases for external consumers (the fastpath engine builds its
-# vectorized lookup arrays against these and cross-checks them in tests,
-# so the scalar and stacked paths cannot drift apart silently).
-BITS16 = _BITS16
-LEN16 = _LEN16
-POW2 = _POW2
 
 
 def mask_of(ports: Iterable[int]) -> int:
@@ -560,73 +553,4 @@ class BitmaskIslip:
             iterations_run=len(new_per_iteration),
             iterations_to_maximal=iterations_to_maximal,
             new_matches_per_iteration=new_per_iteration,
-        )
-
-
-class BitmaskFifoScheduler:
-    """FIFO head-of-line contention over bitmasks.
-
-    With ``strict_rng=True`` this is bit-identical to
-    :class:`~repro.core.matching.fifo.FifoScheduler` for the same seeded
-    ``rng``: the reference builds contender lists in ascending input
-    order and draws ``randrange(len)``, which is exactly a
-    ``randrange(bit_count)``-th set bit draw from the contender mask.
-    """
-
-    name = "fifo_bitmask"
-
-    def __init__(
-        self,
-        n_ports: int,
-        rng: Optional[random.Random] = None,
-        strict_rng: bool = False,
-    ) -> None:
-        _check_ports(n_ports)
-        self.n_ports = n_ports
-        self.rng = rng if rng is not None else random.Random(0)
-        self.strict_rng = strict_rng
-
-    def match_heads(
-        self,
-        heads: Sequence[Optional[int]],
-        pre_matched: Optional[Matching] = None,
-    ) -> MatchResult:
-        """Match given each input's head-of-line output (or ``None``)."""
-        if len(heads) != self.n_ports:
-            raise ValueError(
-                f"expected {self.n_ports} head entries, got {len(heads)}"
-            )
-        matching: Matching = dict(pre_matched) if pre_matched else {}
-        matched_inputs, taken_outputs = _pre_matched_masks(matching)
-        contenders = [0] * self.n_ports
-        contested = 0
-        for input_port, output_port in enumerate(heads):
-            if output_port is None or matched_inputs >> input_port & 1:
-                continue
-            if taken_outputs >> output_port & 1:
-                continue
-            contenders[output_port] |= 1 << input_port
-            contested |= 1 << output_port
-        added = 0
-        rng = self.rng
-        rng_random = rng.random
-        strict = self.strict_rng
-        for output_port in (
-            _BITS16[contested] if contested < 65536 else bits_of(contested)
-        ):
-            column = contenders[output_port]
-            count = column.bit_count()
-            if strict:
-                winner = bits_of(column)[rng.randrange(count)]
-            elif count == 1:
-                winner = column.bit_length() - 1
-            else:
-                winner = bits_of(column)[int(rng_random() * count)]
-            matching[winner] = output_port
-            added += 1
-        return MatchResult(
-            matching=matching,
-            iterations_run=1,
-            iterations_to_maximal=1,
-            new_matches_per_iteration=[added],
         )

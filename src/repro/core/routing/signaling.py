@@ -61,8 +61,8 @@ class SignalingTransport:
     - ``attached_host_port(host)``: local port cabled to ``host`` if any,
     - ``install_circuit(vc, in_port, out_port, request)``: create the
       routing-table entry and per-VC buffers,
-    - ``remove_circuit(vc)``: tear state down, returning the stored
-      (in_port, out_port) if the circuit existed,
+    - ``remove_circuit(vc)``: tear state down, returning the out ports
+      the circuit used (every fanout branch; empty if it did not exist),
     - ``send_signaling(port_index, message)``: transmit a signaling cell.
     """
 
@@ -216,9 +216,5 @@ class SignalingAgent:
 
     def _handle_teardown(self, in_port: int, request: TeardownRequest) -> None:
         self.teardowns_handled += 1
-        removed = self.transport.remove_circuit(request.vc)
-        if removed is None:
-            return
-        _, out_port = removed
-        if out_port is not None:
+        for out_port in self.transport.remove_circuit(request.vc):
             self.transport.send_signaling(out_port, request)

@@ -163,12 +163,6 @@ class SweepTelemetry:
     start_method: str
     pool_startup_s: float = 0.0
     wall_s: float = 0.0
-    #: the engine's configured ``Pool.map`` chunk size (the instrumented
-    #: path itself submits per-task so each task gets its own stamps).
-    chunksize: int = 1
-    #: True when the run reused an already-warm persistent pool, so
-    #: ``pool_startup_s`` is genuinely zero rather than unmeasured.
-    pool_reused: bool = False
     tasks: List[TaskTiming] = field(default_factory=list)
 
     def phase_totals(self) -> Dict[str, float]:
@@ -196,15 +190,10 @@ class SweepTelemetry:
 
     def render(self) -> str:
         """A human-readable phase table (tools print this verbatim)."""
-        startup = (
-            "pool reused"
-            if self.pool_reused
-            else f"pool startup {self.pool_startup_s * 1e3:.1f} ms"
-        )
         lines = [
             f"sweep telemetry: {len(self.tasks)} tasks, "
             f"{self.workers} worker(s), wall {self.wall_s * 1e3:.1f} ms, "
-            f"{startup}, chunksize {self.chunksize}"
+            f"pool startup {self.pool_startup_s * 1e3:.1f} ms"
         ]
         totals = self.phase_totals()
         lines.append(
@@ -244,67 +233,24 @@ class SweepEngine:
     the engine's whole job is to make that equivalence hold and then
     prove it via :meth:`verify`.
 
-    ``chunksize`` is handed straight to ``Pool.map``: 1 (the default)
-    dispatches one task per IPC round trip so slow points never convoy
-    behind fast ones, while larger chunks amortize the pickle/dispatch
-    overhead when the grid is many small uniform tasks.  Seeding is
-    positional-order-free, so chunking can never change any payload --
-    only the schedule.
-
-    ``persistent_pool=True`` keeps the worker pool alive across
-    :meth:`run` calls instead of paying pool startup (~25 ms measured,
-    DESIGN.md section 10.1) per sweep; callers that loop many small
-    sweeps opt in and :meth:`close` the engine when done.  The pool is
-    created lazily at ``workers`` processes on the first parallel run.
+    Each parallel :meth:`run` uses one throwaway pool (never more
+    processes than tasks) and dispatches one task per IPC round trip, so
+    slow points never convoy behind fast ones.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        start_method: str = "",
-        chunksize: int = 1,
-        persistent_pool: bool = False,
-    ) -> None:
-        if chunksize < 1:
-            raise ValueError(f"chunksize {chunksize} must be >= 1")
+    def __init__(self, workers: int = 0, start_method: str = "") -> None:
         self.workers = workers
         self.start_method = start_method
-        self.chunksize = chunksize
-        self.persistent_pool = persistent_pool
-        self._pool = None
         #: filled by :meth:`run` when called with ``telemetry=True``.
         self.last_telemetry: Optional[SweepTelemetry] = None
 
-    def _context(self):
-        return (
+    def _new_pool(self, n_tasks: int):
+        context = (
             get_context(self.start_method)
             if self.start_method
             else get_context()
         )
-
-    def _acquire_pool(self, n_tasks: int):
-        """``(pool, reused, startup_s)`` honouring the persistence mode.
-
-        A persistent pool is always sized to ``workers`` (it must serve
-        later, possibly larger, runs); a throwaway pool never spawns
-        more processes than it has tasks.
-        """
-        if self.persistent_pool:
-            if self._pool is not None:
-                return self._pool, True, 0.0
-            start = time.monotonic()
-            self._pool = self._context().Pool(processes=self.workers)
-            return self._pool, False, time.monotonic() - start
-        start = time.monotonic()
-        pool = self._context().Pool(processes=min(self.workers, n_tasks))
-        return pool, False, time.monotonic() - start
-
-    def close(self) -> None:
-        """Shut down the persistent pool, if one is alive (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        return context.Pool(processes=min(self.workers, n_tasks))
 
     def run(
         self, tasks: Iterable[SweepTask], telemetry: bool = False
@@ -314,15 +260,15 @@ class SweepEngine:
             return self._run_telemetry(task_list)
         if self.workers <= 1 or len(task_list) <= 1:
             return [run_task(task) for task in task_list]
-        pool, _, _ = self._acquire_pool(len(task_list))
+        pool = self._new_pool(len(task_list))
         try:
             # Pool.map preserves input order in its result list no
-            # matter which worker finishes when.
-            return pool.map(run_task, task_list, chunksize=self.chunksize)
+            # matter which worker finishes when; the trailing 1 is its
+            # chunk size (one task per round trip).
+            return pool.map(run_task, task_list, 1)
         finally:
-            if not self.persistent_pool:
-                pool.terminate()
-                pool.join()
+            pool.terminate()
+            pool.join()
 
     def _run_telemetry(self, task_list: List[SweepTask]) -> List[SweepResult]:
         """The instrumented run path: identical results, stamped phases.
@@ -336,7 +282,6 @@ class SweepEngine:
         telemetry = SweepTelemetry(
             workers=max(1, self.workers),
             start_method=self.start_method or "",
-            chunksize=self.chunksize,
         )
         if self.workers <= 1 or len(task_list) <= 1:
             results = []
@@ -358,13 +303,10 @@ class SweepEngine:
             telemetry.wall_s = time.monotonic() - wall_start
             self.last_telemetry = telemetry
             return results
-        telemetry.workers = (
-            self.workers if self.persistent_pool
-            else min(self.workers, len(task_list))
-        )
-        pool, reused, startup_s = self._acquire_pool(len(task_list))
-        telemetry.pool_reused = reused
-        telemetry.pool_startup_s = startup_s
+        telemetry.workers = min(self.workers, len(task_list))
+        pool_start = time.monotonic()
+        pool = self._new_pool(len(task_list))
+        telemetry.pool_startup_s = time.monotonic() - pool_start
         try:
             ready_mono: Dict[int, float] = {}
 
@@ -407,9 +349,8 @@ class SweepEngine:
                     )
                 )
         finally:
-            if not self.persistent_pool:
-                pool.terminate()
-                pool.join()
+            pool.terminate()
+            pool.join()
         telemetry.wall_s = time.monotonic() - wall_start
         self.last_telemetry = telemetry
         return results

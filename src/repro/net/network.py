@@ -63,7 +63,7 @@ class Network:
         Drift-free switches tick together on one
         :class:`~repro.fastpath.FabricSlotDriver` wave event per slot
         (section 4's synchronized network); a switch whose clock drifts
-        keeps its private slot timer (DESIGN §13.4).
+        keeps its private slot timer (DESIGN §13).
         """
         self.topology = topology
         self.sim = Simulator()

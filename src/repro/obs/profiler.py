@@ -4,11 +4,12 @@ Attach a :class:`SubsystemProfiler` to ``Simulator.profiler`` and the
 kernel (which swaps in its instrumented loop, exactly as for the tracer)
 routes every dispatched event through :meth:`dispatch`, which classifies
 the callback into a *subsystem* -- matcher, routing, flowcontrol, links,
-aal, reconfig, monitor, traffic, fastpath (the whole-fabric slot
-driver's coalesced wave ticks) -- and counts it.  Event counts are a
-pure function of the dispatch order, so for a fixed seed they are as
-deterministic as the run digest: two runs of the same scenario produce
-identical count tables, which makes profiles diffable across commits.
+aal, reconfig, monitor, traffic, fastpath (the ``FabricSlotDriver``
+wave events that tick a ``Network``'s switches) -- and counts it.
+Event counts are a pure function of the dispatch order, so for a fixed
+seed they are as deterministic as the run digest: two runs of the same
+scenario produce identical count tables, which makes profiles diffable
+across commits.
 
 With ``wall_time=True`` each event's callback is also wrapped in a
 ``perf_counter`` pair, attributing real elapsed time to subsystems.

@@ -193,27 +193,6 @@ class VoqFabric:
         """Start a fresh measurement interval (e.g. after warmup)."""
         self.metrics = _fabric_metrics(self._probes)
 
-    def recompute_masks(self) -> None:
-        """Rebuild request/col/union masks from the queues.
-
-        The masks are normally maintained incrementally by ``offer`` and
-        ``step``; this re-derives them after bulk queue surgery -- the
-        fastpath engine's write-back uses it when a vectorized fabric is
-        pinned back onto the scalar path.
-        """
-        self.request_masks = [0] * self.n_ports
-        self.col_masks = [0] * self.n_ports
-        union = 0
-        for input_port, queues in enumerate(self.queues):
-            row = 0
-            for output_port, queue in queues.items():
-                if queue:
-                    row |= _POW2[output_port]
-                    self.col_masks[output_port] |= _POW2[input_port]
-            self.request_masks[input_port] = row
-            union |= row
-        self.union_mask = union
-
     # ------------------------------------------------------------------
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
         """Enqueue a best-effort cell; returns False if dropped (overflow)."""

@@ -479,19 +479,23 @@ class AN2Switch(Node):
             self._enqueue(card, entry, cell)
         self._kick()
 
-    def remove_circuit(self, vc: VcId) -> Optional[Tuple[int, int]]:
+    def remove_circuit(self, vc: VcId) -> Tuple[int, ...]:
+        """Free the circuit's state on its input card and on every
+        output branch; returns the out ports released, ascending (empty
+        when the circuit or its routing entry is already gone)."""
         in_port = self._vc_in_port.pop(vc, None)
         if in_port is None:
-            return None
+            return ()
         card = self.cards[in_port]
         entry = card.routing_table.lookup(vc)
-        out_port = entry.out_port if entry else None
-        dropped = card.release_vc(vc)
-        self.stats.cells_dropped += dropped
-        if out_port is not None:
+        self.stats.cells_dropped += card.release_vc(vc)
+        if entry is None:
+            return ()
+        out_ports = tuple(sorted(entry.out_ports or (entry.out_port,)))
+        for out_port in out_ports:
             self.cards[out_port].upstream.pop(vc, None)
             self.cards[out_port].resync.pop(vc, None)
-        return (in_port, out_port if out_port is not None else -1)
+        return out_ports
 
     def send_signaling(self, port_index: int, message) -> None:
         self.ports[port_index].send(

@@ -27,14 +27,12 @@ from repro.core.matching.analysis import (
     is_maximal_matching,
 )
 from repro.core.matching.bitmask import (
-    BitmaskFifoScheduler,
     BitmaskIslip,
     BitmaskPim,
     bits_of,
     iter_bits,
     mask_of,
 )
-from repro.core.matching.fifo import FifoScheduler
 from repro.core.matching.islip import IslipMatcher
 from repro.core.matching.pim import ParallelIterativeMatcher
 
@@ -177,25 +175,6 @@ class TestIslipEquivalence:
         bitmask.reset()
         assert bitmask.grant_pointers == [0, 0, 0, 0]
         assert bitmask.accept_pointers == [0, 0, 0, 0]
-
-
-class TestFifoEquivalence:
-    @pytest.mark.parametrize("n", [4, 16])
-    def test_strict_identical(self, n):
-        gen = random.Random(21)
-        reference = FifoScheduler(n, rng=random.Random(9))
-        bitmask = BitmaskFifoScheduler(
-            n, rng=random.Random(9), strict_rng=True
-        )
-        for _ in range(200):
-            heads = [
-                gen.randrange(n) if gen.random() < 0.7 else None
-                for _ in range(n)
-            ]
-            assert (
-                bitmask.match_heads(heads).matching
-                == reference.match_heads(heads).matching
-            )
 
 
 class TestValidation:

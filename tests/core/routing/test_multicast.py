@@ -4,6 +4,7 @@ import pytest
 
 from repro._types import host_id, switch_id
 from repro.core.routing.multicast import FanoutToken, MulticastSetupRequest
+from repro.core.routing.signaling import TeardownRequest
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -137,6 +138,84 @@ class TestDelivery:
         net.run(300_000)
         assert len(net.host("h1").delivered) == 2
         assert len(net.host("h2").delivered) == 1
+
+
+def _vc_state(net, vc):
+    """Every (switch, what) that still holds state for ``vc``."""
+    held = []
+    for name, switch in net.switches.items():
+        if vc in switch._vc_in_port:
+            held.append((str(name), "in_port"))
+        for card in switch.cards:
+            if card.routing_table.lookup(vc) is not None:
+                held.append((str(name), f"route@{card.index}"))
+            for what in ("upstream", "resync", "downstream"):
+                if vc in getattr(card, what):
+                    held.append((str(name), f"{what}@{card.index}"))
+    return held
+
+
+def _record_teardowns(net):
+    """Per-switch log of the ports each TeardownRequest was sent on."""
+    sent = {str(name): [] for name in net.switches}
+    for name, switch in net.switches.items():
+        def send(port, message, log=sent[str(name)], real=switch.send_signaling):
+            if isinstance(message, TeardownRequest):
+                log.append(port)
+            real(port, message)
+
+        switch.send_signaling = send
+    return sent
+
+
+class TestTeardown:
+    def test_teardown_releases_every_fanout_branch(self):
+        net = star_hosts_net()
+        circuit = net.setup_multicast("h0", ["h1", "h2", "h3"])
+        vc = circuit.vc
+        branches = {}
+        for name, switch in net.switches.items():
+            in_port = switch._vc_in_port.get(vc)
+            if in_port is not None:
+                entry = switch.cards[in_port].routing_table.lookup(vc)
+                branches[str(name)] = sorted(
+                    entry.out_ports or (entry.out_port,)
+                )
+        assert any(len(ports) > 1 for ports in branches.values())
+        sent = _record_teardowns(net)
+        net.host("h0").close_circuit(vc)
+        net.run(100_000)
+        assert _vc_state(net, vc) == []
+        for member in ("h1", "h2", "h3"):
+            assert vc not in net.host(member).incoming_circuits
+        # One request per tree edge, so each member hears it once.
+        assert {n: ports for n, ports in sent.items() if ports} == branches
+
+    def test_unicast_teardown_sends_one_request_per_hop(self):
+        net = star_hosts_net()
+        circuit = net.setup_circuit("h0", "h3")
+        vc = circuit.vc
+        on_path = sorted(
+            str(name) for name, s in net.switches.items() if vc in s._vc_in_port
+        )
+        assert len(on_path) == 3  # s0, one of s1/s2, s3
+        sent = _record_teardowns(net)
+        net.host("h0").close_circuit(vc)
+        net.run(100_000)
+        assert _vc_state(net, vc) == []
+        assert vc not in net.host("h3").incoming_circuits
+        assert {name: len(ports) for name, ports in sent.items() if ports} == {
+            name: 1 for name in on_path
+        }
+
+    def test_remove_circuit_without_entry_names_no_port(self):
+        net = star_hosts_net()
+        s0 = net.switch("s0")
+        assert s0.remove_circuit(999) == ()
+        # In-port known but routing entry already gone: the agent forwards
+        # on every returned port, so a placeholder like -1 would be sent on.
+        s0._vc_in_port[998] = 0
+        assert s0.remove_circuit(998) == ()
 
 
 class TestInteractionGuards:

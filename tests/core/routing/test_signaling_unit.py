@@ -31,7 +31,7 @@ class FakeSignalingTransport:
         self.multicast_installed: List[Tuple[int, int, frozenset]] = []
         self.removed: List[int] = []
         self.sent: List[Tuple[int, object]] = []
-        self.circuits: Dict[int, Tuple[int, int]] = {}
+        self.circuits: Dict[int, Tuple[int, ...]] = {}  # vc -> out ports
 
     def route_computer(self):
         return self.computer
@@ -41,14 +41,15 @@ class FakeSignalingTransport:
 
     def install_circuit(self, vc, in_port, out_port, request):
         self.installed.append((vc, in_port, out_port))
-        self.circuits[vc] = (in_port, out_port)
+        self.circuits[vc] = (out_port,)
 
     def install_multicast(self, vc, in_port, out_ports, request):
         self.multicast_installed.append((vc, in_port, frozenset(out_ports)))
+        self.circuits[vc] = tuple(sorted(out_ports))
 
     def remove_circuit(self, vc):
         self.removed.append(vc)
-        return self.circuits.pop(vc, None)
+        return self.circuits.pop(vc, ())
 
     def send_signaling(self, port_index, message):
         self.sent.append((port_index, message))

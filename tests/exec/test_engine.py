@@ -136,60 +136,3 @@ class TestDriverRegistry:
         result = run_task(task)
         assert result.digest == payload_digest(result.payload)
 
-
-class TestChunkingAndPoolReuse:
-    def test_chunked_map_digest_identical_to_serial(self):
-        """chunksize only changes the dispatch schedule, never payloads:
-        seeding is name-derived, so chunk boundaries cannot leak in."""
-        tasks = make_tasks("toy", {"x": [1, 2, 3, 4, 5, 6]}, root_seed=3)
-        serial = SweepEngine(workers=0).run(tasks)
-        chunked = SweepEngine(workers=2, chunksize=3).run(tasks)
-        assert [r.digest for r in chunked] == [r.digest for r in serial]
-
-    def test_chunksize_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SweepEngine(workers=2, chunksize=0)
-
-    def test_persistent_pool_reused_across_runs(self):
-        tasks = make_tasks("toy", {"x": [1, 2, 3, 4]}, root_seed=5)
-        engine = SweepEngine(workers=2, persistent_pool=True)
-        try:
-            first = engine.run(tasks)
-            pool = engine._pool
-            assert pool is not None
-            second = engine.run(tasks)
-            assert engine._pool is pool  # same pool object, no respawn
-            assert [r.digest for r in first] == [r.digest for r in second]
-        finally:
-            engine.close()
-        assert engine._pool is None
-
-    def test_close_is_idempotent_and_pool_recreated_on_demand(self):
-        tasks = make_tasks("toy", {"x": [1, 2]}, root_seed=7)
-        engine = SweepEngine(workers=2, persistent_pool=True)
-        engine.close()  # nothing alive yet
-        results = engine.run(tasks)
-        engine.close()
-        engine.close()
-        # a later run lazily builds a fresh pool
-        again = engine.run(tasks)
-        engine.close()
-        assert [r.digest for r in again] == [r.digest for r in results]
-
-    def test_telemetry_records_chunksize_and_reuse(self):
-        tasks = make_tasks("toy", {"x": [1, 2, 3, 4]}, root_seed=9)
-        engine = SweepEngine(workers=2, chunksize=2, persistent_pool=True)
-        try:
-            engine.run(tasks, telemetry=True)
-            cold = engine.last_telemetry
-            assert cold.chunksize == 2
-            assert not cold.pool_reused
-            assert cold.pool_startup_s > 0.0
-            engine.run(tasks, telemetry=True)
-            warm = engine.last_telemetry
-            assert warm.pool_reused
-            assert warm.pool_startup_s == 0.0
-            assert "pool reused" in warm.render()
-            assert "chunksize 2" in warm.render()
-        finally:
-            engine.close()

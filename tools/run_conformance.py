@@ -8,16 +8,14 @@ contract") in three stages:
    (:func:`repro.conform.digest.digest_scenario`) several times in this
    process and once per ``PYTHONHASHSEED`` value in a subprocess; every
    run must produce the identical hex digest.
-2. **Differential sweep** -- drives the reference matchers
-   (``Pim``/``Islip``/``FifoScheduler``) against their bitmask fast-path
+2. **Differential sweep** -- three families: drives the reference
+   matchers (``Pim``/``Islip``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
-   random topologies, proves the whole-fabric slot engine
-   (:mod:`repro.fastpath`) bit-identical to per-switch scalar stepping
-   on both its backends, and checks the default ``Network`` (slot wave)
-   against its detached private-timer reference: same traffic outcomes,
-   strictly fewer kernel events.  Any divergence is reported as the
-   first divergent case and fails the gate.
+   random topologies, and checks the default ``Network`` (slot wave,
+   :mod:`repro.fastpath`) against its detached private-timer reference:
+   same traffic outcomes, strictly fewer kernel events.  Any divergence
+   is reported as the first divergent case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -43,7 +41,6 @@ sys.path.insert(0, str(SRC))
 
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
-    fastpath_sweep,
     matcher_sweep,
     routing_sweep,
     slot_driver_sweep,
@@ -106,19 +103,14 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     seeds = list(range(n_seeds))
     divergences, corpus = matcher_sweep(seeds, n_slots=n_slots)
     routing_div, routing_corpus = routing_sweep(seeds)
-    # The fastpath differential is heavier per case (scalar twins + the
-    # stacked engine, both backends); cap its seed list so the stage
-    # stays proportionate to the matcher sweep.
-    fastpath_seeds = seeds[: max(2, n_seeds // 4)]
-    fastpath_div, fastpath_corpus = fastpath_sweep(
-        fastpath_seeds, n_slots=min(n_slots, 120)
-    )
-    driver_div, driver_corpus = slot_driver_sweep(fastpath_seeds[:2])
-    found = divergences + routing_div + fastpath_div + driver_div
+    # Each slot-driver case is two whole-Network replays; two seeds keep
+    # the stage proportionate to the matcher sweep.
+    driver_div, driver_corpus = slot_driver_sweep(seeds[:2])
+    found = divergences + routing_div + driver_div
     label = "OK" if not found else "FAIL"
     print(
-        f"      {len(corpus)} matcher cases + {len(routing_corpus)} "
-        f"routing cases + {len(fastpath_corpus)} fastpath cases + "
+        f"      3 families: {len(corpus)} matcher cases + "
+        f"{len(routing_corpus)} routing cases + "
         f"{len(driver_corpus)} slot-driver cases -> "
         f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
