@@ -22,8 +22,7 @@ Only switches on the shared zero-drift clock are adopted
 (:meth:`adopt` refuses the rest): a drifting oscillator is *supposed*
 to tick at its own rate, and collapsing it onto the shared boundary
 would change what the drift machinery measures.  Those switches keep
-their per-switch timers -- the same hybrid-fidelity pattern the array
-engine uses for its scalar residents.
+their per-switch timers.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ Two granularities (see DESIGN.md section 4):
   :mod:`~repro.switch.linecard`, :mod:`~repro.switch.buffers`,
   :mod:`~repro.switch.routing_table`) -- the full event-driven switch
   that participates in the network-level experiments: reconfiguration,
-  signaling, credit flow control, and guaranteed frames.
+  signaling, credit flow control, and guaranteed frames.  Its crossbar
+  tick schedules maintained request bitmasks through the same
+  ``match_masks`` kernel the fabric uses (strict RNG draws).
 """
 
 from repro.switch.an1 import An1Config, An1Host, An1Network, An1Switch

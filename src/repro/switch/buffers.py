@@ -10,30 +10,38 @@ selected for transmission across the switch."
 circuit, grouped by the output port the circuit leaves through, with
 round-robin service among a group's circuits (so one credit-starved VC
 cannot block its siblings -- "if one virtual circuit is blocked, other
-virtual circuits passing over the same link are not affected").
+virtual circuits passing over the same link are not affected").  Which
+circuits may be served is kept as a per-output *ready set*, so the
+switch's crossbar tick reads request bits instead of walking queues.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro._types import VcId
 from repro.net.cell import Cell
 
-#: can_send(out_port, vc) -> bool: does the circuit have credit, and is
-#: the output able to transmit?
-CanSend = Callable[[int, VcId], bool]
-
 
 class VcQueues:
-    """Per-VC random-access input buffers for one line card."""
+    """Per-VC random-access input buffers for one line card.
+
+    Each output group keeps its *ready set*: the circuits with a cell
+    queued that the owning switch last declared sendable
+    (:meth:`set_ready` -- in credit mode, a positive balance for the
+    next hop).  The card requests an output iff that set is non-empty,
+    and :meth:`pop` serves only ready circuits.
+    """
 
     def __init__(self) -> None:
         # out_port -> vc -> cells
         self._queues: Dict[int, Dict[VcId, Deque[Cell]]] = {}
         # out_port -> round-robin order of its VCs
         self._rotation: Dict[int, Deque[VcId]] = {}
+        # out_port -> VCs that may be served now (always a subset of the
+        # group's non-empty queues)
+        self._ready: Dict[int, Set[VcId]] = {}
         self._occupancy = 0
         self.peak_occupancy = 0
 
@@ -52,52 +60,71 @@ class VcQueues:
         group = self._queues.get(out_port, {})
         return [vc for vc, q in group.items() if q]
 
-    def push(self, out_port: int, vc: VcId, cell: Cell) -> None:
-        group = self._queues.setdefault(out_port, {})
+    def holds(self, out_port: int, vc: VcId) -> bool:
+        """Has ``vc`` a queue (possibly empty now) toward ``out_port``?"""
+        return vc in self._queues.get(out_port, ())
+
+    def requests(self, out_port: int) -> bool:
+        """Is some circuit ready for ``out_port`` (the request bit)?"""
+        return bool(self._ready.get(out_port))
+
+    def push(self, out_port: int, vc: VcId, cell: Cell) -> bool:
+        """Queue a cell; returns whether it is the circuit's only one
+        (the edge on which the owner should :meth:`set_ready` it)."""
+        group = self._queues.get(out_port)
+        if group is None:
+            group = self._queues[out_port] = {}
+            self._rotation[out_port] = deque()
+            self._ready[out_port] = set()
         queue = group.get(vc)
         if queue is None:
             queue = group[vc] = deque()
-            self._rotation.setdefault(out_port, deque()).append(vc)
+            self._rotation[out_port].append(vc)
         queue.append(cell)
         self._occupancy += 1
         self.peak_occupancy = max(self.peak_occupancy, self._occupancy)
+        return len(queue) == 1
 
     # ------------------------------------------------------------------
-    def eligible_outputs(self, can_send: CanSend) -> Set[int]:
-        """Outputs for which some queued circuit is currently sendable."""
-        eligible: Set[int] = set()
-        for out_port, group in self._queues.items():
-            for vc, queue in group.items():
-                if queue and can_send(out_port, vc):
-                    eligible.add(out_port)
-                    break
-        return eligible
+    def set_ready(self, out_port: int, vc: VcId, sendable: bool) -> bool:
+        """Declare whether ``vc`` may be served toward ``out_port``.
 
-    def has_backlog(self) -> bool:
-        return self._occupancy > 0
-
-    def pop(
-        self, out_port: int, can_send: CanSend
-    ) -> Optional[Tuple[VcId, Cell]]:
-        """Serve the next sendable circuit destined for ``out_port``.
-
-        Round-robin among the group's circuits: the served VC moves to the
-        back of the rotation, which is the starvation-freedom complement
-        to PIM's randomization at the port level.
+        Idempotent; a circuit with no cell queued is never ready.
+        Returns whether the card now requests ``out_port`` at all (some
+        circuit of the group is ready) -- the card's request bit.
         """
-        rotation = self._rotation.get(out_port)
-        group = self._queues.get(out_port)
-        if not rotation or not group:
+        ready = self._ready.get(out_port)
+        if ready is None:
+            return False  # nothing was ever queued toward out_port
+        if sendable and self._queues[out_port].get(vc):
+            ready.add(vc)
+            return True
+        ready.discard(vc)
+        return bool(ready)
+
+    def pop(self, out_port: int) -> Optional[Tuple[VcId, Cell]]:
+        """Serve the next ready circuit destined for ``out_port``.
+
+        Round-robin among the group's circuits: the served VC (and every
+        unready one passed over before it) moves to the back of the
+        rotation, which is the starvation-freedom complement to PIM's
+        randomization at the port level.  A circuit whose last cell
+        leaves drops out of the ready set.
+        """
+        ready = self._ready.get(out_port)
+        if not ready:
             return None
-        for _ in range(len(rotation)):
-            vc = rotation[0]
+        rotation = self._rotation[out_port]
+        while rotation[0] not in ready:
             rotation.rotate(-1)
-            queue = group.get(vc)
-            if queue and can_send(out_port, vc):
-                cell = queue.popleft()
-                self._occupancy -= 1
-                return (vc, cell)
-        return None
+        vc = rotation[0]
+        rotation.rotate(-1)
+        queue = self._queues[out_port][vc]
+        cell = queue.popleft()
+        if not queue:
+            ready.discard(vc)
+        self._occupancy -= 1
+        return (vc, cell)
 
     def drain_vc(self, vc: VcId) -> List[Cell]:
         """Remove and return all cells of one circuit (teardown/reroute)."""
@@ -111,6 +138,7 @@ class VcQueues:
                 rotation = self._rotation.get(out_port)
                 if rotation and vc in rotation:
                     rotation.remove(vc)
+                self._ready[out_port].discard(vc)
         return drained
 
 
@@ -144,6 +172,3 @@ class GuaranteedQueues:
             return None
         self._occupancy -= 1
         return queue.popleft()
-
-    def has_backlog(self) -> bool:
-        return self._occupancy > 0

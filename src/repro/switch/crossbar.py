@@ -3,14 +3,16 @@
 "Transmission from input to output takes place across a 16x16 crossbar.
 The crossbar operates synchronously, routing up to 16 cells in parallel
 during each time slot" (section 1).  The class is a thin synchronous
-wrapper around a pluggable matcher; it exists so the switch's composition
-mirrors the hardware (line cards around a crossbar) and so the E2
-iteration statistics can be collected in one place.
+wrapper around a bitmask matcher (the ``match_masks`` kernel interface of
+:mod:`repro.core.matching.bitmask`, the one ``VoqFabric.step`` drives);
+it exists so the switch's composition mirrors the hardware (line cards
+around a crossbar) and so the E2 iteration statistics can be collected
+in one place.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from repro.core.matching.pim import MatchResult, Matching
 from repro.sim.monitor import ProbeSet, Tally
@@ -45,12 +47,15 @@ class Crossbar:
 
     def schedule(
         self,
-        requests: Sequence[Set[int]],
+        masks: Sequence[int],
         pre_matched: Optional[Matching] = None,
+        col_masks: Optional[Sequence[int]] = None,
     ) -> MatchResult:
         """One slot's matching decision (the transfer itself is performed
-        by the switch, which owns the buffers)."""
-        result = self.matcher.match(requests, pre_matched=pre_matched)
+        by the switch, which owns the buffers).  ``masks[i]`` has bit
+        ``o`` set iff input ``i`` requests output ``o``; ``col_masks`` is
+        the transpose and may carry extra bits (see ``match_masks``)."""
+        result = self.matcher.match_masks(masks, pre_matched, col_masks)
         self.slots += 1
         if result.iterations_to_maximal is not None:
             self.iterations_to_maximal.record(result.iterations_to_maximal)

@@ -33,6 +33,7 @@ from repro.constants import (
     FAST_CELL_TIME_US,
     FRAME_SLOTS,
 )
+from repro.core.flowcontrol.credits import CreditError
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.core.flowcontrol.sizing import credits_for_link
 from repro.core.guaranteed.distributed import (
@@ -45,7 +46,7 @@ from repro.core.guaranteed.distributed import (
 from repro.core.guaranteed.frames import FrameSchedule
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
 from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import MAX_PORTS, BitmaskPim, bits_of
 from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
@@ -145,6 +146,9 @@ class SwitchStats:
     page_ins: int = 0
     reroutes: int = 0
     broken_circuits: int = 0
+    #: matched pairs that moved no cell: an input served earlier in the
+    #: same slot put its credit cell on the output's wire first.
+    wasted_matches: int = 0
     #: epoch route installs served by incremental delta recomputation vs
     #: from-scratch orientation rebuilds (see _on_topology_ready).
     route_installs_incremental: int = 0
@@ -166,6 +170,11 @@ class AN2Switch(Node):
     ) -> None:
         self.config = config if config is not None else SwitchConfig()
         ports = n_ports if n_ports is not None else self.config.n_ports
+        if ports > MAX_PORTS:
+            raise ValueError(
+                f"AN2Switch {node_id}: {ports} ports exceed the crossbar "
+                f"scheduler's {MAX_PORTS}-port request masks"
+            )
         super().__init__(sim, node_id, ports)
         self.streams = streams
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
@@ -177,10 +186,12 @@ class AN2Switch(Node):
             card.credit_trace_factory = self._make_credit_trace
         self.crossbar = Crossbar(
             ports,
-            ParallelIterativeMatcher(
+            # strict_rng: the reference matcher's exact draw sequence.
+            BitmaskPim(
                 ports,
                 iterations=self.config.pim_iterations,
                 rng=streams.stream(f"{node_id}.pim"),
+                strict_rng=True,
             ),
             probes=(
                 registry.node(f"switch.{node_id}.crossbar")
@@ -207,6 +218,16 @@ class AN2Switch(Node):
         self._vc_in_port: Dict[VcId, int] = {}
         self._slot_index = 0
         self._tick_scheduled = False
+        #: the crossbar's request state, kept current by :meth:`_refresh`
+        #: instead of rebuilt every slot.  Bit ``o`` of ``_rows[i]`` (and
+        #: bit ``i`` of ``_cols[o]``) is set iff card ``i`` holds a
+        #: circuit ready to send to output ``o``: a cell queued and, in
+        #: credit mode, a positive balance.  ``_want`` ORs the rows.
+        self._rows: List[int] = [0] * ports
+        self._cols: List[int] = [0] * ports
+        self._want = 0
+        #: cells in all VC and guaranteed queues of all cards.
+        self._queued = 0
         #: the Network's repro.fastpath.FabricSlotDriver once adopted;
         #: while the local clock is drift-free, slot ticks ride its wave.
         self._slot_driver = None
@@ -234,6 +255,7 @@ class AN2Switch(Node):
         probes.gauge("credits_sent", lambda: stats.credits_sent)
         probes.gauge("reroutes", lambda: stats.reroutes)
         probes.gauge("broken_circuits", lambda: stats.broken_circuits)
+        probes.gauge("wasted_matches", lambda: stats.wasted_matches)
         probes.gauge("buffered_cells", self.buffered_cells)
 
     def _make_credit_trace(self, port_index: int, vc: VcId):
@@ -439,6 +461,7 @@ class AN2Switch(Node):
                 self.cards[out_port].ensure_upstream(
                     vc, self._allocation_for(out_port)
                 )
+                self._refresh_output(out_port, vc)
         entry = card.routing_table.lookup(vc)
         assert entry is not None
         for cell in card.routing_table.take_pending(vc):
@@ -475,6 +498,7 @@ class AN2Switch(Node):
                 self.cards[out_port].ensure_upstream(
                     vc, self._allocation_for(out_port)
                 )
+                self._refresh_output(out_port, vc)
         for cell in card.routing_table.take_pending(vc):
             self._enqueue(card, entry, cell)
         self._kick()
@@ -488,13 +512,17 @@ class AN2Switch(Node):
             return ()
         card = self.cards[in_port]
         entry = card.routing_table.lookup(vc)
-        self.stats.cells_dropped += card.release_vc(vc)
+        discarded = card.release_vc(vc)
+        self.stats.cells_dropped += discarded
+        self._queued -= discarded
+        self._forget(card, vc)
         if entry is None:
             return ()
         out_ports = tuple(sorted(entry.out_ports or (entry.out_port,)))
         for out_port in out_ports:
             self.cards[out_port].upstream.pop(vc, None)
             self.cards[out_port].resync.pop(vc, None)
+            self._refresh_output(out_port, vc)
         return out_ports
 
     def send_signaling(self, port_index: int, message) -> None:
@@ -606,7 +634,7 @@ class AN2Switch(Node):
             )
             try:
                 state.receive()
-            except Exception:
+            except CreditError:
                 # A correct upstream never overflows us; a buggy or
                 # byzantine one loses the cell (counted, not crashed).
                 card.cells_dropped += 1
@@ -645,6 +673,7 @@ class AN2Switch(Node):
             )
         if cell.traffic_class is TrafficClass.GUARANTEED:
             card.guaranteed_queues.push(entry.out_port, cell)
+            self._queued += 1
         elif entry.is_multicast:
             # Fanout: one copy per branch; the shared token frees the
             # input buffer when the last copy departs.
@@ -652,9 +681,34 @@ class AN2Switch(Node):
             token = FanoutToken(remaining=len(entry.out_ports))
             for out_port in sorted(entry.out_ports):
                 copy = dataclasses.replace(cell, fanout_token=token)
-                card.vc_queues.push(out_port, cell.vc, copy)
+                if card.vc_queues.push(out_port, cell.vc, copy):
+                    self._refresh(card, out_port, cell.vc)
+            self._queued += len(entry.out_ports)
         else:
-            card.vc_queues.push(entry.out_port, cell.vc, cell)
+            if card.vc_queues.push(entry.out_port, cell.vc, cell):
+                self._refresh(card, entry.out_port, cell.vc)
+            self._queued += 1
+
+    def _refresh(self, card: LineCard, out_port: int, vc: VcId) -> None:
+        """Re-derive whether ``vc`` on ``card`` can be sent to
+        ``out_port`` and bring the request masks in step.  Idempotent;
+        called after every event that can flip the answer (cell queued
+        or served, credit granted, consumed or resynchronized, circuit
+        installed, torn down, paged out or rerouted)."""
+        sendable = True
+        if self.config.flow_control == "credits":
+            upstream = self.cards[out_port].upstream.get(vc)
+            sendable = upstream is not None and upstream.balance > 0
+        in_bit, out_bit = 1 << card.index, 1 << out_port
+        if card.vc_queues.set_ready(out_port, vc, sendable):
+            self._rows[card.index] |= out_bit
+            self._cols[out_port] |= in_bit
+            self._want |= out_bit
+        else:
+            self._rows[card.index] &= ~out_bit
+            self._cols[out_port] &= ~in_bit
+            if not self._cols[out_port]:
+                self._want &= ~out_bit
 
     def _accept_credit(self, port_index: int, cell: Cell) -> None:
         card = self.cards[port_index]
@@ -673,6 +727,8 @@ class AN2Switch(Node):
             resync = card.resync.get(payload.vc)
             if resync is not None:
                 recovered = resync.apply_reply(payload)
+                # The corrected balance may have moved either way.
+                self._refresh_output(port_index, payload.vc)
                 if recovered:
                     if self.sim.tracer is not None:
                         self.sim.tracer.emit(
@@ -694,6 +750,7 @@ class AN2Switch(Node):
         upstream = card.upstream.get(cell.vc)
         if upstream is None:
             return  # circuit torn down while the credit was in flight
+        was_dry = upstream.balance == 0
         if upstream.credit(payload if isinstance(payload, int) else 1):
             recorder = self.sim.recorder
             if recorder is not None:
@@ -702,7 +759,24 @@ class AN2Switch(Node):
                     port=port_index, vc=int(cell.vc),
                     stalls=upstream.stalls,
                 )
+        if was_dry:
+            self._refresh_output(port_index, cell.vc)
         self._kick()
+
+    def _forget(self, card: LineCard, vc: VcId) -> None:
+        """``vc`` was drained from ``card``: drop the request bits it
+        alone was holding up, whichever outputs its cells waited for."""
+        for out_port in bits_of(self._rows[card.index]):
+            self._refresh(card, out_port, vc)
+
+    def _refresh_output(self, out_port: int, vc: VcId) -> None:
+        """:meth:`_refresh` from the output side, where credits arrive.
+        Every card holding cells of ``vc`` shares that one balance:
+        normally one card, two while a circuit rerouted upstream comes
+        back in through another port."""
+        for card in self.cards:
+            if card.vc_queues.holds(out_port, vc):
+                self._refresh(card, out_port, vc)
 
     # ==================================================================
     # crossbar loop
@@ -726,8 +800,8 @@ class AN2Switch(Node):
 
     def _slot_tick(self) -> None:
         self._tick_scheduled = False
-        slot = self._slot_index % self.config.frame_slots
-        self._slot_index += 1
+        slot_index = self._slot_index
+        self._slot_index = slot_index + 1
         now = self.sim.now
 
         # The transmitter's oscillator drives the link in real hardware,
@@ -737,56 +811,59 @@ class AN2Switch(Node):
         # rate by queueing the start of serialization.
         slack = 0.5 * self.config.slot_time_us
 
+        ports = self.ports
+        cards = self.cards
         pre_matched: Dict[int, int] = {}
-        if self.frame_schedule.total_reserved():
+        used_outputs = 0
+        reserved = self.frame_schedule.total_reserved()
+        if reserved:
             for in_port, out_port in self.frame_schedule.slot_assignments(
-                slot
+                slot_index % self.config.frame_slots
             ).items():
-                if not self.ports[out_port].can_transmit_at(now, slack=slack):
+                if not ports[out_port].can_transmit_at(now, slack=slack):
                     continue
-                cell = self.cards[in_port].guaranteed_queues.pop(out_port)
+                cell = cards[in_port].guaranteed_queues.pop(out_port)
                 if cell is None:
                     continue  # unused reserved slot: free for best effort
+                self._queued -= 1
                 self._transmit(out_port, cell, guaranteed=True)
                 pre_matched[in_port] = out_port
+                used_outputs |= 1 << out_port
 
-        used_outputs = set(pre_matched.values())
+        # Outputs some card wants, that no reservation took this slot,
+        # and whose wire is free: only those are worth asking about.
+        idle = 0
+        want = self._want & ~used_outputs
+        if want:
+            for out_port in bits_of(want):
+                if ports[out_port].can_transmit_at(now, slack):
+                    idle |= 1 << out_port
 
-        credit_mode = self.config.flow_control == "credits"
-
-        def can_send(out_port: int, vc: VcId) -> bool:
-            if out_port in used_outputs:
-                return False
-            if not self.ports[out_port].can_transmit_at(now, slack=slack):
-                return False
-            if not credit_mode:
-                return True
-            upstream = self.cards[out_port].upstream.get(vc)
-            return upstream is not None and upstream.can_send
-
-        requests: List[Set[int]] = []
-        any_requests = False
-        for card in self.cards:
-            if card.index in pre_matched or not card.vc_queues.has_backlog():
-                requests.append(set())
-                continue
-            eligible = card.vc_queues.eligible_outputs(can_send)
-            if eligible:
-                any_requests = True
-            requests.append(eligible)
-
-        if any_requests or pre_matched:
-            result = self.crossbar.schedule(requests, pre_matched=pre_matched)
+        if idle or pre_matched:
+            result = self.crossbar.schedule(
+                [row & idle for row in self._rows], pre_matched, self._cols
+            )
+            credit_mode = self.config.flow_control == "credits"
             for in_port, out_port in result.matching.items():
                 if in_port in pre_matched:
                     continue
-                card = self.cards[in_port]
-                popped = card.vc_queues.pop(out_port, can_send)
-                if popped is None:  # pragma: no cover - defensive
+                if not ports[out_port].can_transmit_at(now, slack):
+                    # An input served earlier in this loop returned its
+                    # credit cell through this very port.
+                    self.stats.wasted_matches += 1
                     continue
-                vc, cell = popped
+                card = cards[in_port]
+                vc, cell = card.vc_queues.pop(out_port)
+                self._queued -= 1
+                ran_dry = False
                 if credit_mode:
-                    self.cards[out_port].upstream[vc].consume()
+                    upstream = cards[out_port].upstream[vc]
+                    upstream.consume()
+                    ran_dry = upstream.balance == 0
+                if ran_dry:
+                    self._refresh_output(out_port, vc)
+                elif not card.vc_queues.requests(out_port):
+                    self._refresh(card, out_port, vc)  # last ready cell
                 downstream = card.downstream.get(vc)
                 if downstream is not None:
                     token = cell.fanout_token
@@ -804,10 +881,7 @@ class AN2Switch(Node):
                 self._transmit(out_port, cell, guaranteed=False)
 
         # Keep ticking while any work (or any reservation) remains.
-        if self.frame_schedule.total_reserved() or any(
-            card.vc_queues.has_backlog() or card.guaranteed_queues.has_backlog()
-            for card in self.cards
-        ):
+        if reserved or self._queued:
             self._kick()
 
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
@@ -880,9 +954,11 @@ class AN2Switch(Node):
             return False  # never page out a circuit with cells queued
         out_port = entry.out_port
         card.routing_table.paged[vc] = entry.request
-        card.release_vc(vc)
+        self._queued -= card.release_vc(vc)
+        self._forget(card, vc)
         self.cards[out_port].upstream.pop(vc, None)
         self.cards[out_port].resync.pop(vc, None)
+        self._refresh_output(out_port, vc)
         self._vc_in_port.pop(vc, None)
         self.send_signaling(out_port, PageOut(vc))
         self.stats.page_outs += 1
@@ -1038,15 +1114,19 @@ class AN2Switch(Node):
         vc = entry.vc
         # Move queued cells to the new output group.
         cells = card.vc_queues.drain_vc(vc)
+        self._forget(card, vc)
         old_out = entry.out_port
         entry.out_port = new_port
         self.cards[old_out].upstream.pop(vc, None)
+        self.cards[old_out].resync.pop(vc, None)
+        self._refresh_output(old_out, vc)
         if request.traffic_class is TrafficClass.BEST_EFFORT:
             self.cards[new_port].ensure_upstream(
                 vc, self._allocation_for(new_port)
             )
         for cell in cells:
             card.vc_queues.push(new_port, vc, cell)
+        self._refresh_output(new_port, vc)
         forwarded = SetupRequest(
             vc=vc,
             source=request.source,
@@ -1071,7 +1151,7 @@ class AN2Switch(Node):
 
     # ==================================================================
     def buffered_cells(self) -> int:
-        return sum(card.buffered_cells() for card in self.cards)
+        return self._queued
 
     def topology_view(self) -> Optional[TopologyView]:
         return self.reconfig.view

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
+from repro.net.cell import CellKind
 from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -68,6 +70,22 @@ def converged_line(n_switches: int = 3, seed: int = 1, **overrides) -> Network:
     net.start()
     net.run_until_converged(timeout_us=500_000)
     return net
+
+
+def plain_credit_filter(rng, probability):
+    """A ``Link.drop_filter`` that drops plain credit returns (not resync
+    messages) with the given probability -- resync must survive to do
+    its job, as it would in the real design where resync exchanges are
+    retried anyway."""
+
+    def predicate(cell):
+        if cell.kind is not CellKind.CREDIT:
+            return False
+        if isinstance(cell.payload, (ResyncRequest, ResyncReply)):
+            return False
+        return rng.random() < probability
+
+    return predicate
 
 
 @pytest.fixture

@@ -115,6 +115,40 @@ class TestStrictPimEquivalence:
                 == reference.match(requests, pre_matched=pre).matching
             )
 
+    @pytest.mark.parametrize("n", [4, 16, 24])
+    def test_identical_with_superset_columns_and_pre_matched(self, n):
+        """How ``AN2Switch`` calls the kernel: rows masked down to the
+        idle outputs, but the maintained (unmasked) transpose -- extra
+        column bits for busy outputs and pre-matched inputs -- plus a
+        pre-matching.  Same pairs in the same order as the reference, and
+        the same RNG state afterwards."""
+        gen = random.Random(21)
+        reference = ParallelIterativeMatcher(n, 3, rng=random.Random(9))
+        bitmask = BitmaskPim(n, 3, rng=random.Random(9), strict_rng=True)
+        for _ in range(150):
+            full = random_requests(n, 0.5, gen)  # what the cards hold
+            pre = {}
+            for in_port in gen.sample(range(n), gen.randrange(0, 3)):
+                free = [o for o in range(n) if o not in pre.values()]
+                pre[in_port] = gen.choice(free)
+            busy = {o for o in range(n) if gen.random() < 0.3}
+            blocked = busy | set(pre.values())
+            requests = [
+                set() if i in pre else wanted - blocked
+                for i, wanted in enumerate(full)
+            ]
+            rows = [mask_of(wanted - blocked) for wanted in full]
+            cols = [
+                mask_of(i for i in range(n) if o in full[i]) for o in range(n)
+            ]
+            expected = reference.match(requests, pre_matched=pre)
+            actual = bitmask.match_masks(rows, pre, cols)
+            assert list(actual.matching.items()) == list(
+                expected.matching.items()
+            )
+            assert actual.iterations_to_maximal == expected.iterations_to_maximal
+            assert bitmask.rng.getstate() == reference.rng.getstate()
+
     @pytest.mark.parametrize("iterations", [1, 2, 5])
     def test_identical_across_iteration_counts(self, iterations):
         gen = random.Random(8)

@@ -11,10 +11,13 @@ import random
 import pytest
 
 from repro._types import host_id
-from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
-from repro.net.cell import CellKind
 from repro.net.packet import Packet
-from tests.conftest import fast_host_config, fast_switch_config, line_with_hosts
+from tests.conftest import (
+    fast_host_config,
+    fast_switch_config,
+    line_with_hosts,
+    plain_credit_filter,
+)
 
 
 def resync_net(**overrides):
@@ -22,21 +25,6 @@ def resync_net(**overrides):
     net.start()
     net.run_until_converged(timeout_us=500_000)
     return net
-
-
-def plain_credit_filter(rng, probability):
-    """Drop plain credit returns (not resync messages) with the given
-    probability -- resync must survive to do its job, as it would in the
-    real design where resync exchanges are retried anyway."""
-
-    def predicate(cell):
-        if cell.kind is not CellKind.CREDIT:
-            return False
-        if isinstance(cell.payload, (ResyncRequest, ResyncReply)):
-            return False
-        return rng.random() < probability
-
-    return predicate
 
 
 @pytest.mark.parametrize("loss", [0.1, 0.3])

@@ -8,85 +8,135 @@ def cell(vc):
     return Cell(vc=vc)
 
 
-def always(out_port, vc):
-    return True
-
-
-def never(out_port, vc):
-    return False
+def push_ready(queues, out_port, vc, cell_):
+    """Queue a cell of a circuit that has credit to send it."""
+    queues.push(out_port, vc, cell_)
+    return queues.set_ready(out_port, vc, True)
 
 
 class TestVcQueues:
     def test_push_pop_fifo_within_vc(self):
         queues = VcQueues()
         first, second = cell(20), cell(20)
-        queues.push(1, 20, first)
-        queues.push(1, 20, second)
-        assert queues.pop(1, always) == (20, first)
-        assert queues.pop(1, always) == (20, second)
-        assert queues.pop(1, always) is None
+        push_ready(queues, 1, 20, first)
+        push_ready(queues, 1, 20, second)
+        assert queues.pop(1) == (20, first)
+        assert queues.pop(1) == (20, second)
+        assert queues.pop(1) is None
 
     def test_round_robin_between_vcs(self):
         queues = VcQueues()
         for _ in range(2):
-            queues.push(1, 20, cell(20))
-            queues.push(1, 21, cell(21))
-        served = [queues.pop(1, always)[0] for _ in range(4)]
+            push_ready(queues, 1, 20, cell(20))
+            push_ready(queues, 1, 21, cell(21))
+        served = [queues.pop(1)[0] for _ in range(4)]
         assert served == [20, 21, 20, 21]
 
     def test_blocked_vc_does_not_block_siblings(self):
         """Section 5: "if one virtual circuit is blocked, other virtual
         circuits passing over the same link are not affected"."""
-        def only_21(out_port, vc):
-            return vc == 21
-
         queues = VcQueues()
         blocked = cell(20)
         open_cell = cell(21)
-        queues.push(1, 20, blocked)
-        queues.push(1, 21, open_cell)
-        vc, popped = queues.pop(1, only_21)
+        push_ready(queues, 1, 20, blocked)
+        push_ready(queues, 1, 21, open_cell)
+        # VC 20 runs out of credit; the group still requests output 1.
+        assert queues.set_ready(1, 20, False)
+        vc, popped = queues.pop(1)
         assert vc == 21 and popped is open_cell
+        # Only the starved circuit is left: nothing to serve, no request.
+        assert queues.pop(1) is None
+        assert not queues.set_ready(1, 20, False)
+        assert queues.queued_vcs(1) == [20]
+        # Its credit returns and it is served from where it waited.
+        assert queues.set_ready(1, 20, True)
+        assert queues.pop(1) == (20, blocked)
 
-    def test_eligible_outputs_respects_can_send(self):
+    def test_passed_over_vcs_keep_their_turn_order(self):
+        """An unready circuit the round-robin skips moves behind the one
+        served, exactly as if it had been asked and declined."""
+        queues = VcQueues()
+        for vc in (20, 21, 22):
+            push_ready(queues, 1, vc, cell(vc))
+            push_ready(queues, 1, vc, cell(vc))
+        queues.set_ready(1, 20, False)
+        assert queues.pop(1)[0] == 21
+        assert list(queues._rotation[1]) == [22, 20, 21]
+        queues.set_ready(1, 20, True)
+        assert [queues.pop(1)[0] for _ in range(3)] == [22, 20, 21]
+
+    def test_request_bit_follows_ready_set(self):
+        """The card requests an output iff a queued circuit bound for it
+        is sendable -- no head-of-line blocking across outputs."""
         queues = VcQueues()
         queues.push(1, 20, cell(20))
         queues.push(3, 21, cell(21))
-        assert queues.eligible_outputs(always) == {1, 3}
-        assert queues.eligible_outputs(never) == set()
+        # Queued but never declared sendable: no request.
+        assert queues.pop(1) is None and queues.pop(3) is None
+        assert queues.set_ready(3, 21, True)
+        assert not queues.set_ready(1, 20, False)
+        assert queues.pop(1) is None
+        assert queues.pop(3)[0] == 21
+        # Served dry: the request bit drops without being told.
+        assert not queues.set_ready(3, 21, True)
+        # A circuit with nothing queued is never ready, credit or not.
+        assert not queues.set_ready(5, 22, True)
+        assert queues.pop(5) is None
 
-        def only_output_3(out_port, vc):
-            return out_port == 3
+    def test_push_reports_the_first_cell_edge(self):
+        queues = VcQueues()
+        assert not queues.holds(1, 20)
+        assert queues.push(1, 20, cell(20))  # queue went non-empty
+        assert not queues.push(1, 20, cell(20))
+        assert queues.push(1, 21, cell(21))
+        assert queues.holds(1, 20) and not queues.holds(2, 20)
+        assert not queues.requests(1)
+        queues.set_ready(1, 20, True)
+        assert queues.requests(1) and not queues.requests(2)
+        queues.pop(1)
+        queues.pop(1)
+        assert not queues.requests(1)
+        assert queues.holds(1, 20)  # the empty queue keeps its turn
+        assert queues.push(1, 20, cell(20))
 
-        assert queues.eligible_outputs(only_output_3) == {3}
+    def test_set_ready_is_idempotent(self):
+        queues = VcQueues()
+        queues.push(1, 20, cell(20))
+        assert queues.set_ready(1, 20, True)
+        assert queues.set_ready(1, 20, True)
+        assert queues.pop(1)[0] == 20
+        assert queues.pop(1) is None
 
     def test_occupancy_tracking(self):
         queues = VcQueues()
-        assert not queues.has_backlog()
-        queues.push(0, 20, cell(20))
-        queues.push(1, 21, cell(21))
+        assert queues.occupancy == 0
+        push_ready(queues, 0, 20, cell(20))
+        push_ready(queues, 1, 21, cell(21))
         assert queues.occupancy == 2
         assert queues.occupancy_for(0) == 1
         assert queues.peak_occupancy == 2
-        queues.pop(0, always)
+        queues.pop(0)
         assert queues.occupancy == 1
         assert queues.peak_occupancy == 2
 
     def test_drain_vc_removes_everything(self):
         queues = VcQueues()
-        queues.push(1, 20, cell(20))
-        queues.push(1, 20, cell(20))
-        queues.push(1, 21, cell(21))
+        push_ready(queues, 1, 20, cell(20))
+        push_ready(queues, 1, 20, cell(20))
+        push_ready(queues, 1, 21, cell(21))
         drained = queues.drain_vc(20)
         assert len(drained) == 2
         assert queues.occupancy == 1
         assert queues.queued_vcs(1) == [21]
         assert queues.drain_vc(20) == []
+        # The drained circuit is no longer ready; its sibling still is.
+        assert queues.pop(1)[0] == 21
+        assert queues.pop(1) is None
 
     def test_queued_vcs_excludes_empty(self):
         queues = VcQueues()
-        queues.push(1, 20, cell(20))
-        queues.pop(1, always)
+        push_ready(queues, 1, 20, cell(20))
+        queues.pop(1)
         assert queues.queued_vcs(1) == []
 
 
@@ -105,7 +155,6 @@ class TestGuaranteedQueues:
         queues.push(0, cell(30))
         queues.push(1, cell(31))
         assert queues.occupancy == 2
-        assert queues.has_backlog()
         queues.pop(0)
         assert queues.occupancy == 1
         assert queues.peak_occupancy == 2

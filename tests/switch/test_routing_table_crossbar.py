@@ -3,7 +3,7 @@
 import random
 
 from repro._types import host_id
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskPim
 from repro.core.routing.signaling import SetupRequest
 from repro.net.cell import Cell
 from repro.switch.crossbar import Crossbar
@@ -63,15 +63,15 @@ class TestRoutingTable:
 
 class TestCrossbar:
     def test_schedule_counts_slots_and_iterations(self):
-        crossbar = Crossbar(4, ParallelIterativeMatcher(4, 4, random.Random(0)))
-        result = crossbar.schedule([{1}, set(), set(), set()])
+        crossbar = Crossbar(4, BitmaskPim(4, 4, random.Random(0)))
+        result = crossbar.schedule([0b0010, 0, 0, 0])
         assert result.matching == {0: 1}
         assert crossbar.slots == 1
         assert crossbar.iterations_to_maximal.count == 1
 
     def test_utilization(self):
-        crossbar = Crossbar(2, ParallelIterativeMatcher(2, 2, random.Random(0)))
-        crossbar.schedule([{0}, {1}])
+        crossbar = Crossbar(2, BitmaskPim(2, 2, random.Random(0)))
+        crossbar.schedule([0b01, 0b10])
         crossbar.note_transfer()
         crossbar.note_transfer(guaranteed=True)
         assert crossbar.cells_transferred == 2

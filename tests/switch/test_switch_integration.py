@@ -3,10 +3,18 @@
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.flowcontrol.resync import ResyncRequest
 from repro.core.reconfig.skeptic import LinkVerdict
-from repro.net.cell import TrafficClass
+from repro.net.cell import Cell, TrafficClass
+from repro.net.network import Network
 from repro.net.packet import Packet
-from tests.conftest import converged_line, line_with_hosts
+from repro.net.topology import Topology
+from tests.conftest import (
+    converged_line,
+    fast_host_config,
+    fast_switch_config,
+    line_with_hosts,
+)
 
 
 class TestDataPath:
@@ -133,3 +141,122 @@ class TestControlPlane:
 
     def test_buffered_cells_reported(self, small_net):
         assert small_net.switch("s1").buffered_cells() == 0
+
+
+def two_hosts_one_switch():
+    """h0 and h1 on ports 0 and 1 of a single switch, equal cables."""
+    topo = Topology()
+    topo.add_switch(0)
+    for h in (0, 1):
+        topo.add_host(h)
+        topo.connect(f"h{h}", "s0", port_a=0, bps=622_000_000)
+    net = Network(
+        topo, seed=2,
+        switch_config=fast_switch_config(),
+        host_config=fast_host_config(),
+    )
+    net.start()
+    net.run_until_converged(timeout_us=500_000)
+    return net
+
+
+class TestWastedMatch:
+    def test_credit_cell_takes_the_wire_of_a_later_pair(self):
+        """Two cells cross in one slot: 0 -> 1 and 1 -> 0.  Serving the
+        first pair returns its credit through port 0, so the second pair,
+        matched onto output 0 in the same slot, finds the wire taken and
+        moves nothing until the next slot (credits compete with data for
+        the link; see DESIGN section 4)."""
+        net = two_hosts_one_switch()
+        there = net.setup_circuit("h0", "h1")
+        back = net.setup_circuit("h1", "h0")
+        s0 = net.switch("s0")
+        assert s0.stats.wasted_matches == 0
+        for circuit, src in ((there, "h0"), (back, "h1")):
+            net.host(src).send_raw_cells(circuit.vc, 1)
+        slots_before = s0.crossbar.slots
+        net.run(1_000)
+        assert s0.stats.wasted_matches == 1
+        # One slot matched both pairs, the next re-matched the loser.
+        assert s0.crossbar.slots == slots_before + 2
+        assert net.host("h0").cells_received == 1
+        assert net.host("h1").cells_received == 1
+        gauges = net.metrics_snapshot()["switch.s0"]["gauges"]
+        assert gauges["wasted_matches"] == 1
+
+
+class TestOverflowHandling:
+    def test_overflow_is_counted_not_raised(self, small_net):
+        net = small_net
+        circuit = net.setup_circuit("h0", "h1")
+        s1 = net.switch("s1")
+        in_port = s1._vc_in_port[circuit.vc]
+        allocation = s1.cards[in_port].downstream[circuit.vc].allocation
+        dropped = s1.stats.cells_dropped
+        for _ in range(allocation + 2):  # a byzantine upstream
+            s1.on_cell(s1.ports[in_port], Cell(vc=circuit.vc))
+        assert s1.stats.cells_dropped == dropped + 2
+        assert s1.cards[in_port].downstream[circuit.vc].overflows == 2
+
+    def test_other_errors_from_the_credit_state_propagate(self, small_net):
+        """Only CreditError means "upstream overran us"; a bug in the
+        bookkeeping must not be filed as a dropped cell."""
+        net = small_net
+        circuit = net.setup_circuit("h0", "h1")
+        s1 = net.switch("s1")
+        in_port = s1._vc_in_port[circuit.vc]
+
+        def broken():
+            raise RuntimeError("bookkeeping bug")
+
+        s1.cards[in_port].downstream[circuit.vc].receive = broken
+        dropped = s1.stats.cells_dropped
+        with pytest.raises(RuntimeError, match="bookkeeping bug"):
+            s1.on_cell(s1.ports[in_port], Cell(vc=circuit.vc))
+        assert s1.stats.cells_dropped == dropped
+
+
+class TestLocalRerouteState:
+    def test_reroute_drops_the_old_ports_resync_state(self):
+        """The old output port forgets the circuit entirely: no resync
+        state without upstream state, and no resync request on a wire the
+        circuit no longer uses."""
+        topo = Topology.grid(2, 2)
+        for h, s in ((0, 0), (1, 3)):
+            topo.add_host(h)
+            topo.connect(f"h{h}", f"s{s}", port_a=0, bps=622_000_000)
+        net = Network(
+            topo, seed=3,
+            switch_config=fast_switch_config(
+                enable_local_reroute=True, resync_interval_us=2_000.0
+            ),
+            host_config=fast_host_config(),
+        )
+        net.start()
+        net.run_until_converged(timeout_us=500_000)
+        circuit = net.setup_circuit("h0", "h1")
+        s0 = net.switch("s0")
+        in_port = s0._vc_in_port[circuit.vc]
+        old_out = s0.cards[in_port].routing_table.lookup(circuit.vc).out_port
+        assert circuit.vc in s0.cards[old_out].resync
+        neighbor = s0.cards[old_out].monitor.neighbor[0]
+        net.fail_link("s0", str(neighbor))
+        net.run_until(lambda: s0.stats.reroutes >= 1, timeout_us=100_000)
+
+        resyncs_on_old_port = []
+        port = s0.ports[old_out]
+        real_send = port.send
+
+        def send(cell, *args, **kwargs):
+            if isinstance(cell.payload, ResyncRequest):
+                resyncs_on_old_port.append(cell)
+            real_send(cell, *args, **kwargs)
+
+        port.send = send
+        net.run(10_000)  # five resync rounds
+        for switch in net.switches.values():
+            for card in switch.cards:
+                assert set(card.resync) <= set(card.upstream), (
+                    switch.node_id, card.index
+                )
+        assert resyncs_on_old_port == []
