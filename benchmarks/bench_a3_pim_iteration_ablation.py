@@ -13,7 +13,7 @@ import random
 
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskPim
 from repro.switch.fabric import VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform
 
@@ -27,7 +27,7 @@ def run_experiment():
     for iterations in (1, 2, 3, 4, 5):
         fabric = VoqFabric(
             N,
-            ParallelIterativeMatcher(N, iterations, random.Random(7)),
+            BitmaskPim(N, iterations, random.Random(7)),
         )
         metrics = run_fabric(
             fabric,

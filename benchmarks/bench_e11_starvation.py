@@ -17,9 +17,8 @@ import random
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.stats import jain_fairness
 from repro.analysis.tables import Table
-from repro.core.matching.islip import IslipMatcher
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.core.matching.maximum import MaximumMatcher
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.switch.fabric import VoqFabric, run_fabric
 from repro.traffic.arrivals import StarvationPattern
 
@@ -41,9 +40,9 @@ def run_experiment():
     return {
         "maximum matching": service_counts(MaximumMatcher(N)),
         "PIM (3 iterations)": service_counts(
-            ParallelIterativeMatcher(N, 3, random.Random(8))
+            BitmaskPim(N, 3, random.Random(8))
         ),
-        "iSLIP (3 iterations)": service_counts(IslipMatcher(N, 3)),
+        "iSLIP (3 iterations)": service_counts(BitmaskIslip(N, 3)),
     }
 
 

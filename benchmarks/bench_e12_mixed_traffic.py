@@ -22,7 +22,7 @@ import random
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.guaranteed.packing import make_policy_schedule
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskPim
 from repro.switch.fabric import VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform
 
@@ -52,7 +52,7 @@ def run_policy(policy, demand, seed):
     frame_schedule = [schedule.slot_assignments(s) for s in range(FRAME)]
     fabric = VoqFabric(
         N,
-        ParallelIterativeMatcher(N, 3, random.Random(seed)),
+        BitmaskPim(N, 3, random.Random(seed)),
         frame_schedule=frame_schedule,
     )
     # Guaranteed sources: keep every reserved pair's queue fed at its

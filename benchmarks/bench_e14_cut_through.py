@@ -20,7 +20,7 @@ import random
 from repro._types import host_id
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskPim
 from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -70,7 +70,7 @@ def single_cell_transit():
 def load_sweep():
     rows = []
     for load in (0.1, 0.5, 0.9, 0.99):
-        fabric = VoqFabric(N, ParallelIterativeMatcher(N, 3, random.Random(3)))
+        fabric = VoqFabric(N, BitmaskPim(N, 3, random.Random(3)))
         metrics = run_fabric(
             fabric,
             BernoulliUniform(N, load, random.Random(4)),

@@ -16,8 +16,8 @@ import random
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.constants import AN2_PIM_ITERATIONS
+from repro.core.matching.bitmask import BitmaskPim
 from repro.core.matching.fifo import FifoScheduler
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.switch.fabric import FifoFabric, VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform
 
@@ -37,7 +37,7 @@ def throughput(fabric_factory, load, seed):
 def run_sweep():
     fifo_factory = lambda seed: FifoFabric(N, FifoScheduler(N, random.Random(seed)))
     pim_factory = lambda seed: VoqFabric(
-        N, ParallelIterativeMatcher(N, AN2_PIM_ITERATIONS, random.Random(seed))
+        N, BitmaskPim(N, AN2_PIM_ITERATIONS, random.Random(seed))
     )
     rows = []
     for load in LOADS:

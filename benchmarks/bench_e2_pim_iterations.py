@@ -15,8 +15,7 @@ import random
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.constants import pim_iteration_bound
-from repro.core.matching.islip import IslipMatcher
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.switch.fabric import VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform, BurstyOnOff, Hotspot
 
@@ -26,7 +25,7 @@ WARMUP = 500
 
 def iteration_stats(n_ports, traffic_factory, seed, matcher_factory=None):
     if matcher_factory is None:
-        matcher_factory = lambda: ParallelIterativeMatcher(
+        matcher_factory = lambda: BitmaskPim(
             n_ports, n_ports, random.Random(seed)
         )
     fabric = VoqFabric(n_ports, matcher_factory())
@@ -65,7 +64,7 @@ def run_experiment():
         16,
         lambda s: BernoulliUniform(16, 1.0, random.Random(s)),
         seed=5,
-        matcher_factory=lambda: IslipMatcher(16, iterations=16),
+        matcher_factory=lambda: BitmaskIslip(16, iterations=16),
     )
     return pattern_rows, size_rows, (islip_mean, islip_within4)
 

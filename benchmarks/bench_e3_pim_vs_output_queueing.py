@@ -13,7 +13,7 @@ import random
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.constants import AN2_PIM_ITERATIONS
-from repro.core.matching.pim import ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskPim
 from repro.switch.fabric import OutputQueueFabric, VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform, BurstyOnOff, Hotspot
 
@@ -43,7 +43,7 @@ def run_experiment():
     rows = {}
     for name, factory in patterns.items():
         pim = VoqFabric(
-            N, ParallelIterativeMatcher(N, AN2_PIM_ITERATIONS, random.Random(9))
+            N, BitmaskPim(N, AN2_PIM_ITERATIONS, random.Random(9))
         )
         pim_tp, pim_lat = measure(pim, factory(100))
         outq = OutputQueueFabric(N)  # k = 16, unbounded

@@ -12,8 +12,8 @@ import random
 
 from repro.core.guaranteed.frames import FrameSchedule
 from repro.core.guaranteed.slepian_duguid import insert_cell, remove_cell
+from repro.core.matching.bitmask import BitmaskPim
 from repro.core.matching.maximum import hopcroft_karp
-from repro.core.matching.pim import ParallelIterativeMatcher
 
 N = 16
 
@@ -21,7 +21,7 @@ N = 16
 def test_pim_match_slot(benchmark):
     """One 16x16 PIM decision (3 iterations) on dense requests."""
     rng = random.Random(1)
-    matcher = ParallelIterativeMatcher(N, 3, random.Random(2))
+    matcher = BitmaskPim(N, 3, random.Random(2))
     requests = [
         {o for o in range(N) if rng.random() < 0.5} for _ in range(N)
     ]

@@ -9,22 +9,15 @@ against that baseline.
 
 Design rules for every workload here:
 
-- **Frozen inputs.**  Traffic traces are pre-generated from fixed seeds
-  outside the timed region, so the timer sees only the fabric/scheduler
-  hot loop (or the event-kernel loop), never the traffic generator.
-- **Warmed state.**  Fabric workloads run untimed warmup slots first so
-  the timed region measures the saturated steady state, where every
-  experiment spends its time.
+- **Frozen inputs.**  Topologies, deltas and fault patterns come from
+  fixed seeds and are built outside the timed region.
 - **Work checksums.**  Each workload returns a deterministic checksum of
   the work done (cells delivered, events executed).  The runner refuses
   to compare timings whose checksums differ -- a speedup that changes
   the work done is a bug, not an optimisation.
 
-The headline pair is ``voq_pim_reference_n16`` vs ``voq_pim_bitmask_n16``:
-the same saturated uniform-load VoqFabric workload (N=16, 20k timed
-slots) driven through the reference set-based PIM and through the
-bitmask fast path (:mod:`repro.core.matching.bitmask`).  Their ratio is
-reported as ``pim_bitmask_speedup_n16``.
+Every workload times something a ``Network`` runs; the crossbar tick is
+measured end to end by ``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
@@ -35,13 +28,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.matching.bitmask import BitmaskPim
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.sim.kernel import Simulator
-from repro.switch.fabric import VoqFabric
 
 TRACE_SEED = 42
-MATCHER_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -75,40 +64,6 @@ class SpeedWorkload:
     min_cpus: int = 1
 
 
-def _uniform_trace(
-    n_ports: int, load: float, slots: int, seed: int = TRACE_SEED
-) -> List[List[Tuple[int, int]]]:
-    """Bernoulli(load) arrivals per input, uniform destinations."""
-    rng = random.Random(seed)
-    rng_random = rng.random
-    return [
-        [
-            (i, int(rng_random() * n_ports))
-            for i in range(n_ports)
-            if rng_random() < load
-        ]
-        for _ in range(slots)
-    ]
-
-
-def _run_voq(
-    n_ports: int, scheduler_factory: Callable[[], object], slots: int, warmup: int
-) -> SpeedResult:
-    trace = _uniform_trace(n_ports, 1.0, slots + warmup)
-    fabric = VoqFabric(n_ports, scheduler_factory())
-    offer_batch = fabric.offer_batch
-    step = fabric.step
-    for slot in range(warmup):
-        offer_batch(trace[slot], slot)
-        step(slot)
-    start = time.perf_counter()
-    for slot in range(warmup, warmup + slots):
-        offer_batch(trace[slot], slot)
-        step(slot)
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, fabric.metrics.cells_delivered)
-
-
 def _run_kernel_storm(n_events: int, cancel_every: int) -> SpeedResult:
     """Schedule/cancel storm: the credit-timer / skeptic-hold-down shape.
 
@@ -137,36 +92,6 @@ def _run_kernel_storm(n_events: int, cancel_every: int) -> SpeedResult:
     return SpeedResult(elapsed, checksum)
 
 
-def _run_voq_traced(
-    n_ports: int, scheduler_factory: Callable[[], object], slots: int, warmup: int
-) -> SpeedResult:
-    """Same shape as :func:`_run_voq` but with a live Tracer attached.
-
-    Measures the cost of the instrumented path (per-slot ``match.round``
-    events plus VOQ activity transitions).  The checksum folds the trace
-    record count in with the delivered-cell count so a change that
-    silently alters what gets traced fails the comparison.
-    """
-    from repro.obs import Tracer
-
-    trace = _uniform_trace(n_ports, 1.0, slots + warmup)
-    tracer = Tracer()
-    fabric = VoqFabric(n_ports, scheduler_factory(), tracer=tracer)
-    offer_batch = fabric.offer_batch
-    step = fabric.step
-    for slot in range(warmup):
-        offer_batch(trace[slot], slot)
-        step(slot)
-    tracer.clear()
-    start = time.perf_counter()
-    for slot in range(warmup, warmup + slots):
-        offer_batch(trace[slot], slot)
-        step(slot)
-    elapsed = time.perf_counter() - start
-    checksum = fabric.metrics.cells_delivered * 1_000_000 + len(tracer)
-    return SpeedResult(elapsed, checksum)
-
-
 def _run_route_queries(
     n_switches: int, rounds: int, cached: bool
 ) -> SpeedResult:
@@ -175,12 +100,12 @@ def _run_route_queries(
 
     This is the signaling layer's shape -- each circuit setup asks the
     same RouteComputer for a path, and popular pairs repeat constantly
-    within an epoch.  ``cached`` toggles the epoch-keyed path memo; the
-    checksum (total path edges) must be identical either way, because
-    the memo may only change how often the BFS runs.
+    within an epoch.  The ``cached=False`` leg replaces the orientation's
+    epoch-keyed path memo with a straight call to the BFS; the checksum
+    (total path edges) must be identical either way, because the memo
+    may only change how often the BFS runs.
     """
     from repro.core.routing.paths import RouteComputer
-    from repro.core.routing.updown import set_path_cache_enabled
     from repro.net.topology import Topology
     from repro.sim.random import derived_stream
 
@@ -192,45 +117,21 @@ def _run_route_queries(
     view = topo.view()
     switches = view.switches()
     pairs = [(a, b) for a in switches for b in switches if a != b]
-    previous = set_path_cache_enabled(cached)
-    try:
-        computer = RouteComputer(view, switches[0])
-        switch_route = computer.switch_route
-        checksum = 0
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for source, destination in pairs:
-                checksum += len(switch_route(source, destination)[1])
-        elapsed = time.perf_counter() - start
-    finally:
-        set_path_cache_enabled(previous)
-    return SpeedResult(elapsed, checksum)
-
-
-def _run_sweep(workers: int) -> SpeedResult:
-    """The sweep engine over a small fabric grid, serial vs process pool.
-
-    The checksum folds every task's payload digest in task order, so the
-    serial and parallel workloads must produce the *same* checksum --
-    that equality is the parallel-equals-serial contract, enforced by
-    tests/exec and re-checked every time this baseline is compared.
-    """
-    from repro.exec import SweepEngine, make_tasks
-
-    tasks = make_tasks(
-        "fabric",
-        {"n_ports": [8, 16], "load": [0.7, 0.95], "slots": [1_500]},
-        repeats=2,
-        root_seed=TRACE_SEED,
-    )
-    engine = SweepEngine(workers=workers)
+    computer = RouteComputer(view, switches[0])
+    if not cached:
+        computer.orientation._cached = (
+            lambda kind, source, destination, compute: compute(
+                source, destination
+            )
+        )
+    switch_route = computer.switch_route
+    checksum = 0
     start = time.perf_counter()
-    results = engine.run(tasks)
+    for _ in range(rounds):
+        for source, destination in pairs:
+            checksum += len(switch_route(source, destination)[1])
     elapsed = time.perf_counter() - start
-    folded = hashlib.sha256()
-    for result in results:
-        folded.update(result.digest.encode("ascii"))
-    return SpeedResult(elapsed, int.from_bytes(folded.digest()[:8], "big"))
+    return SpeedResult(elapsed, checksum)
 
 
 def _run_link_retx(guarded: bool, bursts: int, burst_size: int) -> SpeedResult:
@@ -390,54 +291,7 @@ def _run_topo_delta(k: int, n_deltas: int, incremental: bool) -> SpeedResult:
     return SpeedResult(elapsed, int.from_bytes(folded.digest()[:8], "big"))
 
 
-def _pim_reference(n_ports: int) -> ParallelIterativeMatcher:
-    return ParallelIterativeMatcher(n_ports, rng=random.Random(MATCHER_SEED))
-
-
-def _pim_bitmask(n_ports: int) -> BitmaskPim:
-    return BitmaskPim(n_ports, rng=random.Random(MATCHER_SEED))
-
-
-# Slot counts shrink as N grows so every workload stays a few seconds at
-# most; the N=16 pair keeps the issue-specified 20k timed slots.
 WORKLOADS: List[SpeedWorkload] = [
-    SpeedWorkload(
-        "voq_pim_reference_n16",
-        "VoqFabric + reference PIM, uniform load 1.0, N=16, 20k slots",
-        lambda: _run_voq(16, lambda: _pim_reference(16), 20_000, 2_000),
-    ),
-    SpeedWorkload(
-        "voq_pim_bitmask_n16",
-        "VoqFabric + bitmask PIM, uniform load 1.0, N=16, 20k slots",
-        lambda: _run_voq(16, lambda: _pim_bitmask(16), 20_000, 2_000),
-    ),
-    SpeedWorkload(
-        "voq_pim_reference_n32",
-        "VoqFabric + reference PIM, uniform load 1.0, N=32, 4k slots",
-        lambda: _run_voq(32, lambda: _pim_reference(32), 4_000, 500),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "voq_pim_bitmask_n32",
-        "VoqFabric + bitmask PIM, uniform load 1.0, N=32, 4k slots",
-        lambda: _run_voq(32, lambda: _pim_bitmask(32), 4_000, 500),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "voq_pim_reference_n64",
-        "VoqFabric + reference PIM, uniform load 1.0, N=64, 1.5k slots",
-        lambda: _run_voq(64, lambda: _pim_reference(64), 1_500, 200),
-    ),
-    SpeedWorkload(
-        "voq_pim_bitmask_n64",
-        "VoqFabric + bitmask PIM, uniform load 1.0, N=64, 1.5k slots",
-        lambda: _run_voq(64, lambda: _pim_bitmask(64), 1_500, 200),
-    ),
-    SpeedWorkload(
-        "voq_pim_bitmask_n16_traced",
-        "VoqFabric + bitmask PIM with live Tracer, N=16, 5k slots",
-        lambda: _run_voq_traced(16, lambda: _pim_bitmask(16), 5_000, 500),
-    ),
     SpeedWorkload(
         "kernel_schedule_cancel_storm",
         "Simulator: 200k timers, 90% cancelled, pending() polled per cancel",
@@ -454,17 +308,6 @@ WORKLOADS: List[SpeedWorkload] = [
         "RouteComputer: all switch pairs x40 rounds, N=24, path memo on",
         lambda: _run_route_queries(24, 40, cached=True),
         quick=True,
-    ),
-    SpeedWorkload(
-        "sweep_parallel_serial",
-        "SweepEngine: 8 fabric grid tasks, in-process serial reference",
-        lambda: _run_sweep(0),
-    ),
-    SpeedWorkload(
-        "sweep_parallel_w4",
-        "SweepEngine: same 8 fabric grid tasks across 4 worker processes",
-        lambda: _run_sweep(4),
-        min_cpus=4,
     ),
     SpeedWorkload(
         "obs_overhead_untraced",
@@ -507,11 +350,7 @@ WORKLOADS: List[SpeedWorkload] = [
 # (slow workload, fast workload) pairs whose best-time ratio the runner
 # derives and stores alongside the raw timings.
 SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
-    "pim_bitmask_speedup_n16": ("voq_pim_reference_n16", "voq_pim_bitmask_n16"),
-    "pim_bitmask_speedup_n32": ("voq_pim_reference_n32", "voq_pim_bitmask_n32"),
-    "pim_bitmask_speedup_n64": ("voq_pim_reference_n64", "voq_pim_bitmask_n64"),
     "route_cache_speedup_n24": ("route_cache_off_n24", "route_cache_on_n24"),
-    "sweep_parallel_speedup_w4": ("sweep_parallel_serial", "sweep_parallel_w4"),
     "topo_incremental_vs_rebuild": (
         "topo_rebuild_fattree_k32",
         "topo_incremental_fattree_k32",

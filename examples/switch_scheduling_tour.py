@@ -13,9 +13,8 @@ import random
 
 from repro.analysis.tables import Table
 from repro.constants import AN2_PIM_ITERATIONS, pim_iteration_bound
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.core.matching.fifo import FifoScheduler
-from repro.core.matching.islip import IslipMatcher
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.switch.fabric import (
     FifoFabric,
     OutputQueueFabric,
@@ -36,14 +35,12 @@ def build_fabrics(seed: int):
             f"PIM ({AN2_PIM_ITERATIONS} iterations)",
             VoqFabric(
                 N,
-                ParallelIterativeMatcher(
-                    N, AN2_PIM_ITERATIONS, random.Random(seed + 1)
-                ),
+                BitmaskPim(N, AN2_PIM_ITERATIONS, random.Random(seed + 1)),
             ),
         ),
         (
             "iSLIP (3 iterations)",
-            VoqFabric(N, IslipMatcher(N, iterations=3)),
+            VoqFabric(N, BitmaskIslip(N, iterations=3)),
         ),
         ("output queueing (k=16)", OutputQueueFabric(N)),
     ]
@@ -79,9 +76,7 @@ def main() -> None:
         print()
 
     # PIM iteration statistics (the log2(N) + 4/3 story).
-    fabric = VoqFabric(
-        N, ParallelIterativeMatcher(N, N, random.Random(5))
-    )
+    fabric = VoqFabric(N, BitmaskPim(N, N, random.Random(5)))
     metrics = run_fabric(
         fabric, BernoulliUniform(N, 1.0, random.Random(6)), 5_000, warmup_slots=500
     )

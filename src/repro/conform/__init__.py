@@ -8,10 +8,12 @@ assuming it:
 - :mod:`repro.conform.digest` -- a streaming hash of kernel event
   dispatch order plus end-of-run component state fingerprints, stable
   across repeated runs and ``PYTHONHASHSEED`` values;
-- :mod:`repro.conform.oracle` -- differential checks that drive the
-  reference matchers and their bitmask fast-path counterparts from
-  identical seeds, cell by cell, and cross-check AN1 against AN2
-  routing on shared topologies.
+- :mod:`repro.conform.reference` -- the set-based reference renderings
+  of PIM and iSLIP, which nothing outside this package and the tests
+  imports;
+- :mod:`repro.conform.oracle` -- differential checks that drive those
+  reference matchers and the bitmask kernel from identical seeds, cell
+  by cell, and cross-check AN1 against AN2 routing on shared topologies.
 
 The AST nondeterminism lint lives in ``tools/lint_determinism.py`` (it
 inspects source, not runtime state); ``tools/run_conformance.py`` is the

@@ -1,16 +1,17 @@
-"""Differential oracles: reference vs fast-path, AN1 vs AN2.
+"""Differential oracles: reference vs kernel, AN1 vs AN2.
 
 Three families of cross-checks, each reporting the *first* divergence it
 finds as a :class:`Divergence` (never just a boolean -- a conformance
 failure must say exactly where the implementations disagreed):
 
 - **Matchers** -- :func:`compare_matchers` drives a reference scheduler
-  (:class:`~repro.core.matching.pim.ParallelIterativeMatcher`,
-  :class:`~repro.core.matching.islip.IslipMatcher`) and its bitmask
-  counterpart (strict-RNG mode) cell by cell through two identically-fed
-  fabrics from identical seeds, comparing every slot's full matching.
-  This checks the matchers *and* the fabric's incremental mask
-  bookkeeping against the set-based reference path in one sweep.
+  (:class:`~repro.conform.reference.ParallelIterativeMatcher`,
+  :class:`~repro.conform.reference.IslipMatcher`) and its bitmask
+  counterpart cell by cell through two identically-fed fabrics from
+  identical seeds, comparing every slot's full matching.  The reference
+  fabric builds its requests from the queues, so this checks the kernel
+  *and* the :class:`~repro.switch.crossbar.Crossbar`'s maintained
+  request matrix against the set-based path in one sweep.
 - **Routing** -- :func:`compare_routing` builds the same up*/down*
   orientation twice over a shared topology and cross-checks AN1's
   hop-by-hop forwarding (``next_hop`` with the gone-down bit, the
@@ -37,9 +38,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
-from repro.core.matching.islip import IslipMatcher
-from repro.core.matching.pim import MatchResult, ParallelIterativeMatcher
+from repro.conform.reference import IslipMatcher, ParallelIterativeMatcher
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim, MatchResult
 from repro.core.routing.updown import UpDownOrientation
 from repro.net.topology import Topology
 from repro.sim.random import derived_stream
@@ -108,12 +108,7 @@ def _build_pair(kind: str, n_ports: int, seed: int):
         )
         candidate = VoqFabric(
             n_ports,
-            BitmaskPim(
-                n_ports,
-                iterations=3,
-                rng=_seeded_rng("pim", seed),
-                strict_rng=True,
-            ),
+            BitmaskPim(n_ports, iterations=3, rng=_seeded_rng("pim", seed)),
         )
     elif kind == "islip":
         reference = VoqFabric(n_ports, IslipMatcher(n_ports, iterations=3))

@@ -1,55 +1,72 @@
-"""Bitmask fast-path crossbar schedulers.
+"""The crossbar scheduling kernel: PIM and iSLIP over port bitmasks.
 
-The reference matchers (:mod:`repro.core.matching.pim`,
-:mod:`repro.core.matching.islip`) model the paper's distributed
-request/grant/accept wires with dictionaries of Python sets and lists.
-That is the clearest rendering of section 3, but it is also the hot loop
-of every fabric experiment: at N = 16 a load sweep runs the matcher
-10^5+ times, and each call churns through
-``setdefault``/``sorted``/set-membership machinery.
+Section 3's request/grant/accept rounds, computed on *port bitmasks*:
+each input's request set is a single Python int with bit ``o`` set iff
+the input has a buffered cell for output ``o`` (valid for N <= 64; AN2
+is N = 16).  The three rounds become ``&``/``|``/``bit_count()``
+operations over those ints, set-bit enumeration is a single lookup in a
+precomputed 16-bit table, and the transposed matrix (per-output
+contender columns) is supplied ready-made by
+:class:`~repro.switch.crossbar.Crossbar`, which maintains it on request
+edges, instead of being rebuilt every iteration.
 
-This module re-implements the same algorithms on *port bitmasks*: each
-input's request set is a single Python int with bit ``o`` set iff the
-input has a buffered cell for output ``o`` (valid for N <= 64; AN2 is
-N = 16).  The request, grant and accept rounds become ``&``/``|``/
-``bit_count()`` operations over those ints, set-bit enumeration is a
-single lookup in a precomputed 16-bit table, and the request matrix is
-transposed into per-output contender columns once per call (or supplied
-ready-made by :class:`~repro.switch.fabric.VoqFabric`, which maintains
-the columns incrementally) instead of being rebuilt every iteration.
-
-Semantics are identical to the reference implementations -- ports are
-visited in ascending order, grants and accepts are uniform random
-choices among contenders -- but the *random draw protocol* is selectable:
-
-- ``strict_rng=True`` consumes ``rng.randrange(k)`` in exactly the
-  sequence the reference implementation does, making :class:`BitmaskPim`
-  *bit-identical* to
-  :class:`~repro.core.matching.pim.ParallelIterativeMatcher` for a
-  shared seed.  The equivalence property tests rely on this mode.
-- ``strict_rng=False`` (the default fast path) draws the same uniform
-  choice via a single C-level ``rng.random()`` call and skips the
-  degenerate draw when only one contender exists.  Runs remain fully
-  deterministic for a fixed seed, and per-flow service distributions are
-  indistinguishable from the reference (pinned by the E11-pattern test).
-
-:class:`BitmaskIslip` involves no randomness at all, so it is exactly
-equivalent to :class:`~repro.core.matching.islip.IslipMatcher` in every
-mode.  Both classes also accept plain request sets through the reference
-``match(requests, pre_matched)`` entry point, so they are drop-in
-replacements anywhere a reference matcher is used.
+This is the only matcher the simulator runs.  Its oracle is the
+set-and-dictionary rendering of the same section in
+:mod:`repro.conform.reference`, which tests and the conformance gate
+compare it against; the contract is *bit-identity for a shared seed*:
+ports are visited in ascending order and every grant and every accept
+is ``rng.randrange(k)`` over the ``k`` contenders in ascending order,
+one-contender draws included, exactly the reference's draw sequence.
+:class:`BitmaskIslip` involves no randomness at all.  Both classes also
+accept plain request sets through ``match(requests, pre_matched)``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
-
-from repro.core.matching.pim import MatchResult, Matching
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 MAX_PORTS = 64  # one bit per output in a machine-word-sized int
 
 RequestsLike = Sequence[Union[int, Set[int], Iterable[int]]]
+
+Matching = Dict[int, int]  # input port -> output port
+
+
+@dataclass(slots=True)
+class MatchResult:
+    """Outcome of one slot's matching.
+
+    Attributes:
+        matching: input -> output pairs chosen this slot (including any
+            pre-matched pairs passed in).
+        iterations_run: how many request/grant/accept rounds executed.
+        iterations_to_maximal: the first iteration index (1-based) after
+            which the matching was maximal, or ``None`` if it never became
+            maximal within ``iterations_run``.
+        new_matches_per_iteration: matches added by each iteration.
+    """
+
+    matching: Matching
+    iterations_run: int
+    iterations_to_maximal: Optional[int]
+    new_matches_per_iteration: List[int] = field(default_factory=list)
+
+    @property
+    def size(self) -> int:
+        return len(self.matching)
+
 
 # _BITS16[m] is the tuple of set-bit positions of the 16-bit value m in
 # ascending order.  Built once by dynamic programming over the lowest set
@@ -60,10 +77,7 @@ for _m in range(1, 65536):
     _BITS16[_m] = (_low.bit_length() - 1,) + _BITS16[_m ^ _low]
 del _m, _low
 
-# Parallel lookup tables for the draw loops: _LEN16[m] == len(_BITS16[m])
-# (an index beats a len() call) and _POW2[i] == 1 << i (an index beats a
-# shift).  Both measurably matter at 10^6+ operations per load sweep.
-_LEN16: Tuple[int, ...] = tuple(len(_bits) for _bits in _BITS16)
+# _POW2[i] == 1 << i (an index beats a shift in the draw loop).
 _POW2: Tuple[int, ...] = tuple(1 << _i for _i in range(MAX_PORTS))
 
 
@@ -186,10 +200,15 @@ def _check_ports(n_ports: int) -> None:
 class BitmaskPim:
     """Parallel iterative matching over port bitmasks.
 
-    Drop-in for :class:`~repro.core.matching.pim.ParallelIterativeMatcher`:
-    same constructor plus ``strict_rng``, same ``match`` contract, and --
-    with ``strict_rng=True`` -- bit-identical output for the same seeded
-    ``rng`` (the RNG draw sequence is preserved exactly).
+    Bit-identical to the reference
+    :class:`~repro.conform.reference.ParallelIterativeMatcher` for the
+    same seeded ``rng``: same constructor, same ``match`` contract, same
+    matching and the same RNG draw sequence.
+
+    Args:
+        n_ports: switch radix N (16 for AN2).
+        iterations: rounds per slot (AN2 uses 3).
+        rng: randomness source for the grant and accept choices.
     """
 
     name = "pim_bitmask"
@@ -199,7 +218,6 @@ class BitmaskPim:
         n_ports: int,
         iterations: int = 3,
         rng: Optional[random.Random] = None,
-        strict_rng: bool = False,
     ) -> None:
         _check_ports(n_ports)
         if iterations <= 0:
@@ -207,7 +225,6 @@ class BitmaskPim:
         self.n_ports = n_ports
         self.iterations = iterations
         self.rng = rng if rng is not None else random.Random(0)
-        self.strict_rng = strict_rng
 
     # ------------------------------------------------------------------
     def match(
@@ -227,23 +244,22 @@ class BitmaskPim:
         col_masks: Optional[Sequence[int]] = None,
         union: Optional[int] = None,
     ) -> MatchResult:
-        """Fast path: ``masks[i]`` has bit ``o`` set iff input ``i`` has a
-        cell for output ``o``.
+        """``masks[i]`` has bit ``o`` set iff input ``i`` has a cell for
+        output ``o``.
 
-        ``col_masks`` optionally supplies the transposed matrix (bit
-        ``i`` of ``col_masks[o]`` iff input ``i`` has a cell for ``o``);
-        extra bits for pre-matched inputs/outputs are ignored, which lets
-        :class:`~repro.switch.fabric.VoqFabric` pass its incrementally
-        maintained columns unfiltered.  ``union`` optionally supplies the
-        OR of all ``masks`` (only valid when no input is pre-matched).
-        Masks are read, never mutated.
+        ``pre_matched`` holds input -> output pairs already committed
+        this slot (guaranteed-traffic reservations); PIM only fills the
+        remaining inputs and outputs, which is how best-effort traffic
+        rides the unreserved slots (section 4).  ``col_masks`` optionally
+        supplies the transposed matrix (bit ``i`` of ``col_masks[o]``
+        iff input ``i`` has a cell for ``o``); extra bits for pre-matched
+        inputs and for outputs no row requests are ignored, which lets
+        :class:`~repro.switch.crossbar.Crossbar` pass its maintained
+        columns unfiltered.  ``union`` optionally supplies the OR of the
+        ``masks`` of the inputs that are not pre-matched.  Masks are
+        read, never mutated.
         """
         n = self.n_ports
-        if n <= 16 and not self.strict_rng:
-            # All masks fit the 16-bit table: run the branch-free
-            # specialization (AN2 itself is N = 16, so this is the case
-            # every paper experiment hits).
-            return self._match_masks16(masks, pre_matched, col_masks, union)
         full = (1 << n) - 1
         if pre_matched:
             matching: Matching = dict(pre_matched)
@@ -256,9 +272,7 @@ class BitmaskPim:
             free_inputs = full
             free_outputs = full
         cols = col_masks if col_masks is not None else _transpose(masks, n)
-        rng = self.rng
-        rng_random = rng.random
-        strict = self.strict_rng
+        randrange = self.rng.randrange
         B = _BITS16  # local bindings for the hot loops
         P = _POW2
 
@@ -276,21 +290,21 @@ class BitmaskPim:
                 union |= masks[input_port]
         union &= free_outputs
 
+        # Determinism contract, shared with the reference: outputs (step
+        # 2) and inputs (step 3) are visited in ascending port order and
+        # every choice is ``randrange(k)`` over the ascending contenders,
+        # so a fixed-seed run consumes RNG draws in one reproducible
+        # sequence.  The hardware ports all decide simultaneously, so any
+        # order is faithful -- but digests, the corpus and the oracle
+        # rely on this exact one.  Do not change it.
         for iteration in range(1, self.iterations + 1):
             # Step 1+2: every contended free output grants one request.
-            # The contender tuple from the table doubles as the draw
-            # population: uniform pick = index by a scaled random float.
             grants = [0] * n
             granted = 0
             for output_port in B[union] if union < 65536 else bits_of(union):
                 column = cols[output_port] & free_inputs
                 blist = B[column] if column < 65536 else bits_of(column)
-                if strict:
-                    chosen = blist[rng.randrange(len(blist))]
-                elif len(blist) == 1:
-                    chosen = blist[0]
-                else:
-                    chosen = blist[int(rng_random() * len(blist))]
+                chosen = blist[randrange(len(blist))]
                 grants[chosen] |= P[output_port]
                 granted |= P[chosen]
 
@@ -303,12 +317,7 @@ class BitmaskPim:
             ):
                 row = grants[input_port]
                 blist = B[row] if row < 65536 else bits_of(row)
-                if strict:
-                    accepted = blist[rng.randrange(len(blist))]
-                elif len(blist) == 1:
-                    accepted = blist[0]
-                else:
-                    accepted = blist[int(rng_random() * len(blist))]
+                accepted = blist[randrange(len(blist))]
                 matching[input_port] = accepted
                 matched_outputs |= P[accepted]
             free_inputs &= ~granted
@@ -327,103 +336,8 @@ class BitmaskPim:
             else:
                 union = 0  # perfect match: nothing left to request
             if union == 0:
-                # No unmatched input still wants an unmatched output.
-                iterations_to_maximal = iteration
-                break
-
-        return MatchResult(
-            matching=matching,
-            iterations_run=len(new_per_iteration),
-            iterations_to_maximal=iterations_to_maximal,
-            new_matches_per_iteration=new_per_iteration,
-        )
-
-    def _match_masks16(
-        self,
-        masks: Sequence[int],
-        pre_matched: Optional[Matching],
-        col_masks: Optional[Sequence[int]],
-        union: Optional[int] = None,
-    ) -> MatchResult:
-        """N <= 16 fast-RNG specialization of :meth:`match_masks`.
-
-        Identical draw protocol and results to the general fast path;
-        every mask fits the 16-bit table, so the chunked ``bits_of``
-        fallback branches disappear from the three inner loops.
-        """
-        n = self.n_ports
-        full = (1 << n) - 1
-        if pre_matched:
-            matching: Matching = dict(pre_matched)
-            matched_inputs, matched_outputs = _pre_matched_masks(matching)
-            free_inputs = full & ~matched_inputs
-            free_outputs = full & ~matched_outputs
-        else:
-            matching = {}
-            matched_outputs = 0
-            free_inputs = full
-            free_outputs = full
-        cols = col_masks if col_masks is not None else _transpose(masks, n)
-        rng_random = self.rng.random
-        B = _BITS16
-        L = _LEN16
-        P = _POW2
-
-        if union is None:
-            union = 0
-            for input_port in B[free_inputs]:
-                union |= masks[input_port]
-        union &= free_outputs
-        # While every input is still free (always true in iteration 1
-        # without reservations), a contender column needs no masking.
-        all_free = free_inputs == full
-
-        iterations_to_maximal: Optional[int] = None
-        new_per_iteration: List[int] = []
-        for iteration in range(1, self.iterations + 1):
-            grants = [0] * n
-            granted = 0
-            if all_free:
-                all_free = False
-                for output_port in B[union]:
-                    column = cols[output_port]
-                    blist = B[column]
-                    k = L[column]
-                    chosen = (
-                        blist[0] if k == 1 else blist[int(rng_random() * k)]
-                    )
-                    grants[chosen] |= P[output_port]
-                    granted |= P[chosen]
-            else:
-                for output_port in B[union]:
-                    column = cols[output_port] & free_inputs
-                    blist = B[column]
-                    k = L[column]
-                    chosen = (
-                        blist[0] if k == 1 else blist[int(rng_random() * k)]
-                    )
-                    grants[chosen] |= P[output_port]
-                    granted |= P[chosen]
-
-            for input_port in B[granted]:
-                row = grants[input_port]
-                blist = B[row]
-                k = L[row]
-                accepted = blist[0] if k == 1 else blist[int(rng_random() * k)]
-                matching[input_port] = accepted
-                matched_outputs |= P[accepted]
-            free_inputs &= ~granted
-            new_per_iteration.append(granted.bit_count())
-
-            free_outputs = full & ~matched_outputs
-            if free_outputs:
-                union = 0
-                for input_port in B[free_inputs]:
-                    union |= masks[input_port]
-                union &= free_outputs
-            else:
-                union = 0  # perfect match: nothing left to request
-            if union == 0:
+                # No unmatched input still wants an unmatched output;
+                # later iterations cannot add matches.
                 iterations_to_maximal = iteration
                 break
 
@@ -438,8 +352,9 @@ class BitmaskPim:
 class BitmaskIslip:
     """Round-robin (iSLIP) matching over port bitmasks.
 
-    Exactly equivalent to :class:`~repro.core.matching.islip.IslipMatcher`
-    (no randomness is involved): the rotating-pointer pick becomes "first
+    Exactly equivalent to the reference
+    :class:`~repro.conform.reference.IslipMatcher` (no randomness is
+    involved): the rotating-pointer pick becomes "first
     set bit at or after the pointer, wrapping" -- one shift and a
     ``bit_length``.
     """

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.matching.pim import MatchResult, Matching
+from repro.core.matching.bitmask import MatchResult, Matching
 
 
 class FifoScheduler:

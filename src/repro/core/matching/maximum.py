@@ -80,8 +80,8 @@ class MaximumMatcher:
     """Scheduler facade over :func:`hopcroft_karp`.
 
     Presents the same ``match`` interface as
-    :class:`~repro.core.matching.pim.ParallelIterativeMatcher` so the
-    fabric simulator can swap schedulers.
+    :class:`~repro.core.matching.bitmask.BitmaskPim` so the fabric
+    simulator can swap schedulers.
     """
 
     name = "maximum"
@@ -94,7 +94,7 @@ class MaximumMatcher:
         requests: Sequence[Set[int]],
         pre_matched: Optional[Matching] = None,
     ):
-        from repro.core.matching.pim import MatchResult
+        from repro.core.matching.bitmask import MatchResult
 
         pre: Matching = dict(pre_matched) if pre_matched else {}
         taken_outputs = set(pre.values())

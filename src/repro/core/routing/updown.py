@@ -26,31 +26,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro._types import NodeId
 from repro.net.topology import Edge, TopologyDelta, TopologyView
 
-#: Process-wide default for path memoization (see
-#: :meth:`UpDownOrientation.shortest_legal_path`).  Tests flip this off to
-#: prove cached and uncached runs are digest-identical.
-_CACHE_ENABLED = True
-
-
-def set_path_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable path memoization globally; returns the old value.
-
-    The cache is a pure memo over immutable inputs -- an orientation's
-    view never changes after construction -- so this switch must never
-    change any computed route, only how often the BFS actually runs.
-    The conformance tests assert exactly that (digest equality with the
-    cache on and off).
-    """
-    global _CACHE_ENABLED
-    previous = _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def path_cache_enabled() -> bool:
-    return _CACHE_ENABLED
-
-
 _PathResult = Optional[Tuple[List[NodeId], List[Edge]]]
 
 #: cache sentinel distinguishing "no entry" from a cached ``None``
@@ -124,8 +99,6 @@ class UpDownOrientation:
         (in reroute paths) consume the lists, and a shared mutable result
         would let one caller corrupt every later query.
         """
-        if not _CACHE_ENABLED:
-            return compute(source, destination)
         key = (kind, source, destination)
         hit = self._path_cache.get(key, _MISS)
         if hit is not _MISS:
@@ -441,7 +414,7 @@ class UpDownOrientation:
         invalidated (including every negative/unreachable entry: those
         BFS runs explored their whole component).
         """
-        if not _CACHE_ENABLED or not self._path_cache:
+        if not self._path_cache:
             return {}
         affected: Set[NodeId] = set(dirty)
         for (na, _), (nb, _) in removed_sw:

@@ -30,15 +30,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.matching.pim import MatchResult, Matching
+from repro.core.matching.bitmask import MatchResult, Matching
 from repro.sim.monitor import ProbeSet, Tally
+from repro.switch.crossbar import Crossbar
 from repro.traffic.arrivals import ArrivalProcess
 
 Arrival = Tuple[int, int]
-
-# _POW2[i] == 1 << i: an index is cheaper than a shift in the per-cell
-# mask bookkeeping below (same trick as core.matching.bitmask).
-_POW2: Tuple[int, ...] = tuple(1 << _i for _i in range(64))
 
 
 @dataclass
@@ -106,13 +103,14 @@ def _register_fabric_gauges(fabric, probes: ProbeSet) -> None:
 class VoqFabric:
     """Random-access input buffers plus a pluggable matcher.
 
-    The fabric keeps, for every input, a request *bitmask* with bit ``o``
-    set iff the (input, ``o``) queue is non-empty, updated incrementally
-    on :meth:`offer` and on delivery.  Schedulers that expose
-    ``match_masks`` (the bitmask fast path in
-    :mod:`repro.core.matching.bitmask`) receive those masks directly;
-    reference set-based schedulers get per-slot request sets built from
-    the same masks, so both plug in unchanged.
+    The fabric's :class:`~repro.switch.crossbar.Crossbar` holds the
+    request matrix -- input ``i`` requests output ``o`` iff the
+    (``i``, ``o``) queue is non-empty -- flipped when a queue is created
+    and when its last cell is delivered.  Schedulers that expose
+    ``match_masks`` (the kernel in :mod:`repro.core.matching.bitmask`)
+    are run by the crossbar on that matrix; set-based schedulers (maximum
+    matching, the oracle's reference matchers) get per-slot request sets
+    built from the queues themselves, so both plug in unchanged.
     """
 
     def __init__(
@@ -131,10 +129,9 @@ class VoqFabric:
             n_ports: switch radix.
             scheduler: any object with ``match(requests, pre_matched)``
                 returning a :class:`MatchResult` (PIM, iSLIP, maximum).
-                Objects that additionally provide ``match_masks(masks,
-                pre_matched, col_masks)`` are called through the bitmask
-                fast path, receiving the fabric's incrementally
-                maintained request masks and their transpose.
+                Objects that additionally provide ``match_masks`` are
+                called through :meth:`Crossbar.schedule` on the
+                maintained request matrix.
             buffer_capacity: max best-effort cells buffered per input
                 (``None`` = unbounded); overflow drops the arriving cell.
             per_vc_capacity: max cells per (input, output) queue -- AN2's
@@ -166,16 +163,9 @@ class VoqFabric:
             buffer_capacity is not None or per_vc_capacity is not None
         )
         self._occupancy: List[int] = [0] * n_ports
-        # request_masks[input] has bit o set iff queues[input][o] exists;
-        # col_masks is the transpose (bit i of col_masks[o]).  Both are
-        # maintained incrementally so the per-slot scheduling call never
-        # walks the queue dictionaries.
-        self.request_masks: List[int] = [0] * n_ports
-        self.col_masks: List[int] = [0] * n_ports
-        # union_mask has bit o set iff any input has a cell for output o
-        # (i.e. ``col_masks[o] != 0``); handed to bitmask schedulers so
-        # they can skip re-deriving it from the rows.
-        self.union_mask: int = 0
+        # Input i requests output o iff queues[i][o] exists, so the
+        # per-slot scheduling call never walks the queue dictionaries.
+        self.crossbar = Crossbar(n_ports, scheduler)
         self._use_masks = hasattr(scheduler, "match_masks")
         # Guaranteed queues, same indexing.
         self.guaranteed_queues: List[Dict[int, Deque[int]]] = [
@@ -215,6 +205,7 @@ class VoqFabric:
             # Avoid setdefault: it would construct a throwaway deque on
             # every offered cell once the queue exists.
             queue = queues[output_port] = deque()
+            self.crossbar.request(input_port, output_port)
             if self.tracer is not None:
                 self.tracer.emit(
                     slot, "fabric", self.component, "voq.active",
@@ -223,10 +214,6 @@ class VoqFabric:
         queue.append(slot)
         if self._track_occupancy:
             self._occupancy[input_port] += 1
-        obit = _POW2[output_port]
-        self.request_masks[input_port] |= obit
-        self.col_masks[output_port] |= _POW2[input_port]
-        self.union_mask |= obit
         return True
 
     def offer_batch(self, cells: Sequence[Arrival], slot: int) -> None:
@@ -250,20 +237,13 @@ class VoqFabric:
             return
         self.metrics.cells_offered += len(cells)
         all_queues = self.queues
-        request_masks = self.request_masks
-        col_masks = self.col_masks
-        pow2 = _POW2
-        union = 0
         for input_port, output_port in cells:
             try:
                 # At any sustained load the VOQ almost always exists.
                 all_queues[input_port][output_port].append(slot)
             except KeyError:
                 all_queues[input_port][output_port] = deque((slot,))
-            request_masks[input_port] |= (obit := pow2[output_port])
-            union |= obit
-            col_masks[output_port] |= pow2[input_port]
-        self.union_mask |= union
+                self.crossbar.request(input_port, output_port)
 
     def offer_guaranteed(
         self, input_port: int, output_port: int, slot: int
@@ -307,26 +287,11 @@ class VoqFabric:
                 # else: the reserved slot is free for best-effort traffic.
 
         if self._use_masks:
-            if pre_matched:
-                reserved = 0
-                for output_port in pre_matched.values():
-                    reserved |= 1 << output_port
-                masks = [
-                    0 if i in pre_matched else self.request_masks[i] & ~reserved
-                    for i in range(self.n_ports)
-                ]
-                union = None  # union_mask covers unfiltered rows only
-                backlogged = any(masks)
-            else:
-                # Passed read-only; bitmask matchers never mutate masks.
-                masks = self.request_masks
-                union = self.union_mask
-                backlogged = union != 0
-            if backlogged:
+            result = self.crossbar.schedule(pre_matched)
+            # The first round grants something iff some unreserved input
+            # asked for an unreserved output.
+            if result.new_matches_per_iteration[0]:
                 self.metrics.slots_with_backlog += 1
-            result = self.scheduler.match_masks(
-                masks, pre_matched, self.col_masks, union
-            )
         else:
             # Hoist the reserved-output lookup out of the per-input loop:
             # ``pre_matched.values()`` is rebuilt on every membership test
@@ -389,11 +354,7 @@ class VoqFabric:
             waited = slot - queue.popleft()
             if not queue:
                 del queues[input_port][output_port]
-                self.request_masks[input_port] &= ~_POW2[output_port]
-                col = self.col_masks[output_port] & ~_POW2[input_port]
-                self.col_masks[output_port] = col
-                if not col:
-                    self.union_mask &= ~_POW2[output_port]
+                self.crossbar.withdraw(input_port, output_port)
                 if tracer is not None:
                     tracer.emit(
                         slot, "fabric", self.component, "voq.idle",

@@ -46,7 +46,7 @@ from repro.core.guaranteed.distributed import (
 from repro.core.guaranteed.frames import FrameSchedule
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
 from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
-from repro.core.matching.bitmask import MAX_PORTS, BitmaskPim, bits_of
+from repro.core.matching.bitmask import BitmaskPim, bits_of
 from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
@@ -170,11 +170,6 @@ class AN2Switch(Node):
     ) -> None:
         self.config = config if config is not None else SwitchConfig()
         ports = n_ports if n_ports is not None else self.config.n_ports
-        if ports > MAX_PORTS:
-            raise ValueError(
-                f"AN2Switch {node_id}: {ports} ports exceed the crossbar "
-                f"scheduler's {MAX_PORTS}-port request masks"
-            )
         super().__init__(sim, node_id, ports)
         self.streams = streams
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
@@ -184,14 +179,16 @@ class AN2Switch(Node):
         ]
         for card in self.cards:
             card.credit_trace_factory = self._make_credit_trace
+        #: owns the request matrix: input ``i`` requests output ``o`` iff
+        #: card ``i`` holds a circuit ready to send to ``o`` (a cell
+        #: queued and, in credit mode, a positive balance).  Kept current
+        #: by :meth:`_refresh` instead of rebuilt every slot.
         self.crossbar = Crossbar(
             ports,
-            # strict_rng: the reference matcher's exact draw sequence.
             BitmaskPim(
                 ports,
                 iterations=self.config.pim_iterations,
                 rng=streams.stream(f"{node_id}.pim"),
-                strict_rng=True,
             ),
             probes=(
                 registry.node(f"switch.{node_id}.crossbar")
@@ -218,14 +215,6 @@ class AN2Switch(Node):
         self._vc_in_port: Dict[VcId, int] = {}
         self._slot_index = 0
         self._tick_scheduled = False
-        #: the crossbar's request state, kept current by :meth:`_refresh`
-        #: instead of rebuilt every slot.  Bit ``o`` of ``_rows[i]`` (and
-        #: bit ``i`` of ``_cols[o]``) is set iff card ``i`` holds a
-        #: circuit ready to send to output ``o``: a cell queued and, in
-        #: credit mode, a positive balance.  ``_want`` ORs the rows.
-        self._rows: List[int] = [0] * ports
-        self._cols: List[int] = [0] * ports
-        self._want = 0
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
         #: the Network's repro.fastpath.FabricSlotDriver once adopted;
@@ -691,24 +680,18 @@ class AN2Switch(Node):
 
     def _refresh(self, card: LineCard, out_port: int, vc: VcId) -> None:
         """Re-derive whether ``vc`` on ``card`` can be sent to
-        ``out_port`` and bring the request masks in step.  Idempotent;
-        called after every event that can flip the answer (cell queued
+        ``out_port`` and bring the crossbar's request in step.
+        Idempotent; called after every event that can flip the answer (cell queued
         or served, credit granted, consumed or resynchronized, circuit
         installed, torn down, paged out or rerouted)."""
         sendable = True
         if self.config.flow_control == "credits":
             upstream = self.cards[out_port].upstream.get(vc)
             sendable = upstream is not None and upstream.balance > 0
-        in_bit, out_bit = 1 << card.index, 1 << out_port
         if card.vc_queues.set_ready(out_port, vc, sendable):
-            self._rows[card.index] |= out_bit
-            self._cols[out_port] |= in_bit
-            self._want |= out_bit
+            self.crossbar.request(card.index, out_port)
         else:
-            self._rows[card.index] &= ~out_bit
-            self._cols[out_port] &= ~in_bit
-            if not self._cols[out_port]:
-                self._want &= ~out_bit
+            self.crossbar.withdraw(card.index, out_port)
 
     def _accept_credit(self, port_index: int, cell: Cell) -> None:
         card = self.cards[port_index]
@@ -766,7 +749,7 @@ class AN2Switch(Node):
     def _forget(self, card: LineCard, vc: VcId) -> None:
         """``vc`` was drained from ``card``: drop the request bits it
         alone was holding up, whichever outputs its cells waited for."""
-        for out_port in bits_of(self._rows[card.index]):
+        for out_port in bits_of(self.crossbar.rows[card.index]):
             self._refresh(card, out_port, vc)
 
     def _refresh_output(self, out_port: int, vc: VcId) -> None:
@@ -833,16 +816,14 @@ class AN2Switch(Node):
         # Outputs some card wants, that no reservation took this slot,
         # and whose wire is free: only those are worth asking about.
         idle = 0
-        want = self._want & ~used_outputs
+        want = self.crossbar.want & ~used_outputs
         if want:
             for out_port in bits_of(want):
                 if ports[out_port].can_transmit_at(now, slack):
                     idle |= 1 << out_port
 
         if idle or pre_matched:
-            result = self.crossbar.schedule(
-                [row & idle for row in self._rows], pre_matched, self._cols
-            )
+            result = self.crossbar.schedule(pre_matched, idle)
             credit_mode = self.config.flow_control == "credits"
             for in_port, out_port in result.matching.items():
                 if in_port in pre_matched:
@@ -891,7 +872,6 @@ class AN2Switch(Node):
                 out_port=out_port, guaranteed=guaranteed,
             )
         self.ports[out_port].send(cell)
-        self.crossbar.note_transfer(guaranteed=guaranteed)
         self.stats.cells_forwarded += 1
         if guaranteed:
             self.stats.guaranteed_forwarded += 1

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from repro.conform.oracle import (
     matcher_sweep,
     routing_sweep,
 )
-from repro.core.matching.islip import IslipMatcher
+from repro.conform.reference import IslipMatcher
 from repro.switch.fabric import VoqFabric
 
 CORPUS_PATH = Path(__file__).parent / "corpus.json"
@@ -191,3 +194,23 @@ class TestFastpathOracle:
         assert divergence is None, str(divergence)
         assert record["agreed"]
         assert record["events_on"] < record["events_off"]
+
+
+def test_runtime_import_graph_excludes_the_oracle():
+    """``import repro`` loads neither ``repro.conform`` nor any module
+    that defines a reference matcher: the oracle is test-only."""
+    code = (
+        "import sys, repro\n"
+        "names = ('ParallelIterativeMatcher', 'IslipMatcher')\n"
+        "print(sorted(name for name, module in sys.modules.items()\n"
+        "    if name.startswith('repro') and (\n"
+        "        name.startswith('repro.conform')\n"
+        "        or any(hasattr(module, n) for n in names))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,27 +1,27 @@
-"""Tests for the bitmask fast-path schedulers.
+"""Tests for the bitmask scheduling kernel against its oracle.
 
 The load-bearing claims, in order:
 
-1. With ``strict_rng=True``, :class:`BitmaskPim` is *bit-identical* to
-   the reference :class:`ParallelIterativeMatcher` for a shared seed --
-   same matching, same iteration counts -- across N in {4, 16, 32, 64}.
-   Since the outputs coincide on every input, the bitmask matchings are
-   legal and maximal exactly when the reference's are.
+1. :class:`BitmaskPim` is *bit-identical* to the reference
+   :class:`ParallelIterativeMatcher` (:mod:`repro.conform.reference`)
+   for a shared seed -- same matching, same iteration counts, same RNG
+   state afterwards -- across N in {4, 16, 32, 64}.  Since the outputs
+   coincide on every input, the bitmask matchings are legal and maximal
+   exactly when the reference's are.
 2. :class:`BitmaskIslip` is exactly equivalent to the reference
    :class:`IslipMatcher` (no randomness involved), including pointer
    state evolution.
-3. The default fast RNG protocol still yields legal matchings that are
-   maximal whenever claimed, is deterministic for a fixed seed, and
-   serves competing flows indistinguishably from the reference (the E11
-   starvation pattern).
+3. There is one draw protocol and no option selecting another.
 """
 
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conform.reference import IslipMatcher, ParallelIterativeMatcher
 from repro.core.matching.analysis import (
     is_legal_matching,
     is_maximal_matching,
@@ -33,8 +33,6 @@ from repro.core.matching.bitmask import (
     iter_bits,
     mask_of,
 )
-from repro.core.matching.islip import IslipMatcher
-from repro.core.matching.pim import ParallelIterativeMatcher
 
 EQUIVALENCE_PORTS = [4, 16, 32, 64]
 
@@ -71,11 +69,16 @@ class TestBitHelpers:
 class TestStrictPimEquivalence:
     """Bit-identical to the reference for a shared seed."""
 
+    def test_constructor_has_no_draw_protocol_option(self):
+        assert list(inspect.signature(BitmaskPim.__init__).parameters) == [
+            "self", "n_ports", "iterations", "rng",
+        ]
+
     @pytest.mark.parametrize("n", EQUIVALENCE_PORTS)
     def test_identical_across_densities(self, n):
         gen = random.Random(100 + n)
         reference = ParallelIterativeMatcher(n, 3, rng=random.Random(7))
-        bitmask = BitmaskPim(n, 3, rng=random.Random(7), strict_rng=True)
+        bitmask = BitmaskPim(n, 3, rng=random.Random(7))
         for trial in range(120):
             density = (trial % 10 + 1) / 10
             requests = random_requests(n, density, gen)
@@ -101,7 +104,7 @@ class TestStrictPimEquivalence:
     def test_identical_with_pre_matched(self, n):
         gen = random.Random(5)
         reference = ParallelIterativeMatcher(n, 3, rng=random.Random(3))
-        bitmask = BitmaskPim(n, 3, rng=random.Random(3), strict_rng=True)
+        bitmask = BitmaskPim(n, 3, rng=random.Random(3))
         for _ in range(100):
             requests = random_requests(n, 0.5, gen)
             pre = {0: 1, n - 1: 0}
@@ -124,7 +127,7 @@ class TestStrictPimEquivalence:
         the same RNG state afterwards."""
         gen = random.Random(21)
         reference = ParallelIterativeMatcher(n, 3, rng=random.Random(9))
-        bitmask = BitmaskPim(n, 3, rng=random.Random(9), strict_rng=True)
+        bitmask = BitmaskPim(n, 3, rng=random.Random(9))
         for _ in range(150):
             full = random_requests(n, 0.5, gen)  # what the cards hold
             pre = {}
@@ -156,9 +159,7 @@ class TestStrictPimEquivalence:
         reference = ParallelIterativeMatcher(
             n, iterations, rng=random.Random(11)
         )
-        bitmask = BitmaskPim(
-            n, iterations, rng=random.Random(11), strict_rng=True
-        )
+        bitmask = BitmaskPim(n, iterations, rng=random.Random(11))
         for _ in range(100):
             requests = random_requests(n, 0.6, gen)
             assert (
@@ -256,25 +257,6 @@ def requests_strategy(max_ports=8):
 
 @settings(max_examples=100, deadline=None)
 @given(requests=requests_strategy())
-def test_fast_mode_matching_always_legal(requests):
-    n = len(requests)
-    pim = BitmaskPim(n, iterations=3, rng=random.Random(0))
-    result = pim.match(requests)
-    assert is_legal_matching(requests, result.matching)
-
-
-@settings(max_examples=100, deadline=None)
-@given(requests=requests_strategy())
-def test_fast_mode_maximal_when_claimed(requests):
-    n = len(requests)
-    pim = BitmaskPim(n, iterations=4 * n, rng=random.Random(1))
-    result = pim.match(requests)
-    assert result.iterations_to_maximal is not None
-    assert is_maximal_matching(requests, result.matching)
-
-
-@settings(max_examples=100, deadline=None)
-@given(requests=requests_strategy())
 def test_islip_fast_mode_legal_and_maximal_with_reference(requests):
     """iSLIP bitmask vs reference on arbitrary hypothesis inputs."""
     n = len(requests)
@@ -284,30 +266,12 @@ def test_islip_fast_mode_legal_and_maximal_with_reference(requests):
 
 
 class TestFastModeDeterminism:
-    def test_fixed_seed_bit_identical_across_repeats(self):
-        """Satellite: fixed-seed fast-mode runs repeat bit-for-bit."""
-        n = 16
-
-        def run():
-            gen = random.Random(77)
-            pim = BitmaskPim(n, rng=random.Random(13))
-            outcomes = []
-            for _ in range(200):
-                requests = random_requests(n, 0.5, gen)
-                result = pim.match(requests)
-                outcomes.append(
-                    (result.matching, tuple(result.new_matches_per_iteration))
-                )
-            return outcomes
-
-        assert run() == run()
-
     def test_strict_seed_bit_identical_across_repeats(self):
         n = 16
 
         def run():
             gen = random.Random(78)
-            pim = BitmaskPim(n, rng=random.Random(14), strict_rng=True)
+            pim = BitmaskPim(n, rng=random.Random(14))
             return [
                 tuple(sorted(pim.match(random_requests(n, 0.5, gen)).matching.items()))
                 for _ in range(200)
@@ -317,41 +281,6 @@ class TestFastModeDeterminism:
 
 
 class TestFastModeDistribution:
-    def test_e11_starvation_pattern_service_counts(self):
-        """Fast-RNG service shares match the reference within tolerance.
-
-        The E11 starvation pattern: flows (1, 2), (1, 3), (4, 3) compete
-        pairwise (shared input 1, shared output 3).  PIM's randomized
-        grants must serve all three; the fast draw protocol must produce
-        the same service shares as the reference ``randrange`` protocol.
-        """
-        n = 16
-        flows = [(1, 2), (1, 3), (4, 3)]
-        slots = 4000
-
-        def service_counts(matcher):
-            requests = [set() for _ in range(n)]
-            for i, o in flows:
-                requests[i].add(o)
-            counts = {flow: 0 for flow in flows}
-            for _ in range(slots):
-                result = matcher.match(requests)
-                for flow in flows:
-                    if result.matching.get(flow[0]) == flow[1]:
-                        counts[flow] += 1
-            return counts
-
-        reference = service_counts(
-            ParallelIterativeMatcher(n, rng=random.Random(5))
-        )
-        fast = service_counts(BitmaskPim(n, rng=random.Random(5)))
-        for flow in flows:
-            # Every flow gets sustained service under both protocols...
-            assert reference[flow] > slots * 0.2
-            assert fast[flow] > slots * 0.2
-            # ...and the shares agree within 5% of the slot budget.
-            assert abs(reference[flow] - fast[flow]) < slots * 0.05
-
     def test_uniform_grant_shares(self):
         """A single contested output grants ~uniformly among contenders."""
         n = 8

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.conform.reference import IslipMatcher
 from repro.core.matching.analysis import is_legal_matching, is_maximal_matching
 from repro.core.matching.fifo import FifoScheduler
-from repro.core.matching.islip import IslipMatcher
 
 
 class TestFifo:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conform.reference import ParallelIterativeMatcher
 from repro.constants import pim_iteration_bound
 from repro.core.matching.analysis import (
     is_legal_matching,
     is_maximal_matching,
     maximum_size,
 )
-from repro.core.matching.pim import ParallelIterativeMatcher
 
 
 def requests_strategy(max_ports=8):

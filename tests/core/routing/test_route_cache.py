@@ -1,34 +1,27 @@
 """Tests for the epoch-keyed route cache.
 
 The memo in :class:`UpDownOrientation` must be invisible to every
-caller: identical paths with the cache on or off (down to the replay
-digest), fresh list copies on hits, no caching of per-call
+caller: identical paths with and without it (down to the replay digest;
+the un-memoised answer comes from patching ``_cached`` to call
+``compute`` directly), fresh list copies on hits, no caching of per-call
 ``blocked_edges`` queries, and eviction-by-epoch -- a reconfiguration
 installs a new orientation, so stale pre-cut paths can never leak into
 the new epoch.
 """
 
-import pytest
-
 from repro._types import switch_id
 from repro.conform.digest import digest_scenario
 from repro.core.routing.paths import RouteComputer
-from repro.core.routing.updown import (
-    UpDownOrientation,
-    path_cache_enabled,
-    set_path_cache_enabled,
-)
+from repro.core.routing.updown import UpDownOrientation
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.random import derived_stream
 from tests.conftest import fast_host_config, fast_switch_config
 
 
-@pytest.fixture
-def cache_on():
-    previous = set_path_cache_enabled(True)
-    yield
-    set_path_cache_enabled(previous)
+def uncached(self, kind, source, destination, compute):
+    """``UpDownOrientation._cached`` without the memo."""
+    return compute(source, destination)
 
 
 def random_orientation(seed=3, n=10):
@@ -40,7 +33,7 @@ def random_orientation(seed=3, n=10):
 
 
 class TestMemo:
-    def test_second_query_hits(self, cache_on):
+    def test_second_query_hits(self):
         orientation, view = random_orientation()
         a, b = view.switches()[0], view.switches()[-1]
         first = orientation.shortest_legal_path(a, b)
@@ -50,7 +43,7 @@ class TestMemo:
         assert orientation.cache_hits == 1
         assert first == second
 
-    def test_hits_return_fresh_copies(self, cache_on):
+    def test_hits_return_fresh_copies(self):
         orientation, view = random_orientation()
         a, b = view.switches()[0], view.switches()[-1]
         orientation.shortest_legal_path(a, b)
@@ -60,7 +53,7 @@ class TestMemo:
         unharmed = orientation.shortest_legal_path(a, b)
         assert unharmed[0] and unharmed[0][0] == a
 
-    def test_unreachable_answer_is_cached(self, cache_on):
+    def test_unreachable_answer_is_cached(self):
         topo = Topology()
         topo.add_switch(0)
         topo.add_switch(1)
@@ -76,7 +69,7 @@ class TestMemo:
         ) is None
         assert orientation.cache_hits == 1
 
-    def test_blocked_edges_queries_bypass_the_memo(self, cache_on):
+    def test_blocked_edges_queries_bypass_the_memo(self):
         orientation, view = random_orientation()
         a, b = view.switches()[0], view.switches()[-1]
         unblocked = orientation.shortest_legal_path(a, b)
@@ -93,38 +86,33 @@ class TestMemo:
         # ...and the blocked answer must not have poisoned the memo.
         assert orientation.shortest_legal_path(a, b) == unblocked
 
-    def test_disabled_cache_never_hits(self):
-        previous = set_path_cache_enabled(False)
-        try:
-            assert not path_cache_enabled()
-            orientation, view = random_orientation()
-            a, b = view.switches()[0], view.switches()[-1]
-            first = orientation.shortest_legal_path(a, b)
-            second = orientation.shortest_legal_path(a, b)
-            assert first == second
-            assert orientation.cache_hits == 0
-            assert orientation.cache_misses == 0
-        finally:
-            set_path_cache_enabled(previous)
+    def test_disabled_cache_never_hits(self, monkeypatch):
+        monkeypatch.setattr(UpDownOrientation, "_cached", uncached)
+        orientation, view = random_orientation()
+        a, b = view.switches()[0], view.switches()[-1]
+        first = orientation.shortest_legal_path(a, b)
+        second = orientation.shortest_legal_path(a, b)
+        assert first == second
+        assert orientation.cache_hits == 0
+        assert orientation.cache_misses == 0
 
-    def test_cached_equals_uncached_everywhere(self, cache_on):
+    def test_cached_equals_uncached_everywhere(self, monkeypatch):
         """Every query kind agrees with the cache off -- the memo is a
         pure memo."""
         orientation, view = random_orientation(seed=9, n=12)
         shadow, _ = random_orientation(seed=9, n=12)
-        previous = set_path_cache_enabled(False)
-        try:
-            switches = view.switches()
-            for a in switches:
-                for b in switches:
-                    set_path_cache_enabled(True)
-                    cached = orientation.shortest_legal_path(a, b)
-                    cached_free = orientation.shortest_unrestricted_path(a, b)
-                    set_path_cache_enabled(False)
+        switches = view.switches()
+        for a in switches:
+            for b in switches:
+                cached = orientation.shortest_legal_path(a, b)
+                cached_free = orientation.shortest_unrestricted_path(a, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(UpDownOrientation, "_cached", uncached)
                     assert shadow.shortest_legal_path(a, b) == cached
-                    assert shadow.shortest_unrestricted_path(a, b) == cached_free
-        finally:
-            set_path_cache_enabled(previous)
+                    assert (
+                        shadow.shortest_unrestricted_path(a, b) == cached_free
+                    )
+        assert orientation.cache_misses > 0 and shadow.cache_misses == 0
 
 
 class TestEpochEviction:
@@ -144,7 +132,7 @@ class TestEpochEviction:
         net.run_until(net.fully_reconfigured, timeout_us=500_000)
         return net
 
-    def test_reconfiguration_installs_a_new_computer(self, cache_on):
+    def test_reconfiguration_installs_a_new_computer(self):
         """A new epoch means a new RouteComputer (hence an empty memo):
         cutting a trunk on the cached route must change the answer."""
         net = self.grid_net()
@@ -169,7 +157,7 @@ class TestEpochEviction:
             "post-reconfiguration route still uses the severed cable"
         )
 
-    def test_route_cache_gauges_exposed(self, cache_on):
+    def test_route_cache_gauges_exposed(self):
         net = self.grid_net()
         computer = net.switch("s0").route_computer()
         computer.switch_route(switch_id(0), switch_id(8))
@@ -181,14 +169,10 @@ class TestEpochEviction:
 
 
 class TestDigestNeutrality:
-    def test_digest_identical_with_cache_on_and_off(self):
-        previous = set_path_cache_enabled(True)
-        try:
-            with_cache = digest_scenario(5, duration_us=40_000.0)
-            set_path_cache_enabled(False)
-            without_cache = digest_scenario(5, duration_us=40_000.0)
-        finally:
-            set_path_cache_enabled(previous)
+    def test_digest_identical_with_cache_on_and_off(self, monkeypatch):
+        with_cache = digest_scenario(5, duration_us=40_000.0)
+        monkeypatch.setattr(UpDownOrientation, "_cached", uncached)
+        without_cache = digest_scenario(5, duration_us=40_000.0)
         assert with_cache == without_cache, (
             "the route cache changed simulated behavior; it may only "
             "change how often the BFS runs"

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.conform.reference import ParallelIterativeMatcher
 from repro.core.matching.fifo import FifoScheduler
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.switch.fabric import (
     FifoFabric,
     OutputQueueFabric,

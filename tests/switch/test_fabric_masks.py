@@ -1,43 +1,34 @@
-"""Tests for the VoqFabric incremental bitmask state and fast paths.
+"""Tests for the VoqFabric's maintained request matrix and fast paths.
 
-``VoqFabric`` maintains three pieces of incremental state so that a
-bitmask scheduler never has to rebuild request sets from the queues:
-per-input ``request_masks``, the transposed ``col_masks``, and the
-``union_mask`` of outputs with any backlog.  These tests pin the
-invariant (masks always mirror queue occupancy), the strict-RNG
-end-to-end equality between a bitmask-driven and a reference-driven
-fabric, the ``offer_batch`` fast path, occupancy tracking in both
-capacity modes, and the ``run_fabric`` warmup semantics.
+``VoqFabric`` keeps its :class:`~repro.switch.crossbar.Crossbar`'s
+request matrix (rows, transposed columns, union of wanted outputs) in
+step with the queues so that the kernel never has to rebuild request
+sets from them.  These tests pin the invariant (the matrix always
+mirrors queue occupancy), the end-to-end equality between a
+bitmask-driven and a reference-driven fabric, the ``offer_batch`` fast
+path, occupancy tracking in both capacity modes, the construction-time
+radix checks, and the ``run_fabric`` warmup semantics.
 """
 
 import random
 
+import pytest
+
+from repro.conform.reference import IslipMatcher, ParallelIterativeMatcher
 from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
-from repro.core.matching.islip import IslipMatcher
-from repro.core.matching.pim import ParallelIterativeMatcher
 from repro.switch.fabric import VoqFabric, run_fabric
 from repro.traffic.arrivals import BernoulliUniform
+from tests.switch.crossbar_audit import assert_crossbar_mirrors
 
 
 def assert_masks_mirror_queues(fabric):
-    n = fabric.n_ports
-    for i in range(n):
-        expected = 0
-        for o, queue in fabric.queues[i].items():
-            if queue:
-                expected |= 1 << o
-        assert fabric.request_masks[i] == expected, f"input {i}"
-    union = 0
-    for o in range(n):
-        expected = 0
-        for i in range(n):
-            queue = fabric.queues[i].get(o)
-            if queue:
-                expected |= 1 << i
-        assert fabric.col_masks[o] == expected, f"output {o}"
-        if expected:
-            union |= 1 << o
-    assert fabric.union_mask == union
+    assert_crossbar_mirrors(
+        fabric.crossbar,
+        [
+            {o for o, queue in queues.items() if queue}
+            for queues in fabric.queues
+        ],
+    )
 
 
 class TestMaskInvariants:
@@ -83,21 +74,33 @@ class TestMaskInvariants:
                 fabric.offer(2, 1, slot)
             fabric.step(slot)
         assert fabric.total_backlog() == 0
-        assert fabric.request_masks == [0, 0, 0, 0]
-        assert fabric.col_masks == [0, 0, 0, 0]
-        assert fabric.union_mask == 0
+        assert fabric.crossbar.rows == [0, 0, 0, 0]
+        assert fabric.crossbar.cols == [0, 0, 0, 0]
+        assert fabric.crossbar.want == 0
+
+
+class TestRadixChecks:
+    """Both failures used to surface late: the first as an ``IndexError``
+    from a 64-entry table on some later ``offer``, the second never --
+    inputs 4-7 were silently not served."""
+
+    def test_radix_above_the_masks_is_rejected(self):
+        with pytest.raises(ValueError, match="80 ports exceed .* 64"):
+            VoqFabric(80, ParallelIterativeMatcher(80))
+
+    def test_matcher_of_another_radix_is_rejected(self):
+        with pytest.raises(ValueError, match="8-port crossbar .* 4-port"):
+            VoqFabric(8, BitmaskPim(4))
 
 
 class TestStrictEndToEnd:
     def test_bitmask_fabric_equals_reference_fabric(self):
-        """Strict-RNG bitmask run is cell-for-cell the reference run."""
+        """The bitmask run is cell-for-cell the reference run."""
         n = 16
         ref_fabric = VoqFabric(
             n, ParallelIterativeMatcher(n, rng=random.Random(7))
         )
-        bit_fabric = VoqFabric(
-            n, BitmaskPim(n, rng=random.Random(7), strict_rng=True)
-        )
+        bit_fabric = VoqFabric(n, BitmaskPim(n, rng=random.Random(7)))
         ref = run_fabric(ref_fabric, BernoulliUniform(n, 0.95, random.Random(5)), 800)
         bit = run_fabric(bit_fabric, BernoulliUniform(n, 0.95, random.Random(5)), 800)
         assert bit.cells_delivered == ref.cells_delivered

@@ -1,4 +1,4 @@
-"""Tests for routing tables and the crossbar wrapper."""
+"""Tests for routing tables and the crossbar."""
 
 import random
 
@@ -64,16 +64,35 @@ class TestRoutingTable:
 class TestCrossbar:
     def test_schedule_counts_slots_and_iterations(self):
         crossbar = Crossbar(4, BitmaskPim(4, 4, random.Random(0)))
-        result = crossbar.schedule([0b0010, 0, 0, 0])
+        crossbar.request(0, 1)
+        result = crossbar.schedule()
         assert result.matching == {0: 1}
         assert crossbar.slots == 1
         assert crossbar.iterations_to_maximal.count == 1
 
-    def test_utilization(self):
-        crossbar = Crossbar(2, BitmaskPim(2, 2, random.Random(0)))
-        crossbar.schedule([0b01, 0b10])
-        crossbar.note_transfer()
-        crossbar.note_transfer(guaranteed=True)
-        assert crossbar.cells_transferred == 2
-        assert crossbar.guaranteed_transferred == 1
-        assert crossbar.utilization() == 1.0
+    def test_request_and_withdraw_are_idempotent_edges(self):
+        crossbar = Crossbar(4, BitmaskPim(4, 4, random.Random(0)))
+        for _ in range(2):
+            crossbar.request(0, 1)
+            crossbar.request(2, 1)
+        assert crossbar.rows == [0b0010, 0, 0b0010, 0]
+        assert crossbar.cols == [0, 0b0101, 0, 0]
+        assert crossbar.want == 0b0010
+        for _ in range(2):
+            crossbar.withdraw(0, 1)
+        assert crossbar.want == 0b0010  # input 2 still asks
+        crossbar.withdraw(2, 1)
+        assert crossbar.rows == crossbar.cols == [0, 0, 0, 0]
+        assert crossbar.want == 0
+
+    def test_unavailable_and_pre_matched_outputs_sit_the_slot_out(self):
+        crossbar = Crossbar(4, BitmaskPim(4, 4, random.Random(0)))
+        crossbar.request(0, 1)
+        crossbar.request(0, 2)
+        crossbar.request(3, 2)
+        assert crossbar.schedule(available=0b0010).matching == {0: 1}
+        assert crossbar.schedule({3: 1}).matching == {3: 1, 0: 2}
+        assert crossbar.schedule({1: 2}, available=0b1011).matching == {
+            1: 2, 0: 1,
+        }
+        assert crossbar.rows == [0b0110, 0, 0, 0b0100]  # read, not consumed

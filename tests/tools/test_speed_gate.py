@@ -1,13 +1,12 @@
 """CPU-aware speed-gate logic in ``tools/run_speed_bench.py``.
 
-The parallel-speedup workloads (``sweep_parallel_w4``) assume real
-cores; on a 1-2 cpu CI runner their timings regress for reasons that
-have nothing to do with the code under test, which made the
-``sweep_parallel_speedup_w4`` gate flaky.  The fix: workloads whose
-``min_cpus`` exceeds ``os.cpu_count()`` keep their checksum enforcement
-but report timings -- and any speedup pair built on them -- as
-informational only.  These tests drive ``check_against_baseline`` with
-canned timings so no real workload runs.
+A workload that declares ``min_cpus`` assumes real cores; on a 1-2 cpu
+CI runner its timing regresses for reasons that have nothing to do with
+the code under test.  Workloads whose ``min_cpus`` exceeds
+``os.cpu_count()`` keep their checksum enforcement but report timings
+-- and any speedup pair built on them -- as informational only.  These
+tests drive ``check_against_baseline`` with canned workloads and
+timings (``wide_w4`` needs 4 cpus) so no real workload runs.
 """
 
 from __future__ import annotations
@@ -21,6 +20,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import run_speed_bench  # noqa: E402
+from benchmarks.bench_speed import (  # noqa: E402
+    SPEEDUP_PAIRS,
+    WORKLOADS,
+    SpeedWorkload,
+)
+
+CANNED_WORKLOADS = [
+    SpeedWorkload("wide_serial", "canned", run=None),
+    SpeedWorkload("wide_w4", "canned", run=None, min_cpus=4),
+]
 
 
 def canned(seconds_by_name, checksums=None):
@@ -44,8 +53,8 @@ def baseline(tmp_path):
                 "schema": 1,
                 "workloads": canned(
                     {
-                        "sweep_parallel_serial": 1.0,
-                        "sweep_parallel_w4": 0.5,
+                        "wide_serial": 1.0,
+                        "wide_w4": 0.5,
                         "link_train_batched": 0.2,
                     }
                 ),
@@ -61,6 +70,11 @@ def check(monkeypatch, baseline, current, cpus):
         lambda repeats, verbose=True, quick_only=False: current,
     )
     monkeypatch.setattr(run_speed_bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(run_speed_bench, "WORKLOADS", CANNED_WORKLOADS)
+    monkeypatch.setattr(
+        run_speed_bench, "SPEEDUP_PAIRS",
+        {"wide_speedup_w4": ("wide_serial", "wide_w4")},
+    )
     return run_speed_bench.check_against_baseline(
         baseline, repeats=1, tolerance=0.25, missing_ok=False
     )
@@ -70,19 +84,19 @@ class TestCpuAwareGate:
     def test_cpu_limited_regression_is_informational(
         self, monkeypatch, baseline, capsys
     ):
-        """On a 1-cpu host a slow sweep_parallel_w4 must not fail the
-        gate: the workload needs 4 cpus to time meaningfully."""
+        """On a 1-cpu host a slow wide_w4 must not fail the gate: the
+        workload needs 4 cpus to time meaningfully."""
         current = canned(
             {
-                "sweep_parallel_serial": 1.0,
-                "sweep_parallel_w4": 1.4,  # >25% over baseline
+                "wide_serial": 1.0,
+                "wide_w4": 1.4,  # >25% over baseline
                 "link_train_batched": 0.2,
             }
         )
         assert check(monkeypatch, baseline, current, cpus=1) == 0
         out = capsys.readouterr().out
         assert "informational (needs 4 cpus, host has 1" in out
-        assert "sweep_parallel_speedup_w4" in out
+        assert "wide_speedup_w4" in out
         assert "cpu-limited host" in out
 
     def test_same_regression_fails_with_enough_cpus(
@@ -90,8 +104,8 @@ class TestCpuAwareGate:
     ):
         current = canned(
             {
-                "sweep_parallel_serial": 1.0,
-                "sweep_parallel_w4": 1.4,
+                "wide_serial": 1.0,
+                "wide_w4": 1.4,
                 "link_train_batched": 0.2,
             }
         )
@@ -104,11 +118,11 @@ class TestCpuAwareGate:
         on a cpu-limited workload is still a hard failure."""
         current = canned(
             {
-                "sweep_parallel_serial": 1.0,
-                "sweep_parallel_w4": 0.5,
+                "wide_serial": 1.0,
+                "wide_w4": 0.5,
                 "link_train_batched": 0.2,
             },
-            checksums={"sweep_parallel_w4": 999},
+            checksums={"wide_w4": 999},
         )
         assert check(monkeypatch, baseline, current, cpus=1) == 1
 
@@ -118,8 +132,8 @@ class TestCpuAwareGate:
         """min_cpus=1 workloads regressing on a 1-cpu host still fail."""
         current = canned(
             {
-                "sweep_parallel_serial": 1.0,
-                "sweep_parallel_w4": 0.5,
+                "wide_serial": 1.0,
+                "wide_w4": 0.5,
                 "link_train_batched": 0.4,  # 2x the baseline
             }
         )
@@ -128,8 +142,8 @@ class TestCpuAwareGate:
     def test_clean_run_passes_either_way(self, monkeypatch, baseline):
         current = canned(
             {
-                "sweep_parallel_serial": 1.0,
-                "sweep_parallel_w4": 0.5,
+                "wide_serial": 1.0,
+                "wide_w4": 0.5,
                 "link_train_batched": 0.2,
             }
         )
@@ -138,13 +152,8 @@ class TestCpuAwareGate:
 
 
 class TestWorkloadMetadata:
-    def test_sweep_w4_declares_its_core_count(self):
-        from benchmarks.bench_speed import SPEEDUP_PAIRS, WORKLOADS
-
+    def test_link_retx_pair_is_cpu_agnostic(self):
         by_name = {w.name: w for w in WORKLOADS}
-        assert by_name["sweep_parallel_w4"].min_cpus == 4
-        assert by_name["sweep_parallel_serial"].min_cpus == 1
-        # The new link_retx pair exists and is cpu-agnostic.
         slow, fast = SPEEDUP_PAIRS["link_retx_recovery_cost"]
         assert by_name[slow].min_cpus == 1
         assert by_name[fast].min_cpus == 1

@@ -6,7 +6,7 @@ Two modes:
 ``python tools/run_speed_bench.py``
     Times every workload in :mod:`benchmarks.bench_speed` (best of
     ``--repeats`` interleaved rounds, GC disabled) and writes the
-    results, plus derived bitmask-vs-reference speedups, to
+    results, plus the derived slow/fast speedup pairs, to
     ``BENCH_speed.json`` at the repo root.
 
 ``python tools/run_speed_bench.py --check``
@@ -58,7 +58,7 @@ def time_workloads(
     Interleaving the rounds (round 1 of every workload, then round 2,
     ...) spreads machine noise evenly across workloads instead of
     letting a slow spell land entirely on one of them, which matters for
-    the derived reference/bitmask ratios.
+    the derived slow/fast ratios.
     """
     workloads = [w for w in WORKLOADS if w.quick or not quick_only]
     results: dict = {}
@@ -96,10 +96,10 @@ def time_workloads(
 
 def derive_speedups(results: dict) -> dict:
     speedups = {}
-    for name, (reference, bitmask) in SPEEDUP_PAIRS.items():
-        if reference in results and bitmask in results:
+    for name, (slow, fast) in SPEEDUP_PAIRS.items():
+        if slow in results and fast in results:
             speedups[name] = round(
-                results[reference]["seconds"] / results[bitmask]["seconds"], 2
+                results[slow]["seconds"] / results[fast]["seconds"], 2
             )
     return speedups
 

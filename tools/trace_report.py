@@ -26,7 +26,7 @@ Reports:
   say, the switch that failed an invariant).
 - **per-VC latency table**: from the metrics snapshot's
   ``vc<k>.cell_latency`` tallies (any node), plus packet latency.
-- **fabric utilization**: fabric/crossbar nodes' delivered counts and
+- **fabric utilization**: fabric nodes' delivered counts and
   utilization gauges.
 
 The loader is deliberately tolerant: dumps written by a crashing run
@@ -498,11 +498,10 @@ def build_fabric_summary(snapshot: Dict[str, Any]) -> str:
             continue
         found += 1
         latency = node.get("tallies", {}).get("latency_slots", {})
-        slots = gauges.get("slots", gauges.get("cells_transferred", 0))
         table.add_row(
             path,
-            slots,
-            gauges.get("cells_delivered", gauges.get("cells_transferred", 0)),
+            gauges.get("slots", 0),
+            gauges.get("cells_delivered", 0),
             gauges.get("cells_dropped", 0),
             f"{gauges['utilization']:.3f}",
             latency.get("p99", "-") if latency.get("count") else "-",
@@ -510,7 +509,7 @@ def build_fabric_summary(snapshot: Dict[str, Any]) -> str:
     if found:
         lines.append(table.render())
     else:
-        lines.append("(no fabric/crossbar nodes in snapshot)")
+        lines.append("(no fabric nodes in snapshot)")
     return "\n".join(lines)
 
 
