@@ -15,7 +15,6 @@ per *outer* frame in both cases -- the extension's selling point.
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.constants import FAST_CELL_TIME_US
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
@@ -42,7 +41,6 @@ def run_variant(nested: bool, seed: int):
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=FRAME_SLOTS),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

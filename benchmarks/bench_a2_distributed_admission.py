@@ -19,7 +19,6 @@ request stream:
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.guaranteed.bandwidth_central import ReservationDenied
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
@@ -52,7 +51,6 @@ def build_diamond(seed):
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=FRAME),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

@@ -21,7 +21,6 @@ link mid-stream.
 from repro._types import host_id, switch_id
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -92,7 +91,6 @@ def an2_run():
             skeptic_base_wait_us=2_000.0,
             boot_reconfig_delay_us=1_500.0,
         ),
-        host_config=HostConfig(frame_slots=32),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

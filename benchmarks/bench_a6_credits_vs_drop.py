@@ -48,9 +48,6 @@ def build_net(flow_control, seed):
             boot_reconfig_delay_us=1_500.0,
         ),
         host_config=HostConfig(
-            frame_slots=32,
-            flow_control=flow_control,
-            credit_allocation=6,
             ping_interval_us=500.0,
             ack_timeout_us=200.0,
             miss_threshold=2,

@@ -19,7 +19,6 @@ from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.routing.paging import PagingDaemon
 from repro.core.routing.reroute import installed_path
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -43,7 +42,6 @@ def paging_experiment():
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=32),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)
@@ -117,7 +115,6 @@ def reroute_experiment():
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=32),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

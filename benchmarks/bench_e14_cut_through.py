@@ -21,7 +21,6 @@ from repro._types import host_id
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.matching.bitmask import BitmaskPim
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -48,7 +47,6 @@ def single_cell_transit():
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=32),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

@@ -23,7 +23,6 @@ from repro.core.guaranteed.latency import (
     guaranteed_latency_bound_us,
     per_switch_jitter_bound_us,
 )
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
@@ -48,7 +47,6 @@ def run_chain(path_switches: int, drift_ppm: float, seed: int):
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
         ),
-        host_config=HostConfig(frame_slots=FRAME_SLOTS),
         drift_ppm=drift_ppm,
     )
     net.start()

@@ -15,7 +15,6 @@ from repro._types import host_id
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.flowcontrol.sizing import round_trip_cells
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -42,9 +41,6 @@ def build_net(credit_allocation, seed=50, resync_us=0.0):
             boot_reconfig_delay_us=2_000.0,
             ping_interval_us=800.0,
             ack_timeout_us=300.0,
-        ),
-        host_config=HostConfig(
-            frame_slots=32, credit_allocation=credit_allocation
         ),
     )
     # Make the trunk long.
@@ -169,7 +165,7 @@ def test_e9_resync_recovers_performance(benchmark, report_sink):
             lambda: upstream.balance == upstream.allocation,
             timeout_us=200_000,
         )
-        recovered = sum(r.credits_recovered for r in card.resync.values())
+        recovered = sum(r.credits_recovered for r in card.upstream.values())
         return degraded, upstream.allocation, recovered
 
     degraded, allocation, recovered = benchmark.pedantic(

@@ -17,7 +17,6 @@ Run:  python examples/an1_vs_an2.py
 """
 
 from repro._types import host_id, switch_id
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -88,7 +87,6 @@ def run_an2() -> None:
             ping_interval_us=500.0, ack_timeout_us=200.0, miss_threshold=2,
             skeptic_base_wait_us=2_000.0, boot_reconfig_delay_us=1_500.0,
         ),
-        host_config=HostConfig(frame_slots=32),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

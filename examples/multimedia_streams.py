@@ -15,7 +15,6 @@ Run:  python examples/multimedia_streams.py
 from repro import Network, Packet, Topology
 from repro.constants import FAST_CELL_TIME_US
 from repro.core.guaranteed.latency import guaranteed_latency_bound_us
-from repro.net.host import HostConfig
 from repro.switch.switch import SwitchConfig
 from repro.traffic.cbr import interarrival_jitter, latency_jitter
 
@@ -35,7 +34,6 @@ def main() -> None:
         topo,
         seed=3,
         switch_config=SwitchConfig(frame_slots=FRAME_SLOTS),
-        host_config=HostConfig(frame_slots=FRAME_SLOTS),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

@@ -15,7 +15,6 @@ Run:  python examples/pull_the_plug.py
 
 from repro import Network, Packet, Topology
 from repro.constants import RECONFIGURATION_BUDGET_US
-from repro.net.host import HostConfig
 from repro.switch.switch import SwitchConfig
 
 
@@ -36,7 +35,6 @@ def main() -> None:
             enable_local_reroute=True,
             skeptic_base_wait_us=5_000.0,
         ),
-        host_config=HostConfig(frame_slots=64),
     )
     net.start()
     net.run_until(net.fully_reconfigured, timeout_us=500_000)

@@ -144,6 +144,21 @@ def _edge_str(edge) -> str:
     return f"{na}.{pa}-{nb}.{pb}"
 
 
+def _windows(endpoint) -> List[List[int]]:
+    return [
+        [int(vc), u.balance, u.cells_sent, u.credits_received,
+         u.excess_credits, u.stalls]
+        for vc, u in sorted(endpoint.upstream.items())
+    ]
+
+
+def _pools(endpoint) -> List[List[int]]:
+    return [
+        [int(vc), d.occupied, d.cells_received, d.buffers_freed]
+        for vc, d in sorted(endpoint.downstream.items())
+    ]
+
+
 def fingerprint_switch(switch) -> Dict[str, Any]:
     """Plain-data fingerprint of one AN2 switch's end-of-run state.
 
@@ -191,16 +206,11 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
                     [out_port, len(q)]
                     for out_port, q in card.guaranteed_queues._queues.items()
                 ),
-                "upstream": [
-                    [int(vc), u.balance, u.cells_sent, u.credits_received,
-                     u.excess_credits, u.stalls]
-                    for vc, u in sorted(card.upstream.items())
-                ],
-                "downstream": [
-                    [int(vc), d.occupied, d.cells_received, d.buffers_freed]
-                    for vc, d in sorted(card.downstream.items())
-                ],
-                "resync_vcs": sorted(int(vc) for vc in card.resync),
+                "upstream": _windows(card.credits),
+                "downstream": _pools(card.credits),
+                # Always the keys of "upstream" (one record per window);
+                # the entry stays so the frozen digests do.
+                "resync_vcs": sorted(int(vc) for vc in card.upstream),
                 "cells_forwarded": card.cells_forwarded,
                 "cells_dropped": card.cells_dropped,
             }
@@ -266,6 +276,10 @@ def fingerprint_network(net: Network) -> Dict[str, Any]:
                     [int(vc), len(sender.queue)]
                     for vc, sender in host.senders.items()
                 ),
+                "credits": [
+                    [_windows(endpoint), _pools(endpoint)]
+                    for endpoint in host.credits
+                ],
             }
             for node, host in sorted(net.hosts.items())
         ],
@@ -304,7 +318,6 @@ def replay_network(seed: int = 0) -> Network:
             ping_interval_us=500.0,
             ack_timeout_us=200.0,
             miss_threshold=2,
-            frame_slots=32,
         ),
     )
 

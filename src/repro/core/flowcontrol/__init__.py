@@ -5,10 +5,17 @@ best-effort virtual circuit traversing the link are allocated at the
 downstream switch.  The upstream switch maintains a credit balance...
 Cells are only transmitted for circuits with non-zero credit balances."
 
-- :mod:`repro.core.flowcontrol.credits` -- the per-VC upstream/downstream
-  credit state machines (Figure 4),
+- :mod:`repro.core.flowcontrol.credits` -- the per-VC state machines of
+  Figure 4: the upstream *window* (balance, cumulative counters, and the
+  upstream half of resynchronization) and the downstream *buffer pool*,
 - :mod:`repro.core.flowcontrol.resync` -- the counter-exchange protocol
-  that recovers credits lost to control-message corruption,
+  that recovers credits lost to control-message corruption, and its two
+  messages,
+- :mod:`repro.core.flowcontrol.endpoint` -- one end of one link: the
+  windows of circuits leaving through a port and the pools of circuits
+  arriving on it, credit return, and both sides of the resync exchange.
+  Every switch line card and every host port holds one; it is the only
+  place a CREDIT cell is built or consumed,
 - :mod:`repro.core.flowcontrol.sizing` -- round-trip credit sizing ("enough
   buffers... to hold as many cells as can be transmitted in one round-trip
   time on the link"),
@@ -19,6 +26,7 @@ Cells are only transmitted for circuits with non-zero credit balances."
 
 from repro.core.flowcontrol.credits import CreditError, DownstreamCredits, UpstreamCredits
 from repro.core.flowcontrol.deadlock import WaitForGraph
+from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.flowcontrol.sizing import (
     credits_for_link,
     retx_buffer_for_link,
@@ -26,6 +34,7 @@ from repro.core.flowcontrol.sizing import (
 )
 
 __all__ = [
+    "CreditEndpoint",
     "CreditError",
     "DownstreamCredits",
     "UpstreamCredits",

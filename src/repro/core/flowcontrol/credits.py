@@ -12,13 +12,17 @@ Both ends also keep *cumulative* counters (cells sent / buffers freed).
 These make the scheme "robust in the face of lost flow-control messages":
 a lost credit only shrinks the usable window, and the resynchronization
 protocol (:mod:`repro.core.flowcontrol.resync`) restores it from the
-counters.
+counters; its upstream half lives on :class:`UpstreamCredits` itself, so
+there is one record per window and no second table to outlive it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
+
+from repro._types import VcId
+from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 
 
 class CreditError(Exception):
@@ -29,10 +33,11 @@ class CreditError(Exception):
 class UpstreamCredits:
     """The sender's side: a credit balance for one VC over one link.
 
-    ``trace`` is an optional ``(event_name, payload_dict)`` hook that the
-    owning driver wires up -- only when its simulator has a tracer -- to
-    surface credit grants and stall/unstall transitions as ``flowcontrol``
-    trace events.  Untraced instances never touch it on the send path.
+    ``trace`` is an optional ``(event_name, vc, **payload)`` hook that
+    the owning endpoint wires up -- only when its simulator has a tracer
+    -- to surface credit grants and stall/unstall transitions as
+    ``flowcontrol`` trace events.  Untraced instances never touch it on
+    the send path.
     """
 
     allocation: int
@@ -49,9 +54,18 @@ class UpstreamCredits:
     #: and stale credits, so operational code leaves this off; strict
     #: tests of the protocol itself opt in.
     strict: bool = False
-    trace: Optional[Callable[[str, dict], Any]] = field(
+    #: the circuit this window belongs to (named in resync messages).
+    vc: VcId = 0
+    trace: Optional[Callable[..., Any]] = field(
         default=None, repr=False, compare=False
     )
+    requests_sent: int = 0
+    replies_applied: int = 0
+    credits_recovered: int = 0
+    #: replies whose counters cannot belong to this incarnation of the
+    #: window (e.g. the circuit was rerouted and the downstream counter
+    #: is cumulative over an older path) -- discarded.
+    incoherent_replies: int = 0
     _stalled: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -96,9 +110,9 @@ class UpstreamCredits:
         unstalled = self._stalled
         self._stalled = False
         if self.trace is not None:
-            self.trace("credit.grant", {"amount": amount, "balance": self.balance})
+            self.trace("credit.grant", self.vc, amount=amount, balance=self.balance)
             if unstalled:
-                self.trace("credit.unstall", {"stalls": self.stalls})
+                self.trace("credit.unstall", self.vc, stalls=self.stalls)
         return unstalled
 
     def note_stall(self) -> bool:
@@ -115,7 +129,7 @@ class UpstreamCredits:
         # blocked pump attempt and would flood the trace otherwise.
         self._stalled = True
         if self.trace is not None:
-            self.trace("credit.stall", {"stalls": self.stalls})
+            self.trace("credit.stall", self.vc, stalls=self.stalls)
         return True
 
     def resynchronize(self, downstream_freed_total: int) -> int:
@@ -144,6 +158,38 @@ class UpstreamCredits:
             self.balance = correct
             return 0
         self.balance = correct
+        return recovered
+
+    def make_request(self) -> ResyncRequest:
+        """Snapshot the transmit counter into a request message."""
+        self.requests_sent += 1
+        return ResyncRequest(self.vc, self.cells_sent)
+
+    def apply_reply(self, reply: ResyncReply) -> int:
+        """Apply a reply; returns credits recovered (0 if stale/no-op).
+
+        Stale means the upstream transmitted more cells after snapshotting
+        the request; the computed balance would be wrong (too generous),
+        so the reply is discarded and the next periodic request retries.
+        """
+        if reply.vc != self.vc:
+            raise ValueError(f"reply for vc {reply.vc} given to vc {self.vc}")
+        if reply.cells_sent_echo != self.cells_sent:
+            return 0
+        in_flight = reply.cells_sent_echo - reply.buffers_freed
+        if in_flight < 0 or in_flight > self.allocation:
+            # Within one incarnation of the circuit 0 <= in_flight <=
+            # allocation always holds (FIFO links; sends gated on the
+            # window).  A reply outside that range pairs counters from
+            # *different* incarnations -- e.g. the route moved and this
+            # upstream state is fresh while the downstream counter is
+            # still cumulative over the old path.  Unusable; discard and
+            # let the next periodic request resynchronize from scratch.
+            self.incoherent_replies += 1
+            return 0
+        recovered = self.resynchronize(reply.buffers_freed)
+        self.credits_recovered += recovered
+        self.replies_applied += 1
         return recovered
 
 

@@ -27,6 +27,11 @@ cell sent before the request has been counted in ``buffers_freed`` or is
 still buffered downstream -- so the computed balance can only *recover*
 lost credits, never manufacture new ones.  (A lost request or reply just
 means the next periodic attempt tries again.)
+
+This module holds the two messages.  Steps 1 and 3 are
+``UpstreamCredits.make_request`` / ``apply_reply``
+(:mod:`repro.core.flowcontrol.credits`); putting them on a wire, and
+step 2, is :class:`~repro.core.flowcontrol.endpoint.CreditEndpoint`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._types import VcId
-from repro.core.flowcontrol.credits import UpstreamCredits
 
 
 @dataclass(frozen=True)
@@ -48,51 +52,3 @@ class ResyncReply:
     vc: VcId
     cells_sent_echo: int
     buffers_freed: int
-
-
-class ResyncState:
-    """Upstream-side driver for one VC's resynchronization."""
-
-    def __init__(self, vc: VcId, upstream: UpstreamCredits) -> None:
-        self.vc = vc
-        self.upstream = upstream
-        self.requests_sent = 0
-        self.replies_applied = 0
-        self.credits_recovered = 0
-        #: replies whose counters cannot belong to this upstream
-        #: incarnation (e.g. the circuit was rerouted and the downstream
-        #: counter is cumulative over an older path) -- discarded.
-        self.incoherent_replies = 0
-
-    def make_request(self) -> ResyncRequest:
-        """Snapshot the transmit counter into a request message."""
-        self.requests_sent += 1
-        return ResyncRequest(self.vc, self.upstream.cells_sent)
-
-    def apply_reply(self, reply: ResyncReply) -> int:
-        """Apply a reply; returns credits recovered (0 if stale/no-op).
-
-        Stale means the upstream transmitted more cells after snapshotting
-        the request; the computed balance would be wrong (too generous),
-        so the reply is discarded and the next periodic request retries.
-        """
-        if reply.vc != self.vc:
-            raise ValueError(f"reply for vc {reply.vc} given to vc {self.vc}")
-        if reply.cells_sent_echo != self.upstream.cells_sent:
-            return 0
-        in_flight = reply.cells_sent_echo - reply.buffers_freed
-        if in_flight < 0 or in_flight > self.upstream.allocation:
-            # Within one incarnation of the circuit 0 <= in_flight <=
-            # allocation always holds (FIFO links; sends gated on the
-            # window).  A reply outside that range pairs counters from
-            # *different* incarnations -- e.g. the route moved and this
-            # upstream state is fresh while the downstream counter is
-            # still cumulative over the old path.  Unusable; discard and
-            # let the next periodic request resynchronize from scratch.
-            self.incoherent_replies += 1
-            return 0
-        recovered = self.upstream.resynchronize(reply.buffers_freed)
-        if recovered:
-            self.credits_recovered += recovered
-        self.replies_applied += 1
-        return recovered

@@ -177,50 +177,33 @@ def check_convergence(
 # ======================================================================
 # credit conservation
 # ======================================================================
+def iter_credit_endpoints(net: Network):
+    """Every port's credit endpoint, switches then hosts."""
+    for node in (*net.switches.values(), *net.hosts.values()):
+        yield from node.credits
+
+
 def _iter_credit_pairs(net: Network):
     """(label, upstream, downstream_freed_total) for every pairable VC.
 
-    Upstream state lives at the card a circuit *departs* through; the
-    matching downstream state is at the peer port's card (switch) or is
-    implied by the receive count (host buffers drain instantly).  Pairs
-    whose link is down, or whose peer has no matching state (the route
-    moved during the scenario), yield ``None`` for the freed count.
+    A window lives at the port a circuit *departs* through; the matching
+    buffer pool is at the peer port's endpoint, whichever kind of node
+    owns it.  Pairs whose link is down, or whose peer has no matching
+    pool (the route moved during the scenario), yield ``None`` for the
+    freed count.
     """
-    for switch in net.switches.values():
-        for card in switch.cards:
-            for vc, upstream in card.upstream.items():
-                peer = card.port.peer()
-                if (
-                    peer is None
-                    or card.port.link is None
-                    or not card.port.link.working
-                ):
-                    yield f"{card.port.label}/vc{vc}", upstream, None
-                    continue
-                node = peer.node
-                if hasattr(node, "cards"):
-                    downstream = node.cards[peer.index].downstream.get(vc)
-                    freed = downstream.buffers_freed if downstream else None
-                elif hasattr(node, "received_counts"):
-                    freed = node.received_counts.get(vc, 0)
-                else:  # pragma: no cover - no other node types exist
-                    freed = None
-                yield f"{card.port.label}/vc{vc}", upstream, freed
-    for host in net.hosts.values():
-        for vc, sender in host.senders.items():
-            if sender.upstream is None:
-                continue
-            peer = host.active_port.peer()
-            freed = None
-            if (
-                peer is not None
-                and host.active_port.link is not None
-                and host.active_port.link.working
-                and hasattr(peer.node, "cards")
-            ):
-                downstream = peer.node.cards[peer.index].downstream.get(vc)
-                freed = downstream.buffers_freed if downstream else None
-            yield f"{host.node_id}/vc{vc}", sender.upstream, freed
+    for endpoint in iter_credit_endpoints(net):
+        port = endpoint.port
+        peer = port.peer()
+        paired = peer is not None and port.link.working
+        pools = peer.node.credits[peer.index].downstream if paired else {}
+        for vc, upstream in endpoint.upstream.items():
+            pool = pools.get(vc)
+            yield (
+                f"{port.label}/vc{vc}",
+                upstream,
+                pool.buffers_freed if pool is not None else None,
+            )
 
 
 def check_credit_conservation(

@@ -43,7 +43,11 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.solutions.base import Solution
 
-from repro.faults.invariants import InvariantResult, check_all
+from repro.faults.invariants import (
+    InvariantResult,
+    check_all,
+    iter_credit_endpoints,
+)
 from repro.faults.plan import (
     ClockDriftStep,
     CreditLossBurst,
@@ -395,20 +399,21 @@ class ScenarioRunner:
         """Invariants that must hold DURING the run, not just at the end:
         no credit balance ever leaves [0, allocation] (the clamp fix),
         and no downstream buffer pool overflows (losslessness)."""
-        for switch in self.net.switches.values():
-            for card in switch.cards:
-                for vc, upstream in card.upstream.items():
-                    if not 0 <= upstream.balance <= upstream.allocation:
-                        self.sampled_violations.append(
-                            f"t={self.net.now:.0f}us {card.port.label}/vc{vc}: "
-                            f"balance {upstream.balance}"
-                        )
-                for vc, downstream in card.downstream.items():
-                    if downstream.overflows:
-                        self.sampled_violations.append(
-                            f"t={self.net.now:.0f}us {card.port.label}/vc{vc}: "
-                            f"{downstream.overflows} buffer overflows"
-                        )
+        def violation(endpoint, vc, what: str) -> None:
+            self.sampled_violations.append(
+                f"t={self.net.now:.0f}us {endpoint.port.label}/vc{vc}: {what}"
+            )
+
+        for endpoint in iter_credit_endpoints(self.net):
+            for vc, upstream in endpoint.upstream.items():
+                if not 0 <= upstream.balance <= upstream.allocation:
+                    violation(endpoint, vc, f"balance {upstream.balance}")
+            for vc, downstream in endpoint.downstream.items():
+                if downstream.overflows:
+                    violation(
+                        endpoint, vc,
+                        f"{downstream.overflows} buffer overflows",
+                    )
 
     def _schedule_samples(self, t0: float, horizon: float) -> None:
         t = t0 + self.sample_interval_us

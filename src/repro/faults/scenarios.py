@@ -80,7 +80,6 @@ def scenario_host_config(**overrides) -> HostConfig:
         miss_threshold=2,
         skeptic_base_wait_us=2_000.0,
         skeptic_max_level=4,
-        frame_slots=32,
     )
     defaults.update(overrides)
     return HostConfig(**defaults)
@@ -142,9 +141,10 @@ def build_flapping_link(seed: int = 3):
 
 def build_credit_loss(seed: int = 5):
     net = _grid_with_hosts(seed, resync_interval_us=4_000.0)
-    # Lose plain credit cells on two trunks of the h0->h1 route
-    # (s0-s1-s2-s5-s8) for tens of ms; resync traffic (also CREDIT
-    # kind) survives and must restore the windows exactly.
+    # Lose plain credit cells on the sending host's access link and on
+    # two trunks of the h0->h1 route (s0-s1-s2-s5-s8) for tens of ms;
+    # resync traffic (also CREDIT kind) survives and must restore the
+    # windows exactly -- the host's as much as the switches'.
     plan = FaultPlan.of(
         CreditLossBurst(
             at_us=30_000.0, a="s1", b="s2",
@@ -153,6 +153,10 @@ def build_credit_loss(seed: int = 5):
         CreditLossBurst(
             at_us=35_000.0, a="s2", b="s5",
             duration_us=50_000.0, probability=0.8,
+        ),
+        CreditLossBurst(
+            at_us=40_000.0, a="h0", b="s0",
+            duration_us=40_000.0, probability=1.0,
         ),
     )
     loads = (

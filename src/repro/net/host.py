@@ -18,20 +18,26 @@ The controller here:
   (the host buffer drains instantly into memory),
 - answers pings and monitors its own links, failing over to the
   alternate port when the skeptic declares the active link dead.
+
+The first hop is a link like any other: each port holds the same
+:class:`~repro.core.flowcontrol.endpoint.CreditEndpoint` a switch line
+card does, resynchronization included.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro._types import NodeId, VcId
-from repro.core.flowcontrol.credits import UpstreamCredits
-from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest, ResyncState
-from repro.core.flowcontrol.sizing import credits_for_link
-from repro.core.reconfig.monitor import PortMonitor, make_ack
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.core.flowcontrol.endpoint import CreditEndpoint
+from repro.core.reconfig.monitor import (
+    PortMonitor,
+    make_ack,
+    start_port_monitor,
+)
+from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.aal import Reassembler, ReassemblyError, Segmenter
 from repro.net.cell import Cell, CellKind, TrafficClass
@@ -44,32 +50,30 @@ from repro.sim.monitor import Tally
 from repro.sim.process import Signal
 from repro.sim.random import RandomStreams
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.switch.switch import SwitchConfig
+
 
 @dataclass
 class HostConfig:
+    """What a host decides for itself: how it watches its links and what
+    it does when one dies.  What both ends of a link must agree on is
+    not here; a host reads it from the installation's ``SwitchConfig``."""
+
     ping_interval_us: float = 1_000.0
     ack_timeout_us: float = 400.0
     miss_threshold: int = 3
     skeptic_base_wait_us: float = 10_000.0
     skeptic_max_level: int = 8
     skeptic_decay_us: float = 1_000_000.0
-    credit_allocation: Optional[int] = None
     ping_reply_delay_us: float = 1.0
-    frame_slots: int = 1024
     #: after failing over to the alternate link, automatically re-emit
     #: setup cells for open best-effort circuits (guaranteed circuits
     #: need re-admission and are left to the application).
     auto_reopen_on_failover: bool = True
-    #: "credits" (AN2) or "drop" (send at link rate, let switches drop).
-    #: Must match the switches' SwitchConfig.flow_control; a Network
-    #: derives it when no host config is given and rejects a mismatch.
-    flow_control: str = "credits"
-    #: cell time used for guaranteed pacing; derived from the active link
-    #: when ``None``.
-    cell_time_us: Optional[float] = None
 
     def __post_init__(self) -> None:
-        validate_device_config(self, positive=("cell_time_us",))
+        validate_device_config(self)
 
 
 @dataclass
@@ -81,8 +85,6 @@ class _Sender:
     traffic_class: TrafficClass
     segmenter: Segmenter
     queue: Deque[Cell] = field(default_factory=deque)
-    upstream: Optional[UpstreamCredits] = None
-    resync: Optional[ResyncState] = None
     cells_per_frame: int = 0
     cells_sent: int = 0
     pacer_running: bool = False
@@ -96,14 +98,28 @@ class Host(Node):
         sim: Simulator,
         node_id: NodeId,
         streams: RandomStreams,
+        switch_config: "SwitchConfig",
         config: Optional[HostConfig] = None,
         n_ports: int = 2,
         registry=None,
     ) -> None:
+        """``switch_config``: what the two ends of a link share
+        (``flow_control``, ``credit_allocation``, ``frame_slots``,
+        ``resync_interval_us``) is read from the switches' config."""
         super().__init__(sim, node_id, n_ports)
         self.streams = streams
+        self.switch_config = switch_config
         self.config = config if config is not None else HostConfig()
         self.active_port_index = 0
+        #: per port: windows of our best-effort circuits on the active
+        #: one, pools of circuits delivered to us where they arrive.
+        self.credits: List[CreditEndpoint] = [
+            CreditEndpoint(
+                sim, port, switch_config, str(node_id),
+                on_window=lambda vc, crossed_zero: self._kick_pump(),
+            )
+            for port in self.ports
+        ]
         self.senders: Dict[VcId, _Sender] = {}
         self.reassembler = Reassembler()
         self.delivered: List[Packet] = []
@@ -149,26 +165,23 @@ class Host(Node):
         self._started = True
         jitter = self.streams.stream(f"{self.node_id}.jitter")
         for port in self.ports:
-            if not port.connected:
-                continue
-            skeptic = Skeptic(
-                base_wait_us=self.config.skeptic_base_wait_us,
-                max_level=self.config.skeptic_max_level,
-                decay_interval_us=self.config.skeptic_decay_us,
-                on_verdict=self._verdict_handler(port.index),
+            if port.connected:
+                self.monitors[port.index] = start_port_monitor(
+                    self, port, self.config, jitter,
+                    self._verdict_handler(port.index),
+                )
+        if self.switch_config.resync_interval_us > 0:
+            self.sim.schedule(
+                self.switch_config.resync_interval_us, self._resync_tick
             )
-            monitor = PortMonitor(
-                self.sim,
-                self.node_id,
-                port,
-                skeptic,
-                ping_interval_us=self.config.ping_interval_us,
-                ack_timeout_us=self.config.ack_timeout_us,
-                miss_threshold=self.config.miss_threshold,
-                start_offset_us=jitter.uniform(0, self.config.ping_interval_us),
-            )
-            self.monitors[port.index] = monitor
-            monitor.start()
+
+    def _resync_tick(self) -> None:
+        """Periodic credit resynchronization: one round on every port."""
+        for credits in self.credits:
+            credits.resync_round()
+        self.sim.schedule(
+            self.switch_config.resync_interval_us, self._resync_tick
+        )
 
     def _verdict_handler(self, port_index: int):
         def handler(verdict: LinkVerdict, now: float) -> None:
@@ -182,11 +195,17 @@ class Host(Node):
 
     def _fail_over(self) -> None:
         """Switch to the alternate link; optionally re-open circuits."""
+        old = self.credits[self.active_port_index]
         for candidate in self.ports:
             if candidate.index == self.active_port_index:
                 continue
             if candidate.connected:
                 self.active_port_index = candidate.index
+                # Fresh credit windows for the fresh first hop: the old
+                # windows' outstanding cells died with the old link.
+                for vc in old.upstream:
+                    self.credits[candidate.index].open_window(vc)
+                old.upstream.clear()
                 if self.config.auto_reopen_on_failover:
                     self._reopen_circuits()
                 self.failover.fire(candidate.index)
@@ -197,30 +216,21 @@ class Host(Node):
         active link.  Cells in flight on the old path are lost (their
         packets surface as reassembly errors); queued cells follow the
         new path once its entries install."""
-        for vc, sender in self.senders.items():
-            if sender.traffic_class is not TrafficClass.BEST_EFFORT:
-                continue
-            # Fresh credit window for the fresh first hop: the old
-            # window's outstanding cells died with the old link.
-            if self.config.flow_control == "credits":
-                allocation = self._allocation()
-                sender.upstream = UpstreamCredits(
-                    allocation, trace=self._make_credit_trace(vc)
-                )
-                sender.resync = ResyncState(vc, sender.upstream)
-            self.active_port.send(
-                Cell(
-                    vc=1,
-                    kind=CellKind.SIGNALING,
-                    payload=SetupRequest(
-                        vc=vc,
-                        source=self.node_id,
-                        destination=sender.destination,
-                        traffic_class=sender.traffic_class,
-                    ),
-                )
-            )
+        for sender in self.senders.values():
+            if sender.traffic_class is TrafficClass.BEST_EFFORT:
+                self._send_setup(sender)
         self._kick_pump()
+
+    def _send_setup(self, sender: _Sender) -> None:
+        request = SetupRequest(
+            vc=sender.vc,
+            source=self.node_id,
+            destination=sender.destination,
+            traffic_class=sender.traffic_class,
+        )
+        self.active_port.send(
+            Cell(vc=1, kind=CellKind.SIGNALING, payload=request)
+        )
 
     # ==================================================================
     # circuit management
@@ -246,24 +256,11 @@ class Host(Node):
             cells_per_frame=cells_per_frame,
         )
         if traffic_class is TrafficClass.BEST_EFFORT:
-            if self.config.flow_control == "credits":
-                allocation = self._allocation()
-                sender.upstream = UpstreamCredits(
-                    allocation, trace=self._make_credit_trace(vc)
-                )
-                sender.resync = ResyncState(vc, sender.upstream)
+            self.credits[self.active_port_index].open_window(vc)
             self._rotation.append(vc)
         self.senders[vc] = sender
         if send_setup:
-            request = SetupRequest(
-                vc=vc,
-                source=self.node_id,
-                destination=destination,
-                traffic_class=traffic_class,
-            )
-            self.active_port.send(
-                Cell(vc=1, kind=CellKind.SIGNALING, payload=request)
-            )
+            self._send_setup(sender)
 
     def close_circuit(self, vc: VcId, send_teardown: bool = True) -> None:
         sender = self.senders.pop(vc, None)
@@ -271,35 +268,11 @@ class Host(Node):
             return
         if vc in self._rotation:
             self._rotation.remove(vc)
+        self.credits[self.active_port_index].upstream.pop(vc, None)
         if send_teardown and self.active_port.connected:
             self.active_port.send(
                 Cell(vc=1, kind=CellKind.SIGNALING, payload=TeardownRequest(vc))
             )
-
-    def _make_credit_trace(self, vc: VcId):
-        """Credit-state trace hook for one circuit; ``None`` (no send-path
-        overhead) when no tracer is attached at circuit-open time."""
-        sim = self.sim
-        if sim.tracer is None:
-            return None
-        component = str(self.node_id)
-
-        def hook(name: str, payload: dict) -> None:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    sim.now, "flowcontrol", component, name, vc=vc, **payload
-                )
-
-        return hook
-
-    def _allocation(self) -> int:
-        if self.config.credit_allocation is not None:
-            return self.config.credit_allocation
-        link = self.active_port.link
-        if link is None:
-            return 4
-        return credits_for_link(link.length_km, link.bps)
 
     # ==================================================================
     # transmit path
@@ -371,26 +344,21 @@ class Host(Node):
             self.sim.schedule(delay + 1e-6, self._pump)
             return
         sent = False
+        credits = self.credits[port.index]
+        windows = credits.upstream  # empty in drop mode: nothing gates
         for _ in range(len(self._rotation)):
             vc = self._rotation[0]
             self._rotation.rotate(-1)
             sender = self.senders.get(vc)
             if sender is None or not sender.queue:
                 continue
-            if sender.upstream is not None and not sender.upstream.can_send:
-                if sender.upstream.note_stall():
-                    # New stall episode (not a repeat of a blocked pump
-                    # pass): worth a flight-recorder entry.
-                    recorder = self.sim.recorder
-                    if recorder is not None:
-                        recorder.record(
-                            now, f"host.{self.node_id}", "credit.stall",
-                            vc=int(vc), stalls=sender.upstream.stalls,
-                        )
-                continue
+            window = windows.get(vc)
+            if window is not None:
+                if not window.can_send:
+                    credits.note_stall(window)
+                    continue
+                window.consume()
             cell = sender.queue.popleft()
-            if sender.upstream is not None:
-                sender.upstream.consume()
             sender.cells_sent += 1
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
@@ -401,8 +369,8 @@ class Host(Node):
             break
         if sent or any(
             s.queue
-            and (s.upstream is None or s.upstream.can_send)
             and s.traffic_class is TrafficClass.BEST_EFFORT
+            and (s.vc not in windows or windows[s.vc].can_send)
             for s in self.senders.values()
         ):
             # More work now or soon: pace at the link's cell time.
@@ -437,12 +405,11 @@ class Host(Node):
                 )
             port.send(cell)
         if sender.queue:
-            cell_time = self.config.cell_time_us
-            if cell_time is None:
-                assert port.link is not None
-                cell_time = port.link.cell_time_us
+            assert port.link is not None
             interval = (
-                self.config.frame_slots * cell_time / sender.cells_per_frame
+                self.switch_config.frame_slots
+                * port.link.cell_time_us
+                / sender.cells_per_frame
             )
             self.sim.schedule(interval, self._pace, vc)
         else:
@@ -484,13 +451,12 @@ class Host(Node):
     def _accept_data(self, port: Port, cell: Cell) -> None:
         self.cells_received += 1
         self.received_counts[cell.vc] = self.received_counts.get(cell.vc, 0) + 1
-        if (
-            cell.traffic_class is TrafficClass.BEST_EFFORT
-            and self.config.flow_control == "credits"
-        ):
+        if cell.traffic_class is TrafficClass.BEST_EFFORT:
             # The controller drains cells into host memory immediately, so
             # the buffer is free the moment the cell arrives.
-            port.send(Cell(vc=cell.vc, kind=CellKind.CREDIT, payload=1))
+            credits = self.credits[port.index]
+            credits.pool(cell.vc).receive()
+            credits.free(cell.vc)
         tally = self.cell_latency.get(cell.vc)
         if tally is None:
             if self._probes is not None:
@@ -541,42 +507,7 @@ class Host(Node):
             self.packet_delivered.fire(packet)
 
     def _accept_credit(self, port: Port, cell: Cell) -> None:
-        payload = cell.payload
-        if isinstance(payload, ResyncRequest):
-            freed = self.received_counts.get(payload.vc, 0)
-            port.send(
-                Cell(
-                    vc=payload.vc,
-                    kind=CellKind.CREDIT,
-                    payload=ResyncReply(payload.vc, payload.cells_sent, freed),
-                )
-            )
-            return
-        if isinstance(payload, ResyncReply):
-            sender = self.senders.get(payload.vc)
-            if sender is not None and sender.resync is not None:
-                recovered = sender.resync.apply_reply(payload)
-                if recovered:
-                    if self.sim.tracer is not None:
-                        self.sim.tracer.emit(
-                            self.sim.now, "flowcontrol", str(self.node_id),
-                            "resync.recovered",
-                            vc=payload.vc, recovered=recovered,
-                        )
-                    recorder = self.sim.recorder
-                    if recorder is not None:
-                        recorder.record(
-                            self.sim.now, f"host.{self.node_id}",
-                            "resync.recovered",
-                            vc=int(payload.vc), recovered=recovered,
-                        )
-                    self._kick_pump()
-            return
-        sender = self.senders.get(cell.vc)
-        if sender is None or sender.upstream is None:
-            return
-        sender.upstream.credit(payload if isinstance(payload, int) else 1)
-        self._kick_pump()
+        self.credits[port.index].accept(cell)
 
     def _accept_signaling(self, message, port: Optional[Port] = None) -> None:
         from repro.core.guaranteed.distributed import (
@@ -601,6 +532,8 @@ class Host(Node):
         elif isinstance(message, TeardownRequest):
             self.incoming_circuits.pop(message.vc, None)
             self.reassembler.abort(message.vc)
+            if port is not None:
+                self.credits[port.index].downstream.pop(message.vc, None)
         elif isinstance(message, ReserveRequest):
             # We are the destination: the reservation reached us; confirm
             # back along the path.

@@ -55,7 +55,8 @@ class Network:
         """Args:
             topology: the connection pattern to instantiate.
             seed: root of all randomness in the installation.
-            switch_config / host_config: shared device configurations.
+            switch_config / host_config: shared device configurations
+                (hosts read what a link's two ends share from the former).
             drift_ppm: if non-zero, each switch's slot clock rate is drawn
                 uniformly from [-drift_ppm, +drift_ppm] (the asynchronous-
                 network regime of section 4).
@@ -84,21 +85,7 @@ class Network:
         base_config = switch_config if switch_config is not None else SwitchConfig()
         self.switch_config = base_config
         if host_config is None:
-            # Hosts must pace guaranteed circuits against the same frame
-            # length the switches schedule with, and speak the same
-            # best-effort flow control.
-            host_config = HostConfig(
-                frame_slots=base_config.frame_slots,
-                flow_control=base_config.flow_control,
-            )
-        elif host_config.flow_control != base_config.flow_control:
-            # Credit-mode hosts behind drop-mode switches never get a
-            # credit back and wedge silently.
-            raise ValueError(
-                f"host_config.flow_control={host_config.flow_control!r} "
-                f"does not match switch_config.flow_control="
-                f"{base_config.flow_control!r}"
-            )
+            host_config = HostConfig()
         self.host_config = host_config
         self.switches: Dict[NodeId, AN2Switch] = {}
         self.hosts: Dict[NodeId, Host] = {}
@@ -134,6 +121,7 @@ class Network:
                 self.sim,
                 node,
                 self.streams.fork(str(node)),
+                base_config,
                 config=self.host_config,
                 n_ports=topology.ports_of(node),
                 registry=self.registry,

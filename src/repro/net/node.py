@@ -9,9 +9,6 @@ from repro.net.cell import Cell
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
 
-#: best-effort flow control disciplines a device config may name.
-FLOW_CONTROL_MODES = ("credits", "drop")
-
 _MONITOR_INTERVALS = (
     "ping_interval_us",
     "ack_timeout_us",
@@ -29,8 +26,8 @@ def validate_device_config(
 ) -> None:
     """Reject a nonsensical ``SwitchConfig`` / ``HostConfig`` at
     construction with a ``ValueError`` naming the field, instead of a
-    hang or a ``ZeroDivisionError`` deep in a run.  The fields both
-    configs share are checked here; the arguments name the rest."""
+    hang or a ``ZeroDivisionError`` deep in a run.  The monitoring fields
+    both configs share are checked here; the arguments name the rest."""
 
     def check(names, ok, rule) -> None:
         for name in names:
@@ -40,17 +37,8 @@ def validate_device_config(
                     f"{type(config).__name__}.{name}={value!r} must be {rule}"
                 )
 
-    check(
-        ("flow_control",),
-        FLOW_CONTROL_MODES.__contains__,
-        f"one of {FLOW_CONTROL_MODES}",
-    )
     check(positive, lambda v: v > 0, "> 0")
-    check(
-        ("frame_slots", "credit_allocation", *at_least_one),
-        lambda v: v >= 1,
-        ">= 1",
-    )
+    check(at_least_one, lambda v: v >= 1, ">= 1")
     check((*_MONITOR_INTERVALS, *non_negative), lambda v: v >= 0, ">= 0")
 
 

@@ -34,6 +34,7 @@ QUALNAME_RULES: Tuple[Tuple[str, str], ...] = (
     ("FabricSlotDriver._fire", "fastpath"),
     ("AN2Switch._slot_tick", "matcher"),
     ("AN2Switch._resync_tick", "flowcontrol"),
+    ("Host._resync_tick", "flowcontrol"),
     ("AN2Switch._handle_signaling", "routing"),
     ("AN2Switch._reroute_port", "routing"),
     ("AN2Switch._repair_broken_circuits", "routing"),

@@ -32,8 +32,13 @@ from collections import deque
 from repro._types import NodeId
 from repro.constants import AN1_LINK_BPS, AN1_SWITCH_PORTS, CUT_THROUGH_DELAY_US
 from repro.core.reconfig.algorithm import ReconfigurationAgent
-from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.core.reconfig.monitor import (
+    PingPayload,
+    PortMonitor,
+    make_ack,
+    start_port_monitor,
+)
+from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.paths import RouteComputer, port_on
 from repro.net.cell import Cell, CellKind
 from repro.net.node import Node
@@ -95,7 +100,6 @@ class An1Switch(Node):
         ]
         self._forwarding: List[bool] = [False] * ports  # per input
         self.monitors: Dict[int, PortMonitor] = {}
-        self.skeptics: Dict[int, Skeptic] = {}
         self.reconfig = ReconfigurationAgent(
             sim,
             node_id,
@@ -133,25 +137,10 @@ class An1Switch(Node):
         for port in self.ports:
             if not port.connected:
                 continue
-            skeptic = Skeptic(
-                base_wait_us=self.config.skeptic_base_wait_us,
-                max_level=self.config.skeptic_max_level,
-                decay_interval_us=self.config.skeptic_decay_us,
-                on_verdict=self._verdict_handler(port.index),
+            self.monitors[port.index] = start_port_monitor(
+                self, port, self.config, jitter,
+                self._verdict_handler(port.index),
             )
-            self.skeptics[port.index] = skeptic
-            monitor = PortMonitor(
-                self.sim,
-                self.node_id,
-                port,
-                skeptic,
-                ping_interval_us=self.config.ping_interval_us,
-                ack_timeout_us=self.config.ack_timeout_us,
-                miss_threshold=self.config.miss_threshold,
-                start_offset_us=jitter.uniform(0, self.config.ping_interval_us),
-            )
-            self.monitors[port.index] = monitor
-            monitor.start()
         self.sim.schedule(
             self.config.boot_reconfig_delay_us
             + jitter.uniform(0, self.config.ping_interval_us),
@@ -180,8 +169,7 @@ class An1Switch(Node):
         for index, monitor in self.monitors.items():
             if monitor.neighbor is None:
                 continue
-            skeptic = self.skeptics[index]
-            if skeptic.verdict is not LinkVerdict.WORKING:
+            if monitor.verdict is not LinkVerdict.WORKING:
                 continue
             if monitor.neighbor[0].is_switch:
                 eligible.append(index)
@@ -192,7 +180,7 @@ class An1Switch(Node):
         for index, monitor in self.monitors.items():
             if monitor.neighbor is None:
                 continue
-            if self.skeptics[index].verdict is not LinkVerdict.WORKING:
+            if monitor.verdict is not LinkVerdict.WORKING:
                 continue
             neighbor_id, neighbor_port = monitor.neighbor
             a = (self.node_id, index)
@@ -329,7 +317,7 @@ class An1Switch(Node):
             if (
                 monitor.neighbor is not None
                 and monitor.neighbor[0] == destination
-                and self.skeptics[index].verdict is LinkVerdict.WORKING
+                and monitor.verdict is LinkVerdict.WORKING
             ):
                 return index
         try:

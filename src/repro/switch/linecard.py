@@ -9,20 +9,20 @@ A :class:`LineCard` aggregates, for one port:
 - the routing table for circuits *arriving* on this port,
 - per-VC random-access input buffers (best-effort) and the guaranteed
   buffer pool,
-- the *downstream* credit state for circuits arriving here (these are the
-  buffers the upstream node holds credits for),
-- the *upstream* credit state for circuits departing through this port
-  (our credits for the next switch's buffers),
+- the port's :class:`~repro.core.flowcontrol.endpoint.CreditEndpoint`:
+  the *downstream* buffer pools of circuits arriving here (the buffers
+  the upstream node holds credits for) and the *upstream* windows of
+  circuits departing through this port (our credits for the next
+  node's buffers),
 - the link monitor and skeptic for the attached cable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro._types import VcId
-from repro.core.flowcontrol.credits import DownstreamCredits, UpstreamCredits
-from repro.core.flowcontrol.resync import ResyncState
+from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.reconfig.monitor import PortMonitor
 from repro.core.reconfig.skeptic import Skeptic
 from repro.net.port import Port
@@ -33,51 +33,30 @@ from repro.switch.routing_table import RoutingTable
 class LineCard:
     """One port's buffers, tables, credit state, and monitor."""
 
-    def __init__(self, port: Port, pending_cap: int = 1024) -> None:
+    def __init__(
+        self, port: Port, credits: CreditEndpoint, pending_cap: int = 1024
+    ) -> None:
         self.port = port
         self.index = port.index
         self.routing_table = RoutingTable(pending_cap=pending_cap)
         self.vc_queues = VcQueues()
         self.guaranteed_queues = GuaranteedQueues()
-        #: circuits arriving on this card: their buffers, credited to the
-        #: upstream neighbor.
-        self.downstream: Dict[VcId, DownstreamCredits] = {}
-        #: circuits departing through this card: our credit balances for
-        #: the downstream neighbor's buffers.
-        self.upstream: Dict[VcId, UpstreamCredits] = {}
-        self.resync: Dict[VcId, ResyncState] = {}
+        self.credits = credits
+        #: the endpoint's own dicts, for the crossbar tick and the
+        #: checkers that read balances and occupancy per cell.
+        self.downstream = credits.downstream
+        self.upstream = credits.upstream
         self.monitor: Optional[PortMonitor] = None
         self.skeptic: Optional[Skeptic] = None
         self.cells_dropped = 0
         self.cells_forwarded = 0
-        #: set by the owning switch: ``(port_index, vc) -> hook or None``,
-        #: attached to each new :class:`UpstreamCredits` so credit grants
-        #: and stall transitions reach the tracer.  Returns ``None`` (no
-        #: per-send overhead) when no tracer is attached.
-        self.credit_trace_factory: Optional[Callable] = None
 
     # ------------------------------------------------------------------
-    def ensure_downstream(self, vc: VcId, allocation: int) -> DownstreamCredits:
-        state = self.downstream.get(vc)
-        if state is None:
-            state = self.downstream[vc] = DownstreamCredits(allocation)
-        return state
-
-    def ensure_upstream(self, vc: VcId, allocation: int) -> UpstreamCredits:
-        state = self.upstream.get(vc)
-        if state is None:
-            state = self.upstream[vc] = UpstreamCredits(allocation)
-            if self.credit_trace_factory is not None:
-                state.trace = self.credit_trace_factory(self.index, vc)
-            self.resync[vc] = ResyncState(vc, state)
-        return state
-
     def release_vc(self, vc: VcId) -> int:
         """Free all state for a circuit; returns cells discarded."""
         discarded = len(self.vc_queues.drain_vc(vc))
         self.downstream.pop(vc, None)
         self.upstream.pop(vc, None)
-        self.resync.pop(vc, None)
         self.routing_table.remove(vc)
         return discarded
 

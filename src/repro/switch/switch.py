@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro._types import NodeId, VcId
@@ -34,8 +35,7 @@ from repro.constants import (
     FRAME_SLOTS,
 )
 from repro.core.flowcontrol.credits import CreditError
-from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
-from repro.core.flowcontrol.sizing import credits_for_link
+from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.guaranteed.distributed import (
     DistributedAdmissionAgent,
     ReserveConfirm,
@@ -48,8 +48,12 @@ from repro.core.guaranteed.nested_frames import NestedFrameSchedule
 from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
 from repro.core.matching.bitmask import BitmaskPim, bits_of
 from repro.core.reconfig.algorithm import ReconfigurationAgent
-from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.core.reconfig.monitor import (
+    PingPayload,
+    make_ack,
+    start_port_monitor,
+)
+from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.multicast import FanoutToken
 from repro.core.routing.paths import RouteComputer
 from repro.core.routing.signaling import (
@@ -69,9 +73,15 @@ from repro.switch.crossbar import Crossbar
 from repro.switch.linecard import LineCard
 
 
+#: best-effort flow control disciplines ``SwitchConfig.flow_control``
+#: may name.
+FLOW_CONTROL_MODES = ("credits", "drop")
+
+
 @dataclass
 class SwitchConfig:
-    """Tunable parameters of one switch (defaults follow the paper)."""
+    """Tunable parameters of one switch (defaults follow the paper).
+    A ``Network``'s hosts read the link-level ones from here too."""
 
     n_ports: int = 16
     slot_time_us: float = FAST_CELL_TIME_US
@@ -118,6 +128,7 @@ class SwitchConfig:
             positive=("slot_time_us",),
             at_least_one=(
                 "n_ports", "pim_iterations", "nested_subframe_slots",
+                "frame_slots", "credit_allocation",
             ),
             non_negative=(
                 "control_delay_us",
@@ -127,6 +138,11 @@ class SwitchConfig:
                 "paging_idle_us",
             ),
         )
+        if self.flow_control not in FLOW_CONTROL_MODES:
+            raise ValueError(
+                f"SwitchConfig.flow_control={self.flow_control!r} must be "
+                f"one of {FLOW_CONTROL_MODES}"
+            )
         subframe = self.nested_subframe_slots
         if subframe is not None and self.frame_slots % subframe:
             raise ValueError(
@@ -174,11 +190,18 @@ class AN2Switch(Node):
         self.streams = streams
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
         self.cards: List[LineCard] = [
-            LineCard(port, pending_cap=self.config.pending_buffer_cap)
+            LineCard(
+                port,
+                CreditEndpoint(
+                    sim, port, self.config, port.label,
+                    on_window=partial(self._window_moved, port.index),
+                ),
+                pending_cap=self.config.pending_buffer_cap,
+            )
             for port in self.ports
         ]
-        for card in self.cards:
-            card.credit_trace_factory = self._make_credit_trace
+        #: by port index, as on a Host: checkers walk both kinds one way.
+        self.credits = [card.credits for card in self.cards]
         #: owns the request matrix: input ``i`` requests output ``o`` iff
         #: card ``i`` holds a circuit ready to send to ``o`` (a cell
         #: queued and, in credit mode, a positive balance).  Kept current
@@ -247,26 +270,6 @@ class AN2Switch(Node):
         probes.gauge("wasted_matches", lambda: stats.wasted_matches)
         probes.gauge("buffered_cells", self.buffered_cells)
 
-    def _make_credit_trace(self, port_index: int, vc: VcId):
-        """Hook factory for :class:`UpstreamCredits` tracing.
-
-        Evaluated once per circuit at setup time; returns ``None`` when no
-        tracer is attached so untraced runs pay nothing on the send path.
-        """
-        sim = self.sim
-        if sim.tracer is None:
-            return None
-        component = f"{self.node_id}.p{port_index}"
-
-        def hook(name: str, payload: dict) -> None:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    sim.now, "flowcontrol", component, name, vc=vc, **payload
-                )
-
-        return hook
-
     # ==================================================================
     # lifecycle
     # ==================================================================
@@ -277,28 +280,12 @@ class AN2Switch(Node):
         self._started = True
         jitter_rng = self.streams.stream(f"{self.node_id}.jitter")
         for card in self.cards:
-            if not card.port.connected:
-                continue
-            skeptic = Skeptic(
-                base_wait_us=self.config.skeptic_base_wait_us,
-                max_level=self.config.skeptic_max_level,
-                decay_interval_us=self.config.skeptic_decay_us,
-                on_verdict=self._verdict_handler(card.index),
-            )
-            card.skeptic = skeptic
-            card.monitor = PortMonitor(
-                self.sim,
-                self.node_id,
-                card.port,
-                skeptic,
-                ping_interval_us=self.config.ping_interval_us,
-                ack_timeout_us=self.config.ack_timeout_us,
-                miss_threshold=self.config.miss_threshold,
-                start_offset_us=jitter_rng.uniform(
-                    0.0, self.config.ping_interval_us
-                ),
-            )
-            card.monitor.start()
+            if card.port.connected:
+                card.monitor = start_port_monitor(
+                    self, card.port, self.config, jitter_rng,
+                    self._verdict_handler(card.index),
+                )
+                card.skeptic = card.monitor.skeptic
         self.sim.schedule(
             self.config.boot_reconfig_delay_us
             + jitter_rng.uniform(0.0, self.config.ping_interval_us),
@@ -445,12 +432,9 @@ class AN2Switch(Node):
         card.routing_table.paged.pop(vc, None)
         self._vc_in_port[vc] = in_port
         if request.traffic_class is TrafficClass.BEST_EFFORT:
-            card.ensure_downstream(vc, self._allocation_for(in_port))
-            if self.config.flow_control == "credits":
-                self.cards[out_port].ensure_upstream(
-                    vc, self._allocation_for(out_port)
-                )
-                self._refresh_output(out_port, vc)
+            card.credits.pool(vc)
+            self.cards[out_port].credits.open_window(vc)
+            self._refresh_output(out_port, vc)
         entry = card.routing_table.lookup(vc)
         assert entry is not None
         for cell in card.routing_table.take_pending(vc):
@@ -479,15 +463,12 @@ class AN2Switch(Node):
         entry.out_ports = ports
         card.routing_table.paged.pop(vc, None)
         self._vc_in_port[vc] = in_port
-        card.ensure_downstream(vc, self._allocation_for(in_port))
-        if self.config.flow_control == "credits":
-            # Each port touches its own card, but sort so per-card state is
-            # created in an order independent of the set's hash order.
-            for out_port in sorted(ports):
-                self.cards[out_port].ensure_upstream(
-                    vc, self._allocation_for(out_port)
-                )
-                self._refresh_output(out_port, vc)
+        card.credits.pool(vc)
+        # Each port touches its own card, but sort so per-card state is
+        # created in an order independent of the set's hash order.
+        for out_port in sorted(ports):
+            self.cards[out_port].credits.open_window(vc)
+            self._refresh_output(out_port, vc)
         for cell in card.routing_table.take_pending(vc):
             self._enqueue(card, entry, cell)
         self._kick()
@@ -510,7 +491,6 @@ class AN2Switch(Node):
         out_ports = tuple(sorted(entry.out_ports or (entry.out_port,)))
         for out_port in out_ports:
             self.cards[out_port].upstream.pop(vc, None)
-            self.cards[out_port].resync.pop(vc, None)
             self._refresh_output(out_port, vc)
         return out_ports
 
@@ -518,14 +498,6 @@ class AN2Switch(Node):
         self.ports[port_index].send(
             Cell(vc=1, kind=CellKind.SIGNALING, payload=message)
         )
-
-    def _allocation_for(self, port_index: int) -> int:
-        if self.config.credit_allocation is not None:
-            return self.config.credit_allocation
-        link = self.ports[port_index].link
-        if link is None:
-            return 4
-        return credits_for_link(link.length_km, link.bps)
 
     # ==================================================================
     # guaranteed reservations (driven by bandwidth central)
@@ -618,11 +590,8 @@ class AN2Switch(Node):
     def _accept_data(self, in_port: int, cell: Cell) -> None:
         card = self.cards[in_port]
         if cell.traffic_class is TrafficClass.BEST_EFFORT:
-            state = card.ensure_downstream(
-                cell.vc, self._allocation_for(in_port)
-            )
             try:
-                state.receive()
+                card.credits.pool(cell.vc).receive()
             except CreditError:
                 # A correct upstream never overflows us; a buggy or
                 # byzantine one loses the cell (counted, not crashed).
@@ -694,56 +663,16 @@ class AN2Switch(Node):
             self.crossbar.withdraw(card.index, out_port)
 
     def _accept_credit(self, port_index: int, cell: Cell) -> None:
-        card = self.cards[port_index]
-        payload = cell.payload
-        if isinstance(payload, ResyncRequest):
-            state = card.downstream.get(payload.vc)
-            if state is not None:
-                reply = ResyncReply(
-                    payload.vc, payload.cells_sent, state.buffers_freed
-                )
-                card.port.send(
-                    Cell(vc=payload.vc, kind=CellKind.CREDIT, payload=reply)
-                )
-            return
-        if isinstance(payload, ResyncReply):
-            resync = card.resync.get(payload.vc)
-            if resync is not None:
-                recovered = resync.apply_reply(payload)
-                # The corrected balance may have moved either way.
-                self._refresh_output(port_index, payload.vc)
-                if recovered:
-                    if self.sim.tracer is not None:
-                        self.sim.tracer.emit(
-                            self.sim.now, "flowcontrol",
-                            f"{self.node_id}.p{port_index}",
-                            "resync.recovered",
-                            vc=payload.vc, recovered=recovered,
-                        )
-                    recorder = self.sim.recorder
-                    if recorder is not None:
-                        recorder.record(
-                            self.sim.now, f"switch.{self.node_id}",
-                            "resync.recovered",
-                            port=port_index, vc=int(payload.vc),
-                            recovered=recovered,
-                        )
-                    self._kick()
-            return
-        upstream = card.upstream.get(cell.vc)
-        if upstream is None:
-            return  # circuit torn down while the credit was in flight
-        was_dry = upstream.balance == 0
-        if upstream.credit(payload if isinstance(payload, int) else 1):
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.record(
-                    self.sim.now, f"switch.{self.node_id}", "credit.unstall",
-                    port=port_index, vc=int(cell.vc),
-                    stalls=upstream.stalls,
-                )
-        if was_dry:
-            self._refresh_output(port_index, cell.vc)
+        self.cards[port_index].credits.accept(cell)
+
+    def _window_moved(
+        self, out_port: int, vc: VcId, crossed_zero: bool
+    ) -> None:
+        """A credit cell moved the balance ``vc`` draws on at
+        ``out_port``: a credit arrived, or a resync reply corrected it
+        (up *or* down)."""
+        if crossed_zero:
+            self._refresh_output(out_port, vc)
         self._kick()
 
     def _forget(self, card: LineCard, vc: VcId) -> None:
@@ -845,13 +774,10 @@ class AN2Switch(Node):
                     self._refresh_output(out_port, vc)
                 elif not card.vc_queues.requests(out_port):
                     self._refresh(card, out_port, vc)  # last ready cell
-                downstream = card.downstream.get(vc)
-                if downstream is not None:
+                if vc in card.downstream:
                     token = cell.fanout_token
                     if token is None or token.branch_departed():
-                        downstream.free()
-                        if credit_mode:
-                            self._send_credit(in_port, vc)
+                        self._send_credit(in_port, vc)
                 # The token is this switch's bookkeeping; it must not
                 # ride to the next hop.
                 cell.fanout_token = None
@@ -881,38 +807,15 @@ class AN2Switch(Node):
         self.cards[out_port].cells_forwarded += 1
 
     def _send_credit(self, in_port: int, vc: VcId) -> None:
-        port = self.ports[in_port]
-        if not port.connected:
-            return
-        port.send(Cell(vc=vc, kind=CellKind.CREDIT, payload=1))
-        self.stats.credits_sent += 1
+        """The buffer a cell of ``vc`` held on ``in_port`` is empty
+        again: count it and (credit mode) return one credit upstream."""
+        if self.cards[in_port].credits.free(vc):
+            self.stats.credits_sent += 1
 
-    # ==================================================================
-    # credit resynchronization driver
-    # ==================================================================
     def _resync_tick(self) -> None:
-        tracer = self.sim.tracer
-        recorder = self.sim.recorder
+        """Periodic credit resynchronization: one round on every port."""
         for card in self.cards:
-            if not card.port.connected:
-                continue
-            for vc, resync in card.resync.items():
-                request = resync.make_request()
-                if tracer is not None:
-                    tracer.emit(
-                        self.sim.now, "flowcontrol",
-                        f"{self.node_id}.p{card.index}", "resync.round",
-                        vc=vc, cells_sent=request.cells_sent,
-                    )
-                if recorder is not None:
-                    recorder.record(
-                        self.sim.now, f"switch.{self.node_id}",
-                        "resync.round", port=card.index, vc=int(vc),
-                        cells_sent=request.cells_sent,
-                    )
-                card.port.send(
-                    Cell(vc=vc, kind=CellKind.CREDIT, payload=request)
-                )
+            card.credits.resync_round()
         self.sim.schedule(self.config.resync_interval_us, self._resync_tick)
 
     # ==================================================================
@@ -937,7 +840,6 @@ class AN2Switch(Node):
         self._queued -= card.release_vc(vc)
         self._forget(card, vc)
         self.cards[out_port].upstream.pop(vc, None)
-        self.cards[out_port].resync.pop(vc, None)
         self._refresh_output(out_port, vc)
         self._vc_in_port.pop(vc, None)
         self.send_signaling(out_port, PageOut(vc))
@@ -1098,12 +1000,9 @@ class AN2Switch(Node):
         old_out = entry.out_port
         entry.out_port = new_port
         self.cards[old_out].upstream.pop(vc, None)
-        self.cards[old_out].resync.pop(vc, None)
         self._refresh_output(old_out, vc)
         if request.traffic_class is TrafficClass.BEST_EFFORT:
-            self.cards[new_port].ensure_upstream(
-                vc, self._allocation_for(new_port)
-            )
+            self.cards[new_port].credits.open_window(vc)
         for cell in cells:
             card.vc_queues.push(new_port, vc, cell)
         self._refresh_output(new_port, vc)

@@ -38,7 +38,6 @@ def fast_host_config(**overrides) -> HostConfig:
         miss_threshold=2,
         skeptic_base_wait_us=2_000.0,
         skeptic_max_level=4,
-        frame_slots=32,
     )
     defaults.update(overrides)
     return HostConfig(**defaults)

@@ -1,9 +1,11 @@
-"""Tests for the credit resynchronization protocol."""
+"""Tests for the credit resynchronization protocol: the upstream half
+(``UpstreamCredits.make_request`` / ``apply_reply``) against hand-built
+replies.  The exchange over a real link is in ``test_endpoint.py``."""
 
 import pytest
 
 from repro.core.flowcontrol.credits import DownstreamCredits, UpstreamCredits
-from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest, ResyncState
+from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 
 
 def lose_credits(upstream, downstream, sent, forwarded, lost):
@@ -19,56 +21,52 @@ def lose_credits(upstream, downstream, sent, forwarded, lost):
 
 
 def test_recovery_after_lost_credit():
-    upstream = UpstreamCredits(5)
+    upstream = UpstreamCredits(5, vc=7)
     downstream = DownstreamCredits(5)
-    state = ResyncState(7, upstream)
     lose_credits(upstream, downstream, sent=4, forwarded=4, lost=2)
     assert upstream.balance == 3  # two credits lost
 
-    request = state.make_request()
+    request = upstream.make_request()
     assert request == ResyncRequest(7, 4)
     reply = ResyncReply(7, request.cells_sent, downstream.buffers_freed)
-    recovered = state.apply_reply(reply)
+    recovered = upstream.apply_reply(reply)
     assert recovered == 2
     assert upstream.balance == 5
-    assert state.credits_recovered == 2
+    assert upstream.credits_recovered == 2
 
 
 def test_stale_reply_discarded():
     """If the upstream sent more cells after the request snapshot, the
     reply must not be applied (it would over-credit)."""
-    upstream = UpstreamCredits(5)
+    upstream = UpstreamCredits(5, vc=7)
     downstream = DownstreamCredits(5)
-    state = ResyncState(7, upstream)
-    request = state.make_request()
+    request = upstream.make_request()
     upstream.consume()  # race: a cell departs after the snapshot
     reply = ResyncReply(7, request.cells_sent, 0)
-    assert state.apply_reply(reply) == 0
+    assert upstream.apply_reply(reply) == 0
     assert upstream.balance == 4  # unchanged by the stale reply
 
 
 def test_noop_when_nothing_lost():
-    upstream = UpstreamCredits(3)
+    upstream = UpstreamCredits(3, vc=1)
     downstream = DownstreamCredits(3)
-    state = ResyncState(1, upstream)
     lose_credits(upstream, downstream, sent=2, forwarded=2, lost=0)
-    reply = ResyncReply(1, state.make_request().cells_sent, downstream.buffers_freed)
-    assert state.apply_reply(reply) == 0
+    reply = ResyncReply(1, upstream.make_request().cells_sent, downstream.buffers_freed)
+    assert upstream.apply_reply(reply) == 0
     assert upstream.balance == 3
 
 
 def test_cells_still_buffered_downstream_counted():
     """Cells sitting in the downstream buffer are not credited back."""
-    upstream = UpstreamCredits(4)
+    upstream = UpstreamCredits(4, vc=2)
     downstream = DownstreamCredits(4)
-    state = ResyncState(2, upstream)
     for _ in range(3):
         upstream.consume()
         downstream.receive()
     downstream.free()  # only one forwarded; its credit is lost
-    request = state.make_request()
+    request = upstream.make_request()
     reply = ResyncReply(2, request.cells_sent, downstream.buffers_freed)
-    assert state.apply_reply(reply) == 1
+    assert upstream.apply_reply(reply) == 1
     # 3 sent, 1 freed -> 2 still buffered -> balance = 4 - 2 = 2.
     assert upstream.balance == 2
 
@@ -77,42 +75,39 @@ def test_incoherent_reply_from_old_incarnation_discarded():
     """After a reroute the upstream state is rebuilt fresh, but the
     downstream's cumulative counter still covers the old path.  The
     resulting reply (freed > sent) must be discarded, not crash."""
-    upstream = UpstreamCredits(5)
-    state = ResyncState(7, upstream)
+    upstream = UpstreamCredits(5, vc=7)
     for _ in range(3):
         upstream.consume()
     reply = ResyncReply(7, upstream.cells_sent, 60)  # old-path counter
-    assert state.apply_reply(reply) == 0
+    assert upstream.apply_reply(reply) == 0
     assert upstream.balance == 2  # untouched
-    assert state.incoherent_replies == 1
-    assert state.replies_applied == 0
+    assert upstream.incoherent_replies == 1
+    assert upstream.replies_applied == 0
 
 
 def test_reply_claiming_impossible_in_flight_discarded():
     """freed so far behind sent that in_flight > allocation can only
     mean the downstream counter was reset (other-side restart)."""
-    upstream = UpstreamCredits(3)
-    state = ResyncState(7, upstream)
+    upstream = UpstreamCredits(3, vc=7)
     upstream.cells_sent = 40  # long-lived upstream incarnation
     reply = ResyncReply(7, 40, 2)  # in_flight = 38 > allocation
-    assert state.apply_reply(reply) == 0
-    assert state.incoherent_replies == 1
+    assert upstream.apply_reply(reply) == 0
+    assert upstream.incoherent_replies == 1
 
 
 def test_wrong_vc_rejected():
-    state = ResyncState(2, UpstreamCredits(2))
+    upstream = UpstreamCredits(2, vc=2)
     with pytest.raises(ValueError):
-        state.apply_reply(ResyncReply(3, 0, 0))
+        upstream.apply_reply(ResyncReply(3, 0, 0))
 
 
 def test_repeated_resync_idempotent():
-    upstream = UpstreamCredits(5)
+    upstream = UpstreamCredits(5, vc=7)
     downstream = DownstreamCredits(5)
-    state = ResyncState(7, upstream)
     lose_credits(upstream, downstream, sent=2, forwarded=2, lost=1)
     for _ in range(3):
-        request = state.make_request()
+        request = upstream.make_request()
         reply = ResyncReply(7, request.cells_sent, downstream.buffers_freed)
-        state.apply_reply(reply)
+        upstream.apply_reply(reply)
     assert upstream.balance == 5
-    assert state.credits_recovered == 1
+    assert upstream.credits_recovered == 1

@@ -149,7 +149,7 @@ def _vc_state(net, vc):
         for card in switch.cards:
             if card.routing_table.lookup(vc) is not None:
                 held.append((str(name), f"route@{card.index}"))
-            for what in ("upstream", "resync", "downstream"):
+            for what in ("upstream", "downstream"):
                 if vc in getattr(card, what):
                     held.append((str(name), f"{what}@{card.index}"))
     return held

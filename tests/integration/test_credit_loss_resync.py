@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro._types import host_id
+from repro.faults.invariants import check_credit_conservation
 from repro.net.packet import Packet
 from tests.conftest import (
     fast_host_config,
@@ -58,7 +59,7 @@ def test_credit_loss_degrades_then_recovers(loss):
         r.credits_recovered
         for switch in net.switches.values()
         for card in switch.cards
-        for r in card.resync.values()
+        for r in card.upstream.values()
     )
     assert recovered > 0
 
@@ -80,6 +81,33 @@ def test_total_credit_loss_stalls_until_resync():
     # Throughput is terrible (one window per resync period) but complete.
     assert h1.cells_received == 120
     assert len(h1.delivered) == 1
+
+
+def test_total_credit_loss_on_the_access_link_recovers():
+    """The first hop is a link like any other: the *host* arms resync
+    rounds too.  Regression: it never sent a request, so this run
+    delivered 5 of 120 cells and left the host at balance 0/5 forever."""
+    net = resync_net()
+    circuit = net.setup_circuit("h0", "h1")
+    access = net.link_between("h0", "s0")
+    access.drop_filter = plain_credit_filter(random.Random(1), 1.0)
+
+    h0, h1 = net.host("h0"), net.host("h1")
+    h0.send_packet(
+        circuit.vc,
+        Packet(source=host_id(0), destination=host_id(1), size=48 * 120),
+    )
+    net.run(2_000_000)
+    assert h1.cells_received == 120
+    assert len(h1.delivered) == 1
+    assert net.total_cells_dropped() == 0
+
+    access.drop_filter = None
+    net.run(50_000)
+    window = h0.credits[0].upstream[circuit.vc]
+    assert window.balance == window.allocation
+    assert window.credits_recovered > 0
+    assert check_credit_conservation(net).passed
 
 
 def test_without_resync_total_loss_deadlocks_the_circuit():

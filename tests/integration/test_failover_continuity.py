@@ -8,6 +8,7 @@ if the first fails."
 import pytest
 
 from repro._types import host_id
+from repro.net.cell import Cell, CellKind
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
@@ -57,6 +58,29 @@ def test_traffic_resumes_after_primary_link_death():
     net.run(200_000)
     assert len(h1.delivered) == 2
     assert h1.reassembly_errors == 0
+
+
+def test_failover_moves_the_window_to_the_new_port():
+    """A fresh window on the new first hop, none lingering on the old
+    one -- and a credit that straggles in on the old port finds nothing
+    to inflate."""
+    net = dual_homed_net(seed=42)
+    circuit = net.setup_circuit("h0", "h1")
+    h0 = net.host("h0")
+    h0.send_raw_cells(circuit.vc, 3)
+    net.run(3)  # cells sent, their credits not yet back
+    old_window = h0.credits[0].upstream[circuit.vc]
+    assert old_window.balance < old_window.allocation
+
+    net.fail_link("h0", "s0")
+    net.run_until(lambda: h0.active_port_index == 1, timeout_us=100_000)
+    assert circuit.vc not in h0.credits[0].upstream
+    window = h0.credits[1].upstream[circuit.vc]
+    assert window is not old_window
+    assert (window.balance, window.cells_sent) == (window.allocation, 0)
+
+    h0.on_cell(h0.ports[0], Cell(vc=circuit.vc, kind=CellKind.CREDIT, payload=1))
+    assert window.excess_credits == 0 and not h0.credits[0].upstream
 
 
 def test_queued_cells_survive_failover():

@@ -73,7 +73,7 @@ def test_resync_restores_throughput_after_credit_loss():
         timeout_us=100_000,
     )
     recovered = sum(
-        r.credits_recovered for r in victim_card.resync.values()
+        r.credits_recovered for r in victim_card.upstream.values()
     )
     assert recovered >= stolen
 

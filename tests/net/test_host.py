@@ -36,8 +36,8 @@ class TestSending:
         net = small_net
         circuit = net.setup_circuit("h0", "h1")
         host = net.host("h0")
-        sender = host.senders[circuit.vc]
-        allocation = sender.upstream.allocation
+        window = host.credits[0].upstream[circuit.vc]
+        allocation = window.allocation
         host.send_packet(
             circuit.vc,
             Packet(
@@ -48,7 +48,7 @@ class TestSending:
         )
         net.run(200)
         # At no point may more than `allocation` cells be unacknowledged.
-        assert sender.upstream.cells_sent - sender.upstream.credits_received <= allocation
+        assert window.cells_sent - window.credits_received <= allocation
         net.run(300_000)
         assert len(net.host("h1").delivered) == 1
 

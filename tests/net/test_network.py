@@ -8,11 +8,7 @@ from repro.net.network import Network, NetworkError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
-from tests.conftest import (
-    fast_host_config,
-    fast_switch_config,
-    line_with_hosts,
-)
+from tests.conftest import fast_switch_config, line_with_hosts
 
 
 class TestAssembly:
@@ -198,7 +194,7 @@ class TestFlowControlAgreement:
         net = Network(
             topo, switch_config=fast_switch_config(flow_control="drop")
         )
-        assert net.host_config.flow_control == "drop"
+        assert not net.host("h0").credits[0].credit_mode
         net.start()
         net.run_until_converged(timeout_us=500_000)
         circuit = net.setup_circuit("h0", "h1")
@@ -210,13 +206,31 @@ class TestFlowControlAgreement:
         net.run(100_000)
         assert len(net.host("h1").delivered) == 40
 
-    def test_mismatch_names_both_values(self):
-        with pytest.raises(ValueError, match="'credits'.*'drop'"):
-            Network(
-                Topology.line(2),
-                switch_config=fast_switch_config(flow_control="drop"),
-                host_config=fast_host_config(),
-            )
+    def test_hosts_take_the_switches_window(self):
+        """Regression: default hosts kept a 5-credit window onto the 2
+        buffers the switches were configured with -- 2 cells dropped, 34
+        reassembly errors, nothing delivered, in "lossless" mode."""
+        topo = Topology.line(2)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0", port_a=0, bps=622_000_000)
+        topo.connect("h1", "s1", port_a=0, bps=622_000_000)
+        net = Network(
+            topo, switch_config=fast_switch_config(credit_allocation=2)
+        )
+        net.start()
+        net.run_until_converged(timeout_us=500_000)
+        circuit = net.setup_circuit("h0", "h1")
+        assert net.host("h0").credits[0].upstream[circuit.vc].allocation == 2
+        net.host("h0").send_packet(
+            circuit.vc,
+            Packet(source=host_id(0), destination=host_id(1), size=48 * 40),
+        )
+        net.run(100_000)
+        h1 = net.host("h1")
+        assert (h1.cells_received, len(h1.delivered)) == (40, 1)
+        assert net.total_cells_dropped() == 0
+        assert h1.reassembly_errors == 0
 
 
 class TestConfigValidation:
@@ -254,15 +268,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("flow_control", "none"),
-            ("frame_slots", 0),
-            ("credit_allocation", -3),
             ("ping_interval_us", -1.0),
             ("ack_timeout_us", -1.0),
             ("skeptic_base_wait_us", -1.0),
             ("skeptic_decay_us", -1.0),
             ("ping_reply_delay_us", -1.0),
-            ("cell_time_us", 0.0),
         ],
     )
     def test_host_config_rejects(self, field, value):

@@ -93,7 +93,7 @@ def test_profiler_is_digest_neutral():
         ),
         host_config=HostConfig(
             ping_interval_us=500.0, ack_timeout_us=200.0,
-            miss_threshold=2, frame_slots=32,
+            miss_threshold=2,
         ),
     )
     digest = digest_mod.RunDigest()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
-from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
@@ -25,7 +24,6 @@ def nested_net(seed=55):
             ping_interval_us=500.0,
             ack_timeout_us=200.0,
         ),
-        host_config=HostConfig(frame_slots=64),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)

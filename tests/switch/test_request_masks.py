@@ -182,16 +182,11 @@ def grid_net(seed=3, hosts=4, **overrides):
 
 
 def booted(topo, seed, **overrides):
-    """Hosts share the switches' flow-control mode and window."""
     net = Network(
         topo,
         seed=seed,
         switch_config=fast_switch_config(**overrides),
-        host_config=fast_host_config(**{
-            key: overrides[key]
-            for key in ("flow_control", "credit_allocation")
-            if key in overrides
-        }),
+        host_config=fast_host_config(),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)
@@ -342,7 +337,7 @@ def test_lost_credits_and_periodic_resync():
     recovered = sum(
         r.credits_recovered
         for s in net.switches.values() for c in s.cards
-        for r in c.resync.values()
+        for r in c.upstream.values()
     )
     assert recovered > 0
 

@@ -50,8 +50,8 @@ class TestDataPath:
                     assert upstream.balance == upstream.allocation
                 for vc, downstream in card.downstream.items():
                     assert downstream.occupied == 0
-        sender = net.host("h0").senders[circuit.vc]
-        assert sender.upstream.balance == sender.upstream.allocation
+        window = net.host("h0").credits[0].upstream[circuit.vc]
+        assert window.balance == window.allocation
 
     def test_no_cell_loss_under_sustained_load(self, small_net):
         net = small_net
@@ -218,9 +218,8 @@ class TestOverflowHandling:
 
 class TestLocalRerouteState:
     def test_reroute_drops_the_old_ports_resync_state(self):
-        """The old output port forgets the circuit entirely: no resync
-        state without upstream state, and no resync request on a wire the
-        circuit no longer uses."""
+        """The old output port forgets the circuit entirely: no window,
+        and so no resync request on a wire the circuit no longer uses."""
         topo = Topology.grid(2, 2)
         for h, s in ((0, 0), (1, 3)):
             topo.add_host(h)
@@ -238,7 +237,7 @@ class TestLocalRerouteState:
         s0 = net.switch("s0")
         in_port = s0._vc_in_port[circuit.vc]
         old_out = s0.cards[in_port].routing_table.lookup(circuit.vc).out_port
-        assert circuit.vc in s0.cards[old_out].resync
+        assert circuit.vc in s0.cards[old_out].upstream
         neighbor = s0.cards[old_out].monitor.neighbor[0]
         net.fail_link("s0", str(neighbor))
         net.run_until(lambda: s0.stats.reroutes >= 1, timeout_us=100_000)
@@ -254,9 +253,5 @@ class TestLocalRerouteState:
 
         port.send = send
         net.run(10_000)  # five resync rounds
-        for switch in net.switches.values():
-            for card in switch.cards:
-                assert set(card.resync) <= set(card.upstream), (
-                    switch.node_id, card.index
-                )
+        assert circuit.vc not in s0.cards[old_out].upstream
         assert resyncs_on_old_port == []

@@ -32,8 +32,6 @@ def drop_net(seed=78, credit_allocation=8):
             boot_reconfig_delay_us=1_500.0,
         ),
         host_config=HostConfig(
-            frame_slots=32,
-            flow_control="drop",
             ping_interval_us=500.0,
             ack_timeout_us=200.0,
             miss_threshold=2,
@@ -48,7 +46,7 @@ class TestDropMode:
     def test_uncongested_traffic_flows_without_credit_state(self):
         net = drop_net()
         circuit = net.setup_circuit("h0", "h1")
-        assert net.host("h0").senders[circuit.vc].upstream is None
+        assert circuit.vc not in net.host("h0").credits[0].upstream
         net.host("h0").send_packet(
             circuit.vc,
             Packet(source=host_id(0), destination=host_id(1), size=480),
