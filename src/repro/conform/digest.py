@@ -218,7 +218,7 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
     stats = switch.stats
     return {
         "node": str(switch.node_id),
-        "slot_index": switch._slot_index,
+        "slot_index": switch.slot_index,
         "vc_in_port": sorted(
             [int(vc), port] for vc, port in switch._vc_in_port.items()
         ),

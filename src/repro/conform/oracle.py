@@ -24,6 +24,10 @@ failure must say exactly where the implementations disagreed):
   replay scenario on the default ``Network`` (fabric-wide slot wave) and
   with every switch detached onto its private slot timer: same traffic
   outcomes, strictly fewer kernel events.
+- **Parking** -- :func:`compare_parking` runs a whole-``Network`` case
+  with the slot wave walking only the switches that can move a cell and
+  with it walking every armed switch at every wave: the same kernel
+  events to the ``(time, seq, callback)`` and the same end state.
 
 :func:`matcher_sweep` / :func:`routing_sweep` run these over a seeded
 grid of sizes and load patterns and also return plain-data records
@@ -473,4 +477,134 @@ def slot_driver_sweep(
         if divergence is not None:
             divergences.append(divergence)
         records.append(record)
+    return divergences, records
+
+
+# ======================================================================
+# parking differential (sparse walk vs every armed switch every wave)
+# ======================================================================
+# A *case* is ``case(seed, prepare) -> Network``: build the network, call
+# ``prepare(net)`` before anything runs, drive it, return it.
+def replay_case(seed: int, prepare, duration_us: float = 40_000.0):
+    """The digest gate's replay scenario."""
+    from repro.conform.digest import replay_network, run_replay_traffic
+
+    net = replay_network(seed)
+    prepare(net)
+    run_replay_traffic(net, duration_us)
+    return net
+
+
+def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
+    """The replay installation carrying a paced reserved stream one way
+    and best-effort bursts the other, the reservation released half way:
+    reserved-idle, slot-waiting and credit-blocked switches all park."""
+    from repro.conform.digest import replay_network
+    from repro.net.packet import Packet
+
+    net = replay_network(seed)
+    prepare(net)
+    net.start()
+    net.run_until(net.converged, timeout_us=duration_us)
+    stream, reservation = net.reserve_bandwidth("h0", "h1", 4)
+    bursts = net.setup_circuit("h1", "h0")
+    h0, h1 = net.host("h0"), net.host("h1")
+    h0.send_raw_cells(stream.vc, 300)
+    for _ in range(12):
+        h1.send_packet(
+            bursts.vc,
+            Packet(source=h1.node_id, destination=h0.node_id, size=960),
+        )
+    net.run(duration_us / 2)
+    for switch, in_port, out_port in reservation.switch_hops:
+        net.switches[switch].remove_reservation(in_port, out_port, 4)
+    net.run(duration_us / 2)
+    return net
+
+
+def chaos_case(seed: int, prepare):
+    """A random fault plan (link, switch, credit and clock-drift faults)
+    on a random topology."""
+    from repro.faults.runner import ScenarioRunner
+    from repro.faults.scenarios import build_random_scenario
+
+    net, plan, loads = build_random_scenario(seed)
+    prepare(net)
+    ScenarioRunner(net, plan, loads, settle_us=20_000.0).run()
+    return net
+
+
+PARKING_CASES = {
+    "replay": replay_case, "reserved": reserved_case, "chaos": chaos_case,
+}
+
+
+def compare_parking(
+    case: Callable[[int, Callable[[Any], None]], Any], label: str, seed: int = 0
+) -> Tuple[Optional[Divergence], Dict[str, Any]]:
+    """Run ``case`` on the default ``Network`` and on the dense walk.
+
+    The reference run
+    has its slot driver's ``park`` overridden on the instance so that
+    every armed switch is due at every wave (what the driver did before
+    switches could park).  The kernel run digest -- every event's
+    ``(time, seq, callback)`` -- and the un-scrubbed end-of-run
+    fingerprint must be byte-equal, and the walks the candidate skipped
+    must be exactly the ones it accounts for as ``parked``.
+    """
+    from repro.conform.digest import RunDigest, fingerprint_network
+
+    def run(dense: bool):
+        digest = RunDigest()
+
+        def prepare(net) -> None:
+            if dense:
+                driver = net.slot_driver
+                driver.park = lambda switch, waves: driver.request_tick(switch)
+            net.sim.digest = digest
+
+        net = case(seed, prepare)
+        net.sim.digest = None
+        digest.absorb("network-state", fingerprint_network(net))
+        return digest.hexdigest(), net.slot_driver, len(net.switches)
+
+    ref_sha, dense, size = run(dense=True)
+    cand_sha, sparse, _ = run(dense=False)
+    walks = (dense.waves, dense.ticks)
+    accounted = (sparse.waves, sparse.ticks + sparse.parked)
+    record = {
+        "kind": "parking",
+        "case": label,
+        "seed": seed,
+        "digest": ref_sha,
+        "ticks_dense": dense.ticks,
+        "ticks": sparse.ticks,
+        "parked": sparse.parked,
+        "agreed": ref_sha == cand_sha and walks == accounted,
+    }
+    if record["agreed"]:
+        return None, record
+    if ref_sha != cand_sha:
+        where, reference, candidate = "run-digest", ref_sha, cand_sha
+    else:
+        where, reference, candidate = "waves,ticks+parked", walks, accounted
+    return Divergence(
+        kind="fastpath", pair="parking", seed=seed, size=size,
+        case=f"{label}:{where}", round=-1, port=-1,
+        reference=reference, candidate=candidate,
+    ), record
+
+
+def parking_sweep(
+    seeds: Sequence[int],
+) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
+    """:func:`compare_parking` over ``PARKING_CASES`` and a seed list."""
+    divergences: List[Divergence] = []
+    records: List[Dict[str, Any]] = []
+    for seed in seeds:
+        for label, case in PARKING_CASES.items():
+            divergence, record = compare_parking(case, label, seed)
+            if divergence is not None:
+                divergences.append(divergence)
+            records.append(record)
     return divergences, records

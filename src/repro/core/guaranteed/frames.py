@@ -22,7 +22,8 @@ primitives.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.constants import FRAME_SLOTS
 
@@ -47,6 +48,10 @@ class FrameSchedule:
         # Totals for admission checks: reservations per input / output.
         self._input_total: List[int] = [0] * n_ports
         self._output_total: List[int] = [0] * n_ports
+        self._total = 0
+        # (input, output) -> the slots reserved for the pair, ascending:
+        # what :meth:`next_slot` bisects.
+        self._slots_of: Dict[Tuple[int, int], List[int]] = {}
 
     # ------------------------------------------------------------------
     # queries
@@ -54,6 +59,23 @@ class FrameSchedule:
     def slot_assignments(self, slot: int) -> Dict[int, int]:
         """input -> output map for ``slot`` (a copy)."""
         return dict(self._by_input[slot])
+
+    def slot_view(self, slot: int) -> Mapping[int, int]:
+        """:meth:`slot_assignments` without the copy: the live map, for
+        the crossbar tick to read (never to change)."""
+        return self._by_input[slot]
+
+    def next_slot(
+        self, input_port: int, output_port: int, start: int = 0
+    ) -> Optional[int]:
+        """The first slot at or after ``start`` reserved for ``input_port
+        -> output_port``, wrapping round to the frame's first; ``None``
+        when the pair holds no slot."""
+        slots = self._slots_of.get((input_port, output_port))
+        if not slots:
+            return None
+        index = bisect_left(slots, start)
+        return slots[index] if index < len(slots) else slots[0]
 
     def output_of(self, slot: int, input_port: int) -> Optional[int]:
         return self._by_input[slot].get(input_port)
@@ -90,7 +112,7 @@ class FrameSchedule:
                 yield (slot, input_port, output_port)
 
     def total_reserved(self) -> int:
-        return sum(self._input_total)
+        return self._total
 
     def slots_used(self) -> int:
         """Number of slots with at least one reservation."""
@@ -125,6 +147,8 @@ class FrameSchedule:
         self._by_output[slot][output_port] = input_port
         self._input_total[input_port] += 1
         self._output_total[output_port] += 1
+        self._total += 1
+        insort(self._slots_of.setdefault((input_port, output_port), []), slot)
 
     def clear(self, slot: int, input_port: int) -> Tuple[int, int]:
         """Remove the reservation of ``input_port`` in ``slot``.
@@ -138,6 +162,11 @@ class FrameSchedule:
         del self._by_output[slot][output_port]
         self._input_total[input_port] -= 1
         self._output_total[output_port] -= 1
+        self._total -= 1
+        slots = self._slots_of[(input_port, output_port)]
+        del slots[bisect_left(slots, slot)]
+        if not slots:
+            del self._slots_of[(input_port, output_port)]
         return (input_port, output_port)
 
     def move(self, from_slot: int, to_slot: int, input_port: int) -> None:
@@ -182,6 +211,7 @@ class FrameSchedule:
         """
         input_totals = [0] * self.n_ports
         output_totals = [0] * self.n_ports
+        slots_of: Dict[Tuple[int, int], List[int]] = {}
         for slot in range(self.n_slots):
             by_input = self._by_input[slot]
             by_output = self._by_output[slot]
@@ -195,10 +225,15 @@ class FrameSchedule:
                     )
                 input_totals[input_port] += 1
                 output_totals[output_port] += 1
+                slots_of.setdefault((input_port, output_port), []).append(slot)
         if input_totals != self._input_total:
             raise ScheduleError("input totals out of sync")
         if output_totals != self._output_total:
             raise ScheduleError("output totals out of sync")
+        if sum(input_totals) != self._total:
+            raise ScheduleError("running total out of sync")
+        if slots_of != self._slots_of:
+            raise ScheduleError("per-pair slot index out of sync")
         for port in range(self.n_ports):
             if input_totals[port] > self.n_slots:
                 raise ScheduleError(f"input {port} over-committed")

@@ -28,7 +28,7 @@ sophisticated algorithm for building frame schedules".
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.constants import FRAME_SLOTS, NESTED_FRAME_SLOTS
 from repro.core.guaranteed.frames import FrameSchedule, ScheduleError
@@ -59,6 +59,7 @@ class NestedFrameSchedule:
         ]
         #: reservation ledger: (input, output) -> cells per outer frame.
         self._reservations: Dict[Tuple[int, int], int] = {}
+        self._total = 0
 
     # ------------------------------------------------------------------
     def _shares(self, cells: int) -> List[int]:
@@ -92,6 +93,7 @@ class NestedFrameSchedule:
                 moves += trace.displacements
         key = (input_port, output_port)
         self._reservations[key] = self._reservations.get(key, 0) + cells
+        self._total += cells
         return moves
 
     def release(self, input_port: int, output_port: int, cells: int) -> None:
@@ -102,6 +104,7 @@ class NestedFrameSchedule:
             for _ in range(share):
                 remove_cell(subframe, input_port, output_port)
         self._reservations[key] -= cells
+        self._total -= cells
         if self._reservations[key] == 0:
             del self._reservations[key]
 
@@ -113,8 +116,33 @@ class NestedFrameSchedule:
         subframe_index, offset = divmod(slot, self.subframe_slots)
         return self.subframes[subframe_index].slot_assignments(offset)
 
+    def slot_view(self, slot: int) -> Mapping[int, int]:
+        """:meth:`slot_assignments` without the range check or the copy
+        (see :meth:`FrameSchedule.slot_view`)."""
+        subframe_index, offset = divmod(slot, self.subframe_slots)
+        return self.subframes[subframe_index].slot_view(offset)
+
+    def next_slot(
+        self, input_port: int, output_port: int, start: int = 0
+    ) -> Optional[int]:
+        """The first outer-frame slot at or after ``start`` reserved for
+        ``input_port -> output_port``, wrapping round; ``None`` when the
+        pair holds no slot."""
+        first, offset = divmod(start, self.subframe_slots)
+        # The starting subframe comes up twice: from ``offset`` on, and
+        # (last) for the slots before it that the wrap reaches.
+        for step in range(self.n_subframes + 1):
+            index = (first + step) % self.n_subframes
+            found = self.subframes[index].next_slot(
+                input_port, output_port, offset
+            )
+            if found is not None and found >= offset:
+                return index * self.subframe_slots + found
+            offset = 0
+        return None
+
     def total_reserved(self) -> int:
-        return sum(self._reservations.values())
+        return self._total
 
     def max_gap_slots(self, input_port: int, output_port: int) -> int:
         """Largest gap (in slots) between consecutive service slots of a
@@ -147,3 +175,5 @@ class NestedFrameSchedule:
                 totals[key] = totals.get(key, 0) + 1
         if totals != self._reservations:
             raise ScheduleError("reservation ledger out of sync")
+        if sum(totals.values()) != self._total:
+            raise ScheduleError("running total out of sync")

@@ -358,7 +358,7 @@ class ScenarioRunner:
             "fault.clock_drift", switch=event.switch,
             drift_ppm=event.drift_ppm, index=index,
         )
-        switch.clock.set_drift(event.drift_ppm)
+        switch.set_clock_drift(event.drift_ppm)
 
     # ------------------------------------------------------------------
     # traffic

@@ -98,7 +98,7 @@ class Network:
         # Whether the wave was engaged, and why a switch was refused, as
         # snapshot-time reads of the driver's plain ints.
         driver_probes = self.registry.node("fabric.slot_driver")
-        for name in ("adopted", "refused_drift", "waves", "ticks"):
+        for name in ("adopted", "refused_drift", "waves", "ticks", "parked"):
             driver_probes.gauge(name, lambda name=name: getattr(driver, name))
         for node in topology.switches():
             config = base_config
@@ -140,12 +140,18 @@ class Network:
             )
             self.links[spec.endpoints] = link
             self._watch_link(f"link.{node_a}.{pa}-{node_b}.{pb}", link)
+        #: what :meth:`fully_reconfigured` compares against -- the main
+        #: component's agents and the view they should hold -- until a
+        #: link next changes state (links are only made above).
+        self._ground_truth: Optional[Tuple[list, TopologyView]] = None
         self._started = False
 
     def _watch_link(self, label: str, link: Link) -> None:
-        """Flight-record every state change of ``link`` under ``label``."""
+        """On every state change of ``link``: flight-record it under
+        ``label`` and drop the ground truth worked out before it."""
 
         def observer(_link: Link, state) -> None:
+            self._ground_truth = None
             self.recorder.record(
                 self.sim.now, label, "link.state", state=state.value
             )
@@ -297,10 +303,15 @@ class Network:
         """The largest working partition is idle and its shared view
         matches physical reality -- the success condition of the paper's
         pull-the-plug demo."""
-        component = self.main_component_switches()
-        if not component:
+        if self._ground_truth is None:
+            component = self.main_component_switches()
+            self._ground_truth = (
+                [self.switches[s].reconfig for s in component],
+                self.expected_view_for(component),
+            )
+        agents, expected = self._ground_truth
+        if not agents:
             return False
-        agents = [self.switches[s].reconfig for s in component]
         if any(a.active for a in agents):
             return False
         tags = {a.view_tag for a in agents}
@@ -309,7 +320,7 @@ class Network:
         views = {a.view for a in agents}
         if len(views) != 1:
             return False
-        return agents[0].view == self.expected_view_for(component)
+        return agents[0].view == expected
 
     def run_until_converged(self, timeout_us: float = 1_000_000.0) -> float:
         return self.run_until(self.converged, timeout_us=timeout_us)

@@ -68,6 +68,15 @@ class Port:
             return False
         return self.link.next_free(self._direction) <= now + slack
 
+    def free_at(self) -> Optional[float]:
+        """When the outbound wire can next start serializing a cell (a
+        time not after now: it is idle); ``None`` while the port is not
+        cabled or its link is down."""
+        link = self.link
+        if link is None or not link.working:
+            return None
+        return link.next_free(self._direction)
+
     def peer(self) -> Optional["Port"]:
         """The port at the other end of the cable, if any."""
         if self.link is None:

@@ -13,7 +13,7 @@ paper's constants can be written literally.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.conform.digest import RunDigest
@@ -58,9 +58,6 @@ class Event:
         if sim is not None:
             sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.3f} seq={self.seq} {state}>"
@@ -85,7 +82,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
+        #: heap of ``(time, seq, event)``: ``seq`` is unique, so heapq
+        #: orders entries on the first two fields, in C, and never
+        #: compares two events.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self._events_executed = 0
@@ -202,14 +202,17 @@ class Simulator:
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        # Written as "not >=" so a NaN, which compares false both ways
+        # and would silently break heap order, is refused as well.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, self._seq, callback, args)
+        seq = self._seq
+        event = Event(time, seq, callback, args)
         event._sim = self
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -227,8 +230,9 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled events and re-heapify (lazy-cancel reaping)."""
-        self._queue = [e for e in self._queue if not e.cancelled]
+        """Drop cancelled events and re-heapify (lazy-cancel reaping).
+        In place: a running loop holds the list itself."""
+        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -242,7 +246,7 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -264,19 +268,21 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
         try:
-            while self._queue:
-                head = self._queue[0]
+            while queue:
+                head = queue[0][2]
                 if head.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
                 if until is not None and head.time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 head._sim = None
                 self._live -= 1
                 self._now = head.time
@@ -307,7 +313,7 @@ class Simulator:
         digest = self._digest
         profiler = self._profiler
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -342,19 +348,21 @@ class Simulator:
         tracer = self._tracer
         digest = self._digest
         profiler = self._profiler
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
         try:
-            while self._queue:
-                head = self._queue[0]
+            while queue:
+                head = queue[0][2]
                 if head.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
                 if until is not None and head.time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 head._sim = None
                 self._live -= 1
                 self._now = head.time
@@ -386,10 +394,10 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_in_heap -= 1
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""

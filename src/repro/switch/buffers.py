@@ -172,3 +172,9 @@ class GuaranteedQueues:
             return None
         self._occupancy -= 1
         return queue.popleft()
+
+    def waiting(self) -> List[int]:
+        """Output ports with a guaranteed cell queued."""
+        if not self._occupancy:
+            return []
+        return [out_port for out_port, queue in self._queues.items() if queue]

@@ -236,7 +236,11 @@ class AN2Switch(Node):
         self.stats = SwitchStats()
         self._route_computer: Optional[RouteComputer] = None
         self._vc_in_port: Dict[VcId, int] = {}
+        #: ticks made plus, on the wave, slots sat out parked: the frame
+        #: position.  Short of :attr:`slot_index` while parked.
         self._slot_index = 0
+        #: a tick is coming at the next slot boundary (not set while
+        #: parked on the wave, so a kick then goes through).
         self._tick_scheduled = False
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
@@ -486,6 +490,8 @@ class AN2Switch(Node):
         self.stats.cells_dropped += discarded
         self._queued -= discarded
         self._forget(card, vc)
+        if discarded:
+            self._kick()  # the queue that kept this switch armed may be gone
         if entry is None:
             return ()
         out_ports = tuple(sorted(entry.out_ports or (entry.out_port,)))
@@ -524,9 +530,12 @@ class AN2Switch(Node):
     ) -> None:
         if isinstance(self.frame_schedule, NestedFrameSchedule):
             self.frame_schedule.release(in_port, out_port, cells_per_frame)
-            return
-        for _ in range(cells_per_frame):
-            remove_cell(self.frame_schedule, in_port, out_port)
+        else:
+            for _ in range(cells_per_frame):
+                remove_cell(self.frame_schedule, in_port, out_port)
+        # A reservation keeps its switch armed, so this one is: the kick
+        # un-parks it to notice that its last reservation may be gone.
+        self._kick()
 
     # ==================================================================
     # receive path
@@ -694,13 +703,22 @@ class AN2Switch(Node):
     # crossbar loop
     # ==================================================================
     def _kick(self) -> None:
+        """Tick at the next slot boundary.  Every edge that can make a
+        tick useful (a cell or credit in, a circuit or reservation
+        installed, a reroute) or end the arming (the last reservation or
+        queued cell removed) calls this; on a switch parked on the wave
+        (:meth:`_rearm`) it is what un-parks it."""
         if self._tick_scheduled:
             return
         self._tick_scheduled = True
         driver = self._slot_driver
-        if driver is not None and self.clock.drift_ppm == 0.0:
+        if driver is not None and (
+            self.clock.drift_ppm == 0.0 or driver.is_parked(self)
+        ):
             # Section 4's synchronized network: one kernel wave event
-            # ticks every drift-free switch due this slot.
+            # ticks every drift-free switch due this slot.  (A switch
+            # that parked before its clock began to drift leaves the
+            # wave through one last tick on it.)
             driver.request_tick(self)
             return
         # The asynchronous regime (a drifting oscillator, also after a
@@ -729,7 +747,7 @@ class AN2Switch(Node):
         used_outputs = 0
         reserved = self.frame_schedule.total_reserved()
         if reserved:
-            for in_port, out_port in self.frame_schedule.slot_assignments(
+            for in_port, out_port in self.frame_schedule.slot_view(
                 slot_index % self.config.frame_slots
             ).items():
                 if not ports[out_port].can_transmit_at(now, slack=slack):
@@ -787,9 +805,56 @@ class AN2Switch(Node):
                     entry.last_activity = now
                 self._transmit(out_port, cell, guaranteed=False)
 
-        # Keep ticking while any work (or any reservation) remains.
+        # Stay armed while any work (or any reservation) remains.
         if reserved or self._queued:
+            self._rearm(now, slack, reserved)
+
+    def _rearm(self, now: float, slack: float, reserved: int) -> None:
+        """Arm the tick after this one.  On a private timer that is the
+        next slot.  On the wave it is the first slot in which a cell can
+        move, by the tests :meth:`_slot_tick` itself applies: (i) some
+        wanted output's wire is free, (ii) the frame serves an (input,
+        output) pair with a guaranteed cell queued; with neither in
+        sight the switch parks until an edge kicks it."""
+        driver = self._slot_driver
+        if driver is None or self.clock.drift_ppm != 0.0:
             self._kick()
+            return
+        waves: Optional[int] = None
+        want = self.crossbar.want
+        if want:
+            # Wave times add up as the kernel's ``now + delay`` does, so
+            # each comparison is the one the tick at that wave will make.
+            slot_time = self.config.slot_time_us
+            wave_at = now + slot_time
+            ports = self.ports
+            free_at = None
+            for out_port in bits_of(want):
+                port_free_at = ports[out_port].free_at()
+                if port_free_at is None:
+                    # Down, and no edge will tell this switch when it is
+                    # back: as good as free, keep looking every slot.
+                    port_free_at = now
+                if free_at is None or port_free_at < free_at:
+                    free_at = port_free_at
+                    if free_at <= wave_at + slack:
+                        break
+            waves = 1
+            while free_at > wave_at + slack:
+                wave_at += slot_time
+                waves += 1
+        if reserved and self._queued and waves != 1:
+            frame_slots = self.config.frame_slots
+            next_slot = self._slot_index % frame_slots
+            schedule = self.frame_schedule
+            for card in self.cards:
+                for out_port in card.guaranteed_queues.waiting():
+                    slot = schedule.next_slot(card.index, out_port, next_slot)
+                    if slot is not None:
+                        until = (slot - next_slot) % frame_slots + 1
+                        if waves is None or until < waves:
+                            waves = until
+        self._tick_scheduled = not driver.park(self, waves)
 
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
         if cell.trace_ctx is not None:
@@ -837,11 +902,14 @@ class AN2Switch(Node):
             return False  # never page out a circuit with cells queued
         out_port = entry.out_port
         card.routing_table.paged[vc] = entry.request
-        self._queued -= card.release_vc(vc)
+        discarded = card.release_vc(vc)
+        self._queued -= discarded
         self._forget(card, vc)
         self.cards[out_port].upstream.pop(vc, None)
         self._refresh_output(out_port, vc)
         self._vc_in_port.pop(vc, None)
+        if discarded:
+            self._kick()
         self.send_signaling(out_port, PageOut(vc))
         self.stats.page_outs += 1
         return True
@@ -1029,6 +1097,24 @@ class AN2Switch(Node):
         return frozenset({(a, b) if a <= b else (b, a)})
 
     # ==================================================================
+    @property
+    def slot_index(self) -> int:
+        """Cell slots this switch's clock has counted while armed: one
+        per tick, and one per wave sat out parked."""
+        driver = self._slot_driver
+        if driver is None:
+            return self._slot_index
+        return self._slot_index + driver.sat_out(self)
+
+    def set_clock_drift(self, drift_ppm: float) -> None:
+        """Step the local oscillator (a clock-drift fault).  A switch
+        parked on the wave is un-parked, so it leaves the wave at the
+        next slot, as one walked every slot would."""
+        self.clock.set_drift(drift_ppm)
+        driver = self._slot_driver
+        if driver is not None and driver.is_parked(self):
+            self._kick()
+
     def buffered_cells(self) -> int:
         return self._queued
 

@@ -195,6 +195,39 @@ class TestFastpathOracle:
         assert record["agreed"]
         assert record["events_on"] < record["events_off"]
 
+    def test_parking_sweep_agrees(self):
+        """Sparse walk vs every armed switch every wave, on the cases
+        ``tools/run_conformance.py`` sweeps (the wider family is
+        ``tests/fastpath/test_parking.py``)."""
+        from repro.conform.oracle import parking_sweep
+
+        divergences, records = parking_sweep([4])
+        assert not divergences, str(divergences[0])
+        assert [r["case"] for r in records] == ["replay", "reserved", "chaos"]
+        assert all(r["agreed"] for r in records)
+        assert sum(r["parked"] for r in records) > 10_000
+
+    def test_parking_oracle_catches_a_missing_kick(self, monkeypatch):
+        """``remove_reservation`` did not kick before switches could
+        park.  Without it a switch whose last reservation goes while it
+        is parked keeps the wave chain alive for good: more waves, other
+        seqs -- the differential must say so."""
+        from repro.conform.oracle import compare_parking, reserved_case
+        from repro.core.guaranteed.slepian_duguid import remove_cell
+        from repro.switch.switch import AN2Switch
+
+        def remove_without_kick(self, in_port, out_port, cells_per_frame):
+            for _ in range(cells_per_frame):
+                remove_cell(self.frame_schedule, in_port, out_port)
+
+        monkeypatch.setattr(
+            AN2Switch, "remove_reservation", remove_without_kick
+        )
+        divergence, record = compare_parking(reserved_case, "reserved")
+        assert divergence is not None and not record["agreed"]
+        assert divergence.pair == "parking"
+        assert divergence.case == "reserved:run-digest"
+
 
 def test_runtime_import_graph_excludes_the_oracle():
     """``import repro`` loads neither ``repro.conform`` nor any module

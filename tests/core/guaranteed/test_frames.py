@@ -113,11 +113,74 @@ class TestConsistency:
         with pytest.raises(ScheduleError):
             schedule.check_consistent()
 
+    @pytest.mark.parametrize("attribute", ["_total", "_slots_of"])
+    def test_corrupt_tick_indexes_detected(self, attribute):
+        """The running total and the per-pair slot index the crossbar
+        tick reads are checked against the slot maps too."""
+        schedule = figure2_schedule()
+        if attribute == "_total":
+            schedule._total += 1
+        else:
+            schedule._slots_of[(1, 0)].pop()
+        with pytest.raises(ScheduleError):
+            schedule.check_consistent()
+
     def test_render_matches_figure2_layout(self):
         text = figure2_schedule().render()
         assert "Slot 1: 1->3  2->1  3->2" in text
         assert "Slot 2: 1->4  2->1  3->2  4->3" in text
         assert "Slot 3: 1->2  3->4  4->1" in text
+
+
+class TestTickQueries:
+    """What ``AN2Switch`` asks every tick, without copies or scans."""
+
+    def test_slot_view_is_the_live_map(self):
+        schedule = figure2_schedule()
+        view = schedule.slot_view(1)
+        assert view == schedule.slot_assignments(1)
+        schedule.clear(1, 3)
+        assert 3 not in view and 3 in figure2_schedule().slot_view(1)
+
+    def test_next_slot_wraps_round_the_frame(self):
+        schedule = figure2_schedule()  # 2->1 (0-based 1->0) in slots 0, 1
+        assert schedule.next_slot(1, 0) == 0
+        assert schedule.next_slot(1, 0, 1) == 1
+        assert schedule.next_slot(1, 0, 2) == 0  # wrapped
+        assert schedule.next_slot(3, 0, 0) == 2
+        assert schedule.next_slot(0, 0) is None  # no such reservation
+
+    def test_indexes_follow_every_primitive(self):
+        """Random place / clear / move (the Slepian-Duguid primitive)
+        against a scan of the slot maps, consistency checked throughout."""
+        import random
+
+        rng = random.Random(7)
+        schedule = FrameSchedule(5, 12)
+        for _ in range(600):
+            slot, i, o = rng.randrange(12), rng.randrange(5), rng.randrange(5)
+            try:
+                action = rng.choice(["place", "place", "clear", "move"])
+                if action == "place":
+                    schedule.place(slot, i, o)
+                elif action == "clear":
+                    schedule.clear(slot, i)
+                else:
+                    schedule.move(slot, rng.randrange(12), i)
+            except ScheduleError:
+                pass  # occupied / free: failed primitives change nothing
+            schedule.check_consistent()
+            assert schedule.total_reserved() == len(
+                list(schedule.reserved_pairs())
+            )
+            start = rng.randrange(12)
+            scan = [
+                (start + ahead) % 12 for ahead in range(12)
+                if schedule.output_of((start + ahead) % 12, i) == o
+            ]
+            assert schedule.next_slot(i, o, start) == (
+                scan[0] if scan else None
+            )
 
 
 def test_constructor_validation():

@@ -128,3 +128,40 @@ def test_reserve_validation():
     nested.reserve(0, 1, 16)
     with pytest.raises(ScheduleError):
         nested.reserve(0, 2, 1)
+
+
+def test_tick_queries_match_a_scan_of_the_outer_frame():
+    """``next_slot`` / ``slot_view`` / the running total against
+    ``slot_assignments`` over a nested schedule under reserve/release
+    churn -- subframe boundaries and the wrap included."""
+    rng = random.Random(3)
+    nested = NestedFrameSchedule(4, frame_slots=32, subframe_slots=8)
+    held = []
+    for _ in range(120):
+        if held and rng.random() < 0.4:
+            nested.release(*held.pop(rng.randrange(len(held))))
+        else:
+            i, o, cells = rng.randrange(4), rng.randrange(4), rng.randint(1, 9)
+            if nested.admits(i, o, cells):
+                nested.reserve(i, o, cells)
+                held.append((i, o, cells))
+        nested.check_consistent()
+        assert nested.total_reserved() == sum(cells for _, _, cells in held)
+        for i in range(4):
+            for o in range(4):
+                start = rng.randrange(32)
+                scan = [
+                    (start + ahead) % 32 for ahead in range(32)
+                    if nested.slot_assignments(
+                        (start + ahead) % 32
+                    ).get(i) == o
+                ]
+                assert nested.next_slot(i, o, start) == (
+                    scan[0] if scan else None
+                ), (i, o, start)
+        slot = rng.randrange(32)
+        assert nested.slot_view(slot) == nested.slot_assignments(slot)
+    assert held  # the churn left reservations to look for
+    nested._total += 1
+    with pytest.raises(ScheduleError):
+        nested.check_consistent()

@@ -84,6 +84,80 @@ class TestConvergencePredicates:
         assert len(net.expected_view().edges) == before
 
 
+class TestGroundTruthMemo:
+    """``fully_reconfigured()`` keeps the main component and the view it
+    should hold between link state changes instead of rebuilding both on
+    every poll."""
+
+    @staticmethod
+    def grid():
+        net = Network(
+            Topology.grid(2, 2), seed=4, switch_config=fast_switch_config()
+        )
+        net.start()
+        net.run_until_converged(timeout_us=500_000)
+        return net
+
+    @staticmethod
+    def uncached(net):
+        """The answer worked out from scratch, as every poll used to."""
+        component = Network.main_component_switches(net)
+        agents = [net.switches[s].reconfig for s in component]
+        if not agents or any(a.active for a in agents):
+            return False
+        if len({a.view_tag for a in agents}) != 1 or agents[0].view is None:
+            return False
+        expected = Network.expected_view_for(net, component)
+        return all(a.view == expected for a in agents)
+
+    def test_every_link_state_change_makes_it_stale(self):
+        net = self.grid()
+        assert net.fully_reconfigured()
+        truth = net._ground_truth
+        assert net.fully_reconfigured() and net._ground_truth is truth
+        for step in (
+            lambda: net.link_between("s0", "s1").fail(),
+            lambda: net.link_between("s0", "s1").restore(),
+            lambda: net.crash_switch("s3"),
+            lambda: net.restore_switch("s3"),
+        ):
+            step()
+            assert net._ground_truth is None
+            # Reality moved; the views have not caught up yet.
+            assert not net.fully_reconfigured()
+            assert net._ground_truth is not None
+            net.run_until(net.fully_reconfigured, timeout_us=500_000)
+            assert self.uncached(net)
+
+    def test_equals_the_uncached_answer_through_a_crash_cycle(self):
+        net = self.grid()
+        rebuilds = []
+        net.main_component_switches = lambda: (
+            rebuilds.append(net.now) or Network.main_component_switches(net)
+        )
+        answers = []
+
+        def poll(duration_us):
+            deadline = net.now + duration_us
+            while net.now < deadline:
+                answers.append(net.fully_reconfigured())
+                assert answers[-1] == self.uncached(net), net.now
+                net.run(50.0)
+
+        poll(1_000)
+        net.crash_switch("s1")
+        poll(30_000)
+        assert [str(s) for s in net.main_component_switches()] == [
+            "s0", "s2", "s3",
+        ]
+        net.restore_switch("s1")
+        poll(60_000)
+        assert answers[-1] and not all(answers)
+        # 1,820 polls, three ground truths: boot, crash, restore (plus
+        # the one direct call above).
+        assert len(answers) == 1_820 and len(rebuilds) == 3 + 1
+
+
 class TestIncrementalEpochInstall:
     def test_same_root_epoch_installs_incrementally(self):
         topo = Topology.grid(2, 3)

@@ -102,6 +102,42 @@ def test_schedule_at_in_the_past_rejected():
         sim.schedule_at(5.0, lambda: None)
 
 
+def test_nan_time_rejected():
+    """NaN compares false both ways: ``time < now`` let it through and it
+    then broke the heap's order for every event around it."""
+    sim = Simulator()
+    seen = []
+    for delay in (3.0, 1.0, 2.0):
+        sim.schedule(delay, seen.append, delay)
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), seen.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), seen.append, "nan")
+    assert sim.pending() == 3
+    sim.run()
+    assert seen == [1.0, 2.0, 3.0]
+
+
+def test_equal_times_are_fifo_and_events_are_never_compared():
+    """Heap entries order on ``(time, seq)`` alone: the events themselves
+    (and their callbacks) need no ordering, however times tie."""
+    from repro.sim.kernel import Event
+
+    assert "__lt__" not in vars(Event)
+    sim = Simulator()
+    seen = []
+    events = [
+        sim.schedule_at(time, seen.append, (time, index))
+        for index, time in enumerate([2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 0.0])
+    ]
+    assert [event.seq for event in events] == list(range(7))
+    assert [event.time for event in events] == [2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 0.0]
+    events[3].cancel()
+    assert sim.peek() == 0.0
+    sim.run()
+    assert seen == [(0.0, 6), (1.0, 1), (1.0, 4), (2.0, 0), (2.0, 2), (2.0, 5)]
+
+
 def test_step_returns_false_when_idle():
     sim = Simulator()
     assert sim.step() is False

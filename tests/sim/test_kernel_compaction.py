@@ -114,3 +114,29 @@ def test_pending_constant_through_storm():
         assert sim.pending() == live
     sim.run()
     assert executed[0] == live
+
+
+def test_compaction_inside_a_running_loop():
+    """An event that cancels most of the heap compacts it while ``run``
+    is iterating: the survivors still fire once each, in ``(time, seq)``
+    order, and nothing is left behind for a second run."""
+    sim = Simulator()
+    fired = []
+    events = [
+        sim.schedule_at(5.0 + index % 3, fired.append, index)
+        for index in range(200)
+    ]
+
+    def storm():
+        for index, event in enumerate(events):
+            if index % 4:
+                event.cancel()
+
+    sim.schedule_at(1.0, storm)
+    sim.run()
+    assert sim.compactions >= 1
+    survivors = [index for index in range(200) if index % 4 == 0]
+    assert fired == sorted(survivors, key=lambda index: (index % 3, index))
+    assert sim.heap_size == 0 and sim.pending() == 0
+    sim.run()
+    assert len(fired) == len(survivors)

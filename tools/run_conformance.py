@@ -8,14 +8,17 @@ contract") in three stages:
    (:func:`repro.conform.digest.digest_scenario`) several times in this
    process and once per ``PYTHONHASHSEED`` value in a subprocess; every
    run must produce the identical hex digest.
-2. **Differential sweep** -- three families: drives the reference
+2. **Differential sweep** -- four families: drives the reference
    matchers (``Pim``/``Islip``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
-   random topologies, and checks the default ``Network`` (slot wave,
-   :mod:`repro.fastpath`) against its detached private-timer reference:
-   same traffic outcomes, strictly fewer kernel events.  Any divergence
-   is reported as the first divergent case and fails the gate.
+   random topologies, checks the default ``Network`` (slot wave,
+   :mod:`repro.fastpath`) against its detached private-timer reference
+   -- same traffic outcomes, strictly fewer kernel events -- and checks
+   the wave's sparse walk (parked switches) against walking every armed
+   switch at every wave: the same kernel events, byte for byte.  Any
+   divergence is reported as the first divergent case and fails the
+   gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -42,6 +45,7 @@ sys.path.insert(0, str(SRC))
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
     matcher_sweep,
+    parking_sweep,
     routing_sweep,
     slot_driver_sweep,
 )
@@ -106,12 +110,15 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     # Each slot-driver case is two whole-Network replays; two seeds keep
     # the stage proportionate to the matcher sweep.
     driver_div, driver_corpus = slot_driver_sweep(seeds[:2])
-    found = divergences + routing_div + driver_div
+    # Three whole-Network cases a seed (replay, reserved, chaos), twice.
+    parking_div, parking_corpus = parking_sweep(seeds[:3])
+    found = divergences + routing_div + driver_div + parking_div
     label = "OK" if not found else "FAIL"
     print(
-        f"      3 families: {len(corpus)} matcher cases + "
+        f"      4 families: {len(corpus)} matcher cases + "
         f"{len(routing_corpus)} routing cases + "
-        f"{len(driver_corpus)} slot-driver cases -> "
+        f"{len(driver_corpus)} slot-driver cases + "
+        f"{len(parking_corpus)} parking cases -> "
         f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
     for div in found:
