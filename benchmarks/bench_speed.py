@@ -195,9 +195,9 @@ def _run_obs_overhead(traced: bool) -> SpeedResult:
     hosts) boots and converges untimed; the timed region carries
     Poisson packet traffic over one circuit.
     The ``traced`` variant attaches a live :class:`~repro.obs.Tracer`
-    with every category enabled (kernel instrumentation swap + journey
-    contexts on every sampled cell) *after* boot, so the pair measures
-    exactly what always-on diagnosis costs a hot simulation.  The
+    with every category enabled (protocol records + journey contexts on
+    every cell) *after* boot, so the pair measures exactly what
+    always-on diagnosis costs a hot simulation.  The
     flight recorder is attached in both variants -- it is part of the
     network's steady state by design.
 
@@ -260,7 +260,7 @@ WORKLOADS: List[SpeedWorkload] = [
     ),
     SpeedWorkload(
         "obs_overhead_traced",
-        "Network: same traffic with full Tracer (kernel + journey) attached",
+        "Network: same traffic with full Tracer (journey) attached",
         lambda: _run_obs_overhead(True),
         quick=True,
     ),

@@ -26,8 +26,8 @@ def main() -> None:
     result = ScenarioRunner(net, plan, loads).run()
     print(result.report())
     print()
-    counters = net.metrics_snapshot()["faults"]["counters"]
-    print(f"credit cells destroyed: {counters.get('credit_cells_dropped', 0)}")
+    gauges = net.metrics_snapshot()["faults"]["gauges"]
+    print(f"credit cells destroyed: {gauges['credit_cells_dropped']}")
     stalls = sum(
         u.stalls
         for s in net.switches.values()

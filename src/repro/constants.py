@@ -43,6 +43,13 @@ FRAME_TIME_US = FRAME_SLOTS * FAST_CELL_TIME_US
 #: PIM iterations run by the AN2 hardware (section 3).
 AN2_PIM_ITERATIONS = 3
 
+#: Hardware-assisted ping turnaround at a switch or host controller.
+PING_REPLY_DELAY_US = 1.0
+
+#: Cells a line card holds for a circuit whose route is not installed
+#: yet (or is paged out), per card.
+PENDING_BUFFER_CAP = 1024
+
 #: The paper's expected PIM bound: average iterations to a maximal match
 #: <= log2(N) + 4/3, i.e. 5.32 for the 16x16 switch.
 def pim_iteration_bound(ports: int) -> float:

@@ -21,13 +21,14 @@ perturbs the randomness seen by the others, and the whole scenario
 replays exactly from the network seed.
 
 Observability: each fault opens a ``faults``-category trace span
-(``fault.<kind>.begin`` / ``.end``) and bumps counters under the
-``faults`` metrics node, so ``tools/trace_report.py`` timelines show
-fault windows against reconfiguration activity.
+(``fault.<kind>.begin`` / ``.end``) and bumps a count read by a gauge
+under the ``faults`` metrics node, so ``tools/trace_report.py``
+timelines show fault windows against reconfiguration activity.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -171,6 +172,63 @@ def _check_targets(net: Network, plan: FaultPlan) -> None:
             ) from exc
 
 
+#: What a fault sets on a cable and puts back when it ends.  Two events
+#: of one family on a common cable in overlapping windows undo each
+#: other: each restores what it saw when it began.
+_FAMILIES = {
+    LinkCut: "link state",
+    LinkFlap: "link state",
+    SwitchCrash: "link state",
+    ErrorRateStep: "error rate",
+    CreditLossBurst: "credit drop filter",
+}
+
+
+def _check_overlaps(net: Network, plan: FaultPlan) -> None:
+    """Refuse two events of one family touching a common cable in
+    overlapping windows (a permanent fault's window never closes)."""
+    claims = []
+    for event in plan:
+        family = _FAMILIES.get(type(event))
+        if family is None:
+            continue
+        if isinstance(event, SwitchCrash):
+            node = parse_node_id(event.switch)
+            cables = {
+                id(link) for ((na, _), (nb, _)), link in net.links.items()
+                if node in (na, nb)
+            }
+        else:
+            cables = {id(net.link_between(event.a, event.b))}
+        # Only the permanent kinds have end_us == at_us.
+        end = event.end_us if event.end_us > event.at_us else math.inf
+        for other, other_family, other_cables, other_end in claims:
+            if (
+                family == other_family
+                and cables & other_cables
+                and event.at_us <= other_end
+                and other.at_us <= end
+            ):
+                raise ScenarioError(
+                    f"{other.describe()} and {event.describe()} both set "
+                    f"the {family} of one cable in overlapping windows"
+                )
+        claims.append((event, family, cables, end))
+
+
+#: The ``faults`` node's gauges, one per count the runner keeps.
+_FAULT_COUNTS = (
+    "events_applied",
+    "link_cuts",
+    "flap_transitions",
+    "switch_crashes",
+    "credit_bursts",
+    "error_rate_steps",
+    "clock_drift_steps",
+    "credit_cells_dropped",
+)
+
+
 class ScenarioRunner:
     """Drives one :class:`FaultPlan` against one :class:`Network`."""
 
@@ -187,6 +245,7 @@ class ScenarioRunner:
         solution: Optional["Solution"] = None,
     ) -> None:
         _check_targets(net, plan)
+        _check_overlaps(net, plan)
         self.net = net
         self.plan = plan
         self.loads = tuple(loads)
@@ -210,8 +269,10 @@ class ScenarioRunner:
         if recorder is not None and flight_dir:
             recorder.auto_dump_dir = flight_dir
         self._streams = net.streams.fork("faults")
-        self._probes = net.registry.node("faults")
-        self._events_applied = self._probes.counter("events_applied")
+        self.counts: Dict[str, int] = dict.fromkeys(_FAULT_COUNTS, 0)
+        probes = net.registry.node("faults")
+        for name in _FAULT_COUNTS:
+            probes.gauge(name, lambda name=name: self.counts[name])
         self.sent: Dict[int, List[Packet]] = {}
         self.sampled_violations: List[str] = []
         self._undo: List[Callable[[], None]] = []
@@ -236,9 +297,9 @@ class ScenarioRunner:
         if recorder is not None:
             recorder.record(self.net.now, "faults", name, **payload)
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self._probes.counter(name).increment(amount)
-        self._events_applied.increment(amount)
+    def _count(self, name: str) -> None:
+        self.counts[name] += 1
+        self.counts["events_applied"] += 1
 
     # ------------------------------------------------------------------
     # fault application (all run as scheduled simulator events)
@@ -321,7 +382,7 @@ class ScenarioRunner:
         )
         self._count("credit_bursts")
         previous = link.drop_filter
-        dropped = self._probes.counter("credit_cells_dropped")
+        counts = self.counts
 
         def burst_filter(cell: Cell) -> bool:
             if previous is not None and previous(cell):
@@ -334,7 +395,7 @@ class ScenarioRunner:
                 # recovery protocol itself survives the burst.
                 return False
             if rng.random() < event.probability:
-                dropped.increment()
+                counts["credit_cells_dropped"] += 1
                 return True
             return False
 
@@ -343,7 +404,10 @@ class ScenarioRunner:
         def end_burst() -> None:
             link.drop_filter = previous
             if span is not None:
-                span.end(self.net.now, credits_dropped=dropped.value)
+                span.end(
+                    self.net.now,
+                    credits_dropped=counts["credit_cells_dropped"],
+                )
 
         self.net.sim.schedule_at(t0 + event.end_us, end_burst)
 
@@ -538,7 +602,7 @@ class ScenarioRunner:
             invariants=invariants,
             sent=self.sent,
             delivered=delivered,
-            faults_applied=self._events_applied.value,
+            faults_applied=self.counts["events_applied"],
             sampled_violations=self.sampled_violations,
             flight_dump=flight_dump,
             solution_name=(

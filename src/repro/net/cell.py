@@ -83,8 +83,8 @@ class Cell:
     #: token frees the input buffer when the last copy departs.
     fanout_token: Any = None
     #: journey-trace context (:class:`repro.obs.journey.JourneyContext`),
-    #: attached by the source host only for sampled cells under an active
-    #: journey trace; ``None`` for everything else, and every hop's
+    #: attached by the source host only while a journey trace is active;
+    #: ``None`` for everything else, and every hop's
     #: instrumentation guard is just this ``is not None`` check.
     trace_ctx: Any = None
     uid: int = field(default_factory=lambda: next(_cell_ids))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro._types import NodeId, VcId
+from repro.constants import PING_REPLY_DELAY_US
 from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.reconfig.monitor import (
     PortMonitor,
@@ -66,7 +67,6 @@ class HostConfig:
     skeptic_base_wait_us: float = 10_000.0
     skeptic_max_level: int = 8
     skeptic_decay_us: float = 1_000_000.0
-    ping_reply_delay_us: float = 1.0
     #: after failing over to the alternate link, automatically re-emit
     #: setup cells for open best-effort circuits (guaranteed circuits
     #: need re-admission and are left to the application).
@@ -426,10 +426,7 @@ class Host(Node):
             self._accept_credit(port, cell)
         elif kind is CellKind.PING:
             self.sim.schedule(
-                self.config.ping_reply_delay_us,
-                self._reply_ping,
-                port.index,
-                cell.payload,
+                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
             )
         elif kind is CellKind.PING_ACK:
             monitor = self.monitors.get(port.index)

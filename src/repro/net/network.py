@@ -144,6 +144,8 @@ class Network:
         #: component's agents and the view they should hold -- until a
         #: link next changes state (links are only made above).
         self._ground_truth: Optional[Tuple[list, TopologyView]] = None
+        #: (view tag, central) behind :meth:`reserve_bandwidth`'s default.
+        self._central: Optional[Tuple[object, BandwidthCentral]] = None
         self._started = False
 
     def _watch_link(self, label: str, link: Link) -> None:
@@ -445,10 +447,16 @@ class Network:
         model the notification latency as one control delay per hop from
         the central switch (the bookkeeping itself is exact -- see
         DESIGN.md's substitution table).
+
+        Without ``central``, admission runs against the network's one
+        central of the current epoch, built on first use and kept while
+        the view tag is unchanged, so every call sees the reservations
+        admitted before it.  A request that would over-commit a link
+        raises :class:`ReservationDenied` here and schedules nothing.
         """
         src, dst = parse_node_id(source), parse_node_id(destination)
         if central is None:
-            central = self.bandwidth_central()
+            central = self._epoch_central()
         reservation = central.request(src, dst, cells_per_frame)
         vc = self.vc_allocator.allocate()
         circuit = VirtualCircuit(
@@ -591,6 +599,14 @@ class Network:
             heuristic=heuristic,
             capacities=capacities,
         )
+
+    def _epoch_central(self) -> BandwidthCentral:
+        """The default admission service: one per epoch (view tag)."""
+        self.converged_view()  # raises unless converged
+        tag = next(iter(self.switches.values())).reconfig.view_tag
+        if self._central is None or self._central[0] != tag:
+            self._central = (tag, self.bandwidth_central())
+        return self._central[1]
 
     # ==================================================================
     # fault injection

@@ -18,7 +18,6 @@ from repro.sim.kernel import Simulator
 _MONITOR_FIELDS = (
     "ping_interval_us",
     "ack_timeout_us",
-    "ping_reply_delay_us",
     "skeptic_base_wait_us",
     "skeptic_decay_us",
     "skeptic_max_level",

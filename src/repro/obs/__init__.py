@@ -1,4 +1,4 @@
-"""Observability: tracing, flight recording, profiling, and metrics.
+"""Observability: tracing, flight recording, and metrics.
 
 The cooperating pieces:
 
@@ -6,18 +6,20 @@ The cooperating pieces:
   (category, component, name, payload) with span support, serialized to
   JSON Lines and rendered by ``tools/trace_report.py``;
 - :class:`~repro.obs.journey.JourneyContext` -- causal per-hop records
-  for sampled cells, segmentation to reassembly, feeding the
+  for every traced cell, segmentation to reassembly, feeding the
   critical-path analyzer (``trace_report.py --section journey``);
 - :class:`~repro.obs.flight.FlightRecorder` -- always-on bounded rings
   of recent protocol events per switch/link/host, dumped to JSONL when
   an invariant fails, an exception escapes the kernel, or a digest
   mismatch is detected;
-- :class:`~repro.obs.profiler.SubsystemProfiler` -- deterministic
-  kernel-dispatch event counts (plus optional wall time) attributed to
-  subsystems;
 - :class:`~repro.obs.registry.MetricsRegistry` -- hierarchical
-  ownership of the :class:`~repro.sim.monitor.ProbeSet` probes that the
-  switch, host, and fabric models feed, snapshot-able to JSON.
+  ownership of the :class:`~repro.sim.monitor.ProbeSet` tallies and
+  gauges that the switch, host, and fault models feed, snapshot-able to
+  JSON.
+
+Per-event profiling is not here: ``Simulator.profiler`` takes any object
+with ``dispatch(callback, args)``, and ``benchmarks/e2e/spans.py`` owns
+the one that builds the per-layer table.
 
 A process-wide *capture* ties the two together for the benchmark escape
 hatch: ``pytest benchmarks/ --trace-out=DIR`` opens a capture around each
@@ -34,7 +36,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs.flight import FlightRecorder, next_dump_path
 from repro.obs.journey import JourneyContext, attach_journey
-from repro.obs.profiler import SubsystemProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, TraceRecord, Tracer, read_jsonl
 
@@ -44,7 +45,6 @@ __all__ = [
     "JourneyContext",
     "MetricsRegistry",
     "Span",
-    "SubsystemProfiler",
     "TraceRecord",
     "Tracer",
     "active_capture",

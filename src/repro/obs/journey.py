@@ -1,4 +1,4 @@
-"""Causal cell-journey tracing: per-hop records for sampled cells.
+"""Causal cell-journey tracing: per-hop records for traced cells.
 
 A :class:`JourneyContext` rides on a :class:`~repro.net.cell.Cell` (its
 ``trace_ctx`` field) from host segmentation to reassembly.  Every
@@ -14,13 +14,11 @@ the triggering event), so the critical-path analyzer in
 Propagation rules:
 
 - Contexts are attached only at the *source host*, by
-  :func:`attach_journey`, and only when the simulator's tracer has the
-  ``journey`` category enabled.  Every 1-in-``journey_every`` packet is
-  sampled (``Tracer.journey_every``, default 1: every packet while the
-  category is enabled).
+  :func:`attach_journey`, to every packet sent while the simulator's
+  tracer has the ``journey`` category enabled.
 - Every downstream instrumentation site guards with a single
-  ``cell.trace_ctx is not None`` attribute check; unsampled cells (and
-  all cells in untraced runs) pay exactly that check and nothing else.
+  ``cell.trace_ctx is not None`` attribute check; cells of untraced
+  runs pay exactly that check and nothing else.
 - Multicast fanout copies a cell with ``dataclasses.replace``, so
   branch copies *share* one context: the journey shows the union of all
   branches' hops, interleaved in time order.
@@ -46,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class JourneyContext:
-    """The trace context one sampled cell carries hop to hop."""
+    """The trace context one traced cell carries hop to hop."""
 
     __slots__ = ("tracer", "cell_uid", "packet_id", "vc", "hops")
 
@@ -79,18 +77,9 @@ class JourneyContext:
 
 def attach_journey(
     tracer: "Tracer", cells: List[Any], now: float, component: str
-) -> bool:
-    """Maybe attach journey contexts to one packet's worth of cells.
-
-    Applies the tracer's 1-in-``journey_every`` packet sampling; when the
-    packet is sampled, every cell gets its own context and an immediate
-    ``segment`` record.  Returns whether the packet was sampled.
-    """
-    seen = tracer._journey_seen
-    tracer._journey_seen = seen + 1
-    every = tracer.journey_every
-    if every > 1 and seen % every:
-        return False
+) -> None:
+    """Attach journey contexts to one packet's worth of cells: every
+    cell gets its own context and an immediate ``segment`` record."""
     for cell in cells:
         ctx = JourneyContext(tracer, cell.uid, cell.packet_id, cell.vc)
         cell.trace_ctx = ctx
@@ -98,4 +87,3 @@ def attach_journey(
             now, component, "segment",
             seq=cell.seq, eop=cell.end_of_packet,
         )
-    return True

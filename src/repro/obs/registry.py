@@ -1,15 +1,15 @@
 """A hierarchical registry of measurement probes.
 
-Components used to hand-roll their own ``Tally``/``Counter`` instances,
-which left every experiment to rediscover where the numbers lived.  The
+Components used to hand-roll their own probe instances, which left every
+experiment to rediscover where the numbers lived.  The
 :class:`MetricsRegistry` owns one
 :class:`~repro.sim.monitor.ProbeSet` per *component node* -- a
 dot-separated path such as ``switch.3.crossbar`` or ``host.h0`` -- and
 every probe inside a node is addressed as ``<node path>.<probe name>``
 (``switch.3.crossbar.iterations_to_maximal``).
 
-The registry is pull-based: components register probes (or gauges over
-their existing plain-int counters) at construction time and mutate them
+The registry is pull-based: components register tallies, or gauges over
+their existing plain-int counters, at construction time and mutate them
 on their hot paths exactly as before; :meth:`snapshot` walks the tree
 only when an experiment asks for it, so registration costs nothing per
 cell.
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Union
 
-from repro.sim.monitor import ProbeSet, Tally
+from repro.sim.monitor import Gauge, ProbeSet, Tally
 
 
 def _validate_path(path: str) -> str:
@@ -68,19 +68,11 @@ class MetricsRegistry:
             )
         return node_path, name
 
-    def counter(self, path: str):
+    def tally(self, path: str) -> Tally:
         node_path, name = self._split(path)
-        return self.node(node_path).counter(name)
+        return self.node(node_path).tally(name)
 
-    def tally(self, path: str, max_samples: Optional[int] = None) -> Tally:
-        node_path, name = self._split(path)
-        return self.node(node_path).tally(name, max_samples=max_samples)
-
-    def time_series(self, path: str):
-        node_path, name = self._split(path)
-        return self.node(node_path).time_series(name)
-
-    def gauge(self, path: str, fn: Callable[[], float]):
+    def gauge(self, path: str, fn: Callable[[], float]) -> Gauge:
         node_path, name = self._split(path)
         return self.node(node_path).gauge(name, fn)
 
@@ -98,9 +90,3 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as stream:
             json.dump(self.snapshot(), stream, indent=2, sort_keys=True)
             stream.write("\n")
-
-    def reset(self) -> None:
-        """Zero every probe in every node (gauges are left alone: they
-        read live component state)."""
-        for probes in self._nodes.values():
-            probes.reset()

@@ -8,13 +8,11 @@ Design constraints, in order of importance:
 
 1. **Disabled means free.**  Nothing in this module is on any hot path;
    instrumentation sites guard every emission with a single
-   ``sim.tracer is not None`` (or local ``tracer is not None``) check, and
-   the kernel swaps in traced step/run implementations only while a
-   tracer is attached, so the untraced event loop never references
-   tracing at all.
+   ``sim.tracer is not None`` (or local ``tracer is not None``) check.
+   ``Simulator.tracer`` is a plain attribute that protocol code reads at
+   call time; the kernel's event loop never references tracing at all.
 2. **Explicit time.**  Records carry the timestamp the *caller* supplies
-   (simulated microseconds for event-driven models, the slot index for
-   the slot-synchronous fabrics).  The tracer itself is clockless, so one
+   (simulated microseconds).  The tracer itself is clockless, so one
    tracer can serve several simulators without ambiguity.
 3. **Plain data out.**  Payload values that are not JSON-native are
    stringified on export, so protocol code can attach ``NodeId``\\ s,
@@ -22,29 +20,18 @@ Design constraints, in order of importance:
 
 Categories used by the built-in instrumentation:
 
-- ``kernel``       event executions (traced :class:`~repro.sim.kernel.Simulator`)
 - ``reconfig``     epoch lifecycle, skeptic verdicts, port-monitor timeouts
 - ``flowcontrol``  credit grants, stall/unstall transitions, resync rounds
-- ``fabric``       per-slot match rounds and VOQ active/idle transitions
-- ``journey``      per-hop causal records for sampled cells
-  (:mod:`repro.obs.journey`; sampling via :attr:`Tracer.journey_every`)
+- ``faults``       fault-injection spans (:mod:`repro.faults.runner`)
+- ``journey``      per-hop causal records for every packet's cells
+  (:mod:`repro.obs.journey`)
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    TextIO,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, Optional, Set, TextIO, Union
 
 
 class TraceRecord:
@@ -132,34 +119,17 @@ class Tracer:
     """An in-memory trace buffer with category filtering.
 
     Args:
-        categories: if given, only these categories are recorded (cheap
-            way to keep e.g. ``kernel`` event firehoses out of a
-            protocol-level trace).
-        max_records: optional bound; once reached, further emissions are
-            counted in :attr:`dropped` instead of stored.
-        journey_every: cell-journey packet sampling rate -- hosts attach
-            a :class:`~repro.obs.journey.JourneyContext` to every
-            1-in-``journey_every`` packet (default 1: every packet while
-            the ``journey`` category is enabled).
+        categories: if given, only these categories are recorded (e.g.
+            a protocol-level trace without the per-cell ``journey``
+            records, which hosts attach only while that category is
+            enabled).
     """
 
-    def __init__(
-        self,
-        categories: Optional[Iterable[str]] = None,
-        max_records: Optional[int] = None,
-        journey_every: int = 1,
-    ) -> None:
+    def __init__(self, categories: Optional[Iterable[str]] = None) -> None:
         self.records: List[TraceRecord] = []
         self.categories: Optional[Set[str]] = (
             set(categories) if categories is not None else None
         )
-        self.max_records = max_records
-        self.dropped = 0
-        if journey_every < 1:
-            raise ValueError(f"journey_every must be >= 1, got {journey_every}")
-        self.journey_every = journey_every
-        #: packets considered for journey sampling so far (all hosts).
-        self._journey_seen = 0
 
     # ------------------------------------------------------------------
     def enabled(self, category: str) -> bool:
@@ -171,9 +141,6 @@ class Tracer:
     ) -> None:
         """Record one event at time ``t``."""
         if self.categories is not None and category not in self.categories:
-            return
-        if self.max_records is not None and len(self.records) >= self.max_records:
-            self.dropped += 1
             return
         self.records.append(TraceRecord(t, category, component, name, payload))
 
@@ -204,10 +171,6 @@ class Tracer:
             and (name is None or r.name == name)
         ]
 
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -232,6 +195,3 @@ def read_jsonl(path: Union[str, "os.PathLike[str]"]) -> List[Dict[str, Any]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-PathLike = Union[str, "os.PathLike[str]"]

@@ -24,17 +24,16 @@ units.
 
 from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Event, Simulator
-from repro.sim.monitor import Counter, Tally, TimeSeries
+from repro.sim.monitor import Gauge, Tally
 from repro.sim.random import RandomStreams
 from repro.sim.signal import Signal
 
 __all__ = [
-    "Counter",
     "DriftingClock",
     "Event",
+    "Gauge",
     "RandomStreams",
     "Signal",
     "Simulator",
     "Tally",
-    "TimeSeries",
 ]

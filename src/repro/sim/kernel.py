@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.conform.digest import RunDigest
     from repro.obs.flight import FlightRecorder
-    from repro.obs.profiler import SubsystemProfiler
     from repro.obs.trace import Tracer
 
 
@@ -92,47 +91,35 @@ class Simulator:
         self._live = 0  # queued, non-cancelled events (O(1) pending())
         self._cancelled_in_heap = 0
         self._compactions = 0
-        self._tracer: Optional["Tracer"] = None
         self._digest: Optional["RunDigest"] = None
-        self._profiler: Optional["SubsystemProfiler"] = None
+        self._profiler: Optional[Any] = None
+        #: optional :class:`~repro.obs.trace.Tracer`.  A plain attribute:
+        #: protocol code reads it at call time at its own transition
+        #: points, and the kernel never consults it, so attaching one
+        #: leaves the hot loop as the class-level bytecode.
+        self.tracer: Optional["Tracer"] = None
         #: optional :class:`~repro.obs.flight.FlightRecorder`.  A plain
-        #: attribute, deliberately *not* part of the instrumentation
-        #: swap: the recorder is never consulted per event, only when an
-        #: exception escapes :meth:`run` (and by protocol code at its own
-        #: transition points), so attaching one leaves the hot loop as
-        #: the class-level bytecode.
+        #: attribute too: the recorder is never consulted per event, only
+        #: when an exception escapes :meth:`run` (and by protocol code at
+        #: its own transition points).
         self.recorder: Optional["FlightRecorder"] = None
 
     # ------------------------------------------------------------------
-    # instrumentation (tracing + run digest + profiling)
+    # instrumentation (run digest + profiler hook)
     # ------------------------------------------------------------------
-    # Attaching a tracer, digest, or profiler swaps per-instance
-    # instrumented implementations of step/run into the instance dict;
-    # detaching all of them removes them so lookups fall back to the
-    # class methods.  The uninstrumented bytecode therefore contains no
-    # tracer/digest/profiler checks at all -- the disabled hot path is
-    # the original hot path, byte for byte.
+    # Attaching a digest or a profiler swaps per-instance instrumented
+    # implementations of step/run into the instance dict; detaching both
+    # removes them so lookups fall back to the class methods.  The
+    # uninstrumented bytecode therefore contains no digest/profiler
+    # checks at all -- the disabled hot path is the original hot path,
+    # byte for byte.
     def _refresh_instrumentation(self) -> None:
-        if (
-            self._tracer is not None
-            or self._digest is not None
-            or self._profiler is not None
-        ):
+        if self._digest is not None or self._profiler is not None:
             self.__dict__["step"] = self._step_instrumented
             self.__dict__["run"] = self._run_instrumented
         else:
             self.__dict__.pop("step", None)
             self.__dict__.pop("run", None)
-
-    @property
-    def tracer(self) -> Optional["Tracer"]:
-        """The attached :class:`~repro.obs.trace.Tracer`, or ``None``."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Optional["Tracer"]) -> None:
-        self._tracer = tracer
-        self._refresh_instrumentation()
 
     @property
     def digest(self) -> Optional["RunDigest"]:
@@ -150,17 +137,20 @@ class Simulator:
         self._refresh_instrumentation()
 
     @property
-    def profiler(self) -> Optional["SubsystemProfiler"]:
-        """The attached :class:`~repro.obs.profiler.SubsystemProfiler`.
+    def profiler(self) -> Optional[Any]:
+        """The attached profiler hook, or ``None``.
 
-        While attached, every dispatched event is classified into a
-        subsystem and counted (optionally wall-timed); counts are
-        deterministic for a fixed seed, like the run digest.
+        Any object with ``dispatch(callback, args)``.  While attached,
+        the kernel hands it every event instead of calling
+        ``callback(*args)`` itself; the hook must make that call exactly
+        once, so a profiled run dispatches the same events in the same
+        order as an unprofiled one.  ``benchmarks/e2e/spans.py``'s
+        ``SpanRecorder`` is the hook behind the per-layer table.
         """
         return self._profiler
 
     @profiler.setter
-    def profiler(self, profiler: Optional["SubsystemProfiler"]) -> None:
+    def profiler(self, profiler: Optional[Any]) -> None:
         self._profiler = profiler
         self._refresh_instrumentation()
 
@@ -304,12 +294,11 @@ class Simulator:
             self._running = False
 
     # ------------------------------------------------------------------
-    # instrumented execution (installed per-instance by the tracer,
-    # digest, and profiler setters via _refresh_instrumentation)
+    # instrumented execution (installed per-instance by the digest and
+    # profiler setters via _refresh_instrumentation)
     # ------------------------------------------------------------------
     def _step_instrumented(self) -> bool:
-        """:meth:`step` plus tracer/digest/profiler hooks per event."""
-        tracer = self._tracer
+        """:meth:`step` plus digest/profiler hooks per event."""
         digest = self._digest
         profiler = self._profiler
         while self._queue:
@@ -321,14 +310,6 @@ class Simulator:
             self._live -= 1
             self._now = event.time
             self._events_executed += 1
-            if tracer is not None:
-                tracer.emit(
-                    event.time, "kernel", "sim", "event",
-                    seq=event.seq,
-                    callback=getattr(
-                        event.callback, "__qualname__", repr(event.callback)
-                    ),
-                )
             if digest is not None:
                 digest.observe(event.time, event.seq, event.callback)
             if profiler is None:
@@ -341,11 +322,10 @@ class Simulator:
     def _run_instrumented(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
-        """:meth:`run` plus tracer/digest/profiler hooks per event."""
+        """:meth:`run` plus digest/profiler hooks per event."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        tracer = self._tracer
         digest = self._digest
         profiler = self._profiler
         queue = self._queue
@@ -368,14 +348,6 @@ class Simulator:
                 self._now = head.time
                 self._events_executed += 1
                 executed += 1
-                if tracer is not None:
-                    tracer.emit(
-                        head.time, "kernel", "sim", "event",
-                        seq=head.seq,
-                        callback=getattr(
-                            head.callback, "__qualname__", repr(head.callback)
-                        ),
-                    )
                 if digest is not None:
                     digest.observe(head.time, head.seq, head.callback)
                 if profiler is None:

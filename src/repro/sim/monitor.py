@@ -1,9 +1,10 @@
-"""Measurement probes: counters, tallies, gauges, and time series.
+"""Measurement probes: tallies and gauges.
 
 The benchmark harness reports latency percentiles, throughput, buffer
-occupancy peaks, message counts, and reconfiguration durations; these small
-accumulators are used throughout the switch and network models to collect
-them without coupling the models to any particular experiment.
+occupancy peaks, message counts, and reconfiguration durations.  Every
+one of them is either a :class:`Tally` of samples or a :class:`Gauge`
+over a count its component already keeps, so the switch and network
+models collect them without coupling to any particular experiment.
 
 A :class:`ProbeSet` groups the probes of one component instance; the
 hierarchical :class:`~repro.obs.registry.MetricsRegistry` owns one probe
@@ -13,28 +14,7 @@ set per component node and snapshots the whole tree to plain dicts.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.sim.random import derived_stream
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self.name!r}, {self.value})"
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class Gauge:
@@ -60,105 +40,31 @@ class Gauge:
 
 
 class Tally:
-    """Sample accumulator with mean / variance / percentiles.
+    """Sample accumulator with mean / variance / exact percentiles.
 
-    Two storage modes:
-
-    - **exact** (default, ``max_samples=None``): stores every sample,
-      reports exact percentiles.  ``record`` stays a bare append so hot
-      paths (one call per delivered cell) pay nothing extra, and code may
-      even append to ``_samples`` directly.
-    - **bounded** (``max_samples=k``): keeps a k-sample uniform reservoir
-      (Vitter's algorithm R, seeded and deterministic) with *exact*
-      count/total/mean/variance/min/max maintained as running values.
-      Semantics are exact until the reservoir fills -- the first ``k``
-      samples are stored verbatim -- after which percentiles become
-      estimates over a uniform subsample.  Multi-million-sample runs stop
-      holding every float.
+    Stores every sample.  ``record`` is a bare append so hot paths (one
+    call per delivered cell) pay nothing extra, and code may even append
+    to ``_samples`` directly.
     """
 
-    def __init__(
-        self,
-        name: str = "",
-        max_samples: Optional[int] = None,
-        seed: int = 0x5EED,
-    ) -> None:
-        if max_samples is not None and max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.max_samples = max_samples
         self._samples: List[float] = []
         self._sorted: Optional[List[float]] = None
-        if max_samples is not None:
-            # Deprecation note: the reservoir RNG used to be a bare
-            # random.Random(seed), identical across every bounded Tally
-            # with the default seed.  It is now a substream derived from
-            # (name, seed) via repro.sim.random, so same-named tallies
-            # remain reproducible while distinct tallies decorrelate.
-            # The ``seed`` parameter keeps its meaning.
-            self._rng = derived_stream(f"tally/{name}", seed)
-            self._count = 0
-            self._total = 0.0
-            self._sumsq = 0.0
-            self._min = math.inf
-            self._max = -math.inf
 
     def record(self, value: float) -> None:
-        if self.max_samples is None:
-            # Hot path (one call per delivered cell): a bare append.  The
-            # sorted cache is invalidated by length comparison at read time.
-            self._samples.append(value)
-            return
-        self._count += 1
-        self._total += value
-        self._sumsq += value * value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        samples = self._samples
-        if len(samples) < self.max_samples:
-            samples.append(value)
-        else:
-            slot = self._rng.randrange(self._count)
-            if slot < self.max_samples:
-                samples[slot] = value
-                # In-place replacement keeps the length constant, so the
-                # length-based cache check cannot see it: drop the cache.
-                self._sorted = None
+        # The sorted cache is invalidated by length comparison at read time.
+        self._samples.append(value)
 
     def extend(self, values: Sequence[float]) -> None:
-        if self.max_samples is None:
-            self._samples.extend(values)
-        else:
-            for value in values:
-                self.record(value)
-
-    def reset(self) -> None:
-        """Forget every sample (both modes)."""
-        self._samples.clear()
-        self._sorted = None
-        if self.max_samples is not None:
-            self._count = 0
-            self._total = 0.0
-            self._sumsq = 0.0
-            self._min = math.inf
-            self._max = -math.inf
-
-    @property
-    def bounded(self) -> bool:
-        return self.max_samples is not None
+        self._samples.extend(values)
 
     @property
     def count(self) -> int:
-        if self.max_samples is not None:
-            return self._count
         return len(self._samples)
 
     @property
     def total(self) -> float:
-        if self.max_samples is not None:
-            return self._total
         return math.fsum(self._samples)
 
     @property
@@ -173,11 +79,6 @@ class Tally:
         n = self.count
         if n < 2:
             return 0.0
-        if self.max_samples is not None:
-            mean = self._total / n
-            # Running-sums form; clamp the tiny negative values that
-            # floating-point cancellation can produce.
-            return max(0.0, (self._sumsq - n * mean * mean) / (n - 1))
         mean = self.mean
         return math.fsum((x - mean) ** 2 for x in self._samples) / (n - 1)
 
@@ -189,33 +90,23 @@ class Tally:
     def minimum(self) -> float:
         if not self.count:
             raise ValueError(f"tally {self.name!r} has no samples")
-        if self.max_samples is not None:
-            return self._min
         return min(self._samples)
 
     @property
     def maximum(self) -> float:
         if not self.count:
             raise ValueError(f"tally {self.name!r} has no samples")
-        if self.max_samples is not None:
-            return self._max
         return max(self._samples)
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0 <= p <= 100), nearest-rank method.
-
-        In bounded mode this is computed over the reservoir -- exact
-        until the reservoir fills, an estimate afterwards (the running
-        min/max stay exact; use those for the extremes).
-        """
+        """The ``p``-th percentile (0 <= p <= 100), nearest-rank method."""
         if not self._samples:
             raise ValueError(f"tally {self.name!r} has no samples")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile {p} out of range")
         if self._sorted is None or len(self._sorted) != len(self._samples):
-            # Samples grow append-only (exact mode), so a length match
-            # means the cache is still valid; bounded-mode replacements
-            # clear the cache explicitly.
+            # Samples grow append-only, so a length match means the
+            # cache is still valid.
             self._sorted = sorted(self._samples)
         if p == 0:
             return self._sorted[0]
@@ -223,7 +114,7 @@ class Tally:
         return self._sorted[rank - 1]
 
     def samples(self) -> List[float]:
-        """A copy of the stored samples (the reservoir in bounded mode)."""
+        """A copy of the stored samples."""
         return list(self._samples)
 
     def snapshot(self) -> Dict[str, float]:
@@ -247,92 +138,17 @@ class Tally:
         return f"Tally({self.name!r}, n={self.count}, mean={self.mean:.4g})"
 
 
-class TimeSeries:
-    """(time, value) pairs, e.g. buffer occupancy over time."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self._points and time < self._points[-1][0]:
-            raise ValueError(
-                f"time series {self.name!r}: non-monotonic time {time}"
-            )
-        self._points.append((time, value))
-
-    def reset(self) -> None:
-        self._points.clear()
-
-    @property
-    def count(self) -> int:
-        return len(self._points)
-
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
-
-    def values(self) -> List[float]:
-        return [v for _, v in self._points]
-
-    def maximum(self) -> float:
-        if not self._points:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return max(v for _, v in self._points)
-
-    def time_average(self) -> float:
-        """Time-weighted average, holding each value until the next point."""
-        if len(self._points) < 2:
-            raise ValueError(f"time series {self.name!r} needs >= 2 points")
-        area = 0.0
-        for (t0, v0), (t1, _) in zip(self._points, self._points[1:]):
-            area += v0 * (t1 - t0)
-        span = self._points[-1][0] - self._points[0][0]
-        if span == 0:
-            return self._points[0][1]
-        return area / span
-
-    def snapshot(self) -> Dict[str, float]:
-        if not self._points:
-            return {"count": 0}
-        summary: Dict[str, float] = {
-            "count": self.count,
-            "first_t": self._points[0][0],
-            "last_t": self._points[-1][0],
-            "max": self.maximum(),
-        }
-        if self.count >= 2:
-            summary["time_average"] = self.time_average()
-        return summary
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TimeSeries({self.name!r}, n={self.count})"
-
-
 class ProbeSet:
     """A named registry of probes, one per component instance."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.tallies: Dict[str, Tally] = {}
-        self.series: Dict[str, TimeSeries] = {}
         self.gauges: Dict[str, Gauge] = {}
 
-    def counter(self, name: str) -> Counter:
-        probe = self.counters.get(name)
-        if probe is None:
-            probe = self.counters[name] = Counter(name)
-        return probe
-
-    def tally(self, name: str, max_samples: Optional[int] = None) -> Tally:
+    def tally(self, name: str) -> Tally:
         probe = self.tallies.get(name)
         if probe is None:
-            probe = self.tallies[name] = Tally(name, max_samples=max_samples)
-        return probe
-
-    def time_series(self, name: str) -> TimeSeries:
-        probe = self.series.get(name)
-        if probe is None:
-            probe = self.series[name] = TimeSeries(name)
+            probe = self.tallies[name] = Tally(name)
         return probe
 
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
@@ -344,18 +160,6 @@ class ProbeSet:
     def snapshot(self) -> Dict[str, dict]:
         """Plain-dict state of every probe in this set."""
         return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "tallies": {n: t.snapshot() for n, t in sorted(self.tallies.items())},
-            "series": {n: s.snapshot() for n, s in sorted(self.series.items())},
             "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
         }
-
-    def reset(self) -> None:
-        """Zero counters, tallies, and series.  Gauges read live state
-        owned by their component, so they are intentionally untouched."""
-        for counter in self.counters.values():
-            counter.reset()
-        for tally in self.tallies.values():
-            tally.reset()
-        for series in self.series.values():
-            series.reset()

@@ -22,8 +22,9 @@ A solution plugs into a scenario at three seams:
 The digest-neutrality contract: a solution that overrides *nothing*
 (:class:`~repro.solutions.do_nothing.DoNothing`) must leave a scenario
 run digest-identical to a solution-less run.  ``attach`` therefore only
-creates a metrics node (registry state is not digested); it must not
-schedule events or install hooks.
+creates a metrics node with a gauge per :meth:`Solution.metrics` entry
+(registry state is not digested); it must not schedule events or
+install hooks.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class Solution:
             )
         self.net = net
         self.probes = net.registry.node(f"solutions.{self.name}")
+        # Every number the comparison table reads is a gauge on the node.
+        for key in self.metrics():
+            self.probes.gauge(key, lambda key=key: self.metrics()[key])
 
     def on_circuits_open(self, runner: "ScenarioRunner") -> None:
         """Called after the runner opened the load circuits (may advance

@@ -90,13 +90,7 @@ class DisableAndRepair(Solution):
             self._watched.append(link)
             self._recent[id(link)] = deque()
             self._repairs_used[id(link)] = 0
-        probes = self.probes
-        self._c_started = probes.counter("repairs_started")
-        self._c_completed = probes.counter("repairs_completed")
-        self._c_epochs = probes.counter("epochs_consumed")
-        self._c_unsafe = probes.counter("unsafe_skips")
-        self._c_corrupt = probes.counter("corrupt_observed")
-        probes.gauge("links_in_repair", lambda: len(self._in_repair))
+        self.probes.gauge("links_in_repair", lambda: len(self._in_repair))
 
     # ------------------------------------------------------------------
     def _adjudicate(
@@ -105,7 +99,6 @@ class DisableAndRepair(Solution):
         if reason not in ("error", "filtered"):
             return  # "dead" is an outage, not noise; nothing to decide
         self.corrupt_observed += 1
-        self._c_corrupt.increment()
         if id(link) in self._in_repair:
             return
         if self._repairs_used[id(link)] >= self.max_repairs_per_link:
@@ -130,12 +123,9 @@ class DisableAndRepair(Solution):
             return
         if not self._safe_to_disable(link):
             self.unsafe_skips += 1
-            self._c_unsafe.increment()
             return
         self._repairs_used[id(link)] += 1
         self.repairs_started += 1
-        self._c_started.increment()
-        self._c_epochs.increment()  # the disable forces one epoch
         link.set_error_rate(0.0)  # the repair fixes the physical fault
         link.fail()
         restore_event = link.sim.schedule(
@@ -147,8 +137,6 @@ class DisableAndRepair(Solution):
         if self._in_repair.pop(id(link), None) is None:
             return
         self.repairs_completed += 1
-        self._c_completed.increment()
-        self._c_epochs.increment()  # ...and the restore forces another
         link.restore()
 
     # ------------------------------------------------------------------
@@ -197,7 +185,8 @@ class DisableAndRepair(Solution):
         return {
             "repairs_started": self.repairs_started,
             "repairs_completed": self.repairs_completed,
-            "epochs_consumed": self._c_epochs.value if self.probes else 0,
+            # The disable forces one epoch and the restore another.
+            "epochs_consumed": self.repairs_started + self.repairs_completed,
             "unsafe_skips": self.unsafe_skips,
             "corrupt_observed": self.corrupt_observed,
         }

@@ -90,14 +90,6 @@ class EndToEndArq(Solution):
         return True
 
     # ------------------------------------------------------------------
-    def finish(self, runner) -> None:
-        probes = self.probes
-        totals = self.metrics()
-        for key in ("e2e_retransmissions", "timeouts", "transfers_done",
-                    "transfers_failed"):
-            counter = probes.counter(key)
-            counter.increment(int(totals[key]) - counter.value)
-
     def metrics(self) -> Dict[str, float]:
         transfers = self.transfers
         done = sum(1 for t in transfers if t.done)

@@ -289,13 +289,6 @@ class LinkRetx(Solution):
             lambda: sum(g.occupancy() for g in self.guards),
         )
 
-    def finish(self, runner) -> None:
-        totals = self.metrics()
-        for key in ("resends", "nacks", "recovered", "abandoned",
-                    "buffer_overflows"):
-            counter = self.probes.counter(key)
-            counter.increment(int(totals[key]) - counter.value)
-
     def metrics(self) -> Dict[str, float]:
         return {
             "guards": len(self.guards),

@@ -30,7 +30,12 @@ from typing import Deque, Dict, List, Optional, Set
 from collections import deque
 
 from repro._types import NodeId
-from repro.constants import AN1_LINK_BPS, AN1_SWITCH_PORTS, CUT_THROUGH_DELAY_US
+from repro.constants import (
+    AN1_LINK_BPS,
+    AN1_SWITCH_PORTS,
+    CUT_THROUGH_DELAY_US,
+    PING_REPLY_DELAY_US,
+)
 from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.monitor import (
     PingPayload,
@@ -53,7 +58,6 @@ from repro.sim.random import RandomStreams
 @dataclass
 class An1Config:
     n_ports: int = AN1_SWITCH_PORTS
-    cut_through_delay_us: float = CUT_THROUGH_DELAY_US
     #: FIFO depth per input, in packets.
     fifo_packets: int = 64
     control_delay_us: float = 20.0
@@ -73,7 +77,6 @@ class An1Config:
             self,
             at_least_one=("n_ports", "fifo_packets"),
             non_negative=(
-                "cut_through_delay_us",
                 "control_delay_us",
                 "boot_reconfig_delay_us",
                 "reconfig_watchdog_us",
@@ -234,7 +237,7 @@ class An1Switch(Node):
             self._accept_packet(port.index, cell.payload)
         elif kind is CellKind.PING:
             self.sim.schedule(
-                1.0, self._reply_ping, port.index, cell.payload
+                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
             )
         elif kind is CellKind.PING_ACK:
             monitor = self.monitors.get(port.index)
@@ -269,9 +272,7 @@ class An1Switch(Node):
         queued.enqueued_at = self.sim.now
         fifo.append(queued)
         # Header processed after the cut-through delay.
-        self.sim.schedule(
-            self.config.cut_through_delay_us, self._try_forward, in_port
-        )
+        self.sim.schedule(CUT_THROUGH_DELAY_US, self._try_forward, in_port)
 
     def _try_forward(self, in_port: int) -> None:
         """Serve the head of one input FIFO (head-of-line semantics)."""

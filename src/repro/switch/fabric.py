@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.matching.bitmask import MatchResult, Matching
-from repro.sim.monitor import ProbeSet, Tally
+from repro.sim.monitor import Tally
 from repro.switch.crossbar import Crossbar
 from repro.traffic.arrivals import ArrivalProcess
 
@@ -65,40 +65,6 @@ class FabricMetrics:
             return 0.0
         return self.cells_delivered / (self.slots * n_ports)
 
-    @classmethod
-    def on_probes(cls, probes: ProbeSet) -> "FabricMetrics":
-        """A metrics object whose tallies live in a registry node.
-
-        The tallies are reset so a fresh ``FabricMetrics`` starts empty
-        even when the probe set is reused across warmup resets.
-        """
-        latency = probes.tally("latency_slots")
-        iterations = probes.tally("iterations_to_maximal")
-        latency.reset()
-        iterations.reset()
-        return cls(latency=latency, iterations_to_maximal=iterations)
-
-
-def _fabric_metrics(probes: Optional[ProbeSet]) -> FabricMetrics:
-    if probes is None:
-        return FabricMetrics()
-    return FabricMetrics.on_probes(probes)
-
-
-def _register_fabric_gauges(fabric, probes: ProbeSet) -> None:
-    """Counter gauges reading through ``fabric.metrics`` (which warmup
-    resets swap out, hence the indirection)."""
-    probes.gauge("slots", lambda: fabric.metrics.slots)
-    probes.gauge("cells_offered", lambda: fabric.metrics.cells_offered)
-    probes.gauge("cells_delivered", lambda: fabric.metrics.cells_delivered)
-    probes.gauge("cells_dropped", lambda: fabric.metrics.cells_dropped)
-    probes.gauge(
-        "slots_with_backlog", lambda: fabric.metrics.slots_with_backlog
-    )
-    probes.gauge(
-        "utilization", lambda: fabric.metrics.utilization(fabric.n_ports)
-    )
-
 
 class VoqFabric:
     """Random-access input buffers plus a pluggable matcher.
@@ -120,10 +86,6 @@ class VoqFabric:
         buffer_capacity: Optional[int] = None,
         per_vc_capacity: Optional[int] = None,
         frame_schedule: Optional[Sequence[Matching]] = None,
-        *,
-        probes: Optional[ProbeSet] = None,
-        tracer=None,
-        component: str = "fabric",
     ) -> None:
         """Args:
             n_ports: switch radix.
@@ -140,12 +102,6 @@ class VoqFabric:
             frame_schedule: per-slot guaranteed reservations, cycled with
                 period ``len(frame_schedule)``; each entry maps input ->
                 output for that slot.
-            probes: registry node to host this fabric's metrics.
-            tracer: optional :class:`~repro.obs.trace.Tracer`; emits
-                ``fabric`` events (``match.round`` per slot and the
-                ``voq.active``/``voq.idle`` occupancy transitions) with
-                the slot index as the timestamp.
-            component: component name stamped on trace records.
         """
         self.n_ports = n_ports
         self.scheduler = scheduler
@@ -171,17 +127,7 @@ class VoqFabric:
         self.guaranteed_queues: List[Dict[int, Deque[int]]] = [
             {} for _ in range(n_ports)
         ]
-        self.tracer = tracer
-        self.component = component
-        self._probes = probes
-        self.metrics = _fabric_metrics(probes)
-        if probes is not None:
-            _register_fabric_gauges(self, probes)
-            probes.gauge("backlog", self.total_backlog)
-
-    def reset_metrics(self) -> None:
-        """Start a fresh measurement interval (e.g. after warmup)."""
-        self.metrics = _fabric_metrics(self._probes)
+        self.metrics = FabricMetrics()
 
     # ------------------------------------------------------------------
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
@@ -206,11 +152,6 @@ class VoqFabric:
             # every offered cell once the queue exists.
             queue = queues[output_port] = deque()
             self.crossbar.request(input_port, output_port)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    slot, "fabric", self.component, "voq.active",
-                    input=input_port, output=output_port,
-                )
         queue.append(slot)
         if self._track_occupancy:
             self._occupancy[input_port] += 1
@@ -225,13 +166,8 @@ class VoqFabric:
         skips the per-cell method dispatch, which matters at saturation
         where every slot offers ``n_ports`` cells.
         """
-        if (
-            self.buffer_capacity is not None
-            or self.per_vc_capacity is not None
-            or self.tracer is not None
-        ):
-            # Capacity checks and voq.active tracing live in offer();
-            # traced runs take the per-cell path so transitions are seen.
+        if self.buffer_capacity is not None or self.per_vc_capacity is not None:
+            # Capacity checks live in offer().
             for input_port, output_port in cells:
                 self.offer(input_port, output_port, slot)
             return
@@ -322,12 +258,6 @@ class VoqFabric:
                 metrics.maximal_within[bucket] += 1
             except KeyError:
                 metrics.maximal_within[bucket] = 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                slot, "fabric", self.component, "match.round",
-                matched=len(result.matching), iterations=bucket,
-            )
         # Delivery loop, with metrics.record_delivery inlined: one
         # delivered cell per matched pair is the hottest path in every
         # load sweep, and the bound locals below are worth ~20% of a
@@ -355,11 +285,6 @@ class VoqFabric:
             if not queue:
                 del queues[input_port][output_port]
                 self.crossbar.withdraw(input_port, output_port)
-                if tracer is not None:
-                    tracer.emit(
-                        slot, "fabric", self.component, "voq.idle",
-                        input=input_port, output=output_port,
-                    )
             if track_occupancy:
                 occupancy[input_port] -= 1
             latency_samples.append(waited)
@@ -380,8 +305,6 @@ class FifoFabric:
         n_ports: int,
         scheduler,
         buffer_capacity: Optional[int] = None,
-        *,
-        probes: Optional[ProbeSet] = None,
     ) -> None:
         self.n_ports = n_ports
         self.scheduler = scheduler
@@ -389,13 +312,7 @@ class FifoFabric:
         self.queues: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(n_ports)
         ]
-        self._probes = probes
-        self.metrics = _fabric_metrics(probes)
-        if probes is not None:
-            _register_fabric_gauges(self, probes)
-
-    def reset_metrics(self) -> None:
-        self.metrics = _fabric_metrics(self._probes)
+        self.metrics = FabricMetrics()
 
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
         self.metrics.cells_offered += 1
@@ -446,8 +363,6 @@ class OutputQueueFabric:
         n_ports: int,
         speedup: Optional[int] = None,
         buffer_capacity: Optional[int] = None,
-        *,
-        probes: Optional[ProbeSet] = None,
     ) -> None:
         self.n_ports = n_ports
         self.speedup = speedup if speedup is not None else n_ports
@@ -461,13 +376,7 @@ class OutputQueueFabric:
         self.output_queues: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(n_ports)
         ]
-        self._probes = probes
-        self.metrics = _fabric_metrics(probes)
-        if probes is not None:
-            _register_fabric_gauges(self, probes)
-
-    def reset_metrics(self) -> None:
-        self.metrics = _fabric_metrics(self._probes)
+        self.metrics = FabricMetrics()
 
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
         self.metrics.cells_offered += 1
@@ -520,15 +429,9 @@ def run_fabric(
     an optional per-slot hook for custom probing.
     """
     offer_batch = getattr(fabric, "offer_batch", None)
-    reset_metrics = getattr(fabric, "reset_metrics", None)
     for slot in range(n_slots + warmup_slots):
         if slot == warmup_slots:
-            # reset_metrics keeps registry-owned tallies attached; ad-hoc
-            # fabrics without it get the old wholesale replacement.
-            if reset_metrics is not None:
-                reset_metrics()
-            else:
-                fabric.metrics = FabricMetrics()
+            fabric.metrics = FabricMetrics()
         arrivals = traffic.arrivals(slot)
         if offer_batch is not None:
             offer_batch(arrivals, slot)

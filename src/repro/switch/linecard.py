@@ -33,12 +33,10 @@ from repro.switch.routing_table import RoutingTable
 class LineCard:
     """One port's buffers, tables, credit state, and monitor."""
 
-    def __init__(
-        self, port: Port, credits: CreditEndpoint, pending_cap: int = 1024
-    ) -> None:
+    def __init__(self, port: Port, credits: CreditEndpoint) -> None:
         self.port = port
         self.index = port.index
-        self.routing_table = RoutingTable(pending_cap=pending_cap)
+        self.routing_table = RoutingTable()
         self.vc_queues = VcQueues()
         self.guaranteed_queues = GuaranteedQueues()
         self.credits = credits

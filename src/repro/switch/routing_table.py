@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from repro._types import VcId
+from repro.constants import PENDING_BUFFER_CAP
 from repro.core.routing.signaling import SetupRequest
 from repro.net.cell import Cell
 
@@ -47,7 +48,7 @@ class RoutingTable:
     entry is filled in."
     """
 
-    def __init__(self, pending_cap: int = 1024) -> None:
+    def __init__(self, pending_cap: int = PENDING_BUFFER_CAP) -> None:
         self._entries: Dict[VcId, RouteEntry] = {}
         self._pending: Dict[VcId, List[Cell]] = {}
         #: circuits paged out on this card (section 2 extension): the

@@ -33,6 +33,7 @@ from repro.constants import (
     AN2_PIM_ITERATIONS,
     FAST_CELL_TIME_US,
     FRAME_SLOTS,
+    PING_REPLY_DELAY_US,
 )
 from repro.core.flowcontrol.credits import CreditError
 from repro.core.flowcontrol.endpoint import CreditEndpoint
@@ -86,11 +87,8 @@ class SwitchConfig:
     n_ports: int = 16
     slot_time_us: float = FAST_CELL_TIME_US
     frame_slots: int = FRAME_SLOTS
-    pim_iterations: int = AN2_PIM_ITERATIONS
     #: line-card software latency per control message.
     control_delay_us: float = 20.0
-    #: hardware-assisted ping turnaround.
-    ping_reply_delay_us: float = 1.0
     ping_interval_us: float = 1_000.0
     ack_timeout_us: float = 400.0
     miss_threshold: int = 3
@@ -104,7 +102,6 @@ class SwitchConfig:
     #: per-VC credit allocation; ``None`` derives it from each link's
     #: round trip (section 5's sizing rule).
     credit_allocation: Optional[int] = None
-    pending_buffer_cap: int = 1024
     #: period of credit resynchronization; 0 disables it.
     resync_interval_us: float = 0.0
     #: best-effort flow control: "credits" (AN2, lossless) or "drop"
@@ -127,8 +124,8 @@ class SwitchConfig:
             self,
             positive=("slot_time_us",),
             at_least_one=(
-                "n_ports", "pim_iterations", "nested_subframe_slots",
-                "frame_slots", "credit_allocation",
+                "n_ports", "nested_subframe_slots", "frame_slots",
+                "credit_allocation",
             ),
             non_negative=(
                 "control_delay_us",
@@ -136,7 +133,6 @@ class SwitchConfig:
                 "reconfig_watchdog_us",
                 "resync_interval_us",
                 "paging_idle_us",
-                "pending_buffer_cap",
             ),
         )
         if self.flow_control not in FLOW_CONTROL_MODES:
@@ -198,7 +194,6 @@ class AN2Switch(Node):
                     sim, port, self.config, port.label,
                     on_window=partial(self._window_moved, port.index),
                 ),
-                pending_cap=self.config.pending_buffer_cap,
             )
             for port in self.ports
         ]
@@ -212,7 +207,7 @@ class AN2Switch(Node):
             ports,
             BitmaskPim(
                 ports,
-                iterations=self.config.pim_iterations,
+                iterations=AN2_PIM_ITERATIONS,
                 rng=streams.stream(f"{node_id}.pim"),
             ),
             probes=(
@@ -532,10 +527,7 @@ class AN2Switch(Node):
             self._accept_credit(port.index, cell)
         elif kind is CellKind.PING:
             self.sim.schedule(
-                self.config.ping_reply_delay_us,
-                self._reply_ping,
-                port.index,
-                cell.payload,
+                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
             )
         elif kind is CellKind.PING_ACK:
             monitor = self.cards[port.index].monitor

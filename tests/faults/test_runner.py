@@ -63,8 +63,8 @@ class TestFaultApplication:
         )
         result = run(net, plan)
         assert net.link_between("s0", "s2").working
-        counters = net.metrics_snapshot()["faults"]["counters"]
-        assert counters["link_cuts"] == 1
+        gauges = net.metrics_snapshot()["faults"]["gauges"]
+        assert gauges["link_cuts"] == 1
         assert result.faults_applied == 1
         assert result.passed, result.report()
 
@@ -75,8 +75,8 @@ class TestFaultApplication:
                      down_us=2_000.0, up_us=2_000.0),
         )
         result = run(net, plan)
-        counters = net.metrics_snapshot()["faults"]["counters"]
-        assert counters["flap_transitions"] == 6  # 3 downs + 3 ups
+        gauges = net.metrics_snapshot()["faults"]["gauges"]
+        assert gauges["flap_transitions"] == 6  # 3 downs + 3 ups
         assert net.link_between("s0", "s2").working
         assert result.passed, result.report()
 
@@ -92,8 +92,8 @@ class TestFaultApplication:
         )
         result = run(net, plan)
         # Whatever route the circuit took, one burst covered it.
-        counters = net.metrics_snapshot()["faults"]["counters"]
-        assert counters["credit_cells_dropped"] > 0
+        gauges = net.metrics_snapshot()["faults"]["gauges"]
+        assert gauges["credit_cells_dropped"] > 0
         for link in net.links.values():
             assert link.drop_filter is None
         assert result.passed, result.report()
@@ -140,7 +140,7 @@ class TestTrafficAndDeterminism:
                         restore_at_us=60_000.0),
             )
             result = run(net, plan)
-            counters = net.metrics_snapshot()["faults"]["counters"]
+            gauges = net.metrics_snapshot()["faults"]["gauges"]
             payload_digest = [
                 p.payload
                 for packets in result.sent.values()
@@ -150,7 +150,7 @@ class TestTrafficAndDeterminism:
                 (
                     result.delivered,
                     result.settled_at_us,
-                    counters.get("credit_cells_dropped", 0),
+                    gauges["credit_cells_dropped"],
                     payload_digest,
                 )
             )
@@ -172,6 +172,57 @@ class TestTrafficAndDeterminism:
         with pytest.raises(ScenarioError, match="in this network"):
             ScenarioRunner(net, FaultPlan.of(event), (LOAD,))
         assert net.sim.pending() == 0
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # The crash's restart revived the permanently cut cable.
+            (
+                LinkCut(at_us=10_000.0, a="s0", b="s1"),
+                SwitchCrash(at_us=20_000.0, switch="s1",
+                            restart_at_us=40_000.0),
+            ),
+            # The first step's end put 0.01 back for good.
+            (
+                ErrorRateStep(at_us=10_000.0, a="s0", b="s1", rate=0.01,
+                              until_us=30_000.0),
+                ErrorRateStep(at_us=20_000.0, a="s0", b="s1", rate=0.02,
+                              until_us=40_000.0),
+            ),
+            # Crashing an already-crashed switch.
+            (
+                SwitchCrash(at_us=10_000.0, switch="s1",
+                            restart_at_us=30_000.0),
+                SwitchCrash(at_us=20_000.0, switch="s1",
+                            restart_at_us=40_000.0),
+            ),
+        ],
+        ids=["cut-under-crash", "error-steps", "crash-over-crash"],
+    )
+    def test_overlapping_faults_on_one_cable_are_refused(self, first, second):
+        """Each fault restores what it saw when it began, so two of one
+        kind on a cable in overlapping windows silently undo each other
+        while every invariant still passes."""
+        net = ring_net()
+        with pytest.raises(ScenarioError, match="overlapping windows"):
+            ScenarioRunner(net, FaultPlan.of(first, second), (LOAD,))
+        assert net.sim.pending() == 0
+
+    def test_disjoint_or_unrelated_faults_on_one_cable_are_accepted(self):
+        net = ring_net()
+        ScenarioRunner(
+            net,
+            FaultPlan.of(
+                LinkCut(at_us=10_000.0, a="s0", b="s1",
+                        restore_at_us=20_000.0),
+                SwitchCrash(at_us=30_000.0, switch="s1",
+                            restart_at_us=40_000.0),
+                ErrorRateStep(at_us=15_000.0, a="s0", b="s1", rate=0.01,
+                              until_us=35_000.0),
+                CreditLossBurst(at_us=15_000.0, a="s0", b="s1"),
+            ),
+            (LOAD,),
+        )
 
     def test_boot_failure_is_a_scenario_error(self):
         from repro.faults import ScenarioError
@@ -206,8 +257,8 @@ class TestObservability:
                                        flaps=1, down_us=1_000.0,
                                        up_us=1_000.0)))
         assert "faults" in net.registry
-        counters = net.metrics_snapshot()["faults"]["counters"]
-        assert counters["events_applied"] >= 2
+        gauges = net.metrics_snapshot()["faults"]["gauges"]
+        assert gauges["events_applied"] >= 2
 
 
 class TestInvariantChecker:

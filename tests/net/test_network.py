@@ -9,7 +9,7 @@ from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.switch.an1 import An1Config
 from repro.switch.switch import SwitchConfig
-from tests.conftest import fast_switch_config, line_with_hosts
+from tests.conftest import converged_line, fast_switch_config, line_with_hosts
 
 
 class TestAssembly:
@@ -279,6 +279,22 @@ class TestCircuitApi:
         with pytest.raises(ReservationDenied):
             small_net.reserve_bandwidth("h0", "h1", 30, central=central)
 
+    def test_default_reservations_share_the_epochs_central(self):
+        """Regression: each default call built a fresh central, so a
+        second 30-of-32-slot reservation was admitted and then raised
+        ScheduleError from inside the kernel when the switches
+        installed it."""
+        from repro.core.guaranteed.bandwidth_central import ReservationDenied
+
+        net = converged_line(2)
+        net.reserve_bandwidth("h0", "h1", 30)
+        pending, circuits = net.sim.pending(), dict(net.circuits)
+        with pytest.raises(ReservationDenied):
+            net.reserve_bandwidth("h0", "h1", 30)
+        assert net.sim.pending() == pending
+        assert net.circuits == circuits
+        net.run(1_000)
+
     def test_circuits_registry(self, small_net):
         circuit = small_net.setup_circuit("h0", "h1")
         assert small_net.circuits[circuit.vc] is circuit
@@ -347,11 +363,9 @@ class TestConfigValidation:
             ("slot_time_us", 0.0),
             ("slot_time_us", -0.68),
             ("frame_slots", 0),
-            ("pim_iterations", 0),
             ("n_ports", 0),
             ("credit_allocation", 0),
             ("control_delay_us", -1.0),
-            ("ping_reply_delay_us", -1.0),
             ("ping_interval_us", -1.0),
             ("ack_timeout_us", -1.0),
             ("skeptic_base_wait_us", -1.0),
@@ -366,14 +380,12 @@ class TestConfigValidation:
             ("miss_threshold", 0),
             ("n_ports", float("inf")),
             ("frame_slots", 2.5),
-            ("pim_iterations", float("inf")),
-            ("pim_iterations", True),
+            ("frame_slots", True),
             ("credit_allocation", 2.5),
             ("clock_drift_ppm", float("nan")),
             ("slot_time_us", float("inf")),
             ("ping_interval_us", float("inf")),
             ("skeptic_max_level", -1),
-            ("pending_buffer_cap", -1),
         ],
     )
     def test_switch_config_rejects(self, field, value):
@@ -387,7 +399,6 @@ class TestConfigValidation:
             ("ack_timeout_us", -1.0),
             ("skeptic_base_wait_us", -1.0),
             ("skeptic_decay_us", -1.0),
-            ("ping_reply_delay_us", -1.0),
             ("miss_threshold", float("nan")),
             ("miss_threshold", 0),
             ("skeptic_max_level", -1),

@@ -51,19 +51,19 @@ class TestCaptureSnapshot:
     def test_single_registry_snapshot_unprefixed(self):
         cap = Capture()
         registry = MetricsRegistry()
-        registry.counter("switch.0.cells").increment(3)
+        registry.gauge("switch.0.cells", lambda: 3)
         cap.adopt(registry)
-        assert cap.snapshot()["switch.0"]["counters"]["cells"] == 3
+        assert cap.snapshot()["switch.0"]["gauges"]["cells"] == 3
 
     def test_multiple_registries_get_net_prefix(self):
         cap = Capture()
         for value in (1, 2):
             registry = MetricsRegistry()
-            registry.counter("switch.0.cells").increment(value)
+            registry.gauge("switch.0.cells", lambda value=value: value)
             cap.adopt(registry)
         snap = cap.snapshot()
-        assert snap["net0.switch.0"]["counters"]["cells"] == 1
-        assert snap["net1.switch.0"]["counters"]["cells"] == 2
+        assert snap["net0.switch.0"]["gauges"]["cells"] == 1
+        assert snap["net1.switch.0"]["gauges"]["cells"] == 2
 
 
 class TestNetworkIntegration:

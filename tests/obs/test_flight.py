@@ -83,14 +83,14 @@ def test_kernel_exception_is_recorded_and_dumped(tmp_path):
 
 
 def test_kernel_exception_with_instrumented_loop(tmp_path):
-    """The dump trigger must also cover the tracer-swapped run loop."""
-    from repro.obs import Tracer
+    """The dump trigger must also cover the digest-swapped run loop."""
+    from repro.conform.digest import RunDigest
 
     sim = Simulator()
     recorder = FlightRecorder()
     recorder.auto_dump_dir = str(tmp_path)
     sim.recorder = recorder
-    sim.tracer = Tracer()
+    sim.digest = RunDigest()
     sim.schedule_at(5.0, _boom)
     with pytest.raises(RuntimeError):
         sim.run()

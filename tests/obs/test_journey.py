@@ -1,6 +1,4 @@
-"""Cell-journey tracing: per-hop causal records for sampled cells."""
-
-import pytest
+"""Cell-journey tracing: per-hop causal records for traced cells."""
 
 from repro.obs import Tracer
 
@@ -11,9 +9,7 @@ def _journey_records(tracer):
     return [r for r in tracer.records if r.category == "journey"]
 
 
-def _run_traffic(net, tracer, packets=4, journey_every=None):
-    if journey_every is not None:
-        tracer.journey_every = journey_every
+def _run_traffic(net, tracer, packets=4):
     net.sim.tracer = tracer
     circuit = net.setup_circuit("h0", "h1")
     host = net.host("h0")
@@ -43,7 +39,8 @@ def test_journey_records_full_path():
     # the full host -> switch -> link -> host story, every stage present
     assert {"segment", "tx", "wire.arrive", "voq.enqueue", "grant",
             "deliver", "packet.done"} <= stages
-    # every delivered packet reassembled
+    # every packet traced, every delivered packet reassembled
+    assert len({r.payload["packet"] for r in records}) == 2
     assert len(net.host("h1").delivered) == 2
 
 
@@ -66,25 +63,9 @@ def test_journey_hop_counter_gives_causal_order():
         assert records[-1].name in ("deliver", "packet.done")
 
 
-def test_journey_sampling_every_n_packets():
-    net = converged_line(3)
-    tracer = Tracer()
-    _run_traffic(net, tracer, packets=6, journey_every=3)
-    packets = {r.payload["packet"] for r in _journey_records(tracer)}
-    # 1-in-3 sampling over 6 packets: exactly 2 sampled
-    assert len(packets) == 2
-    # unsampled packets still delivered
-    assert len(net.host("h1").delivered) == 6
-
-
 def test_journey_disabled_category_attaches_nothing():
     net = converged_line(3)
     tracer = Tracer(categories=["reconfig"])  # journey NOT enabled
     _run_traffic(net, tracer, packets=2)
     assert not _journey_records(tracer)
     assert len(net.host("h1").delivered) == 2
-
-
-def test_journey_every_validates():
-    with pytest.raises(ValueError):
-        Tracer(journey_every=0)

@@ -26,15 +26,15 @@ class TestNodes:
     def test_probe_path_needs_node_and_name(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("lonely")
+            registry.tally("lonely")
 
 
 class TestProbes:
     def test_probe_addressing_reaches_node_probe(self):
         registry = MetricsRegistry()
-        counter = registry.counter("switch.0.cells")
-        counter.increment(7)
-        assert registry.node("switch.0").counter("cells").value == 7
+        tally = registry.tally("switch.0.latency")
+        tally.record(7.0)
+        assert registry.node("switch.0").tally("latency") is tally
 
     def test_tally_and_gauge_through_registry(self):
         registry = MetricsRegistry()
@@ -45,35 +45,16 @@ class TestProbes:
         assert snap["tallies"]["packet_latency"]["count"] == 3
         assert snap["gauges"]["queued"] == 42
 
-    def test_bounded_tally_via_registry(self):
-        registry = MetricsRegistry()
-        tally = registry.tally("f.latency", max_samples=8)
-        tally.extend(float(i) for i in range(100))
-        assert tally.bounded
-        assert tally.count == 100
-        assert len(tally.samples()) == 8
-
 
 class TestSnapshot:
     def test_snapshot_sorted_and_json_round_trip(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("z.last.c").increment()
-        registry.counter("a.first.c").increment(2)
+        registry.gauge("z.last.c", lambda: 1)
+        registry.gauge("a.first.c", lambda: 2)
         snap = registry.snapshot()
         assert list(snap) == ["a.first", "z.last"]
         path = tmp_path / "metrics.json"
         registry.write_json(path)
         with open(path) as stream:
             loaded = json.load(stream)
-        assert loaded["a.first"]["counters"]["c"] == 2
-
-    def test_reset_zeroes_probes_but_not_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("n.x.hits").increment(5)
-        registry.tally("n.x.lat").record(1.0)
-        registry.gauge("n.x.live", lambda: 99)
-        registry.reset()
-        snap = registry.snapshot()["n.x"]
-        assert snap["counters"]["hits"] == 0
-        assert snap["tallies"]["lat"] == {"count": 0}
-        assert snap["gauges"]["live"] == 99
+        assert loaded["a.first"]["gauges"]["c"] == 2

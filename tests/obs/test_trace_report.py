@@ -28,8 +28,8 @@ def captured_run(tmp_path_factory):
     """Converge a 4-switch line, push traffic, crash an interior switch,
     reconfigure, and write the trace + metrics snapshot to disk."""
     out = tmp_path_factory.mktemp("trace")
-    # keep the kernel firehose out so the protocol trace stays small
-    tracer = obs.Tracer(categories=["reconfig", "flowcontrol", "fabric"])
+    # keep per-cell journeys out so the protocol trace stays small
+    tracer = obs.Tracer(categories=["reconfig", "flowcontrol"])
     with obs.capture(tracer) as cap:
         net = line_with_hosts(4)
         net.start()
@@ -57,8 +57,8 @@ def test_trace_contains_the_reconfiguration_story(captured_run):
     assert "skeptic.verdict" in names
     assert "monitor.timeout" in names  # the crashed switch's neighbours
     assert "credit.grant" in names
-    # every record in this capture is protocol-level (kernel filtered out)
-    assert {r["cat"] for r in records} <= {"reconfig", "flowcontrol", "fabric"}
+    # every record in this capture is protocol-level (journeys filtered out)
+    assert {r["cat"] for r in records} <= {"reconfig", "flowcontrol"}
 
 
 def test_report_renders_timeline_and_latency_table(captured_run, capsys):
@@ -80,10 +80,10 @@ def test_report_renders_timeline_and_latency_table(captured_run, capsys):
 def test_report_sections_can_be_selected(captured_run, capsys):
     trace_path, metrics_path = captured_run
     trace_report.main(
-        [str(trace_path), "--metrics", str(metrics_path), "--section", "fabric"]
+        [str(trace_path), "--metrics", str(metrics_path), "--section", "latency"]
     )
     out = capsys.readouterr().out
-    assert "Fabric utilization" in out
+    assert "Per-VC latency" in out
     assert "Reconfiguration timeline" not in out
 
 

@@ -1,9 +1,9 @@
 """The observability layer's disabled-path cost must stay at zero.
 
-The contract (DESIGN.md, observability): with no tracer and no profiler
+The contract (DESIGN.md, observability): with no digest and no profiler
 attached, the kernel runs its uninstrumented class-level loop, the
-flight recorder is never consulted per event, and journey guards are a
-single ``cell.trace_ctx is not None`` attribute check.  These tests pin
+tracer and flight recorder are never consulted per event, and journey
+guards are a single ``cell.trace_ctx is not None`` attribute check.  These tests pin
 that down with ``tracemalloc``: a run with instrumentation disabled
 must allocate *nothing* from ``repro/obs`` code.
 """
@@ -69,13 +69,17 @@ def test_quiet_network_steady_state_allocates_nothing_in_obs():
 
 
 def test_detaching_instrumentation_restores_class_methods():
-    from repro.obs import SubsystemProfiler, Tracer
+    from repro.conform.digest import RunDigest
+
+    class Hook:
+        def dispatch(self, callback, args):
+            callback(*args)
 
     sim = Simulator()
-    sim.tracer = Tracer()
-    sim.profiler = SubsystemProfiler()
+    sim.digest = RunDigest()
+    sim.profiler = Hook()
     assert "step" in sim.__dict__ and "run" in sim.__dict__
-    sim.tracer = None
+    sim.digest = None
     assert "step" in sim.__dict__  # profiler still attached
     sim.profiler = None
     assert "step" not in sim.__dict__

@@ -2,21 +2,7 @@
 
 import pytest
 
-from repro.sim.monitor import Counter, ProbeSet, Tally, TimeSeries
-
-
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_reset(self):
-        counter = Counter()
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
+from repro.sim.monitor import Gauge, ProbeSet, Tally
 
 
 class TestTally:
@@ -55,6 +41,22 @@ class TestTally:
         tally.record(10.0)
         assert tally.percentile(100) == 10.0
 
+    def test_percentile_cache_invalidated_after_extend(self):
+        tally = Tally()
+        tally.extend([3.0, 1.0, 2.0])
+        assert tally.percentile(50) == 2.0
+        tally.extend([10.0, 11.0, 12.0, 13.0])
+        assert tally.percentile(100) == 13.0
+        assert tally.percentile(50) == 10.0
+
+    def test_record_stays_bare_append(self):
+        tally = Tally()
+        tally.record(1.0)
+        # hot paths are allowed to append directly
+        tally._samples.append(2.0)
+        assert tally.count == 2
+        assert tally.percentile(100) == 2.0
+
     def test_empty_tally_raises(self):
         tally = Tally("empty")
         with pytest.raises(ValueError):
@@ -70,45 +72,37 @@ class TestTally:
         with pytest.raises(ValueError):
             tally.percentile(101)
 
+    def test_snapshot_empty_and_populated(self):
+        tally = Tally()
+        assert tally.snapshot() == {"count": 0}
+        tally.extend([1.0, 2.0, 3.0, 4.0])
+        snap = tally.snapshot()
+        assert snap["count"] == 4
+        assert snap["min"] == 1.0
+        assert snap["max"] == 4.0
+        assert snap["p50"] == 2.0
 
-class TestTimeSeries:
-    def test_points_and_maximum(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(10.0, 5.0)
-        series.record(20.0, 2.0)
-        assert series.maximum() == 5.0
-        assert series.count == 3
-        assert series.values() == [1.0, 5.0, 2.0]
 
-    def test_time_average_weights_by_duration(self):
-        series = TimeSeries()
-        series.record(0.0, 0.0)
-        series.record(10.0, 10.0)  # value 0 held for 10us
-        series.record(20.0, 0.0)  # value 10 held for 10us
-        assert series.time_average() == pytest.approx(5.0)
-
-    def test_non_monotonic_time_rejected(self):
-        series = TimeSeries()
-        series.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(4.0, 1.0)
-
-    def test_empty_maximum_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().maximum()
-
-    def test_time_average_needs_two_points(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.time_average()
+class TestGauge:
+    def test_gauge_reads_live_state(self):
+        state = {"v": 1}
+        gauge = Gauge("g", lambda: state["v"])
+        assert gauge.value == 1
+        state["v"] = 5
+        assert gauge.value == 5
 
 
 class TestProbeSet:
     def test_probes_are_cached_by_name(self):
         probes = ProbeSet()
-        assert probes.counter("a") is probes.counter("a")
         assert probes.tally("b") is probes.tally("b")
-        assert probes.time_series("c") is probes.time_series("c")
-        assert probes.counter("a").name == "a"
+        assert probes.tally("b").name == "b"
+
+    def test_snapshot_holds_tallies_and_gauges(self):
+        probes = ProbeSet()
+        probes.tally("lat").record(1.0)
+        probes.gauge("live", lambda: 11)
+        snap = probes.snapshot()
+        assert set(snap) == {"tallies", "gauges"}
+        assert snap["tallies"]["lat"]["count"] == 1
+        assert snap["gauges"]["live"] == 11

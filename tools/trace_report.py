@@ -26,8 +26,6 @@ Reports:
   say, the switch that failed an invariant).
 - **per-VC latency table**: from the metrics snapshot's
   ``vc<k>.cell_latency`` tallies (any node), plus packet latency.
-- **fabric utilization**: fabric nodes' delivered counts and
-  utilization gauges.
 
 The loader is deliberately tolerant: dumps written by a crashing run
 may end mid-line, so malformed lines are skipped with a warning rather
@@ -481,38 +479,6 @@ def build_vc_latency(snapshot: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# fabric utilization
-# ----------------------------------------------------------------------
-def build_fabric_summary(snapshot: Dict[str, Any]) -> str:
-    lines = ["Fabric utilization", "=================="]
-    table = Table(
-        ["node", "slots", "delivered", "dropped", "utilization",
-         "latency p99 (slots)"]
-    )
-    found = 0
-    for path in sorted(snapshot):
-        node = snapshot[path]
-        gauges = node.get("gauges", {})
-        if "utilization" not in gauges:
-            continue
-        found += 1
-        latency = node.get("tallies", {}).get("latency_slots", {})
-        table.add_row(
-            path,
-            gauges.get("slots", 0),
-            gauges.get("cells_delivered", 0),
-            gauges.get("cells_dropped", 0),
-            f"{gauges['utilization']:.3f}",
-            latency.get("p99", "-") if latency.get("count") else "-",
-        )
-    if found:
-        lines.append(table.render())
-    else:
-        lines.append("(no fabric nodes in snapshot)")
-    return "\n".join(lines)
-
-
 def build_trace_summary(records: List[Dict[str, Any]]) -> str:
     by_cat: Dict[str, int] = {}
     for record in records:
@@ -538,7 +504,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--section",
-        choices=["timeline", "journey", "flight", "latency", "fabric", "all"],
+        choices=["timeline", "journey", "flight", "latency", "all"],
         default="all",
     )
     parser.add_argument(
@@ -581,11 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if snapshot:
             sections.append(build_vc_latency(snapshot))
         elif args.section == "latency":
-            sections.append("(no metrics snapshot given: use --metrics)")
-    if args.section in ("fabric", "all"):
-        if snapshot:
-            sections.append(build_fabric_summary(snapshot))
-        elif args.section == "fabric":
             sections.append("(no metrics snapshot given: use --metrics)")
     print("\n\n".join(sections))
     return 0
