@@ -18,7 +18,7 @@ link mid-stream.
   untouched -- zero loss.
 """
 
-from repro._types import host_id, switch_id
+from repro._types import host_id
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
 from repro.net.network import Network
@@ -67,10 +67,7 @@ def an1_run():
             )
     # Fail the bystander spur while queues are standing.
     net.run(1_000.0)
-    for edge, link in net.links.items():
-        (na, _), (nb, _) = edge
-        if {na, nb} == {switch_id(1), switch_id(3)}:
-            link.fail()
+    net.fail_link("s1", "s3")
     net.run(1_000_000)
     delivered = len(net.hosts[host_id(1)].delivered)
     dropped = net.total_dropped_on_reconfig()

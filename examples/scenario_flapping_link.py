@@ -29,11 +29,10 @@ def main() -> None:
     print()
     # Show what the skeptics on the flapped link went through.
     for switch_name in ("s1", "s4"):
-        card = next(
-            c for c in net.switch(switch_name).cards
-            if c.skeptic is not None and c.skeptic.failures_seen
+        skeptic = next(
+            m.skeptic for m in net.switch(switch_name).monitors.values()
+            if m.skeptic.failures_seen
         )
-        skeptic = card.skeptic
         print(
             f"{switch_name}: {skeptic.failures_seen} failures seen, "
             f"{len(skeptic.verdict_changes)} verdicts published, "

@@ -30,6 +30,8 @@ CUT_THROUGH_DELAY_US = 2.0
 #: Switch radix (section 1): 16x16 crossbar, 12 ports in AN1.
 AN2_SWITCH_PORTS = 16
 AN1_SWITCH_PORTS = 12
+#: Depth of each AN1 input FIFO, in packets.
+AN1_FIFO_PACKETS = 64
 
 #: Guaranteed-traffic frames (section 4): 1024 cell slots per frame.
 FRAME_SLOTS = 1024

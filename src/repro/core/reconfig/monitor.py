@@ -20,10 +20,10 @@ published link verdict actually changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro._types import NodeId
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.core.reconfig.skeptic import Skeptic
 from repro.net.cell import Cell, CellKind
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
@@ -45,16 +45,6 @@ class PingAckPayload:
     seq: int
     responder: NodeId
     responder_port: int
-
-
-def make_ack(request: PingPayload, responder: NodeId, responder_port: int) -> PingAckPayload:
-    return PingAckPayload(
-        sender=request.sender,
-        sender_port=request.sender_port,
-        seq=request.seq,
-        responder=responder,
-        responder_port=responder_port,
-    )
 
 
 class PortMonitor:
@@ -151,35 +141,3 @@ class PortMonitor:
             f"<PortMonitor {self.port.label} neighbor={self.neighbor} "
             f"verdict={self.skeptic.verdict.value}>"
         )
-
-
-def start_port_monitor(
-    node,
-    port: Port,
-    config,
-    jitter,
-    on_verdict: Callable[[LinkVerdict, float], None],
-) -> PortMonitor:
-    """Boot link monitoring on one cabled ``port`` of ``node``: a skeptic
-    publishing to ``on_verdict`` and a started monitor feeding it, both
-    tuned by the monitoring fields every device config carries.  The
-    first ping is offset by one draw from ``jitter`` so that neighbors
-    do not ping in lock-step."""
-    skeptic = Skeptic(
-        base_wait_us=config.skeptic_base_wait_us,
-        max_level=config.skeptic_max_level,
-        decay_interval_us=config.skeptic_decay_us,
-        on_verdict=on_verdict,
-    )
-    monitor = PortMonitor(
-        node.sim,
-        node.node_id,
-        port,
-        skeptic,
-        ping_interval_us=config.ping_interval_us,
-        ack_timeout_us=config.ack_timeout_us,
-        miss_threshold=config.miss_threshold,
-        start_offset_us=jitter.uniform(0.0, config.ping_interval_us),
-    )
-    monitor.start()
-    return monitor

@@ -83,8 +83,7 @@ class LoadBalancer:
                 last = self._last_migration.get(victim, -1e18)
                 if now - last < self.cooldown_us:
                     continue
-                blocked = switch._edges_on_port(out_port)
-                if switch.reroute_circuit(victim, blocked):
+                if switch.reroute_circuit(victim):
                     self._last_migration[victim] = now
                     self.migrations += 1
                     moved += 1

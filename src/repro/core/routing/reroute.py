@@ -46,17 +46,10 @@ def _vc_uses_link(network: Network, vc: int, a: NodeId, b: NodeId) -> bool:
         entry = switch.cards[in_port].routing_table.lookup(vc)
         if entry is None:
             continue
-        # The inbound side: who feeds this card?
-        monitor = switch.cards[in_port].monitor
-        if monitor is not None and monitor.neighbor is not None:
-            neighbor = monitor.neighbor[0]
-            if {switch.node_id, neighbor} == {a, b}:
-                return True
-        out_card = switch.cards[entry.out_port]
-        monitor = out_card.monitor
-        if monitor is not None and monitor.neighbor is not None:
-            neighbor = monitor.neighbor[0]
-            if {switch.node_id, neighbor} == {a, b}:
+        # The inbound side (who feeds this card?), then the outbound.
+        for port in (in_port, entry.out_port):
+            neighbor = switch.neighbor(port)
+            if neighbor is not None and {switch.node_id, neighbor[0]} == {a, b}:
                 return True
     return False
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro._types import NodeId, VcId
+from repro.core.routing.paths import RoutingError, port_on
 from repro.net.cell import TrafficClass
 
 
@@ -58,7 +59,8 @@ class SignalingTransport:
     - ``route_computer()``: the current
       :class:`~repro.core.routing.paths.RouteComputer` (or ``None`` before
       the first reconfiguration completes),
-    - ``attached_host_port(host)``: local port cabled to ``host`` if any,
+    - ``port_facing(host)``: local port whose working link reaches
+      ``host``, if any,
     - ``install_circuit(vc, in_port, out_port, request)``: create the
       routing-table entry and per-VC buffers,
     - ``remove_circuit(vc)``: tear state down, returning the out ports
@@ -69,7 +71,7 @@ class SignalingTransport:
     def route_computer(self):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def attached_host_port(self, host: NodeId) -> Optional[int]:  # pragma: no cover
+    def port_facing(self, host: NodeId) -> Optional[int]:  # pragma: no cover
         raise NotImplementedError
 
     def install_circuit(self, vc, in_port, out_port, request):  # pragma: no cover
@@ -186,7 +188,7 @@ class SignalingAgent:
         ``None`` when no legal continuation exists (e.g. the view is stale
         or up*/down* forbids every remaining direction).
         """
-        host_port = self.transport.attached_host_port(request.destination)
+        host_port = self.transport.port_facing(request.destination)
         if host_port is not None:
             return host_port, request.gone_down, True
         computer = self.transport.route_computer()
@@ -194,7 +196,7 @@ class SignalingAgent:
             return None
         try:
             dest_switch, _ = computer.attachment(request.destination)
-        except Exception:
+        except RoutingError:
             return None
         if dest_switch == self.node_id:
             # The view says the host is here but it is not cabled (stale
@@ -206,8 +208,6 @@ class SignalingAgent:
         if hop is None:
             return None
         neighbor, edge = hop
-        from repro.core.routing.paths import port_on
-
         out_port = port_on(edge, self.node_id)
         traversal_down = not computer.orientation.is_up_traversal(
             edge, self.node_id

@@ -101,13 +101,9 @@ def max_verdict_changes(
 
 def _all_skeptics(net: Network):
     """(component-label, skeptic) for every skeptic in the network."""
-    for switch in net.switches.values():
-        for card in switch.cards:
-            if card.skeptic is not None:
-                yield f"{switch.node_id}.p{card.index}", card.skeptic
-    for host in net.hosts.values():
-        for index, monitor in host.monitors.items():
-            yield f"{host.node_id}.p{index}", monitor.skeptic
+    for node in (*net.switches.values(), *net.hosts.values()):
+        for index, monitor in node.monitors.items():
+            yield f"{node.node_id}.p{index}", monitor.skeptic
 
 
 def check_skeptic_bounded(net: Network) -> InvariantResult:

@@ -33,11 +33,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 from repro._types import NodeId, VcId
 from repro.constants import PING_REPLY_DELAY_US
 from repro.core.flowcontrol.endpoint import CreditEndpoint
-from repro.core.reconfig.monitor import (
-    PortMonitor,
-    make_ack,
-    start_port_monitor,
-)
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.aal import Reassembler, ReassemblyError, Segmenter
@@ -148,7 +143,6 @@ class Host(Node):
         self.received_counts: Dict[VcId, int] = {}
         self.reassembly_errors = 0
         self.cells_received = 0
-        self.monitors: Dict[int, PortMonitor] = {}
         self._pump_scheduled = False
         self._rotation: Deque[VcId] = deque()
         self._started = False
@@ -163,13 +157,9 @@ class Host(Node):
         if self._started:
             return
         self._started = True
-        jitter = self.streams.stream(f"{self.node_id}.jitter")
-        for port in self.ports:
-            if port.connected:
-                self.monitors[port.index] = start_port_monitor(
-                    self, port, self.config, jitter,
-                    self._verdict_handler(port.index),
-                )
+        self.start_monitors(
+            self.config, self.streams.stream(f"{self.node_id}.jitter")
+        )
         if self.switch_config.resync_interval_us > 0:
             self.sim.schedule(
                 self.switch_config.resync_interval_us, self._resync_tick
@@ -183,15 +173,11 @@ class Host(Node):
             self.switch_config.resync_interval_us, self._resync_tick
         )
 
-    def _verdict_handler(self, port_index: int):
-        def handler(verdict: LinkVerdict, now: float) -> None:
-            if (
-                verdict is LinkVerdict.DEAD
-                and port_index == self.active_port_index
-            ):
-                self._fail_over()
-
-        return handler
+    def _on_verdict(
+        self, port_index: int, verdict: LinkVerdict, now: float
+    ) -> None:
+        if verdict is LinkVerdict.DEAD and port_index == self.active_port_index:
+            self._fail_over()
 
     def _fail_over(self) -> None:
         """Switch to the alternate link; optionally re-open circuits."""
@@ -429,9 +415,7 @@ class Host(Node):
                 PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
             )
         elif kind is CellKind.PING_ACK:
-            monitor = self.monitors.get(port.index)
-            if monitor is not None:
-                monitor.on_ack(cell.payload)
+            self._accept_ping_ack(port.index, cell.payload)
         elif kind is CellKind.SIGNALING:
             self._accept_signaling(cell.payload, port=port)
         elif kind is CellKind.RECONFIG:
@@ -440,10 +424,7 @@ class Host(Node):
             raise ValueError(f"host cannot handle cell kind {kind}")
 
     def _reply_ping(self, port_index: int, payload) -> None:
-        port = self.ports[port_index]
-        if port.connected:
-            ack = make_ack(payload, self.node_id, port_index)
-            port.send(Cell(vc=0, kind=CellKind.PING_ACK, payload=ack))
+        self._send_ping_ack(port_index, payload)
 
     def _accept_data(self, port: Port, cell: Cell) -> None:
         self.cells_received += 1

@@ -1,4 +1,5 @@
-"""Base class for network nodes (switches and hosts)."""
+"""Base class for network nodes (switches and hosts), with the per-port
+link monitoring every device runs."""
 
 from __future__ import annotations
 
@@ -6,11 +7,14 @@ import dataclasses
 import functools
 import math
 import typing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._types import NodeId, PortIndex
-from repro.net.cell import Cell
+from repro.core.reconfig.monitor import PingAckPayload, PingPayload, PortMonitor
+from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.net.cell import Cell, CellKind
 from repro.net.port import Port
+from repro.net.topology import Edge
 from repro.sim.kernel import Simulator
 
 #: monitoring fields the device configs share, each ``>= 0`` where
@@ -83,13 +87,13 @@ def validate_device_config(
 class Node:
     """A device with an array of ports attached to a simulator.
 
-    Subclasses implement :meth:`on_cell` -- the per-cell receive path --
-    and may use :meth:`neighbor_ids` to learn who is cabled to them (the
-    paper: "each node knows the identity of its neighbors; this
-    information can be obtained by sending a query out each port"; we let
-    nodes read the cable map directly, standing in for that query
-    exchange, while the *state* of links is still only learned through
-    the monitoring protocol).
+    Subclasses implement :meth:`on_cell` -- the per-cell receive path.
+    A node learns who is cabled to it only from the ping acks its port
+    monitors receive (the paper: "each node knows the identity of its
+    neighbors; this information can be obtained by sending a query out
+    each port"), and what it knows of its links -- the neighbour on a
+    port, whether the skeptic calls that link working, the edges it
+    vouches for -- is read through the queries below.
     """
 
     def __init__(self, sim: Simulator, node_id: NodeId, n_ports: int) -> None:
@@ -98,6 +102,9 @@ class Node:
         self.sim = sim
         self.node_id = node_id
         self.ports: List[Port] = [Port(self, i) for i in range(n_ports)]
+        #: one per cabled port once :meth:`start_monitors` has run,
+        #: inserted port-ascending.
+        self.monitors: Dict[PortIndex, PortMonitor] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -107,21 +114,108 @@ class Node:
     def port(self, index: PortIndex) -> Port:
         return self.ports[index]
 
-    def free_port(self) -> Optional[Port]:
-        """The lowest-index uncabled port, or ``None``."""
+    def start(self) -> None:
+        """Boot the device; one with nothing to run at boot does nothing."""
+
+    # ------------------------------------------------------------------
+    # link monitoring (section 2)
+    # ------------------------------------------------------------------
+    def start_monitors(self, config, jitter) -> None:
+        """Boot link monitoring on every cabled port, port-ascending: a
+        skeptic publishing to :meth:`_on_verdict` and a started monitor
+        feeding it, tuned by the monitoring fields every device config
+        carries.  Each first ping is offset by one draw from ``jitter``,
+        in port order, so that neighbours do not ping in lock-step."""
         for port in self.ports:
             if not port.connected:
-                return port
-        return None
+                continue
+            skeptic = Skeptic(
+                base_wait_us=config.skeptic_base_wait_us,
+                max_level=config.skeptic_max_level,
+                decay_interval_us=config.skeptic_decay_us,
+                on_verdict=functools.partial(self._on_verdict, port.index),
+            )
+            monitor = PortMonitor(
+                self.sim,
+                self.node_id,
+                port,
+                skeptic,
+                ping_interval_us=config.ping_interval_us,
+                ack_timeout_us=config.ack_timeout_us,
+                miss_threshold=config.miss_threshold,
+                start_offset_us=jitter.uniform(0.0, config.ping_interval_us),
+            )
+            monitor.start()
+            self.monitors[port.index] = monitor
 
-    def neighbor_ids(self) -> Dict[PortIndex, NodeId]:
-        """Map of port index -> neighbor node id, for cabled ports."""
-        neighbors: Dict[PortIndex, NodeId] = {}
-        for port in self.ports:
-            peer = port.peer()
-            if peer is not None:
-                neighbors[port.index] = peer.node.node_id
-        return neighbors
+    def _on_verdict(
+        self, port_index: PortIndex, verdict: LinkVerdict, now: float
+    ) -> None:
+        """The skeptic on ``port_index`` published a new verdict.  The
+        queries below read it either way; subclasses act on it."""
+
+    def _send_ping_ack(self, port_index: PortIndex, ping: PingPayload) -> None:
+        """Answer a ping with our identity (the neighbour query)."""
+        port = self.ports[port_index]
+        if not port.connected:
+            return
+        ack = PingAckPayload(
+            sender=ping.sender,
+            sender_port=ping.sender_port,
+            seq=ping.seq,
+            responder=self.node_id,
+            responder_port=port_index,
+        )
+        port.send(Cell(vc=0, kind=CellKind.PING_ACK, payload=ack))
+
+    def _accept_ping_ack(
+        self, port_index: PortIndex, ack: PingAckPayload
+    ) -> None:
+        monitor = self.monitors.get(port_index)
+        if monitor is not None:
+            monitor.on_ack(ack)
+
+    def neighbor(self, port_index: PortIndex) -> Optional[Tuple[NodeId, int]]:
+        """``(node, port)`` that last acked a ping on ``port_index``,
+        kept through a DEAD verdict so that a dead cable can still be
+        named; ``None`` before the first ack or on an unmonitored port."""
+        monitor = self.monitors.get(port_index)
+        return None if monitor is None else monitor.neighbor
+
+    def working_neighbor(
+        self, port_index: PortIndex
+    ) -> Optional[Tuple[NodeId, int]]:
+        """:meth:`neighbor`, while the port's skeptic says WORKING."""
+        monitor = self.monitors.get(port_index)
+        if monitor is None or monitor.verdict is not LinkVerdict.WORKING:
+            return None
+        return monitor.neighbor
+
+    def edge_on_port(self, port_index: PortIndex) -> Optional[Edge]:
+        """The cable on ``port_index`` as its last ack named it, whatever
+        its verdict now."""
+        neighbor = self.neighbor(port_index)
+        if neighbor is None:
+            return None
+        end = (self.node_id, port_index)
+        return (end, neighbor) if end <= neighbor else (neighbor, end)
+
+    def local_edges(self) -> Set[Edge]:
+        """Edges this node vouches for: every port with a working,
+        identified neighbour, hosts included."""
+        return {
+            self.edge_on_port(index)
+            for index in self.monitors
+            if self.working_neighbor(index) is not None
+        }
+
+    def port_facing(self, node: NodeId) -> Optional[int]:
+        """The lowest port whose working neighbour is ``node``."""
+        for index in self.monitors:
+            neighbor = self.working_neighbor(index)
+            if neighbor is not None and neighbor[0] == node:
+                return index
+        return None
 
     # ------------------------------------------------------------------
     def on_cell(self, port: Port, cell: Cell) -> None:

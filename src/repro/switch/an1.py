@@ -17,49 +17,47 @@ Two AN1 behaviours this model exists to contrast with AN2:
   rather than per-VC buffers -- packets here carry the ``gone_down``
   bit and each hop forwards only along legal continuations.
 
-The control plane (port monitors, skeptic, three-phase reconfiguration)
-is shared verbatim with AN2 -- the same agents run on both switches,
-which is itself a point of the paper.
+The control plane is not AN1's own: port monitors and skeptics
+(:class:`~repro.net.node.Node`), three-phase reconfiguration and the
+epoch's up*/down* routes (:class:`~repro.switch.control.SwitchNode`) run
+on both switch generations, which is itself a point of the paper, and
+:class:`An1Network` is an :class:`~repro.net.installation.Installation`
+like AN2's ``Network``.  What AN1 keeps for itself: FIFO input buffers
+of :data:`~repro.constants.AN1_FIFO_PACKETS` packets, packet
+cut-through, the ``gone_down`` bit, the flush of every FIFO when a
+reconfiguration begins, whole-packet hosts that answer pings on the
+spot, and 100 Mbit/s links.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set
-
 from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
 from repro._types import NodeId
 from repro.constants import (
+    AN1_FIFO_PACKETS,
     AN1_LINK_BPS,
     AN1_SWITCH_PORTS,
     CUT_THROUGH_DELAY_US,
     PING_REPLY_DELAY_US,
 )
-from repro.core.reconfig.algorithm import ReconfigurationAgent
-from repro.core.reconfig.monitor import (
-    PingPayload,
-    PortMonitor,
-    make_ack,
-    start_port_monitor,
-)
-from repro.core.reconfig.skeptic import LinkVerdict
-from repro.core.routing.paths import RouteComputer, port_on
+from repro.core.routing.paths import RoutingError, port_on
 from repro.net.cell import Cell, CellKind
+from repro.net.installation import Installation
 from repro.net.node import Node, validate_device_config
 from repro.net.packet import Packet
 from repro.net.port import Port
-from repro.net.topology import Edge
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Tally
 from repro.sim.random import RandomStreams
+from repro.switch.control import SwitchNode
 
 
 @dataclass
 class An1Config:
     n_ports: int = AN1_SWITCH_PORTS
-    #: FIFO depth per input, in packets.
-    fifo_packets: int = 64
     control_delay_us: float = 20.0
     ping_interval_us: float = 1_000.0
     ack_timeout_us: float = 400.0
@@ -69,13 +67,11 @@ class An1Config:
     skeptic_decay_us: float = 1_000_000.0
     boot_reconfig_delay_us: float = 3_500.0
     reconfig_watchdog_us: float = 100_000.0
-    #: the paper's AN1 behaviour; disable to measure its benefit.
-    drop_packets_on_reconfig: bool = True
 
     def __post_init__(self) -> None:
         validate_device_config(
             self,
-            at_least_one=("n_ports", "fifo_packets"),
+            at_least_one=("n_ports",),
             non_negative=(
                 "control_delay_us",
                 "boot_reconfig_delay_us",
@@ -94,7 +90,7 @@ class _QueuedPacket:
 _an1_packet_overhead_bits = 96  # header+trailer, ethernet-ish
 
 
-class An1Switch(Node):
+class An1Switch(SwitchNode):
     """A 12-port AN1 switch: FIFO input buffers, packet cut-through."""
 
     def __init__(
@@ -106,29 +102,19 @@ class An1Switch(Node):
         n_ports: Optional[int] = None,
         registry=None,
     ) -> None:
-        self.config = config if config is not None else An1Config()
-        ports = n_ports if n_ports is not None else self.config.n_ports
-        super().__init__(sim, node_id, ports)
-        self.streams = streams
-        self.fifos: List[Deque[_QueuedPacket]] = [
-            deque() for _ in range(ports)
-        ]
-        self._forwarding: List[bool] = [False] * ports  # per input
-        self.monitors: Dict[int, PortMonitor] = {}
-        self.reconfig = ReconfigurationAgent(
-            sim,
-            node_id,
-            transport=self,
-            watchdog_us=self.config.reconfig_watchdog_us,
+        super().__init__(
+            sim, node_id, streams,
+            config if config is not None else An1Config(), n_ports,
         )
-        self.reconfig.ready.subscribe(self._on_topology_ready)
+        self.fifos: List[Deque[_QueuedPacket]] = [
+            deque() for _ in range(self.n_ports)
+        ]
+        self._forwarding: List[bool] = [False] * self.n_ports  # per input
         self.reconfig.joined.subscribe(self._on_reconfig_joined)
-        self._route_computer: Optional[RouteComputer] = None
         self.packets_forwarded = 0
         self.packets_dropped_reconfig = 0
         self.packets_dropped_no_route = 0
         self.packets_dropped_overflow = 0
-        self._started = False
         if registry is not None:
             probes = registry.node(f"an1.{node_id}")
             probes.gauge("packets_forwarded", lambda: self.packets_forwarded)
@@ -143,87 +129,9 @@ class An1Switch(Node):
             )
             probes.gauge("buffered_packets", self.buffered_packets)
 
-    # ==================================================================
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        jitter = self.streams.stream(f"{self.node_id}.jitter")
-        for port in self.ports:
-            if not port.connected:
-                continue
-            self.monitors[port.index] = start_port_monitor(
-                self, port, self.config, jitter,
-                self._verdict_handler(port.index),
-            )
-        self.sim.schedule(
-            self.config.boot_reconfig_delay_us
-            + jitter.uniform(0, self.config.ping_interval_us),
-            self.reconfig.trigger,
-        )
-
-    def _verdict_handler(self, port_index: int):
-        def handler(verdict: LinkVerdict, now: float) -> None:
-            monitor = self.monitors.get(port_index)
-            if (
-                monitor is not None
-                and monitor.neighbor is not None
-                and monitor.neighbor[0].is_switch
-            ):
-                self.sim.schedule(
-                    self.config.control_delay_us, self.reconfig.trigger
-                )
-
-        return handler
-
-    # ==================================================================
-    # ReconfigTransport interface (shared with AN2Switch)
-    # ==================================================================
-    def reconfig_ports(self) -> List[int]:
-        eligible = []
-        for index, monitor in self.monitors.items():
-            if monitor.neighbor is None:
-                continue
-            if monitor.verdict is not LinkVerdict.WORKING:
-                continue
-            if monitor.neighbor[0].is_switch:
-                eligible.append(index)
-        return sorted(eligible)
-
-    def local_edges(self) -> Set[Edge]:
-        edges: Set[Edge] = set()
-        for index, monitor in self.monitors.items():
-            if monitor.neighbor is None:
-                continue
-            if monitor.verdict is not LinkVerdict.WORKING:
-                continue
-            neighbor_id, neighbor_port = monitor.neighbor
-            a = (self.node_id, index)
-            b = (neighbor_id, neighbor_port)
-            edges.add((a, b) if a <= b else (b, a))
-        return edges
-
-    def send_reconfig(self, port_index: int, message) -> None:
-        self.ports[port_index].send(
-            Cell(vc=0, kind=CellKind.RECONFIG, payload=message)
-        )
-
-    def _on_topology_ready(self, value) -> None:
-        tag, view = value
-        root = tag.initiator
-        if root not in set(view.switches()):
-            switches = view.switches()
-            root = switches[-1] if switches else self.node_id
-        try:
-            self._route_computer = RouteComputer(view, root)
-        except ValueError:
-            self._route_computer = None
-
     def _on_reconfig_joined(self, tag) -> None:
         """"all packets in transit are dropped when a reconfiguration
         begins" -- flush every FIFO."""
-        if not self.config.drop_packets_on_reconfig:
-            return
         for fifo in self.fifos:
             self.packets_dropped_reconfig += len(fifo)
             fifo.clear()
@@ -237,12 +145,13 @@ class An1Switch(Node):
             self._accept_packet(port.index, cell.payload)
         elif kind is CellKind.PING:
             self.sim.schedule(
-                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
+                PING_REPLY_DELAY_US,
+                self._send_ping_ack,
+                port.index,
+                cell.payload,
             )
         elif kind is CellKind.PING_ACK:
-            monitor = self.monitors.get(port.index)
-            if monitor is not None:
-                monitor.on_ack(cell.payload)
+            self._accept_ping_ack(port.index, cell.payload)
         elif kind is CellKind.RECONFIG:
             self.sim.schedule(
                 self.config.control_delay_us,
@@ -253,20 +162,9 @@ class An1Switch(Node):
         else:
             raise ValueError(f"AN1 switch cannot handle cell kind {kind}")
 
-    def _reply_ping(self, port_index: int, payload: PingPayload) -> None:
-        port = self.ports[port_index]
-        if port.connected:
-            port.send(
-                Cell(
-                    vc=0,
-                    kind=CellKind.PING_ACK,
-                    payload=make_ack(payload, self.node_id, port_index),
-                )
-            )
-
     def _accept_packet(self, in_port: int, queued: "_QueuedPacket") -> None:
         fifo = self.fifos[in_port]
-        if len(fifo) >= self.config.fifo_packets:
+        if len(fifo) >= AN1_FIFO_PACKETS:
             self.packets_dropped_overflow += 1
             return
         queued.enqueued_at = self.sim.now
@@ -318,17 +216,12 @@ class An1Switch(Node):
         if computer is None:
             return None
         destination = queued.packet.destination
-        # Directly attached host?
-        for index, monitor in self.monitors.items():
-            if (
-                monitor.neighbor is not None
-                and monitor.neighbor[0] == destination
-                and monitor.verdict is LinkVerdict.WORKING
-            ):
-                return index
+        host_port = self.port_facing(destination)
+        if host_port is not None:
+            return host_port
         try:
             dest_switch, _ = computer.attachment(destination)
-        except Exception:
+        except RoutingError:
             return None
         if dest_switch == self.node_id:
             return None
@@ -342,15 +235,10 @@ class An1Switch(Node):
 
     def _next_gone_down(self, queued: "_QueuedPacket", out_port: int) -> bool:
         computer = self._route_computer
-        monitor = self.monitors.get(out_port)
-        if computer is None or monitor is None or monitor.neighbor is None:
+        neighbor = self.neighbor(out_port)
+        if computer is None or neighbor is None or not neighbor[0].is_switch:
             return queued.gone_down
-        neighbor_id, neighbor_port = monitor.neighbor
-        if not neighbor_id.is_switch:
-            return queued.gone_down
-        a = (self.node_id, out_port)
-        b = (neighbor_id, neighbor_port)
-        edge = (a, b) if a <= b else (b, a)
+        edge = self.edge_on_port(out_port)
         try:
             is_up = computer.orientation.is_up_traversal(edge, self.node_id)
         except (KeyError, ValueError):
@@ -397,41 +285,20 @@ class An1Host(Node):
             self.delivered.append(packet)
             self.packet_latency.record(packet.latency)
         elif cell.kind is CellKind.PING:
-            payload = cell.payload
-            port.send(
-                Cell(
-                    vc=0,
-                    kind=CellKind.PING_ACK,
-                    payload=make_ack(payload, self.node_id, port.index),
-                )
-            )
+            self._send_ping_ack(port.index, cell.payload)
         elif cell.kind in (CellKind.PING_ACK, CellKind.RECONFIG):
             pass
         else:
             raise ValueError(f"AN1 host cannot handle {cell.kind}")
 
 
-class An1Network:
-    """Assembly of an AN1 installation (mirrors :class:`Network`)."""
+class An1Network(Installation):
+    """An AN1 installation: :class:`An1Switch` and :class:`An1Host`
+    devices on 100 Mbit/s links."""
 
     def __init__(self, topology, seed: int = 0, config: Optional[An1Config] = None):
-        from repro.net.link import Link
-
-        import repro.obs as obs
-        from repro.obs import MetricsRegistry
-
-        self.topology = topology
-        self.sim = Simulator()
-        self.registry = MetricsRegistry()
-        cap = obs.active_capture()
-        if cap is not None:
-            self.sim.tracer = cap.tracer
-            cap.adopt(self.registry)
-        self.streams = RandomStreams(seed)
+        super().__init__(topology, seed)
         self.config = config if config is not None else An1Config()
-        self.switches: Dict[NodeId, An1Switch] = {}
-        self.hosts: Dict[NodeId, An1Host] = {}
-        self.links: Dict[Edge, object] = {}
         for node in topology.switches():
             self.switches[node] = An1Switch(
                 self.sim,
@@ -446,46 +313,7 @@ class An1Network:
                 self.sim, node, n_ports=topology.ports_of(node),
                 registry=self.registry,
             )
-        for spec in topology.cables():
-            (node_a, pa), (node_b, pb) = spec.endpoints
-            dev_a = self.switches.get(node_a) or self.hosts[node_a]
-            dev_b = self.switches.get(node_b) or self.hosts[node_b]
-            self.links[spec.endpoints] = Link(
-                self.sim,
-                dev_a.port(pa),
-                dev_b.port(pb),
-                length_km=spec.length_km,
-                bps=AN1_LINK_BPS,
-                rng=self.streams.stream(f"link.{node_a}.{pa}.{node_b}.{pb}"),
-            )
-
-    def start(self) -> None:
-        for switch in self.switches.values():
-            switch.start()
-
-    def run(self, duration_us: float) -> None:
-        self.sim.run(until=self.sim.now + duration_us)
-
-    def converged(self) -> bool:
-        agents = [s.reconfig for s in self.switches.values()]
-        if any(a.active for a in agents):
-            return False
-        views = {a.view for a in agents}
-        tags = {a.view_tag for a in agents}
-        return len(views) == 1 and len(tags) == 1 and None not in tags
-
-    def run_until_converged(self, timeout_us: float = 1_000_000.0) -> float:
-        deadline = self.sim.now + timeout_us
-        while self.sim.now < deadline:
-            if self.converged():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + 500.0, deadline))
-        if self.converged():
-            return self.sim.now
-        raise RuntimeError("AN1 network failed to converge")
-
-    def metrics_snapshot(self) -> Dict[str, dict]:
-        return self.registry.snapshot()
+        self._cable(bps=AN1_LINK_BPS)
 
     def total_dropped_on_reconfig(self) -> int:
         return sum(

@@ -13,25 +13,23 @@ A :class:`LineCard` aggregates, for one port:
   the *downstream* buffer pools of circuits arriving here (the buffers
   the upstream node holds credits for) and the *upstream* windows of
   circuits departing through this port (our credits for the next
-  node's buffers),
-- the link monitor and skeptic for the attached cable.
+  node's buffers).
+
+The port's link monitor and skeptic belong to the switch, as on every
+node (:class:`~repro.net.node.Node`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro._types import VcId
 from repro.core.flowcontrol.endpoint import CreditEndpoint
-from repro.core.reconfig.monitor import PortMonitor
-from repro.core.reconfig.skeptic import Skeptic
 from repro.net.port import Port
 from repro.switch.buffers import GuaranteedQueues, VcQueues
 from repro.switch.routing_table import RoutingTable
 
 
 class LineCard:
-    """One port's buffers, tables, credit state, and monitor."""
+    """One port's buffers, tables and credit state."""
 
     def __init__(self, port: Port, credits: CreditEndpoint) -> None:
         self.port = port
@@ -44,8 +42,6 @@ class LineCard:
         #: checkers that read balances and occupancy per cell.
         self.downstream = credits.downstream
         self.upstream = credits.upstream
-        self.monitor: Optional[PortMonitor] = None
-        self.skeptic: Optional[Skeptic] = None
         self.cells_dropped = 0
         self.cells_forwarded = 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro._types import NodeId, VcId
 from repro.constants import (
@@ -48,15 +48,10 @@ from repro.core.guaranteed.frames import FrameSchedule
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
 from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
 from repro.core.matching.bitmask import BitmaskPim, bits_of
-from repro.core.reconfig.algorithm import ReconfigurationAgent
-from repro.core.reconfig.monitor import (
-    PingPayload,
-    make_ack,
-    start_port_monitor,
-)
+from repro.core.reconfig.monitor import PingPayload
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.multicast import FanoutToken
-from repro.core.routing.paths import RouteComputer
+from repro.core.routing.paths import RouteComputer, RoutingError, port_on
 from repro.core.routing.signaling import (
     PageOut,
     SetupRequest,
@@ -64,12 +59,13 @@ from repro.core.routing.signaling import (
     TeardownRequest,
 )
 from repro.net.cell import Cell, CellKind, TrafficClass
-from repro.net.node import Node, validate_device_config
+from repro.net.node import validate_device_config
 from repro.net.port import Port
-from repro.net.topology import Edge, TopologyView
+from repro.net.topology import TopologyView
 from repro.sim.kernel import Simulator
 from repro.sim.clock import DriftingClock
 from repro.sim.random import RandomStreams
+from repro.switch.control import SwitchNode
 from repro.switch.crossbar import Crossbar
 from repro.switch.linecard import LineCard
 
@@ -170,8 +166,14 @@ class SwitchStats:
     per_output_forwarded: Dict[int, int] = field(default_factory=dict)
 
 
-class AN2Switch(Node):
-    """A 16-port AN2 switch in the event-driven network model."""
+class AN2Switch(SwitchNode):
+    """A 16-port AN2 switch in the event-driven network model.
+
+    Methods the kernel dispatches, or that the end-to-end benchmark
+    names by path, are defined on this class even where the body only
+    calls :class:`SwitchNode`'s: run digests and span tables name an
+    event by its callback's qualified name.
+    """
 
     def __init__(
         self,
@@ -182,10 +184,11 @@ class AN2Switch(Node):
         n_ports: Optional[int] = None,
         registry=None,
     ) -> None:
-        self.config = config if config is not None else SwitchConfig()
-        ports = n_ports if n_ports is not None else self.config.n_ports
-        super().__init__(sim, node_id, ports)
-        self.streams = streams
+        super().__init__(
+            sim, node_id, streams,
+            config if config is not None else SwitchConfig(), n_ports,
+        )
+        ports = self.n_ports
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
         self.cards: List[LineCard] = [
             LineCard(
@@ -224,14 +227,9 @@ class AN2Switch(Node):
             )
         else:
             self.frame_schedule = FrameSchedule(ports, self.config.frame_slots)
-        self.reconfig = ReconfigurationAgent(
-            sim, node_id, transport=self, watchdog_us=self.config.reconfig_watchdog_us
-        )
-        self.reconfig.ready.subscribe(self._on_topology_ready)
         self.signaling = SignalingAgent(node_id, transport=self)
         self.admission = DistributedAdmissionAgent(self)
         self.stats = SwitchStats()
-        self._route_computer: Optional[RouteComputer] = None
         self._vc_in_port: Dict[VcId, int] = {}
         #: ticks made plus, on the wave, slots sat out parked: the frame
         #: position.  Short of :attr:`slot_index` while parked.
@@ -244,17 +242,10 @@ class AN2Switch(Node):
         #: the Network's repro.fastpath.FabricSlotDriver once adopted;
         #: while the local clock is drift-free, slot ticks ride its wave.
         self._slot_driver = None
-        self._started = False
-        #: observers of verdict changes: callbacks (port_index, verdict).
-        self.verdict_observers: List[Callable[[int, LinkVerdict], None]] = []
-        #: registry node for the per-epoch route cache counters; the
-        #: RouteComputer re-points these gauges on every reconfiguration.
-        self._routing_probes = (
-            registry.node(f"switch.{node_id}.routing")
-            if registry is not None
-            else None
-        )
         if registry is not None:
+            # The epoch's RouteComputer re-points these route cache
+            # gauges on every reconfiguration.
+            self._routing_probes = registry.node(f"switch.{node_id}.routing")
             self._register_probes(registry.node(f"switch.{node_id}"))
 
     def _register_probes(self, probes) -> None:
@@ -275,23 +266,11 @@ class AN2Switch(Node):
     # lifecycle
     # ==================================================================
     def start(self) -> None:
-        """Boot the switch: start monitors and the initial reconfiguration."""
+        """Boot the switch: monitors, the initial reconfiguration and
+        (if configured) periodic credit resynchronization."""
         if self._started:
             return
-        self._started = True
-        jitter_rng = self.streams.stream(f"{self.node_id}.jitter")
-        for card in self.cards:
-            if card.port.connected:
-                card.monitor = start_port_monitor(
-                    self, card.port, self.config, jitter_rng,
-                    self._verdict_handler(card.index),
-                )
-                card.skeptic = card.monitor.skeptic
-        self.sim.schedule(
-            self.config.boot_reconfig_delay_us
-            + jitter_rng.uniform(0.0, self.config.ping_interval_us),
-            self._boot_trigger,
-        )
+        super().start()
         if self.config.resync_interval_us > 0:
             self.sim.schedule(
                 self.config.resync_interval_us, self._resync_tick
@@ -300,20 +279,10 @@ class AN2Switch(Node):
     def _boot_trigger(self) -> None:
         self.reconfig.trigger()
 
-    def _verdict_handler(self, port_index: int):
-        def handler(verdict: LinkVerdict, now: float) -> None:
-            self._on_verdict(port_index, verdict)
-
-        return handler
-
-    def _on_verdict(self, port_index: int, verdict: LinkVerdict) -> None:
-        card = self.cards[port_index]
-        neighbor = card.monitor.neighbor if card.monitor else None
-        # "State changes in host links do not trigger reconfiguration."
-        if neighbor is not None and neighbor[0].is_switch:
-            self.sim.schedule(
-                self.config.control_delay_us, self.reconfig.trigger
-            )
+    def _on_verdict(
+        self, port_index: int, verdict: LinkVerdict, now: float
+    ) -> None:
+        super()._on_verdict(port_index, verdict, now)
         if verdict is LinkVerdict.DEAD and self.config.enable_local_reroute:
             self.sim.schedule(
                 self.config.control_delay_us, self._reroute_port, port_index
@@ -321,68 +290,16 @@ class AN2Switch(Node):
         recorder = self.sim.recorder
         if recorder is not None:
             recorder.record(
-                self.sim.now, f"switch.{self.node_id}", "skeptic.verdict",
+                now, f"switch.{self.node_id}", "skeptic.verdict",
                 port=port_index, verdict=verdict.value,
             )
-        for observer in list(self.verdict_observers):
-            observer(port_index, verdict)
-
-    # ==================================================================
-    # ReconfigTransport interface
-    # ==================================================================
-    def reconfig_ports(self) -> List[int]:
-        """Ports cabled to working, identified switch neighbors."""
-        eligible = []
-        for card in self.cards:
-            monitor = card.monitor
-            if monitor is None or monitor.neighbor is None:
-                continue
-            if card.skeptic and card.skeptic.verdict is not LinkVerdict.WORKING:
-                continue
-            if monitor.neighbor[0].is_switch:
-                eligible.append(card.index)
-        return eligible
-
-    def local_edges(self) -> Set[Edge]:
-        """Edges this switch vouches for: every working, identified port."""
-        edges: Set[Edge] = set()
-        for card in self.cards:
-            monitor = card.monitor
-            if monitor is None or monitor.neighbor is None:
-                continue
-            if card.skeptic and card.skeptic.verdict is not LinkVerdict.WORKING:
-                continue
-            neighbor_id, neighbor_port = monitor.neighbor
-            a = (self.node_id, card.index)
-            b = (neighbor_id, neighbor_port)
-            edges.add((a, b) if a <= b else (b, a))
-        return edges
-
-    def send_reconfig(self, port_index: int, message) -> None:
-        self.ports[port_index].send(
-            Cell(vc=0, kind=CellKind.RECONFIG, payload=message)
-        )
 
     def _on_topology_ready(self, value) -> None:
-        tag, view = value
-        root = tag.initiator
-        if root not in set(view.switches()):
-            switches = view.switches()
-            root = switches[-1] if switches else self.node_id
-        try:
-            # A new epoch gets a new computer, which is what evicts every
-            # cached path from the previous configuration (the route
-            # cache lives inside the orientation; see updown.py).
-            self._route_computer = RouteComputer(
-                view,
-                root,
-                epoch=str(tag),
-                probes=self._routing_probes,
-            )
-            self.stats.route_installs_full += 1
-        except ValueError:
-            self._route_computer = None
-        if self.config.enable_local_reroute and self._route_computer:
+        super()._on_topology_ready(value)
+        if self._route_computer is None:
+            return
+        self.stats.route_installs_full += 1
+        if self.config.enable_local_reroute:
             # A detour that was illegal under the old up*/down* tree may
             # be legal under the new one: retry circuits still pointed at
             # dead ports.
@@ -395,17 +312,6 @@ class AN2Switch(Node):
     # ==================================================================
     def route_computer(self) -> Optional[RouteComputer]:
         return self._route_computer
-
-    def attached_host_port(self, host: NodeId) -> Optional[int]:
-        for card in self.cards:
-            monitor = card.monitor
-            if monitor is None or monitor.neighbor is None:
-                continue
-            if card.skeptic and card.skeptic.verdict is not LinkVerdict.WORKING:
-                continue
-            if monitor.neighbor[0] == host:
-                return card.index
-        return None
 
     def install_circuit(
         self, vc: VcId, in_port: int, out_port: int, request: SetupRequest
@@ -530,9 +436,7 @@ class AN2Switch(Node):
                 PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
             )
         elif kind is CellKind.PING_ACK:
-            monitor = self.cards[port.index].monitor
-            if monitor is not None:
-                monitor.on_ack(cell.payload)
+            self._accept_ping_ack(port.index, cell.payload)
         elif kind is CellKind.RECONFIG:
             self.sim.schedule(
                 self.config.control_delay_us,
@@ -551,11 +455,7 @@ class AN2Switch(Node):
             raise ValueError(f"switch cannot handle cell kind {kind}")
 
     def _reply_ping(self, port_index: int, payload: PingPayload) -> None:
-        port = self.ports[port_index]
-        if not port.connected:
-            return
-        ack = make_ack(payload, self.node_id, port_index)
-        port.send(Cell(vc=0, kind=CellKind.PING_ACK, payload=ack))
+        self._send_ping_ack(port_index, payload)
 
     def _handle_reconfig(self, port_index: int, message) -> None:
         self.reconfig.handle(port_index, message)
@@ -951,18 +851,18 @@ class AN2Switch(Node):
                     continue
                 rerouted = False
                 if computer is not None:
-                    rerouted = self._reroute_entry(
-                        card, entry, computer,
-                        blocked_edges=self._edges_on_port(dead_port),
-                    )
+                    rerouted = self._reroute_entry(card, entry, computer)
                 if rerouted:
                     self.stats.reroutes += 1
                 else:
                     self.stats.broken_circuits += 1
 
-    def reroute_circuit(self, vc: VcId, blocked_edges: frozenset) -> bool:
-        """Move one circuit off the given edges from this switch onward
-        (used by the load-balancing extension).  Returns success."""
+    def reroute_circuit(
+        self, vc: VcId, blocked_edges: Optional[frozenset] = None
+    ) -> bool:
+        """Move one circuit off the given edges (by default, the cable
+        it leaves this switch on) from this switch onward (used by the
+        load-balancing extension).  Returns success."""
         in_port = self._vc_in_port.get(vc)
         if in_port is None or self._route_computer is None:
             return False
@@ -986,39 +886,40 @@ class AN2Switch(Node):
             for entry in card.routing_table.entries():
                 if entry.is_multicast:
                     continue
-                out_card = self.cards[entry.out_port]
-                if (
-                    out_card.skeptic is None
-                    or out_card.skeptic.verdict is LinkVerdict.WORKING
-                ):
+                monitor = self.monitors.get(entry.out_port)
+                if monitor is None or monitor.verdict is LinkVerdict.WORKING:
                     continue
-                if self._reroute_entry(
-                    card,
-                    entry,
-                    computer,
-                    blocked_edges=self._edges_on_port(entry.out_port),
-                ):
+                if self._reroute_entry(card, entry, computer):
                     self.stats.reroutes += 1
 
     def _reroute_entry(
-        self, card: LineCard, entry, computer, blocked_edges: frozenset
+        self,
+        card: LineCard,
+        entry,
+        computer,
+        blocked_edges: Optional[frozenset] = None,
     ) -> bool:
+        """Point ``entry`` at a new output avoiding ``blocked_edges``
+        (by default, the cable on its current output) and send the setup
+        on from there."""
         request = entry.request
-        host_port = self.attached_host_port(request.destination)
-        dead_edges = blocked_edges
+        host_port = self.port_facing(request.destination)
+        if blocked_edges is None:
+            edge = self.edge_on_port(entry.out_port)
+            blocked_edges = frozenset() if edge is None else frozenset({edge})
         if host_port is not None and host_port != entry.out_port:
             new_port = host_port
             gone_down = request.gone_down
         else:
             try:
                 dest_switch, _ = computer.attachment(request.destination)
-            except Exception:
+            except RoutingError:
                 return False
             if dest_switch == self.node_id:
                 return False
             if not request.gone_down:
                 path = computer.orientation.shortest_legal_path(
-                    self.node_id, dest_switch, blocked_edges=dead_edges
+                    self.node_id, dest_switch, blocked_edges=blocked_edges
                 )
             else:
                 path = None  # only down-moves allowed; recompute below
@@ -1026,12 +927,12 @@ class AN2Switch(Node):
                 path = computer.orientation._shortest_down_only_path(
                     self.node_id, dest_switch
                 )
-                if path is not None and any(e in dead_edges for e in path[1]):
+                if path is not None and any(
+                    e in blocked_edges for e in path[1]
+                ):
                     path = None
             if path is None or not path[1]:
                 return False
-            from repro.core.routing.paths import port_on
-
             first_edge = path[1][0]
             new_port = port_on(first_edge, self.node_id)
             gone_down = request.gone_down or not (
@@ -1061,16 +962,6 @@ class AN2Switch(Node):
         self.send_signaling(new_port, forwarded)
         self._kick()
         return True
-
-    def _edges_on_port(self, port_index: int) -> frozenset:
-        card = self.cards[port_index]
-        monitor = card.monitor
-        if monitor is None or monitor.neighbor is None:
-            return frozenset()
-        neighbor_id, neighbor_port = monitor.neighbor
-        a = (self.node_id, port_index)
-        b = (neighbor_id, neighbor_port)
-        return frozenset({(a, b) if a <= b else (b, a)})
 
     # ==================================================================
     @property

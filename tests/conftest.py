@@ -9,6 +9,7 @@ from repro.net.cell import CellKind
 from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
+from repro.switch.an1 import An1Config
 from repro.switch.switch import SwitchConfig
 
 
@@ -41,6 +42,21 @@ def fast_host_config(**overrides) -> HostConfig:
     )
     defaults.update(overrides)
     return HostConfig(**defaults)
+
+
+def fast_an1_config(**overrides) -> An1Config:
+    """The AN1 counterpart of :func:`fast_switch_config`."""
+    defaults = dict(
+        ping_interval_us=500.0,
+        ack_timeout_us=200.0,
+        miss_threshold=2,
+        skeptic_base_wait_us=2_000.0,
+        skeptic_max_level=4,
+        boot_reconfig_delay_us=1_500.0,
+        reconfig_watchdog_us=50_000.0,
+    )
+    defaults.update(overrides)
+    return An1Config(**defaults)
 
 
 def line_with_hosts(

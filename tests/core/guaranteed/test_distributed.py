@@ -3,6 +3,7 @@
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.guaranteed.frames import ScheduleError
 from repro.core.routing.circuits import CircuitState
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -134,3 +135,26 @@ class TestLocalKnowledgeLimit:
         for switch in net.switches.values():
             for port in range(switch.n_ports):
                 assert switch.admission.residual(port) >= 0
+
+
+class TestScheduleFailures:
+    """A hop turns a request back as "schedule full" only when its frame
+    schedule says so (ScheduleError); any other exception is a bug."""
+
+    def refuse(self, net, monkeypatch, error):
+        def add_reservation(in_port, out_port, cells_per_frame):
+            raise error
+
+        monkeypatch.setattr(net.switch("s1"), "add_reservation", add_reservation)
+
+    def test_schedule_error_rejects_the_request(self, net, monkeypatch):
+        self.refuse(net, monkeypatch, ScheduleError("over-committed"))
+        circuit, outcome = net.reserve_bandwidth_distributed("h0", "h1", 4)
+        assert outcome == "rejected: schedule full"
+        assert circuit.state is CircuitState.TORN_DOWN
+        assert net.switch("s0").frame_schedule.total_reserved() == 0
+
+    def test_other_errors_propagate(self, net, monkeypatch):
+        self.refuse(net, monkeypatch, ValueError("cells must be positive"))
+        with pytest.raises(ValueError, match="cells must be positive"):
+            net.reserve_bandwidth_distributed("h0", "h1", 4)

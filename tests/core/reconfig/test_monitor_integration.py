@@ -10,13 +10,13 @@ from tests.conftest import converged_line, line_with_hosts
 
 def test_neighbor_discovery_names_peer_and_port(small_net):
     s1 = small_net.switch("s1")
-    for card in s1.cards:
-        if card.monitor is not None:
-            assert card.monitor.neighbor is not None
-            neighbor_id, neighbor_port = card.monitor.neighbor
-            peer = card.port.peer()
-            assert peer.node.node_id == neighbor_id
-            assert peer.index == neighbor_port
+    assert s1.monitors
+    for index in s1.monitors:
+        assert s1.neighbor(index) is not None
+        neighbor_id, neighbor_port = s1.neighbor(index)
+        peer = s1.port(index).peer()
+        assert peer.node.node_id == neighbor_id
+        assert peer.index == neighbor_port
 
 
 def test_failure_detected_within_miss_budget():
@@ -25,13 +25,9 @@ def test_failure_detected_within_miss_budget():
     link = net.fail_link("s0", "s1")
     t_fail = net.now
     s0 = net.switch("s0")
-    card = next(
-        c
-        for c in s0.cards
-        if c.monitor and c.monitor.neighbor and c.monitor.neighbor[0] == switch_id(1)
-    )
+    monitor = s0.monitors[s0.port_facing(switch_id(1))]
     net.run_until(
-        lambda: card.skeptic.verdict is LinkVerdict.DEAD,
+        lambda: monitor.verdict is LinkVerdict.DEAD,
         timeout_us=50_000.0,
         check_interval_us=100.0,
     )
@@ -47,8 +43,8 @@ def test_both_ends_detect_failure():
     def both_dead():
         dead = 0
         for sid in ("s1", "s2"):
-            for card in net.switch(sid).cards:
-                if card.skeptic and card.skeptic.verdict is LinkVerdict.DEAD:
+            for monitor in net.switch(sid).monitors.values():
+                if monitor.verdict is LinkVerdict.DEAD:
                     dead += 1
         return dead >= 2
 
@@ -59,18 +55,14 @@ def test_recovery_gated_by_skeptic():
     net = converged_line(3)
     net.fail_link("s0", "s1")
     s0 = net.switch("s0")
-    card = next(
-        c
-        for c in s0.cards
-        if c.monitor and c.monitor.neighbor and c.monitor.neighbor[0] == switch_id(1)
-    )
+    monitor = s0.monitors[s0.port_facing(switch_id(1))]
     net.run_until(
-        lambda: card.skeptic.verdict is LinkVerdict.DEAD, timeout_us=50_000.0
+        lambda: monitor.verdict is LinkVerdict.DEAD, timeout_us=50_000.0
     )
     net.restore_link("s0", "s1")
     t_restore = net.now
     net.run_until(
-        lambda: card.skeptic.verdict is LinkVerdict.WORKING,
+        lambda: monitor.verdict is LinkVerdict.WORKING,
         timeout_us=200_000.0,
     )
     # Recovery must have waited at least the level-1 probation.
@@ -123,16 +115,12 @@ def test_ping_counters_advance():
     net = converged_line(2)
     s0 = net.switch("s0")
     counts = [
-        (c.monitor.pings_sent, c.monitor.acks_received)
-        for c in s0.cards
-        if c.monitor
+        (m.pings_sent, m.acks_received) for m in s0.monitors.values()
     ]
-    assert all(p > 0 and a > 0 for p, a in counts)
+    assert counts and all(p > 0 and a > 0 for p, a in counts)
     net.run(10_000)
     counts_after = [
-        (c.monitor.pings_sent, c.monitor.acks_received)
-        for c in s0.cards
-        if c.monitor
+        (m.pings_sent, m.acks_received) for m in s0.monitors.values()
     ]
     assert all(
         after > before

@@ -249,7 +249,7 @@ class TestInteractionGuards:
         entry = s0.cards[in_port].routing_table.lookup(circuit.vc)
         assert entry.is_multicast
         branch = sorted(entry.out_ports)[0]
-        neighbor = s0.cards[branch].monitor.neighbor[0]
+        neighbor = s0.neighbor(branch)[0]
         net.fail_link("s0", str(neighbor))
         net.run_until(
             lambda: s0.stats.broken_circuits >= 1, timeout_us=100_000

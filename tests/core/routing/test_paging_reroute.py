@@ -6,6 +6,7 @@ import pytest
 from repro._types import host_id, switch_id
 from repro.core.routing.load_balance import LoadBalancer
 from repro.core.routing.paging import PagingDaemon
+from repro.core.routing.paths import RouteComputer
 from repro.core.routing.reroute import circuits_crossing, installed_path
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -166,6 +167,19 @@ class TestLocalReroute:
             lambda: net.switch("s1").stats.broken_circuits >= 1,
             timeout_us=100_000,
         )
+
+    def test_routing_bug_escapes_the_reroute(self, monkeypatch):
+        net = diamond_net()
+        circuit = net.setup_circuit("h0", "h1")
+        mid = installed_path(net, circuit.vc, host_id(0))[2]
+
+        def broken(self, host, preferred_port=0):
+            raise TypeError("broken attachment")
+
+        monkeypatch.setattr(RouteComputer, "attachment", broken)
+        net.fail_link("s0", str(mid))
+        with pytest.raises(TypeError, match="broken attachment"):
+            net.run(100_000)
 
 
 class TestLoadBalancer:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.routing.paths import RouteComputer
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.packet import Packet
@@ -131,3 +132,15 @@ def test_setup_follows_updown_legal_route():
             assert not went_down, "down-then-up on installed path"
         else:
             went_down = True
+
+
+def test_routing_bug_escapes_the_setup(small_net, monkeypatch):
+    """Only a RoutingError means "no route": any other exception out of
+    the route computer is a bug, and must not pass for a failed setup."""
+
+    def broken(self, host, preferred_port=0):
+        raise TypeError("broken attachment")
+
+    monkeypatch.setattr(RouteComputer, "attachment", broken)
+    with pytest.raises(TypeError, match="broken attachment"):
+        small_net.setup_circuit("h0", "h1")

@@ -36,7 +36,7 @@ class FakeSignalingTransport:
     def route_computer(self):
         return self.computer
 
-    def attached_host_port(self, host) -> Optional[int]:
+    def port_facing(self, host) -> Optional[int]:
         return self.attached.get(host)
 
     def install_circuit(self, vc, in_port, out_port, request):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro._types import host_id, switch_id
+from repro._types import switch_id
 from repro.constants import CELL_BITS
 from repro.net.cell import Cell
 from repro.net.link import Link, LinkState
@@ -173,15 +173,6 @@ def test_can_transmit_false_when_dead_or_uncabled():
     link.fail()
     assert not a.port(0).can_transmit_at(0.0)
     assert not a.port(1).can_transmit_at(0.0)
-
-
-def test_node_neighbor_ids():
-    sim = Simulator()
-    a = RecordingNode(sim, switch_id(0), n_ports=3)
-    b = RecordingNode(sim, host_id(5))
-    Link(sim, a.port(2), b.port(0))
-    assert a.neighbor_ids() == {2: host_id(5)}
-    assert a.free_port() is a.port(0)
 
 
 def test_negative_length_rejected():

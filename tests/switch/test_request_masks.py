@@ -312,7 +312,7 @@ def test_local_reroute_moves_queued_cells():
     send(net, circuit, "h0", "h3", cells=20, copies=2)
     run_until_requesting(net, s0, card)
     assert circuit.vc in card.vc_queues.queued_vcs(old_out)
-    neighbor = s0.cards[old_out].monitor.neighbor[0]
+    neighbor = s0.neighbor(old_out)[0]
     net.fail_link("s0", str(neighbor))
     net.run_until(lambda: s0.stats.reroutes >= 1, timeout_us=100_000)
     audit.check_all()
@@ -353,12 +353,12 @@ def test_resync_corrects_a_balance_downward_and_upward():
     s0 = net.switch("s0")
     card, entry = in_card_and_entry(s0, vc)
     out = entry.out_port
-    neighbor = s0.cards[out].monitor.neighbor[0]
+    neighbor = s0.neighbor(out)[0]
     # Stop the next switch from forwarding: its buffers fill, s0's
     # balance runs dry with cells still queued.
     next_switch = net.switches[neighbor]
     next_card, next_entry = in_card_and_entry(next_switch, vc)
-    far = next_switch.cards[next_entry.out_port].monitor.neighbor[0]
+    far = next_switch.neighbor(next_entry.out_port)[0]
     net.link_between(str(neighbor), str(far)).fail()
     send(net, circuit, "h0", "h1", cells=8)
     net.run(200)
@@ -402,7 +402,7 @@ def reentered_circuit(switch_ref):
     old_card, entry = in_card_and_entry(switch, vc)
     out = entry.out_port
     out_link = net.link_between(
-        switch_ref, str(switch.cards[out].monitor.neighbor[0])
+        switch_ref, str(switch.neighbor(out)[0])
     )
     out_link.drop_filter = lambda cell: cell.kind is CellKind.CREDIT
     net.host("h0").send_raw_cells(vc, 8)
@@ -483,7 +483,7 @@ def test_reroute_silences_the_old_output_for_every_card():
     net, audit, s0, old_card, new_in, out, vc, _ = reentered_circuit("s0")
     credit(s0, out, vc)
     assert s0.crossbar.rows[old_card.index] == 1 << out
-    assert s0.reroute_circuit(vc, s0._edges_on_port(out))
+    assert s0.reroute_circuit(vc)
     audit.check_all()
     assert not s0.crossbar.want & (1 << out)
     net.run(200)

@@ -118,7 +118,7 @@ class TestControlPlane:
         s0 = small_net.switch("s0")
         ports = s0.reconfig_ports()
         for port_index in ports:
-            neighbor = s0.cards[port_index].monitor.neighbor
+            neighbor = s0.neighbor(port_index)
             assert neighbor[0].is_switch
 
     def test_local_edges_include_host_links(self, small_net):
@@ -238,7 +238,7 @@ class TestLocalRerouteState:
         in_port = s0._vc_in_port[circuit.vc]
         old_out = s0.cards[in_port].routing_table.lookup(circuit.vc).out_port
         assert circuit.vc in s0.cards[old_out].upstream
-        neighbor = s0.cards[old_out].monitor.neighbor[0]
+        neighbor = s0.neighbor(old_out)[0]
         net.fail_link("s0", str(neighbor))
         net.run_until(lambda: s0.stats.reroutes >= 1, timeout_us=100_000)
 

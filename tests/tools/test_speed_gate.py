@@ -49,7 +49,7 @@ def check(monkeypatch, baseline, current):
         lambda repeats, verbose=True, quick_only=False: current,
     )
     return run_speed_bench.check_against_baseline(
-        baseline, repeats=1, tolerance=0.25, missing_ok=False
+        baseline, repeats=1, tolerance=0.25
     )
 
 

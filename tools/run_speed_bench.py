@@ -9,20 +9,14 @@ Two modes:
     results, plus the derived slow/fast speedup pairs, to
     ``BENCH_speed.json`` at the repo root.
 
-``python tools/run_speed_bench.py --check``
-    Re-times the workloads and compares against the committed baseline.
-    Exits non-zero if any workload is more than ``--tolerance`` (default
-    25%) slower than its baseline entry, or if a work checksum diverges
-    (the timed work itself changed).  Skips cleanly (exit 0) when no
-    baseline file exists, so fresh clones and CI bootstrap runs pass.
-
-``python tools/run_speed_bench.py --compare BASELINE.json --tolerance 30``
-    The CI regression gate: compare against an explicit baseline file
-    with the tolerance given in *percent*.  Unlike ``--check``, a
-    missing baseline is an error (exit 2) -- a gate that silently
-    passes because its baseline vanished is no gate.  Combine with
-    ``--quick`` to time only the workloads marked cheap enough for
-    every-push smoke runs.
+``python tools/run_speed_bench.py --compare BASELINE.json --tolerance 25``
+    The regression gate: re-times the workloads and compares against an
+    explicit baseline file.  Exits 1 if any workload is more than
+    ``--tolerance`` percent (default 25) slower than its baseline entry,
+    or if a work checksum diverges (the timed work itself changed), and
+    2 if the baseline is missing -- a gate that silently passes because
+    its baseline vanished is no gate.  Combine with ``--quick`` to time
+    only the workloads marked cheap enough for every-push smoke runs.
 
 Timings are wall-clock and machine-dependent; the baseline is only
 meaningful against timings taken on the same machine, which is exactly
@@ -116,17 +110,11 @@ def write_baseline(path: Path, results: dict) -> dict:
 
 
 def check_against_baseline(
-    path: Path,
-    repeats: int,
-    tolerance: float,
-    quick_only: bool = False,
-    missing_ok: bool = True,
+    path: Path, repeats: int, tolerance: float, quick_only: bool = False
 ) -> int:
+    """Re-time the workloads against the baseline at ``path``;
+    ``tolerance`` is a fraction (0.25 = 25% slower fails)."""
     if not path.exists():
-        if missing_ok:
-            print(f"no baseline at {path}; skipping speed check (run "
-                  f"tools/run_speed_bench.py to create one)")
-            return 0
         print(f"FAIL no baseline at {path}; the regression gate needs one")
         return 2
     baseline = json.loads(path.read_text())
@@ -167,11 +155,6 @@ def check_against_baseline(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=3,
@@ -183,7 +166,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="BASELINE.json",
         help="regression gate: compare against this baseline file "
-        "(--tolerance is in percent here; missing baseline = exit 2)",
+        "instead of rewriting it (missing baseline = exit 2)",
     )
     parser.add_argument(
         "--quick",
@@ -193,9 +176,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=None,
-        help="failure threshold: a fraction for --check (default 0.25), "
-        "a percentage for --compare (default 25)",
+        default=25.0,
+        help="--compare failure threshold in percent (default 25)",
     )
     parser.add_argument(
         "--output",
@@ -206,29 +188,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.check and args.compare:
-        parser.error("--check and --compare are mutually exclusive")
 
     if args.compare:
-        tolerance_pct = 25.0 if args.tolerance is None else args.tolerance
-        if tolerance_pct <= 0:
+        if args.tolerance <= 0:
             parser.error("--tolerance must be a positive percentage")
         return check_against_baseline(
             args.compare,
             args.repeats,
-            tolerance_pct / 100.0,
+            args.tolerance / 100.0,
             quick_only=args.quick,
-            missing_ok=False,
-        )
-
-    if args.check:
-        tolerance = 0.25 if args.tolerance is None else args.tolerance
-        return check_against_baseline(
-            args.output, args.repeats, tolerance, quick_only=args.quick
         )
 
     if args.quick:
-        parser.error("--quick only applies to --check / --compare runs "
+        parser.error("--quick only applies to --compare runs "
                      "(a quick-only baseline would gut the full gate)")
     print(f"timing {len(WORKLOADS)} workloads, best of {args.repeats} rounds")
     results = time_workloads(args.repeats)
