@@ -37,6 +37,11 @@ class NodeId:
     def is_host(self) -> bool:
         return self.kind == "host"
 
+    @property
+    def label(self) -> str:
+        """The node's component name in protocol records: ``switch.s3``."""
+        return f"{self.kind}.{self}"
+
     def __str__(self) -> str:
         return f"{'s' if self.is_switch else 'h'}{self.num}"
 

@@ -1,6 +1,6 @@
 """Differential oracles: reference vs kernel, AN1 vs AN2.
 
-Three families of cross-checks, each reporting the *first* divergence it
+Four families of cross-checks, each reporting the *first* divergence it
 finds as a :class:`Divergence` (never just a boolean -- a conformance
 failure must say exactly where the implementations disagreed):
 

@@ -19,7 +19,6 @@ there is one record per window and no second table to outlive it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
 from repro._types import VcId
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
@@ -31,14 +30,7 @@ class CreditError(Exception):
 
 @dataclass
 class UpstreamCredits:
-    """The sender's side: a credit balance for one VC over one link.
-
-    ``trace`` is an optional ``(event_name, vc, **payload)`` hook that
-    the owning endpoint wires up -- only when its simulator has a tracer
-    -- to surface credit grants and stall/unstall transitions as
-    ``flowcontrol`` trace events.  Untraced instances never touch it on
-    the send path.
-    """
+    """The sender's side: a credit balance for one VC over one link."""
 
     allocation: int
     balance: int = field(default=-1)
@@ -56,9 +48,6 @@ class UpstreamCredits:
     strict: bool = False
     #: the circuit this window belongs to (named in resync messages).
     vc: VcId = 0
-    trace: Optional[Callable[..., Any]] = field(
-        default=None, repr=False, compare=False
-    )
     requests_sent: int = 0
     replies_applied: int = 0
     credits_recovered: int = 0
@@ -93,7 +82,7 @@ class UpstreamCredits:
         restored the window) is clamped and counted in
         :attr:`excess_credits`; with :attr:`strict` set it raises
         instead.  Returns ``True`` when this credit *ends* a stall
-        episode (the edge callers flight-record).
+        episode (the edge callers report).
         """
         if amount <= 0:
             raise CreditError(f"non-positive credit {amount}")
@@ -109,10 +98,6 @@ class UpstreamCredits:
             self.balance = self.allocation
         unstalled = self._stalled
         self._stalled = False
-        if self.trace is not None:
-            self.trace("credit.grant", self.vc, amount=amount, balance=self.balance)
-            if unstalled:
-                self.trace("credit.unstall", self.vc, stalls=self.stalls)
         return unstalled
 
     def note_stall(self) -> bool:
@@ -120,16 +105,12 @@ class UpstreamCredits:
 
         Returns ``True`` when this *begins* a stall episode (the first
         blocked attempt since credit last arrived) -- callers use that
-        edge to flight-record stalls without flooding on every retry.
+        edge to report stalls without flooding on every retry.
         """
         self.stalls += 1
         if self._stalled:
             return False
-        # One event per stall *episode*; note_stall fires once per
-        # blocked pump attempt and would flood the trace otherwise.
         self._stalled = True
-        if self.trace is not None:
-            self.trace("credit.stall", self.vc, stalls=self.stalls)
         return True
 
     def resynchronize(self, downstream_freed_total: int) -> int:

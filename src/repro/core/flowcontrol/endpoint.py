@@ -39,21 +39,19 @@ class CreditEndpoint:
         sim: Simulator,
         port: Port,
         config,
-        component: str,
         on_window: Callable[[VcId, bool], None],
     ) -> None:
         """``config`` is the installation's ``SwitchConfig``: both ends
         of a link read ``flow_control`` and ``credit_allocation`` from
-        the one object.  ``component`` names this end in trace events."""
+        the one object."""
         self.sim = sim
         self.port = port
         #: "drop" mode keeps the pools (a full one drops the cell) but
         #: opens no window and returns no credit.
         self.credit_mode = config.flow_control == "credits"
         self._config = config
-        self._component = component
-        node_id = port.node.node_id
-        self._flight_ring = f"{node_id.kind}.{node_id}"
+        #: records name the owning node and carry the port.
+        self._label = port.node.node_id.label
         self._on_window = on_window
         #: circuits departing through this port: our credit balances for
         #: the far end's buffers.
@@ -74,11 +72,7 @@ class CreditEndpoint:
         """``vc`` will leave through this port: give it a full window
         (idempotent; nothing in drop mode)."""
         if self.credit_mode and vc not in self.upstream:
-            self.upstream[vc] = UpstreamCredits(
-                self.allocation(), vc=vc,
-                # Per-credit tracing only when a tracer is attached now.
-                trace=self._trace if self.sim.tracer is not None else None,
-            )
+            self.upstream[vc] = UpstreamCredits(self.allocation(), vc=vc)
 
     def pool(self, vc: VcId) -> DownstreamCredits:
         """The buffers of ``vc`` arriving here, allocated on first use."""
@@ -87,21 +81,11 @@ class CreditEndpoint:
             state = self.downstream[vc] = DownstreamCredits(self.allocation())
         return state
 
-    def _trace(self, name: str, vc: VcId, **payload) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.sim.now, "flowcontrol", self._component, name,
-                vc=vc, **payload,
-            )
-
-    def _record(self, name: str, vc: VcId, **payload) -> None:
-        recorder = self.sim.recorder
-        if recorder is not None:
-            recorder.record(
-                self.sim.now, self._flight_ring, name,
-                port=self.port.index, vc=int(vc), **payload,
-            )
+    def _note(self, name: str, vc: VcId, **fields) -> None:
+        self.sim.note(
+            "flowcontrol", self._label, name,
+            port=self.port.index, vc=vc, **fields,
+        )
 
     # ------------------------------------------------------------------
     def free(self, vc: VcId) -> bool:
@@ -113,10 +97,10 @@ class CreditEndpoint:
         return self.credit_mode
 
     def note_stall(self, window: UpstreamCredits) -> None:
-        """A send was blocked on ``window``'s zero balance; flight-record
-        the first block of each stall episode."""
+        """A send was blocked on ``window``'s zero balance; report the
+        first block of each stall episode."""
         if window.note_stall():
-            self._record("credit.stall", window.vc, stalls=window.stalls)
+            self._note("credit.stall", window.vc, stalls=window.stalls)
 
     def accept(self, cell: Cell) -> None:
         """Consume one CREDIT cell that arrived on this port."""
@@ -140,18 +124,28 @@ class CreditEndpoint:
         if is_reply:
             recovered = window.apply_reply(payload)
             if recovered:
-                self._trace("resync.recovered", vc, recovered=recovered)
-                self._record("resync.recovered", vc, recovered=recovered)
+                self._note("resync.recovered", vc, recovered=recovered)
             if window.balance == before:
                 return  # stale, incoherent, or nothing was lost
-        elif window.credit(payload if isinstance(payload, int) else 1):
-            self._record("credit.unstall", vc, stalls=window.stalls)
+        else:
+            amount = payload if isinstance(payload, int) else 1
+            unstalled = window.credit(amount)
+            # Tracer-only: one record per credit cell is per-cell
+            # traffic, which the flight recorder's rings must not take.
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit(
+                    self.sim.now, "flowcontrol", self._label, "credit.grant",
+                    port=self.port.index, vc=vc, amount=amount,
+                    balance=window.balance,
+                )
+            if unstalled:
+                self._note("credit.unstall", vc, stalls=window.stalls)
         self._on_window(vc, (before == 0) != (window.balance == 0))
 
     def resync_round(self) -> None:
         """Send one resynchronization request per open window."""
         for vc, window in sorted(self.upstream.items()):
             request = window.make_request()
-            self._trace("resync.round", vc, cells_sent=request.cells_sent)
-            self._record("resync.round", vc, cells_sent=request.cells_sent)
+            self._note("resync.round", vc, cells_sent=request.cells_sent)
             self.port.send(Cell(vc=vc, kind=CellKind.CREDIT, payload=request))

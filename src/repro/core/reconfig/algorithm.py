@@ -121,7 +121,7 @@ class ReconfigurationAgent:
         #: depth of this node in the propagation-order tree (root = 0);
         #: measured by carrying depth in invitations.
         self.tree_depth: Optional[int] = None
-        self._epoch_span = None  # open tracer span for the current epoch
+        self._label = node_id.label
 
     # ------------------------------------------------------------------
     # external triggers
@@ -130,11 +130,7 @@ class ReconfigurationAgent:
         """Start a new reconfiguration (link state change, boot...)."""
         tag = self.stored_tag.successor(self.node_id)
         self.stats.initiated += 1
-        if self.sim.tracer is not None:
-            self.sim.tracer.emit(
-                self.sim.now, "reconfig", str(self.node_id),
-                "epoch.trigger", tag=str(tag),
-            )
+        self.sim.note("reconfig", self._label, "epoch.trigger", tag=str(tag))
         self._join(tag, parent_port=None, depth=0)
         return tag
 
@@ -225,22 +221,12 @@ class ReconfigurationAgent:
             self._watchdog = self.sim.schedule(
                 self.watchdog_us, self._watchdog_fired, tag
             )
-        if self.sim.tracer is not None:
-            # Abandoned epochs (superseded by a larger tag) simply never
-            # get their .end record -- the report tool treats an epoch
-            # with a begin and no end as aborted.
-            self._epoch_span = self.sim.tracer.span(
-                self.sim.now, "reconfig", str(self.node_id), "epoch",
-                tag=str(tag),
-                root=parent_port is None,
-                depth=depth,
-            )
-        recorder = self.sim.recorder
-        if recorder is not None:
-            recorder.record(
-                self.sim.now, f"switch.{self.node_id}", "epoch.join",
-                tag=str(tag), root=parent_port is None, depth=depth,
-            )
+        # An epoch superseded by a larger tag never gets its epoch.end;
+        # the report tool shows one with begins and no end as superseded.
+        self.sim.note(
+            "reconfig", self._label, "epoch.begin",
+            tag=str(tag), root=parent_port is None, depth=depth,
+        )
         self.joined.fire(tag)
         self._maybe_complete_subtree()
 
@@ -276,23 +262,14 @@ class ReconfigurationAgent:
         self.view_tag = self.stored_tag
         self.completed_at = self.sim.now
         self.stats.completions += 1
-        if self._epoch_span is not None:
-            self._epoch_span.end(
-                self.sim.now,
-                tag=str(self.view_tag),
-                edges=len(view.edges),
-            )
-            self._epoch_span = None
-        recorder = self.sim.recorder
-        if recorder is not None:
-            old_edges = previous.edges if previous is not None else view.edges
-            recorder.record(
-                self.sim.now, f"switch.{self.node_id}", "epoch.done",
-                tag=str(self.view_tag), edges=len(view.edges),
-                duration=self.sim.now - (self.started_at or 0.0),
-                edges_added=len(view.edges - old_edges),
-                edges_removed=len(old_edges - view.edges),
-            )
+        old_edges = previous.edges if previous is not None else view.edges
+        self.sim.note(
+            "reconfig", self._label, "epoch.end",
+            tag=str(self.view_tag), edges=len(view.edges),
+            duration=self.sim.now - (self.started_at or 0.0),
+            edges_added=len(view.edges - old_edges),
+            edges_removed=len(old_edges - view.edges),
+        )
         self.ready.fire((self.view_tag, view))
 
     def _watchdog_fired(self, tag: EpochTag) -> None:
@@ -300,17 +277,7 @@ class ReconfigurationAgent:
         if self.active and self.stored_tag == tag:
             # The epoch stalled (a participant died or messages were lost
             # on a link whose death is not yet published).  Supersede it.
-            if self.sim.tracer is not None:
-                self.sim.tracer.emit(
-                    self.sim.now, "reconfig", str(self.node_id),
-                    "epoch.watchdog", tag=str(tag),
-                )
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.record(
-                    self.sim.now, f"switch.{self.node_id}",
-                    "epoch.watchdog", tag=str(tag),
-                )
+            self.sim.note("reconfig", self._label, "epoch.watchdog", tag=str(tag))
             self.trigger()
 
     def _cancel_watchdog(self) -> None:

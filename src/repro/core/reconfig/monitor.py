@@ -82,10 +82,10 @@ class PortMonitor:
         self.pings_sent = 0
         self.acks_received = 0
         self._started = False
-        # Trace events (ours and the skeptic's) carry the port-qualified
-        # component name, e.g. "s3.p2".
-        self._trace_component = f"{owner_id}.p{port.index}"
-        skeptic.bind_trace(sim, self._trace_component)
+        # Records (ours and the skeptic's) name the owner, e.g.
+        # "switch.s3", and carry the port.
+        self._label = owner_id.label
+        skeptic.bind(sim, self._label, port.index)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -111,10 +111,13 @@ class PortMonitor:
             return
         del self._outstanding[seq]
         self._misses += 1
-        if self.sim.tracer is not None:
-            self.sim.tracer.emit(
-                self.sim.now, "reconfig", self._trace_component,
-                "monitor.timeout", seq=seq, misses=self._misses,
+        # Tracer-only: a dead link times out every ping interval, which
+        # would flood the flight recorder's rings.
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                self.sim.now, "reconfig", self._label, "monitor.timeout",
+                port=self.port.index, seq=seq, misses=self._misses,
                 threshold=self.miss_threshold,
             )
         if self._misses >= self.miss_threshold:

@@ -88,22 +88,24 @@ class Skeptic:
         self._last_decay: float = 0.0
         self.verdict_changes: List[Tuple[float, LinkVerdict]] = []
         self.failures_seen = 0
-        # Tracing is opt-in: the machine stays pure (explicit timestamps,
-        # no simulator) until an owner binds one for emission.
-        self._trace_sim = None
-        self._trace_component = ""
+        # The machine stays pure (explicit timestamps, no simulator)
+        # until an owner binds one to report its transitions to.
+        self._sim = None
+        self._component = ""
+        self._port = -1
 
-    def bind_trace(self, sim, component: str) -> None:
-        """Emit ``reconfig`` trace events through ``sim.tracer`` (if any)."""
-        self._trace_sim = sim
-        self._trace_component = component
+    def bind(self, sim, component: str, port: int) -> None:
+        """Report transitions through ``sim.note`` as ``component``'s
+        port ``port``."""
+        self._sim = sim
+        self._component = component
+        self._port = port
 
-    def _trace(self, now: float, name: str, **payload) -> None:
-        sim = self._trace_sim
-        if sim is not None and sim.tracer is not None:
-            sim.tracer.emit(
-                now, "reconfig", self._trace_component, name,
-                level=self.level, **payload,
+    def _note(self, name: str, **fields) -> None:
+        if self._sim is not None:
+            self._sim.note(
+                "reconfig", self._component, name,
+                port=self._port, level=self.level, **fields,
             )
 
     # ------------------------------------------------------------------
@@ -128,25 +130,24 @@ class Skeptic:
         """The monitor observed the link misbehaving."""
         self._maybe_decay(now)
         self.failures_seen += 1
-        self._trace(now, "skeptic.failure", state=self._state.value)
+        if self._state is _State.DEAD:
+            return  # nothing changes
+        # A failure while working, or during probation (which proves
+        # continued flakiness), escalates and kills the link.
+        self._note("skeptic.failure", state=self._state.value)
+        self.level = min(self.level + 1, self.max_level)
         if self._state is _State.WORKING:
-            self.level = min(self.level + 1, self.max_level)
             self._enter_dead(now)
-        elif self._state is _State.PROBATION:
-            # Failing during probation proves continued flakiness.
-            self.level = min(self.level + 1, self.max_level)
+        else:
             self._state = _State.DEAD
             self._probation_ends = None
-        # Already DEAD: nothing changes.
 
     def report_recovery(self, now: float) -> None:
         """The monitor observed the link behaving correctly again."""
         if self._state is _State.DEAD:
             self._state = _State.PROBATION
             self._probation_ends = now + self.current_wait()
-            self._trace(
-                now, "skeptic.probation", until=self._probation_ends,
-            )
+            self._note("skeptic.probation", until=self._probation_ends)
 
     def tick(self, now: float) -> None:
         """Advance timers: probation completion and skepticism decay.
@@ -188,7 +189,7 @@ class Skeptic:
             return
         self._verdict = verdict
         self.verdict_changes.append((now, verdict))
-        self._trace(now, "skeptic.verdict", verdict=verdict.value)
+        self._note("skeptic.verdict", verdict=verdict.value)
         if self.on_verdict is not None:
             self.on_verdict(verdict, now)
 

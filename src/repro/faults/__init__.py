@@ -33,7 +33,6 @@ from repro.faults.runner import (
     ScenarioResult,
     ScenarioRunner,
     TrafficLoad,
-    run_scenario,
 )
 from repro.faults.scenarios import (
     CANNED,
@@ -77,5 +76,4 @@ __all__ = [
     "max_verdict_changes",
     "random_biconnected_topology",
     "random_plan",
-    "run_scenario",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Iterator, Optional, Tuple, Union
 
 
 class PlanError(Exception):
@@ -295,8 +295,3 @@ class FaultPlan:
 
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self.events)
-
-
-def sequential_plan(events: Sequence[FaultEvent]) -> FaultPlan:
-    """Convenience wrapper kept for symmetry with generated plans."""
-    return FaultPlan(tuple(events))

@@ -20,10 +20,11 @@ keyed by the event's index and kind -- adding a fault to a plan never
 perturbs the randomness seen by the others, and the whole scenario
 replays exactly from the network seed.
 
-Observability: each fault opens a ``faults``-category trace span
-(``fault.<kind>.begin`` / ``.end``) and bumps a count read by a gauge
-under the ``faults`` metrics node, so ``tools/trace_report.py``
-timelines show fault windows against reconfiguration activity.
+Observability: each fault notes ``fault.<kind>.begin`` and, when its
+window closes, ``fault.<kind>.end`` with the duration (``faults``
+category and component, through ``Simulator.note``, so the flight
+recorder and any tracer both hold the fault windows), and bumps a count
+read by a gauge under the ``faults`` metrics node.
 """
 
 from __future__ import annotations
@@ -278,24 +279,23 @@ class ScenarioRunner:
         self._undo: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
-    # tracing helpers
+    # the fault log
     # ------------------------------------------------------------------
-    def _span(self, name: str, **payload):
-        recorder = self.net.sim.recorder
-        if recorder is not None:
-            recorder.record(self.net.now, "faults", name, **payload)
-        tracer = self.net.sim.tracer
-        if tracer is None:
-            return None
-        return tracer.span(self.net.now, "faults", "scenario", name, **payload)
+    def _note(self, name: str, **fields) -> None:
+        self.net.sim.note("faults", "faults", name, **fields)
 
-    def _emit(self, name: str, **payload) -> None:
-        tracer = self.net.sim.tracer
-        if tracer is not None:
-            tracer.emit(self.net.now, "faults", "scenario", name, **payload)
-        recorder = self.net.sim.recorder
-        if recorder is not None:
-            recorder.record(self.net.now, "faults", name, **payload)
+    def _begin(self, name: str, **fields) -> Callable[..., None]:
+        """Note ``<name>.begin`` now; returns the call that notes its
+        ``<name>.end``, with the window's duration, when it closes."""
+        began = self.net.now
+        self._note(f"{name}.begin", **fields)
+
+        def end(**end_fields) -> None:
+            self._note(
+                f"{name}.end", duration=self.net.now - began, **end_fields
+            )
+
+        return end
 
     def _count(self, name: str) -> None:
         self.counts[name] += 1
@@ -318,21 +318,20 @@ class ScenarioRunner:
 
     def _apply_link_cut(self, t0: float, index: int, event: LinkCut) -> None:
         link = self.net.link_between(event.a, event.b)
-        span = self._span("fault.link_cut", a=event.a, b=event.b, index=index)
+        end = self._begin("fault.link_cut", a=event.a, b=event.b, index=index)
         self._count("link_cuts")
         link.fail()
         if event.restore_at_us is not None:
             def restore() -> None:
                 link.restore()
-                if span is not None:
-                    span.end(self.net.now, restored=True)
+                end(restored=True)
             self.net.sim.schedule_at(t0 + event.restore_at_us, restore)
         else:
-            self._undo.append(lambda: span and span.end(self.net.now, restored=False))
+            self._undo.append(lambda: end(restored=False))
 
     def _apply_link_flap(self, t0: float, index: int, event: LinkFlap) -> None:
         link = self.net.link_between(event.a, event.b)
-        span = self._span(
+        end = self._begin(
             "fault.link_flap", a=event.a, b=event.b, flaps=event.flaps,
             index=index,
         )
@@ -340,43 +339,46 @@ class ScenarioRunner:
         for flap in range(event.flaps):
             down_at = t0 + event.at_us + flap * period
             up_at = down_at + event.down_us
-            self.net.sim.schedule_at(down_at, self._flap_transition, link, False)
-            self.net.sim.schedule_at(up_at, self._flap_transition, link, True)
-        if span is not None:
+            last = flap == event.flaps - 1
             self.net.sim.schedule_at(
-                t0 + event.end_us, span.end, t0 + event.end_us
+                down_at, self._flap_transition, link, False, None
+            )
+            self.net.sim.schedule_at(
+                up_at, self._flap_transition, link, True, end if last else None
             )
 
-    def _flap_transition(self, link, up: bool) -> None:
+    def _flap_transition(self, link, up: bool, end) -> None:
+        """One flap edge; ``end`` closes the fault at its last restore."""
         self._count("flap_transitions")
-        self._emit("fault.flap", link=repr(link), up=up)
+        self._note("fault.flap", link=link.label, up=up)
         if up:
             link.restore()
         else:
             link.fail()
+        if end is not None:
+            end()
 
     def _apply_switch_crash(
         self, t0: float, index: int, event: SwitchCrash
     ) -> None:
-        span = self._span("fault.switch_crash", switch=event.switch, index=index)
+        end = self._begin("fault.switch_crash", switch=event.switch, index=index)
         self._count("switch_crashes")
         failed = self.net.crash_switch(event.switch)
-        self._emit("fault.switch_crash.links", count=len(failed))
+        self._note("fault.switch_crash.links", count=len(failed))
         if event.restart_at_us is not None:
             def restart() -> None:
                 self.net.restore_switch(event.switch)
-                if span is not None:
-                    span.end(self.net.now, restarted=True)
+                end(restarted=True)
             self.net.sim.schedule_at(t0 + event.restart_at_us, restart)
         else:
-            self._undo.append(lambda: span and span.end(self.net.now, restarted=False))
+            self._undo.append(lambda: end(restarted=False))
 
     def _apply_credit_burst(
         self, t0: float, index: int, event: CreditLossBurst
     ) -> None:
         link = self.net.link_between(event.a, event.b)
         rng = self._streams.stream(f"{index}.credit_loss")
-        span = self._span(
+        end = self._begin(
             "fault.credit_loss", a=event.a, b=event.b,
             probability=event.probability, index=index,
         )
@@ -403,11 +405,7 @@ class ScenarioRunner:
 
         def end_burst() -> None:
             link.drop_filter = previous
-            if span is not None:
-                span.end(
-                    self.net.now,
-                    credits_dropped=counts["credit_cells_dropped"],
-                )
+            end(credits_dropped=counts["credit_cells_dropped"])
 
         self.net.sim.schedule_at(t0 + event.end_us, end_burst)
 
@@ -416,7 +414,7 @@ class ScenarioRunner:
     ) -> None:
         link = self.net.link_between(event.a, event.b)
         previous = link.error_rate
-        span = self._span(
+        end = self._begin(
             "fault.error_rate", a=event.a, b=event.b, rate=event.rate,
             index=index,
         )
@@ -425,18 +423,17 @@ class ScenarioRunner:
         if event.until_us is not None:
             def end_step() -> None:
                 link.set_error_rate(previous)
-                if span is not None:
-                    span.end(self.net.now, corrupted=link.cells_corrupted)
+                end(corrupted=link.cells_corrupted)
             self.net.sim.schedule_at(t0 + event.until_us, end_step)
         else:
-            self._undo.append(lambda: span and span.end(self.net.now))
+            self._undo.append(end)
 
     def _apply_clock_drift(
         self, t0: float, index: int, event: ClockDriftStep
     ) -> None:
         switch = self.net.switch(event.switch)
         self._count("clock_drift_steps")
-        self._emit(
+        self._note(
             "fault.clock_drift", switch=event.switch,
             drift_ppm=event.drift_ppm, index=index,
         )
@@ -515,7 +512,7 @@ class ScenarioRunner:
         except NetworkError as exc:
             raise ScenarioError(f"network never booted: {exc}") from exc
 
-        scenario_span = self._span(
+        end_scenario = self._begin(
             "scenario", events=len(self.plan), loads=len(self.loads)
         )
         vcs = self._open_circuits()  # advances simulated time
@@ -550,8 +547,7 @@ class ScenarioRunner:
         self._sample()
         for undo in self._undo:
             undo()
-        if scenario_span is not None:
-            scenario_span.end(net.now, settled=settled_at is not None)
+        end_scenario(settled=settled_at is not None)
 
         invariants = check_all(
             net,
@@ -612,13 +608,3 @@ class ScenarioRunner:
                 self.solution.metrics() if self.solution is not None else {}
             ),
         )
-
-
-def run_scenario(
-    net: Network,
-    plan: FaultPlan,
-    loads: Sequence[TrafficLoad] = (),
-    **kwargs,
-) -> ScenarioResult:
-    """One-shot convenience: build a runner and run it."""
-    return ScenarioRunner(net, plan, loads, **kwargs).run()

@@ -110,7 +110,7 @@ class Host(Node):
         #: one, pools of circuits delivered to us where they arrive.
         self.credits: List[CreditEndpoint] = [
             CreditEndpoint(
-                sim, port, switch_config, str(node_id),
+                sim, port, switch_config,
                 on_window=lambda vc, crossed_zero: self._kick_pump(),
             )
             for port in self.ports
@@ -272,7 +272,7 @@ class Host(Node):
         cells = sender.segmenter.segment(packet, now=self.sim.now)
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled("journey"):
-            attach_journey(tracer, cells, self.sim.now, str(self.node_id))
+            attach_journey(tracer, cells, self.sim.now, self.node_id.label)
         sender.queue.extend(cells)
         if sender.traffic_class is TrafficClass.GUARANTEED:
             self._start_pacer(sender)
@@ -296,7 +296,7 @@ class Host(Node):
             )
             cells = sender.segmenter.segment(packet, now=self.sim.now)
             if journeys:
-                attach_journey(tracer, cells, self.sim.now, str(self.node_id))
+                attach_journey(tracer, cells, self.sim.now, self.node_id.label)
             sender.queue.extend(cells)
         if sender.traffic_class is TrafficClass.GUARANTEED:
             self._start_pacer(sender)
@@ -348,7 +348,7 @@ class Host(Node):
             sender.cells_sent += 1
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
-                    now, str(self.node_id), "tx", port=port.index
+                    now, self.node_id.label, "tx", port=port.index
                 )
             port.send(cell)
             sent = True
@@ -387,7 +387,7 @@ class Host(Node):
             sender.cells_sent += 1
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
-                    self.sim.now, str(self.node_id), "tx", port=port.index
+                    self.sim.now, self.node_id.label, "tx", port=port.index
                 )
             port.send(cell)
         if sender.queue:
@@ -447,7 +447,7 @@ class Host(Node):
         ctx = cell.trace_ctx
         if ctx is not None:
             ctx.record(
-                self.sim.now, str(self.node_id), "deliver",
+                self.sim.now, self.node_id.label, "deliver",
                 latency=self.sim.now - cell.created_at,
             )
         aborted_before = self.reassembler.packets_aborted
@@ -455,31 +455,27 @@ class Host(Node):
             packet = self.reassembler.accept(cell)
         except ReassemblyError:
             self.reassembly_errors += 1
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.record(
-                    self.sim.now, f"host.{self.node_id}",
-                    "reassembly.error", vc=int(cell.vc), seq=cell.seq,
-                )
+            self.sim.note(
+                "host", self.node_id.label, "reassembly.error",
+                vc=cell.vc, seq=cell.seq,
+            )
             return
         # A stale partial discarded during seq-0 resynchronization is a
         # corrupted packet too, even though the cell itself was accepted.
         aborted = self.reassembler.packets_aborted - aborted_before
         self.reassembly_errors += aborted
         if aborted:
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.record(
-                    self.sim.now, f"host.{self.node_id}",
-                    "reassembly.abort", vc=int(cell.vc), aborted=aborted,
-                )
+            self.sim.note(
+                "host", self.node_id.label, "reassembly.abort",
+                vc=cell.vc, aborted=aborted,
+            )
         if packet is not None:
             packet.delivered_at = self.sim.now
             self.delivered.append(packet)
             self.packet_latency.record(packet.latency)
             if ctx is not None:
                 ctx.record(
-                    self.sim.now, str(self.node_id), "packet.done",
+                    self.sim.now, self.node_id.label, "packet.done",
                     latency=packet.latency,
                 )
             self.packet_delivered.fire(packet)

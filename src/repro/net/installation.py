@@ -71,17 +71,15 @@ class Installation:
                 rng=self.streams.stream(f"link.{node_a}.{pa}.{node_b}.{pb}"),
             )
             self.links[spec.endpoints] = link
-            self._watch_link(f"link.{node_a}.{pa}-{node_b}.{pb}", link)
+            self._watch_link(link)
 
-    def _watch_link(self, label: str, link: Link) -> None:
-        """On every state change of ``link``: flight-record it under
-        ``label`` and drop the ground truth worked out before it."""
+    def _watch_link(self, link: Link) -> None:
+        """On every state change of ``link``: note it and drop the
+        ground truth worked out before it."""
 
         def observer(_link: Link, state) -> None:
             self._ground_truth = None
-            self.recorder.record(
-                self.sim.now, label, "link.state", state=state.value
-            )
+            self.sim.note("link", link.label, "link.state", state=state.value)
 
         link.state_observers.append(observer)
 

@@ -58,6 +58,9 @@ class Link:
         self.sim = sim
         self.port_a = port_a
         self.port_b = port_b
+        #: this cable's component name in every record, journey hops and
+        #: link state alike: ``link.s0.p1-s3.p0``.
+        self.label = f"link.{port_a.label}-{port_b.label}"
         self.length_km = length_km
         self.bps = bps
         self.latency_us = length_km * PROPAGATION_US_PER_KM
@@ -167,7 +170,7 @@ class Link:
                 self.data_cells_dropped += 1
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
-                    self.sim.now, self.journey_label(), "wire.drop",
+                    self.sim.now, self.label, "wire.drop",
                     reason="dead",
                 )
             return
@@ -183,10 +186,6 @@ class Link:
                 observer(self, direction, cell)
         self.sim.schedule_at(arrival, self._deliver, direction, cell)
 
-    def journey_label(self) -> str:
-        """Component name for this link's journey/flight records."""
-        return f"link.{self.port_a.label}-{self.port_b.label}"
-
     def target_port(self, direction: int) -> "Port":
         """The receiving port for ``direction`` (0: port_b, 1: port_a)."""
         if direction not in (0, 1):
@@ -201,7 +200,7 @@ class Link:
                 self.data_cells_dropped += 1
             if ctx is not None:
                 ctx.record(
-                    self.sim.now, self.journey_label(), "wire.drop",
+                    self.sim.now, self.label, "wire.drop",
                     reason="dead",
                 )
             if self.adjudicator is not None:
@@ -211,7 +210,7 @@ class Link:
             self.cells_corrupted += 1
             if ctx is not None:
                 ctx.record(
-                    self.sim.now, self.journey_label(), "wire.drop",
+                    self.sim.now, self.label, "wire.drop",
                     reason="filtered",
                 )
             if self.adjudicator is not None:
@@ -221,7 +220,7 @@ class Link:
             self.cells_corrupted += 1
             if ctx is not None:
                 ctx.record(
-                    self.sim.now, self.journey_label(), "wire.drop",
+                    self.sim.now, self.label, "wire.drop",
                     reason="error",
                 )
             if self.adjudicator is not None:
@@ -230,7 +229,7 @@ class Link:
         self.cells_delivered += 1
         if ctx is not None:
             ctx.record(
-                self.sim.now, self.journey_label(), "wire.arrive",
+                self.sim.now, self.label, "wire.arrive",
                 direction=direction,
             )
         if self.deliver_hook is not None and self.deliver_hook(

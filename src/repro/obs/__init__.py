@@ -3,15 +3,16 @@
 The cooperating pieces:
 
 - :class:`~repro.obs.trace.Tracer` -- timestamped structured events
-  (category, component, name, payload) with span support, serialized to
-  JSON Lines and rendered by ``tools/trace_report.py``;
+  (category, component, name, payload), serialized to JSON Lines and
+  rendered by ``tools/trace_report.py``;
 - :class:`~repro.obs.journey.JourneyContext` -- causal per-hop records
   for every traced cell, segmentation to reassembly, feeding the
   critical-path analyzer (``trace_report.py --section journey``);
 - :class:`~repro.obs.flight.FlightRecorder` -- always-on bounded rings
   of recent protocol events per switch/link/host, dumped to JSONL when
   an invariant fails, an exception escapes the kernel, or a digest
-  mismatch is detected;
+  mismatch is detected.  ``Simulator.note`` hands every protocol
+  transition to it and to the tracer alike;
 - :class:`~repro.obs.registry.MetricsRegistry` -- hierarchical
   ownership of the :class:`~repro.sim.monitor.ProbeSet` tallies and
   gauges that the switch, host, and fault models feed, snapshot-able to
@@ -37,14 +38,13 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.obs.flight import FlightRecorder, next_dump_path
 from repro.obs.journey import JourneyContext, attach_journey
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span, TraceRecord, Tracer, read_jsonl
+from repro.obs.trace import TraceRecord, Tracer, read_jsonl
 
 __all__ = [
     "Capture",
     "FlightRecorder",
     "JourneyContext",
     "MetricsRegistry",
-    "Span",
     "TraceRecord",
     "Tracer",
     "active_capture",

@@ -1,27 +1,27 @@
 """Always-on flight recorder: bounded rings of recent protocol events.
 
 A :class:`FlightRecorder` keeps one ``deque(maxlen=capacity)`` ring per
-component (per switch, per link, per host, the fault injector, the
-kernel) holding the most recent *protocol-level* events: epoch
-transitions, skeptic verdicts, credit stall episodes, resync rounds and
-recoveries, link state changes, reassembly errors, injected faults.
-Unlike the :class:`~repro.obs.trace.Tracer` it is wired into every
-:class:`~repro.net.network.Network` unconditionally -- which is only
-tenable because it records *transitions*, never per-cell traffic:
+component (``switch.s3``, ``host.h0``, a link's label, ``faults``,
+``kernel``) holding the most recent *protocol transitions*: everything
+reported through ``Simulator.note`` -- epochs, skeptic verdicts, credit
+stall episodes, resync rounds and recoveries, link state changes,
+reassembly errors, injected faults -- which is also what an attached
+:class:`~repro.obs.trace.Tracer` receives, record for record.  Unlike
+the tracer it is wired into every installation unconditionally, which
+is only tenable because it records transitions, never per-cell traffic:
 
 - steady-state cost is near zero (a healthy converged network emits no
   protocol transitions, so the hot cell path never touches it);
 - memory is bounded at ``capacity`` records per component, oldest
   evicted first -- a black box, not a log;
 - the kernel never consults it per event: it lives on a plain
-  ``Simulator.recorder`` attribute (not the tracer slot, which would
-  swap in the instrumented event loop), and is only read when a run
-  dies or a dump is requested.
+  ``Simulator.recorder`` attribute and is only read when a run dies or
+  a dump is requested.
 
-Dumps are JSON Lines in the same ``{t, cat, comp, name, data}`` shape
-as tracer output (category ``flight``), prefixed with one
-``flight.meta`` record carrying the dump reason, so
-``tools/trace_report.py --section flight`` renders them directly.
+Dumps are JSON Lines in the tracer's ``{t, cat, comp, name, data}``
+shape, each record keeping its category, prefixed with one
+``flight.meta`` record carrying the dump reason -- an ordinary trace
+that every ``tools/trace_report.py`` section renders.
 
 Dump triggers wired up elsewhere:
 
@@ -59,7 +59,8 @@ class FlightRecorder:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._rings: Dict[str, Deque[Tuple[float, str, Dict[str, Any]]]] = {}
+        #: per component: ``(t, category, name, fields)``, oldest first.
+        self._rings: Dict[str, Deque[Tuple[float, str, str, Dict[str, Any]]]] = {}
         #: total records ever recorded (including ones since evicted).
         self.records_total = 0
         #: when set, :meth:`on_kernel_exception` dumps here; otherwise it
@@ -68,13 +69,14 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def record(
-        self, t: float, component: str, name: str, **fields: Any
+        self, t: float, category: str, component: str, name: str,
+        **fields: Any,
     ) -> None:
         """Append one event to ``component``'s ring (evicting the oldest)."""
         ring = self._rings.get(component)
         if ring is None:
             ring = self._rings[component] = deque(maxlen=self.capacity)
-        ring.append((t, name, fields))
+        ring.append((t, category, name, fields))
         self.records_total += 1
 
     def components(self) -> List[str]:
@@ -93,13 +95,13 @@ class FlightRecorder:
         rows = [
             {
                 "t": t,
-                "cat": "flight",
+                "cat": category,
                 "comp": component,
                 "name": name,
                 "data": {k: _jsonable(v) for k, v in fields.items()},
             }
             for component, ring in sorted(self._rings.items())
-            for t, name, fields in ring
+            for t, category, name, fields in ring
         ]
         rows.sort(key=lambda row: (row["t"], row["comp"]))
         return rows
@@ -109,7 +111,7 @@ class FlightRecorder:
 
         The first line is a ``flight.meta`` record carrying the dump
         reason and totals; the rest are the retained events in time
-        order, in the tracer's record shape (category ``flight``).
+        order, in the tracer's record shape.
         """
         rows = self.snapshot()
         target = Path(path)
@@ -144,6 +146,7 @@ class FlightRecorder:
         """
         self.record(
             sim.now,
+            "kernel",
             "kernel",
             "exception",
             type=type(exc).__name__,

@@ -6,11 +6,13 @@ to JSON Lines for post-hoc analysis by ``tools/trace_report.py``.
 
 Design constraints, in order of importance:
 
-1. **Disabled means free.**  Nothing in this module is on any hot path;
-   instrumentation sites guard every emission with a single
-   ``sim.tracer is not None`` (or local ``tracer is not None``) check.
-   ``Simulator.tracer`` is a plain attribute that protocol code reads at
-   call time; the kernel's event loop never references tracing at all.
+1. **Disabled means free.**  Nothing in this module is on any hot path.
+   Protocol transitions reach a tracer through ``Simulator.note``, which
+   also feeds the always-on flight recorder; the high-rate records the
+   recorder's bounded rings must not take (journey hops, credit grants,
+   port-monitor timeouts) are emitted directly behind a single
+   ``tracer is not None`` check.  ``Simulator.tracer`` is a plain
+   attribute read at call time, so a tracer may be attached mid-run.
 2. **Explicit time.**  Records carry the timestamp the *caller* supplies
    (simulated microseconds).  The tracer itself is clockless, so one
    tracer can serve several simulators without ambiguity.
@@ -20,9 +22,12 @@ Design constraints, in order of importance:
 
 Categories used by the built-in instrumentation:
 
-- ``reconfig``     epoch lifecycle, skeptic verdicts, port-monitor timeouts
+- ``reconfig``     epoch lifecycle, skeptic transitions, port-monitor timeouts
 - ``flowcontrol``  credit grants, stall/unstall transitions, resync rounds
-- ``faults``       fault-injection spans (:mod:`repro.faults.runner`)
+- ``link``         link state changes
+- ``host``         reassembly errors and aborts
+- ``faults``       injected faults, ``fault.<kind>.begin`` / ``.end``
+  (:mod:`repro.faults.runner`)
 - ``journey``      per-hop causal records for every packet's cells
   (:mod:`repro.obs.journey`)
 """
@@ -80,41 +85,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-class Span:
-    """An open interval; :meth:`end` emits the closing record.
-
-    Created through :meth:`Tracer.span`, which emits ``<name>.begin``
-    immediately; ``end`` emits ``<name>.end`` carrying ``duration``.
-    Ending twice is a no-op, so abort paths can close defensively.
-    """
-
-    __slots__ = ("_tracer", "started_at", "category", "component", "name", "_open")
-
-    def __init__(
-        self, tracer: "Tracer", started_at: float, category: str,
-        component: str, name: str,
-    ) -> None:
-        self._tracer = tracer
-        self.started_at = started_at
-        self.category = category
-        self.component = component
-        self.name = name
-        self._open = True
-
-    def end(self, t: float, **payload: Any) -> None:
-        if not self._open:
-            return
-        self._open = False
-        self._tracer.emit(
-            t,
-            self.category,
-            self.component,
-            f"{self.name}.end",
-            duration=t - self.started_at,
-            **payload,
-        )
-
-
 class Tracer:
     """An in-memory trace buffer with category filtering.
 
@@ -143,14 +113,6 @@ class Tracer:
         if self.categories is not None and category not in self.categories:
             return
         self.records.append(TraceRecord(t, category, component, name, payload))
-
-    def span(
-        self, t: float, category: str, component: str, name: str,
-        **payload: Any,
-    ) -> Span:
-        """Open a span: emits ``<name>.begin`` now, returns the handle."""
-        self.emit(t, category, component, f"{name}.begin", **payload)
-        return Span(self, t, category, component, name)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -93,16 +93,33 @@ class Simulator:
         self._compactions = 0
         self._digest: Optional["RunDigest"] = None
         self._profiler: Optional[Any] = None
-        #: optional :class:`~repro.obs.trace.Tracer`.  A plain attribute:
-        #: protocol code reads it at call time at its own transition
-        #: points, and the kernel never consults it, so attaching one
-        #: leaves the hot loop as the class-level bytecode.
+        #: optional :class:`~repro.obs.trace.Tracer`.  A plain attribute,
+        #: read by :meth:`note` and the few high-rate tracer-only sites at
+        #: call time; the kernel's loop never consults it, so attaching
+        #: one (at any time) leaves the hot loop as the class-level
+        #: bytecode.
         self.tracer: Optional["Tracer"] = None
         #: optional :class:`~repro.obs.flight.FlightRecorder`.  A plain
-        #: attribute too: the recorder is never consulted per event, only
-        #: when an exception escapes :meth:`run` (and by protocol code at
-        #: its own transition points).
+        #: attribute too: fed by :meth:`note`, and otherwise consulted
+        #: only when an exception escapes :meth:`run`.
         self.recorder: Optional["FlightRecorder"] = None
+
+    # ------------------------------------------------------------------
+    # the protocol event log
+    # ------------------------------------------------------------------
+    def note(self, category: str, component: str, name: str, **fields: Any) -> None:
+        """Report one protocol transition, stamped :attr:`now`.
+
+        The one reporting call of every transition site: the same record
+        goes to the flight recorder and, while one is attached, to the
+        tracer, so a tracer attached mid-run sees every transition from
+        then on.
+        """
+        now = self._now
+        if self.recorder is not None:
+            self.recorder.record(now, category, component, name, **fields)
+        if self.tracer is not None:
+            self.tracer.emit(now, category, component, name, **fields)
 
     # ------------------------------------------------------------------
     # instrumentation (run digest + profiler hook)

@@ -194,7 +194,7 @@ class AN2Switch(SwitchNode):
             LineCard(
                 port,
                 CreditEndpoint(
-                    sim, port, self.config, port.label,
+                    sim, port, self.config,
                     on_window=partial(self._window_moved, port.index),
                 ),
             )
@@ -286,12 +286,6 @@ class AN2Switch(SwitchNode):
         if verdict is LinkVerdict.DEAD and self.config.enable_local_reroute:
             self.sim.schedule(
                 self.config.control_delay_us, self._reroute_port, port_index
-            )
-        recorder = self.sim.recorder
-        if recorder is not None:
-            recorder.record(
-                now, f"switch.{self.node_id}", "skeptic.verdict",
-                port=port_index, verdict=verdict.value,
             )
 
     def _on_topology_ready(self, value) -> None:
@@ -484,7 +478,7 @@ class AN2Switch(SwitchNode):
                 self.stats.cells_dropped += 1
                 if cell.trace_ctx is not None:
                     cell.trace_ctx.record(
-                        self.sim.now, f"switch.{self.node_id}", "drop",
+                        self.sim.now, self.node_id.label, "drop",
                         in_port=in_port, reason="overflow",
                     )
                 return
@@ -511,7 +505,7 @@ class AN2Switch(SwitchNode):
         entry.last_activity = self.sim.now
         if cell.trace_ctx is not None:
             cell.trace_ctx.record(
-                self.sim.now, f"switch.{self.node_id}", "voq.enqueue",
+                self.sim.now, self.node_id.label, "voq.enqueue",
                 in_port=card.index, out_port=entry.out_port,
             )
         if cell.traffic_class is TrafficClass.GUARANTEED:
@@ -735,7 +729,7 @@ class AN2Switch(SwitchNode):
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
         if cell.trace_ctx is not None:
             cell.trace_ctx.record(
-                self.sim.now, f"switch.{self.node_id}", "grant",
+                self.sim.now, self.node_id.label, "grant",
                 out_port=out_port, guaranteed=guaranteed,
             )
         self.ports[out_port].send(cell)

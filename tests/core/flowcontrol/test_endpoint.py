@@ -38,7 +38,7 @@ class End(Node):
         self.arrived = Counter()
         self.moved = []
         self.credits = CreditEndpoint(
-            sim, self.ports[0], config, str(node_id),
+            sim, self.ports[0], config,
             on_window=lambda vc, crossed: self.moved.append((vc, crossed)),
         )
 
@@ -139,13 +139,26 @@ def test_lost_credit_costs_one_and_one_round_restores_it(allocation):
     # The owner hears of the move, and whether it reopened a dry window.
     assert pair.up.moved == [(VC, allocation == 1)]
     assert [
-        (r.component, r.name) for r in tracer.records
-    ] == [("s0", "resync.round"), ("s0", "resync.recovered")]
+        (r.component, r.name, r.payload["port"]) for r in tracer.records
+    ] == [("switch.s0", "resync.round", 0), ("switch.s0", "resync.recovered", 0)]
 
     pair.up.credits.resync_round()  # nothing lost: nothing moves
     pair.settle()
     assert pair.window.balance == allocation
     assert len(pair.up.moved) == 1
+
+
+def test_a_tracer_attached_after_open_sees_every_grant():
+    pair = Pair()
+    pair.sim.tracer = tracer = Tracer()
+    pair.send()
+    pair.settle()
+    pair.free()
+    pair.settle()
+    assert [(r.component, r.name, r.payload) for r in tracer.records] == [
+        ("switch.s0", "credit.grant",
+         {"port": 0, "vc": VC, "amount": 1, "balance": 4}),
+    ]
 
 
 def test_reply_echoing_a_stale_cells_sent_is_ignored():

@@ -58,7 +58,7 @@ def test_forced_violation_dumps_flight_recorder(tmp_path):
     assert "faults" in comps
     assert any(c.startswith("switch.") for c in comps)
     names = {r["name"] for r in rows[1:]}
-    assert "fault.error_rate" in names
+    assert "fault.error_rate.begin" in names
     assert "skeptic.verdict" in names
 
 
@@ -72,6 +72,18 @@ def test_trace_report_renders_the_dump(tmp_path, capsys):
     assert "Flight recorder" in out
     assert "invariant violation" in out
     assert "skeptic.verdict" in out
+
+
+def test_dump_renders_as_a_settled_timeline(tmp_path, capsys):
+    """A dump is an ordinary trace: its epochs make a timeline."""
+    result = _force_violation(tmp_path)
+    rc = trace_report.main(
+        [str(result.flight_dump), "--section", "timeline"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "no reconfiguration events" not in out
+    assert "settled" in out  # a status cell; the header says "settle (us)"
 
 
 def test_trace_report_component_filter(tmp_path, capsys):

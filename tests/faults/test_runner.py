@@ -250,6 +250,28 @@ class TestObservability:
         begin = next(r for r in tracer.records if r.name == "fault.link_cut.begin")
         end = next(r for r in tracer.records if r.name == "fault.link_cut.end")
         assert end.time - begin.time == pytest.approx(30_000.0)
+        assert end.payload["duration"] == pytest.approx(30_000.0)
+
+    def test_fault_windows_close_in_the_flight_recorder(self):
+        """No tracer attached: the recorder alone holds both ends of
+        every fault window."""
+        net = ring_net()
+        plan = FaultPlan.of(
+            LinkCut(at_us=20_000.0, a="s0", b="s2", restore_at_us=50_000.0),
+            LinkFlap(at_us=60_000.0, a="s1", b="s2", flaps=2,
+                     down_us=1_000.0, up_us=1_000.0),
+        )
+        run(net, plan)
+        rows = [r for r in net.recorder.snapshot() if r["comp"] == "faults"]
+        names = [r["name"] for r in rows]
+        for name in ("fault.link_cut", "fault.link_flap", "scenario"):
+            assert f"{name}.begin" in names and f"{name}.end" in names
+        cut_end = rows[names.index("fault.link_cut.end")]
+        assert cut_end["data"] == {"duration": 30_000.0, "restored": True}
+        # a flap train closes at its last restore
+        flap_end = rows[names.index("fault.link_flap.end")]
+        assert flap_end["data"]["duration"] == pytest.approx(3_000.0)
+        assert {r["cat"] for r in rows} == {"faults"}
 
     def test_metrics_registered_under_faults_node(self):
         net = ring_net()

@@ -234,7 +234,7 @@ class TestEpochInstall:
                 row["data"]
                 for row in net.recorder.snapshot()
                 if row["comp"] == f"switch.{switch}"
-                and row["name"] == "epoch.done"
+                and row["name"] == "epoch.end"
                 and row["t"] > failed_at
             ]
             assert done, switch

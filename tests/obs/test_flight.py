@@ -16,8 +16,8 @@ from tests.conftest import converged_line
 def test_rings_are_bounded_per_component():
     recorder = FlightRecorder(capacity=4)
     for k in range(10):
-        recorder.record(float(k), "switch.s0", "event", k=k)
-    recorder.record(0.5, "switch.s1", "other")
+        recorder.record(float(k), "reconfig", "switch.s0", "event", k=k)
+    recorder.record(0.5, "reconfig", "switch.s1", "other")
     assert recorder.records_total == 11
     assert len(recorder) == 5  # 4 retained for s0 + 1 for s1
     assert recorder.components() == ["switch.s0", "switch.s1"]
@@ -33,23 +33,24 @@ def test_capacity_must_be_positive():
 
 def test_snapshot_is_time_ordered():
     recorder = FlightRecorder()
-    recorder.record(3.0, "b", "late")
-    recorder.record(1.0, "a", "early")
-    recorder.record(2.0, "b", "middle")
+    recorder.record(3.0, "x", "b", "late")
+    recorder.record(1.0, "x", "a", "early")
+    recorder.record(2.0, "x", "b", "middle")
     names = [r["name"] for r in recorder.snapshot()]
     assert names == ["early", "middle", "late"]
 
 
 def test_dump_writes_meta_then_rows(tmp_path):
     recorder = FlightRecorder()
-    recorder.record(1.0, "switch.s0", "epoch.join", tag="e1@s0")
+    recorder.record(1.0, "reconfig", "switch.s0", "epoch.begin", tag="e1@s0")
     path = recorder.dump(tmp_path / "sub" / "flight.jsonl", reason="unit test")
     rows = read_jsonl(path)
     assert rows[0]["cat"] == "flight.meta"
     assert rows[0]["data"]["reason"] == "unit test"
     assert rows[0]["data"]["retained"] == 1
-    assert rows[1]["cat"] == "flight"
-    assert rows[1]["name"] == "epoch.join"
+    # each record keeps its category: a dump is an ordinary trace
+    assert rows[1]["cat"] == "reconfig"
+    assert rows[1]["name"] == "epoch.begin"
 
 
 def test_next_dump_path_never_collides(tmp_path):
@@ -75,6 +76,7 @@ def test_kernel_exception_is_recorded_and_dumped(tmp_path):
         sim.run()
     rows = [r for r in recorder.snapshot() if r["comp"] == "kernel"]
     assert rows and rows[0]["name"] == "exception"
+    assert rows[0]["cat"] == "kernel"
     assert rows[0]["data"]["type"] == "RuntimeError"
     dumps = sorted(tmp_path.glob("flight-kernel-exception-*.jsonl"))
     assert len(dumps) == 1
@@ -117,15 +119,22 @@ def test_network_records_epochs_and_link_state():
     components = set(net.recorder.components())
     assert any(c.startswith("switch.") for c in components)
     names = {r["name"] for r in net.recorder.snapshot()}
-    assert "epoch.join" in names
-    assert "epoch.done" in names
+    assert "epoch.trigger" in names
+    assert "epoch.begin" in names
+    assert "epoch.end" in names
 
 
 def test_network_records_skeptic_and_link_transitions():
     net = converged_line(3)
-    net.link_between("s0", "s1").fail()
+    link = net.link_between("s0", "s1")
+    link.fail()
     net.run(60_000.0)
     rows = net.recorder.snapshot()
     names = {r["name"] for r in rows}
     assert "link.state" in names
     assert "skeptic.verdict" in names
+    assert "skeptic.failure" in names
+    # one name per cable: its ring is the label its journey hops carry
+    assert {r["comp"] for r in rows if r["name"] == "link.state"} == {
+        link.label
+    }

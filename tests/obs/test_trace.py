@@ -2,9 +2,7 @@
 
 import json
 
-import pytest
-
-from repro.obs import Span, Tracer, read_jsonl
+from repro.obs import Tracer, read_jsonl
 
 
 class TestEmit:
@@ -37,32 +35,6 @@ class TestEmit:
         assert len(tracer.filter(component="s0.p1")) == 2
         grants = tracer.filter(name="credit.grant", component="s0.p1")
         assert [r.payload["vc"] for r in grants] == [5]
-
-
-class TestSpan:
-    def test_span_emits_begin_and_end_with_duration(self):
-        tracer = Tracer()
-        span = tracer.span(10.0, "reconfig", "s0", "epoch", tag="T1")
-        assert isinstance(span, Span)
-        span.end(35.0, edges=4)
-        names = [r.name for r in tracer.records]
-        assert names == ["epoch.begin", "epoch.end"]
-        end = tracer.records[1]
-        assert end.payload["duration"] == pytest.approx(25.0)
-        assert end.payload["edges"] == 4
-
-    def test_end_is_idempotent(self):
-        tracer = Tracer()
-        span = tracer.span(0.0, "reconfig", "s0", "epoch")
-        span.end(1.0)
-        span.end(2.0)
-        assert len(tracer.filter(name="epoch.end")) == 1
-
-    def test_abandoned_span_leaves_begin_without_end(self):
-        tracer = Tracer()
-        tracer.span(0.0, "reconfig", "s0", "epoch", tag="old")
-        assert len(tracer.filter(name="epoch.begin")) == 1
-        assert len(tracer.filter(name="epoch.end")) == 0
 
 
 class TestJsonl:

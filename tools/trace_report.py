@@ -21,9 +21,10 @@ Reports:
 - **cell journeys**: the ``journey`` category's per-hop records, folded
   into a per-VC critical-path table (queueing / matching / wire /
   reassembly / residual) plus a hop-by-hop timeline of the slowest cell.
-- **flight recorder**: per-component timelines from a
-  :class:`~repro.obs.FlightRecorder` dump (``--component`` filters to,
-  say, the switch that failed an invariant).
+- **flight recorder**: per-component timelines of any records, made for
+  a :class:`~repro.obs.FlightRecorder` dump (``--component`` filters to,
+  say, the switch that failed an invariant).  A dump is an ordinary
+  trace, so the other sections render it too.
 - **per-VC latency table**: from the metrics snapshot's
   ``vc<k>.cell_latency`` tallies (any node), plus packet latency.
 
@@ -179,7 +180,8 @@ def build_timeline(records: List[Dict[str, Any]]) -> str:
     if skeptic_events:
         lines.append("")
         verdicts = Table(
-            ["t (us)", "port", "event", "detail"], title="Skeptic verdicts"
+            ["t (us)", "component", "port", "event", "detail"],
+            title="Skeptic verdicts",
         )
         for record in skeptic_events:
             data = record.get("data", {})
@@ -190,7 +192,7 @@ def build_timeline(records: List[Dict[str, Any]]) -> str:
             else:
                 detail = f"failure in {data.get('state')} (level {data.get('level')})"
             verdicts.add_row(
-                record["t"], record.get("comp", "-"),
+                record["t"], record.get("comp", "-"), data.get("port", "-"),
                 record["name"].split(".", 1)[1], detail,
             )
         lines.append(verdicts.render())
@@ -199,14 +201,14 @@ def build_timeline(records: List[Dict[str, Any]]) -> str:
         lines.append("")
         shown = monitor_events[:20]
         timeouts = Table(
-            ["t (us)", "port", "seq", "misses"],
+            ["t (us)", "component", "port", "seq", "misses"],
             title=f"Port-monitor timeouts ({len(monitor_events)} total"
             + (", first 20 shown)" if len(monitor_events) > 20 else ")"),
         )
         for record in shown:
             data = record.get("data", {})
             timeouts.add_row(
-                record["t"], record.get("comp", "-"),
+                record["t"], record.get("comp", "-"), data.get("port", "-"),
                 data.get("seq", "-"),
                 f"{data.get('misses', '-')}/{data.get('threshold', '-')}",
             )
@@ -385,10 +387,10 @@ def build_journey(records: List[Dict[str, Any]], slowest: int = 1) -> str:
 def build_flight(
     records: List[Dict[str, Any]], component: Optional[str] = None
 ) -> str:
-    """Render flight-recorder rings as per-component timelines."""
+    """Render records as per-component timelines (a flight dump's rings)."""
     lines = ["Flight recorder", "==============="]
     meta = [r for r in records if r.get("cat") == "flight.meta"]
-    rows = [r for r in records if r.get("cat") == "flight"]
+    rows = [r for r in records if r.get("cat") != "flight.meta"]
     for record in meta:
         data = record.get("data", {})
         lines.append(
@@ -534,10 +536,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if has_journeys or args.section == "journey":
             sections.append(build_journey(records, slowest=args.slowest))
     if args.section in ("flight", "all"):
-        has_flight = any(
-            r.get("cat") in ("flight", "flight.meta") for r in records
-        )
-        if has_flight or args.section == "flight":
+        # Under "all", only a flight dump (it carries a meta record) is
+        # listed per component; a full trace would repeat itself.
+        is_dump = any(r.get("cat") == "flight.meta" for r in records)
+        if is_dump or args.section == "flight":
             sections.append(build_flight(records, component=args.component))
     snapshot: Dict[str, Any] = {}
     if args.metrics:
