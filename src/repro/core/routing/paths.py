@@ -1,10 +1,12 @@
 """Route computation over a discovered topology view.
 
 A :class:`RouteComputer` wraps a view with the up*/down* orientation and
-answers host-to-host and switch-to-switch routing questions.  Every switch
-builds its own RouteComputer from the view it received in the
-distribution phase; because orientations and tie-breaks are deterministic
-functions of (view, root), all switches route consistently.
+answers host-to-host and switch-to-switch routing questions.  Because
+orientations and tie-breaks are deterministic functions of (view, root),
+all switches route consistently -- so the switches of one installation
+that complete the same epoch view from the same initiator share one
+computer, built by whichever of them completes it first (see
+``SwitchNode._on_topology_ready``).
 """
 
 from __future__ import annotations
@@ -73,14 +75,12 @@ def switch_hops_of(
 class RouteComputer:
     """Host-to-host routes over one view, optionally up*/down* restricted.
 
-    ``epoch`` labels the reconfiguration epoch this computer serves (the
-    stringified :class:`~repro.core.reconfig.epoch.EpochTag`); the
-    orientation's route cache is keyed by computer lifetime -- a new
-    epoch installs a new computer -- and the label makes the hit/miss
-    counters attributable.  ``probes`` optionally exposes those counters
-    through the :class:`~repro.obs.registry.MetricsRegistry` as
-    ``route_cache_hits`` / ``route_cache_misses`` / ``route_cache_epoch``
-    gauges (snapshot-time reads; the routing hot path is untouched).
+    ``epoch`` labels the reconfiguration epoch that built this computer
+    (the stringified :class:`~repro.core.reconfig.epoch.EpochTag`); a
+    later epoch that agrees on the same view from the same initiator
+    reuses it, label and all.  The orientation's route cache lives as
+    long as the computer: a new ``(view, root)`` gets a new computer and
+    an empty memo.
     """
 
     def __init__(
@@ -89,7 +89,6 @@ class RouteComputer:
         root: NodeId,
         restrict_updown: bool = True,
         epoch: Optional[str] = None,
-        probes=None,
     ) -> None:
         self.view = view
         self.root = root
@@ -97,12 +96,15 @@ class RouteComputer:
         self.epoch = epoch
         self.orientation = UpDownOrientation(view, root, epoch=epoch)
         self._host_ports = view.host_ports()
-        if probes is not None:
-            orientation = self.orientation
-            probes.gauge("route_cache_hits", lambda: orientation.cache_hits)
-            probes.gauge(
-                "route_cache_misses", lambda: orientation.cache_misses
-            )
+
+    def report_to(self, probes) -> None:
+        """Point ``probes``' ``route_cache_hits`` / ``route_cache_misses``
+        gauges at this computer's memo counters (snapshot-time reads; the
+        routing hot path is untouched).  The gauges hold the orientation,
+        not the computer, so they do not keep a shared computer alive."""
+        orientation = self.orientation
+        probes.gauge("route_cache_hits", lambda: orientation.cache_hits)
+        probes.gauge("route_cache_misses", lambda: orientation.cache_misses)
 
     # ------------------------------------------------------------------
     def attachment(

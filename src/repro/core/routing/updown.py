@@ -38,11 +38,12 @@ class UpDownOrientation:
     :meth:`shortest_unrestricted_path`, and the down-only search behind
     :meth:`next_hop`) are memoized per ``(source, destination)`` pair.
     The memo needs no explicit invalidation because an orientation is an
-    immutable function of ``(view, root)``: reconfiguration installs a
-    new epoch by building a *new* orientation (see
-    ``AN2Switch._on_topology_ready``), so the epoch key is the object
-    lifetime itself.  ``epoch`` is an optional label carried for
-    observability -- the route-cache probes report hits/misses per epoch.
+    immutable function of ``(view, root)``: an epoch that agrees on a
+    different view or initiator installs a *new* orientation, and the
+    switches that agree on the same pair share one (see
+    ``SwitchNode._on_topology_ready``), so the cache key is the object
+    lifetime itself.  ``epoch`` is an optional label naming the epoch
+    that built the orientation, carried for observability.
     """
 
     def __init__(

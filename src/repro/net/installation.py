@@ -12,6 +12,7 @@ it and call :meth:`Installation._cable`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro._types import NodeId, NodeRef, parse_node_id
@@ -51,6 +52,13 @@ class Installation:
         self.switches: Dict[NodeId, object] = {}
         self.hosts: Dict[NodeId, object] = {}
         self.links: Dict[Edge, Link] = {}
+        #: the epoch route computers every switch built into this
+        #: installation shares, by ``(view.edges, tag.initiator)`` (see
+        #: ``SwitchNode._on_topology_ready``).  Per installation, so no
+        #: memo or install count carries over from one to the next.
+        self.route_computers: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary()
+        )
         #: what :meth:`fully_reconfigured` compares against -- the main
         #: component's agents and the view they should hold -- until a
         #: link next changes state.

@@ -90,6 +90,7 @@ class Network(Installation):
                 config=config,
                 n_ports=topology.ports_of(node),
                 registry=self.registry,
+                route_computers=self.route_computers,
             )
             driver.adopt(self.switches[node])
         for node in topology.hosts():

@@ -101,10 +101,12 @@ class An1Switch(SwitchNode):
         config: Optional[An1Config] = None,
         n_ports: Optional[int] = None,
         registry=None,
+        route_computers=None,
     ) -> None:
         super().__init__(
             sim, node_id, streams,
             config if config is not None else An1Config(), n_ports,
+            route_computers=route_computers,
         )
         self.fifos: List[Deque[_QueuedPacket]] = [
             deque() for _ in range(self.n_ports)
@@ -307,6 +309,7 @@ class An1Network(Installation):
                 config=self.config,
                 n_ports=topology.ports_of(node),
                 registry=self.registry,
+                route_computers=self.route_computers,
             )
         for node in topology.hosts():
             self.hosts[node] = An1Host(

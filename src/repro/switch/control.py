@@ -11,6 +11,7 @@ plane and its receive path.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from repro._types import NodeId
@@ -29,7 +30,8 @@ class SwitchNode(Node):
     ``config`` is the device config: its monitoring fields,
     ``control_delay_us``, ``boot_reconfig_delay_us``,
     ``reconfig_watchdog_us`` and (unless ``n_ports`` is given)
-    ``n_ports`` are read here.
+    ``n_ports`` are read here.  ``route_computers`` is the installation's
+    shared map of epoch route computers (see :meth:`_on_topology_ready`).
     """
 
     def __init__(
@@ -39,6 +41,7 @@ class SwitchNode(Node):
         streams: RandomStreams,
         config,
         n_ports: Optional[int] = None,
+        route_computers: Optional[weakref.WeakValueDictionary] = None,
     ) -> None:
         super().__init__(
             sim, node_id, n_ports if n_ports is not None else config.n_ports
@@ -50,6 +53,15 @@ class SwitchNode(Node):
         )
         self.reconfig.ready.subscribe(self._on_topology_ready)
         self._route_computer: Optional[RouteComputer] = None
+        #: epoch route computers by ``(view.edges, tag.initiator)``: the
+        #: installation hands one map to all its switches, a switch built
+        #: alone keeps its own.  Weak values: an entry lives while some
+        #: switch routes on it.
+        self._route_computers = (
+            route_computers
+            if route_computers is not None
+            else weakref.WeakValueDictionary()
+        )
         #: registry node the epoch's route computer reports its cache
         #: counters to, if any.
         self._routing_probes = None
@@ -99,21 +111,38 @@ class SwitchNode(Node):
             Cell(vc=0, kind=CellKind.RECONFIG, payload=message)
         )
 
-    def _on_topology_ready(self, value) -> None:
-        """An epoch completed: route on a fresh orientation of its view,
-        rooted at the epoch's initiator (or, if the initiator is not in
-        the view, its last switch); no routes if the view admits none."""
+    def _on_topology_ready(self, value) -> bool:
+        """An epoch completed: route on the orientation of its view rooted
+        at the epoch's initiator (or, if the initiator is not in the view,
+        its last switch); no routes if the view admits none.
+
+        The orientation is a function of ``(view, initiator)`` alone, so
+        every switch of the installation that completes the same pair
+        routes on one shared computer.  Returns whether this switch built
+        it."""
         tag, view = value
-        root = tag.initiator
+        key = (view.edges, tag.initiator)
+        computer = self._route_computers.get(key)
+        built = False
+        if computer is None:
+            computer = self._build_route_computer(tag, view)
+            if computer is not None:
+                self._route_computers[key] = computer
+                built = True
+        self._route_computer = computer
+        if computer is not None and self._routing_probes is not None:
+            computer.report_to(self._routing_probes)
+        return built
+
+    @staticmethod
+    def _build_route_computer(tag, view) -> Optional[RouteComputer]:
+        """A computer for ``view`` rooted as above, or ``None`` if the
+        view has no switches or is not connected from the root."""
         switches = view.switches()
-        if root not in set(switches):
-            root = switches[-1] if switches else self.node_id
+        if not switches:
+            return None
+        root = tag.initiator if tag.initiator in switches else switches[-1]
         try:
-            # A new epoch gets a new computer, which is what evicts every
-            # cached path from the previous configuration (the route
-            # cache lives inside the orientation; see updown.py).
-            self._route_computer = RouteComputer(
-                view, root, epoch=str(tag), probes=self._routing_probes
-            )
+            return RouteComputer(view, root, epoch=str(tag))
         except ValueError:
-            self._route_computer = None
+            return None

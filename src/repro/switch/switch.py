@@ -158,10 +158,12 @@ class SwitchStats:
     #: matched pairs that moved no cell: an input served earlier in the
     #: same slot put its credit cell on the output's wire first.
     wasted_matches: int = 0
-    #: always 0: every epoch rebuilds its orientation; kept because the
-    #: e2e benchmark's workloads read it by attribute.
+    #: always 0: no orientation is ever repaired in place; kept because
+    #: the e2e benchmark's workloads read it by attribute.
     route_installs_incremental: int = 0
-    #: epoch route installs (one RouteComputer built per completed epoch).
+    #: RouteComputers this switch built; switches that complete the same
+    #: (view, initiator) share the first one's, so the sum over an
+    #: installation is the number of distinct pairs.
     route_installs_full: int = 0
     per_output_forwarded: Dict[int, int] = field(default_factory=dict)
 
@@ -183,10 +185,12 @@ class AN2Switch(SwitchNode):
         config: Optional[SwitchConfig] = None,
         n_ports: Optional[int] = None,
         registry=None,
+        route_computers=None,
     ) -> None:
         super().__init__(
             sim, node_id, streams,
             config if config is not None else SwitchConfig(), n_ports,
+            route_computers=route_computers,
         )
         ports = self.n_ports
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
@@ -243,8 +247,8 @@ class AN2Switch(SwitchNode):
         #: while the local clock is drift-free, slot ticks ride its wave.
         self._slot_driver = None
         if registry is not None:
-            # The epoch's RouteComputer re-points these route cache
-            # gauges on every reconfiguration.
+            # Re-pointed at the epoch's (shared) RouteComputer on every
+            # reconfiguration.
             self._routing_probes = registry.node(f"switch.{node_id}.routing")
             self._register_probes(registry.node(f"switch.{node_id}"))
 
@@ -289,10 +293,10 @@ class AN2Switch(SwitchNode):
             )
 
     def _on_topology_ready(self, value) -> None:
-        super()._on_topology_ready(value)
+        if super()._on_topology_ready(value):
+            self.stats.route_installs_full += 1
         if self._route_computer is None:
             return
-        self.stats.route_installs_full += 1
         if self.config.enable_local_reroute:
             # A detour that was illegal under the old up*/down* tree may
             # be legal under the new one: retry circuits still pointed at

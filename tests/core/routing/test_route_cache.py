@@ -5,23 +5,37 @@ caller: identical paths with and without it (down to the replay digest;
 the un-memoised answer comes from patching ``_cached`` to call
 ``compute`` directly), fresh list copies on hits, no caching of per-call
 ``blocked_edges`` queries, and eviction-by-epoch -- a reconfiguration
-installs a new orientation, so stale pre-cut paths can never leak into
-the new epoch.
+that agrees on another view installs a new orientation, so stale pre-cut
+paths can never leak into the new epoch.  The switches of one
+installation that agree on the same ``(view, initiator)`` share one
+computer, and that sharing is just as invisible.
 """
 
 from repro._types import switch_id
 from repro.conform.digest import digest_scenario
+from repro.core.reconfig.epoch import EpochTag
 from repro.core.routing.paths import RouteComputer
 from repro.core.routing.updown import UpDownOrientation
 from repro.net.network import Network
+from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
 from repro.sim.random import derived_stream
+from repro.switch.an1 import An1Network
+from repro.switch.control import SwitchNode
 from tests.conftest import fast_host_config, fast_switch_config
 
 
 def uncached(self, kind, source, destination, compute):
     """``UpDownOrientation._cached`` without the memo."""
     return compute(source, destination)
+
+
+_shared_init = SwitchNode.__init__
+
+
+def unshared(self, *args, route_computers=None, **kwargs):
+    """``SwitchNode.__init__`` with a private route computer map."""
+    _shared_init(self, *args, **kwargs)
 
 
 def random_orientation(seed=3, n=10):
@@ -166,6 +180,103 @@ class TestEpochEviction:
         gauges = snapshot["switch.s0.routing"]["gauges"]
         assert gauges["route_cache_misses"] >= 1
         assert gauges["route_cache_hits"] >= 1
+
+
+def boot_fat_tree(seed=7):
+    """A booted fat_tree(4) network, and the ``(view.edges, initiator)``
+    key of every epoch its agents completed."""
+    net = Network(
+        fat_tree(4, hosts_per_edge=1).topology,
+        seed=seed,
+        switch_config=fast_switch_config(),
+        host_config=fast_host_config(),
+    )
+    keys = set()
+    for switch in net.switches.values():
+        switch.reconfig.ready.subscribe(
+            lambda value: keys.add((value[1].edges, value[0].initiator))
+        )
+    net.start()
+    net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+    return net, keys
+
+
+def installs(net):
+    return sum(s.stats.route_installs_full for s in net.switches.values())
+
+
+class TestSharing:
+    def test_every_switch_routes_on_one_computer(self):
+        net, keys = boot_fat_tree()
+        computers = {id(s.route_computer()) for s in net.switches.values()}
+        assert len(computers) == 1
+        assert None not in {s.route_computer() for s in net.switches.values()}
+        assert len(keys) < len(net.switches)
+        assert installs(net) == len(keys)
+
+    def test_installations_share_nothing(self):
+        first, first_keys = boot_fat_tree()
+        second, second_keys = boot_fat_tree()
+        assert first.route_computers is not second.route_computers
+        ours = {id(c) for c in first.route_computers.values()}
+        theirs = {id(c) for c in second.route_computers.values()}
+        assert ours and not ours & theirs
+        assert installs(first) == installs(second) == len(first_keys)
+        assert first_keys == second_keys
+
+    def test_a_cut_evicts_the_pre_cut_view(self):
+        net, _ = boot_fat_tree()
+        pre_cut = net.converged_view().edges
+        assert pre_cut in {edges for edges, _ in net.route_computers.keys()}
+        net.fail_link("s0", "s4")
+        net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+        post_cut = net.converged_view().edges
+        assert post_cut != pre_cut
+        held = {edges for edges, _ in net.route_computers.keys()}
+        assert held == {post_cut}
+
+    def test_disconnected_view_is_neither_routed_nor_cached(self):
+        net, _ = boot_fat_tree()
+        before = installs(net)
+        # Two switch pairs with no cable between them: no orientation
+        # reaches both from either root.
+        topo = Topology()
+        for number in range(4):
+            topo.add_switch(number)
+        topo.connect("s0", "s1")
+        topo.connect("s2", "s3")
+        view = topo.view()
+        tag = EpochTag(99, switch_id(0))
+        for switch in net.switches.values():
+            switch._on_topology_ready((tag, view))
+        assert {s.route_computer() for s in net.switches.values()} == {None}
+        assert (view.edges, tag.initiator) not in net.route_computers
+        assert installs(net) == before
+
+    def test_an1_switches_share_their_computer(self):
+        topo = Topology.ring(4)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0")
+        topo.connect("h1", "s2")
+        net = An1Network(topo, seed=3)
+        net.start()
+        net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+        computers = {id(s._route_computer) for s in net.switches.values()}
+        assert len(computers) == 1
+        assert list(net.route_computers.values())[0].root == (
+            net.reconfig_root()
+        )
+
+    def test_digest_identical_with_private_computers(self, monkeypatch):
+        shared = digest_scenario(5, duration_us=40_000.0)
+        monkeypatch.setattr(SwitchNode, "__init__", unshared)
+        net = Network(Topology.line(2))
+        assert net.switch("s0")._route_computers is not net.route_computers
+        private = digest_scenario(5, duration_us=40_000.0)
+        assert shared == private, (
+            "sharing route computers changed simulated behavior"
+        )
 
 
 class TestDigestNeutrality:
