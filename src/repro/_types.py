@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 #: Virtual circuit identifier (the VCI carried in every cell header).
 VcId = int
@@ -12,22 +11,30 @@ VcId = int
 PortIndex = int
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class _NodeIdFields(NamedTuple):
+    kind: str  # "switch" or "host"
+    num: int
+
+
+class NodeId(_NodeIdFields):
     """Globally unique node identity.
 
     Switch ids are totally ordered; the reconfiguration algorithm breaks
     epoch-tag ties on them, and up*/down* orientation uses them for links
     between same-level switches.  Ordering is (kind, num) so switches and
     hosts never collide.
+
+    A tuple, so hashing, equality and ordering run in C; its hash is
+    ``hash((kind, num))``, the same as the frozen dataclass it replaced,
+    which keeps every set and dict iteration order where it was.
     """
 
-    kind: str  # "switch" or "host"
-    num: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("switch", "host"):
-            raise ValueError(f"unknown node kind {self.kind!r}")
+    def __new__(cls, kind: str, num: int) -> "NodeId":
+        if kind not in ("switch", "host"):
+            raise ValueError(f"unknown node kind {kind!r}")
+        return super().__new__(cls, kind, num)
 
     @property
     def is_switch(self) -> bool:

@@ -27,6 +27,8 @@ import hashlib
 import struct
 from typing import Any, Callable, Dict, List, Optional
 
+from repro._types import NodeId
+from repro.core.reconfig.epoch import EpochTag
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
@@ -41,7 +43,8 @@ def canonical_bytes(obj: Any) -> bytes:
     Supports ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
     ``list``/``tuple`` (order preserved), ``set``/``frozenset`` (elements
     sorted by their own canonical encoding), and ``dict`` (items sorted
-    by the key's canonical encoding).  Anything else raises ``TypeError``
+    by the key's canonical encoding).  Anything else -- a ``NodeId`` or
+    ``EpochTag`` too, though both are tuples -- raises ``TypeError``
     -- fingerprint builders must reduce component state to plain data
     first, which is what keeps memory addresses and hash-order artifacts
     out of the digest.
@@ -62,7 +65,9 @@ def _canon(obj: Any) -> str:
         return f"s{len(obj)}:{obj}"
     if isinstance(obj, bytes):
         return f"b{len(obj)}:{obj.hex()}"
-    if isinstance(obj, (list, tuple)):
+    # Tuples underneath, but values, not plain data: refused below with
+    # every other component object.
+    if isinstance(obj, (list, tuple)) and not isinstance(obj, (NodeId, EpochTag)):
         return "[" + ",".join(_canon(item) for item in obj) + "]"
     if isinstance(obj, (set, frozenset)):
         return "{" + ",".join(sorted(_canon(item) for item in obj)) + "}"

@@ -13,18 +13,16 @@ one."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro._types import NodeId
 
 
-@dataclass(frozen=True, order=True)
-class EpochTag:
+class EpochTag(NamedTuple):
     """(epoch, initiator id), ordered lexicographically.
 
-    ``order=True`` on the dataclass gives exactly the paper's ordering:
-    epoch number first, initiating switch id second.  NodeId is itself
-    totally ordered.
+    Tuple order is exactly the paper's ordering: epoch number first,
+    initiating switch id second.  NodeId is itself totally ordered.
     """
 
     epoch: int

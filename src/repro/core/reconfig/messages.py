@@ -4,19 +4,22 @@ All four ride in :class:`~repro.net.cell.CellKind.RECONFIG` control cells
 between adjacent switches.  Every message carries the epoch tag of the
 reconfiguration it belongs to; receivers discard messages from superseded
 tags.
+
+The messages are named tuples: cheap to build and hash.  A tuple
+compares equal to any tuple with the same fields -- ``InvitationAck(t,
+False) == Invitation(t, 0)`` -- so receivers dispatch on ``isinstance``,
+never on equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, NamedTuple
 
 from repro.core.reconfig.epoch import EpochTag
 from repro.net.topology import Edge
 
 
-@dataclass(frozen=True)
-class Invitation:
+class Invitation(NamedTuple):
     """Propagation phase: "it invites each of its neighbors to join the
     tree".
 
@@ -31,8 +34,7 @@ class Invitation:
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class InvitationAck:
+class InvitationAck(NamedTuple):
     """"Each invitation is acknowledged with an indication of whether it
     was accepted or declined."""
 
@@ -40,8 +42,7 @@ class InvitationAck:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     """Collection phase: the subtree's union of locally-known edges,
     passed from child to parent."""
 
@@ -49,8 +50,7 @@ class TopologyReport:
     edges: FrozenSet[Edge]
 
 
-@dataclass(frozen=True)
-class TopologyDistribute:
+class TopologyDistribute(NamedTuple):
     """Distribution phase: the complete topology, passed from parent to
     children."""
 

@@ -19,8 +19,7 @@ published link verdict actually changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro._types import NodeId
 from repro.core.reconfig.skeptic import Skeptic
@@ -29,8 +28,7 @@ from repro.net.port import Port
 from repro.sim.kernel import Simulator
 
 
-@dataclass(frozen=True)
-class PingPayload:
+class PingPayload(NamedTuple):
     """Carried by PING cells; echoed (plus responder identity) in acks."""
 
     sender: NodeId
@@ -38,8 +36,7 @@ class PingPayload:
     seq: int
 
 
-@dataclass(frozen=True)
-class PingAckPayload:
+class PingAckPayload(NamedTuple):
     sender: NodeId
     sender_port: int
     seq: int

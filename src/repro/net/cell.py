@@ -54,7 +54,7 @@ class TrafficClass(enum.Enum):
 _cell_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One 53-byte cell.
 
@@ -87,7 +87,7 @@ class Cell:
     #: ``None`` for everything else, and every hop's
     #: instrumentation guard is just this ``is not None`` check.
     trace_ctx: Any = None
-    uid: int = field(default_factory=lambda: next(_cell_ids))
+    uid: int = field(default_factory=_cell_ids.__next__)
 
     @property
     def is_data(self) -> bool:

@@ -37,6 +37,10 @@ class LinkState(enum.Enum):
     DEAD = "dead"
 
 
+#: the hot paths test ``state is WORKING`` against this module global.
+WORKING = LinkState.WORKING
+
+
 class Link:
     """A bidirectional link between two ports.
 
@@ -164,7 +168,7 @@ class Link:
         """
         if direction not in (0, 1):
             raise ValueError(f"bad direction {direction}")
-        if not self.working:
+        if self.state is not WORKING:
             self.cells_dropped += 1
             if cell.kind is CellKind.DATA:
                 self.data_cells_dropped += 1
@@ -194,7 +198,7 @@ class Link:
 
     def _deliver(self, direction: int, cell: Cell) -> None:
         ctx = cell.trace_ctx
-        if not self.working:
+        if self.state is not WORKING:
             self.cells_dropped += 1
             if cell.kind is CellKind.DATA:
                 self.data_cells_dropped += 1
@@ -236,7 +240,7 @@ class Link:
             self, direction, cell
         ):
             return
-        self.target_port(direction).deliver(cell)
+        (self.port_b if direction == 0 else self.port_a).deliver(cell)
 
     # ------------------------------------------------------------------
     # fault injection

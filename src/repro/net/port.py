@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro._types import PortIndex
 from repro.net.cell import Cell
+from repro.net.link import WORKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
@@ -62,20 +63,19 @@ class Port:
         this slot, otherwise cells would pile up inside the link model
         (which has no queue in the real hardware).
         """
-        if self.link is None or self._direction is None:
+        link = self.link
+        if link is None or link.state is not WORKING:
             return False
-        if not self.link.working:
-            return False
-        return self.link.next_free(self._direction) <= now + slack
+        return link._next_free[self._direction] <= now + slack
 
     def free_at(self) -> Optional[float]:
         """When the outbound wire can next start serializing a cell (a
         time not after now: it is idle); ``None`` while the port is not
         cabled or its link is down."""
         link = self.link
-        if link is None or not link.working:
+        if link is None or link.state is not WORKING:
             return None
-        return link.next_free(self._direction)
+        return link._next_free[self._direction]
 
     def peer(self) -> Optional["Port"]:
         """The port at the other end of the cable, if any."""

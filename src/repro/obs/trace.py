@@ -38,6 +38,9 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Set, TextIO, Union
 
+from repro._types import NodeId
+from repro.core.reconfig.epoch import EpochTag
+
 
 class TraceRecord:
     """One structured trace event."""
@@ -78,6 +81,9 @@ class TraceRecord:
 def _jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    # Tuples, but atoms here: ``s3`` and ``e2@s3``, not their fields.
+    if isinstance(value, (NodeId, EpochTag)):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

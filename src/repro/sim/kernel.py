@@ -5,6 +5,11 @@ the simulator pops events in time order and invokes their callbacks; each
 callback may schedule further events.  Ties are broken by insertion order,
 which makes runs deterministic for a fixed seed.
 
+The heap holds the :class:`Event` objects themselves: each is a list
+``[time, seq, callback, args, sim]``, so ``heapq`` orders entries on
+``(time, seq)`` with C list comparison and the loops read the fields by
+index.  No Python method runs to create, order or dispatch an event.
+
 Time is a float number of microseconds.  Nothing in the kernel depends on
 the unit, but the rest of the library adopts microseconds so that the
 paper's constants can be written literally.
@@ -13,7 +18,8 @@ paper's constants can be written literally.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.conform.digest import RunDigest
@@ -25,41 +31,50 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and its own heap entry.
+
+    An event is the list ``[time, seq, callback, args, sim]`` that sits in
+    the simulator's heap: there is no wrapper tuple around it.  ``seq`` is
+    unique, so ``heapq``'s list comparison orders entries on ``(time,
+    seq)``, in C, and never reaches the callback.  ``sim`` is the owning
+    simulator while the event is queued and ``None`` once it fired or was
+    cancelled; a cancelled event also drops its callback, which is how the
+    loop tells a dead entry from a live one.
 
     Events are created through :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at` and can be cancelled before they fire.
+    The fields read through the properties below; the kernel's loops read
+    them by index.  Like any list, an event is unhashable: key timers by
+    what they time, not by the event.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim: Optional["Simulator"] = None
+    time = property(itemgetter(0), doc="Simulated time the event fires at.")
+    seq = property(itemgetter(1), doc="Insertion number: breaks time ties FIFO.")
+    callback = property(itemgetter(2), doc="The callable (``None`` once cancelled).")
+    args = property(itemgetter(3), doc="Positional arguments for the callback.")
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim, self._sim = self._sim, None
+        """Prevent the event from firing.  A no-op once it fired or was
+        cancelled, so it is safe to call more than once."""
+        sim = self[4]
         if sim is not None:
+            self[4] = None
+            self[2] = None
             sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.3f} seq={self.seq} {state}>"
+        if self[2] is None:
+            state = "cancelled"
+        else:
+            state = "pending" if self[4] is not None else "fired"
+        return f"<Event t={self[0]:.3f} seq={self[1]} {state}>"
 
 
 class Simulator:
@@ -81,14 +96,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: heap of ``(time, seq, event)``: ``seq`` is unique, so heapq
-        #: orders entries on the first two fields, in C, and never
-        #: compares two events.
-        self._queue: List[Tuple[float, int, Event]] = []
+        #: heap of :class:`Event` entries ``[time, seq, callback, args,
+        #: sim]``, ordered on ``(time, seq)`` by heapq's list comparison.
+        self._queue: List[Event] = []
         self._seq = 0
         self._running = False
         self._events_executed = 0
-        self._live = 0  # queued, non-cancelled events (O(1) pending())
         self._cancelled_in_heap = 0
         self._compactions = 0
         self._digest: Optional["RunDigest"] = None
@@ -201,9 +214,14 @@ class Simulator:
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} us in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        # "not >=" refuses a NaN delay too (see schedule_at).
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule {delay} us from now")
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((self._now + delay, seq, callback, args, self))
+        heapq.heappush(self._queue, event)
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
@@ -216,11 +234,9 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         seq = self._seq
-        event = Event(time, seq, callback, args)
-        event._sim = self
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
-        self._live += 1
+        event = Event((time, seq, callback, args, self))
+        heapq.heappush(self._queue, event)
         return event
 
     # ------------------------------------------------------------------
@@ -228,7 +244,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` for an event still in the heap."""
-        self._live -= 1
         self._cancelled_in_heap += 1
         if (
             len(self._queue) >= self.COMPACT_MIN_SIZE
@@ -239,7 +254,7 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled events and re-heapify (lazy-cancel reaping).
         In place: a running loop holds the list itself."""
-        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
+        self._queue[:] = [e for e in self._queue if e[2] is not None]
         heapq.heapify(self._queue)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -253,15 +268,14 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
+            time, _, callback, args, _ = event = heapq.heappop(self._queue)
+            if callback is None:
                 self._cancelled_in_heap -= 1
                 continue
-            event._sim = None
-            self._live -= 1
-            self._now = event.time
+            event[4] = None
+            self._now = time
             self._events_executed += 1
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -280,34 +294,36 @@ class Simulator:
         executed = 0
         try:
             while queue:
-                head = queue[0][2]
-                if head.cancelled:
+                head = queue[0]
+                if head[2] is None:
                     heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and head[0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
-                head._sim = None
-                self._live -= 1
-                self._now = head.time
-                self._events_executed += 1
+                head[4] = None
+                self._now = head[0]
                 executed += 1
-                head.callback(*head.args)
+                head[2](*head[3])
             if until is not None and self._now < until:
                 self._now = until
         except BaseException as exc:
             # Flight-recorder hook: one try/except around the whole run,
             # never per event.  The recorder folds the dying run's context
-            # into its kernel ring (and auto-dumps if configured) before
-            # the exception continues up.
+            # (the count flushed first, so it includes the event that
+            # raised) into its kernel ring, and auto-dumps if configured,
+            # before the exception continues up.
+            self._events_executed += executed
+            executed = 0
             recorder = self.recorder
             if recorder is not None:
                 recorder.on_kernel_exception(self, exc)
             raise
         finally:
+            self._events_executed += executed
             self._running = False
 
     # ------------------------------------------------------------------
@@ -319,20 +335,19 @@ class Simulator:
         digest = self._digest
         profiler = self._profiler
         while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
+            time, seq, callback, args, _ = event = heapq.heappop(self._queue)
+            if callback is None:
                 self._cancelled_in_heap -= 1
                 continue
-            event._sim = None
-            self._live -= 1
-            self._now = event.time
+            event[4] = None
+            self._now = time
             self._events_executed += 1
             if digest is not None:
-                digest.observe(event.time, event.seq, event.callback)
+                digest.observe(time, seq, callback)
             if profiler is None:
-                event.callback(*event.args)
+                callback(*args)
             else:
-                profiler.dispatch(event.callback, event.args)
+                profiler.dispatch(callback, args)
             return True
         return False
 
@@ -350,44 +365,45 @@ class Simulator:
         executed = 0
         try:
             while queue:
-                head = queue[0][2]
-                if head.cancelled:
+                head = queue[0]
+                if head[2] is None:
                     heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and head[0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
-                head._sim = None
-                self._live -= 1
-                self._now = head.time
-                self._events_executed += 1
+                head[4] = None
+                self._now = head[0]
                 executed += 1
                 if digest is not None:
-                    digest.observe(head.time, head.seq, head.callback)
+                    digest.observe(head[0], head[1], head[2])
                 if profiler is None:
-                    head.callback(*head.args)
+                    head[2](*head[3])
                 else:
-                    profiler.dispatch(head.callback, head.args)
+                    profiler.dispatch(head[2], head[3])
             if until is not None and self._now < until:
                 self._now = until
         except BaseException as exc:
+            self._events_executed += executed
+            executed = 0
             recorder = self.recorder
             if recorder is not None:
                 recorder.on_kernel_exception(self, exc)
             raise
         finally:
+            self._events_executed += executed
             self._running = False
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0][2].cancelled:
+        while self._queue and self._queue[0][2] is None:
             heapq.heappop(self._queue)
             self._cancelled_in_heap -= 1
         return self._queue[0][0] if self._queue else None
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""
-        return self._live
+        return len(self._queue) - self._cancelled_in_heap

@@ -50,6 +50,19 @@ class TestCanonicalBytes:
         with pytest.raises(TypeError):
             canonical_bytes({"nested": Opaque()})
 
+    def test_rejects_node_ids_and_epoch_tags(self):
+        """Tuples underneath, yet refused like any other component value:
+        a fingerprint reduces them to plain data (``str``) first."""
+        from repro._types import switch_id
+        from repro.core.reconfig.epoch import GENESIS, EpochTag
+
+        for value in (switch_id(3), EpochTag(1, switch_id(0)), GENESIS):
+            with pytest.raises(TypeError):
+                canonical_bytes(value)
+            with pytest.raises(TypeError):
+                canonical_bytes([value])
+        assert canonical_bytes(("switch", 3)) == canonical_bytes(["switch", 3])
+
     def test_nested_structures(self):
         a = {"k": [{1, 2}, (3, 4)], "m": {"x": b"\x00\xff"}}
         b = {"m": {"x": b"\x00\xff"}, "k": [{2, 1}, (3, 4)]}

@@ -68,3 +68,20 @@ class TestJsonl:
             data = json.loads(stream.readline())["data"]
         assert data["obj"] == "opaque!"
         assert data["seq"] == [1, 2]
+
+    def test_node_ids_and_epoch_tags_are_atoms(self, tmp_path):
+        """Both are tuples underneath, but a record shows ``s3`` and
+        ``e2@s3``, not their fields -- also inside a list."""
+        from repro._types import host_id, switch_id
+        from repro.core.reconfig.epoch import EpochTag
+
+        tag = EpochTag(2, switch_id(3))
+        tracer = Tracer()
+        tracer.emit(
+            0.0, "reconfig", "switch.s3", "x",
+            node=switch_id(3), tag=tag, nodes=[host_id(1), switch_id(0)],
+        )
+        path = tmp_path / "t.jsonl"
+        tracer.write_jsonl(path)
+        data = read_jsonl(path)[0]["data"]
+        assert data == {"node": "s3", "tag": "e2@s3", "nodes": ["h1", "s0"]}

@@ -188,3 +188,61 @@ def test_not_reentrant():
 
     sim.schedule(1.0, nested)
     sim.run()
+
+
+def test_cancel_after_firing_is_a_no_op():
+    """A fired event stays fired: ``cancel()`` neither marks it cancelled
+    nor moves ``pending()``."""
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=2.0)
+    assert sim.pending() == 1
+    fired.cancel()
+    assert not fired.cancelled
+    assert sim.pending() == 1
+    sim.run()
+    assert sim.events_executed == 2 and sim.pending() == 0
+
+
+def test_an_event_is_its_own_heap_entry():
+    sim = Simulator()
+    callback = print
+    event = sim.schedule_at(3.0, callback, "x")
+    assert list(event) == [3.0, 0, callback, ("x",), sim]
+    assert (event.time, event.seq, event.callback, event.args) == (
+        3.0, 0, callback, ("x",),
+    )
+    assert not event.cancelled
+    with pytest.raises(AttributeError):
+        event.time = 4.0
+    event.cancel()
+    assert event.cancelled and sim.pending() == 0
+
+
+@pytest.mark.parametrize("instrumented", [False, True])
+def test_recorder_sees_events_run_before_a_callback_raised(instrumented):
+    """``run`` counts executed events in a local; the count reaches
+    ``events_executed`` before the flight recorder reads it, and it
+    includes the event whose callback raised."""
+    from repro.conform.digest import RunDigest
+    from repro.obs import FlightRecorder
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim = Simulator()
+    sim.recorder = FlightRecorder()
+    if instrumented:
+        sim.digest = RunDigest()
+    for time in (1.0, 2.0):
+        sim.schedule_at(time, lambda: None)
+    sim.schedule_at(3.0, boom)
+    sim.schedule_at(4.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    (record,) = [row for row in sim.recorder.snapshot() if row["comp"] == "kernel"]
+    assert record["data"]["events_executed"] == 3
+    assert sim.events_executed == 3
+    sim.run()
+    assert sim.events_executed == 4

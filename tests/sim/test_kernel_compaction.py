@@ -2,8 +2,8 @@
 
 ``Event.cancel()`` marks events dead in place; the heap sheds them
 lazily on pop, and ``Simulator`` compacts wholesale once more than half
-of a large heap is cancelled.  ``pending()`` is a live counter, not a
-heap scan.  These tests pin the counter bookkeeping (including
+of a large heap is cancelled.  ``pending()`` is the heap size less
+its cancelled entries, not a heap scan.  These tests pin the counter bookkeeping (including
 double-cancel and cancel-after-execution) and the compaction trigger,
 ordering preservation, and observability via ``heap_size`` /
 ``compactions``.
