@@ -105,42 +105,47 @@ class CreditEndpoint:
     def accept(self, cell: Cell) -> None:
         """Consume one CREDIT cell that arrived on this port."""
         payload = cell.payload
-        if isinstance(payload, ResyncRequest):
+        reply = None
+        if isinstance(payload, int):  # the per-cell case first
+            vc = cell.vc
+        elif isinstance(payload, ResyncRequest):
             state = self.downstream.get(payload.vc)
             if state is not None:
-                reply = ResyncReply(
+                answer = ResyncReply(
                     payload.vc, payload.cells_sent, state.buffers_freed
                 )
                 self.port.send(
-                    Cell(vc=payload.vc, kind=CellKind.CREDIT, payload=reply)
+                    Cell(vc=payload.vc, kind=CellKind.CREDIT, payload=answer)
                 )
             return
-        is_reply = isinstance(payload, ResyncReply)
-        vc = payload.vc if is_reply else cell.vc
+        elif isinstance(payload, ResyncReply):
+            reply = payload
+            vc = reply.vc
+        else:
+            vc, payload = cell.vc, 1
         window = self.upstream.get(vc)
         if window is None:
             return  # circuit closed while the cell was in flight
         before = window.balance
-        if is_reply:
-            recovered = window.apply_reply(payload)
-            if recovered:
-                self._note("resync.recovered", vc, recovered=recovered)
-            if window.balance == before:
-                return  # stale, incoherent, or nothing was lost
-        else:
-            amount = payload if isinstance(payload, int) else 1
-            unstalled = window.credit(amount)
+        if reply is None:
+            unstalled = window.credit(payload)
             # Tracer-only: one record per credit cell is per-cell
             # traffic, which the flight recorder's rings must not take.
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.emit(
                     self.sim.now, "flowcontrol", self._label, "credit.grant",
-                    port=self.port.index, vc=vc, amount=amount,
+                    port=self.port.index, vc=vc, amount=payload,
                     balance=window.balance,
                 )
             if unstalled:
                 self._note("credit.unstall", vc, stalls=window.stalls)
+        else:
+            recovered = window.apply_reply(reply)
+            if recovered:
+                self._note("resync.recovered", vc, recovered=recovered)
+            if window.balance == before:
+                return  # stale, incoherent, or nothing was lost
         self._on_window(vc, (before == 0) != (window.balance == 0))
 
     def resync_round(self) -> None:

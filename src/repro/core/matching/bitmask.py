@@ -15,8 +15,11 @@ set-and-dictionary rendering of the same section in
 :mod:`repro.conform.reference`, which tests and the conformance gate
 compare it against; the contract is *bit-identity for a shared seed*:
 ports are visited in ascending order and every grant and every accept
-is ``rng.randrange(k)`` over the ``k`` contenders in ascending order,
-one-contender draws included, exactly the reference's draw sequence.
+consumes exactly the draws of ``rng.randrange(k)`` over the ``k``
+contenders in ascending order, one-contender draws included, exactly
+the reference's draw sequence.  It makes them with ``rng.getrandbits``
+inline (``randrange(k)`` is three Python frames around that loop), so
+``rng`` must be a :class:`random.Random`.
 :class:`BitmaskIslip` involves no randomness at all.  Both classes also
 accept plain request sets through ``match(requests, pre_matched)``.
 """
@@ -243,6 +246,7 @@ class BitmaskPim:
         pre_matched: Optional[Matching] = None,
         col_masks: Optional[Sequence[int]] = None,
         union: Optional[int] = None,
+        available: Optional[int] = None,
     ) -> MatchResult:
         """``masks[i]`` has bit ``o`` set iff input ``i`` has a cell for
         output ``o``.
@@ -256,23 +260,25 @@ class BitmaskPim:
         inputs and for outputs no row requests are ignored, which lets
         :class:`~repro.switch.crossbar.Crossbar` pass its maintained
         columns unfiltered.  ``union`` optionally supplies the OR of the
-        ``masks`` of the inputs that are not pre-matched.  Masks are
-        read, never mutated.
+        ``masks`` of the inputs that are not pre-matched.  ``available``
+        optionally limits the outputs that may be matched (the free
+        ones: pre-matched pairs stand wherever they are), as if every
+        row were masked by it.  Masks are read, never mutated.
         """
         n = self.n_ports
         full = (1 << n) - 1
+        outputs = full if available is None else full & available
         if pre_matched:
             matching: Matching = dict(pre_matched)
             matched_inputs, matched_outputs = _pre_matched_masks(matching)
             free_inputs = full & ~matched_inputs
-            free_outputs = full & ~matched_outputs
         else:
             matching = {}
             matched_outputs = 0
             free_inputs = full
-            free_outputs = full
+        free_outputs = outputs & ~matched_outputs
         cols = col_masks if col_masks is not None else _transpose(masks, n)
-        randrange = self.rng.randrange
+        getrandbits = self.rng.getrandbits
         B = _BITS16  # local bindings for the hot loops
         P = _POW2
 
@@ -292,11 +298,13 @@ class BitmaskPim:
 
         # Determinism contract, shared with the reference: outputs (step
         # 2) and inputs (step 3) are visited in ascending port order and
-        # every choice is ``randrange(k)`` over the ascending contenders,
-        # so a fixed-seed run consumes RNG draws in one reproducible
-        # sequence.  The hardware ports all decide simultaneously, so any
-        # order is faithful -- but digests, the corpus and the oracle
-        # rely on this exact one.  Do not change it.
+        # every choice draws what ``randrange(k)`` over the ascending
+        # contenders would (inline: one ``getrandbits(1)`` until it reads
+        # 0 for k == 1, else ``k.bit_length()`` bits until below k), so a
+        # fixed-seed run consumes RNG draws in one reproducible sequence.
+        # The hardware ports all decide simultaneously, so any order is
+        # faithful -- but digests, the corpus and the oracle rely on this
+        # exact one.  Do not change it.
         for iteration in range(1, self.iterations + 1):
             # Step 1+2: every contended free output grants one request.
             grants = [0] * n
@@ -304,7 +312,19 @@ class BitmaskPim:
             for output_port in B[union] if union < 65536 else bits_of(union):
                 column = cols[output_port] & free_inputs
                 blist = B[column] if column < 65536 else bits_of(column)
-                chosen = blist[randrange(len(blist))]
+                k = len(blist)
+                if k == 1:
+                    while getrandbits(1):
+                        pass
+                    chosen = blist[0]
+                elif k:
+                    width = k.bit_length()
+                    draw = getrandbits(width)
+                    while draw >= k:
+                        draw = getrandbits(width)
+                    chosen = blist[draw]
+                else:  # randrange(0) raised: no draw can end
+                    raise ValueError(f"output {output_port}: empty column")
                 grants[chosen] |= P[output_port]
                 granted |= P[chosen]
 
@@ -317,13 +337,23 @@ class BitmaskPim:
             ):
                 row = grants[input_port]
                 blist = B[row] if row < 65536 else bits_of(row)
-                accepted = blist[randrange(len(blist))]
+                k = len(blist)
+                if k == 1:
+                    while getrandbits(1):
+                        pass
+                    accepted = blist[0]
+                else:
+                    width = k.bit_length()
+                    draw = getrandbits(width)
+                    while draw >= k:
+                        draw = getrandbits(width)
+                    accepted = blist[draw]
                 matching[input_port] = accepted
                 matched_outputs |= P[accepted]
             free_inputs &= ~granted
             new_per_iteration.append(granted.bit_count())
 
-            free_outputs = full & ~matched_outputs
+            free_outputs = outputs & ~matched_outputs
             if free_outputs:
                 union = 0
                 for input_port in (
@@ -397,18 +427,22 @@ class BitmaskIslip:
         pre_matched: Optional[Matching] = None,
         col_masks: Optional[Sequence[int]] = None,
         union: Optional[int] = None,
+        available: Optional[int] = None,
     ) -> MatchResult:
+        """:meth:`BitmaskPim.match_masks`'s contract, pointers moving
+        instead of draws."""
         n = self.n_ports
         matching: Matching = dict(pre_matched) if pre_matched else {}
         matched_inputs, matched_outputs = _pre_matched_masks(matching)
         full = (1 << n) - 1
+        outputs = full if available is None else full & available
         cols = col_masks if col_masks is not None else _transpose(masks, n)
         grant_pointers = self.grant_pointers
         accept_pointers = self.accept_pointers
         rotate_pick = self._rotate_pick
 
         free_inputs = full & ~matched_inputs
-        free_outputs = full & ~matched_outputs
+        free_outputs = outputs & ~matched_outputs
         new_per_iteration: List[int] = []
         iterations_to_maximal: Optional[int] = None
 
@@ -450,7 +484,7 @@ class BitmaskIslip:
             free_inputs &= ~granted
             new_per_iteration.append(granted.bit_count())
 
-            free_outputs = full & ~matched_outputs
+            free_outputs = outputs & ~matched_outputs
             union = 0
             for input_port in (
                 _BITS16[free_inputs]

@@ -26,10 +26,13 @@ slot counter is running -- is in one of two states.  **Due**
 it holds can move before a later wave (every wanted wire busy, every
 queued guaranteed cell short of its reserved slot, or nothing to do
 until a cell or credit arrives), so it is left out of the walk until
-that wave or until an edge kicks it (``request_tick`` un-parks).  The
-slots a parked switch sits out are added to its ``_slot_index`` when it
-is un-parked, so its frame position is what ticking every slot would
-have made it.
+that wave or until an edge kicks it (``request_tick`` un-parks).  Which
+edges kick is the switch's call: a best-effort cell or a credit kicks
+a parked switch only when it adds an output to the ones it parked
+wanting (``AN2Switch._nudge``), since the planned wave already covers
+those.  The slots a parked switch sits out are added to its
+``_slot_index`` when it is un-parked, so its frame position is what
+ticking every slot would have made it.
 
 Parking changes which switches a wave *calls*, never the kernel's event
 stream: a wave fires every slot while any switch is armed, due or

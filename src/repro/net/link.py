@@ -181,7 +181,10 @@ class Link:
         serialization = (
             self.cell_time_us if bits is None else bits / self.bps * 1e6
         )
-        start = max(self.sim.now, self._next_free[direction])
+        start = self._next_free[direction]
+        now = self.sim.now
+        if start < now:
+            start = now
         departure = start + serialization
         self._next_free[direction] = departure
         arrival = departure + self.latency_us
@@ -240,7 +243,10 @@ class Link:
             self, direction, cell
         ):
             return
-        (self.port_b if direction == 0 else self.port_a).deliver(cell)
+        # The hand-off to the node (as in the retransmission layer's).
+        port = self.port_b if direction == 0 else self.port_a
+        port.cells_received += 1
+        port.node.on_cell(port, cell)
 
     # ------------------------------------------------------------------
     # fault injection

@@ -2,8 +2,9 @@
 
 Each AN2 switch has up to 16 ports, "each of which may be connected to a
 host or to the port of another switch" (section 1).  A :class:`Port`
-belongs to a :class:`~repro.net.node.Node`, may be cabled to a link, and
-hands every arriving cell to its node.
+belongs to a :class:`~repro.net.node.Node` and may be cabled to a link;
+the link hands every cell arriving here to ``port.node.on_cell(port,
+cell)``, counting it in :attr:`Port.cells_received`.
 """
 
 from __future__ import annotations
@@ -95,12 +96,7 @@ class Port:
         if self.link is None or self._direction is None:
             raise PortError(f"{self.label} is not connected")
         self.cells_sent += 1
-        self.link.transmit(self._direction, cell, bits=bits)
-
-    def deliver(self, cell: Cell) -> None:
-        """Called by the link when a cell arrives here."""
-        self.cells_received += 1
-        self.node.on_cell(self, cell)
+        self.link.transmit(self._direction, cell, bits)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Port {self.label}{' (cabled)' if self.connected else ''}>"

@@ -221,7 +221,10 @@ class LinkRetxGuard:
         self._buffer[direction].pop(seq, None)
         self._resends_left[direction].pop(seq, None)
         self._seq_of[direction].pop(cell.uid, None)
-        self.link.target_port(direction).deliver(cell)
+        # The hand-off to the node (as in Link._deliver).
+        port = self.link.target_port(direction)
+        port.cells_received += 1
+        port.node.on_cell(port, cell)
 
     def _drain(self, direction: int) -> None:
         """Advance the cursor over held-back cells and declared losses."""

@@ -91,15 +91,12 @@ class Crossbar:
         is the mask of outputs that can take a cell this slot (``None``:
         all of them); requests for any other output sit the slot out.
         """
-        rows = self.rows
         # ``want`` also ORs in the rows of pre-matched inputs, so it is
         # the kernel's starting union only when there are none.
-        union = None if pre_matched else self.want
-        if available is not None:
-            rows = [row & available for row in rows]
-            if union is not None:
-                union &= available
-        result = self.matcher.match_masks(rows, pre_matched, self.cols, union)
+        result = self.matcher.match_masks(
+            self.rows, pre_matched, self.cols,
+            None if pre_matched else self.want, available,
+        )
         self.slots += 1
         if result.iterations_to_maximal is not None:
             self.iterations_to_maximal.record(result.iterations_to_maximal)

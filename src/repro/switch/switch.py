@@ -165,6 +165,9 @@ class SwitchStats:
     #: (view, initiator) share the first one's, so the sum over an
     #: installation is the number of distinct pairs.
     route_installs_full: int = 0
+    #: ticks that could move nothing: no reserved cell went and no
+    #: wanted output's wire was free.
+    empty_ticks: int = 0
     per_output_forwarded: Dict[int, int] = field(default_factory=dict)
 
 
@@ -235,12 +238,21 @@ class AN2Switch(SwitchNode):
         self.admission = DistributedAdmissionAgent(self)
         self.stats = SwitchStats()
         self._vc_in_port: Dict[VcId, int] = {}
+        #: Half a slot of slack: the transmitter's oscillator drives the
+        #: link in real hardware, so a switch whose clock runs a few ppm
+        #: fast must not see its own back-to-back slots as "link busy";
+        #: the link model still enforces the true line rate.
+        self._slack = 0.5 * self.config.slot_time_us
+        self._credit_mode = self.config.flow_control == "credits"
         #: ticks made plus, on the wave, slots sat out parked: the frame
         #: position.  Short of :attr:`slot_index` while parked.
         self._slot_index = 0
         #: a tick is coming at the next slot boundary (not set while
         #: parked on the wave, so a kick then goes through).
         self._tick_scheduled = False
+        #: while parked on the wave: ``crossbar.want`` as it parked
+        #: (:meth:`_nudge`); ``None`` otherwise.
+        self._parked_want: Optional[int] = None
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
         #: the Network's repro.fastpath.FabricSlotDriver once adopted;
@@ -264,6 +276,7 @@ class AN2Switch(SwitchNode):
         probes.gauge("reroutes", lambda: stats.reroutes)
         probes.gauge("broken_circuits", lambda: stats.broken_circuits)
         probes.gauge("wasted_matches", lambda: stats.wasted_matches)
+        probes.gauge("empty_ticks", lambda: stats.empty_ticks)
         probes.gauge("buffered_cells", self.buffered_cells)
 
     # ==================================================================
@@ -472,9 +485,11 @@ class AN2Switch(SwitchNode):
     # ------------------------------------------------------------------
     def _accept_data(self, in_port: int, cell: Cell) -> None:
         card = self.cards[in_port]
-        if cell.traffic_class is TrafficClass.BEST_EFFORT:
+        vc = cell.vc
+        best_effort = cell.traffic_class is TrafficClass.BEST_EFFORT
+        if best_effort:
             try:
-                card.credits.pool(cell.vc).receive()
+                (card.downstream.get(vc) or card.credits.pool(vc)).receive()
             except CreditError:
                 # A correct upstream never overflows us; a buggy or
                 # byzantine one loses the cell (counted, not crashed).
@@ -486,24 +501,24 @@ class AN2Switch(SwitchNode):
                         in_port=in_port, reason="overflow",
                     )
                 return
-        entry = card.routing_table.lookup(cell.vc)
+        entry = card.routing_table.lookup(vc)
         if entry is None:
-            if (
-                self.config.enable_paging
-                and cell.vc in card.routing_table.paged
-            ):
-                self._page_in(in_port, cell.vc)
-            if not card.routing_table.buffer_pending(cell.vc, cell):
+            if self.config.enable_paging and vc in card.routing_table.paged:
+                self._page_in(in_port, vc)
+            if not card.routing_table.buffer_pending(vc, cell):
                 self.stats.cells_dropped += 1
                 # The buffer the cell occupied is freed again.
-                state = card.downstream.get(cell.vc)
-                if state is not None and cell.traffic_class is TrafficClass.BEST_EFFORT:
+                state = card.downstream.get(vc)
+                if state is not None and best_effort:
                     state.free()
             else:
                 self.stats.pending_buffered += 1
             return
         self._enqueue(card, entry, cell)
-        self._kick()
+        if best_effort:
+            self._nudge()
+        else:
+            self._kick()
 
     def _enqueue(self, card: LineCard, entry, cell: Cell) -> None:
         entry.last_activity = self.sim.now
@@ -537,7 +552,7 @@ class AN2Switch(SwitchNode):
         or served, credit granted, consumed or resynchronized, circuit
         installed, torn down, paged out or rerouted)."""
         sendable = True
-        if self.config.flow_control == "credits":
+        if self._credit_mode:
             upstream = self.cards[out_port].upstream.get(vc)
             sendable = upstream is not None and upstream.balance > 0
         if card.vc_queues.set_ready(out_port, vc, sendable):
@@ -553,10 +568,13 @@ class AN2Switch(SwitchNode):
     ) -> None:
         """A credit cell moved the balance ``vc`` draws on at
         ``out_port``: a credit arrived, or a resync reply corrected it
-        (up *or* down)."""
+        (up *or* down).  Only a move across zero can change a request
+        bit, so a move that does not leaves an armed switch as it is;
+        an unarmed one is still kicked (its tick moves nothing: one
+        wave event the event-sparse data plane may drop)."""
         if crossed_zero:
             self._refresh_output(out_port, vc)
-        self._kick()
+        self._nudge()
 
     def _forget(self, card: LineCard, vc: VcId) -> None:
         """``vc`` was drained from ``card``: drop the request bits it
@@ -570,7 +588,8 @@ class AN2Switch(SwitchNode):
         normally one card, two while a circuit rerouted upstream comes
         back in through another port."""
         for card in self.cards:
-            if card.vc_queues.holds(out_port, vc):
+            # VcQueues.holds, without a call per card.
+            if vc in card.vc_queues._queues.get(out_port, ()):
                 self._refresh(card, out_port, vc)
 
     # ==================================================================
@@ -578,10 +597,11 @@ class AN2Switch(SwitchNode):
     # ==================================================================
     def _kick(self) -> None:
         """Tick at the next slot boundary.  Every edge that can make a
-        tick useful (a cell or credit in, a circuit or reservation
+        tick useful (a guaranteed cell in, a circuit or reservation
         installed, a reroute) or end the arming (the last reservation or
         queued cell removed) calls this; on a switch parked on the wave
-        (:meth:`_rearm`) it is what un-parks it."""
+        (:meth:`_rearm`) it is what un-parks it.  Best-effort cells and
+        credits go through :meth:`_nudge`."""
         if self._tick_scheduled:
             return
         self._tick_scheduled = True
@@ -602,18 +622,26 @@ class AN2Switch(SwitchNode):
             self.clock.global_delay(self.config.slot_time_us), self._slot_tick
         )
 
+    def _nudge(self) -> None:
+        """:meth:`_kick` for a best-effort cell in or a credit moved: a
+        switch parked on the wave stays parked unless ``crossbar.want``
+        gained an output it parked without.  Exact: its wake was worked
+        out over a superset of today's wanted outputs, and a wire's
+        ``next_free`` only grows, so no wanted wire falls free before
+        that wake; the edge added no guaranteed cell and no frame slot."""
+        if self._tick_scheduled:
+            return
+        parked_want = self._parked_want
+        if parked_want is None or self.crossbar.want & ~parked_want:
+            self._kick()
+
     def _slot_tick(self) -> None:
         self._tick_scheduled = False
+        self._parked_want = None
         slot_index = self._slot_index
         self._slot_index = slot_index + 1
         now = self.sim.now
-
-        # The transmitter's oscillator drives the link in real hardware,
-        # so a switch whose clock runs a few ppm fast must not see its
-        # own back-to-back slots as "link busy".  Half a slot of slack
-        # absorbs the drift; the link model still enforces the true line
-        # rate by queueing the start of serialization.
-        slack = 0.5 * self.config.slot_time_us
+        slack = self._slack
 
         ports = self.ports
         cards = self.cards
@@ -645,7 +673,7 @@ class AN2Switch(SwitchNode):
 
         if idle or pre_matched:
             result = self.crossbar.schedule(pre_matched, idle)
-            credit_mode = self.config.flow_control == "credits"
+            credit_mode = self._credit_mode
             for in_port, out_port in result.matching.items():
                 if in_port in pre_matched:
                     continue
@@ -678,6 +706,8 @@ class AN2Switch(SwitchNode):
                     entry.cells_forwarded += 1
                     entry.last_activity = now
                 self._transmit(out_port, cell, guaranteed=False)
+        else:
+            self.stats.empty_ticks += 1
 
         # Stay armed while any work (or any reservation) remains.
         if reserved or self._queued:
@@ -728,7 +758,10 @@ class AN2Switch(SwitchNode):
                         until = (slot - next_slot) % frame_slots + 1
                         if waves is None or until < waves:
                             waves = until
-        self._tick_scheduled = not driver.park(self, waves)
+        if driver.park(self, waves):
+            self._parked_want = want
+        else:
+            self._tick_scheduled = True
 
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
         if cell.trace_ctx is not None:

@@ -11,7 +11,9 @@ The load-bearing claims, in order:
 2. :class:`BitmaskIslip` is exactly equivalent to the reference
    :class:`IslipMatcher` (no randomness involved), including pointer
    state evolution.
-3. There is one draw protocol and no option selecting another.
+3. There is one draw protocol and no option selecting another: the
+   kernel draws with ``getrandbits`` itself, consuming exactly what
+   ``Random.randrange(k)`` would for every grant and accept.
 """
 
 import inspect
@@ -120,10 +122,10 @@ class TestStrictPimEquivalence:
 
     @pytest.mark.parametrize("n", [4, 16, 24])
     def test_identical_with_superset_columns_and_pre_matched(self, n):
-        """How ``AN2Switch`` calls the kernel: rows masked down to the
-        idle outputs, but the maintained (unmasked) transpose -- extra
-        column bits for busy outputs and pre-matched inputs -- plus a
-        pre-matching.  Same pairs in the same order as the reference, and
+        """Rows masked down to the idle outputs (``Crossbar.schedule``
+        passes those as ``available`` instead, which must agree), but
+        the maintained (unmasked) transpose -- extra column bits for
+        busy outputs and pre-matched inputs -- plus a pre-matching.  Same pairs in the same order as the reference, and
         the same RNG state afterwards."""
         gen = random.Random(21)
         reference = ParallelIterativeMatcher(n, 3, rng=random.Random(9))
@@ -190,6 +192,44 @@ class TestStrictPimEquivalence:
         assert a.matching == b.matching
 
 
+class TestInlineDraw:
+    """Each grant and accept draws with ``rng.getrandbits`` directly; for
+    every contender count it must pick what ``Random.randrange(k)``
+    picks and leave the generator where ``randrange(k)`` leaves it.
+    Run on every CPython CI supports, this catches a change to
+    ``randrange``'s algorithm."""
+
+    N = 64
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_grant_draw_is_randrange(self, seed):
+        kernel = BitmaskPim(self.N, iterations=1, rng=random.Random(seed))
+        twin = random.Random(seed)
+        for k in range(1, self.N + 1):
+            # Inputs 0..k-1 contend for output 0: one grant draw over k
+            # contenders, then the winner's accept draw over one grant.
+            rows = [1 if i < k else 0 for i in range(self.N)]
+            result = kernel.match_masks(rows)
+            granted = twin.randrange(k)
+            twin.randrange(1)
+            assert result.matching == {granted: 0}
+            assert kernel.rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_accept_draw_is_randrange(self, seed):
+        kernel = BitmaskPim(self.N, iterations=1, rng=random.Random(seed))
+        twin = random.Random(seed)
+        for k in range(1, self.N + 1):
+            # Input 0 alone requests outputs 0..k-1: k one-contender
+            # grants, then one accept draw over k grants.
+            rows = [(1 << k) - 1] + [0] * (self.N - 1)
+            result = kernel.match_masks(rows)
+            for _ in range(k):
+                twin.randrange(1)
+            assert result.matching == {0: twin.randrange(k)}
+            assert kernel.rng.getstate() == twin.getstate()
+
+
 class TestIslipEquivalence:
     @pytest.mark.parametrize("n", EQUIVALENCE_PORTS)
     def test_identical_including_pointer_state(self, n):
@@ -237,6 +277,13 @@ class TestValidation:
         pim = BitmaskPim(4)
         with pytest.raises(ValueError):
             pim.match([set()] * 4, pre_matched={0: 1, 2: 1})
+
+    def test_rejects_columns_that_miss_a_request(self):
+        """A column without the row's bit leaves no contender to draw
+        from: an error, as ``randrange(0)`` was, never an endless draw."""
+        pim = BitmaskPim(4)
+        with pytest.raises(ValueError):
+            pim.match_masks([0b0010, 0, 0, 0], col_masks=[0, 0, 0, 0])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ The driver's contract has four legs:
    a kick; the slots they sit out are counted (``parked``, and onto
    their ``_slot_index``), and the next wave is scheduled at the point
    of the walk where walking every armed switch would have scheduled
-   it, so kernel events keep their ``(time, seq)``.
+   it, so kernel events keep their ``(time, seq)``.  A best-effort cell
+   or a credit un-parks a switch only when it adds a wanted output to
+   the ones the switch parked with; a tick skipped is an empty tick.
 4. **One schedule per Network** -- every ``Network`` builds a driver:
    drift-free switches tick on its wave, drifting ones (from
    construction or after a mid-run clock fault) on their private timer.
@@ -27,12 +29,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro._types import switch_id
-from repro.conform.oracle import compare_slot_driver
+from repro.conform.oracle import (
+    compare_parking,
+    compare_slot_driver,
+    replay_case,
+    reserved_case,
+)
+from repro.constants import CELL_BITS
 from repro.faults import ClockDriftStep, FaultPlan, ScenarioRunner, TrafficLoad
 from repro.fastpath.driver import FabricSlotDriver
+from repro.net.cell import Cell, CellKind, TrafficClass
 from repro.sim.kernel import Simulator
 
-from tests.conftest import line_with_hosts
+from tests.conftest import converged_line, line_with_hosts
 
 
 def fake_switch(node_id, order, drift=0.0, slot_time=1.0):
@@ -502,3 +511,120 @@ class TestNetwork:
         divergence, record = compare_slot_driver(seed=3)
         assert divergence is None, str(divergence)
         assert record["events_on"] < record["events_off"]
+
+
+def parked_on_a_busy_wire():
+    """s1 of a converged line, with a best-effort circuit each way and a
+    reservation eastward, parked on one east cell: 40 cell times of
+    foreign frame hold its east wire, so the tick that finds the cell
+    can move nothing and re-arms for when the wire falls free."""
+    net = converged_line(3)
+    east = net.setup_circuit("h0", "h1")
+    west = net.setup_circuit("h1", "h0")
+    stream, _ = net.reserve_bandwidth("h0", "h1", 2)
+    net.run(500)
+    s1, driver = net.switch("s1"), net.slot_driver
+    in_port = s1._vc_in_port[east.vc]
+    out_port = s1.cards[in_port].routing_table.lookup(east.vc).out_port
+    s1.ports[out_port].send(
+        Cell(vc=999, kind=CellKind.CREDIT, payload=1), bits=40 * CELL_BITS
+    )
+    empty = s1.stats.empty_ticks
+    s1.on_cell(s1.ports[in_port], Cell(vc=east.vc))
+    net.run(3 * driver.slot_time_us)
+    assert driver.is_parked(s1)
+    assert s1._parked_want == s1.crossbar.want == 1 << out_port
+    # The one tick it made moved nothing: counted, and on the gauge.
+    assert s1.stats.empty_ticks == empty + 1
+    gauges = net.metrics_snapshot()[f"switch.{s1.node_id}"]["gauges"]
+    assert gauges["empty_ticks"] == s1.stats.empty_ticks
+    return SimpleNamespace(
+        net=net, s1=s1, driver=driver, east=east, west=west,
+        stream=stream, in_port=in_port, out_port=out_port,
+    )
+
+
+class TestWhatUnparks:
+    """A parked switch remembers the ``crossbar.want`` it parked with.
+    A best-effort cell or a credit un-parks it only when ``want`` gains
+    an output outside that mask; a guaranteed cell always does."""
+
+    def test_cell_for_an_output_already_wanted_leaves_it_parked(self):
+        line = parked_on_a_busy_wire()
+        line.s1.on_cell(line.s1.ports[line.in_port], Cell(vc=line.east.vc))
+        assert line.driver.is_parked(line.s1)
+        assert not line.s1._tick_scheduled
+
+    def test_cell_for_a_new_output_unparks_it(self):
+        line = parked_on_a_busy_wire()
+        # West-bound: it arrives on the east port and wants the west one.
+        line.s1.on_cell(line.s1.ports[line.out_port], Cell(vc=line.west.vc))
+        assert not line.driver.is_parked(line.s1)
+        assert line.s1._tick_scheduled
+
+    def test_guaranteed_cell_unparks_it(self):
+        line = parked_on_a_busy_wire()
+        line.s1.on_cell(
+            line.s1.ports[line.in_port],
+            Cell(vc=line.stream.vc, traffic_class=TrafficClass.GUARANTEED),
+        )
+        assert not line.driver.is_parked(line.s1)
+        assert line.s1._tick_scheduled
+
+    def test_credit_that_crosses_no_zero_leaves_it_parked(self):
+        line = parked_on_a_busy_wire()
+        window = line.s1.cards[line.out_port].upstream[line.east.vc]
+        assert window.balance > 0
+        line.s1.on_cell(
+            line.s1.ports[line.out_port],
+            Cell(vc=line.east.vc, kind=CellKind.CREDIT, payload=1),
+        )
+        assert line.driver.is_parked(line.s1)
+
+    def test_credit_that_crosses_no_zero_still_arms_an_unarmed_switch(self):
+        """Its tick moves nothing, but the dense walk made it: the wave
+        event it costs is part of the frozen event stream."""
+        net = converged_line(3)
+        circuit = net.setup_circuit("h0", "h1")
+        net.run(500)
+        s1, driver = net.switch("s1"), net.slot_driver
+        out_port = s1.cards[s1._vc_in_port[circuit.vc]].routing_table.lookup(
+            circuit.vc
+        ).out_port
+        assert not s1._tick_scheduled and not driver.is_parked(s1)
+        ticks, empty = driver.ticks, s1.stats.empty_ticks
+        s1.on_cell(
+            s1.ports[out_port],
+            Cell(vc=circuit.vc, kind=CellKind.CREDIT, payload=1),
+        )
+        assert s1._tick_scheduled
+        net.run(driver.slot_time_us)
+        assert driver.ticks == ticks + 1
+        assert s1.stats.empty_ticks == empty + 1
+
+    def test_replay_ticks_plus_parked_is_the_dense_walk(self):
+        divergence, record = compare_parking(replay_case, "replay", seed=3)
+        assert divergence is None, str(divergence)
+        assert record["ticks"] + record["parked"] == record["ticks_dense"]
+
+    def test_every_walk_skipped_is_an_empty_tick(self):
+        """The sparse walk skips only ticks the dense walk makes and
+        that move nothing: the empty ticks differ by exactly ``parked``."""
+
+        def run(dense):
+            def prepare(net):
+                if dense:
+                    driver = net.slot_driver
+                    driver.park = (
+                        lambda switch, waves: driver.request_tick(switch)
+                    )
+
+            net = reserved_case(1, prepare)
+            return net.slot_driver, sum(
+                switch.stats.empty_ticks for switch in net.switches.values()
+            )
+
+        sparse, sparse_empty = run(dense=False)
+        _, dense_empty = run(dense=True)
+        assert sparse.parked > 0
+        assert dense_empty - sparse_empty == sparse.parked

@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
+
 from repro._types import host_id
-from repro.core.matching.bitmask import BitmaskPim
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.core.routing.signaling import SetupRequest
 from repro.net.cell import Cell
 from repro.switch.crossbar import Crossbar
@@ -96,3 +98,61 @@ class TestCrossbar:
             1: 2, 0: 1,
         }
         assert crossbar.rows == [0b0110, 0, 0, 0b0100]  # read, not consumed
+
+    @pytest.mark.parametrize("n", [4, 16, 24])
+    @pytest.mark.parametrize("kind", ["pim", "islip"])
+    def test_available_limits_free_outputs_as_masked_rows_did(self, kind, n):
+        """``schedule(pre, available)`` hands the matcher ``available``
+        for the free outputs; it must equal masking every row by it and
+        the union with it -- same pairs in the same order, same RNG state
+        or pointers -- with pre-matched pairs that keep their rows and
+        may sit on outputs outside ``available``.  (Masking the free
+        *inputs* by it instead is the easy bug.)"""
+        gen = random.Random(n)
+
+        def matcher():
+            if kind == "pim":
+                return BitmaskPim(n, 3, random.Random(5))
+            return BitmaskIslip(n, 3)
+
+        crossbar = Crossbar(n, matcher())
+        reference = matcher()
+        for _ in range(200):
+            for in_port in range(n):
+                for out_port in range(n):
+                    if gen.random() < 0.4:
+                        crossbar.request(in_port, out_port)
+                    else:
+                        crossbar.withdraw(in_port, out_port)
+            pre = {}
+            for in_port in gen.sample(range(n), gen.randrange(0, 4)):
+                taken = set(pre.values())
+                pre[in_port] = gen.choice(
+                    [o for o in range(n) if o not in taken]
+                )
+            available = gen.getrandbits(n)
+            expected = reference.match_masks(
+                [row & available for row in crossbar.rows],
+                pre,
+                crossbar.cols,
+                None if pre else crossbar.want & available,
+            )
+            got = crossbar.schedule(pre, available)
+            assert list(got.matching.items()) == list(
+                expected.matching.items()
+            )
+            assert got.iterations_to_maximal == expected.iterations_to_maximal
+            assert (
+                got.new_matches_per_iteration
+                == expected.new_matches_per_iteration
+            )
+            if kind == "pim":
+                assert (
+                    crossbar.matcher.rng.getstate()
+                    == reference.rng.getstate()
+                )
+            else:
+                assert (
+                    crossbar.matcher.grant_pointers,
+                    crossbar.matcher.accept_pointers,
+                ) == (reference.grant_pointers, reference.accept_pointers)
