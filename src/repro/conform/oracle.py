@@ -187,16 +187,15 @@ def compare_matchers(
 def matcher_sweep(
     seeds: Sequence[int],
     sizes: Sequence[int] = (4, 8, 16),
-    kinds: Sequence[str] = MATCHER_KINDS,
-    patterns: Sequence[str] = tuple(PATTERNS),
     n_slots: int = 200,
 ) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """The full differential grid.  Returns (divergences, corpus records)."""
+    """The full differential grid over every matcher kind and load
+    pattern.  Returns (divergences, corpus records)."""
     divergences: List[Divergence] = []
     records: List[Dict[str, Any]] = []
-    for kind in kinds:
+    for kind in MATCHER_KINDS:
         for n_ports in sizes:
-            for pattern in patterns:
+            for pattern in PATTERNS:
                 for seed in seeds:
                     divergence, matchings_hash = compare_matchers(
                         kind, n_ports, seed, pattern, n_slots=n_slots

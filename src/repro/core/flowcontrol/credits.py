@@ -41,11 +41,6 @@ class UpstreamCredits:
     #: duplicated credit cells, or stale credits arriving after a resync
     #: already restored the window.  Clamped, counted, never delivered.
     excess_credits: int = 0
-    #: protocol-conformance mode: raise :class:`CreditError` on excess
-    #: credit instead of clamping.  Fault scenarios *produce* duplicate
-    #: and stale credits, so operational code leaves this off; strict
-    #: tests of the protocol itself opt in.
-    strict: bool = False
     #: the circuit this window belongs to (named in resync messages).
     vc: VcId = 0
     requests_sent: int = 0
@@ -80,20 +75,15 @@ class UpstreamCredits:
         A balance that would exceed the allocation (a duplicated credit
         cell, or a stale one arriving after resynchronization already
         restored the window) is clamped and counted in
-        :attr:`excess_credits`; with :attr:`strict` set it raises
-        instead.  Returns ``True`` when this credit *ends* a stall
-        episode (the edge callers report).
+        :attr:`excess_credits` -- a lost or duplicated credit "can only
+        cause reduced performance".  Returns ``True`` when this credit
+        *ends* a stall episode (the edge callers report).
         """
         if amount <= 0:
             raise CreditError(f"non-positive credit {amount}")
         self.balance += amount
         self.credits_received += amount
         if self.balance > self.allocation:
-            if self.strict:
-                raise CreditError(
-                    f"balance {self.balance} exceeds allocation "
-                    f"{self.allocation}"
-                )
             self.excess_credits += self.balance - self.allocation
             self.balance = self.allocation
         unstalled = self._stalled
@@ -127,14 +117,8 @@ class UpstreamCredits:
         recovered = correct - self.balance
         if recovered < 0:
             # The balance is *too high* -- duplicated or stale credits
-            # inflated it.  The counter-derived value is exact, so in the
-            # default mode adopt it (counting the excess); strict mode
-            # keeps the protocol-conformance raise.
-            if self.strict:
-                raise CreditError(
-                    f"resync would *reduce* balance "
-                    f"({self.balance} -> {correct})"
-                )
+            # inflated it.  The counter-derived value is exact, so adopt
+            # it, counting the excess.
             self.excess_credits += -recovered
             self.balance = correct
             return 0

@@ -28,64 +28,42 @@ from repro.constants import (
 )
 
 
-def round_trip_us(
-    length_km: float,
-    bps: float = FAST_LINK_BPS,
-    per_hop_processing_us: float = 0.0,
-) -> float:
-    """Round-trip time of a link: two propagation delays, one cell
-    serialization each way, plus any fixed processing."""
+def round_trip_us(length_km: float, bps: float = FAST_LINK_BPS) -> float:
+    """Round-trip time of a link: two propagation delays and one cell
+    serialization each way."""
     if length_km < 0:
         raise ValueError(f"negative link length {length_km}")
     one_way = length_km * PROPAGATION_US_PER_KM
     cell_time = CELL_BITS / bps * 1e6
-    return 2 * (one_way + cell_time + per_hop_processing_us)
+    return 2 * (one_way + cell_time)
 
 
-def round_trip_cells(
-    length_km: float,
-    bps: float = FAST_LINK_BPS,
-    per_hop_processing_us: float = 0.0,
-) -> int:
+def round_trip_cells(length_km: float, bps: float = FAST_LINK_BPS) -> int:
     """Cells transmittable in one round trip -- the credit floor for
     full-rate transmission on an uncontended circuit."""
     cell_time = CELL_BITS / bps * 1e6
-    rtt = round_trip_us(length_km, bps, per_hop_processing_us)
-    return max(1, math.ceil(rtt / cell_time))
+    return max(1, math.ceil(round_trip_us(length_km, bps) / cell_time))
 
 
-def credits_for_link(
-    length_km: float,
-    bps: float = FAST_LINK_BPS,
-    per_hop_processing_us: float = 0.0,
-    slack_cells: int = 1,
-) -> int:
+def credits_for_link(length_km: float, bps: float = FAST_LINK_BPS) -> int:
     """The static per-VC allocation AN2's first release would install:
-    the round-trip size plus a little slack for timing quantization."""
-    if slack_cells < 0:
-        raise ValueError(f"negative slack {slack_cells}")
-    return round_trip_cells(length_km, bps, per_hop_processing_us) + slack_cells
+    the round-trip size plus one cell of slack for timing quantization."""
+    return round_trip_cells(length_km, bps) + 1
 
 
-def retx_buffer_for_link(
-    length_km: float,
-    bps: float = FAST_LINK_BPS,
-    per_hop_processing_us: float = 0.0,
-    slack_cells: int = 8,
-) -> int:
+def retx_buffer_for_link(length_km: float, bps: float = FAST_LINK_BPS) -> int:
     """Per-direction link-local retransmission buffer, in cells.
 
     The link_retx solution keeps a sender-side copy of every cell until
     the receiving port has either delivered it or NACKed it, so a copy
     must survive one link round trip (the cell's propagation plus the
     NACK's) at full rate -- the same round-trip arithmetic that sizes
-    credits -- plus slack for the resend turnaround itself.  Overflow
-    falls back to loss: the oldest unacknowledged copy is evicted and a
-    later NACK for it is answered by declaring the cell lost.
+    credits -- plus eight cells of slack for the resend turnaround
+    itself.  Overflow falls back to loss: the oldest unacknowledged copy
+    is evicted and a later NACK for it is answered by declaring the cell
+    lost.
     """
-    if slack_cells < 0:
-        raise ValueError(f"negative slack {slack_cells}")
-    return round_trip_cells(length_km, bps, per_hop_processing_us) + slack_cells
+    return round_trip_cells(length_km, bps) + 8
 
 
 def memory_for_link(

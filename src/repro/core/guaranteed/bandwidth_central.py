@@ -14,11 +14,10 @@ live at a switch chosen during reconfiguration -- see
 the interface assumes that; the paper notes it "might well be implemented
 in a distributed fashion".
 
-Route selection heuristics (the paper points at Awerbuch et al.'s PARIS
-heuristics): ``shortest`` (first feasible shortest path),
-``widest_shortest`` (among shortest feasible paths, maximize the
-bottleneck residual -- keeps capacity spread out), and ``first_fit``
-(deterministic, for reproducible tests).
+Route selection is widest-shortest, one of the PARIS heuristics the
+paper points at (Awerbuch et al.): among the shortest feasible paths,
+each hop back from the destination takes the predecessor link with the
+most residual capacity, which keeps capacity spread out.
 """
 
 from __future__ import annotations
@@ -71,17 +70,13 @@ class BandwidthCentral:
         self,
         view: TopologyView,
         frame_slots: int = FRAME_SLOTS,
-        heuristic: str = "widest_shortest",
         capacities: Optional[Dict[Edge, int]] = None,
     ) -> None:
         """``capacities`` optionally overrides per-edge capacity in
         cells/frame (e.g. a 155 Mbit/s host link carries a quarter of a
         622 Mbit/s trunk's cells per frame time)."""
-        if heuristic not in ("shortest", "widest_shortest", "first_fit"):
-            raise ValueError(f"unknown heuristic {heuristic!r}")
         self.view = view
         self.frame_slots = frame_slots
-        self.heuristic = heuristic
         #: residual capacity in cells/frame per (edge, direction) where
         #: direction 0 means "from the lower endpoint toward the higher".
         self._residual: Dict[Tuple[Edge, int], int] = {}
@@ -215,7 +210,7 @@ class BandwidthCentral:
     def _find_route(
         self, source: NodeId, destination: NodeId, cells: int
     ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
-        """Shortest feasible path, tie-broken per the configured heuristic.
+        """Shortest feasible path, tie-broken widest-first.
 
         Feasible means every directed link on the path has at least
         ``cells`` unreserved.  BFS over the feasibility-filtered multigraph
@@ -253,13 +248,10 @@ class BandwidthCentral:
                 candidates.append((neighbor, edge))
             if not candidates:
                 raise ReservationDenied("BFS predecessor walk failed (bug)")
-            if self.heuristic == "widest_shortest":
-                return max(
-                    candidates,
-                    key=lambda item: (self.residual(item[1], item[0]), item),
-                )
-            # "shortest" and "first_fit": deterministic first in sort order.
-            return min(candidates)
+            return max(
+                candidates,
+                key=lambda item: (self.residual(item[1], item[0]), item),
+            )
 
         nodes: List[NodeId] = [destination]
         edges: List[Edge] = []
@@ -280,6 +272,5 @@ class BandwidthCentral:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<BandwidthCentral {len(self.reservations)} reservations, "
-            f"heuristic={self.heuristic}>"
+            f"<BandwidthCentral {len(self.reservations)} reservations>"
         )

@@ -66,7 +66,6 @@ class Skeptic:
         max_level: int = 8,
         decay_interval_us: float = 1_000_000.0,
         on_verdict: Optional[Callable[[LinkVerdict, float], None]] = None,
-        initially_working: bool = True,
     ) -> None:
         if base_wait_us <= 0:
             raise ValueError(f"base_wait_us must be positive, got {base_wait_us}")
@@ -77,14 +76,10 @@ class Skeptic:
         self.decay_interval_us = decay_interval_us
         self.on_verdict = on_verdict
         self.level = 0
-        self._state = (
-            _State.WORKING if initially_working else _State.DEAD
-        )
-        self._verdict = (
-            LinkVerdict.WORKING if initially_working else LinkVerdict.DEAD
-        )
+        self._state = _State.WORKING
+        self._verdict = LinkVerdict.WORKING
         self._probation_ends: Optional[float] = None
-        self._working_since: Optional[float] = 0.0 if initially_working else None
+        self._working_since: Optional[float] = 0.0
         self._last_decay: float = 0.0
         self.verdict_changes: List[Tuple[float, LinkVerdict]] = []
         self.failures_seen = 0

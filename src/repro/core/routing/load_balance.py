@@ -16,10 +16,12 @@ mechanics).  A migration cooldown prevents oscillation.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from repro._types import NodeId, VcId
 from repro.net.network import Network
+from repro.sim.kernel import Event
 
 
 class LoadBalancer:
@@ -32,6 +34,10 @@ class LoadBalancer:
         high_watermark: float = 0.9,
         cooldown_us: float = 50_000.0,
     ) -> None:
+        if not 0.0 < interval_us < math.inf:
+            raise ValueError(
+                f"interval_us {interval_us} must be positive and finite"
+            )
         if not 0.0 < high_watermark <= 1.0:
             raise ValueError(f"watermark {high_watermark} out of (0, 1]")
         self.network = network
@@ -41,22 +47,24 @@ class LoadBalancer:
         self.migrations = 0
         self._last_counts: Dict[Tuple[NodeId, int], int] = {}
         self._last_migration: Dict[VcId, float] = {}
-        self._running = False
+        #: the next pass while running; cancelled by :meth:`stop`, so a
+        #: restart never leaves a second loop behind.
+        self._pending: Optional[Event] = None
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.network.sim.schedule(self.interval_us, self._tick)
+        if self._pending is None:
+            self._pending = self.network.sim.schedule(
+                self.interval_us, self._tick
+            )
 
     def stop(self) -> None:
-        self._running = False
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.balance_once()
-        self.network.sim.schedule(self.interval_us, self._tick)
+        self._pending = self.network.sim.schedule(self.interval_us, self._tick)
 
     # ------------------------------------------------------------------
     def balance_once(self) -> int:

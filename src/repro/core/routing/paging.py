@@ -16,9 +16,10 @@ switch for idle circuits and pages them out.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro._types import VcId
+from repro.sim.kernel import Event
 from repro.switch.switch import AN2Switch
 
 
@@ -37,23 +38,26 @@ class PagingDaemon:
         self.idle_threshold_us = idle_threshold_us
         self.scan_interval_us = scan_interval_us
         self.pages_initiated = 0
-        self._running = False
+        #: the next scan while running; cancelled by :meth:`stop`, so a
+        #: restart never leaves a second loop behind.
+        self._pending: Optional[Event] = None
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.switch.sim.schedule(self.scan_interval_us, self._scan)
+        if self._pending is None:
+            self._pending = self.switch.sim.schedule(
+                self.scan_interval_us, self._scan
+            )
 
     def stop(self) -> None:
-        self._running = False
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
 
     def _scan(self) -> None:
-        if not self._running:
-            return
-        for vc in self.scan_once():
-            pass
-        self.switch.sim.schedule(self.scan_interval_us, self._scan)
+        self.scan_once()
+        self._pending = self.switch.sim.schedule(
+            self.scan_interval_us, self._scan
+        )
 
     def scan_once(self) -> List[VcId]:
         """One scan pass; returns the circuits paged out."""

@@ -73,7 +73,7 @@ def switch_hops_of(
 
 
 class RouteComputer:
-    """Host-to-host routes over one view, optionally up*/down* restricted.
+    """Host-to-host routes over one view, up*/down* restricted.
 
     ``epoch`` labels the reconfiguration epoch that built this computer
     (the stringified :class:`~repro.core.reconfig.epoch.EpochTag`); a
@@ -87,12 +87,10 @@ class RouteComputer:
         self,
         view: TopologyView,
         root: NodeId,
-        restrict_updown: bool = True,
         epoch: Optional[str] = None,
     ) -> None:
         self.view = view
         self.root = root
-        self.restrict_updown = restrict_updown
         self.epoch = epoch
         self.orientation = UpDownOrientation(view, root, epoch=epoch)
         self._host_ports = view.host_ports()
@@ -155,17 +153,9 @@ class RouteComputer:
         self, source: NodeId, destination: NodeId
     ) -> Tuple[List[NodeId], List[Edge]]:
         """Shortest (legal) switch-to-switch path as (nodes, edges)."""
-        if self.restrict_updown:
-            path = self.orientation.shortest_legal_path(source, destination)
-        else:
-            path = self.orientation.shortest_unrestricted_path(
-                source, destination
-            )
+        path = self.orientation.shortest_legal_path(source, destination)
         if path is None:
-            raise RoutingError(
-                f"no {'legal ' if self.restrict_updown else ''}path "
-                f"{source} -> {destination}"
-            )
+            raise RoutingError(f"no legal path {source} -> {destination}")
         return path
 
     def path_inflation(

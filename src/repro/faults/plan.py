@@ -137,8 +137,7 @@ class CreditLossBurst:
     Exercises the claim that the credit scheme is "robust in the face
     of lost flow-control messages" (section 5): lost credits shrink the
     window; resynchronization must restore it exactly.  Resync
-    request/reply cells ride the CREDIT kind too and survive the burst
-    unless ``include_resync`` is set.
+    request/reply cells ride the CREDIT kind too and survive the burst.
     """
 
     kind: ClassVar[str] = "credit_loss"
@@ -147,7 +146,6 @@ class CreditLossBurst:
     b: str
     duration_us: float = 20_000.0
     probability: float = 1.0
-    include_resync: bool = False
 
     def __post_init__(self) -> None:
         _check_start(self)

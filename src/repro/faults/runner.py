@@ -5,14 +5,17 @@ pull-the-plug demo and its chaos-test generalization.  It:
 
 1. boots the network and waits for initial convergence,
 2. opens circuits and schedules deterministic traffic (payloads are
-   recorded so the mis-assembly invariant can compare bytes),
+   recorded so the mis-assembly invariant can compare bytes), under one
+   loss-recovery :mod:`repro.solutions` posture -- ``do_nothing`` unless
+   another is given,
 3. translates every :class:`~repro.faults.plan.FaultPlan` event into
    simulator callbacks (the event kernel is not reentrant, so all
    orchestration happens *between* ``run`` calls, and fault actions are
    plain scheduled events),
 4. runs past the last fault, waits for the network to settle, drains
    queues, and
-5. evaluates the invariant suite (:mod:`repro.faults.invariants`).
+5. evaluates the invariant suite (:mod:`repro.faults.invariants`) plus
+   the solution's own invariants.
 
 Randomness discipline: every fault event that needs an RNG (credit-loss
 bursts) draws from its own substream of ``net.streams.fork("faults")``,
@@ -32,18 +35,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.solutions.base import Solution
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._types import parse_node_id
 from repro.faults.invariants import (
@@ -63,6 +55,8 @@ from repro.faults.plan import (
 from repro.net.cell import Cell, CellKind
 from repro.net.network import Network, NetworkError
 from repro.net.packet import Packet
+from repro.solutions.base import Solution
+from repro.solutions.do_nothing import DoNothing
 
 
 class ScenarioError(Exception):
@@ -78,7 +72,6 @@ class TrafficLoad:
     packet_size: int = 480
     interval_us: float = 2_000.0
     count: int = 50
-    start_us: float = 0.0  # relative to scenario start
 
     def __post_init__(self) -> None:
         if self.packet_size <= 0:
@@ -105,8 +98,8 @@ class ScenarioResult:
     #: path of the flight-recorder dump written because an invariant
     #: failed (``None`` when everything passed or no ``flight_dir`` set).
     flight_dump: Optional[str] = None
-    #: loss-recovery solution the scenario ran under (``None`` = bare).
-    solution_name: Optional[str] = None
+    #: loss-recovery solution the scenario ran under.
+    solution_name: str = DoNothing.name
     #: the solution's own numbers for the comparison table.
     solution_metrics: Dict[str, float] = field(default_factory=dict)
 
@@ -139,15 +132,14 @@ class ScenarioResult:
         lines.append(
             f"traffic: {total_sent} packets sent, {self.delivered} delivered"
         )
-        if self.solution_name is not None:
-            parts = ", ".join(
-                f"{key}={value:g}"
-                for key, value in sorted(self.solution_metrics.items())
-            )
-            lines.append(
-                f"solution: {self.solution_name}"
-                + (f" ({parts})" if parts else "")
-            )
+        parts = ", ".join(
+            f"{key}={value:g}"
+            for key, value in sorted(self.solution_metrics.items())
+        )
+        lines.append(
+            f"solution: {self.solution_name}"
+            + (f" ({parts})" if parts else "")
+        )
         lines.append("invariants:")
         lines.extend(f"  {result}" for result in self.invariants)
         verdict = "ALL GREEN" if self.passed else "VIOLATIONS FOUND"
@@ -243,19 +235,17 @@ class ScenarioRunner:
         sample_interval_us: float = 10_000.0,
         conservation_exact: Optional[bool] = None,
         flight_dir: Optional[str] = None,
-        solution: Optional["Solution"] = None,
+        solution: Optional[Solution] = None,
     ) -> None:
         _check_targets(net, plan)
         _check_overlaps(net, plan)
         self.net = net
         self.plan = plan
         self.loads = tuple(loads)
-        #: loss-recovery solution driving this run (``None`` = bare run;
-        #: kept distinct from DoNothing only in labeling -- the two are
-        #: digest-identical by contract).
-        self.solution = solution
-        if solution is not None:
-            solution.attach(net)
+        #: loss-recovery solution driving this run; a fresh
+        #: :class:`DoNothing` (recover nothing) unless one is given.
+        self.solution = solution if solution is not None else DoNothing()
+        self.solution.attach(net)
         self.settle_us = settle_us
         self.convergence_timeout_us = convergence_timeout_us
         self.sample_interval_us = sample_interval_us
@@ -391,10 +381,10 @@ class ScenarioRunner:
                 return True
             if cell.kind is not CellKind.CREDIT:
                 return False
-            if not event.include_resync and not isinstance(cell.payload, int):
-                # Resync request/reply cells ride the CREDIT kind; by
-                # default only plain credit grants are lost, so the
-                # recovery protocol itself survives the burst.
+            if not isinstance(cell.payload, int):
+                # Resync request/reply cells ride the CREDIT kind; only
+                # plain credit grants are lost, so the recovery
+                # protocol itself survives the burst.
                 return False
             if rng.random() < event.probability:
                 counts["credit_cells_dropped"] += 1
@@ -455,7 +445,7 @@ class ScenarioRunner:
         for load_index, (vc, load) in enumerate(zip(vcs, self.loads)):
             rng = self._streams.stream(f"traffic.{load_index}")
             for k in range(load.count):
-                at = t0 + load.start_us + k * load.interval_us
+                at = t0 + k * load.interval_us
                 self.net.sim.schedule_at(at, self._send_one, vc, load, rng)
 
     def _send_one(self, vc: int, load: TrafficLoad, rng) -> None:
@@ -516,24 +506,18 @@ class ScenarioRunner:
             "scenario", events=len(self.plan), loads=len(self.loads)
         )
         vcs = self._open_circuits()  # advances simulated time
-        if self.solution is not None:
-            self.solution.on_circuits_open(self)  # may advance time too
+        self.solution.on_circuits_open(self)  # may advance time too
         t0 = net.now
-        handled = (
-            self.solution is not None
-            and self.solution.schedule_traffic(self, t0, vcs)
-        )
-        if not handled:
+        if not self.solution.schedule_traffic(self, t0, vcs):
             self._schedule_traffic(t0, vcs)
         self._schedule_plan(t0)
         horizon = t0 + self.plan.end_us + self.settle_us
         self._schedule_samples(t0, horizon)
         net.run(horizon - net.now)
-        if self.solution is not None:
-            # Before the settle phase: a solution holding links down for
-            # repair must release them so full reconvergence (and the
-            # convergence invariant) stays a fair demand.
-            self.solution.finish(self)
+        # Before the settle phase: a solution holding links down for
+        # repair must release them so full reconvergence (and the
+        # convergence invariant) stays a fair demand.
+        self.solution.finish(self)
 
         settled_at: Optional[float] = None
         try:
@@ -554,11 +538,7 @@ class ScenarioRunner:
             self.sent,
             settled_at,
             conservation_exact=self.conservation_exact,
-            extra_invariants=(
-                self.solution.invariants(net)
-                if self.solution is not None
-                else None
-            ),
+            extra_invariants=self.solution.invariants(net),
         )
         if self.sampled_violations:
             invariants.append(
@@ -601,10 +581,6 @@ class ScenarioRunner:
             faults_applied=self.counts["events_applied"],
             sampled_violations=self.sampled_violations,
             flight_dump=flight_dump,
-            solution_name=(
-                self.solution.name if self.solution is not None else None
-            ),
-            solution_metrics=(
-                self.solution.metrics() if self.solution is not None else {}
-            ),
+            solution_name=self.solution.name,
+            solution_metrics=self.solution.metrics(),
         )

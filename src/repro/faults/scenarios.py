@@ -15,7 +15,7 @@ Three canned scenarios map directly to the paper's claims:
   counters).
 
 The chaos generator builds random bi-connected topologies (a ring plus
-random chords -- no single link cut disconnects the switch core) and
+a random chord -- no single link cut disconnects the switch core) and
 random sequential plans over them, all derived from one seed.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.faults.plan import (
     ClockDriftStep,
@@ -237,9 +237,8 @@ def random_biconnected_topology(
     rng: random.Random,
     n_switches: int = 5,
     n_hosts: int = 2,
-    chords: int = 1,
 ) -> Topology:
-    """A ring of switches plus random chords, with dual-homed hosts.
+    """A ring of switches plus one random chord, with dual-homed hosts.
 
     The ring keeps the switch core connected under any single link cut
     or switch crash (a ring minus one node is a line), which is what
@@ -252,15 +251,11 @@ def random_biconnected_topology(
     existing = {
         frozenset((a[0].num, b[0].num)) for a, b in topo.switch_edges()
     }
-    added = attempts = 0
-    while added < chords and attempts < 50:
-        attempts += 1
+    for _ in range(50):  # redraw a pair that is already cabled
         a, b = rng.sample(range(n_switches), 2)
-        if frozenset((a, b)) in existing:
-            continue
-        topo.connect(f"s{a}", f"s{b}")
-        existing.add(frozenset((a, b)))
-        added += 1
+        if frozenset((a, b)) not in existing:
+            topo.connect(f"s{a}", f"s{b}")
+            break
     for h in range(n_hosts):
         host = topo.add_host(h)
         primary, alternate = rng.sample(range(n_switches), 2)
@@ -273,19 +268,18 @@ def random_plan(
     rng: random.Random,
     topo: Topology,
     n_faults: int = 3,
-    window_us: float = 60_000.0,
-    start_us: float = 30_000.0,
 ) -> FaultPlan:
     """A sequential plan of ``n_faults`` random events over ``topo``.
 
-    Faults occupy non-overlapping windows and every topology fault is
-    restored inside its window, so the final physical state is fully
-    working and full reconvergence is a fair demand.
+    Faults occupy non-overlapping 60 ms windows from 30 ms on, and every
+    topology fault is restored inside its window, so the final physical
+    state is fully working and full reconvergence is a fair demand.
     """
     switch_edges = topo.switch_edges()
     switches = topo.switches()
     events = []
-    t = start_us
+    window_us = 60_000.0
+    t = 30_000.0
     for _ in range(n_faults):
         kind = rng.choice(
             ["link_cut", "link_flap", "switch_crash", "credit_loss",
@@ -348,7 +342,6 @@ def random_plan(
 
 def build_random_scenario(
     seed: int,
-    n_switches: Optional[int] = None,
     n_faults: int = 3,
 ):
     """A full random chaos scenario derived from one seed.
@@ -362,9 +355,9 @@ def build_random_scenario(
     """
     streams = RandomStreams(seed)
     rng = streams.stream("chaos.shape")
-    n = n_switches if n_switches is not None else rng.randint(4, 6)
+    n = rng.randint(4, 6)
     topo = random_biconnected_topology(
-        streams.stream("chaos.topology"), n_switches=n, n_hosts=2
+        streams.stream("chaos.topology"), n_switches=n
     )
     net = Network(
         topo,

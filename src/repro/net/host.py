@@ -62,10 +62,6 @@ class HostConfig:
     skeptic_base_wait_us: float = 10_000.0
     skeptic_max_level: int = 8
     skeptic_decay_us: float = 1_000_000.0
-    #: after failing over to the alternate link, automatically re-emit
-    #: setup cells for open best-effort circuits (guaranteed circuits
-    #: need re-admission and are left to the application).
-    auto_reopen_on_failover: bool = True
 
     def __post_init__(self) -> None:
         validate_device_config(self)
@@ -180,7 +176,7 @@ class Host(Node):
             self._fail_over()
 
     def _fail_over(self) -> None:
-        """Switch to the alternate link; optionally re-open circuits."""
+        """Switch to the alternate link and re-open circuits on it."""
         old = self.credits[self.active_port_index]
         for candidate in self.ports:
             if candidate.index == self.active_port_index:
@@ -192,14 +188,14 @@ class Host(Node):
                 for vc in old.upstream:
                     self.credits[candidate.index].open_window(vc)
                 old.upstream.clear()
-                if self.config.auto_reopen_on_failover:
-                    self._reopen_circuits()
+                self._reopen_circuits()
                 self.failover.fire(candidate.index)
                 return
 
     def _reopen_circuits(self) -> None:
         """Re-emit setup cells for open best-effort circuits on the new
-        active link.  Cells in flight on the old path are lost (their
+        active link (guaranteed circuits need re-admission and are left
+        to the application).  Cells in flight on the old path are lost (their
         packets surface as reassembly errors); queued cells follow the
         new path once its entries install."""
         for sender in self.senders.values():

@@ -335,9 +335,7 @@ class Network(Installation):
             host.close_circuit(vc, send_teardown=False)
         return circuit, outcome
 
-    def bandwidth_central(
-        self, heuristic: str = "widest_shortest"
-    ) -> BandwidthCentral:
+    def bandwidth_central(self) -> BandwidthCentral:
         """Build the admission service over the current converged view.
 
         "For the first realization of AN2, network central resides at a
@@ -352,10 +350,7 @@ class Network(Installation):
                 1, int(frame_slots * link.bps / FAST_LINK_BPS)
             )
         return BandwidthCentral(
-            view,
-            frame_slots=frame_slots,
-            heuristic=heuristic,
-            capacities=capacities,
+            view, frame_slots=frame_slots, capacities=capacities
         )
 
     def _epoch_central(self) -> BandwidthCentral:

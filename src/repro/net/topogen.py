@@ -181,26 +181,21 @@ def spine_leaf(
     n_spines: int,
     n_leaves: int,
     hosts_per_leaf: int = 0,
-    links_per_pair: int = 1,
     leaf_spare_ports: int = 0,
     length_km: float = 0.1,
     host_length_km: float = 0.05,
 ) -> StructuredTopology:
-    """A 2-tier spine-leaf fabric: every leaf cabled to every spine.
+    """A 2-tier spine-leaf fabric: every leaf cabled once to every spine.
 
-    ``links_per_pair`` lays that many parallel cables per (spine, leaf)
-    pair -- the standard way to widen a small spine tier without adding
-    switches.  Spines get ``n_leaves * links_per_pair`` ports; leaves get
-    ``n_spines * links_per_pair + hosts_per_leaf + leaf_spare_ports``
-    (spare ports stay uncabled, reserved for later expansion).
+    Spines get ``n_leaves`` ports; leaves get ``n_spines + hosts_per_leaf
+    + leaf_spare_ports`` (spare ports stay uncabled, reserved for later
+    expansion).
     """
     if n_spines < 1 or n_leaves < 1:
         raise TopologyError(
             f"spine_leaf needs >= 1 spine and leaf, got "
             f"{n_spines}x{n_leaves}"
         )
-    if links_per_pair < 1:
-        raise TopologyError(f"links_per_pair must be >= 1, got {links_per_pair}")
     if leaf_spare_ports < 0:
         raise TopologyError(
             f"leaf_spare_ports must be >= 0, got {leaf_spare_ports}"
@@ -208,9 +203,8 @@ def spine_leaf(
     topo = Topology()
     tier: Dict[NodeId, str] = {}
     pod: Dict[NodeId, Optional[int]] = {}
-    spine_ports = n_leaves * links_per_pair
-    leaf_ports = n_spines * links_per_pair + hosts_per_leaf + leaf_spare_ports
-    spines = [topo.add_switch(i, ports=spine_ports) for i in range(n_spines)]
+    leaf_ports = n_spines + hosts_per_leaf + leaf_spare_ports
+    spines = [topo.add_switch(i, ports=n_leaves) for i in range(n_spines)]
     leaves = [
         topo.add_switch(n_spines + i, ports=leaf_ports)
         for i in range(n_leaves)
@@ -223,8 +217,7 @@ def spine_leaf(
         pod[leaf] = index
     for leaf in leaves:
         for spine in spines:
-            for _ in range(links_per_pair):
-                topo.connect(leaf, spine, length_km=length_km)
+            topo.connect(leaf, spine, length_km=length_km)
     hosts_of: Dict[NodeId, List[NodeId]] = {}
     host_num = 0
     for leaf in leaves:
@@ -242,7 +235,6 @@ def spine_leaf(
             "n_spines": n_spines,
             "n_leaves": n_leaves,
             "hosts_per_leaf": hosts_per_leaf,
-            "links_per_pair": links_per_pair,
         },
         topology=topo,
         tier=tier,
@@ -251,14 +243,7 @@ def spine_leaf(
     )
 
 
-def folded_clos(
-    m: int,
-    n: int,
-    r: int,
-    attach_hosts: bool = False,
-    length_km: float = 0.1,
-    host_length_km: float = 0.05,
-) -> StructuredTopology:
+def folded_clos(m: int, n: int, r: int) -> StructuredTopology:
     """The folded 3-stage Clos(m, n, r).
 
     ``r`` leaf switches each expose ``n`` host-facing ports and ``m``
@@ -266,25 +251,18 @@ def folded_clos(
     ingress and egress stages share the leaf hardware.  ``m >= n`` gives
     the rearrangeably-nonblocking fabric of Clos's theorem -- the same
     property the paper's crossbar scheduling leans on at switch scale,
-    here at fabric scale.  With ``attach_hosts`` every leaf fills its
-    ``n`` host ports.
+    here at fabric scale.  The ``n`` host ports stay uncabled, and
+    trunks are ``spine_leaf``'s default length.
     """
     if m < 1 or n < 1 or r < 1:
         raise TopologyError(f"folded_clos needs m, n, r >= 1, got {m},{n},{r}")
     # A folded Clos *is* a spine-leaf with the (m, n, r) parameterization
-    # made explicit; leaves reserve their n host ports even when
-    # unpopulated, so the fabric's nonblocking ratio m/n is physical.
-    structured = spine_leaf(
-        n_spines=m,
-        n_leaves=r,
-        hosts_per_leaf=n if attach_hosts else 0,
-        leaf_spare_ports=0 if attach_hosts else n,
-        length_km=length_km,
-        host_length_km=host_length_km,
-    )
+    # made explicit; leaves reserve their n host ports as spares, so the
+    # fabric's nonblocking ratio m/n is physical.
+    structured = spine_leaf(n_spines=m, n_leaves=r, leaf_spare_ports=n)
     return StructuredTopology(
         name="folded_clos",
-        params={"m": m, "n": n, "r": r, "attach_hosts": int(attach_hosts)},
+        params={"m": m, "n": n, "r": r},
         topology=structured.topology,
         tier=structured.tier,
         pod=structured.pod,

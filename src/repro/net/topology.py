@@ -316,14 +316,14 @@ class Topology:
         cls,
         n_switches: int = 12,
         n_hosts: int = 24,
-        redundancy: int = 2,
         rng: Optional[random.Random] = None,
     ) -> "Topology":
         """An installation in the style of the paper's Figure 1.
 
-        A redundant switch core (random connected graph with extra edges)
-        and dual-homed hosts: "Each host has links to two different
-        switches.  Only one link is in active use at any time."
+        A redundant switch core (random connected graph with
+        ``n_switches`` extra edges) and dual-homed hosts: "Each host has
+        links to two different switches.  Only one link is in active use
+        at any time."
 
         With no explicit ``rng``, a deterministic per-generator substream
         from :func:`repro.sim.random.derived_stream` is used (see
@@ -331,7 +331,7 @@ class Topology:
         """
         rng = rng if rng is not None else derived_stream("topology.src_lan")
         topo = cls.random_connected(
-            n_switches, extra_edges=n_switches * (redundancy - 1), rng=rng
+            n_switches, extra_edges=n_switches, rng=rng
         )
         for h in range(n_hosts):
             host = topo.add_host(h)

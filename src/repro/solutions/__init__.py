@@ -4,17 +4,19 @@ Section 5 rejects drop-and-retransmit for best-effort traffic in favour
 of credits, and EXPERIMENTS A6 measures that ablation with a single
 hand-wired ARQ.  This package turns the one-off into a comparative
 harness: a :class:`~repro.solutions.base.Solution` is an interchangeable
-cure for cell loss that any canned or chaos scenario can run under
-(``ScenarioRunner(..., solution=...)``), so the same fault plan can be
+cure for cell loss that every canned or chaos scenario runs under
+(``ScenarioRunner(..., solution=...)``, :class:`DoNothing` by default),
+so the same fault plan can be
 judged with no recovery, with administrative disable-and-repair, with
 LinkGuardian-style link-local retransmission, or with host-level
 end-to-end ARQ -- and the penalties compared.
 
 The four implementations:
 
-- :class:`~repro.solutions.do_nothing.DoNothing` -- the baseline.
-  Installs no hooks and schedules no events, so a scenario run under it
-  is *digest-identical* to a solution-less run (checked by test).
+- :class:`~repro.solutions.do_nothing.DoNothing` -- the baseline and
+  the runner's default.  Installs no hooks and schedules no events, so
+  a scenario run under it is *digest-identical* to one with no recovery
+  machinery (a test pins that digest).
 - :class:`~repro.solutions.disable_repair.DisableAndRepair` -- on an
   error-burst threshold, administratively fail the link (triggering a
   reconfiguration that routes around it), then restore it after a

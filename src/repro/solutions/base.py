@@ -20,8 +20,9 @@ A solution plugs into a scenario at three seams:
   to the scenario verdict.
 
 The digest-neutrality contract: a solution that overrides *nothing*
-(:class:`~repro.solutions.do_nothing.DoNothing`) must leave a scenario
-run digest-identical to a solution-less run.  ``attach`` therefore only
+(:class:`~repro.solutions.do_nothing.DoNothing`, the runner's default)
+must leave a scenario run digest-identical to one with no recovery
+machinery.  ``attach`` therefore only
 creates a metrics node with a gauge per :meth:`Solution.metrics` entry
 (registry state is not digested); it must not schedule events or
 install hooks.

@@ -86,7 +86,7 @@ class EndToEndArq(Solution):
                 pacing_us=load.interval_us,
             )
             self.transfers.append(transfer)
-            net.sim.schedule_at(t0 + load.start_us, transfer.start)
+            net.sim.schedule_at(t0, transfer.start)
         return True
 
     # ------------------------------------------------------------------

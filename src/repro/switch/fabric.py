@@ -10,13 +10,14 @@ buffer organisations are provided, matching the paper's comparison:
   associated with their virtual circuit.  The first cell of any queued
   virtual circuit can be selected for transmission."  (A queue per
   (input, output) pair -- in a single-switch experiment a virtual circuit
-  is identified by its output.)
+  is identified by its output.)  Queues are unbounded unless
+  ``per_vc_capacity`` gives each circuit its own fixed buffer pool.
 - :class:`FifoFabric` -- AN1-style FIFO input buffers, exhibiting
-  head-of-line blocking (the 58% ceiling).
+  head-of-line blocking (the 58% ceiling), with unbounded queues.
 - :class:`OutputQueueFabric` -- output buffering with internal speedup
-  ``k``: up to ``k`` cells may cross to one output per slot ("typically by
-  replicating the fabric k times"); with ``k = N`` and unbounded buffers
-  this is the paper's performance yardstick.
+  ``k = N``: every waiting cell may cross to its output in the slot it
+  arrives ("typically by replicating the fabric k times"), with unbounded
+  buffers -- the paper's performance yardstick.
 
 Guaranteed traffic enters :class:`VoqFabric` through an optional frame
 schedule: scheduled (input, output) pairs are served first from the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.matching.bitmask import MatchResult, Matching
 from repro.sim.monitor import Tally
@@ -83,7 +84,6 @@ class VoqFabric:
         self,
         n_ports: int,
         scheduler,
-        buffer_capacity: Optional[int] = None,
         per_vc_capacity: Optional[int] = None,
         frame_schedule: Optional[Sequence[Matching]] = None,
     ) -> None:
@@ -94,31 +94,22 @@ class VoqFabric:
                 Objects that additionally provide ``match_masks`` are
                 called through :meth:`Crossbar.schedule` on the
                 maintained request matrix.
-            buffer_capacity: max best-effort cells buffered per input
-                (``None`` = unbounded); overflow drops the arriving cell.
             per_vc_capacity: max cells per (input, output) queue -- AN2's
                 per-virtual-circuit buffer pools, where one full circuit
-                never steals another circuit's buffers.
+                never steals another circuit's buffers (``None`` =
+                unbounded); overflow drops the arriving cell.
             frame_schedule: per-slot guaranteed reservations, cycled with
                 period ``len(frame_schedule)``; each entry maps input ->
                 output for that slot.
         """
         self.n_ports = n_ports
         self.scheduler = scheduler
-        self.buffer_capacity = buffer_capacity
         self.per_vc_capacity = per_vc_capacity
         self.frame_schedule = list(frame_schedule) if frame_schedule else None
         # queues[input][output] -> deque of arrival slots (best effort).
         self.queues: List[Dict[int, Deque[int]]] = [
             {} for _ in range(n_ports)
         ]
-        # Occupancy counters back the capacity checks; with unbounded
-        # buffers nothing reads them per slot, so the hot loops skip the
-        # upkeep and backlog() counts the queues directly instead.
-        self._track_occupancy = (
-            buffer_capacity is not None or per_vc_capacity is not None
-        )
-        self._occupancy: List[int] = [0] * n_ports
         # Input i requests output o iff queues[i][o] exists, so the
         # per-slot scheduling call never walks the queue dictionaries.
         self.crossbar = Crossbar(n_ports, scheduler)
@@ -134,12 +125,6 @@ class VoqFabric:
         """Enqueue a best-effort cell; returns False if dropped (overflow)."""
         metrics = self.metrics
         metrics.cells_offered += 1
-        if (
-            self.buffer_capacity is not None
-            and self._occupancy[input_port] >= self.buffer_capacity
-        ):
-            metrics.cells_dropped += 1
-            return False
         if self.per_vc_capacity is not None:
             existing = self.queues[input_port].get(output_port)
             if existing is not None and len(existing) >= self.per_vc_capacity:
@@ -153,21 +138,19 @@ class VoqFabric:
             queue = queues[output_port] = deque()
             self.crossbar.request(input_port, output_port)
         queue.append(slot)
-        if self._track_occupancy:
-            self._occupancy[input_port] += 1
         return True
 
     def offer_batch(self, cells: Sequence[Arrival], slot: int) -> None:
         """Enqueue one slot's best-effort arrivals in a single call.
 
         Semantically identical to calling :meth:`offer` per cell (and
-        falls back to exactly that when buffer limits are configured,
-        so drop accounting is unchanged); the unbounded common case
-        skips the per-cell method dispatch, which matters at saturation
-        where every slot offers ``n_ports`` cells.
+        falls back to exactly that when ``per_vc_capacity`` is set, so
+        drop accounting is unchanged); the unbounded common case skips
+        the per-cell method dispatch, which matters at saturation where
+        every slot offers ``n_ports`` cells.
         """
-        if self.buffer_capacity is not None or self.per_vc_capacity is not None:
-            # Capacity checks live in offer().
+        if self.per_vc_capacity is not None:
+            # The capacity check lives in offer().
             for input_port, output_port in cells:
                 self.offer(input_port, output_port, slot)
             return
@@ -190,18 +173,6 @@ class VoqFabric:
             output_port, deque()
         )
         queue.append(slot)
-
-    def backlog(self, input_port: int) -> int:
-        if self._track_occupancy:
-            return self._occupancy[input_port]
-        return sum(len(q) for q in self.queues[input_port].values())
-
-    def total_backlog(self) -> int:
-        if self._track_occupancy:
-            return sum(self._occupancy)
-        return sum(
-            len(q) for queues in self.queues for q in queues.values()
-        )
 
     # ------------------------------------------------------------------
     def step(self, slot: int) -> MatchResult:
@@ -263,8 +234,6 @@ class VoqFabric:
         # load sweep, and the bound locals below are worth ~20% of a
         # saturated N=16 slot.
         queues = self.queues
-        occupancy = self._occupancy
-        track_occupancy = self._track_occupancy
         latency_samples = metrics.latency._samples
         delivered_per_pair = metrics.delivered_per_pair
         delivered = len(result.matching)
@@ -285,8 +254,6 @@ class VoqFabric:
             if not queue:
                 del queues[input_port][output_port]
                 self.crossbar.withdraw(input_port, output_port)
-            if track_occupancy:
-                occupancy[input_port] -= 1
             latency_samples.append(waited)
             try:
                 delivered_per_pair[pair] += 1
@@ -300,15 +267,9 @@ class VoqFabric:
 class FifoFabric:
     """A single FIFO queue per input: the head-of-line blocking baseline."""
 
-    def __init__(
-        self,
-        n_ports: int,
-        scheduler,
-        buffer_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, n_ports: int, scheduler) -> None:
         self.n_ports = n_ports
         self.scheduler = scheduler
-        self.buffer_capacity = buffer_capacity
         self.queues: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(n_ports)
         ]
@@ -316,20 +277,8 @@ class FifoFabric:
 
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
         self.metrics.cells_offered += 1
-        if (
-            self.buffer_capacity is not None
-            and len(self.queues[input_port]) >= self.buffer_capacity
-        ):
-            self.metrics.cells_dropped += 1
-            return False
         self.queues[input_port].append((slot, output_port))
         return True
-
-    def backlog(self, input_port: int) -> int:
-        return len(self.queues[input_port])
-
-    def total_backlog(self) -> int:
-        return sum(len(q) for q in self.queues)
 
     def step(self, slot: int) -> MatchResult:
         heads: List[Optional[int]] = [
@@ -349,61 +298,30 @@ class FifoFabric:
 
 
 class OutputQueueFabric:
-    """Output buffering with internal fabric speedup ``k``.
+    """Output buffering with internal fabric speedup ``k = n_ports``.
 
-    Per slot: each output pulls up to ``k`` waiting cells across the
-    fabric (oldest-first, ties by input index -- the replicated-fabric
-    arbitration), then transmits one cell from its output queue.  With
-    ``k = n_ports`` no cell ever waits at an input, which is the paper's
-    "maximum attainable" comparison point for E3.
+    Per slot: every cell offered to an output crosses the fabric into
+    that output's queue (oldest-first, then in offer order -- the
+    replicated-fabric arbitration), then each output transmits one cell.
+    No cell ever waits at an input, which is the paper's "maximum
+    attainable" comparison point for E3.
     """
 
-    def __init__(
-        self,
-        n_ports: int,
-        speedup: Optional[int] = None,
-        buffer_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, n_ports: int) -> None:
         self.n_ports = n_ports
-        self.speedup = speedup if speedup is not None else n_ports
-        if self.speedup < 1:
-            raise ValueError(f"speedup {self.speedup} must be >= 1")
-        self.buffer_capacity = buffer_capacity
-        # Cells waiting at inputs to cross the fabric: (arrival, input) per output.
-        self._waiting: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(n_ports)
-        ]  # indexed by output
         self.output_queues: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(n_ports)
         ]
         self.metrics = FabricMetrics()
 
     def offer(self, input_port: int, output_port: int, slot: int) -> bool:
+        """Cross the fabric at once: at most ``n_ports`` cells arrive for
+        one output per slot, and the speedup moves that many."""
         self.metrics.cells_offered += 1
-        self._waiting[output_port].append((slot, input_port))
+        self.output_queues[output_port].append((slot, input_port))
         return True
 
-    def total_backlog(self) -> int:
-        waiting = sum(len(q) for q in self._waiting)
-        queued = sum(len(q) for q in self.output_queues)
-        return waiting + queued
-
     def step(self, slot: int) -> None:
-        # Fabric transfer: each output accepts up to ``speedup`` cells.
-        for output_port in range(self.n_ports):
-            waiting = self._waiting[output_port]
-            out_queue = self.output_queues[output_port]
-            moved = 0
-            while waiting and moved < self.speedup:
-                if (
-                    self.buffer_capacity is not None
-                    and len(out_queue) >= self.buffer_capacity
-                ):
-                    waiting.popleft()
-                    self.metrics.cells_dropped += 1
-                    continue
-                out_queue.append(waiting.popleft())
-                moved += 1
         # Departure: each output transmits one cell.
         for output_port in range(self.n_ports):
             out_queue = self.output_queues[output_port]
@@ -420,13 +338,11 @@ def run_fabric(
     traffic: ArrivalProcess,
     n_slots: int,
     warmup_slots: int = 0,
-    on_slot: Optional[Callable[[int], None]] = None,
 ) -> FabricMetrics:
     """Drive a fabric with ``traffic`` for ``n_slots`` slots.
 
     ``warmup_slots`` initial slots run but their deliveries are not
-    counted (the metrics object is replaced after warmup).  ``on_slot`` is
-    an optional per-slot hook for custom probing.
+    counted (the metrics object is replaced after warmup).
     """
     offer_batch = getattr(fabric, "offer_batch", None)
     for slot in range(n_slots + warmup_slots):
@@ -439,6 +355,4 @@ def run_fabric(
             for input_port, output_port in arrivals:
                 fabric.offer(input_port, output_port, slot)
         fabric.step(slot)
-        if on_slot is not None:
-            on_slot(slot)
     return fabric.metrics

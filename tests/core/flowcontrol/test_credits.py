@@ -52,10 +52,14 @@ class TestUpstream:
         assert upstream.balance == 2
         assert upstream.excess_credits == 3
 
-    def test_credit_overflow_raises_in_strict_mode(self):
-        upstream = UpstreamCredits(2, strict=True)
-        with pytest.raises(CreditError):
-            upstream.credit()
+    def test_credit_overflow_clamps_at_allocation(self):
+        # A credit beyond the allocation never raises: it can only cost
+        # performance, so the balance stays clamped and the excess counts.
+        upstream = UpstreamCredits(2)
+        assert upstream.credit() is False
+        assert upstream.balance == 2
+        assert upstream.credits_received == 1
+        assert upstream.excess_credits == 1
 
     def test_stale_credits_corrected_by_resync(self):
         # Inflated balance (clamped duplicates) is restored to the
@@ -70,12 +74,16 @@ class TestUpstream:
         assert upstream.balance == 2
         assert upstream.excess_credits == 4
 
-    def test_strict_resync_never_reduces(self):
-        upstream = UpstreamCredits(4, strict=True)
+    def test_resync_lowers_inflated_balance_and_counts_excess(self):
+        # A stale credit inflated the balance; resync adopts the exact
+        # counter-derived value instead of raising.
+        upstream = UpstreamCredits(4)
         upstream.consume()
         upstream.credit(1)
-        with pytest.raises(CreditError):
-            upstream.resynchronize(downstream_freed_total=0)
+        assert upstream.balance == 4
+        assert upstream.resynchronize(downstream_freed_total=0) == 0
+        assert upstream.balance == 3
+        assert upstream.excess_credits == 1
 
     def test_invalid_amounts(self):
         with pytest.raises(CreditError):

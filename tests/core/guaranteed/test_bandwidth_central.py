@@ -138,10 +138,6 @@ class TestRouting:
             central.request(host_id(0), host_id(1), 26)
         central.request(host_id(0), host_id(1), 25)
 
-    def test_heuristic_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthCentral(line_view(), heuristic="magic")
-
     def test_total_reserved(self):
         central = BandwidthCentral(line_view(), frame_slots=100)
         central.request(host_id(0), host_id(1), 7)

@@ -120,14 +120,6 @@ def test_verdict_history_records_timestamps():
     ]
 
 
-def test_initially_dead_option():
-    skeptic = make(initially_working=False)
-    assert skeptic.verdict is LinkVerdict.DEAD
-    skeptic.report_recovery(0.0)
-    skeptic.tick(100.0)
-    assert skeptic.verdict is LinkVerdict.WORKING  # level 0: base wait
-
-
 def test_probation_remaining():
     skeptic = make()
     assert skeptic.probation_remaining(0.0) is None

@@ -86,6 +86,23 @@ class TestPaging:
         with pytest.raises(ValueError):
             PagingDaemon(net.switch("s0"), idle_threshold_us=0.0)
 
+    def test_restart_keeps_one_scan_loop(self):
+        net = paging_net()
+        daemon = PagingDaemon(net.switch("s0"), scan_interval_us=2_000.0)
+        scans = []
+        daemon.scan_once = lambda: scans.append(net.now) or []
+        daemon.start()
+        daemon.stop()
+        daemon.start()
+        start = net.now
+        net.run(10_000)
+        # One scan per interval: a stopped loop left running would double it.
+        expected = [start + 2_000.0 * k for k in range(1, 6)]
+        assert scans == pytest.approx(expected)
+        daemon.stop()
+        net.run(10_000)
+        assert len(scans) == 5
+
 
 def diamond_net(**overrides):
     """h0 - s0 - {s1 | s2} - s3 - h1: two disjoint core paths."""
@@ -205,3 +222,27 @@ class TestLoadBalancer:
         net = diamond_net()
         with pytest.raises(ValueError):
             LoadBalancer(net, high_watermark=0.0)
+
+    @pytest.mark.parametrize(
+        "interval_us", [0.0, -5_000.0, float("inf"), float("nan")]
+    )
+    def test_interval_validation(self, interval_us):
+        net = diamond_net()
+        with pytest.raises(ValueError, match="interval_us"):
+            LoadBalancer(net, interval_us=interval_us)
+
+    def test_restart_keeps_one_balance_loop(self):
+        net = diamond_net()
+        balancer = LoadBalancer(net, interval_us=5_000.0)
+        passes = []
+        balancer.balance_once = lambda: passes.append(net.now) or 0
+        balancer.start()
+        balancer.stop()
+        balancer.start()
+        start = net.now
+        net.run(20_000)
+        expected = [start + 5_000.0 * k for k in range(1, 5)]
+        assert passes == pytest.approx(expected)
+        balancer.stop()
+        net.run(20_000)
+        assert len(passes) == 4

@@ -98,13 +98,6 @@ class TestRouteComputer:
         r2, f2 = computer.path_inflation(switch_id(4), switch_id(3))
         assert {restricted, r2} == {1, 3} or restricted == r2 == 1
 
-    def test_unrestricted_mode(self):
-        computer = RouteComputer(
-            hosted_line().view(), switch_id(0), restrict_updown=False
-        )
-        route = computer.host_route(host_id(0), host_id(1))
-        assert route.n_switches == 3
-
 
 class TestHelpers:
     def test_port_on(self):

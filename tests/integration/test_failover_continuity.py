@@ -15,7 +15,7 @@ from repro.net.topology import Topology
 from tests.conftest import fast_host_config, fast_switch_config
 
 
-def dual_homed_net(auto_reopen=True, seed=41):
+def dual_homed_net(seed=41):
     topo = Topology.grid(2, 2)
     topo.add_host(0)
     topo.add_host(1)
@@ -27,7 +27,7 @@ def dual_homed_net(auto_reopen=True, seed=41):
         topo,
         seed=seed,
         switch_config=fast_switch_config(),
-        host_config=fast_host_config(auto_reopen_on_failover=auto_reopen),
+        host_config=fast_host_config(),
     )
     net.start()
     net.run_until_converged(timeout_us=500_000)
@@ -110,19 +110,3 @@ def test_queued_cells_survive_failover():
     net.run(200_000)
     assert any(p.size == 480 for p in h1.delivered)
 
-
-def test_manual_mode_requires_explicit_reopen():
-    net = dual_homed_net(auto_reopen=False, seed=44)
-    circuit = net.setup_circuit("h0", "h1")
-    h0, h1 = net.host("h0"), net.host("h1")
-    net.fail_link("h0", "s0")
-    net.run_until(lambda: h0.active_port_index == 1, timeout_us=100_000)
-    net.run(20_000)
-    h0.send_packet(
-        circuit.vc,
-        Packet(source=host_id(0), destination=host_id(1), size=96),
-    )
-    net.run(150_000)
-    # Without auto-reopen the new first-hop switch saw no setup cell:
-    # cells sit in its pending buffer and nothing is delivered.
-    assert len(h1.delivered) == 0

@@ -112,11 +112,6 @@ class TestSpineLeaf:
         assert len(st.switches_in_tier(TIER_LEAF)) == 8
         assert len(st.topology.switch_edges()) == 32
 
-    def test_parallel_cables(self):
-        st = spine_leaf(2, 3, links_per_pair=2)
-        assert len(st.topology.switch_edges()) == 12
-        assert switch_connected(st.view())
-
     def test_hosts_and_root(self):
         st = spine_leaf(2, 4, hosts_per_leaf=3)
         assert len(st.topology.hosts()) == 12
@@ -135,7 +130,7 @@ class TestSpineLeaf:
         with pytest.raises(TopologyError):
             spine_leaf(0, 4)
         with pytest.raises(TopologyError):
-            spine_leaf(2, 4, links_per_pair=0)
+            spine_leaf(2, 4, leaf_spare_ports=-1)
 
 
 class TestFoldedClos:
@@ -147,15 +142,9 @@ class TestFoldedClos:
         for leaf in st.switches_in_tier(TIER_LEAF):
             assert st.topology.ports_of(leaf) == 4 + 4
 
-    def test_attach_hosts_fills_leaf_ports(self):
-        st = folded_clos(4, 2, 3, attach_hosts=True)
-        assert len(st.topology.hosts()) == 6
-        for leaf in st.switches_in_tier(TIER_LEAF):
-            assert len(st.hosts_of[leaf]) == 2
-
     def test_params_recorded(self):
         st = folded_clos(4, 2, 3)
-        assert st.params == {"m": 4, "n": 2, "r": 3, "attach_hosts": 0}
+        assert st.params == {"m": 4, "n": 2, "r": 3}
         assert st.name == "folded_clos"
 
 

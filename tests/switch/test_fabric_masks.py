@@ -6,8 +6,8 @@ step with the queues so that the kernel never has to rebuild request
 sets from them.  These tests pin the invariant (the matrix always
 mirrors queue occupancy), the end-to-end equality between a
 bitmask-driven and a reference-driven fabric, the ``offer_batch`` fast
-path, occupancy tracking in both capacity modes, the construction-time
-radix checks, and the ``run_fabric`` warmup semantics.
+path with and without per-VC capacity, the construction-time radix
+checks, and the ``run_fabric`` warmup semantics.
 """
 
 import random
@@ -56,7 +56,7 @@ class TestMaskInvariants:
 
     def test_masks_track_queues_with_drops(self):
         fabric = VoqFabric(
-            4, BitmaskPim(4, rng=random.Random(0)), buffer_capacity=3
+            4, BitmaskPim(4, rng=random.Random(0)), per_vc_capacity=1
         )
         traffic = BernoulliUniform(4, 1.0, random.Random(3))
         for slot in range(200):
@@ -73,7 +73,7 @@ class TestMaskInvariants:
                 fabric.offer(0, 1, slot)
                 fabric.offer(2, 1, slot)
             fabric.step(slot)
-        assert fabric.total_backlog() == 0
+        assert fabric.queues == [{}, {}, {}, {}]
         assert fabric.crossbar.rows == [0, 0, 0, 0]
         assert fabric.crossbar.cols == [0, 0, 0, 0]
         assert fabric.crossbar.want == 0
@@ -146,49 +146,44 @@ class TestOfferBatch:
         assert_masks_mirror_queues(batched)
 
     def test_batch_equals_per_cell_with_capacity(self):
-        # With a finite buffer, offer_batch must fall back to the
+        # With per-VC pools, offer_batch must fall back to the
         # drop-aware per-cell path.
         batched = self._drive(
             VoqFabric(
-                4, BitmaskPim(4, rng=random.Random(1)), buffer_capacity=5
+                4, BitmaskPim(4, rng=random.Random(1)), per_vc_capacity=1
             ),
             True,
         )
         single = self._drive(
             VoqFabric(
-                4, BitmaskPim(4, rng=random.Random(1)), buffer_capacity=5
+                4, BitmaskPim(4, rng=random.Random(1)), per_vc_capacity=1
             ),
             False,
         )
+        assert batched.metrics.cells_dropped > 0
         assert batched.metrics.cells_dropped == single.metrics.cells_dropped
         assert batched.metrics.cells_delivered == single.metrics.cells_delivered
+        assert (
+            batched.metrics.delivered_per_pair
+            == single.metrics.delivered_per_pair
+        )
+        assert_masks_mirror_queues(batched)
 
 
 class TestBacklogAccounting:
     def test_backlog_without_occupancy_tracking(self):
+        # No occupancy counters: an input's backlog is its VOQ lengths.
         fabric = VoqFabric(4, BitmaskPim(4, rng=random.Random(0)))
-        assert not fabric._track_occupancy
         for _ in range(3):
             fabric.offer(0, 1, 0)
         fabric.offer(0, 2, 0)
         fabric.offer(3, 1, 0)
-        assert fabric.backlog(0) == 4
-        assert fabric.backlog(3) == 1
-        assert fabric.total_backlog() == 5
-
-    def test_backlog_with_occupancy_tracking(self):
-        fabric = VoqFabric(
-            4, BitmaskPim(4, rng=random.Random(0)), buffer_capacity=10
-        )
-        assert fabric._track_occupancy
-        for _ in range(3):
-            fabric.offer(0, 1, 0)
-        fabric.offer(3, 1, 0)
-        assert fabric.backlog(0) == 3
-        assert fabric.total_backlog() == 4
-        # Both inputs contend for output 1: exactly one delivery per slot.
+        assert {o: len(q) for o, q in fabric.queues[0].items()} == {1: 3, 2: 1}
+        assert {o: len(q) for o, q in fabric.queues[3].items()} == {1: 1}
+        # Inputs 0 and 3 contend for output 1; input 0 also has output 2.
         fabric.step(0)
-        assert fabric.total_backlog() == 3
+        assert sum(len(q) for qs in fabric.queues for q in qs.values()) == 3
+        assert_masks_mirror_queues(fabric)
 
 
 class _Burst:

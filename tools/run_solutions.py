@@ -48,7 +48,7 @@ DEFAULT_SCENARIOS = ("corruption_burst", "flapping_link")
 
 def run_one(
     scenario_name: str,
-    solution_name: Optional[str],
+    solution_name: str,
     seed: Optional[int],
     random_seed: Optional[int],
     flight_dir: Optional[str],
@@ -60,11 +60,12 @@ def run_one(
     else:
         build = CANNED[scenario_name].build
         net, plan, loads = build(seed) if seed is not None else build()
-    solution = (
-        make_solution(solution_name) if solution_name is not None else None
-    )
     result = ScenarioRunner(
-        net, plan, loads, solution=solution, flight_dir=flight_dir
+        net,
+        plan,
+        loads,
+        solution=make_solution(solution_name),
+        flight_dir=flight_dir,
     ).run()
     corrupted = sum(link.cells_corrupted for link in net.links.values())
     return result, corrupted
