@@ -35,7 +35,7 @@ from typing import Dict
 from repro._types import NodeId, VcId
 from repro.constants import FAST_LINK_BPS
 from repro.core.guaranteed.frames import ScheduleError
-from repro.core.routing.signaling import SetupRequest
+from repro.core.routing.signaling import SetupRequest, choose_output
 from repro.net.cell import TrafficClass
 
 
@@ -124,19 +124,14 @@ class DistributedAdmissionAgent:
     # ------------------------------------------------------------------
     def _handle_request(self, in_port: int, request: ReserveRequest) -> None:
         self.requests_seen += 1
-        setup_like = SetupRequest(
-            vc=request.vc,
-            source=request.source,
-            destination=request.destination,
-            traffic_class=TrafficClass.GUARANTEED,
-            gone_down=request.gone_down,
-            hop_count=request.hop_count,
+        decision = choose_output(
+            self.switch, self.switch.node_id, request.destination,
+            request.gone_down,
         )
-        decision = self.switch.signaling.choose_output(setup_like)
         if decision is None:
             self._reject_back(in_port, request.vc, "no legal route")
             return
-        out_port, next_gone_down, _ = decision
+        out_port, next_gone_down = decision
         if self.residual(out_port) < request.cells_per_frame:
             self._reject_back(in_port, request.vc, "link full")
             return
@@ -149,7 +144,12 @@ class DistributedAdmissionAgent:
             self._reject_back(in_port, request.vc, "schedule full")
             return
         self._residual[out_port] -= request.cells_per_frame
-        self.switch.install_circuit(request.vc, in_port, out_port, setup_like)
+        entry_request = SetupRequest(
+            vc=request.vc, source=request.source, destination=request.destination,
+            traffic_class=TrafficClass.GUARANTEED,
+            gone_down=request.gone_down, hop_count=request.hop_count,
+        )
+        self.switch.install_circuit(request.vc, in_port, out_port, entry_request)
         self._holds[request.vc] = _PendingHold(
             in_port, out_port, request.cells_per_frame
         )

@@ -98,6 +98,10 @@ class LoadBalancer:
         return moved
 
     def _busiest_circuit(self, switch, out_port: int) -> Optional[VcId]:
+        """The circuit that has forwarded the most cells on ``out_port``.
+        Guaranteed circuits never count ``cells_forwarded``, and
+        ``reroute_circuit`` refuses them: they stay on their
+        reservation."""
         best_vc: Optional[VcId] = None
         best_count = -1
         for card in switch.cards:

@@ -7,10 +7,15 @@ link.  In this case, the virtual circuit can be rerouted by sending a new
 circuit setup cell from the point where the path was broken."
 
 The mechanism lives in :meth:`repro.switch.switch.AN2Switch._reroute_port`
-(enabled with ``SwitchConfig(enable_local_reroute=True)``).  This module
-provides analysis helpers used by the E13 benchmark to verify the
-selectivity claim: only circuits whose path crossed the failed link see
-any disruption.
+(enabled with ``SwitchConfig(enable_local_reroute=True)``).  A reroute
+is the setup's own decision, :func:`repro.core.routing.signaling.choose_output`,
+with the failed cable blocked and the circuit's gone-down bit kept, so a
+circuit that has already gone down takes a down-only detour.  Guaranteed
+circuits are not moved: the detour has no frame reservation, so the
+switch counts them in ``broken_circuits`` and their re-admission is left
+to the application.  This module provides analysis helpers used by the
+E13 benchmark to verify the selectivity claim: only circuits whose path
+crossed the failed link see any disruption.
 """
 
 from __future__ import annotations

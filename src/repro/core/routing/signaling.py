@@ -14,16 +14,19 @@ until the routing table entry is filled in."
 Each switch routes the setup cell itself (hop by hop) using its own
 topology view; the ``gone_down`` flag carried in the request keeps the
 concatenation of per-hop decisions inside the up*/down* discipline.
+:func:`choose_output` is that per-hop decision, for admission, local
+reroute and AN1 packets too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro._types import NodeId, VcId
 from repro.core.routing.paths import RoutingError, port_on
 from repro.net.cell import TrafficClass
+from repro.net.topology import Edge
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,52 @@ class SignalingTransport:
         raise NotImplementedError
 
 
+def choose_output(
+    node,
+    here: NodeId,
+    destination: NodeId,
+    gone_down: bool,
+    blocked_edges: FrozenSet[Edge] = frozenset(),
+) -> Optional[Tuple[int, bool]]:
+    """The next-hop decision every switch makes for a circuit (setup,
+    admission, local reroute) or an AN1 packet headed to ``destination``.
+
+    ``node`` is any object with ``route_computer()`` and
+    ``port_facing(host)`` (a :class:`SignalingTransport`); ``here`` is its
+    switch.  A working cable straight to the host wins; otherwise the
+    hop is the first of the shortest legal continuation to the host's
+    switch.  Nothing crosses ``blocked_edges``.  Returns
+    ``(out_port, gone_down after this hop)``, or ``None`` when no legal
+    continuation exists (e.g. the view is stale or up*/down* forbids
+    every remaining direction).
+    """
+    host_port = node.port_facing(destination)
+    if host_port is not None and not (
+        blocked_edges and any((here, host_port) in e for e in blocked_edges)
+    ):
+        return host_port, gone_down
+    computer = node.route_computer()
+    if computer is None:
+        return None
+    try:
+        dest_switch, _ = computer.attachment(destination)
+    except RoutingError:
+        return None
+    if dest_switch == here:
+        # The view says the host is here but it is not cabled (stale
+        # view, dead or blocked host link).
+        return None
+    orientation = computer.orientation
+    hop = orientation.next_hop(here, dest_switch, gone_down, blocked_edges)
+    if hop is None:
+        return None
+    _, edge = hop
+    return (
+        port_on(edge, here),
+        gone_down or not orientation.is_up_traversal(edge, here),
+    )
+
+
 class SignalingAgent:
     """One switch's circuit-setup software."""
 
@@ -124,18 +173,13 @@ class SignalingAgent:
         branches: dict = {}
         unreachable = 0
         for destination in sorted(request.destinations):
-            single = SetupRequest(
-                vc=request.vc,
-                source=request.source,
-                destination=destination,
-                gone_down=request.gone_down,
-                hop_count=request.hop_count,
+            decision = choose_output(
+                self.transport, self.node_id, destination, request.gone_down
             )
-            decision = self.choose_output(single)
             if decision is None:
                 unreachable += 1
                 continue
-            out_port, next_gone_down, _ = decision
+            out_port, next_gone_down = decision
             branch = branches.setdefault(
                 out_port, {"destinations": set(), "gone_down": next_gone_down}
             )
@@ -166,11 +210,13 @@ class SignalingAgent:
         if request.hop_count >= self.max_hops:
             self.setups_failed += 1
             return
-        decision = self.choose_output(request)
+        decision = choose_output(
+            self.transport, self.node_id, request.destination, request.gone_down
+        )
         if decision is None:
             self.setups_failed += 1
             return
-        out_port, next_gone_down, reaches_host = decision
+        out_port, next_gone_down = decision
         self.transport.install_circuit(request.vc, in_port, out_port, request)
         forwarded = replace(
             request,
@@ -178,41 +224,6 @@ class SignalingAgent:
             hop_count=request.hop_count + 1,
         )
         self.transport.send_signaling(out_port, forwarded)
-
-    def choose_output(
-        self, request: SetupRequest
-    ) -> Optional[Tuple[int, bool, bool]]:
-        """Pick the outgoing port for a circuit to ``request.destination``.
-
-        Returns (out_port, gone_down after this hop, is final hop) or
-        ``None`` when no legal continuation exists (e.g. the view is stale
-        or up*/down* forbids every remaining direction).
-        """
-        host_port = self.transport.port_facing(request.destination)
-        if host_port is not None:
-            return host_port, request.gone_down, True
-        computer = self.transport.route_computer()
-        if computer is None:
-            return None
-        try:
-            dest_switch, _ = computer.attachment(request.destination)
-        except RoutingError:
-            return None
-        if dest_switch == self.node_id:
-            # The view says the host is here but it is not cabled (stale
-            # view or dead host link).
-            return None
-        hop = computer.orientation.next_hop(
-            self.node_id, dest_switch, arrived_downward=request.gone_down
-        )
-        if hop is None:
-            return None
-        neighbor, edge = hop
-        out_port = port_on(edge, self.node_id)
-        traversal_down = not computer.orientation.is_up_traversal(
-            edge, self.node_id
-        )
-        return out_port, request.gone_down or traversal_down, False
 
     def _handle_teardown(self, in_port: int, request: TeardownRequest) -> None:
         self.teardowns_handled += 1

@@ -19,7 +19,7 @@ topology).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro._types import NodeId
 from repro.net.topology import Edge, TopologyView
@@ -30,13 +30,16 @@ _PathResult = Optional[Tuple[List[NodeId], List[Edge]]]
 #: (destination unreachable is a perfectly cacheable answer).
 _MISS = object()
 
+_UNBLOCKED: FrozenSet[Edge] = frozenset()
+
 
 class UpDownOrientation:
     """Link orientations and legal-path search over one topology view.
 
-    Path queries (:meth:`shortest_legal_path`,
-    :meth:`shortest_unrestricted_path`, and the down-only search behind
-    :meth:`next_hop`) are memoized per ``(source, destination)`` pair.
+    Every query -- :meth:`shortest_legal_path`,
+    :meth:`shortest_unrestricted_path` and :meth:`next_hop` -- is one
+    breadth-first search over (switch, has-gone-down) states
+    (:meth:`_search`), memoized per ``(kind, source, destination)``.
     The memo needs no explicit invalidation because an orientation is an
     immutable function of ``(view, root)``: an epoch that agrees on a
     different view or initiator installs a *new* orientation, and the
@@ -159,162 +162,108 @@ class UpDownOrientation:
         return True
 
     def shortest_legal_path(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        blocked_edges: Optional[FrozenSet[Edge]] = None,
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
-        """Shortest up*/down* path between two switches.
-
-        BFS over (switch, has-gone-down) states.  ``blocked_edges`` lets
-        the local-reroute extension search around a failed cable without
-        waiting for a fresh view; such queries bypass the memo (both on
-        read and on write) because the blocked set varies per call.
-        """
-        if not blocked_edges:
-            return self._cached("legal", source, destination, self._legal_bfs)
-        return self._legal_bfs(source, destination, blocked_edges)
-
-    def _legal_bfs(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        blocked_edges: Optional[FrozenSet[Edge]] = None,
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
-        if source == destination:
-            return ([source], [])
-        blocked = blocked_edges or frozenset()
-        start = (source, False)
-        parents: Dict[Tuple[NodeId, bool], Tuple[Tuple[NodeId, bool], Edge]] = {}
-        seen: Set[Tuple[NodeId, bool]] = {start}
-        queue = deque([start])
-        goal: Optional[Tuple[NodeId, bool]] = None
-        while queue and goal is None:
-            node, went_down = queue.popleft()
-            for neighbor, edge in self._adjacency.get(node, []):
-                if edge in blocked:
-                    continue
-                if self.is_up_traversal(edge, node):
-                    if went_down:
-                        continue  # down then up: illegal
-                    state = (neighbor, False)
-                else:
-                    state = (neighbor, True)
-                if state in seen:
-                    continue
-                seen.add(state)
-                parents[state] = ((node, went_down), edge)
-                if neighbor == destination:
-                    goal = state
-                    break
-                queue.append(state)
-        if goal is None:
-            return None
-        nodes: List[NodeId] = [goal[0]]
-        edges: List[Edge] = []
-        state = goal
-        while state != start:
-            state, edge = parents[state]
-            nodes.append(state[0])
-            edges.append(edge)
-        nodes.reverse()
-        edges.reverse()
-        return nodes, edges
+        self, source: NodeId, destination: NodeId
+    ) -> _PathResult:
+        """Shortest up*/down* path between two switches."""
+        return self._cached("legal", source, destination, self._legal)
 
     def shortest_unrestricted_path(
         self, source: NodeId, destination: NodeId
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
+    ) -> _PathResult:
         """Plain BFS shortest path, for measuring the up*/down* penalty."""
-        return self._cached("free", source, destination, self._free_bfs)
-
-    def _free_bfs(
-        self, source: NodeId, destination: NodeId
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
-        if source == destination:
-            return ([source], [])
-        parents: Dict[NodeId, Tuple[NodeId, Edge]] = {}
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for neighbor, edge in self._adjacency.get(node, []):
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                parents[neighbor] = (node, edge)
-                if neighbor == destination:
-                    queue.clear()
-                    break
-                queue.append(neighbor)
-        if destination not in parents:
-            return None
-        nodes = [destination]
-        edges: List[Edge] = []
-        node = destination
-        while node != source:
-            node, edge = parents[node]
-            nodes.append(node)
-            edges.append(edge)
-        nodes.reverse()
-        edges.reverse()
-        return nodes, edges
+        return self._cached("free", source, destination, self._free)
 
     def next_hop(
-        self, here: NodeId, destination: NodeId, arrived_downward: bool
+        self,
+        here: NodeId,
+        destination: NodeId,
+        arrived_downward: bool,
+        blocked_edges: FrozenSet[Edge] = _UNBLOCKED,
     ) -> Optional[Tuple[NodeId, Edge]]:
-        """Hop-by-hop forwarding decision for circuit setup.
+        """Hop-by-hop forwarding decision: the first hop of the shortest
+        legal continuation from ``here`` avoiding ``blocked_edges``.
 
         ``arrived_downward`` is whether the path so far has taken a down
-        traversal; the chosen hop must keep the whole path legal.  Returns
-        the neighbor and cable to use, or ``None`` when no legal
-        continuation exists.
+        traversal (then only down traversals remain legal); the chosen
+        hop keeps the whole path legal.  Returns the neighbor and cable
+        to use, or ``None`` when no legal continuation exists.
+        ``blocked_edges`` lets the local-reroute extension search around
+        a failed cable without waiting for a fresh view; such queries
+        bypass the memo (both on read and on write) because the blocked
+        set varies per call.
         """
-        path = None
-        if not arrived_downward:
-            path = self.shortest_legal_path(here, destination)
+        kind = "down" if arrived_downward else "legal"
+        if blocked_edges:
+            path = self._search(kind, blocked_edges, here, destination)
         else:
-            # Only downward continuations are allowed now: BFS restricted
-            # to down traversals.
-            path = self._shortest_down_only_path(here, destination)
+            path = self._cached(
+                kind, here, destination,
+                self._down if arrived_downward else self._legal,
+            )
         if path is None or not path[1]:
             return None
         nodes, edges = path
         return nodes[1], edges[0]
 
-    def _shortest_down_only_path(
-        self, source: NodeId, destination: NodeId
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
-        return self._cached("down", source, destination, self._down_bfs)
+    # The unblocked searches, one per memo kind, in ``_cached``'s
+    # ``compute(source, destination)`` shape.
+    def _legal(self, source: NodeId, destination: NodeId) -> _PathResult:
+        return self._search("legal", _UNBLOCKED, source, destination)
 
-    def _down_bfs(
-        self, source: NodeId, destination: NodeId
-    ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
+    def _down(self, source: NodeId, destination: NodeId) -> _PathResult:
+        return self._search("down", _UNBLOCKED, source, destination)
+
+    def _free(self, source: NodeId, destination: NodeId) -> _PathResult:
+        return self._search("free", _UNBLOCKED, source, destination)
+
+    def _search(
+        self,
+        kind: str,
+        blocked: FrozenSet[Edge],
+        source: NodeId,
+        destination: NodeId,
+    ) -> _PathResult:
+        """The one BFS over (switch, has-gone-down) states.
+
+        ``"legal"`` starts at ``(source, False)``; ``"down"`` at
+        ``(source, True)``, where only down traversals remain legal;
+        ``"free"`` ignores direction (every state stays ``False``).
+        """
         if source == destination:
             return ([source], [])
-        parents: Dict[NodeId, Tuple[NodeId, Edge]] = {}
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
+        free = kind == "free"
+        start = (source, kind == "down")
+        parents: Dict[Tuple[NodeId, bool], Tuple[Tuple[NodeId, bool], Edge]] = {}
+        queue = deque([start])
+        goal: Optional[Tuple[NodeId, bool]] = None
+        while queue and goal is None:
+            node, went_down = state = queue.popleft()
             for neighbor, edge in self._adjacency.get(node, []):
-                if self.is_up_traversal(edge, node):
+                if edge in blocked:
                     continue
-                if neighbor in seen:
+                if free:
+                    step = (neighbor, False)
+                elif self.is_up_traversal(edge, node):
+                    if went_down:
+                        continue  # down then up: illegal
+                    step = (neighbor, False)
+                else:
+                    step = (neighbor, True)
+                if step == start or step in parents:
                     continue
-                seen.add(neighbor)
-                parents[neighbor] = (node, edge)
+                parents[step] = (state, edge)
                 if neighbor == destination:
-                    queue.clear()
+                    goal = step
                     break
-                queue.append(neighbor)
-        if destination not in parents:
+                queue.append(step)
+        if goal is None:
             return None
-        nodes = [destination]
+        nodes: List[NodeId] = [goal[0]]
         edges: List[Edge] = []
-        node = destination
-        while node != source:
-            node, edge = parents[node]
-            nodes.append(node)
+        step = goal
+        while step != start:
+            step, edge = parents[step]
+            nodes.append(step[0])
             edges.append(edge)
         nodes.reverse()
         edges.reverse()

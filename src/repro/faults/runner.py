@@ -54,12 +54,13 @@ from repro.faults.plan import (
 )
 from repro.net.cell import Cell, CellKind
 from repro.net.network import Network, NetworkError
+from repro.net.node import validate_device_config
 from repro.net.packet import Packet
 from repro.solutions.base import Solution
 from repro.solutions.do_nothing import DoNothing
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """The scenario could not even be staged (bad load, boot failure...)."""
 
 
@@ -74,12 +75,12 @@ class TrafficLoad:
     count: int = 50
 
     def __post_init__(self) -> None:
-        if self.packet_size <= 0:
-            raise ScenarioError(f"packet size {self.packet_size} not positive")
-        if self.interval_us <= 0:
-            raise ScenarioError(f"send interval {self.interval_us} not positive")
-        if self.count <= 0:
-            raise ScenarioError(f"packet count {self.count} not positive")
+        try:
+            validate_device_config(
+                self, positive=("packet_size", "interval_us", "count")
+            )
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
 
 @dataclass

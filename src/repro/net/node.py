@@ -49,11 +49,12 @@ def validate_device_config(
     non_negative: Sequence[str] = (),
 ) -> None:
     """Reject a nonsensical device config (``SwitchConfig``,
-    ``HostConfig``, ``An1Config``) at construction with a ``ValueError``
-    naming the field, instead of a hang or a ``ZeroDivisionError`` deep
-    in a run.  Every ``int`` field must hold an ``int`` (not a ``bool``)
-    and every ``float`` field a finite number; the monitoring fields the
-    configs share are range-checked here, the arguments name the rest."""
+    ``HostConfig``, ``An1Config``, a scenario's ``TrafficLoad``) at
+    construction with a ``ValueError`` naming the field, instead of a
+    hang or a ``ZeroDivisionError`` deep in a run.  Every ``int`` field
+    must hold an ``int`` (not a ``bool``) and every ``float`` field a
+    finite number; the monitoring fields a config has are range-checked
+    here, the arguments name the rest."""
     kind = type(config).__name__
 
     def reject(name, rule) -> None:
@@ -79,8 +80,9 @@ def validate_device_config(
                 reject(name, rule)
 
     shared = [name for name in _MONITOR_FIELDS if hasattr(config, name)]
+    at_least = ["miss_threshold"] if hasattr(config, "miss_threshold") else []
     check(positive, lambda v: v > 0, "> 0")
-    check(("miss_threshold", *at_least_one), lambda v: v >= 1, ">= 1")
+    check((*at_least, *at_least_one), lambda v: v >= 1, ">= 1")
     check((*shared, *non_negative), lambda v: v >= 0, ">= 0")
 
 

@@ -43,7 +43,7 @@ from repro.constants import (
     CUT_THROUGH_DELAY_US,
     PING_REPLY_DELAY_US,
 )
-from repro.core.routing.paths import RoutingError, port_on
+from repro.core.routing.signaling import choose_output
 from repro.net.cell import Cell, CellKind
 from repro.net.installation import Installation
 from repro.net.node import Node, validate_device_config
@@ -180,12 +180,15 @@ class An1Switch(SwitchNode):
         if self._forwarding[in_port] or not fifo:
             return
         head = fifo[0]
-        out_port = self._output_for(head)
-        if out_port is None:
+        decision = choose_output(
+            self, self.node_id, head.packet.destination, head.gone_down
+        )
+        if decision is None:
             fifo.popleft()
             self.packets_dropped_no_route += 1
             self.sim.schedule(0.0, self._try_forward, in_port)
             return
+        out_port, gone_down = decision
         port = self.ports[out_port]
         if not port.connected or port.link is None or not port.link.working:
             fifo.popleft()
@@ -202,7 +205,7 @@ class An1Switch(SwitchNode):
             self.sim.schedule(delay + 1e-6, self._retry, in_port)
             return
         fifo.popleft()
-        head.gone_down = self._next_gone_down(head, out_port)
+        head.gone_down = gone_down
         bits = (head.packet.size or 0) * 8 + _an1_packet_overhead_bits
         port.send(Cell(vc=0, kind=CellKind.DATA, payload=head), bits=bits)
         self.packets_forwarded += 1
@@ -212,40 +215,6 @@ class An1Switch(SwitchNode):
     def _retry(self, in_port: int) -> None:
         self._forwarding[in_port] = False
         self._try_forward(in_port)
-
-    def _output_for(self, queued: "_QueuedPacket") -> Optional[int]:
-        computer = self._route_computer
-        if computer is None:
-            return None
-        destination = queued.packet.destination
-        host_port = self.port_facing(destination)
-        if host_port is not None:
-            return host_port
-        try:
-            dest_switch, _ = computer.attachment(destination)
-        except RoutingError:
-            return None
-        if dest_switch == self.node_id:
-            return None
-        hop = computer.orientation.next_hop(
-            self.node_id, dest_switch, arrived_downward=queued.gone_down
-        )
-        if hop is None:
-            return None
-        _, edge = hop
-        return port_on(edge, self.node_id)
-
-    def _next_gone_down(self, queued: "_QueuedPacket", out_port: int) -> bool:
-        computer = self._route_computer
-        neighbor = self.neighbor(out_port)
-        if computer is None or neighbor is None or not neighbor[0].is_switch:
-            return queued.gone_down
-        edge = self.edge_on_port(out_port)
-        try:
-            is_up = computer.orientation.is_up_traversal(edge, self.node_id)
-        except (KeyError, ValueError):
-            return queued.gone_down
-        return queued.gone_down or not is_up
 
     def buffered_packets(self) -> int:
         return sum(len(fifo) for fifo in self.fifos)

@@ -134,6 +134,11 @@ class SwitchNode(Node):
             computer.report_to(self._routing_probes)
         return built
 
+    def route_computer(self) -> Optional[RouteComputer]:
+        """The epoch's route computer (``None`` before the first epoch
+        or when the agreed view admits no routes)."""
+        return self._route_computer
+
     @staticmethod
     def _build_route_computer(tag, view) -> Optional[RouteComputer]:
         """A computer for ``view`` rooted as above, or ``None`` if the

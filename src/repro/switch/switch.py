@@ -6,7 +6,9 @@ It wires together every mechanism of the paper:
 - **control plane** (line-card software, modelled with a per-message
   processing delay): port monitors + skeptics (section 2), the
   reconfiguration agent (section 2), the signaling agent (section 2), and
-  the extension hooks -- circuit paging and local reroute,
+  the extension hooks -- circuit paging and local reroute (the setup's
+  own next-hop decision, ``signaling.choose_output``, with the broken
+  cable blocked; guaranteed circuits are refused, not moved),
 - **best-effort data plane** (section 3): per-VC random-access input
   buffers, parallel iterative matching across the crossbar every cell
   slot, and credit-based flow control (section 5) with periodic
@@ -51,12 +53,12 @@ from repro.core.matching.bitmask import BitmaskPim, bits_of
 from repro.core.reconfig.monitor import PingPayload
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.multicast import FanoutToken
-from repro.core.routing.paths import RouteComputer, RoutingError, port_on
 from repro.core.routing.signaling import (
     PageOut,
     SetupRequest,
     SignalingAgent,
     TeardownRequest,
+    choose_output,
 )
 from repro.net.cell import Cell, CellKind, TrafficClass
 from repro.net.node import validate_device_config
@@ -321,9 +323,6 @@ class AN2Switch(SwitchNode):
     # ==================================================================
     # SignalingTransport interface
     # ==================================================================
-    def route_computer(self) -> Optional[RouteComputer]:
-        return self._route_computer
-
     def install_circuit(
         self, vc: VcId, in_port: int, out_port: int, request: SetupRequest
     ) -> None:
@@ -868,7 +867,6 @@ class AN2Switch(SwitchNode):
         setup cell from the point where the path was broken."  Circuits
         whose path does not cross the failed link are untouched.
         """
-        computer = self._route_computer
         for card in self.cards:
             for entry in card.routing_table.entries():
                 if entry.is_multicast:
@@ -880,39 +878,29 @@ class AN2Switch(SwitchNode):
                     continue
                 if entry.out_port != dead_port:
                     continue
-                rerouted = False
-                if computer is not None:
-                    rerouted = self._reroute_entry(card, entry, computer)
-                if rerouted:
+                if self._reroute_entry(card, entry):
                     self.stats.reroutes += 1
                 else:
                     self.stats.broken_circuits += 1
 
-    def reroute_circuit(
-        self, vc: VcId, blocked_edges: Optional[frozenset] = None
-    ) -> bool:
-        """Move one circuit off the given edges (by default, the cable
-        it leaves this switch on) from this switch onward (used by the
-        load-balancing extension).  Returns success."""
+    def reroute_circuit(self, vc: VcId) -> bool:
+        """Move one circuit off the cable it leaves this switch on, from
+        this switch onward (used by the load-balancing extension).
+        Returns success."""
         in_port = self._vc_in_port.get(vc)
-        if in_port is None or self._route_computer is None:
+        if in_port is None:
             return False
         card = self.cards[in_port]
         entry = card.routing_table.lookup(vc)
         if entry is None:
             return False
-        moved = self._reroute_entry(
-            card, entry, self._route_computer, blocked_edges=blocked_edges
-        )
+        moved = self._reroute_entry(card, entry)
         if moved:
             self.stats.reroutes += 1
         return moved
 
     def _repair_broken_circuits(self) -> None:
         """Retry local reroute for circuits still routed at dead ports."""
-        computer = self._route_computer
-        if computer is None:
-            return
         for card in self.cards:
             for entry in card.routing_table.entries():
                 if entry.is_multicast:
@@ -920,55 +908,25 @@ class AN2Switch(SwitchNode):
                 monitor = self.monitors.get(entry.out_port)
                 if monitor is None or monitor.verdict is LinkVerdict.WORKING:
                     continue
-                if self._reroute_entry(card, entry, computer):
+                if self._reroute_entry(card, entry):
                     self.stats.reroutes += 1
 
-    def _reroute_entry(
-        self,
-        card: LineCard,
-        entry,
-        computer,
-        blocked_edges: Optional[frozenset] = None,
-    ) -> bool:
-        """Point ``entry`` at a new output avoiding ``blocked_edges``
-        (by default, the cable on its current output) and send the setup
-        on from there."""
+    def _reroute_entry(self, card: LineCard, entry) -> bool:
+        """Point ``entry`` at a new output avoiding the cable it leaves
+        on now and send the setup on from there.  Guaranteed circuits are
+        refused: the new path has no frame reservation, so their
+        re-admission is left to the application."""
         request = entry.request
-        host_port = self.port_facing(request.destination)
-        if blocked_edges is None:
-            edge = self.edge_on_port(entry.out_port)
-            blocked_edges = frozenset() if edge is None else frozenset({edge})
-        if host_port is not None and host_port != entry.out_port:
-            new_port = host_port
-            gone_down = request.gone_down
-        else:
-            try:
-                dest_switch, _ = computer.attachment(request.destination)
-            except RoutingError:
-                return False
-            if dest_switch == self.node_id:
-                return False
-            if not request.gone_down:
-                path = computer.orientation.shortest_legal_path(
-                    self.node_id, dest_switch, blocked_edges=blocked_edges
-                )
-            else:
-                path = None  # only down-moves allowed; recompute below
-            if path is None and request.gone_down:
-                path = computer.orientation._shortest_down_only_path(
-                    self.node_id, dest_switch
-                )
-                if path is not None and any(
-                    e in blocked_edges for e in path[1]
-                ):
-                    path = None
-            if path is None or not path[1]:
-                return False
-            first_edge = path[1][0]
-            new_port = port_on(first_edge, self.node_id)
-            gone_down = request.gone_down or not (
-                computer.orientation.is_up_traversal(first_edge, self.node_id)
-            )
+        if request.traffic_class is TrafficClass.GUARANTEED:
+            return False
+        edge = self.edge_on_port(entry.out_port)
+        decision = choose_output(
+            self, self.node_id, request.destination, request.gone_down,
+            frozenset() if edge is None else frozenset({edge}),
+        )
+        if decision is None:
+            return False
+        new_port, gone_down = decision
         vc = entry.vc
         # Move queued cells to the new output group.
         cells = card.vc_queues.drain_vc(vc)
@@ -977,18 +935,12 @@ class AN2Switch(SwitchNode):
         entry.out_port = new_port
         self.cards[old_out].upstream.pop(vc, None)
         self._refresh_output(old_out, vc)
-        if request.traffic_class is TrafficClass.BEST_EFFORT:
-            self.cards[new_port].credits.open_window(vc)
+        self.cards[new_port].credits.open_window(vc)
         for cell in cells:
             card.vc_queues.push(new_port, vc, cell)
         self._refresh_output(new_port, vc)
-        forwarded = SetupRequest(
-            vc=vc,
-            source=request.source,
-            destination=request.destination,
-            traffic_class=request.traffic_class,
-            gone_down=gone_down,
-            hop_count=request.hop_count + 1,
+        forwarded = dataclasses.replace(
+            request, gone_down=gone_down, hop_count=request.hop_count + 1
         )
         self.send_signaling(new_port, forwarded)
         self._kick()

@@ -8,9 +8,11 @@ from repro.core.routing.load_balance import LoadBalancer
 from repro.core.routing.paging import PagingDaemon
 from repro.core.routing.paths import RouteComputer
 from repro.core.routing.reroute import circuits_crossing, installed_path
+from repro.faults.scenarios import scenario_host_config, scenario_switch_config
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
+from repro.switch.switch import SwitchConfig
 from tests.conftest import fast_host_config, fast_switch_config, line_with_hosts
 
 
@@ -199,7 +201,113 @@ class TestLocalReroute:
             net.run(100_000)
 
 
+    def test_guaranteed_circuit_counted_broken_not_moved(self):
+        """A reroute would carry a guaranteed circuit onto a path with no
+        frame reservation: it is refused and counted broken, and no
+        switch on the detour installs the circuit."""
+        net = diamond_net()
+        circuit, _ = net.reserve_bandwidth("h0", "h1", 4)
+        net.run(5_000)
+        mid = installed_path(net, circuit.vc, host_id(0))[2]
+        other = net.switch("s2" if mid == switch_id(1) else "s1")
+        s0 = net.switch("s0")
+        net.fail_link("s0", str(mid))
+        net.run_until(
+            lambda: s0.stats.broken_circuits >= 1, timeout_us=100_000
+        )
+        net.run(20_000)
+        assert s0.stats.reroutes == 0
+        assert circuit.vc not in other._vc_in_port
+
+    def test_gone_down_circuit_takes_a_down_only_detour(self):
+        """The circuit has already gone down where the cable breaks: the
+        reroute must search the down-only continuations around it."""
+        topo = Topology.grid(3, 3)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0", port_a=0)
+        topo.connect("h1", "s5", port_a=0)
+        net = Network(
+            topo,
+            seed=1,
+            switch_config=scenario_switch_config(),
+            host_config=scenario_host_config(),
+        )
+        net.start()
+        net.run_until_converged(timeout_us=500_000)
+        circuit = net.setup_circuit("h0", "h1")
+        net.run(5_000)
+        assert installed_path(net, circuit.vc, host_id(0))[2:4] == [
+            switch_id(1), switch_id(2)
+        ]
+        s1 = net.switch("s1")
+        entry = s1.cards[s1._vc_in_port[circuit.vc]].routing_table.lookup(
+            circuit.vc
+        )
+        assert entry.request.gone_down
+        orientation = s1.route_computer().orientation
+        cut = s1.edge_on_port(entry.out_port)
+        assert switch_id(5) in down_only_reach(orientation, switch_id(1), cut)
+
+        net.fail_link("s1", "s2")
+        net.run_until(net.converged, timeout_us=500_000)
+        net.run(100_000)
+        assert (s1.stats.reroutes, s1.stats.broken_circuits) == (1, 0)
+        h1 = net.host("h1")
+        before = len(h1.delivered)
+        for i in range(20):
+            net.host("h0").send_packet(
+                circuit.vc,
+                Packet(source=host_id(0), destination=host_id(1), payload=b"%d" % i),
+            )
+        net.run(200_000)
+        assert len(h1.delivered) - before == 20
+
+
+def down_only_reach(orientation, start, blocked_edge):
+    """Switches reachable from ``start`` by down traversals alone,
+    never crossing ``blocked_edge`` (brute force over the view)."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        here = frontier.pop()
+        for edge in orientation.view.edges:
+            (a, _), (b, _) = edge
+            if edge == blocked_edge or here not in (a, b):
+                continue
+            there = b if here == a else a
+            if not there.is_switch or there in reached:
+                continue
+            if not orientation.is_up_traversal(edge, here):
+                reached.add(there)
+                frontier.append(there)
+    return reached
+
+
 class TestLoadBalancer:
+    def test_guaranteed_circuit_stays_on_its_reservation(self):
+        """A hot link carrying a reserved circuit: the balancer must not
+        migrate it onto a path with no reservation."""
+        topo = Topology.grid(3, 3)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0", port_a=0, bps=622_000_000)
+        topo.connect("h1", "s8", port_a=0, bps=622_000_000)
+        net = Network(topo, seed=3, switch_config=SwitchConfig(frame_slots=32))
+        net.start()
+        net.run_until_converged(timeout_us=1_000_000)
+        circuit, _ = net.reserve_bandwidth("h0", "h1", 30)
+        net.run(2_000)
+        balancer = LoadBalancer(
+            net, interval_us=2_000.0, high_watermark=0.8, cooldown_us=1e9
+        )
+        balancer.start()
+        net.host("h0").send_raw_cells(circuit.vc, 4_000)
+        net.run(20_000)
+        assert balancer.migrations == 0
+        assert net.switch("s0").stats.reroutes == 0
+        assert net.host("h1").cells_received == 4_000
+
     def test_hot_link_triggers_migration(self):
         net = diamond_net()
         circuits = [net.setup_circuit("h0", "h1") for _ in range(4)]

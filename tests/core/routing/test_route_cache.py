@@ -90,15 +90,16 @@ class TestMemo:
         blocked_edge = frozenset([unblocked[1][0]])
         hits_before = orientation.cache_hits
         misses_before = orientation.cache_misses
-        detour = orientation.shortest_legal_path(
-            a, b, blocked_edges=blocked_edge
-        )
+        detour = orientation.next_hop(a, b, False, blocked_edge)
         assert orientation.cache_hits == hits_before
         assert orientation.cache_misses == misses_before
         if detour is not None:
-            assert unblocked[1][0] not in detour[1]
+            assert detour[1] != unblocked[1][0]
         # ...and the blocked answer must not have poisoned the memo.
         assert orientation.shortest_legal_path(a, b) == unblocked
+        assert orientation.next_hop(a, b, False) == (
+            unblocked[0][1], unblocked[1][0]
+        )
 
     def test_disabled_cache_never_hits(self, monkeypatch):
         monkeypatch.setattr(UpDownOrientation, "_cached", uncached)

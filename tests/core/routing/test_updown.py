@@ -141,10 +141,9 @@ class TestLegality:
         topo = Topology.line(3)
         orientation = orient(topo)
         edge = sorted(topo.view().edges)[0]
-        path = orientation.shortest_legal_path(
-            switch_id(0), switch_id(1), blocked_edges=frozenset({edge})
-        )
-        assert path is None
+        assert orientation.next_hop(
+            switch_id(0), switch_id(1), False, frozenset({edge})
+        ) is None
 
     def test_trivial_path(self):
         topo = Topology.line(2)
@@ -213,3 +212,68 @@ class TestNextHop:
             switch_id(1), switch_id(2), arrived_downward=True
         )
         assert hop is None
+
+
+def legal_continuation_exists(orientation, here, destination, gone_down, blocked):
+    """Brute force: depth-first over every (switch, gone-down) state
+    reachable from ``(here, gone_down)`` without crossing ``blocked``."""
+    stack, seen = [(here, gone_down)], {(here, gone_down)}
+    while stack:
+        node, went_down = stack.pop()
+        for edge in orientation.view.edges:
+            (a, _), (b, _) = edge
+            if edge == blocked or node not in (a, b):
+                continue
+            there = b if node == a else a
+            if not there.is_switch:
+                continue
+            up = orientation.is_up_traversal(edge, node)
+            if up and went_down:
+                continue
+            if there == destination:
+                return True
+            state = (there, went_down or not up)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocked_next_hop_matches_brute_force(seed):
+    """For every (here, destination, gone-down, one blocked cable):
+    ``next_hop`` never takes the blocked cable, answers exactly when a
+    legal continuation around it exists, and following it reaches the
+    destination on a legal path."""
+    topo = Topology.random_connected(7, extra_edges=4, rng=random.Random(seed))
+    orientation = orient(topo, root=seed % 7)
+    switches = topo.switches()
+    for blocked in sorted(orientation.view.edges):
+        for here in switches:
+            for destination in switches:
+                if here == destination:
+                    continue
+                for gone_down in (False, True):
+                    hop = orientation.next_hop(
+                        here, destination, gone_down, frozenset({blocked})
+                    )
+                    exists = legal_continuation_exists(
+                        orientation, here, destination, gone_down, blocked
+                    )
+                    assert (hop is not None) == exists
+                    node, went_down, hops = here, gone_down, 0
+                    while hop is not None:
+                        neighbor, edge = hop
+                        assert edge != blocked
+                        up = orientation.is_up_traversal(edge, node)
+                        assert not (up and went_down), "down then up"
+                        went_down = went_down or not up
+                        node, hops = neighbor, hops + 1
+                        assert hops <= 2 * len(switches), "next_hop loop"
+                        if node == destination:
+                            break
+                        hop = orientation.next_hop(
+                            node, destination, went_down, frozenset({blocked})
+                        )
+                        assert hop is not None, f"stuck at {node}"
+                    assert not exists or node == destination

@@ -233,6 +233,31 @@ class TestTrafficAndDeterminism:
             ScenarioRunner(net, FaultPlan(), convergence_timeout_us=1.0).run()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("packet_size", 0),
+        ("packet_size", 2.5),
+        ("packet_size", float("nan")),
+        ("packet_size", True),
+        ("interval_us", 0.0),
+        ("interval_us", float("nan")),
+        ("interval_us", float("inf")),
+        ("count", -1),
+        ("count", float("nan")),
+        ("count", 3.0),
+    ],
+)
+def test_traffic_load_rejects_bad_input_at_construction(field, value):
+    """A load that would fail mid-run (an unschedulable send time, a
+    non-integer size or count) is refused when it is built."""
+    kwargs = dict(source="h0", destination="h1", packet_size=200,
+                  interval_us=2_000.0, count=30)
+    kwargs[field] = value
+    with pytest.raises(ScenarioError, match=f"TrafficLoad.{field}"):
+        TrafficLoad(**kwargs)
+
+
 class TestObservability:
     def test_trace_spans_per_fault(self):
         net = ring_net()

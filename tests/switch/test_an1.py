@@ -101,6 +101,30 @@ class TestAn1DataPath:
         assert dropped == 1
 
 
+    def test_attached_host_reached_before_the_first_epoch(self):
+        """A switch forwards to a host cabled to it as soon as that
+        cable works, before any epoch has given it a route computer --
+        the same decision an AN2 circuit setup makes."""
+        topo = Topology.line(2)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0", port_a=0)
+        topo.connect("h1", "s0", port_a=0)
+        net = An1Network(topo, seed=3, config=fast_an1_config())
+        net.start()
+        s0 = net.switches[switch_id(0)]
+        while s0.port_facing(host_id(1)) is None:
+            assert net.sim.now < 20_000
+            net.run(50)
+        assert s0.route_computer() is None
+        net.hosts[host_id(0)].send_packet(
+            Packet(source=host_id(0), destination=host_id(1), size=100)
+        )
+        net.run(1_000)
+        assert len(net.hosts[host_id(1)].delivered) == 1
+        assert s0.packets_dropped_no_route == 0
+
+
 class TestAn1Reconfiguration:
     def test_control_plane_shared_with_an2(self):
         net = hosted_grid()

@@ -549,7 +549,7 @@ def test_reroute_after_reinstall_drops_the_stranded_request():
     assert s1.crossbar.rows[card.index] == 1 << trunk
     s1.install_circuit(vc, card.index, card.index, entry.request)
     audit.check_all()
-    assert s1.reroute_circuit(vc, frozenset())
+    assert s1.reroute_circuit(vc)
     assert entry.out_port == host_port
     audit.check_all()
     assert s1.crossbar.rows[card.index] == 1 << host_port
