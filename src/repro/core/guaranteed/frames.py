@@ -18,18 +18,28 @@ Insertion that *preserves feasibility for any admissible demand* is the
 job of :mod:`repro.core.guaranteed.slepian_duguid`; this module provides
 the schedule data structure, its invariant checks, and direct placement
 primitives.
+
+A schedule stores only the slots that hold a reservation: every switch
+has a frame, most never reserve a slot of it, and a frame of a million
+slots costs nothing until one is used.  A slot with no reservation reads
+as one shared, read-only empty map.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.constants import FRAME_SLOTS
 
 
 class ScheduleError(Exception):
     """Violation of the crossbar or capacity constraints."""
+
+
+#: What every slot without a reservation reads as.
+_NO_RESERVATIONS: Mapping[int, int] = MappingProxyType({})
 
 
 class FrameSchedule:
@@ -42,9 +52,10 @@ class FrameSchedule:
             raise ValueError(f"n_slots must be positive, got {n_slots}")
         self.n_ports = n_ports
         self.n_slots = n_slots
-        # Per slot: input -> output and output -> input.
-        self._by_input: List[Dict[int, int]] = [{} for _ in range(n_slots)]
-        self._by_output: List[Dict[int, int]] = [{} for _ in range(n_slots)]
+        # Per reserved slot: input -> output and output -> input.  A slot
+        # is a key of both exactly while it holds a reservation.
+        self._by_input: Dict[int, Dict[int, int]] = {}
+        self._by_output: Dict[int, Dict[int, int]] = {}
         # Totals for admission checks: reservations per input / output.
         self._input_total: List[int] = [0] * n_ports
         self._output_total: List[int] = [0] * n_ports
@@ -58,12 +69,15 @@ class FrameSchedule:
     # ------------------------------------------------------------------
     def slot_assignments(self, slot: int) -> Dict[int, int]:
         """input -> output map for ``slot`` (a copy)."""
-        return dict(self._by_input[slot])
+        return dict(self._by_input.get(slot, _NO_RESERVATIONS))
 
     def slot_view(self, slot: int) -> Mapping[int, int]:
-        """:meth:`slot_assignments` without the copy: the live map, for
-        the crossbar tick to read (never to change)."""
-        return self._by_input[slot]
+        """:meth:`slot_assignments` without the copy, for the crossbar
+        tick to read (never to change): the slot's live map, or the
+        shared empty one when the slot holds no reservation.  Read it
+        before the schedule changes again: a slot emptied and refilled
+        gets a new map."""
+        return self._by_input.get(slot, _NO_RESERVATIONS)
 
     def next_slot(
         self, input_port: int, output_port: int, start: int = 0
@@ -78,16 +92,17 @@ class FrameSchedule:
         return slots[index] if index < len(slots) else slots[0]
 
     def output_of(self, slot: int, input_port: int) -> Optional[int]:
-        return self._by_input[slot].get(input_port)
+        return self._by_input.get(slot, _NO_RESERVATIONS).get(input_port)
 
     def input_of(self, slot: int, output_port: int) -> Optional[int]:
-        return self._by_output[slot].get(output_port)
+        return self._by_output.get(slot, _NO_RESERVATIONS).get(output_port)
 
     def input_free(self, slot: int, input_port: int) -> bool:
-        return input_port not in self._by_input[slot]
+        return input_port not in self._by_input.get(slot, _NO_RESERVATIONS)
 
     def output_free(self, slot: int, output_port: int) -> bool:
-        return output_port not in self._by_output[slot]
+        reverse = self._by_output.get(slot, _NO_RESERVATIONS)
+        return output_port not in reverse
 
     def input_load(self, input_port: int) -> int:
         """Reserved cells per frame leaving ``input_port``."""
@@ -100,14 +115,15 @@ class FrameSchedule:
     def reservation_matrix(self) -> List[List[int]]:
         """R[i][o] = reserved cells/frame from input i to output o."""
         matrix = [[0] * self.n_ports for _ in range(self.n_ports)]
-        for assignments in self._by_input:
+        for assignments in self._by_input.values():
             for input_port, output_port in assignments.items():
                 matrix[input_port][output_port] += 1
         return matrix
 
     def reserved_pairs(self) -> Iterator[Tuple[int, int, int]]:
-        """Yields (slot, input, output) for every reserved connection."""
-        for slot, assignments in enumerate(self._by_input):
+        """Yields (slot, input, output) for every reserved connection,
+        in slot order."""
+        for slot, assignments in sorted(self._by_input.items()):
             for input_port, output_port in sorted(assignments.items()):
                 yield (slot, input_port, output_port)
 
@@ -116,7 +132,7 @@ class FrameSchedule:
 
     def slots_used(self) -> int:
         """Number of slots with at least one reservation."""
-        return sum(1 for assignments in self._by_input if assignments)
+        return len(self._by_input)
 
     def admits(self, input_port: int, output_port: int, cells: int = 1) -> bool:
         """Would adding ``cells`` reservations over-commit either link?"""
@@ -133,18 +149,24 @@ class FrameSchedule:
         self._check_ports(input_port, output_port)
         if not 0 <= slot < self.n_slots:
             raise ScheduleError(f"slot {slot} out of range")
-        if input_port in self._by_input[slot]:
-            raise ScheduleError(
-                f"slot {slot}: input {input_port} already transmits to "
-                f"{self._by_input[slot][input_port]}"
-            )
-        if output_port in self._by_output[slot]:
-            raise ScheduleError(
-                f"slot {slot}: output {output_port} already receives from "
-                f"{self._by_output[slot][output_port]}"
-            )
-        self._by_input[slot][input_port] = output_port
-        self._by_output[slot][output_port] = input_port
+        assignments = self._by_input.get(slot)
+        if assignments is None:
+            self._by_input[slot] = {input_port: output_port}
+            self._by_output[slot] = {output_port: input_port}
+        else:
+            if input_port in assignments:
+                raise ScheduleError(
+                    f"slot {slot}: input {input_port} already transmits to "
+                    f"{assignments[input_port]}"
+                )
+            reverse = self._by_output[slot]
+            if output_port in reverse:
+                raise ScheduleError(
+                    f"slot {slot}: output {output_port} already receives "
+                    f"from {reverse[output_port]}"
+                )
+            assignments[input_port] = output_port
+            reverse[output_port] = input_port
         self._input_total[input_port] += 1
         self._output_total[output_port] += 1
         self._total += 1
@@ -155,11 +177,13 @@ class FrameSchedule:
 
         Returns the removed (input, output) pair.
         """
-        assignments = self._by_input[slot]
+        assignments = self._by_input.get(slot, _NO_RESERVATIONS)
         if input_port not in assignments:
             raise ScheduleError(f"slot {slot}: input {input_port} is free")
         output_port = assignments.pop(input_port)
         del self._by_output[slot][output_port]
+        if not assignments:
+            del self._by_input[slot], self._by_output[slot]
         self._input_total[input_port] -= 1
         self._output_total[output_port] -= 1
         self._total -= 1
@@ -212,9 +236,14 @@ class FrameSchedule:
         input_totals = [0] * self.n_ports
         output_totals = [0] * self.n_ports
         slots_of: Dict[Tuple[int, int], List[int]] = {}
-        for slot in range(self.n_slots):
-            by_input = self._by_input[slot]
+        if self._by_input.keys() != self._by_output.keys():
+            raise ScheduleError("slot maps disagree on the reserved slots")
+        for slot, by_input in sorted(self._by_input.items()):
             by_output = self._by_output[slot]
+            if not 0 <= slot < self.n_slots:
+                raise ScheduleError(f"slot {slot} out of range")
+            if not by_input:
+                raise ScheduleError(f"slot {slot}: empty map kept")
             if len(by_input) != len(by_output):
                 raise ScheduleError(f"slot {slot}: map size mismatch")
             for input_port, output_port in by_input.items():
@@ -261,10 +290,12 @@ class FrameSchedule:
     def render(self) -> str:
         """A human-readable rendering in the style of the paper's Figure 2."""
         lines = []
-        for slot in range(self.n_slots):
-            assignments = self._by_input[slot]
-            if not assignments and self.n_slots > 16:
-                continue  # keep large renders compact
+        if self.n_slots <= 16:
+            slots: Iterable[int] = range(self.n_slots)
+        else:  # keep large renders compact: reserved slots only
+            slots = sorted(self._by_input)
+        for slot in slots:
+            assignments = self._by_input.get(slot, _NO_RESERVATIONS)
             pairs = "  ".join(
                 f"{i + 1}->{o + 1}" for i, o in sorted(assignments.items())
             )

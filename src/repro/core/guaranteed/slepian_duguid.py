@@ -151,13 +151,13 @@ def remove_cell(
 
     Used by circuit teardown and by the page-out extension (section 2).
     """
-    for slot in range(schedule.n_slots):
-        if schedule.output_of(slot, input_port) == output_port:
-            schedule.clear(slot, input_port)
-            return slot
-    raise ScheduleError(
-        f"no reservation {input_port}->{output_port} to remove"
-    )
+    slot = schedule.next_slot(input_port, output_port)  # the pair's first
+    if slot is None:
+        raise ScheduleError(
+            f"no reservation {input_port}->{output_port} to remove"
+        )
+    schedule.clear(slot, input_port)
+    return slot
 
 
 def build_schedule(

@@ -5,10 +5,10 @@ each input's request set is a single Python int with bit ``o`` set iff
 the input has a buffered cell for output ``o`` (valid for N <= 64; AN2
 is N = 16).  The three rounds become ``&``/``|``/``bit_count()``
 operations over those ints, set-bit enumeration is a single lookup in a
-precomputed 16-bit table, and the transposed matrix (per-output
-contender columns) is supplied ready-made by
-:class:`~repro.switch.crossbar.Crossbar`, which maintains it on request
-edges, instead of being rebuilt every iteration.
+table as wide as the widest matcher built (at most 16 bits), and the
+transposed matrix (per-output contender columns) is supplied ready-made
+by :class:`~repro.switch.crossbar.Crossbar`, which maintains it on
+request edges, instead of being rebuilt every iteration.
 
 This is the only matcher the simulator runs.  Its oracle is the
 set-and-dictionary rendering of the same section in
@@ -71,14 +71,28 @@ class MatchResult:
         return len(self.matching)
 
 
-# _BITS16[m] is the tuple of set-bit positions of the 16-bit value m in
-# ascending order.  Built once by dynamic programming over the lowest set
-# bit; ~8 MB, bought back within a single load sweep.
-_BITS16: List[Tuple[int, ...]] = [()] * 65536
-for _m in range(1, 65536):
-    _low = _m & -_m
-    _BITS16[_m] = (_low.bit_length() - 1,) + _BITS16[_m ^ _low]
-del _m, _low
+# _BITS16[m] is the tuple of set-bit positions of m in ascending order,
+# for every m below 1 << w: w is the widest radix (at most 16) a matcher
+# was built for, or a wider mask bits_of was asked about.  It grows in
+# place by doubling (entry m + 2**k is entry m plus bit k), so a 10-port
+# switch holds 1,024 entries instead of the 65,536 (~7 MB) of a 16-port
+# one, and the matchers' hot loops stay one index behind one compare
+# against the length they read on entry.  The table is shared by the
+# whole process, but each entry is a pure function of its index: which
+# matcher grew it cannot change what any lookup returns.
+_BITS16: List[Tuple[int, ...]] = [()]
+_covered = 1  # len(_BITS16), for bits_of to compare without a call
+
+
+def _cover(width: int) -> None:
+    """Grow ``_BITS16`` to every ``width``-bit mask (``width <= 16``)."""
+    global _covered
+    table = _BITS16
+    while len(table) < 1 << width:
+        bit = len(table).bit_length() - 1
+        table.extend([bits + (bit,) for bits in table])
+    _covered = len(table)
+
 
 # _POW2[i] == 1 << i (an index beats a shift in the draw loop).
 _POW2: Tuple[int, ...] = tuple(1 << _i for _i in range(MAX_PORTS))
@@ -101,6 +115,7 @@ _BITS_OFFSET: dict = {}
 def _offset_table(base: int) -> List[Tuple[int, ...]]:
     table = _BITS_OFFSET.get(base)
     if table is None:
+        _cover(16)
         table = [
             tuple(bit + base for bit in bits) for bits in _BITS16
         ]
@@ -109,9 +124,14 @@ def _offset_table(base: int) -> List[Tuple[int, ...]]:
 
 
 def bits_of(mask: int) -> Tuple[int, ...]:
-    """Set-bit positions of ``mask`` in ascending order (N <= 64)."""
-    if mask < 65536:
+    """Set-bit positions of ``mask`` in ascending order (N <= 64); a
+    mask wider than the table grows it (to 16 bits at most)."""
+    if mask < _covered:
         return _BITS16[mask]
+    if mask < 65536:
+        _cover(mask.bit_length())
+        return _BITS16[mask]
+    _cover(16)
     out = _BITS16[mask & 0xFFFF]
     mask >>= 16
     base = 16
@@ -179,7 +199,7 @@ def _transpose(masks: Sequence[int], n_ports: int) -> List[int]:
         if not row:
             continue
         input_bit = 1 << input_port
-        for output_port in _BITS16[row] if row < 65536 else bits_of(row):
+        for output_port in bits_of(row):
             cols[output_port] |= input_bit
     return cols
 
@@ -192,8 +212,9 @@ def _check_ports(n_ports: int) -> None:
             f"bitmask matcher supports at most {MAX_PORTS} ports, "
             f"got {n_ports}"
         )
-    # Pay the offset-table build at construction, not inside the first
+    # Pay the table builds at construction, not inside the first
     # (possibly timed) match call.
+    _cover(min(n_ports, 16))
     base = 16
     while base < n_ports:
         _offset_table(base)
@@ -280,6 +301,7 @@ class BitmaskPim:
         cols = col_masks if col_masks is not None else _transpose(masks, n)
         getrandbits = self.rng.getrandbits
         B = _BITS16  # local bindings for the hot loops
+        covered = len(B)  # >= 1 << n up to n = 16: one compare, no miss
         P = _POW2
 
         iterations_to_maximal: Optional[int] = None
@@ -290,7 +312,7 @@ class BitmaskPim:
             union = 0
             for input_port in (
                 B[free_inputs]
-                if free_inputs < 65536
+                if free_inputs < covered
                 else bits_of(free_inputs)
             ):
                 union |= masks[input_port]
@@ -309,9 +331,11 @@ class BitmaskPim:
             # Step 1+2: every contended free output grants one request.
             grants = [0] * n
             granted = 0
-            for output_port in B[union] if union < 65536 else bits_of(union):
+            for output_port in (
+                B[union] if union < covered else bits_of(union)
+            ):
                 column = cols[output_port] & free_inputs
-                blist = B[column] if column < 65536 else bits_of(column)
+                blist = B[column] if column < covered else bits_of(column)
                 k = len(blist)
                 if k == 1:
                     while getrandbits(1):
@@ -333,10 +357,10 @@ class BitmaskPim:
             # adds exactly ``popcount(granted)`` pairs and the free-input
             # mask can be updated wholesale afterwards).
             for input_port in (
-                B[granted] if granted < 65536 else bits_of(granted)
+                B[granted] if granted < covered else bits_of(granted)
             ):
                 row = grants[input_port]
-                blist = B[row] if row < 65536 else bits_of(row)
+                blist = B[row] if row < covered else bits_of(row)
                 k = len(blist)
                 if k == 1:
                     while getrandbits(1):
@@ -358,7 +382,7 @@ class BitmaskPim:
                 union = 0
                 for input_port in (
                     B[free_inputs]
-                    if free_inputs < 65536
+                    if free_inputs < covered
                     else bits_of(free_inputs)
                 ):
                     union |= masks[input_port]
@@ -440,6 +464,8 @@ class BitmaskIslip:
         grant_pointers = self.grant_pointers
         accept_pointers = self.accept_pointers
         rotate_pick = self._rotate_pick
+        B = _BITS16
+        covered = len(B)
 
         free_inputs = full & ~matched_inputs
         free_outputs = outputs & ~matched_outputs
@@ -449,8 +475,8 @@ class BitmaskIslip:
         if union is None:
             union = 0
             for input_port in (
-                _BITS16[free_inputs]
-                if free_inputs < 65536
+                B[free_inputs]
+                if free_inputs < covered
                 else bits_of(free_inputs)
             ):
                 union |= masks[input_port]
@@ -460,7 +486,7 @@ class BitmaskIslip:
             grants = [0] * n
             granted = 0
             for output_port in (
-                _BITS16[union] if union < 65536 else bits_of(union)
+                B[union] if union < covered else bits_of(union)
             ):
                 column = cols[output_port] & free_inputs
                 chosen = rotate_pick(column, grant_pointers[output_port])
@@ -468,7 +494,7 @@ class BitmaskIslip:
                 granted |= 1 << chosen
 
             for input_port in (
-                _BITS16[granted] if granted < 65536 else bits_of(granted)
+                B[granted] if granted < covered else bits_of(granted)
             ):
                 accepted = rotate_pick(
                     grants[input_port], accept_pointers[input_port]
@@ -487,8 +513,8 @@ class BitmaskIslip:
             free_outputs = outputs & ~matched_outputs
             union = 0
             for input_port in (
-                _BITS16[free_inputs]
-                if free_inputs < 65536
+                B[free_inputs]
+                if free_inputs < covered
                 else bits_of(free_inputs)
             ):
                 union |= masks[input_port]

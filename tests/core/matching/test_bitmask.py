@@ -17,12 +17,16 @@ The load-bearing claims, in order:
 """
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.conform.reference import IslipMatcher, ParallelIterativeMatcher
 from repro.core.matching.analysis import (
     is_legal_matching,
@@ -66,6 +70,51 @@ class TestBitHelpers:
         # The ascending order is the determinism contract shared with the
         # reference matchers' sorted() calls.
         assert bits_of(0b1011_0001) == (0, 4, 5, 7)
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``repro``; its stdout."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+class TestBitTable:
+    """The set-bit table is as wide as the widest matcher built (at most
+    16 bits) and grows in place by doubling; nothing is built at import."""
+
+    def test_bits_of_every_16_bit_mask(self):
+        for mask in range(1 << 16):
+            assert bits_of(mask) == tuple(
+                bit for bit in range(16) if mask >> bit & 1
+            )
+
+    def test_table_grows_in_place_to_the_widest_radix(self):
+        run_fresh(
+            "from repro.core.matching import bitmask\n"
+            "table = bitmask._BITS16\n"
+            "assert len(table) < 1024, len(table)\n"
+            "bitmask.BitmaskPim(10)\n"
+            "bitmask.BitmaskIslip(6)\n"
+            "assert bitmask._BITS16 is table and len(table) == 1024\n"
+            "assert bitmask.bits_of(1 << 12) == (12,)\n"
+            "assert len(table) == 1 << 13\n"
+            "bitmask.BitmaskIslip(20)\n"
+            "assert len(table) == 1 << 16\n"
+        )
+
+    def test_importing_repro_allocates_under_5_mb(self):
+        allocated = int(run_fresh(
+            "import tracemalloc\n"
+            "tracemalloc.start()\n"
+            "import repro\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        ))
+        assert allocated < 5 * 2**20
 
 
 class TestStrictPimEquivalence:

@@ -1,11 +1,14 @@
 """Tests for network assembly and operations."""
 
+import tracemalloc
+
 import pytest
 
 from repro._types import host_id, switch_id
 from repro.net.host import HostConfig
 from repro.net.network import Network, NetworkError
 from repro.net.packet import Packet
+from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
 from repro.switch.an1 import An1Config
 from repro.switch.switch import SwitchConfig
@@ -39,6 +42,32 @@ class TestAssembly:
         net = Network(topo, switch_config=fast_switch_config())
         assert net.link_between("h0", "s0").bps == 155_000_000
         assert net.link_between("s0", "s1").bps == 622_000_000
+
+    def test_a_huge_frame_costs_nothing_until_it_holds_a_reservation(self):
+        """A frame schedule holds only its reserved slots: twenty
+        switches with million-slot frames build in well under 8 MB, and
+        the frame's far end reserves and reads back like any slot."""
+        topo = fat_tree(k=4, hosts_per_edge=1).topology
+        tracemalloc.start()
+        try:
+            net = Network(
+                topo, seed=1,
+                switch_config=SwitchConfig(frame_slots=1_000_000),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        switch = net.switch("s0")
+        schedule = switch.frame_schedule
+        schedule.place(999_998, 0, 1)
+        assert schedule.slot_view(999_998) == {0: 1}
+        assert schedule.slot_assignments(999_998) == {0: 1}
+        assert schedule.next_slot(0, 1, 5) == 999_998
+        assert schedule.render() == "Slot 999999: 1->2"
+        switch.remove_reservation(0, 1, 1)
+        assert schedule.total_reserved() == 0
+        assert schedule.slot_view(999_998) == {}
 
     def test_start_idempotent(self):
         net = line_with_hosts(2)
