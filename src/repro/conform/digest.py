@@ -181,7 +181,6 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
             [
                 int(vc),
                 entry.out_port,
-                sorted(entry.out_ports) if entry.out_ports is not None else None,
                 entry.cells_forwarded,
             ]
             for vc, entry in sorted(table._entries.items())

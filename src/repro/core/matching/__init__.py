@@ -24,7 +24,6 @@ with the oracle, in :mod:`repro.conform.reference`.
 from repro.core.matching.analysis import (
     is_legal_matching,
     is_maximal_matching,
-    match_size,
 )
 from repro.core.matching.bitmask import (
     BitmaskIslip,
@@ -47,5 +46,4 @@ __all__ = [
     "is_maximal_matching",
     "iter_bits",
     "mask_of",
-    "match_size",
 ]

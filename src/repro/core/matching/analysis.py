@@ -3,8 +3,8 @@
 These are the invariants the paper states for PIM: "The algorithm ensures
 that the matching obtained is legal...  each output is paired with at most
 one input...  each input is paired with at most one output", and iterating
-until quiescence yields a *maximal* matching.  The property-based tests
-and the iteration-count benchmark (E2) use these helpers as oracles.
+until quiescence yields a *maximal* matching.  The matcher tests use
+these helpers as oracles.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from typing import Dict, Sequence, Set
 from repro.core.matching.maximum import hopcroft_karp
 
 Matching = Dict[int, int]
-
-
-def match_size(matching: Matching) -> int:
-    return len(matching)
 
 
 def is_legal_matching(
@@ -59,20 +55,3 @@ def is_maximal_matching(
 def maximum_size(requests: Sequence[Set[int]]) -> int:
     """Size of the true maximum matching (Hopcroft-Karp oracle)."""
     return len(hopcroft_karp(len(requests), requests))
-
-
-def greedy_completion(
-    requests: Sequence[Set[int]], matching: Matching
-) -> Matching:
-    """Extend ``matching`` greedily to a maximal one (deterministic)."""
-    extended = dict(matching)
-    matched_outputs = set(extended.values())
-    for input_port, wanted in enumerate(requests):
-        if input_port in extended:
-            continue
-        for output_port in sorted(wanted):
-            if output_port not in matched_outputs:
-                extended[input_port] = output_port
-                matched_outputs.add(output_port)
-                break
-    return extended

@@ -23,14 +23,11 @@ from repro.core.routing.circuits import (
     VcAllocator,
     VirtualCircuit,
 )
-from repro.core.routing.multicast import FanoutToken, MulticastSetupRequest
 from repro.core.routing.paths import Route, RouteComputer, RoutingError
 from repro.core.routing.updown import UpDownOrientation
 
 __all__ = [
     "CircuitState",
-    "FanoutToken",
-    "MulticastSetupRequest",
     "Route",
     "RouteComputer",
     "RoutingError",

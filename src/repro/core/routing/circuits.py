@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from repro._types import NodeId, VcId
 from repro.core.routing.paths import Route
@@ -43,9 +43,6 @@ class VirtualCircuit:
     source: NodeId
     destination: NodeId
     traffic_class: TrafficClass = TrafficClass.BEST_EFFORT
-    #: for multicast circuits: the full destination group (``destination``
-    #: then holds its first member, for display and packet metadata).
-    group: Optional[FrozenSet[NodeId]] = None
     route: Optional[Route] = None
     state: CircuitState = CircuitState.SETTING_UP
     cells_per_frame: int = 0  # > 0 only for guaranteed circuits

@@ -66,8 +66,8 @@ class SignalingTransport:
       ``host``, if any,
     - ``install_circuit(vc, in_port, out_port, request)``: create the
       routing-table entry and per-VC buffers,
-    - ``remove_circuit(vc)``: tear state down, returning the out ports
-      the circuit used (every fanout branch; empty if it did not exist),
+    - ``remove_circuit(vc)``: tear state down, returning the out port
+      the circuit used (``None`` if it or its routing entry is gone),
     - ``send_signaling(port_index, message)``: transmit a signaling cell.
     """
 
@@ -146,64 +146,12 @@ class SignalingAgent:
 
     # ------------------------------------------------------------------
     def handle(self, in_port: int, message) -> None:
-        from repro.core.routing.multicast import MulticastSetupRequest
-
         if isinstance(message, SetupRequest):
             self._handle_setup(in_port, message)
-        elif isinstance(message, MulticastSetupRequest):
-            self._handle_multicast_setup(in_port, message)
         elif isinstance(message, TeardownRequest):
             self._handle_teardown(in_port, message)
         else:
             raise TypeError(f"unknown signaling message {message!r}")
-
-    def _handle_multicast_setup(self, in_port: int, request) -> None:
-        """Group the destination set by next hop and branch the setup.
-
-        Each destination is routed exactly as a unicast setup would be;
-        destinations sharing a next hop share a branch.  The union of
-        branches is installed as one fanout entry.
-        """
-        from repro.core.routing.multicast import MulticastSetupRequest
-
-        self.setups_handled += 1
-        if request.hop_count >= self.max_hops:
-            self.setups_failed += 1
-            return
-        branches: dict = {}
-        unreachable = 0
-        for destination in sorted(request.destinations):
-            decision = choose_output(
-                self.transport, self.node_id, destination, request.gone_down
-            )
-            if decision is None:
-                unreachable += 1
-                continue
-            out_port, next_gone_down = decision
-            branch = branches.setdefault(
-                out_port, {"destinations": set(), "gone_down": next_gone_down}
-            )
-            branch["destinations"].add(destination)
-        if not branches:
-            self.setups_failed += 1
-            return
-        if unreachable:
-            self.setups_failed += 1  # partial tree; reachable leaves join
-        self.transport.install_multicast(
-            request.vc, in_port, frozenset(branches), request
-        )
-        for out_port in sorted(branches):
-            branch = branches[out_port]
-            self.transport.send_signaling(
-                out_port,
-                MulticastSetupRequest(
-                    vc=request.vc,
-                    source=request.source,
-                    destinations=frozenset(branch["destinations"]),
-                    gone_down=branch["gone_down"],
-                    hop_count=request.hop_count + 1,
-                ),
-            )
 
     def _handle_setup(self, in_port: int, request: SetupRequest) -> None:
         self.setups_handled += 1
@@ -227,5 +175,6 @@ class SignalingAgent:
 
     def _handle_teardown(self, in_port: int, request: TeardownRequest) -> None:
         self.teardowns_handled += 1
-        for out_port in self.transport.remove_circuit(request.vc):
+        out_port = self.transport.remove_circuit(request.vc)
+        if out_port is not None:
             self.transport.send_signaling(out_port, request)

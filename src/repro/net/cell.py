@@ -79,9 +79,6 @@ class Cell:
     seq: int = 0
     packet_id: Optional[int] = None
     created_at: float = 0.0
-    #: set on per-branch copies at a multicast fanout switch; the shared
-    #: token frees the input buffer when the last copy departs.
-    fanout_token: Any = None
     #: journey-trace context (:class:`repro.obs.journey.JourneyContext`),
     #: attached by the source host only while a journey trace is active;
     #: ``None`` for everything else, and every hop's

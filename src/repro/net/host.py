@@ -486,19 +486,9 @@ class Host(Node):
             ReserveRequest,
         )
 
-        from repro.core.routing.multicast import MulticastSetupRequest
-
         if isinstance(message, SetupRequest):
             self.incoming_circuits[message.vc] = message
             self.setup_received.fire(message)
-        elif isinstance(message, MulticastSetupRequest):
-            if self.node_id in message.destinations:
-                self.incoming_circuits[message.vc] = SetupRequest(
-                    vc=message.vc,
-                    source=message.source,
-                    destination=self.node_id,
-                )
-                self.setup_received.fire(message)
         elif isinstance(message, TeardownRequest):
             self.incoming_circuits.pop(message.vc, None)
             self.reassembler.abort(message.vc)

@@ -139,58 +139,6 @@ class Network(Installation):
             circuit.established_at = self.sim.now
         return circuit
 
-    def setup_multicast(
-        self,
-        source: NodeRef,
-        destinations,
-        wait: bool = True,
-        timeout_us: float = 200_000.0,
-    ) -> VirtualCircuit:
-        """Open a best-effort multicast circuit to a set of hosts.
-
-        A single multicast setup cell branches hop by hop into the
-        delivery tree (see :mod:`repro.core.routing.multicast`).
-        """
-        from repro.core.routing.multicast import MulticastSetupRequest
-        from repro.net.cell import Cell, CellKind
-
-        src = parse_node_id(source)
-        group = frozenset(parse_node_id(d) for d in destinations)
-        if not group:
-            raise ValueError("multicast needs at least one destination")
-        if src in group:
-            raise ValueError("source cannot be in its own group")
-        vc = self.vc_allocator.allocate()
-        circuit = VirtualCircuit(
-            vc=vc,
-            source=src,
-            destination=min(group),
-            group=group,
-            traffic_class=TrafficClass.BEST_EFFORT,
-        )
-        self.circuits[vc] = circuit
-        host = self.host(src)
-        host.open_circuit(vc, min(group), send_setup=False)
-        host.active_port.send(
-            Cell(
-                vc=1,
-                kind=CellKind.SIGNALING,
-                payload=MulticastSetupRequest(
-                    vc=vc, source=src, destinations=group
-                ),
-            )
-        )
-        if wait:
-            members = [self.host(d) for d in sorted(group)]
-            self.run_until(
-                lambda: all(vc in m.incoming_circuits for m in members),
-                timeout_us=timeout_us,
-                check_interval_us=100.0,
-            )
-            circuit.state = CircuitState.ESTABLISHED
-            circuit.established_at = self.sim.now
-        return circuit
-
     def reserve_bandwidth(
         self,
         source: NodeRef,

@@ -19,9 +19,6 @@ Propagation rules:
 - Every downstream instrumentation site guards with a single
   ``cell.trace_ctx is not None`` attribute check; cells of untraced
   runs pay exactly that check and nothing else.
-- Multicast fanout copies a cell with ``dataclasses.replace``, so
-  branch copies *share* one context: the journey shows the union of all
-  branches' hops, interleaved in time order.
 
 Stages emitted by the built-in instrumentation::
 

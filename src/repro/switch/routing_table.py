@@ -10,7 +10,7 @@ without consulting the circuit's source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List, Optional
 
 from repro._types import VcId
 from repro.constants import PENDING_BUFFER_CAP
@@ -20,12 +20,7 @@ from repro.net.cell import Cell
 
 @dataclass
 class RouteEntry:
-    """One circuit's state on the line card it *arrives* at.
-
-    Unicast circuits use ``out_port``; multicast fanout entries also
-    carry ``out_ports`` (and keep ``out_port`` as their lowest branch
-    for display/compatibility).
-    """
+    """One circuit's state on the line card it *arrives* at."""
 
     vc: VcId
     out_port: int
@@ -33,11 +28,6 @@ class RouteEntry:
     installed_at: float = 0.0
     cells_forwarded: int = 0
     last_activity: float = 0.0
-    out_ports: Optional[FrozenSet[int]] = None
-
-    @property
-    def is_multicast(self) -> bool:
-        return self.out_ports is not None and len(self.out_ports) > 1
 
 
 class RoutingTable:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro._types import NodeId, VcId
 from repro.constants import (
@@ -52,12 +52,10 @@ from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
 from repro.core.matching.bitmask import BitmaskPim, bits_of
 from repro.core.reconfig.monitor import PingPayload
 from repro.core.reconfig.skeptic import LinkVerdict
-from repro.core.routing.multicast import FanoutToken
 from repro.core.routing.signaling import (
     PageOut,
     SetupRequest,
     SignalingAgent,
-    TeardownRequest,
     choose_output,
 )
 from repro.net.cell import Cell, CellKind, TrafficClass
@@ -340,45 +338,13 @@ class AN2Switch(SwitchNode):
             self._enqueue(card, entry, cell)
         self._kick()
 
-    def install_multicast(
-        self, vc: VcId, in_port: int, out_ports, request
-    ) -> None:
-        """Install a fanout entry for a multicast circuit."""
-        card = self.cards[in_port]
-        ports = frozenset(out_ports)
-        # The stored request lets diagnostics see the group; reroute and
-        # paging skip fanout entries in this release (see multicast.py).
-        setup_like = SetupRequest(
-            vc=vc,
-            source=request.source,
-            destination=min(request.destinations),
-            traffic_class=TrafficClass.BEST_EFFORT,
-            gone_down=request.gone_down,
-            hop_count=request.hop_count,
-        )
-        entry = card.routing_table.install(
-            vc, min(ports), setup_like, self.sim.now
-        )
-        entry.out_ports = ports
-        card.routing_table.paged.pop(vc, None)
-        self._vc_in_port[vc] = in_port
-        card.credits.pool(vc)
-        # Each port touches its own card, but sort so per-card state is
-        # created in an order independent of the set's hash order.
-        for out_port in sorted(ports):
-            self.cards[out_port].credits.open_window(vc)
-            self._refresh_output(out_port, vc)
-        for cell in card.routing_table.take_pending(vc):
-            self._enqueue(card, entry, cell)
-        self._kick()
-
-    def remove_circuit(self, vc: VcId) -> Tuple[int, ...]:
-        """Free the circuit's state on its input card and on every
-        output branch; returns the out ports released, ascending (empty
-        when the circuit or its routing entry is already gone)."""
+    def remove_circuit(self, vc: VcId) -> Optional[int]:
+        """Free the circuit's state on its input and output cards;
+        returns the out port released (``None`` when the circuit or its
+        routing entry is already gone)."""
         in_port = self._vc_in_port.pop(vc, None)
         if in_port is None:
-            return ()
+            return None
         card = self.cards[in_port]
         entry = card.routing_table.lookup(vc)
         discarded = card.release_vc(vc)
@@ -388,12 +354,11 @@ class AN2Switch(SwitchNode):
         if discarded:
             self._kick()  # the queue that kept this switch armed may be gone
         if entry is None:
-            return ()
-        out_ports = tuple(sorted(entry.out_ports or (entry.out_port,)))
-        for out_port in out_ports:
-            self.cards[out_port].upstream.pop(vc, None)
-            self._refresh_output(out_port, vc)
-        return out_ports
+            return None
+        out_port = entry.out_port
+        self.cards[out_port].upstream.pop(vc, None)
+        self._refresh_output(out_port, vc)
+        return out_port
 
     def send_signaling(self, port_index: int, message) -> None:
         self.ports[port_index].send(
@@ -529,16 +494,6 @@ class AN2Switch(SwitchNode):
         if cell.traffic_class is TrafficClass.GUARANTEED:
             card.guaranteed_queues.push(entry.out_port, cell)
             self._queued += 1
-        elif entry.is_multicast:
-            # Fanout: one copy per branch; the shared token frees the
-            # input buffer when the last copy departs.
-            assert entry.out_ports is not None
-            token = FanoutToken(remaining=len(entry.out_ports))
-            for out_port in sorted(entry.out_ports):
-                copy = dataclasses.replace(cell, fanout_token=token)
-                if card.vc_queues.push(out_port, cell.vc, copy):
-                    self._refresh(card, out_port, cell.vc)
-            self._queued += len(entry.out_ports)
         else:
             if card.vc_queues.push(entry.out_port, cell.vc, cell):
                 self._refresh(card, entry.out_port, cell.vc)
@@ -694,12 +649,7 @@ class AN2Switch(SwitchNode):
                 elif not card.vc_queues.requests(out_port):
                     self._refresh(card, out_port, vc)  # last ready cell
                 if vc in card.downstream:
-                    token = cell.fanout_token
-                    if token is None or token.branch_departed():
-                        self._send_credit(in_port, vc)
-                # The token is this switch's bookkeeping; it must not
-                # ride to the next hop.
-                cell.fanout_token = None
+                    self._send_credit(in_port, vc)
                 entry = card.routing_table.lookup(vc)
                 if entry is not None:
                     entry.cells_forwarded += 1
@@ -802,8 +752,6 @@ class AN2Switch(SwitchNode):
         entry = card.routing_table.lookup(vc)
         if entry is None:
             return False
-        if entry.is_multicast:
-            return False  # fanout entries are not paged in this release
         if vc in card.vc_queues.queued_vcs(entry.out_port):
             return False  # never page out a circuit with cells queued
         out_port = entry.out_port
@@ -869,13 +817,6 @@ class AN2Switch(SwitchNode):
         """
         for card in self.cards:
             for entry in card.routing_table.entries():
-                if entry.is_multicast:
-                    # Fanout entries are not rerouted in this release; a
-                    # dead branch is counted broken (the paper leaves
-                    # multicast aside).
-                    if entry.out_ports and dead_port in entry.out_ports:
-                        self.stats.broken_circuits += 1
-                    continue
                 if entry.out_port != dead_port:
                     continue
                 if self._reroute_entry(card, entry):
@@ -903,8 +844,6 @@ class AN2Switch(SwitchNode):
         """Retry local reroute for circuits still routed at dead ports."""
         for card in self.cards:
             for entry in card.routing_table.entries():
-                if entry.is_multicast:
-                    continue
                 monitor = self.monitors.get(entry.out_port)
                 if monitor is None or monitor.verdict is LinkVerdict.WORKING:
                     continue

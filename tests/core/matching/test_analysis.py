@@ -1,10 +1,8 @@
 """Tests for matching analysis helpers."""
 
 from repro.core.matching.analysis import (
-    greedy_completion,
     is_legal_matching,
     is_maximal_matching,
-    match_size,
     maximum_size,
 )
 
@@ -34,21 +32,6 @@ def test_maximal_detection():
     assert not is_maximal_matching(requests, {1: 1})  # input 0 could take 0
 
 
-def test_greedy_completion_is_maximal():
-    requests = [{0, 1, 2}, {1, 2}, {2}]
-    completed = greedy_completion(requests, {})
-    assert is_maximal_matching(requests, completed)
-    assert is_legal_matching(requests, completed)
-
-
-def test_greedy_completion_preserves_existing():
-    requests = [{0, 1}, {0}]
-    completed = greedy_completion(requests, {0: 1})
-    assert completed[0] == 1
-    assert completed[1] == 0
-
-
 def test_maximum_size_and_match_size():
     requests = [{0, 1}, {0}]
     assert maximum_size(requests) == 2
-    assert match_size({0: 1}) == 1

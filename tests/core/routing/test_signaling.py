@@ -7,7 +7,7 @@ from repro.core.routing.paths import RouteComputer
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.packet import Packet
-from tests.conftest import converged_line, fast_switch_config
+from tests.conftest import converged_line, fast_host_config, fast_switch_config
 from repro.net.network import Network
 from repro.net.topology import Topology
 
@@ -144,3 +144,77 @@ def test_routing_bug_escapes_the_setup(small_net, monkeypatch):
     monkeypatch.setattr(RouteComputer, "attachment", broken)
     with pytest.raises(TypeError, match="broken attachment"):
         small_net.setup_circuit("h0", "h1")
+
+
+def corner_hosts_net(seed=3):
+    """Four hosts on the corners of a 2x2 switch grid."""
+    topo = Topology.grid(2, 2)
+    for h in range(4):
+        topo.add_host(h)
+    for h, s in ((0, 0), (1, 1), (2, 2), (3, 3)):
+        topo.connect(f"h{h}", f"s{s}", port_a=0, bps=622_000_000)
+    net = Network(
+        topo,
+        seed=seed,
+        switch_config=fast_switch_config(),
+        host_config=fast_host_config(),
+    )
+    net.start()
+    net.run_until_converged(timeout_us=500_000)
+    return net
+
+
+def _vc_state(net, vc):
+    """Every (switch, what) that still holds state for ``vc``."""
+    held = []
+    for name, switch in net.switches.items():
+        if vc in switch._vc_in_port:
+            held.append((str(name), "in_port"))
+        for card in switch.cards:
+            if card.routing_table.lookup(vc) is not None:
+                held.append((str(name), f"route@{card.index}"))
+            for what in ("upstream", "downstream"):
+                if vc in getattr(card, what):
+                    held.append((str(name), f"{what}@{card.index}"))
+    return held
+
+
+def _record_teardowns(net):
+    """Per-switch log of the ports each TeardownRequest was sent on."""
+    sent = {str(name): [] for name in net.switches}
+    for name, switch in net.switches.items():
+        def send(port, message, log=sent[str(name)], real=switch.send_signaling):
+            if isinstance(message, TeardownRequest):
+                log.append(port)
+            real(port, message)
+
+        switch.send_signaling = send
+    return sent
+
+
+def test_unicast_teardown_sends_one_request_per_hop():
+    net = corner_hosts_net()
+    circuit = net.setup_circuit("h0", "h3")
+    vc = circuit.vc
+    on_path = sorted(
+        str(name) for name, s in net.switches.items() if vc in s._vc_in_port
+    )
+    assert len(on_path) == 3  # s0, one of s1/s2, s3
+    sent = _record_teardowns(net)
+    net.host("h0").close_circuit(vc)
+    net.run(100_000)
+    assert _vc_state(net, vc) == []
+    assert vc not in net.host("h3").incoming_circuits
+    assert {name: len(ports) for name, ports in sent.items() if ports} == {
+        name: 1 for name in on_path
+    }
+
+
+def test_remove_circuit_without_entry_names_no_port():
+    net = corner_hosts_net()
+    s0 = net.switch("s0")
+    assert s0.remove_circuit(999) is None
+    # In-port known but routing entry already gone: the agent forwards
+    # on the returned port, so a placeholder like -1 would be sent on.
+    s0._vc_in_port[998] = 0
+    assert s0.remove_circuit(998) is None

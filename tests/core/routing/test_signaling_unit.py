@@ -2,7 +2,7 @@
 
 The network-level tests exercise the full path; these pin down the
 agent's own decisions (output choice, failure accounting, teardown
-forwarding, multicast branching) in isolation.
+forwarding) in isolation.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -10,7 +10,6 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro._types import host_id, switch_id
-from repro.core.routing.multicast import MulticastSetupRequest
 from repro.core.routing.paths import RouteComputer
 from repro.core.routing.signaling import (
     SetupRequest,
@@ -28,10 +27,9 @@ class FakeSignalingTransport:
         self.me = me
         self.attached = attached_hosts or {}
         self.installed: List[Tuple[int, int, int]] = []  # vc, in, out
-        self.multicast_installed: List[Tuple[int, int, frozenset]] = []
         self.removed: List[int] = []
         self.sent: List[Tuple[int, object]] = []
-        self.circuits: Dict[int, Tuple[int, ...]] = {}  # vc -> out ports
+        self.circuits: Dict[int, int] = {}  # vc -> out port
 
     def route_computer(self):
         return self.computer
@@ -41,15 +39,11 @@ class FakeSignalingTransport:
 
     def install_circuit(self, vc, in_port, out_port, request):
         self.installed.append((vc, in_port, out_port))
-        self.circuits[vc] = (out_port,)
-
-    def install_multicast(self, vc, in_port, out_ports, request):
-        self.multicast_installed.append((vc, in_port, frozenset(out_ports)))
-        self.circuits[vc] = tuple(sorted(out_ports))
+        self.circuits[vc] = out_port
 
     def remove_circuit(self, vc):
         self.removed.append(vc)
-        return self.circuits.pop(vc, ())
+        return self.circuits.pop(vc, None)
 
     def send_signaling(self, port_index, message):
         self.sent.append((port_index, message))
@@ -139,38 +133,3 @@ class TestTeardown:
         agent.handle(5, TeardownRequest(vc=99))
         assert transport.sent == []
 
-
-class TestMulticastBranching:
-    def test_destinations_grouped_by_next_hop(self):
-        # At s0: h1 is through the core; a locally attached host h0 would
-        # be its own branch.
-        agent, transport = make_agent(me=0, attached={host_id(0): 9})
-        request = MulticastSetupRequest(
-            vc=40,
-            source=host_id(1),
-            destinations=frozenset({host_id(0), host_id(1)}),
-        )
-        # h1 not local -> via core; h0 local -> port 9.  (Using h1 as both
-        # source and member is odd but legal for the branching logic.)
-        agent.handle(3, request)
-        assert len(transport.multicast_installed) == 1
-        vc, in_port, out_ports = transport.multicast_installed[0]
-        assert vc == 40 and in_port == 3
-        assert 9 in out_ports and len(out_ports) == 2
-        assert len(transport.sent) == 2
-        for port, message in transport.sent:
-            assert isinstance(message, MulticastSetupRequest)
-            assert message.hop_count == 1
-
-    def test_all_unreachable_fails(self):
-        agent, transport = make_agent(me=0)
-        agent.handle(
-            1,
-            MulticastSetupRequest(
-                vc=41,
-                source=host_id(0),
-                destinations=frozenset({host_id(7), host_id(8)}),
-            ),
-        )
-        assert agent.setups_failed == 1
-        assert transport.multicast_installed == []

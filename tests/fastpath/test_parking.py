@@ -195,18 +195,6 @@ def release_empties_a_credit_blocked_switch(seed, prepare, release):
     return net
 
 
-def multicast_fanout(seed, prepare):
-    net = grid(seed, prepare, credit_allocation=3)
-    group = net.setup_multicast("h0", ["h1", "h2", "h3"])
-    unicast = net.setup_circuit("h1", "h3")
-    send(net, group, cells=10, copies=5)
-    send(net, unicast, cells=10, copies=5)
-    net.run(200)  # copies wait on several branches, h3's the slowest
-    net.host("h0").close_circuit(group.vc)
-    net.run(40_000)
-    return net
-
-
 def lost_credits_with_resync(seed, prepare):
     net = boot(
         line_with_hosts(
@@ -300,7 +288,6 @@ CASES = {
     "stranded-page-out": partial(
         release_empties_a_credit_blocked_switch, release="page_out"
     ),
-    "multicast": multicast_fanout,
     "lost-credits": lost_credits_with_resync,
     "drift": drift_steps_on_a_parked_switch,
     "fat-tree": fat_tree_mixed,
@@ -330,7 +317,7 @@ ACTIONS = st.lists(
     st.tuples(
         st.sampled_from([
             "burst", "burst", "burst", "run", "run", "run", "open",
-            "multicast", "close", "remove", "page_out", "fail", "restore",
+            "close", "remove", "page_out", "fail", "restore",
             "crash", "credit_loss", "reserve", "release", "stream", "drift",
         ]),
         st.integers(min_value=0, max_value=10**6),
@@ -369,15 +356,6 @@ def scripted(seed, prepare, actions):
                 send(net, circuit, cells=1 + n % 12, copies=1 + n % 4)
         elif name == "run":
             net.run(20 + n % 3_000)
-        elif name == "multicast":
-            src = pick(hosts, n)
-            try:
-                group = net.setup_multicast(
-                    src, [h for h in hosts if h != src]
-                )
-            except Exception:
-                continue
-            net.host(src).send_raw_cells(group.vc, 1 + n % 20)
         elif name == "close" and unicast:
             circuit = unicast.pop(n % len(unicast))
             net.host(circuit.source).close_circuit(circuit.vc)

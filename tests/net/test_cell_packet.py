@@ -1,7 +1,5 @@
 """Tests for cells and packets."""
 
-import dataclasses
-
 import pytest
 
 from repro._types import host_id
@@ -31,18 +29,6 @@ class TestCell:
     def test_guaranteed_flag(self):
         cell = Cell(vc=1, traffic_class=TrafficClass.GUARANTEED)
         assert cell.is_guaranteed
-
-    def test_replace_copies_every_field(self):
-        """Fanout copies are ``dataclasses.replace`` of the original: the
-        copy keeps the uid and every header field, with its own token."""
-        cell = Cell(vc=3, end_of_packet=True, seq=2, packet_id=9, created_at=1.5)
-        token = object()
-        copy = dataclasses.replace(cell, fanout_token=token)
-        assert copy is not cell and copy.fanout_token is token
-        assert (copy.uid, copy.vc, copy.end_of_packet, copy.seq) == (
-            cell.uid, 3, True, 2,
-        )
-        assert cell.fanout_token is None
 
     def test_unknown_attribute_refused(self):
         cell = Cell(vc=1)

@@ -38,7 +38,7 @@ class TestDigestNeutrality:
     #: ``corruption_burst`` with no loss-recovery hooks at all, as the
     #: runner produced it before every run went through a solution.
     BARE_CORRUPTION_BURST = (
-        "0d58d28148b1d7b26c456ff641b203c8df3d238886618e738bc645d309f9a726"
+        "71a7c9fbaa557df5030392cd7125e24585e217d9f23f3e2ed9cc81ee84d4f67f"
     )
 
     def test_do_nothing_is_digest_identical_to_no_solution(self):

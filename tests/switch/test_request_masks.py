@@ -28,7 +28,6 @@ from repro._types import host_id
 from repro.conform.reference import ParallelIterativeMatcher
 from repro.core.flowcontrol.resync import ResyncReply
 from repro.core.matching.bitmask import bits_of
-from repro.core.routing.multicast import MulticastSetupRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -239,27 +238,6 @@ def test_contended_unicast_traffic(flow_control):
         assert switch.crossbar.want == 0 and switch._queued == 0
 
 
-def test_multicast_install_and_teardown_mid_traffic():
-    net = grid_net(credit_allocation=4)
-    audit = MaskAudit(net)
-    mc = net.setup_multicast("h0", ["h1", "h2", "h3"])
-    uni = net.setup_circuit("h1", "h3")
-    audit.check_all()
-    send(net, mc, "h0", "h1", cells=10, copies=6)
-    send(net, uni, "h1", "h3", cells=10, copies=6)
-    net.run(60)  # copies are queued on several branches right now
-    assert any(s._queued for s in net.switches.values())
-    net.host("h0").close_circuit(mc.vc)
-    net.run(20)
-    audit.check_all()
-    net.run(300_000)
-    audit.check_all()
-    assert len(net.host("h3").delivered) >= 6
-    for switch in net.switches.values():
-        assert mc.vc not in switch._vc_in_port
-        assert switch.crossbar.want == 0 and switch._queued == 0
-
-
 def test_remove_circuit_with_cells_queued():
     """Teardown discards a backlog whose request bits must go with it."""
     net = grid_net(credit_allocation=2)
@@ -448,7 +426,7 @@ def test_credit_reaches_every_card_holding_the_circuit():
 
 
 @pytest.mark.parametrize("release", ["remove_circuit", "page_out"])
-@pytest.mark.parametrize("install", ["install_circuit", "install_multicast"])
+@pytest.mark.parametrize("install", ["install_circuit"])
 def test_release_silences_the_other_card_and_reinstall_revives_it(
     release, install
 ):
@@ -465,13 +443,7 @@ def test_release_silences_the_other_card_and_reinstall_revives_it(
     net.run(200)
     audit.check_all()
     link.drop_filter = None
-    if install == "install_circuit":
-        s1.install_circuit(vc, new_in, out, request)
-    else:
-        s1.install_multicast(vc, new_in, [out], MulticastSetupRequest(
-            vc=vc, source=request.source,
-            destinations=frozenset({request.destination}),
-        ))
+    getattr(s1, install)(vc, new_in, out, request)
     audit.check_all()
     assert s1.crossbar.rows[old_card.index] == 1 << out
     net.run(500)
@@ -617,8 +589,7 @@ def test_switch_wider_than_the_masks_is_rejected():
 ACTIONS = st.lists(
     st.tuples(
         st.sampled_from([
-            "burst", "burst", "burst", "run", "run", "open", "open",
-            "multicast", "close",
+            "burst", "burst", "burst", "run", "run", "open", "open", "close",
             "remove", "page_out", "fail", "restore", "credit_loss",
             "duplicate_credit", "reserve", "reinstall",
         ]),
@@ -667,13 +638,6 @@ def test_random_control_actions(flow_control, seed, actions):
                 send(net, circuit, src, dst, cells=1 + n % 12, copies=1 + n % 5)
         elif name == "run":
             net.run(20 + n % 4_000)
-        elif name == "multicast":
-            src = pick(hosts, n)
-            try:
-                mc = net.setup_multicast(src, [h for h in hosts if h != src])
-            except Exception:
-                continue
-            net.host(src).send_raw_cells(mc.vc, 1 + n % 20)
         elif name == "close" and unicast:
             circuit, src, _ = unicast.pop(n % len(unicast))
             net.host(src).close_circuit(circuit.vc)
@@ -711,7 +675,7 @@ def test_random_control_actions(flow_control, seed, actions):
             for switch in net.switches.values():
                 if circuit.vc in switch._vc_in_port:
                     card, entry = in_card_and_entry(switch, circuit.vc)
-                    if entry is not None and not entry.is_multicast:
+                    if entry is not None:
                         wired = [c.index for c in switch.cards if c.port.connected]
                         switch.install_circuit(
                             circuit.vc, pick(wired, n), pick(wired, n // 3),
