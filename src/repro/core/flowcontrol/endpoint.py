@@ -26,7 +26,7 @@ from repro._types import VcId
 from repro.core.flowcontrol.credits import DownstreamCredits, UpstreamCredits
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.core.flowcontrol.sizing import credits_for_link
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import BEST_EFFORT, CREDIT, Cell, CellKind
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
 
@@ -93,7 +93,7 @@ class CreditEndpoint:
         the wire.  Returns whether a credit was sent."""
         self.downstream[vc].free()
         if self.credit_mode:
-            self.port.send(Cell(vc=vc, kind=CellKind.CREDIT, payload=1))
+            self.port.send(Cell(vc, CREDIT, BEST_EFFORT, 1))
         return self.credit_mode
 
     def note_stall(self, window: UpstreamCredits) -> None:

@@ -33,7 +33,7 @@ in-memory message bus and the network tests with real simulated cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import AbstractSet, Optional, Sequence, Set
 
 from repro._types import NodeId
 from repro.core.reconfig.epoch import GENESIS, EpochTag
@@ -60,10 +60,10 @@ class ReconfigTransport:
       (the switch model adds line-card software latency).
     """
 
-    def reconfig_ports(self) -> List[int]:  # pragma: no cover - interface
+    def reconfig_ports(self) -> Sequence[int]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def local_edges(self) -> Set[Edge]:  # pragma: no cover - interface
+    def local_edges(self) -> AbstractSet[Edge]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def send_reconfig(self, port_index: int, message) -> None:  # pragma: no cover
@@ -157,11 +157,11 @@ class ReconfigurationAgent:
             # complete this node's subtree and emit its TopologyReport on
             # the same (FIFO) link, and the parent only accepts reports
             # from ports it has recorded as children.
-            self._send(port_index, InvitationAck(message.tag, accepted=True))
+            self._send(port_index, InvitationAck(message.tag, True))
             self._join(message.tag, parent_port=port_index, depth=message.depth + 1)
         else:
             # Already in this configuration (or a newer one): decline.
-            self._send(port_index, InvitationAck(message.tag, accepted=False))
+            self._send(port_index, InvitationAck(message.tag, False))
 
     def _handle_ack(self, port_index: int, message: InvitationAck) -> None:
         if not self.active or message.tag != self.stored_tag:
@@ -215,7 +215,7 @@ class ReconfigurationAgent:
         ]
         self._pending_acks = set(invite_ports)
         for port_index in invite_ports:
-            self._send(port_index, Invitation(tag, depth=depth))
+            self._send(port_index, Invitation(tag, depth))
             self.stats.invitations_sent += 1
         if self.watchdog_us > 0:
             self._watchdog = self.sim.schedule(

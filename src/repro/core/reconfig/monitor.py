@@ -15,17 +15,20 @@ consecutive unanswered pings are reported to the port's
 :class:`~repro.core.reconfig.skeptic.Skeptic` as a failure; any answered
 ping is reported as (candidate) recovery.  The *skeptic* decides when the
 published link verdict actually changes.
+
+Each ping's ack timeout is a kernel event that the ack cancels, so on a
+healthy line only the pings themselves are dispatched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro._types import NodeId
 from repro.core.reconfig.skeptic import Skeptic
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import BEST_EFFORT, PING, Cell
 from repro.net.port import Port
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 
 
 class PingPayload(NamedTuple):
@@ -57,6 +60,7 @@ class PortMonitor:
         ack_timeout_us: float = 500.0,
         miss_threshold: int = 3,
         start_offset_us: float = 0.0,
+        on_neighbor: Optional[Callable[[], None]] = None,
     ) -> None:
         if ack_timeout_us >= ping_interval_us:
             raise ValueError(
@@ -73,8 +77,11 @@ class PortMonitor:
         self.miss_threshold = miss_threshold
         self._start_offset_us = start_offset_us
         self.neighbor: Optional[Tuple[NodeId, int]] = None
+        #: called when an ack names a different neighbour than the last.
+        self.on_neighbor = on_neighbor
         self._seq = 0
-        self._outstanding: Dict[int, float] = {}
+        #: unanswered pings: seq -> their pending timeout event.
+        self._outstanding: Dict[int, Event] = {}
         self._misses = 0
         self.pings_sent = 0
         self.acks_received = 0
@@ -94,18 +101,21 @@ class PortMonitor:
     def _send_ping(self) -> None:
         self._seq += 1
         seq = self._seq
-        payload = PingPayload(self.owner_id, self.port.index, seq)
-        self._outstanding[seq] = self.sim.now
+        sim = self.sim
+        port = self.port
         self.pings_sent += 1
-        self.port.send(Cell(vc=0, kind=CellKind.PING, payload=payload))
-        self.sim.schedule(self.ack_timeout_us, self._check_timeout, seq)
-        self.sim.schedule(self.ping_interval_us, self._send_ping)
+        payload = PingPayload(self.owner_id, port.index, seq)
+        port.send(Cell(0, PING, BEST_EFFORT, payload))
+        self._outstanding[seq] = sim.schedule(
+            self.ack_timeout_us, self._check_timeout, seq
+        )
+        sim.schedule(self.ping_interval_us, self._send_ping)
         # Let the skeptic's probation and decay timers advance.
-        self.skeptic.tick(self.sim.now)
+        skeptic = self.skeptic
+        if not skeptic.at_rest:
+            skeptic.tick(sim.now)
 
     def _check_timeout(self, seq: int) -> None:
-        if seq not in self._outstanding:
-            return
         del self._outstanding[seq]
         self._misses += 1
         # Tracer-only: a dead link times out every ping interval, which
@@ -122,14 +132,22 @@ class PortMonitor:
 
     def on_ack(self, payload: PingAckPayload) -> None:
         """Called by the owning node when a PING_ACK for this port arrives."""
-        sent_at = self._outstanding.pop(payload.seq, None)
-        if sent_at is None:
+        timeout = self._outstanding.pop(payload.seq, None)
+        if timeout is None:
             return  # late or duplicate ack
+        timeout.cancel()
         self.acks_received += 1
         self._misses = 0
-        self.neighbor = (payload.responder, payload.responder_port)
-        self.skeptic.report_recovery(self.sim.now)
-        self.skeptic.tick(self.sim.now)
+        neighbor = (payload.responder, payload.responder_port)
+        if neighbor != self.neighbor:
+            self.neighbor = neighbor
+            if self.on_neighbor is not None:
+                self.on_neighbor()
+        skeptic = self.skeptic
+        if not skeptic.at_rest:
+            now = self.sim.now
+            skeptic.report_recovery(now)
+            skeptic.tick(now)
 
     # ------------------------------------------------------------------
     @property

@@ -77,6 +77,9 @@ class Skeptic:
         self.on_verdict = on_verdict
         self.level = 0
         self._state = _State.WORKING
+        #: WORKING at level 0: :meth:`tick` and :meth:`report_recovery`
+        #: would do nothing, so the monitor skips them.
+        self.at_rest = True
         self._verdict = LinkVerdict.WORKING
         self._probation_ends: Optional[float] = None
         self._working_since: Optional[float] = 0.0
@@ -131,6 +134,7 @@ class Skeptic:
         # continued flakiness), escalates and kills the link.
         self._note("skeptic.failure", state=self._state.value)
         self.level = min(self.level + 1, self.max_level)
+        self.at_rest = False
         if self._state is _State.WORKING:
             self._enter_dead(now)
         else:
@@ -159,6 +163,7 @@ class Skeptic:
             self._probation_ends = None
             self._working_since = now
             self._last_decay = now
+            self.at_rest = self.level == 0
             self._publish(LinkVerdict.WORKING, now)
         self._maybe_decay(now)
 
@@ -178,6 +183,7 @@ class Skeptic:
         ):
             self.level -= 1
             self._last_decay += self.decay_interval_us
+        self.at_rest = self.level == 0
 
     def _publish(self, verdict: LinkVerdict, now: float) -> None:
         if verdict is self._verdict:

@@ -51,6 +51,18 @@ class TrafficClass(enum.Enum):
     BEST_EFFORT = "best_effort"  # Variable Bit Rate
 
 
+# The members as module globals: per-cell paths import these and test a
+# cell's kind or class against them, far cheaper than an enum attribute.
+DATA = CellKind.DATA
+CREDIT = CellKind.CREDIT
+PING = CellKind.PING
+PING_ACK = CellKind.PING_ACK
+RECONFIG = CellKind.RECONFIG
+SIGNALING = CellKind.SIGNALING
+GUARANTEED = TrafficClass.GUARANTEED
+BEST_EFFORT = TrafficClass.BEST_EFFORT
+
+
 _cell_ids = itertools.count()
 
 

@@ -36,7 +36,10 @@ from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.aal import Reassembler, ReassemblyError, Segmenter
-from repro.net.cell import Cell, CellKind, TrafficClass
+from repro.net.cell import (
+    BEST_EFFORT, CREDIT, DATA, PING, PING_ACK, RECONFIG, SIGNALING,
+    Cell, CellKind, TrafficClass,
+)
 from repro.obs.journey import attach_journey
 from repro.net.node import Node, validate_device_config
 from repro.net.packet import Packet
@@ -98,6 +101,8 @@ class Host(Node):
         (``flow_control``, ``credit_allocation``, ``frame_slots``,
         ``resync_interval_us``) is read from the switches' config."""
         super().__init__(sim, node_id, n_ports)
+        # The controller answers a ping this long after it arrives.
+        self.cell_delay_us = {PING: PING_REPLY_DELAY_US}
         self.streams = streams
         self.switch_config = switch_config
         self.config = config if config is not None else HostConfig()
@@ -402,19 +407,17 @@ class Host(Node):
     # ==================================================================
     def on_cell(self, port: Port, cell: Cell) -> None:
         kind = cell.kind
-        if kind is CellKind.DATA:
+        if kind is DATA:
             self._accept_data(port, cell)
-        elif kind is CellKind.CREDIT:
+        elif kind is CREDIT:
             self._accept_credit(port, cell)
-        elif kind is CellKind.PING:
-            self.sim.schedule(
-                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
-            )
-        elif kind is CellKind.PING_ACK:
+        elif kind is PING:
+            self._reply_ping(port.index, cell.payload)
+        elif kind is PING_ACK:
             self._accept_ping_ack(port.index, cell.payload)
-        elif kind is CellKind.SIGNALING:
+        elif kind is SIGNALING:
             self._accept_signaling(cell.payload, port=port)
-        elif kind is CellKind.RECONFIG:
+        elif kind is RECONFIG:
             pass  # hosts do not participate in reconfiguration
         else:
             raise ValueError(f"host cannot handle cell kind {kind}")
@@ -425,7 +428,7 @@ class Host(Node):
     def _accept_data(self, port: Port, cell: Cell) -> None:
         self.cells_received += 1
         self.received_counts[cell.vc] = self.received_counts.get(cell.vc, 0) + 1
-        if cell.traffic_class is TrafficClass.BEST_EFFORT:
+        if cell.traffic_class is BEST_EFFORT:
             # The controller drains cells into host memory immediately, so
             # the buffer is free the moment the cell arrives.
             credits = self.credits[port.index]

@@ -9,6 +9,13 @@ switches connected by full-duplex links".  A :class:`Link` joins two
 - failure state (a dead link delivers nothing), and
 - a cell error rate for the intermittent faults the skeptic watches for.
 
+A cell costs one kernel event: the link delivers it at its arrival plus
+the receiving node's processing delay for the cell's kind
+(:attr:`~repro.net.node.Node.cell_delay_us`; zero for data and credit
+cells), and the node handles it inside that event.  Whether the cable
+carried the cell is judged by its state at arrival; the drop filter
+and the error draw are taken at delivery.
+
 Failure and error injection are first-class because the paper's headline
 demo is "pulling the plug on an arbitrary switch" and the skeptic exists
 precisely because "a faulty link may exhibit intermittent failures".
@@ -18,10 +25,10 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.constants import CELL_BITS, FAST_LINK_BPS, PROPAGATION_US_PER_KM
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import DATA, Cell, CellKind
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,6 +77,11 @@ class Link:
         self.latency_us = length_km * PROPAGATION_US_PER_KM
         self.cell_time_us = CELL_BITS / bps * 1e6
         self.state = LinkState.WORKING
+        #: when :attr:`state` last changed, and ``(time, state before)``
+        #: of each change a cell still being delivered may have arrived
+        #: before (see :meth:`_state_at`).
+        self._changed_at = float("-inf")
+        self._changes: List[Tuple[float, LinkState]] = []
         self.error_rate = 0.0
         #: targeted fault injection: when set, a delivered cell for which
         #: the predicate returns True is corrupted (dropped) regardless
@@ -118,6 +130,8 @@ class Link:
         self.deliver_hook: Optional[Callable[["Link", int, Cell], bool]] = None
         port_a.attach(self, 0)
         port_b.attach(self, 1)
+        #: per direction, the receiving node's processing delay by kind.
+        self._delays = (port_b.node.cell_delay_us, port_a.node.cell_delay_us)
 
     # ------------------------------------------------------------------
     def _default_rng(self) -> _random_module.Random:
@@ -170,7 +184,7 @@ class Link:
             raise ValueError(f"bad direction {direction}")
         if self.state is not WORKING:
             self.cells_dropped += 1
-            if cell.kind is CellKind.DATA:
+            if cell.kind is DATA:
                 self.data_cells_dropped += 1
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
@@ -191,7 +205,18 @@ class Link:
         if self.tx_observers:
             for observer in list(self.tx_observers):
                 observer(self, direction, cell)
-        self.sim.schedule_at(arrival, self._deliver, direction, cell)
+        kind = cell.kind
+        self.sim.schedule_at(
+            arrival if kind is DATA
+            else arrival + self._delays[direction].get(kind, 0.0),
+            self._deliver, direction, cell, arrival,
+        )
+
+    def delay_us(self, direction: int, kind: CellKind) -> float:
+        """How long after its arrival a ``kind`` cell sent in
+        ``direction`` is delivered: the receiving node's processing
+        delay for the kind (:attr:`~repro.net.node.Node.cell_delay_us`)."""
+        return self._delays[direction].get(kind, 0.0)
 
     def target_port(self, direction: int) -> "Port":
         """The receiving port for ``direction`` (0: port_b, 1: port_a)."""
@@ -199,11 +224,17 @@ class Link:
             raise ValueError(f"bad direction {direction}")
         return self.port_b if direction == 0 else self.port_a
 
-    def _deliver(self, direction: int, cell: Cell) -> None:
+    def _deliver(self, direction: int, cell: Cell, arrival: float) -> None:
+        """The cell's one event, at ``arrival`` plus the receiver's
+        processing delay: judge the cable as it was at ``arrival``, then
+        the drop filter and the error draw, then hand the cell over."""
         ctx = cell.trace_ctx
-        if self.state is not WORKING:
+        if (
+            self.state if self._changed_at <= arrival
+            else self._state_at(arrival)
+        ) is not WORKING:
             self.cells_dropped += 1
-            if cell.kind is CellKind.DATA:
+            if cell.kind is DATA:
                 self.data_cells_dropped += 1
             if ctx is not None:
                 ctx.record(
@@ -252,9 +283,12 @@ class Link:
     # fault injection
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Cut the link.  Every cell's delivery event checks ``working``
-        at its own arrival time: cells arriving while the link is down
-        are lost, cells still in flight when it is restored get through.
+        """Cut the link.  Every cell is judged by the link's state at its
+        own arrival time: cells arriving while the link is down are
+        lost, cells still in flight when it is restored get through, and
+        a cell that arrived before the cut is handled even if the cut
+        falls inside the receiver's processing delay.  A change at the
+        very time of arrival counts as before it.
         """
         self._set_state(LinkState.DEAD)
 
@@ -265,9 +299,29 @@ class Link:
     def _set_state(self, state: LinkState) -> None:
         if state is self.state:
             return
+        now = self.sim.now
+        # A cell still to be delivered arrived at most the largest
+        # processing delay ago; older changes cannot concern it.
+        oldest = now - max(
+            (*self._delays[0].values(), *self._delays[1].values(), 0.0)
+        )
+        changes = self._changes
+        while changes and changes[0][0] < oldest:
+            del changes[0]
+        changes.append((now, self.state))
+        self._changed_at = now
         self.state = state
         for observer in list(self.state_observers):
             observer(self, state)
+
+    def _state_at(self, time: float) -> LinkState:
+        """The state the link was in at ``time``, after every change made
+        at or before it (``time`` no older than the largest processing
+        delay)."""
+        for changed_at, before in self._changes:
+            if changed_at > time:
+                return before
+        return self.state
 
     def set_error_rate(self, rate: float) -> None:
         """Fraction of delivered cells silently corrupted (dropped)."""

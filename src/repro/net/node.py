@@ -7,15 +7,16 @@ import dataclasses
 import functools
 import math
 import typing
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro._types import NodeId, PortIndex
 from repro.core.reconfig.monitor import PingAckPayload, PingPayload, PortMonitor
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import BEST_EFFORT, PING_ACK, Cell, CellKind
 from repro.net.port import Port
 from repro.net.topology import Edge
 from repro.sim.kernel import Simulator
+
 
 #: monitoring fields the device configs share, each ``>= 0`` where
 #: present (``miss_threshold``, which all have, must be ``>= 1``).
@@ -107,6 +108,13 @@ class Node:
         #: one per cabled port once :meth:`start_monitors` has run,
         #: inserted port-ascending.
         self.monitors: Dict[PortIndex, PortMonitor] = {}
+        #: the software's processing delay (us) per cell kind: a cell of
+        #: a kind named here is handled that long after it arrives, one
+        #: of any other kind on arrival.  The link schedules the cell's
+        #: one delivery event at arrival plus this delay.
+        self.cell_delay_us: Dict[CellKind, float] = {}
+        #: :meth:`local_edges`, until a verdict or a neighbour changes.
+        self._local_edges: Optional[FrozenSet[Edge]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -135,7 +143,9 @@ class Node:
                 base_wait_us=config.skeptic_base_wait_us,
                 max_level=config.skeptic_max_level,
                 decay_interval_us=config.skeptic_decay_us,
-                on_verdict=functools.partial(self._on_verdict, port.index),
+                on_verdict=functools.partial(
+                    self._verdict_published, port.index
+                ),
             )
             monitor = PortMonitor(
                 self.sim,
@@ -146,9 +156,21 @@ class Node:
                 ack_timeout_us=config.ack_timeout_us,
                 miss_threshold=config.miss_threshold,
                 start_offset_us=jitter.uniform(0.0, config.ping_interval_us),
+                on_neighbor=self._forget_link_views,
             )
             monitor.start()
             self.monitors[port.index] = monitor
+
+    def _forget_link_views(self) -> None:
+        """A verdict or a neighbour identity changed: the cached answers
+        of :meth:`local_edges` (and a subclass's) are stale."""
+        self._local_edges = None
+
+    def _verdict_published(
+        self, port_index: PortIndex, verdict: LinkVerdict, now: float
+    ) -> None:
+        self._forget_link_views()
+        self._on_verdict(port_index, verdict, now)
 
     def _on_verdict(
         self, port_index: PortIndex, verdict: LinkVerdict, now: float
@@ -162,13 +184,9 @@ class Node:
         if not port.connected:
             return
         ack = PingAckPayload(
-            sender=ping.sender,
-            sender_port=ping.sender_port,
-            seq=ping.seq,
-            responder=self.node_id,
-            responder_port=port_index,
+            ping.sender, ping.sender_port, ping.seq, self.node_id, port_index
         )
-        port.send(Cell(vc=0, kind=CellKind.PING_ACK, payload=ack))
+        port.send(Cell(0, PING_ACK, BEST_EFFORT, ack))
 
     def _accept_ping_ack(
         self, port_index: PortIndex, ack: PingAckPayload
@@ -202,14 +220,18 @@ class Node:
         end = (self.node_id, port_index)
         return (end, neighbor) if end <= neighbor else (neighbor, end)
 
-    def local_edges(self) -> Set[Edge]:
+    def local_edges(self) -> FrozenSet[Edge]:
         """Edges this node vouches for: every port with a working,
-        identified neighbour, hosts included."""
-        return {
-            self.edge_on_port(index)
-            for index in self.monitors
-            if self.working_neighbor(index) is not None
-        }
+        identified neighbour, hosts included.  Cached until a verdict or
+        a neighbour identity changes."""
+        edges = self._local_edges
+        if edges is None:
+            edges = self._local_edges = frozenset(
+                self.edge_on_port(index)
+                for index in self.monitors
+                if self.working_neighbor(index) is not None
+            )
+        return edges
 
     def port_facing(self, node: NodeId) -> Optional[int]:
         """The lowest port whose working neighbour is ``node``."""

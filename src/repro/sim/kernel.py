@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.trace import Tracer
 
 
+#: the horizon of a run without ``until`` (no event time exceeds it) and
+#: the event budget of one without ``max_events``.
+_FOREVER = float("inf")
+
+
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
 
@@ -291,6 +296,8 @@ class Simulator:
         self._running = True
         queue = self._queue
         heappop = heapq.heappop
+        horizon = _FOREVER if until is None else until
+        limit = _FOREVER if max_events is None else max_events
         executed = 0
         try:
             while queue:
@@ -299,9 +306,7 @@ class Simulator:
                     heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head[0] > until:
-                    break
-                if max_events is not None and executed >= max_events:
+                if head[0] > horizon or executed >= limit:
                     break
                 heappop(queue)
                 head[4] = None
@@ -362,6 +367,8 @@ class Simulator:
         profiler = self._profiler
         queue = self._queue
         heappop = heapq.heappop
+        horizon = _FOREVER if until is None else until
+        limit = _FOREVER if max_events is None else max_events
         executed = 0
         try:
             while queue:
@@ -370,9 +377,7 @@ class Simulator:
                     heappop(queue)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and head[0] > until:
-                    break
-                if max_events is not None and executed >= max_events:
+                if head[0] > horizon or executed >= limit:
                     break
                 heappop(queue)
                 head[4] = None

@@ -5,9 +5,9 @@ repair (an end-to-end RTT plus a go-back-N window of waste), the two
 ports of a link repair it between themselves in roughly one *link*
 round trip:
 
-- the sending port numbers every cell it serializes (a per-direction
-  link-local sequence, assigned via ``Link.tx_observers``) and keeps a
-  copy in a bounded retransmit buffer;
+- the sending port numbers every cell it serializes (a link-local
+  sequence per lane, assigned via ``Link.tx_observers``) and keeps a
+  copy in a bounded retransmit buffer per direction;
 - the receiving port detects the corruption (the link's adjudication
   hook fires with reason ``"filtered"`` or ``"error"``) and NACKs the
   sequence number over the reverse direction -- modelled as a scheduled
@@ -27,18 +27,40 @@ itself be lost), and the implicit cumulative ack that frees a buffered
 copy is delivery at the far port.  Both err in link_retx's favour by a
 cell time or two; the comparison the A6 study cares about -- link RTT
 recovery versus end-to-end RTT recovery -- dwarfs that.
+
+A *lane* is the cells of one direction that the receiving node handles
+equally long after their arrival (:meth:`Link.delay_us`: data and credit
+cells on arrival, a ping or a reconfiguration message after the
+software's processing delay).  The link delivers each lane in transmit
+order, so each lane is numbered and resequenced on its own: a control
+cell still inside its processing delay never holds back the data cells
+that arrive behind it, and every lane keeps the order it had on the wire.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.flowcontrol.sizing import retx_buffer_for_link
 from repro.net.cell import Cell
 from repro.net.link import Link
 from repro.sim.kernel import Simulator
 from repro.solutions.base import Solution, register
+
+
+class _Lane:
+    """Numbering and resequencing state of one lane (see the module
+    docstring)."""
+
+    __slots__ = ("direction", "next_seq", "expected", "holdback", "lost")
+
+    def __init__(self, direction: int) -> None:
+        self.direction = direction
+        self.next_seq = 0
+        self.expected = 0                    # receiver resequencer cursor
+        self.holdback: Dict[int, Cell] = {}
+        self.lost: Set[int] = set()
 
 
 class LinkRetxGuard:
@@ -86,15 +108,13 @@ class LinkRetxGuard:
             else 4 * self.buffer_cells
         )
         # -- per-direction state (index 0: a->b, 1: b->a) --------------
-        self._next_seq = [0, 0]
+        #: lanes by the receiver's processing delay.
+        self._lanes: List[Dict[float, _Lane]] = [{}, {}]
         self._seq_of: List[Dict[int, int]] = [{}, {}]  # cell.uid -> seq
-        self._buffer: List["OrderedDict[int, Cell]"] = [
+        self._buffer: List["OrderedDict[Tuple[_Lane, int], Cell]"] = [
             OrderedDict(), OrderedDict(),
         ]
-        self._resends_left: List[Dict[int, int]] = [{}, {}]
-        self._expected = [0, 0]          # receiver resequencer cursor
-        self._holdback: List[Dict[int, Cell]] = [{}, {}]
-        self._lost: List[Set[int]] = [set(), set()]
+        self._resends_left: Dict[Tuple[_Lane, int], int] = {}
         # -- counters --------------------------------------------------
         self.nacks = 0
         self.resends = 0
@@ -132,6 +152,21 @@ class LinkRetxGuard:
         """Cells currently held in the retransmit buffers (both ways)."""
         return len(self._buffer[0]) + len(self._buffer[1])
 
+    def held_back(self) -> int:
+        """Cells the resequencers hold back behind a gap (both ways)."""
+        return sum(
+            len(lane.holdback)
+            for lanes in self._lanes for lane in lanes.values()
+        )
+
+    def _lane(self, direction: int, cell: Cell) -> _Lane:
+        delay = self.link.delay_us(direction, cell.kind)
+        lanes = self._lanes[direction]
+        lane = lanes.get(delay)
+        if lane is None:
+            lane = lanes[delay] = _Lane(direction)
+        return lane
+
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
@@ -139,11 +174,12 @@ class LinkRetxGuard:
         seqs = self._seq_of[direction]
         if cell.uid in seqs:
             return  # a resend keeps its original sequence number
-        seq = self._next_seq[direction]
-        self._next_seq[direction] = seq + 1
+        lane = self._lane(direction, cell)
+        seq = lane.next_seq
+        lane.next_seq = seq + 1
         seqs[cell.uid] = seq
         buffer = self._buffer[direction]
-        buffer[seq] = cell
+        buffer[lane, seq] = cell
         if len(buffer) > self.buffer_cells:
             # Bounded buffer: evict the oldest unacknowledged copy; a
             # later NACK for it is answered by declaring the cell lost.
@@ -153,15 +189,15 @@ class LinkRetxGuard:
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
 
-    def _resend(self, direction: int, seq: int) -> None:
-        if seq < self._expected[direction] or seq in self._lost[direction]:
+    def _resend(self, lane: _Lane, seq: int) -> None:
+        if seq < lane.expected or seq in lane.lost:
             return  # settled while the NACK was in flight
-        cell = self._buffer[direction].get(seq)
+        cell = self._buffer[lane.direction].get((lane, seq))
         if cell is None or not self.link.working:
-            self._abandon(direction, seq)
+            self._abandon(lane, seq)
             return
         self.resends += 1
-        self.link.transmit(direction, cell)
+        self.link.transmit(lane.direction, cell)
 
     # ------------------------------------------------------------------
     # receiver side: detection
@@ -172,23 +208,23 @@ class LinkRetxGuard:
         seq = self._seq_of[direction].get(cell.uid)
         if seq is None:
             return  # never numbered (transmitted before the guard attached)
-        if seq < self._expected[direction] or seq in self._lost[direction]:
+        lane = self._lane(direction, cell)
+        if seq < lane.expected or seq in lane.lost:
             return
         if reason == "dead":
             # Nothing to NACK over a dead link; recovery is the
             # reconfiguration layer's job.  Declare the cell lost so the
             # resequencer never waits for it.
-            self._abandon(direction, seq)
+            self._abandon(lane, seq)
             return
-        remaining = self._resends_left[direction].setdefault(
-            seq, self.max_resends
-        )
-        if remaining <= 0 or seq not in self._buffer[direction]:
-            self._abandon(direction, seq)
+        key = (lane, seq)
+        remaining = self._resends_left.setdefault(key, self.max_resends)
+        if remaining <= 0 or key not in self._buffer[direction]:
+            self._abandon(lane, seq)
             return
-        self._resends_left[direction][seq] = remaining - 1
+        self._resends_left[key] = remaining - 1
         self.nacks += 1
-        self.sim.schedule(self.nack_delay_us, self._resend, direction, seq)
+        self.sim.schedule(self.nack_delay_us, self._resend, lane, seq)
 
     # ------------------------------------------------------------------
     # receiver side: resequencing
@@ -197,63 +233,64 @@ class LinkRetxGuard:
         seq = self._seq_of[direction].get(cell.uid)
         if seq is None:
             return False  # unnumbered: let the link deliver directly
-        if seq < self._expected[direction] or seq in self._lost[direction]:
+        lane = self._lane(direction, cell)
+        if seq < lane.expected or seq in lane.lost:
             self.duplicates += 1
             return True  # late copy of a settled sequence; swallow it
-        if seq == self._expected[direction]:
-            self._release(direction, seq, cell)
-            self._expected[direction] = seq + 1
-            self._drain(direction)
+        if seq == lane.expected:
+            self._release(lane, seq, cell)
+            lane.expected = seq + 1
+            self._drain(lane)
             return True
         # A gap (its recovery is in flight) precedes us: hold FIFO order.
-        self._holdback[direction][seq] = cell
-        if len(self._holdback[direction]) > self.holdback_limit:
+        lane.holdback[seq] = cell
+        if len(lane.holdback) > self.holdback_limit:
             # The gap is taking too long to fill; fall back to loss for
             # the blocking sequence so held cells cannot pile up forever.
             self.holdback_overflows += 1
-            self._abandon(direction, self._expected[direction])
+            self._abandon(lane, lane.expected)
         return True
 
-    def _release(self, direction: int, seq: int, cell: Cell) -> None:
+    def _release(self, lane: _Lane, seq: int, cell: Cell) -> None:
         """Deliver one in-order cell to the target port and free state."""
-        if seq in self._resends_left[direction]:
+        direction = lane.direction
+        if self._resends_left.pop((lane, seq), None) is not None:
             self.recovered += 1
-        self._buffer[direction].pop(seq, None)
-        self._resends_left[direction].pop(seq, None)
+        self._buffer[direction].pop((lane, seq), None)
         self._seq_of[direction].pop(cell.uid, None)
         # The hand-off to the node (as in Link._deliver).
         port = self.link.target_port(direction)
         port.cells_received += 1
         port.node.on_cell(port, cell)
 
-    def _drain(self, direction: int) -> None:
+    def _drain(self, lane: _Lane) -> None:
         """Advance the cursor over held-back cells and declared losses."""
         while True:
-            expected = self._expected[direction]
-            if expected in self._lost[direction]:
-                self._lost[direction].discard(expected)
-                self._expected[direction] = expected + 1
+            expected = lane.expected
+            if expected in lane.lost:
+                lane.lost.discard(expected)
+                lane.expected = expected + 1
                 continue
-            cell = self._holdback[direction].pop(expected, None)
+            cell = lane.holdback.pop(expected, None)
             if cell is None:
                 return
-            self._release(direction, expected, cell)
-            self._expected[direction] = expected + 1
+            self._release(lane, expected, cell)
+            lane.expected = expected + 1
 
-    def _abandon(self, direction: int, seq: int) -> None:
+    def _abandon(self, lane: _Lane, seq: int) -> None:
         """Give up on ``seq``: fall back to loss and unblock the cursor."""
-        if seq < self._expected[direction] or seq in self._lost[direction]:
+        if seq < lane.expected or seq in lane.lost:
             return
         self.abandoned += 1
-        cell = self._buffer[direction].pop(seq, None)
-        self._resends_left[direction].pop(seq, None)
+        cell = self._buffer[lane.direction].pop((lane, seq), None)
+        self._resends_left.pop((lane, seq), None)
         if cell is not None:
-            self._seq_of[direction].pop(cell.uid, None)
-        if seq == self._expected[direction]:
-            self._expected[direction] = seq + 1
-            self._drain(direction)
+            self._seq_of[lane.direction].pop(cell.uid, None)
+        if seq == lane.expected:
+            lane.expected = seq + 1
+            self._drain(lane)
         else:
-            self._lost[direction].add(seq)
+            lane.lost.add(seq)
 
 
 class LinkRetx(Solution):
@@ -316,7 +353,7 @@ class LinkRetx(Solution):
         # has drained (a pending NACK at quiescence is a stuck gap).
         problems: List[str] = []
         for guard in self.guards:
-            held = len(guard._holdback[0]) + len(guard._holdback[1])
+            held = guard.held_back()
             if held:
                 problems.append(
                     f"{guard.link!r}: {held} cells still held back"

@@ -44,7 +44,7 @@ from repro.constants import (
     PING_REPLY_DELAY_US,
 )
 from repro.core.routing.signaling import choose_output
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import DATA, PING, PING_ACK, RECONFIG, Cell
 from repro.net.installation import Installation
 from repro.net.node import Node, validate_device_config
 from repro.net.packet import Packet
@@ -108,6 +108,10 @@ class An1Switch(SwitchNode):
             config if config is not None else An1Config(), n_ports,
             route_computers=route_computers,
         )
+        self.cell_delay_us = {
+            PING: PING_REPLY_DELAY_US,
+            RECONFIG: self.config.control_delay_us,
+        }
         self.fifos: List[Deque[_QueuedPacket]] = [
             deque() for _ in range(self.n_ports)
         ]
@@ -143,24 +147,14 @@ class An1Switch(SwitchNode):
     # ==================================================================
     def on_cell(self, port: Port, cell: Cell) -> None:
         kind = cell.kind
-        if kind is CellKind.DATA:
+        if kind is DATA:
             self._accept_packet(port.index, cell.payload)
-        elif kind is CellKind.PING:
-            self.sim.schedule(
-                PING_REPLY_DELAY_US,
-                self._send_ping_ack,
-                port.index,
-                cell.payload,
-            )
-        elif kind is CellKind.PING_ACK:
+        elif kind is PING:
+            self._send_ping_ack(port.index, cell.payload)
+        elif kind is PING_ACK:
             self._accept_ping_ack(port.index, cell.payload)
-        elif kind is CellKind.RECONFIG:
-            self.sim.schedule(
-                self.config.control_delay_us,
-                self.reconfig.handle,
-                port.index,
-                cell.payload,
-            )
+        elif kind is RECONFIG:
+            self.reconfig.handle(port.index, cell.payload)
         else:
             raise ValueError(f"AN1 switch cannot handle cell kind {kind}")
 
@@ -207,7 +201,7 @@ class An1Switch(SwitchNode):
         fifo.popleft()
         head.gone_down = gone_down
         bits = (head.packet.size or 0) * 8 + _an1_packet_overhead_bits
-        port.send(Cell(vc=0, kind=CellKind.DATA, payload=head), bits=bits)
+        port.send(Cell(vc=0, kind=DATA, payload=head), bits=bits)
         self.packets_forwarded += 1
         if fifo:
             self.sim.schedule(0.0, self._try_forward, in_port)
@@ -242,22 +236,22 @@ class An1Host(Node):
         self.ports[0].send(
             Cell(
                 vc=0,
-                kind=CellKind.DATA,
+                kind=DATA,
                 payload=_QueuedPacket(packet, gone_down=False, enqueued_at=self.sim.now),
             ),
             bits=bits,
         )
 
     def on_cell(self, port: Port, cell: Cell) -> None:
-        if cell.kind is CellKind.DATA:
+        if cell.kind is DATA:
             queued = cell.payload
             packet = queued.packet
             packet.delivered_at = self.sim.now
             self.delivered.append(packet)
             self.packet_latency.record(packet.latency)
-        elif cell.kind is CellKind.PING:
+        elif cell.kind is PING:
             self._send_ping_ack(port.index, cell.payload)
-        elif cell.kind in (CellKind.PING_ACK, CellKind.RECONFIG):
+        elif cell.kind in (PING_ACK, RECONFIG):
             pass
         else:
             raise ValueError(f"AN1 host cannot handle {cell.kind}")

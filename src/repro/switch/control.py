@@ -12,13 +12,13 @@ plane and its receive path.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from repro._types import NodeId
 from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.paths import RouteComputer
-from repro.net.cell import Cell, CellKind
+from repro.net.cell import BEST_EFFORT, RECONFIG, Cell
 from repro.net.node import Node
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
@@ -66,6 +66,8 @@ class SwitchNode(Node):
         #: counters to, if any.
         self._routing_probes = None
         self._started = False
+        #: :meth:`reconfig_ports`, until a verdict or a neighbour changes.
+        self._reconfig_ports: Optional[Tuple[int, ...]] = None
 
     def start(self) -> None:
         """Boot: monitors on every cabled port, then the first
@@ -97,18 +99,26 @@ class SwitchNode(Node):
     # ==================================================================
     # ReconfigTransport interface (local_edges is the Node's)
     # ==================================================================
-    def reconfig_ports(self) -> List[int]:
-        """Ports cabled to working, identified switch neighbours."""
-        eligible = []
-        for index in self.monitors:
-            neighbor = self.working_neighbor(index)
-            if neighbor is not None and neighbor[0].is_switch:
-                eligible.append(index)
-        return eligible
+    def reconfig_ports(self) -> Tuple[int, ...]:
+        """Ports cabled to working, identified switch neighbours, cached
+        like :meth:`local_edges`."""
+        ports = self._reconfig_ports
+        if ports is None:
+            eligible = []
+            for index in self.monitors:
+                neighbor = self.working_neighbor(index)
+                if neighbor is not None and neighbor[0].is_switch:
+                    eligible.append(index)
+            ports = self._reconfig_ports = tuple(eligible)
+        return ports
+
+    def _forget_link_views(self) -> None:
+        super()._forget_link_views()
+        self._reconfig_ports = None
 
     def send_reconfig(self, port_index: int, message) -> None:
         self.ports[port_index].send(
-            Cell(vc=0, kind=CellKind.RECONFIG, payload=message)
+            Cell(0, RECONFIG, BEST_EFFORT, message)
         )
 
     def _on_topology_ready(self, value) -> bool:

@@ -30,6 +30,11 @@ class Crossbar:
     Bit ``o`` of ``rows[i]`` and bit ``i`` of ``cols[o]`` are set iff
     input ``i`` requests output ``o``; ``want`` ORs the rows.
 
+    ``slots`` and ``iterations_to_maximal`` count matcher calls
+    (:meth:`schedule`), not cell slots: an owner that has no output to
+    offer a slot -- ``AN2Switch`` when the reservations took every
+    output worth asking about -- does not call it.
+
     When a registry-owned :class:`ProbeSet` is supplied, the iteration
     tally lives there and the slot counter is exposed as a gauge, so a
     metrics snapshot sees this crossbar without any per-slot overhead.

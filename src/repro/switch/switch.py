@@ -58,7 +58,10 @@ from repro.core.routing.signaling import (
     SignalingAgent,
     choose_output,
 )
-from repro.net.cell import Cell, CellKind, TrafficClass
+from repro.net.cell import (
+    BEST_EFFORT, CREDIT, DATA, GUARANTEED, PING, PING_ACK, RECONFIG,
+    SIGNALING, Cell, TrafficClass,
+)
 from repro.net.node import validate_device_config
 from repro.net.port import Port
 from repro.net.topology import TopologyView
@@ -196,6 +199,13 @@ class AN2Switch(SwitchNode):
             route_computers=route_computers,
         )
         ports = self.n_ports
+        # Line-card software answers a ping and handles a reconfiguration
+        # or signalling message this long after the cell arrives.
+        self.cell_delay_us = {
+            PING: PING_REPLY_DELAY_US,
+            RECONFIG: self.config.control_delay_us,
+            SIGNALING: self.config.control_delay_us,
+        }
         self.clock = DriftingClock(sim, drift_ppm=self.config.clock_drift_ppm)
         self.cards: List[LineCard] = [
             LineCard(
@@ -362,7 +372,7 @@ class AN2Switch(SwitchNode):
 
     def send_signaling(self, port_index: int, message) -> None:
         self.ports[port_index].send(
-            Cell(vc=1, kind=CellKind.SIGNALING, payload=message)
+            Cell(1, SIGNALING, BEST_EFFORT, message)
         )
 
     # ==================================================================
@@ -401,31 +411,21 @@ class AN2Switch(SwitchNode):
     # receive path
     # ==================================================================
     def on_cell(self, port: Port, cell: Cell) -> None:
+        """Handle a cell; a control cell's processing delay
+        (:attr:`cell_delay_us`) has already passed on the wire."""
         kind = cell.kind
-        if kind is CellKind.DATA:
+        if kind is DATA:
             self._accept_data(port.index, cell)
-        elif kind is CellKind.CREDIT:
+        elif kind is CREDIT:
             self._accept_credit(port.index, cell)
-        elif kind is CellKind.PING:
-            self.sim.schedule(
-                PING_REPLY_DELAY_US, self._reply_ping, port.index, cell.payload
-            )
-        elif kind is CellKind.PING_ACK:
+        elif kind is PING:
+            self._reply_ping(port.index, cell.payload)
+        elif kind is PING_ACK:
             self._accept_ping_ack(port.index, cell.payload)
-        elif kind is CellKind.RECONFIG:
-            self.sim.schedule(
-                self.config.control_delay_us,
-                self._handle_reconfig,
-                port.index,
-                cell.payload,
-            )
-        elif kind is CellKind.SIGNALING:
-            self.sim.schedule(
-                self.config.control_delay_us,
-                self._handle_signaling,
-                port.index,
-                cell.payload,
-            )
+        elif kind is RECONFIG:
+            self._handle_reconfig(port.index, cell.payload)
+        elif kind is SIGNALING:
+            self._handle_signaling(port.index, cell.payload)
         else:
             raise ValueError(f"switch cannot handle cell kind {kind}")
 
@@ -450,7 +450,7 @@ class AN2Switch(SwitchNode):
     def _accept_data(self, in_port: int, cell: Cell) -> None:
         card = self.cards[in_port]
         vc = cell.vc
-        best_effort = cell.traffic_class is TrafficClass.BEST_EFFORT
+        best_effort = cell.traffic_class is BEST_EFFORT
         if best_effort:
             try:
                 (card.downstream.get(vc) or card.credits.pool(vc)).receive()
@@ -491,7 +491,7 @@ class AN2Switch(SwitchNode):
                 self.sim.now, self.node_id.label, "voq.enqueue",
                 in_port=card.index, out_port=entry.out_port,
             )
-        if cell.traffic_class is TrafficClass.GUARANTEED:
+        if cell.traffic_class is GUARANTEED:
             card.guaranteed_queues.push(entry.out_port, cell)
             self._queued += 1
         else:
@@ -625,7 +625,9 @@ class AN2Switch(SwitchNode):
                 if ports[out_port].can_transmit_at(now, slack):
                     idle |= 1 << out_port
 
-        if idle or pre_matched:
+        # A slot that only moves reserved cells needs no matcher: with no
+        # idle output the matching is the reservations themselves.
+        if idle:
             result = self.crossbar.schedule(pre_matched, idle)
             credit_mode = self._credit_mode
             for in_port, out_port in result.matching.items():
@@ -655,7 +657,7 @@ class AN2Switch(SwitchNode):
                     entry.cells_forwarded += 1
                     entry.last_activity = now
                 self._transmit(out_port, cell, guaranteed=False)
-        else:
+        elif not pre_matched:
             self.stats.empty_ticks += 1
 
         # Stay armed while any work (or any reservation) remains.

@@ -126,3 +126,46 @@ def test_ping_counters_advance():
         after > before
         for (before, _), (after, _) in zip(counts, counts_after)
     )
+
+
+#: when s0 declares its cable to s1 DEAD after the cut below, as
+#: measured on the code that still dispatched every ack timeout.
+PINNED_DEAD_VERDICT_AT = 12962.880834230276
+
+
+class _DispatchCounter:
+    """A ``Simulator.profiler`` hook counting dispatches per function."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def dispatch(self, callback, args):
+        func = getattr(callback, "__func__", callback)
+        self.counts[func] = self.counts.get(func, 0) + 1
+        callback(*args)
+
+
+def test_acked_pings_dispatch_no_timeout_and_a_dead_link_still_does():
+    net = converged_line(3)
+    config = net.switch_config
+    counter = _DispatchCounter()
+    net.sim.profiler = counter
+    net.run(20 * config.ping_interval_us)
+    assert counter.counts.get(PortMonitor._send_ping, 0) > 0
+    assert counter.counts.get(PortMonitor._check_timeout, 0) == 0
+
+    net.fail_link("s0", "s1")
+    s0 = net.switch("s0")
+    monitor = s0.monitors[s0.port_facing(switch_id(1))]
+    net.run_until(
+        lambda: monitor.verdict is LinkVerdict.DEAD,
+        timeout_us=50_000.0,
+        check_interval_us=100.0,
+    )
+    net.sim.profiler = None
+    assert counter.counts[PortMonitor._check_timeout] >= config.miss_threshold
+    verdict_at, verdict = monitor.skeptic.verdict_changes[-1]
+    assert verdict is LinkVerdict.DEAD
+    # Cancelling acked pings' timeouts must not move when a dead link
+    # is declared.
+    assert verdict_at == PINNED_DEAD_VERDICT_AT

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro._types import parse_node_id
-from repro.net.cell import Cell
+from repro.net.cell import SIGNALING, Cell
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.sim.kernel import Simulator
@@ -151,4 +151,78 @@ class TestAttachment:
         send(link, [f"m{i}" for i in range(6)])
         sim.run()
         assert guard.max_occupancy == 6
+        assert guard.occupancy() == 0
+
+
+class _LineCard(_Sink):
+    """Handles a SIGNALING cell 20 us after its arrival, as a switch's
+    line-card software does; records when each cell is handled."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.cell_delay_us = {SIGNALING: 20.0}
+        self.handled_at = {}
+
+    def on_cell(self, port, cell):
+        super().on_cell(port, cell)
+        self.handled_at[cell.payload] = self.sim.now
+
+
+def run_with_signaling(guarded, corrupt_signaling=False):
+    """Ten data cells with a SIGNALING cell between d2 and d3, sent back
+    to back towards a node that handles signalling 20 us late."""
+    sim = Simulator()
+    a = _LineCard(sim, "s0")
+    b = _LineCard(sim, "s1")
+    link = Link(sim, a.port(0), b.port(0), length_km=2.0)
+    guard = LinkRetxGuard(link) if guarded else None
+    if corrupt_signaling:
+        hit = []
+
+        def corrupt_once(cell):
+            if cell.kind is SIGNALING and not hit:
+                hit.append(cell)
+                return True
+            return False
+
+        link.drop_filter = corrupt_once
+    for payload in ["d0", "d1", "d2"]:
+        link.transmit(0, Cell(vc=5, payload=payload))
+    link.transmit(0, Cell(vc=1, kind=SIGNALING, payload="sig"))
+    for index in range(3, 10):
+        link.transmit(0, Cell(vc=5, payload=f"d{index}"))
+    sim.run()
+    return b, guard
+
+
+class TestLanes:
+    """A control cell waits out the receiver's processing delay on the
+    wire; the resequencer must not hold the data behind it."""
+
+    def test_signaling_cell_holds_no_data_back(self):
+        plain, _ = run_with_signaling(guarded=False)
+        b, guard = run_with_signaling(guarded=True)
+        data = [f"d{index}" for index in range(10)]
+        # Every data cell is handled at its arrival, as on a bare link,
+        # and before the signalling cell that preceded some of them.
+        assert b.received == data + ["sig"]
+        assert b.handled_at == plain.handled_at
+        assert b.handled_at["sig"] > b.handled_at["d9"]
+        assert guard.holdback_overflows == 0
+        assert guard.abandoned == 0
+        assert guard.held_back() == 0
+        assert guard.occupancy() == 0
+
+    def test_corrupted_signaling_cell_recovered_without_delaying_data(self):
+        plain, _ = run_with_signaling(guarded=False)
+        b, guard = run_with_signaling(guarded=True, corrupt_signaling=True)
+        assert b.received[-1] == "sig"
+        for index in range(10):
+            payload = f"d{index}"
+            assert b.handled_at[payload] == plain.handled_at[payload]
+        # The resend waits out the delay again after the NACK round trip.
+        assert b.handled_at["sig"] > plain.handled_at["sig"]
+        assert (guard.nacks, guard.resends, guard.recovered) == (1, 1, 1)
+        assert guard.abandoned == 0
+        assert guard.holdback_overflows == 0
         assert guard.occupancy() == 0

@@ -101,6 +101,21 @@ class TestGuaranteedPath:
                 assert circuit.vc not in card.upstream
                 assert circuit.vc not in card.downstream
 
+    def test_reserved_only_slots_call_no_matcher(self, small_net):
+        """A switch carrying only a reserved stream forwards every cell
+        without asking the crossbar's matcher (nothing is left to match
+        once the reservations took their outputs)."""
+        net = small_net
+        circuit, _ = net.reserve_bandwidth("h0", "h1", 4)
+        net.run(2_000)
+        s1 = net.switch("s1")
+        assert s1.crossbar.slots == 0
+        net.host("h0").send_raw_cells(circuit.vc, 40)
+        net.run(200_000)
+        assert net.host("h1").cells_received == 40
+        assert s1.stats.guaranteed_forwarded == 40
+        assert s1.crossbar.slots == 0
+
     def test_release_restores_schedule(self, small_net):
         net = small_net
         circuit, reservation = net.reserve_bandwidth("h0", "h1", 4)
