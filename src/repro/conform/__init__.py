@@ -9,8 +9,8 @@ assuming it:
   dispatch order plus end-of-run component state fingerprints, stable
   across repeated runs and ``PYTHONHASHSEED`` values;
 - :mod:`repro.conform.reference` -- the set-based reference renderings
-  of PIM and iSLIP, which nothing outside this package and the tests
-  imports;
+  of PIM and iSLIP and the eager link monitor, which nothing outside
+  this package and the tests imports;
 - :mod:`repro.conform.oracle` -- differential checks that drive those
   reference matchers and the bitmask kernel from identical seeds, cell
   by cell, and cross-check AN1 against AN2 routing on shared topologies.

@@ -1,11 +1,13 @@
-"""The oracle: section 3's matchers with sets and dictionaries.
+"""The oracle: section 3's matchers with sets and dictionaries, and
+section 2's link monitor with every ping an event.
 
 Nothing the simulator runs imports this module.  It is the clearest
 rendering of the paper's request/grant/accept rounds, kept as the
 reference that the tests and the conformance gate
 (:mod:`repro.conform.oracle`, ``tests/conform/corpus.json``) compare the
 bitmask kernel (:mod:`repro.core.matching.bitmask`) against, bit for bit
-from a shared seed.
+from a shared seed.  :class:`EagerPortMonitor` plays the same part for
+the monitors' closed form.
 
 **Parallel iterative matching.**  Section 3, verbatim structure:
 
@@ -46,6 +48,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.matching.bitmask import MatchResult, Matching
+from repro.core.reconfig.monitor import PortMonitor
 
 
 class ParallelIterativeMatcher:
@@ -295,3 +298,15 @@ class IslipMatcher:
                 if output_port not in matched_outputs:
                     return False
         return True
+
+
+# ======================================================================
+# the eager link monitor
+# ======================================================================
+class EagerPortMonitor(PortMonitor):
+    """Section 2's ping loop with every ping, delivery, ack and timeout
+    a kernel event: the reference the monitor's closed form is checked
+    against (``tests/conform/monitor_oracle.py``)."""
+
+    def can_rest(self) -> bool:
+        return False

@@ -26,7 +26,7 @@ from repro._types import VcId
 from repro.core.flowcontrol.credits import DownstreamCredits, UpstreamCredits
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.core.flowcontrol.sizing import credits_for_link
-from repro.net.cell import BEST_EFFORT, CREDIT, Cell, CellKind
+from repro.net.cell import BEST_EFFORT, CREDIT, Cell
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
 
@@ -115,7 +115,7 @@ class CreditEndpoint:
                     payload.vc, payload.cells_sent, state.buffers_freed
                 )
                 self.port.send(
-                    Cell(vc=payload.vc, kind=CellKind.CREDIT, payload=answer)
+                    Cell(vc=payload.vc, kind=CREDIT, payload=answer)
                 )
             return
         elif isinstance(payload, ResyncReply):
@@ -153,4 +153,4 @@ class CreditEndpoint:
         for vc, window in sorted(self.upstream.items()):
             request = window.make_request()
             self._note("resync.round", vc, cells_sent=request.cells_sent)
-            self.port.send(Cell(vc=vc, kind=CellKind.CREDIT, payload=request))
+            self.port.send(Cell(vc=vc, kind=CREDIT, payload=request))

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro._types import VcId
 from repro.constants import CELL_PAYLOAD_BYTES
-from repro.net.cell import Cell, CellKind, TrafficClass
+from repro.net.cell import BEST_EFFORT, DATA, Cell, TrafficClass
 from repro.net.packet import Packet
 
 
@@ -33,7 +33,7 @@ class Segmenter:
     def __init__(
         self,
         vc: VcId,
-        traffic_class: TrafficClass = TrafficClass.BEST_EFFORT,
+        traffic_class: TrafficClass = BEST_EFFORT,
     ) -> None:
         self.vc = vc
         self.traffic_class = traffic_class
@@ -60,7 +60,7 @@ class Segmenter:
             cells.append(
                 Cell(
                     vc=self.vc,
-                    kind=CellKind.DATA,
+                    kind=DATA,
                     traffic_class=self.traffic_class,
                     payload=(chunk, packet if last else None),
                     end_of_packet=last,

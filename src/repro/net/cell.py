@@ -51,6 +51,11 @@ class TrafficClass(enum.Enum):
     BEST_EFFORT = "best_effort"  # Variable Bit Rate
 
 
+#: each kind's place in per-kind tables (the link's processing delays):
+#: a table indexed by ``kind.index`` hashes no enum on a per-cell path.
+for _index, _kind in enumerate(CellKind):
+    _kind.index = _index
+
 # The members as module globals: per-cell paths import these and test a
 # cell's kind or class against them, far cheaper than an enum attribute.
 DATA = CellKind.DATA

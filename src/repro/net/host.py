@@ -37,8 +37,8 @@ from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.aal import Reassembler, ReassemblyError, Segmenter
 from repro.net.cell import (
-    BEST_EFFORT, CREDIT, DATA, PING, PING_ACK, RECONFIG, SIGNALING,
-    Cell, CellKind, TrafficClass,
+    BEST_EFFORT, CREDIT, DATA, GUARANTEED, PING, PING_ACK, RECONFIG,
+    SIGNALING, Cell, TrafficClass,
 )
 from repro.obs.journey import attach_journey
 from repro.net.node import Node, validate_device_config
@@ -204,7 +204,7 @@ class Host(Node):
         packets surface as reassembly errors); queued cells follow the
         new path once its entries install."""
         for sender in self.senders.values():
-            if sender.traffic_class is TrafficClass.BEST_EFFORT:
+            if sender.traffic_class is BEST_EFFORT:
                 self._send_setup(sender)
         self._kick_pump()
 
@@ -216,7 +216,7 @@ class Host(Node):
             traffic_class=sender.traffic_class,
         )
         self.active_port.send(
-            Cell(vc=1, kind=CellKind.SIGNALING, payload=request)
+            Cell(vc=1, kind=SIGNALING, payload=request)
         )
 
     # ==================================================================
@@ -226,14 +226,14 @@ class Host(Node):
         self,
         vc: VcId,
         destination: NodeId,
-        traffic_class: TrafficClass = TrafficClass.BEST_EFFORT,
+        traffic_class: TrafficClass = BEST_EFFORT,
         cells_per_frame: int = 0,
         send_setup: bool = True,
     ) -> None:
         """Create transmit state for a circuit and emit its setup cell."""
         if vc in self.senders:
             raise ValueError(f"circuit {vc} already open at {self.node_id}")
-        if traffic_class is TrafficClass.GUARANTEED and cells_per_frame <= 0:
+        if traffic_class is GUARANTEED and cells_per_frame <= 0:
             raise ValueError("guaranteed circuits need cells_per_frame > 0")
         sender = _Sender(
             vc=vc,
@@ -242,7 +242,7 @@ class Host(Node):
             segmenter=Segmenter(vc, traffic_class),
             cells_per_frame=cells_per_frame,
         )
-        if traffic_class is TrafficClass.BEST_EFFORT:
+        if traffic_class is BEST_EFFORT:
             self.credits[self.active_port_index].open_window(vc)
             self._rotation.append(vc)
         self.senders[vc] = sender
@@ -258,7 +258,7 @@ class Host(Node):
         self.credits[self.active_port_index].upstream.pop(vc, None)
         if send_teardown and self.active_port.connected:
             self.active_port.send(
-                Cell(vc=1, kind=CellKind.SIGNALING, payload=TeardownRequest(vc))
+                Cell(vc=1, kind=SIGNALING, payload=TeardownRequest(vc))
             )
 
     # ==================================================================
@@ -275,7 +275,7 @@ class Host(Node):
         if tracer is not None and tracer.enabled("journey"):
             attach_journey(tracer, cells, self.sim.now, self.node_id.label)
         sender.queue.extend(cells)
-        if sender.traffic_class is TrafficClass.GUARANTEED:
+        if sender.traffic_class is GUARANTEED:
             self._start_pacer(sender)
         else:
             self._kick_pump()
@@ -299,7 +299,7 @@ class Host(Node):
             if journeys:
                 attach_journey(tracer, cells, self.sim.now, self.node_id.label)
             sender.queue.extend(cells)
-        if sender.traffic_class is TrafficClass.GUARANTEED:
+        if sender.traffic_class is GUARANTEED:
             self._start_pacer(sender)
         else:
             self._kick_pump()
@@ -356,7 +356,7 @@ class Host(Node):
             break
         if sent or any(
             s.queue
-            and s.traffic_class is TrafficClass.BEST_EFFORT
+            and s.traffic_class is BEST_EFFORT
             and (s.vc not in windows or windows[s.vc].can_send)
             for s in self.senders.values()
         ):
@@ -504,14 +504,14 @@ class Host(Node):
                 vc=message.vc,
                 source=message.source,
                 destination=message.destination,
-                traffic_class=TrafficClass.GUARANTEED,
+                traffic_class=GUARANTEED,
             )
             self.setup_received.fire(message)
             if port is not None:
                 port.send(
                     Cell(
                         vc=1,
-                        kind=CellKind.SIGNALING,
+                        kind=SIGNALING,
                         payload=ReserveConfirm(message.vc),
                     )
                 )

@@ -16,6 +16,11 @@ cells), and the node handles it inside that event.  Whether the cable
 carried the cell is judged by its state at arrival; the drop filter
 and the error draw are taken at delivery.
 
+A quiet line costs no event at all: while both port monitors' ping
+loops run in closed form (:mod:`repro.core.reconfig.monitor`), the link
+folds their phantom pings and acks into the wire's horizon and the
+counters, in time order, before anything reads or writes them.
+
 Failure and error injection are first-class because the paper's headline
 demo is "pulling the plug on an arbitrary switch" and the skeptic exists
 precisely because "a faulty link may exhibit intermittent failures".
@@ -25,13 +30,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.constants import CELL_BITS, FAST_LINK_BPS, PROPAGATION_US_PER_KM
 from repro.net.cell import DATA, Cell, CellKind
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.reconfig.monitor import PortMonitor
     from repro.net.port import Port
 
 import random as _random_module
@@ -47,6 +53,38 @@ class LinkState(enum.Enum):
 #: the hot paths test ``state is WORKING`` against this module global.
 WORKING = LinkState.WORKING
 
+_INF = float("inf")
+_KINDS = len(CellKind)
+
+
+class _Hook:
+    """A link attribute whose setting puts quiet monitors back on the
+    kernel (:meth:`Link._wake`): a phantom cell would skip the hook.
+    The per-cell paths read the value stored as ``_<name>``."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.stored = "_" + name
+
+    def __get__(self, link: Any, owner: Optional[type] = None) -> Any:
+        return self if link is None else getattr(link, self.stored)
+
+    def __set__(self, link: "Link", value: Any) -> None:
+        link._wake()
+        setattr(link, self.stored, value)
+
+
+def counter(stored: str, line: Callable[[Any], Optional["Link"]]) -> property:
+    """A read-only counter that phantom pings and acks advance: a read
+    first folds the cable ``line(owner)`` up to now."""
+
+    def read(owner: Any) -> int:
+        link = line(owner)
+        if link is not None:
+            link.settle()
+        return getattr(owner, stored)
+
+    return property(read)
+
 
 class Link:
     """A bidirectional link between two ports.
@@ -54,6 +92,13 @@ class Link:
     Direction 0 carries cells from ``port_a`` to ``port_b``; direction 1
     the reverse.  Cells on one direction are delivered in FIFO order.
     """
+
+    error_rate = _Hook()
+    drop_filter = _Hook()
+    tx_observers = _Hook()
+    adjudicator = _Hook()
+    deliver_hook = _Hook()
+    cells_delivered = counter("_cells_delivered", lambda link: link)
 
     def __init__(
         self,
@@ -77,17 +122,23 @@ class Link:
         self.latency_us = length_km * PROPAGATION_US_PER_KM
         self.cell_time_us = CELL_BITS / bps * 1e6
         self.state = LinkState.WORKING
+        #: the monitors pinging in direction 0 and 1; while their loops
+        #: run in closed form, the pair, when its next phantom step is
+        #: due, and the most backlog a transmit may leave (else inf).
+        self._monitors: List[Optional["PortMonitor"]] = [None, None]
+        self._quiet: Optional[Tuple["PortMonitor", "PortMonitor"]] = None
+        self._fold_at = self._backlog_us = _INF
         #: when :attr:`state` last changed, and ``(time, state before)``
         #: of each change a cell still being delivered may have arrived
         #: before (see :meth:`_state_at`).
         self._changed_at = float("-inf")
         self._changes: List[Tuple[float, LinkState]] = []
-        self.error_rate = 0.0
+        self._error_rate = 0.0
         #: targeted fault injection: when set, a delivered cell for which
         #: the predicate returns True is corrupted (dropped) regardless
         #: of ``error_rate``.  Tests use this to lose, e.g., only CREDIT
         #: cells, exercising the resynchronization machinery surgically.
-        self.drop_filter: Optional[Callable[[Cell], bool]] = None
+        self._drop_filter: Optional[Callable[[Cell], bool]] = None
         # Without an explicit RNG, derive a per-link substream keyed by
         # the endpoint labels.  A shared Random(0) here would make every
         # link in the network draw *identical* error streams -- injected
@@ -95,7 +146,7 @@ class Link:
         # plant exhibits and which defeats independent-fault experiments.
         self._rng = rng if rng is not None else self._default_rng()
         self._next_free = [0.0, 0.0]  # per-direction serialization horizon
-        self.cells_delivered = 0
+        self._cells_delivered = 0
         self.cells_dropped = 0
         #: DATA-cell subset of ``cells_dropped`` -- user-visible loss.
         #: (Control cells die on dead links constantly: the monitors keep
@@ -113,13 +164,13 @@ class Link:
         #: observers called as (link, direction, cell) when a cell
         #: actually starts serializing -- NOT when it is dropped at a
         #: dead transmitter.  The link_retx guard numbers cells here.
-        self.tx_observers: List[Callable[["Link", int, Cell], None]] = []
+        self._tx_observers: List[Callable[["Link", int, Cell], None]] = []
         #: adjudication hook: called as (link, direction, cell, reason)
         #: whenever a cell is lost at delivery time, with reason one of
         #: "dead", "filtered", "error".  Observational -- the drop and
         #: its counters stand -- but a solution may schedule recovery
         #: work (a NACK/resend, an administrative repair) from here.
-        self.adjudicator: Optional[
+        self._adjudicator: Optional[
             Callable[["Link", int, Cell, str], None]
         ] = None
         #: delivery interposer: called as (link, direction, cell) after
@@ -127,11 +178,17 @@ class Link:
         #: claims the cell -- the hook delivers it to the target port
         #: itself (possibly later, to restore FIFO order around a
         #: link-local retransmission); False lets the link deliver.
-        self.deliver_hook: Optional[Callable[["Link", int, Cell], bool]] = None
+        self._deliver_hook: Optional[
+            Callable[["Link", int, Cell], bool]
+        ] = None
         port_a.attach(self, 0)
         port_b.attach(self, 1)
-        #: per direction, the receiving node's processing delay by kind.
-        self._delays = (port_b.node.cell_delay_us, port_a.node.cell_delay_us)
+        #: per direction, the receiving node's processing delay by kind,
+        #: indexed by ``CellKind.index``.
+        self._delays = ([0.0] * _KINDS, [0.0] * _KINDS)
+        for table, node in zip(self._delays, (port_b.node, port_a.node)):
+            for kind, delay in node.cell_delay_us.items():
+                table[kind.index] = delay
 
     # ------------------------------------------------------------------
     def _default_rng(self) -> _random_module.Random:
@@ -161,6 +218,7 @@ class Link:
         """Earliest time a new cell can start serializing in ``direction``."""
         if direction not in (0, 1):
             raise ValueError(f"bad direction {direction}")
+        self.settle()
         return self._next_free[direction]
 
     @property
@@ -192,23 +250,27 @@ class Link:
                     reason="dead",
                 )
             return
+        now = self.sim.now
+        if self._fold_at <= now:
+            self._fold(now)
         serialization = (
             self.cell_time_us if bits is None else bits / self.bps * 1e6
         )
         start = self._next_free[direction]
-        now = self.sim.now
         if start < now:
             start = now
         departure = start + serialization
         self._next_free[direction] = departure
+        if departure - now > self._backlog_us:
+            self._wake()
         arrival = departure + self.latency_us
-        if self.tx_observers:
-            for observer in list(self.tx_observers):
+        if self._tx_observers:
+            for observer in list(self._tx_observers):
                 observer(self, direction, cell)
         kind = cell.kind
         self.sim.schedule_at(
             arrival if kind is DATA
-            else arrival + self._delays[direction].get(kind, 0.0),
+            else arrival + self._delays[direction][kind.index],
             self._deliver, direction, cell, arrival,
         )
 
@@ -216,7 +278,7 @@ class Link:
         """How long after its arrival a ``kind`` cell sent in
         ``direction`` is delivered: the receiving node's processing
         delay for the kind (:attr:`~repro.net.node.Node.cell_delay_us`)."""
-        return self._delays[direction].get(kind, 0.0)
+        return self._delays[direction][kind.index]
 
     def target_port(self, direction: int) -> "Port":
         """The receiving port for ``direction`` (0: port_b, 1: port_a)."""
@@ -241,43 +303,105 @@ class Link:
                     self.sim.now, self.label, "wire.drop",
                     reason="dead",
                 )
-            if self.adjudicator is not None:
-                self.adjudicator(self, direction, cell, "dead")
+            if self._adjudicator is not None:
+                self._adjudicator(self, direction, cell, "dead")
             return
-        if self.drop_filter is not None and self.drop_filter(cell):
+        if self._drop_filter is not None and self._drop_filter(cell):
             self.cells_corrupted += 1
             if ctx is not None:
                 ctx.record(
                     self.sim.now, self.label, "wire.drop",
                     reason="filtered",
                 )
-            if self.adjudicator is not None:
-                self.adjudicator(self, direction, cell, "filtered")
+            if self._adjudicator is not None:
+                self._adjudicator(self, direction, cell, "filtered")
             return
-        if self.error_rate > 0 and self._rng.random() < self.error_rate:
+        if self._error_rate > 0 and self._rng.random() < self._error_rate:
             self.cells_corrupted += 1
             if ctx is not None:
                 ctx.record(
                     self.sim.now, self.label, "wire.drop",
                     reason="error",
                 )
-            if self.adjudicator is not None:
-                self.adjudicator(self, direction, cell, "error")
+            if self._adjudicator is not None:
+                self._adjudicator(self, direction, cell, "error")
             return
-        self.cells_delivered += 1
+        self._cells_delivered += 1
         if ctx is not None:
             ctx.record(
                 self.sim.now, self.label, "wire.arrive",
                 direction=direction,
             )
-        if self.deliver_hook is not None and self.deliver_hook(
+        if self._deliver_hook is not None and self._deliver_hook(
             self, direction, cell
         ):
             return
         # The hand-off to the node (as in the retransmission layer's).
         port = self.port_b if direction == 0 else self.port_a
-        port.cells_received += 1
+        port._cells_received += 1
         port.node.on_cell(port, cell)
+
+    # ------------------------------------------------------------------
+    # the monitors' closed form
+    # ------------------------------------------------------------------
+    def settle(self) -> None:
+        """Fold the phantom pings and acks due by now into the wire and
+        the counters (nothing to do unless the line is quiet)."""
+        now = self.sim.now
+        if self._fold_at <= now:
+            self._fold(now)
+
+    def _fold(self, now: float) -> None:
+        """Take the quiet line's phantom steps due by ``now`` in time
+        order; at equal times a ping leaves before an ack leaves before
+        an ack arrives, the order their eager events run in."""
+        a, b = self._quiet
+        while True:
+            monitor = b if (b._due, b._phase) < (a._due, a._phase) else a
+            if monitor._due > now:
+                break
+            monitor._step(self)
+        self._fold_at = min(a._due, b._due)
+
+    def _rest(self) -> None:
+        """Run both monitors' loops in closed form if the line is quiet:
+        WORKING, with no hook, filter, observer or error rate, and both
+        monitors :meth:`~repro.core.reconfig.monitor.PortMonitor.can_rest`.
+        A ping and its ack, each queued at most ``backlog`` behind real
+        cells (which :meth:`transmit` then keeps to) and behind two
+        phantom ones, must still beat the ack timeout."""
+        a, b = self._monitors
+        if (
+            self._quiet is not None or a is None or b is None
+            or self.state is not WORKING or self._error_rate
+            or self._drop_filter or self._tx_observers
+            or self._adjudicator or self._deliver_hook
+            or not (a.can_rest() and b.can_rest())
+        ):
+            return
+        slowest = 2 * (self.cell_time_us + self.latency_us) + sum(
+            map(sum, self._delays)
+        )
+        backlog = (
+            min(a.ack_timeout_us, b.ack_timeout_us) - slowest
+        ) / 4 - 2 * self.cell_time_us
+        if backlog > 0 and max(self._next_free) - self.sim.now <= backlog:
+            a.rest()
+            b.rest()
+            self._quiet = (a, b)
+            self._backlog_us = backlog
+            self._fold_at = min(a._due, b._due)
+
+    def _wake(self) -> None:
+        """Put a quiet line's monitors back on the kernel, standing as
+        the eager loop would stand now."""
+        quiet = self._quiet
+        if quiet is not None:
+            self.settle()
+            self._quiet = None
+            self._fold_at = self._backlog_us = _INF
+            for monitor in quiet:
+                monitor.wake()
 
     # ------------------------------------------------------------------
     # fault injection
@@ -299,12 +423,11 @@ class Link:
     def _set_state(self, state: LinkState) -> None:
         if state is self.state:
             return
+        self._wake()
         now = self.sim.now
         # A cell still to be delivered arrived at most the largest
         # processing delay ago; older changes cannot concern it.
-        oldest = now - max(
-            (*self._delays[0].values(), *self._delays[1].values(), 0.0)
-        )
+        oldest = now - max((*self._delays[0], *self._delays[1]))
         changes = self._changes
         while changes and changes[0][0] < oldest:
             del changes[0]

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro._types import PortIndex
 from repro.net.cell import Cell
-from repro.net.link import WORKING
+from repro.net.link import WORKING, counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
@@ -27,13 +27,16 @@ class PortError(Exception):
 class Port:
     """One port of a node."""
 
+    cells_sent = counter("_cells_sent", lambda port: port.link)
+    cells_received = counter("_cells_received", lambda port: port.link)
+
     def __init__(self, node: "Node", index: PortIndex) -> None:
         self.node = node
         self.index = index
         self.link: Optional["Link"] = None
         self._direction: Optional[int] = None
-        self.cells_sent = 0
-        self.cells_received = 0
+        self._cells_sent = 0
+        self._cells_received = 0
 
     # ------------------------------------------------------------------
     @property
@@ -62,11 +65,14 @@ class Port:
         The switch's crossbar loop uses this as the "output port busy"
         test: a matched output must be able to start serializing its cell
         this slot, otherwise cells would pile up inside the link model
-        (which has no queue in the real hardware).
+        (which has no queue in the real hardware).  ``now`` is the
+        simulator's current time.
         """
         link = self.link
         if link is None or link.state is not WORKING:
             return False
+        if link._fold_at <= now:
+            link._fold(now)
         return link._next_free[self._direction] <= now + slack
 
     def free_at(self) -> Optional[float]:
@@ -76,6 +82,7 @@ class Port:
         link = self.link
         if link is None or link.state is not WORKING:
             return None
+        link.settle()
         return link._next_free[self._direction]
 
     def peer(self) -> Optional["Port"]:
@@ -95,7 +102,7 @@ class Port:
         """
         if self.link is None or self._direction is None:
             raise PortError(f"{self.label} is not connected")
-        self.cells_sent += 1
+        self._cells_sent += 1
         self.link.transmit(self._direction, cell, bits)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -100,7 +100,9 @@ class Simulator:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulated time in microseconds.  A plain attribute:
+        #: only :meth:`run` (which :meth:`step` runs) writes it.
+        self.now = 0.0
         #: heap of :class:`Event` entries ``[time, seq, callback, args,
         #: sim]``, ordered on ``(time, seq)`` by heapq's list comparison.
         self._queue: List[Event] = []
@@ -133,7 +135,7 @@ class Simulator:
         tracer, so a tracer attached mid-run sees every transition from
         then on.
         """
-        now = self._now
+        now = self.now
         if self.recorder is not None:
             self.recorder.record(now, category, component, name, **fields)
         if self.tracer is not None:
@@ -142,18 +144,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # instrumentation (run digest + profiler hook)
     # ------------------------------------------------------------------
-    # Attaching a digest or a profiler swaps per-instance instrumented
-    # implementations of step/run into the instance dict; detaching both
-    # removes them so lookups fall back to the class methods.  The
-    # uninstrumented bytecode therefore contains no digest/profiler
+    # Attaching a digest or a profiler swaps a per-instance instrumented
+    # implementation of run (which step runs too) into the instance dict;
+    # detaching both removes it so lookups fall back to the class method.
+    # The uninstrumented bytecode therefore contains no digest/profiler
     # checks at all -- the disabled hot path is the original hot path,
     # byte for byte.
     def _refresh_instrumentation(self) -> None:
         if self._digest is not None or self._profiler is not None:
-            self.__dict__["step"] = self._step_instrumented
             self.__dict__["run"] = self._run_instrumented
         else:
-            self.__dict__.pop("step", None)
             self.__dict__.pop("run", None)
 
     @property
@@ -193,11 +193,6 @@ class Simulator:
     # time
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
-
-    @property
     def events_executed(self) -> int:
         """Number of events executed so far (a work metric)."""
         return self._events_executed
@@ -224,7 +219,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} us from now")
         seq = self._seq
         self._seq = seq + 1
-        event = Event((self._now + delay, seq, callback, args, self))
+        event = Event((self.now + delay, seq, callback, args, self))
         heapq.heappush(self._queue, event)
         return event
 
@@ -234,9 +229,9 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         # Written as "not >=" so a NaN, which compares false both ways
         # and would silently break heap order, is refused as well.
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -272,17 +267,9 @@ class Simulator:
 
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
-        while self._queue:
-            time, _, callback, args, _ = event = heapq.heappop(self._queue)
-            if callback is None:
-                self._cancelled_in_heap -= 1
-                continue
-            event[4] = None
-            self._now = time
-            self._events_executed += 1
-            callback(*args)
-            return True
-        return False
+        executed = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed > executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -310,11 +297,11 @@ class Simulator:
                     break
                 heappop(queue)
                 head[4] = None
-                self._now = head[0]
+                self.now = head[0]
                 executed += 1
                 head[2](*head[3])
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         except BaseException as exc:
             # Flight-recorder hook: one try/except around the whole run,
             # never per event.  The recorder folds the dying run's context
@@ -335,27 +322,6 @@ class Simulator:
     # instrumented execution (installed per-instance by the digest and
     # profiler setters via _refresh_instrumentation)
     # ------------------------------------------------------------------
-    def _step_instrumented(self) -> bool:
-        """:meth:`step` plus digest/profiler hooks per event."""
-        digest = self._digest
-        profiler = self._profiler
-        while self._queue:
-            time, seq, callback, args, _ = event = heapq.heappop(self._queue)
-            if callback is None:
-                self._cancelled_in_heap -= 1
-                continue
-            event[4] = None
-            self._now = time
-            self._events_executed += 1
-            if digest is not None:
-                digest.observe(time, seq, callback)
-            if profiler is None:
-                callback(*args)
-            else:
-                profiler.dispatch(callback, args)
-            return True
-        return False
-
     def _run_instrumented(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
@@ -381,7 +347,7 @@ class Simulator:
                     break
                 heappop(queue)
                 head[4] = None
-                self._now = head[0]
+                self.now = head[0]
                 executed += 1
                 if digest is not None:
                     digest.observe(head[0], head[1], head[2])
@@ -389,8 +355,8 @@ class Simulator:
                     head[2](*head[3])
                 else:
                     profiler.dispatch(head[2], head[3])
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         except BaseException as exc:
             self._events_executed += executed
             executed = 0

@@ -134,7 +134,7 @@ class LinkRetxGuard:
             raise ValueError(
                 f"{link!r} already has a loss-recovery guard attached"
             )
-        link.tx_observers.append(self._on_transmit)
+        link.tx_observers = [*link.tx_observers, self._on_transmit]
         link.adjudicator = self._adjudicate
         link.deliver_hook = self._on_deliver
         self._attached = True
@@ -143,7 +143,10 @@ class LinkRetxGuard:
         """Remove the hooks (the link reverts to plain loss)."""
         if not self._attached:
             return
-        self.link.tx_observers.remove(self._on_transmit)
+        self.link.tx_observers = [
+            observer for observer in self.link.tx_observers
+            if observer != self._on_transmit
+        ]
         self.link.adjudicator = None
         self.link.deliver_hook = None
         self._attached = False
@@ -260,7 +263,7 @@ class LinkRetxGuard:
         self._seq_of[direction].pop(cell.uid, None)
         # The hand-off to the node (as in Link._deliver).
         port = self.link.target_port(direction)
-        port.cells_received += 1
+        port._cells_received += 1
         port.node.on_cell(port, cell)
 
     def _drain(self, lane: _Lane) -> None:

@@ -215,6 +215,34 @@ class TestIdOrdering:
 # ----------------------------------------------------------------------
 # the shipped tree must be clean
 # ----------------------------------------------------------------------
+class TestClockWrite:
+    def test_assignment_to_now_flagged_outside_the_kernel(self):
+        findings = lint(
+            """
+            def jump(sim):
+                sim.now = 5.0
+                sim.now += 1.0
+            """,
+            path=NEUTRAL,
+        )
+        assert rules(findings) == ["clock-write", "clock-write"]
+
+    def test_the_kernel_may_advance_its_clock(self):
+        findings = lint(
+            """
+            class Simulator:
+                def step(self, time):
+                    self.now = time
+            """,
+            path=Path("src/repro/sim/kernel.py"),
+        )
+        assert rules(findings) == []
+
+    def test_reading_now_is_not_a_write(self):
+        findings = lint("def f(sim):\n    now = sim.now\n", path=NEUTRAL)
+        assert rules(findings) == []
+
+
 class TestRepoClean:
     def test_src_repro_has_no_unallowed_findings(self):
         repo = Path(__file__).resolve().parents[2]

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import repro.conform.oracle as oracle
+from tests.conform import monitor_oracle
 from repro.conform.oracle import (
     MATCHER_KINDS,
     Divergence,
@@ -227,6 +229,33 @@ class TestFastpathOracle:
         assert divergence is not None and not record["agreed"]
         assert divergence.pair == "parking"
         assert divergence.case == "reserved:run-digest"
+
+
+class TestMonitorOracle:
+    @settings(max_examples=12, deadline=None)
+    @given(monitor_oracle.monitor_schedules())
+    def test_closed_form_agrees_with_the_eager_loop(self, case):
+        divergence = monitor_oracle.compare_monitors(*case)
+        assert divergence is None, str(divergence)
+
+    def test_monitor_oracle_catches_a_cut_the_closed_form_missed(
+        self, monkeypatch
+    ):
+        """A cable cut that leaves the quiet monitors asleep: their
+        phantom pings keep being acked, so no verdict ever changes."""
+        from repro.net.link import Link, LinkState
+
+        def cut_quietly(link, state):
+            link.state = state
+
+        monkeypatch.setattr(Link, "_set_state", cut_quietly)
+        divergence = monitor_oracle.compare_monitors(
+            "ring4", [(6_000.0, "fail", 0)]
+        )
+        assert divergence is not None
+        assert divergence.pair == "monitor"
+        assert divergence.case.startswith("ring4:verdicts")
+        assert LinkState.DEAD.value in str(divergence.reference)
 
 
 def test_runtime_import_graph_excludes_the_oracle():

@@ -5,6 +5,8 @@ import pytest
 from repro._types import switch_id
 from repro.core.reconfig.monitor import PortMonitor
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.net.cell import PING, PING_ACK
+from repro.net.link import Link
 from tests.conftest import converged_line, line_with_hosts
 
 
@@ -134,29 +136,39 @@ PINNED_DEAD_VERDICT_AT = 12962.880834230276
 
 
 class _DispatchCounter:
-    """A ``Simulator.profiler`` hook counting dispatches per function."""
+    """A ``Simulator.profiler`` hook counting dispatches per function,
+    and the link deliveries of ping-loop cells."""
 
     def __init__(self):
         self.counts = {}
+        self.ping_cells = 0
 
     def dispatch(self, callback, args):
         func = getattr(callback, "__func__", callback)
         self.counts[func] = self.counts.get(func, 0) + 1
+        if func is Link._deliver and args[1].kind in (PING, PING_ACK):
+            self.ping_cells += 1
         callback(*args)
 
 
 def test_acked_pings_dispatch_no_timeout_and_a_dead_link_still_does():
     net = converged_line(3)
     config = net.switch_config
+    s0 = net.switch("s0")
+    monitor = s0.monitors[s0.port_facing(switch_id(1))]
+    pings_before = monitor.pings_sent
     counter = _DispatchCounter()
     net.sim.profiler = counter
     net.run(20 * config.ping_interval_us)
-    assert counter.counts.get(PortMonitor._send_ping, 0) > 0
+    # The loop ran (20 pings, all acked) but in closed form: no ping,
+    # ping or ack delivery, or timeout was a kernel event.
+    assert monitor.pings_sent - pings_before == 20
+    assert monitor.acks_received == monitor.pings_sent
+    assert counter.counts.get(PortMonitor._send_ping, 0) == 0
     assert counter.counts.get(PortMonitor._check_timeout, 0) == 0
+    assert counter.ping_cells == 0
 
     net.fail_link("s0", "s1")
-    s0 = net.switch("s0")
-    monitor = s0.monitors[s0.port_facing(switch_id(1))]
     net.run_until(
         lambda: monitor.verdict is LinkVerdict.DEAD,
         timeout_us=50_000.0,

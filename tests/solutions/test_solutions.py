@@ -40,7 +40,7 @@ class TestDigestNeutrality:
     #: Re-pinned when each control cell became one link event (the
     #: events this hashes changed; do_nothing still equals the bare run).
     BARE_CORRUPTION_BURST = (
-        "13f449112aa30b019ad3943c7122e569c5b9fe949905f4eafbaa1b8c29e1ab49"
+        "850a8464eeb2c77563f09eec96a5e6421cd9d8fc73369553d347a2d3db7c79c8"
     )
 
     def test_do_nothing_is_digest_identical_to_no_solution(self):

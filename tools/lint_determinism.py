@@ -22,6 +22,10 @@ DESIGN.md, "Determinism contract"):
 - ``id-ordering`` -- ``id(...)`` used inside a ``sorted``/``min``/``max``
   /``.sort`` call (directly or in its ``key``).  Memory addresses differ
   across runs; ordering by them is never replayable.
+- ``clock-write`` -- an assignment to an attribute named ``now`` outside
+  ``sim/kernel.py``.  ``Simulator.now`` is a plain attribute that only
+  the kernel's step and run loops may advance; a clock set anywhere else
+  would run events out of their time order.
 
 Sorting the iterable (``for x in sorted(s)``) silences the iteration
 rules.  Intentional cases carry either an inline pragma::
@@ -408,10 +412,29 @@ class _Analyzer(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
+    def _check_clock_write(self, target: ast.AST) -> None:
+        kernel = str(self.path).replace("\\", "/").endswith("sim/kernel.py")
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr == "now"
+            and not kernel
+        ):
+            self._emit(
+                target,
+                "clock-write",
+                "assigns .now; only the kernel's step/run loops advance "
+                "the simulated clock",
+            )
+
     def visit_Assign(self, node: ast.Assign) -> None:
         kind = self._classify_value(node.value)
         for target in node.targets:
             self._record_binding(target, kind)
+            self._check_clock_write(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_clock_write(node.target)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -424,6 +447,7 @@ class _Analyzer(ast.NodeVisitor):
         if kind is None and node.value is not None:
             kind = self._classify_value(node.value)
         self._record_binding(node.target, kind)
+        self._check_clock_write(node.target)
         self.generic_visit(node)
 
     def _visit_function(self, node) -> None:

@@ -8,17 +8,19 @@ contract") in three stages:
    (:func:`repro.conform.digest.digest_scenario`) several times in this
    process and once per ``PYTHONHASHSEED`` value in a subprocess; every
    run must produce the identical hex digest.
-2. **Differential sweep** -- four families: drives the reference
+2. **Differential sweep** -- five families: drives the reference
    matchers (``Pim``/``Islip``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
    random topologies, checks the default ``Network`` (slot wave,
    :mod:`repro.fastpath`) against its detached private-timer reference
-   -- same traffic outcomes, strictly fewer kernel events -- and checks
+   -- same traffic outcomes, strictly fewer kernel events -- checks
    the wave's sparse walk (parked switches) against walking every armed
-   switch at every wave: the same kernel events, byte for byte.  Any
-   divergence is reported as the first divergent case and fails the
-   gate.
+   switch at every wave: the same kernel events, byte for byte -- and
+   runs the eager link monitors against their closed form under
+   hypothesis-drawn fault schedules on ``ring(4)`` and ``fat_tree(4)``:
+   the same verdicts, counters and cell deliveries.  Any divergence is
+   reported as the first divergent case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -41,6 +43,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(REPO))
 
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
@@ -49,6 +52,7 @@ from repro.conform.oracle import (  # noqa: E402
     routing_sweep,
     slot_driver_sweep,
 )
+from tests.conform.monitor_oracle import monitor_sweep  # noqa: E402
 
 HASHSEEDS = ("0", "1", "12345", "random")
 
@@ -112,13 +116,18 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     driver_div, driver_corpus = slot_driver_sweep(seeds[:2])
     # Three whole-Network cases a seed (replay, reserved, chaos), twice.
     parking_div, parking_corpus = parking_sweep(seeds[:3])
-    found = divergences + routing_div + driver_div + parking_div
+    # One hypothesis-drawn fault schedule a seed, eager vs closed form.
+    monitor_div = monitor_sweep(n_seeds)
+    found = (
+        divergences + routing_div + driver_div + parking_div + monitor_div
+    )
     label = "OK" if not found else "FAIL"
     print(
-        f"      4 families: {len(corpus)} matcher cases + "
+        f"      5 families: {len(corpus)} matcher cases + "
         f"{len(routing_corpus)} routing cases + "
         f"{len(driver_corpus)} slot-driver cases + "
-        f"{len(parking_corpus)} parking cases -> "
+        f"{len(parking_corpus)} parking cases + "
+        f"{n_seeds} monitor schedules -> "
         f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
     for div in found:
