@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-speed speed-smoke e2e-smoke solutions-smoke examples all clean
+.PHONY: install test bench bench-speed speed-smoke e2e-smoke examples all clean
 
 install:
 	pip install -e .
@@ -31,14 +31,6 @@ speed-smoke:
 # whole-Network run breaks; timings are not compared.
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
-
-# Loss-recovery solutions gate (EXPERIMENTS A6): the canned
-# corruption-burst scenario across all four solutions, every recovery
-# invariant checked, plus the acceptance comparison (link_retx must use
-# strictly fewer end-to-end retransmissions than e2e_arq on the same
-# fault plan).  Exit non-zero on any failure.
-solutions-smoke:
-	$(PYTHON) tools/run_solutions.py corruption_burst --gate
 
 examples:
 	@for script in examples/*.py; do \

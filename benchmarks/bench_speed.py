@@ -125,69 +125,6 @@ def _run_route_queries(
     return SpeedResult(elapsed, checksum)
 
 
-def _run_link_retx(guarded: bool, bursts: int, burst_size: int) -> SpeedResult:
-    """Link-local retransmission guard over a deterministically noisy link.
-
-    Same-instant cell bursts over a long link; every 7th cell is
-    corrupted exactly once (payload-keyed, once-only, so a guarded
-    resend of the same cell survives the filter).  The unguarded variant
-    surfaces the corruption as plain loss; the guarded one attaches a
-    :class:`~repro.solutions.link_retx.LinkRetxGuard` and recovers every
-    cell via NACK/resend plus resequencing.  Their ratio is what a
-    recovering link costs over a lossy one on the same wire -- the
-    number the A6 solutions study leans on.  The guarded checksum folds
-    the recovered count in with the delivered count so a silent change
-    to the recovery path fails the comparison.
-    """
-    from repro._types import parse_node_id
-    from repro.net.cell import Cell
-    from repro.net.link import Link
-    from repro.net.node import Node
-    from repro.solutions.link_retx import LinkRetxGuard
-
-    class _Sink(Node):
-        def __init__(self, sim: Simulator, name: str) -> None:
-            super().__init__(sim, parse_node_id(name), 1)
-            self.count = 0
-
-        def on_cell(self, port, cell) -> None:
-            self.count += 1
-
-    sim = Simulator()
-    node_a = _Sink(sim, "h0")
-    node_b = _Sink(sim, "h1")
-    link = Link(sim, node_a.port(0), node_b.port(0), length_km=2.0)
-    corrupted: set = set()
-
-    def corrupt_once(cell: Cell) -> bool:
-        tag = cell.payload
-        if isinstance(tag, int) and tag % 7 == 0 and tag not in corrupted:
-            corrupted.add(tag)
-            return True
-        return False
-
-    link.drop_filter = corrupt_once
-    guard = (
-        LinkRetxGuard(link, buffer_cells=4 * burst_size) if guarded else None
-    )
-
-    tag_counter = [0]
-
-    def burst() -> None:
-        for _ in range(burst_size):
-            link.transmit(0, Cell(vc=0, payload=tag_counter[0]))
-            tag_counter[0] += 1
-
-    gap_us = 60.0
-    for index in range(bursts):
-        sim.schedule_at(1.0 + index * gap_us, burst)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    checksum = node_b.count * 1_000_000 + (guard.recovered if guard else 0)
-    return SpeedResult(elapsed, checksum)
-
-
 def _run_obs_overhead(traced: bool) -> SpeedResult:
     """End-to-end network traffic, with and without full observability.
 
@@ -264,18 +201,6 @@ WORKLOADS: List[SpeedWorkload] = [
         lambda: _run_obs_overhead(True),
         quick=True,
     ),
-    SpeedWorkload(
-        "link_retx_unguarded",
-        "Link: 1k bursts of 24 cells, every 7th corrupted once, plain loss",
-        lambda: _run_link_retx(False, 1_000, 24),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "link_retx_guarded",
-        "Link: same noisy bursts behind a LinkRetxGuard (NACK/resend/reseq)",
-        lambda: _run_link_retx(True, 1_000, 24),
-        quick=True,
-    ),
 ]
 
 # (slow workload, fast workload) pairs whose best-time ratio the runner
@@ -283,5 +208,4 @@ WORKLOADS: List[SpeedWorkload] = [
 SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
     "route_cache_speedup_n24": ("route_cache_off_n24", "route_cache_on_n24"),
     "obs_overhead_traced_cost": ("obs_overhead_traced", "obs_overhead_untraced"),
-    "link_retx_recovery_cost": ("link_retx_guarded", "link_retx_unguarded"),
 }

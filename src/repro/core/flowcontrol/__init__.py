@@ -29,7 +29,6 @@ from repro.core.flowcontrol.deadlock import WaitForGraph
 from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.core.flowcontrol.sizing import (
     credits_for_link,
-    retx_buffer_for_link,
     round_trip_cells,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "UpstreamCredits",
     "WaitForGraph",
     "credits_for_link",
-    "retx_buffer_for_link",
     "round_trip_cells",
 ]

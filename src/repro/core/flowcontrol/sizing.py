@@ -51,21 +51,6 @@ def credits_for_link(length_km: float, bps: float = FAST_LINK_BPS) -> int:
     return round_trip_cells(length_km, bps) + 1
 
 
-def retx_buffer_for_link(length_km: float, bps: float = FAST_LINK_BPS) -> int:
-    """Per-direction link-local retransmission buffer, in cells.
-
-    The link_retx solution keeps a sender-side copy of every cell until
-    the receiving port has either delivered it or NACKed it, so a copy
-    must survive one link round trip (the cell's propagation plus the
-    NACK's) at full rate -- the same round-trip arithmetic that sizes
-    credits -- plus eight cells of slack for the resend turnaround
-    itself.  Overflow falls back to loss: the oldest unacknowledged copy
-    is evicted and a later NACK for it is answered by declaring the cell
-    lost.
-    """
-    return round_trip_cells(length_km, bps) + 8
-
-
 def memory_for_link(
     n_circuits: int = 1000,
     length_km: float = 10.0,

@@ -325,19 +325,11 @@ def check_all(
     sent: Dict[int, List[Packet]],
     settled_at_us: Optional[float],
     conservation_exact: Optional[bool] = None,
-    extra_invariants: Optional[List[InvariantResult]] = None,
 ) -> List[InvariantResult]:
-    """Run every scenario invariant; order is the reporting order.
-
-    ``extra_invariants`` appends pre-computed results (a loss-recovery
-    solution's own checks) after the core suite.
-    """
-    results = [
+    """Run every scenario invariant; order is the reporting order."""
+    return [
         check_convergence(net, settled_at_us),
         check_skeptic_bounded(net),
         check_credit_conservation(net, exact=conservation_exact),
         check_no_misassembly(net, sent),
     ]
-    if extra_invariants:
-        results.extend(extra_invariants)
-    return results

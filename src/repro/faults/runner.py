@@ -5,17 +5,15 @@ pull-the-plug demo and its chaos-test generalization.  It:
 
 1. boots the network and waits for initial convergence,
 2. opens circuits and schedules deterministic traffic (payloads are
-   recorded so the mis-assembly invariant can compare bytes), under one
-   loss-recovery :mod:`repro.solutions` posture -- ``do_nothing`` unless
-   another is given,
+   recorded so the mis-assembly invariant can compare bytes); lost
+   cells stay lost, as the paper leaves their recovery to the hosts,
 3. translates every :class:`~repro.faults.plan.FaultPlan` event into
    simulator callbacks (the event kernel is not reentrant, so all
    orchestration happens *between* ``run`` calls, and fault actions are
    plain scheduled events),
 4. runs past the last fault, waits for the network to settle, drains
    queues, and
-5. evaluates the invariant suite (:mod:`repro.faults.invariants`) plus
-   the solution's own invariants.
+5. evaluates the invariant suite (:mod:`repro.faults.invariants`).
 
 Randomness discipline: every fault event that needs an RNG (credit-loss
 bursts) draws from its own substream of ``net.streams.fork("faults")``,
@@ -56,8 +54,6 @@ from repro.net.cell import Cell, CellKind
 from repro.net.network import Network, NetworkError
 from repro.net.node import validate_device_config
 from repro.net.packet import Packet
-from repro.solutions.base import Solution
-from repro.solutions.do_nothing import DoNothing
 
 
 class ScenarioError(ValueError):
@@ -99,10 +95,6 @@ class ScenarioResult:
     #: path of the flight-recorder dump written because an invariant
     #: failed (``None`` when everything passed or no ``flight_dir`` set).
     flight_dump: Optional[str] = None
-    #: loss-recovery solution the scenario ran under.
-    solution_name: str = DoNothing.name
-    #: the solution's own numbers for the comparison table.
-    solution_metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -132,14 +124,6 @@ class ScenarioResult:
         total_sent = sum(len(p) for p in self.sent.values())
         lines.append(
             f"traffic: {total_sent} packets sent, {self.delivered} delivered"
-        )
-        parts = ", ".join(
-            f"{key}={value:g}"
-            for key, value in sorted(self.solution_metrics.items())
-        )
-        lines.append(
-            f"solution: {self.solution_name}"
-            + (f" ({parts})" if parts else "")
         )
         lines.append("invariants:")
         lines.extend(f"  {result}" for result in self.invariants)
@@ -236,17 +220,12 @@ class ScenarioRunner:
         sample_interval_us: float = 10_000.0,
         conservation_exact: Optional[bool] = None,
         flight_dir: Optional[str] = None,
-        solution: Optional[Solution] = None,
     ) -> None:
         _check_targets(net, plan)
         _check_overlaps(net, plan)
         self.net = net
         self.plan = plan
         self.loads = tuple(loads)
-        #: loss-recovery solution driving this run; a fresh
-        #: :class:`DoNothing` (recover nothing) unless one is given.
-        self.solution = solution if solution is not None else DoNothing()
-        self.solution.attach(net)
         self.settle_us = settle_us
         self.convergence_timeout_us = convergence_timeout_us
         self.sample_interval_us = sample_interval_us
@@ -507,18 +486,12 @@ class ScenarioRunner:
             "scenario", events=len(self.plan), loads=len(self.loads)
         )
         vcs = self._open_circuits()  # advances simulated time
-        self.solution.on_circuits_open(self)  # may advance time too
         t0 = net.now
-        if not self.solution.schedule_traffic(self, t0, vcs):
-            self._schedule_traffic(t0, vcs)
+        self._schedule_traffic(t0, vcs)
         self._schedule_plan(t0)
         horizon = t0 + self.plan.end_us + self.settle_us
         self._schedule_samples(t0, horizon)
         net.run(horizon - net.now)
-        # Before the settle phase: a solution holding links down for
-        # repair must release them so full reconvergence (and the
-        # convergence invariant) stays a fair demand.
-        self.solution.finish(self)
 
         settled_at: Optional[float] = None
         try:
@@ -539,7 +512,6 @@ class ScenarioRunner:
             self.sent,
             settled_at,
             conservation_exact=self.conservation_exact,
-            extra_invariants=self.solution.invariants(net),
         )
         if self.sampled_violations:
             invariants.append(
@@ -582,6 +554,4 @@ class ScenarioRunner:
             faults_applied=self.counts["events_applied"],
             sampled_violations=self.sampled_violations,
             flight_dump=flight_dump,
-            solution_name=self.solution.name,
-            solution_metrics=self.solution.metrics(),
         )

@@ -175,14 +175,12 @@ def build_corruption_burst(seed: int = 11):
     # cells, not lost data), so the burst permanently shrinks the
     # window by ~1 credit per corruption.  With the default allocation
     # of 5 the VC wedges outright mid-scenario; 32 keeps it degraded
-    # but alive, which is the regime the solutions are compared in.
+    # but alive, so the burst's cost shows as lost packets.
     net = _grid_with_hosts(seed, credit_allocation=32)
     # Two trunks of the h0->h1 data route (h0-s0-s3-s4-s5-h1 on this
     # grid) turn noisy for tens of ms: a few percent of delivered cells
-    # silently corrupted.  This is THE discriminating scenario for the
-    # loss-recovery solutions -- link_retx repairs each corruption in a
-    # link RTT, e2e_arq pays an end-to-end timeout plus a go-back-N
-    # window, and do_nothing just loses the packets.
+    # silently corrupted.  Nothing recovers the corrupted cells: their
+    # packets are lost, and the invariants must still hold.
     plan = FaultPlan.of(
         ErrorRateStep(
             at_us=30_000.0, a="s0", b="s3",
@@ -223,8 +221,8 @@ CANNED: Dict[str, Scenario] = {
     ),
     "corruption_burst": Scenario(
         "corruption_burst",
-        "section 5 ablation: an intermittently corrupting trunk, the "
-        "discriminating workload for the loss-recovery solutions",
+        "section 5 ablation: an intermittently corrupting trunk loses "
+        "packets but never mis-assembles one",
         build_corruption_burst,
     ),
 }

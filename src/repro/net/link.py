@@ -95,9 +95,6 @@ class Link:
 
     error_rate = _Hook()
     drop_filter = _Hook()
-    tx_observers = _Hook()
-    adjudicator = _Hook()
-    deliver_hook = _Hook()
     cells_delivered = counter("_cells_delivered", lambda link: link)
 
     def __init__(
@@ -156,31 +153,6 @@ class Link:
         #: observers called with (link, new_state) on every state change;
         #: the link monitors on both endpoints subscribe here.
         self.state_observers: List[Callable[["Link", LinkState], None]] = []
-        # --- loss-recovery solution hooks (repro.solutions) -----------
-        # All three default to unset and then cost nothing: the hot path
-        # is byte-identical and schedules the same kernel events, which
-        # is what lets the do_nothing solution stay digest-identical to
-        # a hook-free run.
-        #: observers called as (link, direction, cell) when a cell
-        #: actually starts serializing -- NOT when it is dropped at a
-        #: dead transmitter.  The link_retx guard numbers cells here.
-        self._tx_observers: List[Callable[["Link", int, Cell], None]] = []
-        #: adjudication hook: called as (link, direction, cell, reason)
-        #: whenever a cell is lost at delivery time, with reason one of
-        #: "dead", "filtered", "error".  Observational -- the drop and
-        #: its counters stand -- but a solution may schedule recovery
-        #: work (a NACK/resend, an administrative repair) from here.
-        self._adjudicator: Optional[
-            Callable[["Link", int, Cell, str], None]
-        ] = None
-        #: delivery interposer: called as (link, direction, cell) after
-        #: the delivery counters and trace records.  Returning True
-        #: claims the cell -- the hook delivers it to the target port
-        #: itself (possibly later, to restore FIFO order around a
-        #: link-local retransmission); False lets the link deliver.
-        self._deliver_hook: Optional[
-            Callable[["Link", int, Cell], bool]
-        ] = None
         port_a.attach(self, 0)
         port_b.attach(self, 1)
         #: per direction, the receiving node's processing delay by kind,
@@ -264,27 +236,12 @@ class Link:
         if departure - now > self._backlog_us:
             self._wake()
         arrival = departure + self.latency_us
-        if self._tx_observers:
-            for observer in list(self._tx_observers):
-                observer(self, direction, cell)
         kind = cell.kind
         self.sim.schedule_at(
             arrival if kind is DATA
             else arrival + self._delays[direction][kind.index],
             self._deliver, direction, cell, arrival,
         )
-
-    def delay_us(self, direction: int, kind: CellKind) -> float:
-        """How long after its arrival a ``kind`` cell sent in
-        ``direction`` is delivered: the receiving node's processing
-        delay for the kind (:attr:`~repro.net.node.Node.cell_delay_us`)."""
-        return self._delays[direction][kind.index]
-
-    def target_port(self, direction: int) -> "Port":
-        """The receiving port for ``direction`` (0: port_b, 1: port_a)."""
-        if direction not in (0, 1):
-            raise ValueError(f"bad direction {direction}")
-        return self.port_b if direction == 0 else self.port_a
 
     def _deliver(self, direction: int, cell: Cell, arrival: float) -> None:
         """The cell's one event, at ``arrival`` plus the receiver's
@@ -303,8 +260,6 @@ class Link:
                     self.sim.now, self.label, "wire.drop",
                     reason="dead",
                 )
-            if self._adjudicator is not None:
-                self._adjudicator(self, direction, cell, "dead")
             return
         if self._drop_filter is not None and self._drop_filter(cell):
             self.cells_corrupted += 1
@@ -313,8 +268,6 @@ class Link:
                     self.sim.now, self.label, "wire.drop",
                     reason="filtered",
                 )
-            if self._adjudicator is not None:
-                self._adjudicator(self, direction, cell, "filtered")
             return
         if self._error_rate > 0 and self._rng.random() < self._error_rate:
             self.cells_corrupted += 1
@@ -323,8 +276,6 @@ class Link:
                     self.sim.now, self.label, "wire.drop",
                     reason="error",
                 )
-            if self._adjudicator is not None:
-                self._adjudicator(self, direction, cell, "error")
             return
         self._cells_delivered += 1
         if ctx is not None:
@@ -332,11 +283,6 @@ class Link:
                 self.sim.now, self.label, "wire.arrive",
                 direction=direction,
             )
-        if self._deliver_hook is not None and self._deliver_hook(
-            self, direction, cell
-        ):
-            return
-        # The hand-off to the node (as in the retransmission layer's).
         port = self.port_b if direction == 0 else self.port_a
         port._cells_received += 1
         port.node.on_cell(port, cell)
@@ -365,7 +311,7 @@ class Link:
 
     def _rest(self) -> None:
         """Run both monitors' loops in closed form if the line is quiet:
-        WORKING, with no hook, filter, observer or error rate, and both
+        WORKING, with no drop filter or error rate, and both
         monitors :meth:`~repro.core.reconfig.monitor.PortMonitor.can_rest`.
         A ping and its ack, each queued at most ``backlog`` behind real
         cells (which :meth:`transmit` then keeps to) and behind two
@@ -374,8 +320,7 @@ class Link:
         if (
             self._quiet is not None or a is None or b is None
             or self.state is not WORKING or self._error_rate
-            or self._drop_filter or self._tx_observers
-            or self._adjudicator or self._deliver_hook
+            or self._drop_filter
             or not (a.can_rest() and b.can_rest())
         ):
             return

@@ -65,13 +65,6 @@ class ArqTransfer:
         backoff: multiplier applied to the retransmission timeout after
             each fruitless round (1.0 = fixed interval); reset to
             ``timeout_us`` whenever an ack advances the window.
-        pacing_us: minimum spacing between FIRST transmissions of
-            successive sequences (0 = send as fast as the window
-            allows).  Scenario comparisons set this to the raw load's
-            send interval so ARQ carries the same offered load over the
-            same span instead of blasting the transfer before the fault
-            window opens.  Retransmissions on a timeout are not paced:
-            go-back-N resends its whole outstanding window.
     """
 
     def __init__(
@@ -87,7 +80,6 @@ class ArqTransfer:
         timeout_us: float = 2_000.0,
         max_retries: Optional[int] = None,
         backoff: float = 1.0,
-        pacing_us: float = 0.0,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -97,8 +89,6 @@ class ArqTransfer:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
         if backoff < 1.0:
             raise ValueError(f"backoff must be >= 1.0, got {backoff}")
-        if pacing_us < 0.0:
-            raise ValueError(f"pacing_us must be >= 0, got {pacing_us}")
         self.sim = sim
         self.sender = sender
         self.receiver = receiver
@@ -110,10 +100,7 @@ class ArqTransfer:
         self.timeout_us = timeout_us
         self.max_retries = max_retries
         self.backoff = backoff
-        self.pacing_us = pacing_us
         # Sender state.
-        self._next_send_at = 0.0
-        self._pace_event: Optional[Event] = None
         self.base = 0
         self.next_seq = 0
         self.packets_transmitted = 0  # includes retransmissions
@@ -159,23 +146,9 @@ class ArqTransfer:
             self.next_seq < self.base + self.window
             and self.next_seq < self.n_packets
         ):
-            if self.pacing_us > 0.0:
-                now = self.sim.now
-                if now < self._next_send_at:
-                    if self._pace_event is None:
-                        self._pace_event = self.sim.schedule(
-                            self._next_send_at - now, self._pace_fire
-                        )
-                    break
-                self._next_send_at = now + self.pacing_us
             self._transmit(self.next_seq)
             self.next_seq += 1
         self._arm_timer()
-
-    def _pace_fire(self) -> None:
-        self._pace_event = None
-        if not self.failed:
-            self._fill_window()
 
     def _transmit(self, seq: int) -> None:
         self.packets_transmitted += 1
@@ -190,9 +163,8 @@ class ArqTransfer:
 
     def _arm_timer(self) -> None:
         self._cancel_timer()
-        # Only while packets are outstanding: a paced sender between
-        # sends has nothing to retransmit, and counting timeouts there
-        # would burn the retry budget on idle gaps.
+        # Only while packets are outstanding: with everything acked
+        # there is nothing to retransmit.
         if self.base < self.next_seq and not self.failed:
             self._timer = self.sim.schedule(
                 self._current_timeout_us, self._timeout
@@ -214,9 +186,6 @@ class ArqTransfer:
             # Terminal: the receiver is unreachable; stop rather than
             # retransmit the window forever at a fixed interval.
             self.failed = True
-            if self._pace_event is not None:
-                self._pace_event.cancel()
-                self._pace_event = None
             return
         self.timeouts += 1
         self._consecutive_timeouts += 1

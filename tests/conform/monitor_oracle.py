@@ -29,7 +29,7 @@ from repro.switch.switch import SwitchConfig
 from repro.traffic.workload import PoissonPacketWorkload
 
 #: a schedule step's action on its target link (switch, for a crash):
-#: cut, restore, toggle an error rate or a pass-through delivery hook.
+#: cut, restore, toggle an error rate or a drop filter that drops nothing.
 MONITOR_ACTIONS = ("fail", "restore", "corrupt", "crash", "hook")
 MONITOR_SPAN_US = 40_000.0
 
@@ -97,9 +97,9 @@ def run_monitor_case(
         elif action == "crash":
             net.crash_switch(sorted(net.switches)[target % len(net.switches)])
         else:
-            link.deliver_hook = (
-                None if link.deliver_hook is not None
-                else lambda link, direction, cell: False
+            link.drop_filter = (
+                None if link.drop_filter is not None
+                else lambda cell: False
             )
     net.run(MONITOR_SPAN_US - net.now)
     monitors = [

@@ -2,9 +2,9 @@
 
 ``Pair`` cables an upstream node to a downstream node and opens one
 circuit across the cable.  Cells and credits really serialize and
-propagate, so "in flight" is read off the wire (transmissions counted by
-a ``Link.tx_observers`` hook minus arrivals counted by the nodes), not
-derived from the credit counters under test.
+propagate, so "in flight" is read off the wire (cells sent, counted by
+a wrapper around each end's ``Port.send``, minus arrivals counted by the
+nodes), not derived from the credit counters under test.
 """
 
 import random
@@ -59,12 +59,18 @@ class Pair:
         self.down = End(self.sim, switch_id(1), cfg)
         self.link = Link(self.sim, self.up.ports[0], self.down.ports[0])
         self.on_wire = Counter()
-        self.link.tx_observers.append(
-            lambda link, direction, cell: self.on_wire.update([cell.kind])
-        )
+        for port in (self.up.ports[0], self.down.ports[0]):
+            port.send = self._counting(port.send)
         self.up.credits.open_window(VC)
         self.window = self.up.credits.upstream.get(VC)
         self.pool = self.down.credits.pool(VC)
+
+    def _counting(self, send):
+        def counted(cell, bits=None):
+            self.on_wire[cell.kind] += 1
+            send(cell, bits)
+
+        return counted
 
     def send(self):
         self.window.consume()

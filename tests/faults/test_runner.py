@@ -3,7 +3,9 @@ observability wiring, and the invariant checker."""
 
 import pytest
 
+from repro.conform.digest import RunDigest, fingerprint_network
 from repro.faults import (
+    CANNED,
     ClockDriftStep,
     CreditLossBurst,
     ErrorRateStep,
@@ -155,6 +157,24 @@ class TestTrafficAndDeterminism:
                 )
             )
         assert outcomes[0] == outcomes[1]
+
+    #: Run digest (kernel events + final network state) of the canned
+    #: ``corruption_burst`` scenario.
+    CORRUPTION_BURST_DIGEST = (
+        "850a8464eeb2c77563f09eec96a5e6421cd9d8fc73369553d347a2d3db7c79c8"
+    )
+
+    def test_corruption_burst_digest_is_pinned(self):
+        """A change that moves a single kernel event or a byte of final
+        network state of a plain scenario run shows here."""
+        net, plan, loads = CANNED["corruption_burst"].build()
+        digest = RunDigest()
+        net.sim.digest = digest
+        result = ScenarioRunner(net, plan, loads).run()
+        net.sim.digest = None
+        digest.absorb("network-state", fingerprint_network(net))
+        assert digest.hexdigest() == self.CORRUPTION_BURST_DIGEST
+        assert result.passed, result.report()
 
     @pytest.mark.parametrize(
         "event",

@@ -162,12 +162,11 @@ class TestArq:
         ``max_retries`` fruitless timeout rounds -- not retransmit its
         window every timeout until the end of time."""
         net = drop_net()
-        arq = self.arq_pair(
-            net, n_packets=30, max_retries=3, backoff=2.0, pacing_us=1_000.0
-        )
+        arq = self.arq_pair(net, n_packets=30, max_retries=3, backoff=2.0)
         arq.start()
-        net.run(5_000)  # a few paced packets get through first
-        assert arq.base > 0
+        while arq.base == 0:  # the first acks get through first
+            net.run(100)
+        assert not arq.done
         net.link_between("s0", "s1").fail()
         net.run(4_000_000)
         assert arq.failed
@@ -176,7 +175,6 @@ class TestArq:
         # nothing is left armed (no event storm against a dead circuit).
         assert arq.timeouts <= 3 + arq.base  # progress resets the count
         assert arq._timer is None
-        assert arq._pace_event is None
         transmitted_at_failure = arq.packets_transmitted
         net.run(4_000_000)
         assert arq.packets_transmitted == transmitted_at_failure
@@ -193,27 +191,12 @@ class TestArq:
         # Each fruitless round doubled the interval: 3ms, 6ms, 12ms.
         assert arq._current_timeout_us == arq.timeout_us * 2.0 ** 3
 
-    def test_pacing_spreads_first_transmissions(self):
-        net = drop_net()
-        arq = self.arq_pair(net, n_packets=20, pacing_us=1_000.0)
-        arq.start()
-        # Pacing overrides the window blast: only the first packet goes
-        # out at start time.
-        assert arq.next_seq == 1
-        net.run(1_000_000)
-        assert arq.done
-        assert arq.retransmissions == 0
-        # 20 sends at 1ms spacing cannot complete before 19ms.
-        assert arq.completed_at >= 19_000.0
-
     def test_new_knob_validation(self):
         net = drop_net()
         with pytest.raises(ValueError):
             self.arq_pair(net, max_retries=0)
         with pytest.raises(ValueError):
             self.arq_pair(net, backoff=0.5)
-        with pytest.raises(ValueError):
-            self.arq_pair(net, pacing_us=-1.0)
 
     def test_works_over_credit_network_too(self, small_net):
         """ARQ is harmless over the lossless network: zero

@@ -9,6 +9,7 @@ Other canned scenarios (``--list`` to enumerate)::
 
     PYTHONPATH=src python tools/run_scenario.py flapping_link
     PYTHONPATH=src python tools/run_scenario.py credit_loss
+    PYTHONPATH=src python tools/run_scenario.py corruption_burst
 
 Randomized chaos (random bi-connected topology + random plan,
 reproducible from the seed)::
