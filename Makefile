@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-speed speed-smoke e2e-smoke examples all clean
+.PHONY: install test bench bench-speed speed-smoke e2e-smoke reach examples all clean
 
 install:
 	pip install -e .
@@ -31,6 +31,13 @@ speed-smoke:
 # whole-Network run breaks; timings are not compared.
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# Reachability gate: runs the claim-producing slice (benches, e2e smoke,
+# examples, chaos scenarios + trace reports, conformance) under a
+# profile hook; fails when a function in src/repro that no run reaches
+# is missing from tools/reach_allowlist.txt, or an entry is stale.
+reach:
+	$(PYTHON) tools/reach.py
 
 examples:
 	@for script in examples/*.py; do \

@@ -15,8 +15,22 @@ import random
 
 from repro.analysis.experiments import ExperimentReport
 from repro.analysis.tables import Table
-from repro.core.guaranteed.frames import FrameSchedule, figure3_initial_schedule
+from repro.core.guaranteed.frames import (
+    FrameSchedule,
+    ScheduleError,
+    figure2_schedule,
+    figure3_initial_schedule,
+)
 from repro.core.guaranteed.slepian_duguid import build_schedule, insert_cell
+
+#: Figure 2's reservation matrix as printed (cells/frame, input row ->
+#: output column, 0-based).
+FIGURE2_MATRIX = [
+    [0, 1, 1, 1],
+    [2, 0, 0, 0],
+    [0, 2, 0, 1],
+    [1, 0, 1, 0],
+]
 
 
 def random_admissible_matrix(n, slots, rng):
@@ -30,6 +44,22 @@ def random_admissible_matrix(n, slots, rng):
             rows[i] += k
             cols[o] += k
     return matrix
+
+
+def figure2_holds():
+    """Figure 2's schedule is consistent, carries the printed matrix,
+    and the matrix alone schedules into the figure's three slots."""
+    schedule = figure2_schedule()
+    try:
+        schedule.check_consistent()
+        rebuilt, _ = build_schedule(4, 3, FIGURE2_MATRIX)
+        rebuilt.check_consistent()
+    except ScheduleError:
+        return False
+    return (
+        schedule.reservation_matrix() == FIGURE2_MATRIX
+        and rebuilt.reservation_matrix() == FIGURE2_MATRIX
+    )
 
 
 def figure3_trace():
@@ -78,21 +108,28 @@ def frame_size_independence(n, rng):
 
 
 def run_experiment():
+    figure2 = figure2_holds()
     trace, final = figure3_trace()
     stats = {
         n: step_statistics(n, 2 * n, trials=8, rng=random.Random(n))
         for n in (4, 8, 16, 32)
     }
     independence = frame_size_independence(8, random.Random(99))
-    return trace, final, stats, independence
+    return figure2, trace, final, stats, independence
 
 
 def test_e7_slepian_duguid(benchmark, report_sink):
-    trace, final, stats, independence = benchmark.pedantic(
+    figure2, trace, final, stats, independence = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
 
     report = ExperimentReport("E7", "Slepian-Duguid schedule insertion")
+    report.check(
+        "Figure 2 schedule",
+        "matrix as printed, fits 3 slots",
+        "yes" if figure2 else "no",
+        holds=figure2,
+    )
     report.check(
         "Figure 3: add 4->3 to the Figure 2 slots",
         "terminates after 3 steps",

@@ -115,12 +115,12 @@ def _run_route_queries(
                 source, destination
             )
         )
-    switch_route = computer.switch_route
+    shortest_legal_path = computer.orientation.shortest_legal_path
     checksum = 0
     start = time.perf_counter()
     for _ in range(rounds):
         for source, destination in pairs:
-            checksum += len(switch_route(source, destination)[1])
+            checksum += len(shortest_legal_path(source, destination)[1])
     elapsed = time.perf_counter() - start
     return SpeedResult(elapsed, checksum)
 

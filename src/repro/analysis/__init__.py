@@ -1,19 +1,12 @@
 """Statistics helpers and benchmark-output formatting."""
 
-from repro.analysis.stats import (
-    coefficient_of_variation,
-    confidence_interval95,
-    jain_fairness,
-    mean,
-)
+from repro.analysis.stats import jain_fairness, mean
 from repro.analysis.tables import Table
 from repro.analysis.experiments import ExperimentReport
 
 __all__ = [
     "ExperimentReport",
     "Table",
-    "coefficient_of_variation",
-    "confidence_interval95",
     "jain_fairness",
     "mean",
 ]

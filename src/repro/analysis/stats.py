@@ -3,38 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of no values")
     return math.fsum(values) / len(values)
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Unbiased sample standard deviation (0.0 for n < 2)."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    m = mean(values)
-    return math.sqrt(math.fsum((v - m) ** 2 for v in values) / (n - 1))
-
-
-def confidence_interval95(values: Sequence[float]) -> Tuple[float, float]:
-    """Normal-approximation 95% CI for the mean."""
-    m = mean(values)
-    if len(values) < 2:
-        return (m, m)
-    half = 1.96 * stdev(values) / math.sqrt(len(values))
-    return (m - half, m + half)
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    m = mean(values)
-    if m == 0:
-        raise ValueError("CV undefined for zero mean")
-    return stdev(values) / m
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -5,7 +5,7 @@
   neighbor monitoring (section 2),
 - :mod:`repro.core.routing` -- virtual circuits, setup signaling,
   up*/down* route restriction, and the proposed extensions: circuit
-  page-out/in, local reroute, load balancing (sections 2 and 5),
+  page-out/in and local reroute (sections 2 and 5),
 - :mod:`repro.core.matching` -- parallel iterative matching and the
   scheduling baselines it is evaluated against (section 3),
 - :mod:`repro.core.guaranteed` -- frame schedules, Slepian-Duguid

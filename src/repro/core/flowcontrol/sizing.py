@@ -10,22 +10,14 @@ as can be transmitted in one round-trip time on the link."
 
 The E9 benchmark sweeps the per-VC credit allocation through and past
 this bound and shows throughput saturating exactly at the round-trip
-size, and :func:`memory_for_link` reproduces the back-of-envelope memory
-estimate ("With 1000 virtual circuits per link and a maximum link length
-of 10 km, the required memory costs much less than the opto-electronics
-in the line card").
+size.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.constants import (
-    CELL_BYTES,
-    CELL_BITS,
-    FAST_LINK_BPS,
-    PROPAGATION_US_PER_KM,
-)
+from repro.constants import CELL_BITS, FAST_LINK_BPS, PROPAGATION_US_PER_KM
 
 
 def round_trip_us(length_km: float, bps: float = FAST_LINK_BPS) -> float:
@@ -50,17 +42,3 @@ def credits_for_link(length_km: float, bps: float = FAST_LINK_BPS) -> int:
     the round-trip size plus one cell of slack for timing quantization."""
     return round_trip_cells(length_km, bps) + 1
 
-
-def memory_for_link(
-    n_circuits: int = 1000,
-    length_km: float = 10.0,
-    bps: float = FAST_LINK_BPS,
-) -> int:
-    """Bytes of buffer memory one link needs at the paper's scale.
-
-    1000 VCs x round-trip(10 km) cells x 53 bytes -- the figure the paper
-    compares against the cost of line-card opto-electronics.
-    """
-    if n_circuits <= 0:
-        raise ValueError(f"n_circuits must be positive, got {n_circuits}")
-    return n_circuits * round_trip_cells(length_km, bps) * CELL_BYTES

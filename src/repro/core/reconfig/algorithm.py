@@ -66,7 +66,9 @@ class ReconfigTransport:
     def local_edges(self) -> AbstractSet[Edge]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def send_reconfig(self, port_index: int, message) -> None:  # pragma: no cover
+    def send_reconfig(
+        self, port_index: int, message
+    ) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -288,13 +290,6 @@ class ReconfigurationAgent:
     def _send(self, port_index: int, message) -> None:
         self.stats.messages_sent += 1
         self.transport.send_reconfig(port_index, message)
-
-    # ------------------------------------------------------------------
-    @property
-    def is_root(self) -> bool:
-        return self.parent_port is None and (
-            self.active or self.view_tag is not None
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "active" if self.active else "idle"

@@ -2,8 +2,8 @@
 
 - :mod:`repro.core.routing.updown` -- up*/down* link orientation and
   legal-path search (AN1's deadlock-avoiding route restriction),
-- :mod:`repro.core.routing.paths` -- route computation over a discovered
-  topology view,
+- :mod:`repro.core.routing.paths` -- the per-view route computer (the
+  orientation plus host attachments),
 - :mod:`repro.core.routing.circuits` -- virtual-circuit identities and
   life cycle,
 - :mod:`repro.core.routing.signaling` -- hop-by-hop circuit setup ("a
@@ -12,9 +12,11 @@
 - :mod:`repro.core.routing.paging` -- the idle-circuit page-out/page-in
   extension,
 - :mod:`repro.core.routing.reroute` -- local rerouting around failed
-  links,
-- :mod:`repro.core.routing.load_balance` -- the speculative
-  load-balancing rerouter.
+  links.
+
+The paper's speculative load balancing ("algorithms to determine when
+and where circuits should be moved have yet to be considered", section
+2) is not reproduced.
 """
 
 from repro.core.routing.circuits import (
@@ -23,12 +25,11 @@ from repro.core.routing.circuits import (
     VcAllocator,
     VirtualCircuit,
 )
-from repro.core.routing.paths import Route, RouteComputer, RoutingError
+from repro.core.routing.paths import RouteComputer, RoutingError
 from repro.core.routing.updown import UpDownOrientation
 
 __all__ = [
     "CircuitState",
-    "Route",
     "RouteComputer",
     "RoutingError",
     "SIGNALING_VC",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro._types import NodeId, VcId
-from repro.core.routing.paths import Route
 from repro.net.cell import TrafficClass
 
 #: VC 0 carries pings/acks; VC 1 carries signaling; the rest of the low
@@ -43,7 +42,6 @@ class VirtualCircuit:
     source: NodeId
     destination: NodeId
     traffic_class: TrafficClass = TrafficClass.BEST_EFFORT
-    route: Optional[Route] = None
     state: CircuitState = CircuitState.SETTING_UP
     cells_per_frame: int = 0  # > 0 only for guaranteed circuits
     cells_sent: int = 0

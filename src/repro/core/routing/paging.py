@@ -68,13 +68,3 @@ class PagingDaemon:
                 self.pages_initiated += 1
         return paged
 
-
-def buffers_reclaimed(switch: AN2Switch) -> int:
-    """Best-effort buffer cells currently *not* pinned by paged-in
-    circuits: the benefit metric for the E13 benchmark."""
-    pinned = 0
-    for card in switch.cards:
-        # det: allow(commutative sum; value order cannot matter)
-        for state in card.downstream.values():
-            pinned += state.allocation
-    return pinned

@@ -13,50 +13,17 @@ with the failed cable blocked and the circuit's gone-down bit kept, so a
 circuit that has already gone down takes a down-only detour.  Guaranteed
 circuits are not moved: the detour has no frame reservation, so the
 switch counts them in ``broken_circuits`` and their re-admission is left
-to the application.  This module provides analysis helpers used by the
-E13 benchmark to verify the selectivity claim: only circuits whose path
-crossed the failed link see any disruption.
+to the application.  This module provides :func:`installed_path`, the
+ground truth the tests use to verify the selectivity claim: only
+circuits whose path crossed the failed link see any disruption.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro._types import NodeId
 from repro.net.network import Network
-
-
-def circuits_crossing(
-    network: Network, a: NodeId, b: NodeId
-) -> Tuple[List[int], List[int]]:
-    """Partition established circuits into (crossing, not crossing) the
-    link between ``a`` and ``b``, judged by installed routing entries."""
-    crossing: List[int] = []
-    clear: List[int] = []
-    # det: allow(int VC keys inserted in ascending allocation order)
-    for vc, circuit in network.circuits.items():
-        if _vc_uses_link(network, vc, a, b):
-            crossing.append(vc)
-        else:
-            clear.append(vc)
-    return crossing, clear
-
-
-def _vc_uses_link(network: Network, vc: int, a: NodeId, b: NodeId) -> bool:
-    # det: allow(existence check over all switches; answer order-independent)
-    for switch in network.switches.values():
-        in_port = switch._vc_in_port.get(vc)
-        if in_port is None:
-            continue
-        entry = switch.cards[in_port].routing_table.lookup(vc)
-        if entry is None:
-            continue
-        # The inbound side (who feeds this card?), then the outbound.
-        for port in (in_port, entry.out_port):
-            neighbor = switch.neighbor(port)
-            if neighbor is not None and {switch.node_id, neighbor[0]} == {a, b}:
-                return True
-    return False
 
 
 def installed_path(network: Network, vc: int, source: NodeId) -> List[NodeId]:

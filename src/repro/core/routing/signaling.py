@@ -74,16 +74,22 @@ class SignalingTransport:
     def route_computer(self):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def port_facing(self, host: NodeId) -> Optional[int]:  # pragma: no cover
+    def port_facing(
+        self, host: NodeId
+    ) -> Optional[int]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def install_circuit(self, vc, in_port, out_port, request):  # pragma: no cover
+    def install_circuit(
+        self, vc, in_port, out_port, request
+    ):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def remove_circuit(self, vc):  # pragma: no cover
+    def remove_circuit(self, vc):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def send_signaling(self, port_index, message):  # pragma: no cover
+    def send_signaling(
+        self, port_index, message
+    ):  # pragma: no cover - interface
         raise NotImplementedError
 
 

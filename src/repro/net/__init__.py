@@ -13,7 +13,7 @@ below the distributed algorithms of :mod:`repro.core`:
 - :mod:`repro.net.topology` -- connection-pattern descriptions and
   generators (including the paper's Figure-1-style SRC installation),
 - :mod:`repro.net.topogen` -- structured datacenter-scale generators
-  (k-ary fat-tree, spine-leaf, folded Clos) with tier/pod metadata.
+  (k-ary fat-tree, spine-leaf) with tier/pod metadata.
 """
 
 from repro.net.aal import Reassembler, Segmenter
@@ -23,7 +23,7 @@ from repro.net.link import Link, LinkState
 from repro.net.network import Network, NetworkError
 from repro.net.packet import Packet
 from repro.net.port import Port
-from repro.net.topogen import StructuredTopology, fat_tree, folded_clos, spine_leaf
+from repro.net.topogen import StructuredTopology, fat_tree, spine_leaf
 from repro.net.topology import Topology, TopologyError, TopologyView
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "TopologyView",
     "TrafficClass",
     "fat_tree",
-    "folded_clos",
     "spine_leaf",
 ]

@@ -309,9 +309,6 @@ class Network(Installation):
             self._central = (tag, self.bandwidth_central())
         return self._central[1]
 
-    def total_cells_forwarded(self) -> int:
-        return sum(s.stats.cells_forwarded for s in self.switches.values())
-
     def total_cells_dropped(self) -> int:
         """User-visible loss: switch-level drops plus DATA cells lost on
         dead links.  Control cells dying on a dead link (the monitors

@@ -174,7 +174,7 @@ class Node:
 
     def _on_verdict(
         self, port_index: PortIndex, verdict: LinkVerdict, now: float
-    ) -> None:
+    ) -> None:  # pragma: no cover - interface
         """The skeptic on ``port_index`` published a new verdict.  The
         queries below read it either way; subclasses act on it."""
 
@@ -242,7 +242,9 @@ class Node:
         return None
 
     # ------------------------------------------------------------------
-    def on_cell(self, port: Port, cell: Cell) -> None:
+    def on_cell(
+        self, port: Port, cell: Cell
+    ) -> None:  # pragma: no cover - interface
         """Handle an arriving cell.  Subclasses must override."""
         raise NotImplementedError
 

@@ -54,11 +54,6 @@ class Port:
         self.link = link
         self._direction = direction
 
-    def detach(self) -> None:
-        """Unplug the cable (used when rebuilding topologies)."""
-        self.link = None
-        self._direction = None
-
     def can_transmit_at(self, now: float, slack: float = 1e-9) -> bool:
         """Is the outbound direction of the cable idle (and alive)?
 

@@ -5,16 +5,13 @@ core with dual-homed hosts), but the ROADMAP north-star is thousands of
 switches -- and at that scale real networks are *structured*: multi-stage
 Clos fabrics whose regularity is what makes routing, expansion, and
 failure analysis tractable ("SCALABLE INTERNETWORKING", PAPERS.md).
-This module generates the three standard shapes:
+This module generates the two standard shapes:
 
 - :func:`fat_tree` -- the k-ary fat-tree: ``k`` pods of ``k/2`` edge and
   ``k/2`` aggregation switches over ``(k/2)^2`` core switches
   (``5k^2/4`` switches total; k=32 is 1280 switches),
 - :func:`spine_leaf` -- the 2-tier leaf-spine fabric: every leaf cabled
-  to every spine (optionally with multiple parallel cables),
-- :func:`folded_clos` -- the classic folded 3-stage Clos(m, n, r):
-  ``r`` leaf switches with ``n`` host-facing ports each and ``m``
-  spine switches; ``m >= n`` makes the fabric rearrangeably nonblocking.
+  to every spine.
 
 Every generator returns a :class:`StructuredTopology`: the plain
 :class:`~repro.net.topology.Topology` (so everything downstream --
@@ -34,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro._types import NodeId, switch_id
+from repro._types import NodeId
 from repro.net.topology import Topology, TopologyError, TopologyView
 
 #: Tier labels used by the generators.
@@ -67,12 +64,6 @@ class StructuredTopology:
 
     def switches_in_tier(self, tier: str) -> List[NodeId]:
         return sorted(s for s, t in self.tier.items() if t == tier)
-
-    def switches_in_pod(self, pod: int) -> List[NodeId]:
-        return sorted(s for s, p in self.pod.items() if p == pod)
-
-    def n_pods(self) -> int:
-        return len({p for p in self.pod.values() if p is not None})
 
     def default_root(self) -> NodeId:
         """The deterministic up*/down* root for this fabric.
@@ -181,29 +172,23 @@ def spine_leaf(
     n_spines: int,
     n_leaves: int,
     hosts_per_leaf: int = 0,
-    leaf_spare_ports: int = 0,
     length_km: float = 0.1,
     host_length_km: float = 0.05,
 ) -> StructuredTopology:
     """A 2-tier spine-leaf fabric: every leaf cabled once to every spine.
 
-    Spines get ``n_leaves`` ports; leaves get ``n_spines + hosts_per_leaf
-    + leaf_spare_ports`` (spare ports stay uncabled, reserved for later
-    expansion).
+    Spines get ``n_leaves`` ports; leaves get ``n_spines +
+    hosts_per_leaf``.
     """
     if n_spines < 1 or n_leaves < 1:
         raise TopologyError(
             f"spine_leaf needs >= 1 spine and leaf, got "
             f"{n_spines}x{n_leaves}"
         )
-    if leaf_spare_ports < 0:
-        raise TopologyError(
-            f"leaf_spare_ports must be >= 0, got {leaf_spare_ports}"
-        )
     topo = Topology()
     tier: Dict[NodeId, str] = {}
     pod: Dict[NodeId, Optional[int]] = {}
-    leaf_ports = n_spines + hosts_per_leaf + leaf_spare_ports
+    leaf_ports = n_spines + hosts_per_leaf
     spines = [topo.add_switch(i, ports=n_leaves) for i in range(n_spines)]
     leaves = [
         topo.add_switch(n_spines + i, ports=leaf_ports)
@@ -240,31 +225,4 @@ def spine_leaf(
         tier=tier,
         pod=pod,
         hosts_of=hosts_of,
-    )
-
-
-def folded_clos(m: int, n: int, r: int) -> StructuredTopology:
-    """The folded 3-stage Clos(m, n, r).
-
-    ``r`` leaf switches each expose ``n`` host-facing ports and ``m``
-    uplinks (one to each of the ``m`` spine switches); the unfolded
-    ingress and egress stages share the leaf hardware.  ``m >= n`` gives
-    the rearrangeably-nonblocking fabric of Clos's theorem -- the same
-    property the paper's crossbar scheduling leans on at switch scale,
-    here at fabric scale.  The ``n`` host ports stay uncabled, and
-    trunks are ``spine_leaf``'s default length.
-    """
-    if m < 1 or n < 1 or r < 1:
-        raise TopologyError(f"folded_clos needs m, n, r >= 1, got {m},{n},{r}")
-    # A folded Clos *is* a spine-leaf with the (m, n, r) parameterization
-    # made explicit; leaves reserve their n host ports as spares, so the
-    # fabric's nonblocking ratio m/n is physical.
-    structured = spine_leaf(n_spines=m, n_leaves=r, leaf_spare_ports=n)
-    return StructuredTopology(
-        name="folded_clos",
-        params={"m": m, "n": n, "r": r},
-        topology=structured.topology,
-        tier=structured.tier,
-        pod=structured.pod,
-        hosts_of=structured.hosts_of,
     )

@@ -156,14 +156,6 @@ class Topology:
             if e[0][0].is_switch and e[1][0].is_switch
         ]
 
-    def host_attachments(self) -> List[Edge]:
-        """Cables with a host on one end."""
-        return [
-            e
-            for e in sorted(self._cables)
-            if e[0][0].is_host or e[1][0].is_host
-        ]
-
     def neighbors(self, node: NodeRef) -> List[NodeId]:
         target = parse_node_id(node)
         found: List[NodeId] = []
@@ -367,17 +359,6 @@ class TopologyView:
             nodes.add(nb)
         return sorted(n for n in nodes if n.is_host)
 
-    def switch_adjacency(self) -> Dict[NodeId, List[Tuple[int, NodeId, int]]]:
-        """switch -> sorted [(local port, neighbor switch, neighbor port)]."""
-        adjacency: Dict[NodeId, List[Tuple[int, NodeId, int]]] = {}
-        for (na, pa), (nb, pb) in self.edges:
-            if na.is_switch and nb.is_switch:
-                adjacency.setdefault(na, []).append((pa, nb, pb))
-                adjacency.setdefault(nb, []).append((pb, na, pa))
-        for entries in adjacency.values():
-            entries.sort()
-        return adjacency
-
     def host_ports(self) -> Dict[NodeId, List[Tuple[int, NodeId, int]]]:
         """host -> sorted [(host port, switch, switch port)]."""
         attachments: Dict[NodeId, List[Tuple[int, NodeId, int]]] = {}
@@ -389,15 +370,6 @@ class TopologyView:
         for entries in attachments.values():
             entries.sort()
         return attachments
-
-    def without_edge(self, edge: Edge) -> "TopologyView":
-        return TopologyView(self.edges - {edge})
-
-    def with_edge(self, edge: Edge) -> "TopologyView":
-        return TopologyView(self.edges | {edge})
-
-    def merge(self, other: "TopologyView") -> "TopologyView":
-        return TopologyView(self.edges | other.edges)
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -64,7 +64,6 @@ from repro.net.cell import (
 )
 from repro.net.node import validate_device_config
 from repro.net.port import Port
-from repro.net.topology import TopologyView
 from repro.sim.kernel import Simulator
 from repro.sim.clock import DriftingClock
 from repro.sim.random import RandomStreams
@@ -826,22 +825,6 @@ class AN2Switch(SwitchNode):
                 else:
                     self.stats.broken_circuits += 1
 
-    def reroute_circuit(self, vc: VcId) -> bool:
-        """Move one circuit off the cable it leaves this switch on, from
-        this switch onward (used by the load-balancing extension).
-        Returns success."""
-        in_port = self._vc_in_port.get(vc)
-        if in_port is None:
-            return False
-        card = self.cards[in_port]
-        entry = card.routing_table.lookup(vc)
-        if entry is None:
-            return False
-        moved = self._reroute_entry(card, entry)
-        if moved:
-            self.stats.reroutes += 1
-        return moved
-
     def _repair_broken_circuits(self) -> None:
         """Retry local reroute for circuits still routed at dead ports."""
         for card in self.cards:
@@ -908,9 +891,6 @@ class AN2Switch(SwitchNode):
 
     def buffered_cells(self) -> int:
         return self._queued
-
-    def topology_view(self) -> Optional[TopologyView]:
-        return self.reconfig.view
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<AN2Switch {self.node_id} buf={self.buffered_cells()}>"

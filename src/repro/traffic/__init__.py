@@ -16,11 +16,7 @@ from repro.traffic.arrivals import (
     StarvationPattern,
 )
 from repro.traffic.cbr import CbrSource, interarrival_jitter, latency_jitter
-from repro.traffic.workload import (
-    FileTransferWorkload,
-    PoissonPacketWorkload,
-    RpcWorkload,
-)
+from repro.traffic.workload import PoissonPacketWorkload, RpcWorkload
 
 __all__ = [
     "ArqTransfer",
@@ -28,7 +24,6 @@ __all__ = [
     "BernoulliUniform",
     "BurstyOnOff",
     "CbrSource",
-    "FileTransferWorkload",
     "Hotspot",
     "Permutation",
     "PoissonPacketWorkload",

@@ -62,9 +62,6 @@ class ArqTransfer:
             ``failed`` state (``None`` = retry forever, the historical
             behavior -- which spins the kernel when the receiver is
             unreachable).
-        backoff: multiplier applied to the retransmission timeout after
-            each fruitless round (1.0 = fixed interval); reset to
-            ``timeout_us`` whenever an ack advances the window.
     """
 
     def __init__(
@@ -79,7 +76,6 @@ class ArqTransfer:
         window: int = 8,
         timeout_us: float = 2_000.0,
         max_retries: Optional[int] = None,
-        backoff: float = 1.0,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -87,8 +83,6 @@ class ArqTransfer:
             raise ValueError(f"n_packets must be >= 1, got {n_packets}")
         if max_retries is not None and max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1.0, got {backoff}")
         self.sim = sim
         self.sender = sender
         self.receiver = receiver
@@ -99,7 +93,6 @@ class ArqTransfer:
         self.window = window
         self.timeout_us = timeout_us
         self.max_retries = max_retries
-        self.backoff = backoff
         # Sender state.
         self.base = 0
         self.next_seq = 0
@@ -110,7 +103,6 @@ class ArqTransfer:
         #: passed without ack progress; no further events are scheduled.
         self.failed = False
         self._consecutive_timeouts = 0
-        self._current_timeout_us = timeout_us
         self._timer: Optional[Event] = None
         # Receiver state.
         self.expected = 0
@@ -166,9 +158,7 @@ class ArqTransfer:
         # Only while packets are outstanding: with everything acked
         # there is nothing to retransmit.
         if self.base < self.next_seq and not self.failed:
-            self._timer = self.sim.schedule(
-                self._current_timeout_us, self._timeout
-            )
+            self._timer = self.sim.schedule(self.timeout_us, self._timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -189,7 +179,6 @@ class ArqTransfer:
             return
         self.timeouts += 1
         self._consecutive_timeouts += 1
-        self._current_timeout_us *= self.backoff
         # Go-back-N: retransmit the whole outstanding window.
         for seq in range(self.base, self.next_seq):
             self.retransmissions += 1
@@ -212,7 +201,6 @@ class ArqTransfer:
         if ack_seq + 1 > self.base:
             self.base = ack_seq + 1
             self._consecutive_timeouts = 0
-            self._current_timeout_us = self.timeout_us
             self._fill_window()
             if self.base >= self.n_packets:
                 self._cancel_timer()

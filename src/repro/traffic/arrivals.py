@@ -39,12 +39,14 @@ class ArrivalProcess:
             raise ValueError(f"n_ports must be positive, got {n_ports}")
         self.n_ports = n_ports
 
-    def arrivals(self, slot: int) -> List[Arrival]:
+    def arrivals(
+        self, slot: int
+    ) -> List[Arrival]:  # pragma: no cover - interface
         """Cells arriving at the start of ``slot``."""
         raise NotImplementedError
 
     @property
-    def offered_load(self) -> float:
+    def offered_load(self) -> float:  # pragma: no cover - interface
         """Average cells per input per slot this process generates."""
         raise NotImplementedError
 

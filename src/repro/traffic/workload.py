@@ -19,38 +19,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.random import derived_stream
 
 
-class FileTransferWorkload:
-    """A bulk transfer: ``n_packets`` of ``packet_bytes`` back to back."""
-
-    def __init__(
-        self,
-        host: Host,
-        vc: VcId,
-        destination: NodeId,
-        n_packets: int = 100,
-        packet_bytes: int = 1500,
-    ) -> None:
-        self.host = host
-        self.vc = vc
-        self.destination = destination
-        self.n_packets = n_packets
-        self.packet_bytes = packet_bytes
-        self.packets_sent = 0
-
-    def start(self) -> None:
-        for _ in range(self.n_packets):
-            self.host.send_packet(
-                self.vc,
-                Packet(
-                    source=self.host.node_id,
-                    destination=self.destination,
-                    payload=b"\x00" * 0,
-                    size=self.packet_bytes,
-                ),
-            )
-            self.packets_sent += 1
-
-
 class RpcWorkload:
     """Closed-loop request/response pairs: the paper's RPC example.
 

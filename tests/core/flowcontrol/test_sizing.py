@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.constants import CELL_BITS, CELL_BYTES, FAST_LINK_BPS
+from repro.constants import CELL_BITS, FAST_LINK_BPS
 from repro.core.flowcontrol.sizing import (
     credits_for_link,
-    memory_for_link,
     round_trip_cells,
     round_trip_us,
 )
@@ -37,16 +36,6 @@ def test_credits_include_slack():
     assert credits_for_link(0.0) == round_trip_cells(0.0) + 1 == 3
 
 
-def test_memory_estimate_modest():
-    """The paper's argument: 1000 VCs x 10 km round-trip of cells "costs
-    much less than the opto-electronics" -- about 8 MB here."""
-    total = memory_for_link()
-    assert total == 1000 * round_trip_cells(10.0) * CELL_BYTES
-    assert total < 16 * 1024 * 1024
-
-
 def test_validation():
     with pytest.raises(ValueError):
         round_trip_us(-1.0)
-    with pytest.raises(ValueError):
-        memory_for_link(n_circuits=0)

@@ -9,13 +9,7 @@ from repro.core.routing.circuits import (
     VcAllocator,
     VirtualCircuit,
 )
-from repro.core.routing.paths import (
-    Route,
-    RouteComputer,
-    RoutingError,
-    port_on,
-    switch_hops_of,
-)
+from repro.core.routing.paths import RouteComputer, RoutingError, port_on
 from repro.net.cell import TrafficClass
 from repro.net.topology import Topology
 
@@ -30,23 +24,6 @@ def hosted_line(n=3):
 
 
 class TestRouteComputer:
-    def test_host_route_ends_at_hosts(self):
-        computer = RouteComputer(hosted_line().view(), switch_id(0))
-        route = computer.host_route(host_id(0), host_id(1))
-        assert route.nodes[0] == host_id(0)
-        assert route.nodes[-1] == host_id(1)
-        assert route.n_switches == 3
-        assert len(route.edges) == len(route.nodes) - 1
-
-    def test_switch_hops_ports_consistent(self):
-        computer = RouteComputer(hosted_line().view(), switch_id(0))
-        route = computer.host_route(host_id(0), host_id(1))
-        for (switch, in_port, out_port), node in zip(
-            route.switch_hops, route.nodes[1:-1]
-        ):
-            assert switch == node
-            assert in_port != out_port
-
     def test_attachment_prefers_active_port(self):
         topo = Topology()
         topo.add_switch(0)
@@ -65,38 +42,6 @@ class TestRouteComputer:
         computer = RouteComputer(hosted_line().view(), switch_id(0))
         with pytest.raises(RoutingError):
             computer.attachment(host_id(99))
-        with pytest.raises(RoutingError):
-            computer.host_route(host_id(0), host_id(99))
-
-    def test_same_host_rejected(self):
-        computer = RouteComputer(hosted_line().view(), switch_id(0))
-        with pytest.raises(RoutingError):
-            computer.host_route(host_id(0), host_id(0))
-
-    def test_hosts_only(self):
-        computer = RouteComputer(hosted_line().view(), switch_id(0))
-        with pytest.raises(RoutingError):
-            computer.host_route(switch_id(0), host_id(1))
-
-    def test_path_inflation_on_updown_hostile_topology(self):
-        """A cross edge between same-level leaves is unusable downhill
-        both ways, inflating some route beyond the unrestricted length."""
-        topo = Topology()
-        for i in range(5):
-            topo.add_switch(i)
-        topo.connect("s0", "s1")
-        topo.connect("s0", "s2")
-        topo.connect("s1", "s3")
-        topo.connect("s2", "s4")
-        topo.connect("s3", "s4")  # cross edge between level-2 switches
-        computer = RouteComputer(topo.view(), switch_id(0))
-        restricted, free = computer.path_inflation(switch_id(3), switch_id(4))
-        assert free == 1
-        assert restricted >= 1  # may use the cross edge (one direction!)
-        # One of the two directions across the cross edge must be up;
-        # the reverse direction therefore pays the penalty.
-        r2, f2 = computer.path_inflation(switch_id(4), switch_id(3))
-        assert {restricted, r2} == {1, 3} or restricted == r2 == 1
 
 
 class TestHelpers:
@@ -106,13 +51,6 @@ class TestHelpers:
         assert port_on(edge, switch_id(1)) == 7
         with pytest.raises(ValueError):
             port_on(edge, switch_id(9))
-
-    def test_switch_hops_of_skips_endpoints(self):
-        view = hosted_line().view()
-        computer = RouteComputer(view, switch_id(0))
-        route = computer.host_route(host_id(0), host_id(1))
-        hops = switch_hops_of(route.nodes, route.edges)
-        assert [h[0] for h in hops] == [switch_id(0), switch_id(1), switch_id(2)]
 
 
 class TestCircuits:

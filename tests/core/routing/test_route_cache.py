@@ -154,9 +154,10 @@ class TestEpochEviction:
         switch = net.switch("s0")
         computer = switch.route_computer()
         assert computer is not None
-        before = computer.switch_route(switch_id(0), switch_id(8))
+        a, b = switch_id(0), switch_id(8)
+        before = computer.orientation.shortest_legal_path(a, b)
         # Warm the memo, then cut the first trunk the route uses.
-        again = computer.switch_route(switch_id(0), switch_id(8))
+        again = computer.orientation.shortest_legal_path(a, b)
         assert again == before
         assert computer.orientation.cache_hits >= 1
         first_edge = before[1][0]
@@ -167,7 +168,7 @@ class TestEpochEviction:
         assert fresh is not None
         assert fresh is not computer, "reconfiguration must evict by epoch"
         assert fresh.epoch != computer.epoch
-        after = fresh.switch_route(switch_id(0), switch_id(8))
+        after = fresh.orientation.shortest_legal_path(a, b)
         assert first_edge not in after[1], (
             "post-reconfiguration route still uses the severed cable"
         )
@@ -175,8 +176,8 @@ class TestEpochEviction:
     def test_route_cache_gauges_exposed(self):
         net = self.grid_net()
         computer = net.switch("s0").route_computer()
-        computer.switch_route(switch_id(0), switch_id(8))
-        computer.switch_route(switch_id(0), switch_id(8))
+        computer.orientation.shortest_legal_path(switch_id(0), switch_id(8))
+        computer.orientation.shortest_legal_path(switch_id(0), switch_id(8))
         snapshot = net.registry.snapshot()
         gauges = snapshot["switch.s0.routing"]["gauges"]
         assert gauges["route_cache_misses"] >= 1

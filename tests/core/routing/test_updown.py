@@ -137,6 +137,34 @@ class TestLegality:
                     unrestricted = orientation.shortest_unrestricted_path(a, b)
                     assert len(edges) >= len(unrestricted[1])
 
+    def test_hostile_topology_lengthens_a_route(self):
+        """A cross edge between same-level leaves is unusable downhill
+        both ways, inflating some route beyond the unrestricted length."""
+        topo = Topology()
+        for i in range(5):
+            topo.add_switch(i)
+        topo.connect("s0", "s1")
+        topo.connect("s0", "s2")
+        topo.connect("s1", "s3")
+        topo.connect("s2", "s4")
+        topo.connect("s3", "s4")  # cross edge between level-2 switches
+        orientation = orient(topo, root=0)
+
+        def lengths(a, b):
+            legal = orientation.shortest_legal_path(switch_id(a), switch_id(b))
+            free = orientation.shortest_unrestricted_path(
+                switch_id(a), switch_id(b)
+            )
+            return len(legal[1]), len(free[1])
+
+        restricted, free = lengths(3, 4)
+        assert free == 1
+        assert restricted >= 1  # may use the cross edge (one direction!)
+        # One of the two directions across the cross edge must be up;
+        # the reverse direction therefore pays the penalty.
+        r2, f2 = lengths(4, 3)
+        assert {restricted, r2} == {1, 3} or restricted == r2 == 1
+
     def test_blocked_edges_respected(self):
         topo = Topology.line(3)
         orientation = orient(topo)

@@ -6,7 +6,7 @@ import pytest
 
 from repro._types import host_id, parse_node_id, switch_id
 from repro.constants import FAST_LINK_BPS, SLOW_LINK_BPS
-from repro.net.topology import Topology, TopologyError, TopologyView, view_from_edges
+from repro.net.topology import Topology, TopologyError, view_from_edges
 
 
 class TestConstruction:
@@ -89,14 +89,6 @@ class TestQueries:
         disconnected.add_switch(1)
         assert not disconnected.is_switch_connected()
 
-    def test_host_attachments_listed(self):
-        topo = Topology()
-        topo.add_switch(0)
-        topo.add_host(3)
-        topo.connect("h3", "s0")
-        assert len(topo.host_attachments()) == 1
-        assert topo.hosts() == [host_id(3)]
-
 
 class TestGenerators:
     def test_line(self):
@@ -178,28 +170,6 @@ class TestTopologyView:
         a = Topology.line(3).view()
         b = Topology.line(3).view()
         assert a == b
-
-    def test_with_and_without_edge(self):
-        view = Topology.line(3).view()
-        edge = sorted(view.edges)[0]
-        smaller = view.without_edge(edge)
-        assert len(smaller) == 1
-        assert smaller.with_edge(edge) == view
-
-    def test_merge(self):
-        view = Topology.line(3).view()
-        edges = sorted(view.edges)
-        left = TopologyView(frozenset(edges[:1]))
-        right = TopologyView(frozenset(edges[1:]))
-        assert left.merge(right) == view
-
-    def test_switch_adjacency_symmetry(self):
-        view = Topology.grid(2, 2).view()
-        adjacency = view.switch_adjacency()
-        for node, entries in adjacency.items():
-            for port, neighbor, neighbor_port in entries:
-                reverse = adjacency[neighbor]
-                assert (neighbor_port, node, port) in reverse
 
     def test_view_from_edges_normalizes(self):
         a = (switch_id(1), 0)

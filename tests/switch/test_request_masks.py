@@ -455,7 +455,7 @@ def test_reroute_silences_the_old_output_for_every_card():
     net, audit, s0, old_card, new_in, out, vc, _ = reentered_circuit("s0")
     credit(s0, out, vc)
     assert s0.crossbar.rows[old_card.index] == 1 << out
-    assert s0.reroute_circuit(vc)
+    assert s0._reroute_entry(*in_card_and_entry(s0, vc))
     audit.check_all()
     assert not s0.crossbar.want & (1 << out)
     net.run(200)
@@ -521,7 +521,7 @@ def test_reroute_after_reinstall_drops_the_stranded_request():
     assert s1.crossbar.rows[card.index] == 1 << trunk
     s1.install_circuit(vc, card.index, card.index, entry.request)
     audit.check_all()
-    assert s1.reroute_circuit(vc)
+    assert s1._reroute_entry(*in_card_and_entry(s1, vc))
     assert entry.out_port == host_port
     audit.check_all()
     assert s1.crossbar.rows[card.index] == 1 << host_port

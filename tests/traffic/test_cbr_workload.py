@@ -4,7 +4,7 @@ import pytest
 
 from repro._types import host_id
 from repro.traffic.cbr import CbrSource, interarrival_jitter, latency_jitter
-from repro.traffic.workload import FileTransferWorkload, PoissonPacketWorkload
+from repro.traffic.workload import PoissonPacketWorkload
 
 
 class TestCbr:
@@ -29,24 +29,6 @@ class TestCbr:
         assert interarrival_jitter([0.0, 10.0, 30.0]) == pytest.approx(5.0)
         assert latency_jitter([5.0]) is None
         assert latency_jitter([5.0, 9.0, 6.0]) == pytest.approx(4.0)
-
-
-class TestFileTransfer:
-    def test_all_packets_delivered(self, small_net):
-        circuit = small_net.setup_circuit("h0", "h1")
-        workload = FileTransferWorkload(
-            small_net.host("h0"),
-            circuit.vc,
-            host_id(1),
-            n_packets=10,
-            packet_bytes=480,
-        )
-        workload.start()
-        small_net.run(400_000)
-        assert workload.packets_sent == 10
-        assert len(small_net.host("h1").delivered) == 10
-        sizes = {p.size for p in small_net.host("h1").delivered}
-        assert sizes == {480}
 
 
 class TestRpc:
