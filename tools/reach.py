@@ -17,17 +17,16 @@ function that none of the runs called.  The slice:
 Exit 0 when every unreached function is listed in
 ``tools/reach_allowlist.txt``; exit 1 when one is not, or when the
 allowlist names a function that is now reached or no longer exists;
-exit 2 when a run of the slice fails.  ``__repr__`` / ``__str__`` and
-stubs marked ``# pragma: no cover - interface`` are exempt.
+exit 2 when a run of the slice fails or leaves no record of what it
+reached.  ``__repr__`` / ``__str__`` and stubs marked
+``# pragma: no cover - interface`` are exempt.  Needs Python 3.11 or
+later (the hook names functions by ``co_qualname``).
 
-    python tools/reach.py                 # run the slice, then check
-    python tools/reach.py --save R.txt    # also keep the reached set
-    python tools/reach.py --load R.txt    # check against a kept set
+    python tools/reach.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import subprocess
@@ -41,10 +40,13 @@ SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 ALLOWLIST = REPO / "tools" / "reach_allowlist.txt"
 REASONS = ("failure-only", "oracle", "fixture", "safety", "hatch")
-CANNED = ("pull_the_plug", "flapping_link", "credit_loss", "corruption_burst")
 EXEMPT_NAMES = ("__repr__", "__str__")
 EXEMPT_MARK = "# pragma: no cover - interface"
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from repro.faults import CANNED  # noqa: E402
 
 # Imported first by every process the slice starts (it is put on
 # PYTHONPATH as sitecustomize): record each code object that runs, and
@@ -80,7 +82,7 @@ def slice_commands(traces: Path) -> List[List[str]]:
     ]
     examples = sorted((REPO / "examples").glob("*.py"))
     commands += [[py, str(script)] for script in examples]
-    scenarios = [[name] for name in CANNED]
+    scenarios = [[name] for name in sorted(CANNED)]
     scenarios += [["--random", str(seed)] for seed in range(1, 6)]
     for args in scenarios:
         trace = traces / (args[-1] + ".trace.jsonl")
@@ -108,11 +110,18 @@ def record() -> Set[str]:
             shown = " ".join(Path(c).name if c == sys.executable else c
                              for c in command)
             print(f"reach: {shown}", flush=True)
+            dumps = len(list((base / "out").iterdir()))
             done = subprocess.run(command, cwd=REPO, env=env,
                                   capture_output=True, text=True)
             if done.returncode != 0:
                 print(done.stdout[-4000:], done.stderr[-4000:], sep="\n")
                 print(f"reach: run failed (exit {done.returncode})")
+                raise SystemExit(2)
+            # A hook that failed at exit only prints its error; without
+            # this check the run would read as "nothing reached".
+            if len(list((base / "out").iterdir())) == dumps:
+                print(done.stderr[-4000:])
+                print("reach: run left no record of what it reached")
                 raise SystemExit(2)
         reached: Set[str] = set()
         for dump in (base / "out").iterdir():
@@ -164,19 +173,11 @@ def read_allowlist() -> Dict[str, str]:
     return entries
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", type=Path, help="write the reached set here")
-    parser.add_argument("--load", type=Path,
-                        help="check against a saved reached set; run nothing")
-    args = parser.parse_args(argv)
-
-    if args.load:
-        reached = set(filter(None, args.load.read_text().splitlines()))
-    else:
-        reached = record()
-    if args.save:
-        args.save.write_text("\n".join(sorted(reached)) + "\n")
+def main() -> int:
+    if sys.version_info < (3, 11):
+        print("reach: needs Python 3.11 or later (code.co_qualname)")
+        return 2
+    reached = record()
     functions = defined_functions()
     unreached = sorted(name for name in functions if name not in reached)
     allowed = read_allowlist()
