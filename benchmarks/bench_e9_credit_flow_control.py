@@ -186,3 +186,84 @@ def test_e9_resync_recovers_performance(benchmark, report_sink):
     )
     report_sink(report)
     assert report.all_hold
+
+
+def vc_holders(net, vc):
+    """Line cards still holding state for ``vc``: a routing entry, cells
+    parked for it, a queue, or upstream/downstream credit state."""
+    holders = []
+    for switch in net.switches.values():
+        for card in switch.cards:
+            if (
+                card.routing_table.lookup(vc) is not None
+                or vc in card.routing_table._pending
+                or any(vc in group for group in card.vc_queues._queues.values())
+                or vc in card.upstream
+                or vc in card.downstream
+            ):
+                holders.append(f"{switch.node_id}.p{card.index}")
+    return holders
+
+
+def test_e9_teardown_releases_circuit(benchmark, report_sink):
+    def run():
+        net = build_net(2 * round_trip_cells(LINK_KM))
+        circuit = net.setup_circuit("h0", "h1")
+        h0, h1 = net.host("h0"), net.host("h1")
+        h0.send_packet(
+            circuit.vc,
+            Packet(
+                source=host_id(0),
+                destination=host_id(1),
+                size=48 * TRANSFER_CELLS,
+            ),
+        )
+        net.run(100.0)
+        held = vc_holders(net, circuit.vc)
+        partial = len(h1.reassembler._partial.get(circuit.vc, ()))
+        handled = {
+            s.node_id: s.signaling.teardowns_handled
+            for s in net.switches.values()
+        }
+        h0.close_circuit(circuit.vc)
+        net.run(5_000.0)
+        teardowns = [
+            s.signaling.teardowns_handled - handled[s.node_id]
+            for s in net.switches.values()
+        ]
+        return (
+            held,
+            partial,
+            vc_holders(net, circuit.vc),
+            circuit.vc in h1.reassembler._partial,
+            len(h1.delivered),
+            teardowns,
+        )
+
+    held, partial, left, h1_partial, delivered, teardowns = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    report = ExperimentReport(
+        "E9d", f"circuit teardown mid-transfer ({TRANSFER_CELLS}-cell packet)"
+    )
+    report.check(
+        "teardown frees every hop",
+        "no routing entry, queue or credit state left",
+        f"{len(held)} cards before close, {len(left)} after",
+        holds=bool(held) and not left,
+    )
+    report.check(
+        "receiver drops the partial packet",
+        "nothing reassembled, nothing delivered",
+        f"{partial} cells pending before close; "
+        f"partial {'kept' if h1_partial else 'dropped'}, {delivered} delivered",
+        holds=partial > 0 and not h1_partial and delivered == 0,
+    )
+    report.check(
+        "one teardown per on-path switch",
+        "setup/teardown signaling, hop by hop",
+        f"{teardowns}",
+        holds=teardowns == [1] * len(teardowns),
+    )
+    report_sink(report)
+    assert report.all_hold

@@ -4,54 +4,9 @@ Puts the repository root on sys.path so test modules can import shared
 helpers as the ``tests`` package (e.g. ``from tests.conftest import
 fast_switch_config``) regardless of whether pytest is launched as
 ``pytest`` or ``python -m pytest``.
-
-Also defines ``--trace-out=DIR``: when given, every test runs inside a
-``repro.obs`` capture, and any Network/An1Network built during the test
-attaches the capture's tracer and contributes its metrics registry.  On
-teardown the capture is written to ``DIR/<test>.trace.jsonl`` and
-``DIR/<test>.metrics.json``, ready for ``tools/trace_report.py``.
 """
 
 import os
-import re
 import sys
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(__file__))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--trace-out",
-        action="store",
-        default=None,
-        metavar="DIR",
-        help="capture an obs trace + metrics snapshot per test into DIR",
-    )
-
-
-def _safe_name(nodeid: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", nodeid)
-
-
-@pytest.fixture(autouse=True)
-def _trace_capture(request):
-    out_dir = request.config.getoption("--trace-out")
-    if not out_dir:
-        yield
-        return
-    import json
-
-    import repro.obs as obs
-
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, _safe_name(request.node.nodeid))
-    cap = obs.begin_capture()
-    try:
-        yield
-    finally:
-        obs.end_capture()
-        cap.tracer.write_jsonl(base + ".trace.jsonl")
-        with open(base + ".metrics.json", "w", encoding="utf-8") as stream:
-            json.dump(cap.snapshot(), stream, indent=2, sort_keys=True)

@@ -44,14 +44,6 @@ class WaitForGraph:
     def add_node(self, node: Hashable) -> None:
         self._edges.setdefault(node, set())
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self._edges)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(targets) for targets in self._edges.values())
-
     def has_cycle(self) -> bool:
         return self.find_cycle() is not None
 

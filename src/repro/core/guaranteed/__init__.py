@@ -21,7 +21,6 @@ from repro.core.guaranteed.distributed import (
 )
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
 from repro.core.guaranteed.packing import (
-    completely_free_fraction,
     make_policy_schedule,
     packed_schedule,
     spread_schedule,
@@ -50,7 +49,6 @@ __all__ = [
     "ReserveReject",
     "ReserveRequest",
     "ScheduleError",
-    "completely_free_fraction",
     "make_policy_schedule",
     "packed_schedule",
     "spread_schedule",

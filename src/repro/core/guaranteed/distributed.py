@@ -194,10 +194,6 @@ class DistributedAdmissionAgent:
         self.rejections_issued += 1
         self.switch.send_signaling(in_port, ReserveReject(vc, reason))
 
-    # ------------------------------------------------------------------
-    def held_cells(self) -> int:
-        return sum(h.cells for h in self._holds.values())
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<DistributedAdmissionAgent {self.switch.node_id} "

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.constants import FRAME_SLOTS
 
@@ -103,14 +103,6 @@ class FrameSchedule:
     def output_free(self, slot: int, output_port: int) -> bool:
         reverse = self._by_output.get(slot, _NO_RESERVATIONS)
         return output_port not in reverse
-
-    def input_load(self, input_port: int) -> int:
-        """Reserved cells per frame leaving ``input_port``."""
-        return self._input_total[input_port]
-
-    def output_load(self, output_port: int) -> int:
-        """Reserved cells per frame arriving at ``output_port``."""
-        return self._output_total[output_port]
 
     def reservation_matrix(self) -> List[List[int]]:
         """R[i][o] = reserved cells/frame from input i to output o."""
@@ -286,21 +278,6 @@ class FrameSchedule:
             f"<FrameSchedule {self.n_ports} ports x {self.n_slots} slots, "
             f"{self.total_reserved()} reserved>"
         )
-
-    def render(self) -> str:
-        """A human-readable rendering in the style of the paper's Figure 2."""
-        lines = []
-        if self.n_slots <= 16:
-            slots: Iterable[int] = range(self.n_slots)
-        else:  # keep large renders compact: reserved slots only
-            slots = sorted(self._by_input)
-        for slot in slots:
-            assignments = self._by_input.get(slot, _NO_RESERVATIONS)
-            pairs = "  ".join(
-                f"{i + 1}->{o + 1}" for i, o in sorted(assignments.items())
-            )
-            lines.append(f"Slot {slot + 1}: {pairs}")
-        return "\n".join(lines)
 
 
 def figure2_schedule() -> FrameSchedule:

@@ -18,16 +18,7 @@ functions.
 
 from __future__ import annotations
 
-from repro.constants import FAST_CELL_TIME_US, FRAME_SLOTS
-
-
-def frame_time_us(
-    frame_slots: int = FRAME_SLOTS, cell_time_us: float = FAST_CELL_TIME_US
-) -> float:
-    """Duration of one frame on a link with the given cell time."""
-    if frame_slots <= 0:
-        raise ValueError(f"frame_slots must be positive, got {frame_slots}")
-    return frame_slots * cell_time_us
+from repro.constants import FRAME_SLOTS
 
 
 def guaranteed_latency_bound_us(

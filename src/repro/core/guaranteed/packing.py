@@ -152,27 +152,6 @@ def packed_spread_schedule(
     return spread_schedule(packed_schedule(n_ports, n_slots, demand))
 
 
-def completely_free_fraction(schedule: FrameSchedule) -> float:
-    """Fraction of slots with *no* reservation at all -- "slots completely
-    free for best-effort traffic" in the paper's words.  Packing maximizes
-    this by construction (it minimizes slots touched)."""
-    return (schedule.n_slots - schedule.slots_used()) / schedule.n_slots
-
-
-def free_pair_fraction(schedule: FrameSchedule) -> float:
-    """Average fraction of (input, output) pairs free per slot -- a proxy
-    for best-effort opportunity under the schedule."""
-    total = 0.0
-    for slot in range(schedule.n_slots):
-        assignments = schedule.slot_assignments(slot)
-        free_inputs = schedule.n_ports - len(assignments)
-        free_outputs = schedule.n_ports - len(assignments)
-        total += (free_inputs * free_outputs) / (
-            schedule.n_ports * schedule.n_ports
-        )
-    return total / schedule.n_slots
-
-
 def make_policy_schedule(
     policy: str, n_ports: int, n_slots: int, demand: Demand
 ) -> FrameSchedule:

@@ -111,12 +111,6 @@ class Skeptic:
     def verdict(self) -> LinkVerdict:
         return self._verdict
 
-    def probation_remaining(self, now: float) -> Optional[float]:
-        """Microseconds of probation left, or ``None`` if not on probation."""
-        if self._state is not _State.PROBATION or self._probation_ends is None:
-            return None
-        return max(0.0, self._probation_ends - now)
-
     def current_wait(self) -> float:
         """The probation the *next* recovery must survive."""
         return self.base_wait_us * (2 ** min(self.level, self.max_level))

@@ -48,10 +48,6 @@ class VirtualCircuit:
     cells_delivered: int = 0
     established_at: Optional[float] = None
 
-    @property
-    def is_guaranteed(self) -> bool:
-        return self.traffic_class is TrafficClass.GUARANTEED
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<VC {self.vc} {self.source}->{self.destination} "

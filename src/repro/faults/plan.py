@@ -277,12 +277,6 @@ class FaultPlan:
         """When the last fault activity (including restores) is over."""
         return max((e.end_us for e in self.events), default=0.0)
 
-    @property
-    def last_onset_us(self) -> float:
-        """When the last fault *begins* (convergence is judged after the
-        last restore, but this is useful for reporting)."""
-        return max((e.at_us for e in self.events), default=0.0)
-
     def describe(self) -> str:
         if not self.events:
             return "(empty plan)"

@@ -39,10 +39,6 @@ class CellKind(enum.Enum):
     RECONFIG = "reconfig"
     SIGNALING = "signaling"
 
-    @property
-    def is_control(self) -> bool:
-        return self is not CellKind.DATA
-
 
 class TrafficClass(enum.Enum):
     """Section 1's two classes of traffic."""
@@ -107,15 +103,11 @@ class Cell:
     def is_data(self) -> bool:
         return self.kind is CellKind.DATA
 
-    @property
-    def is_guaranteed(self) -> bool:
-        return self.traffic_class is TrafficClass.GUARANTEED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
         if self.end_of_packet:
             flags.append("eop")
-        if self.is_guaranteed:
+        if self.traffic_class is TrafficClass.GUARANTEED:
             flags.append("cbr")
         text = f"<Cell#{self.uid} vc={self.vc} {self.kind.value}"
         if flags:

@@ -18,11 +18,9 @@ from typing import Dict, List, Optional, Tuple
 from repro._types import NodeId, NodeRef, parse_node_id
 from repro.net.link import Link
 from repro.net.topology import Edge, Topology, TopologyView
+from repro.obs import FlightRecorder, MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-
-import repro.obs as obs
-from repro.obs import FlightRecorder, MetricsRegistry
 
 
 class NetworkError(Exception):
@@ -42,12 +40,6 @@ class Installation:
         # plain Simulator attribute, so the kernel hot loop is untouched.
         self.recorder = FlightRecorder()
         self.sim.recorder = self.recorder
-        cap = obs.active_capture()
-        if cap is not None:
-            # Built inside an observability capture (e.g. pytest
-            # --trace-out): trace into its buffer, report our metrics.
-            self.sim.tracer = cap.tracer
-            cap.adopt(self.registry)
         self.streams = RandomStreams(seed)
         self.switches: Dict[NodeId, object] = {}
         self.hosts: Dict[NodeId, object] = {}

@@ -193,11 +193,6 @@ class Link:
         self.settle()
         return self._next_free[direction]
 
-    @property
-    def round_trip_us(self) -> float:
-        """Propagation + serialization round trip, used for credit sizing."""
-        return 2 * (self.latency_us + self.cell_time_us)
-
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------

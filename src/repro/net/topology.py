@@ -352,13 +352,6 @@ class TopologyView:
             nodes.add(nb)
         return sorted(n for n in nodes if n.is_switch)
 
-    def hosts(self) -> List[NodeId]:
-        nodes: Set[NodeId] = set()
-        for (na, _), (nb, _) in self.edges:
-            nodes.add(na)
-            nodes.add(nb)
-        return sorted(n for n in nodes if n.is_host)
-
     def host_ports(self) -> Dict[NodeId, List[Tuple[int, NodeId, int]]]:
         """host -> sorted [(host port, switch, switch port)]."""
         attachments: Dict[NodeId, List[Tuple[int, NodeId, int]]] = {}
@@ -370,9 +363,6 @@ class TopologyView:
         for entries in attachments.values():
             entries.sort()
         return attachments
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def view_from_edges(edges: Iterable[Edge]) -> TopologyView:

@@ -79,12 +79,6 @@ class FlightRecorder:
         ring.append((t, category, name, fields))
         self.records_total += 1
 
-    def components(self) -> List[str]:
-        return sorted(self._rings)
-
-    def __len__(self) -> int:
-        return sum(len(ring) for ring in self._rings.values())
-
     # ------------------------------------------------------------------
     def snapshot(self) -> List[Dict[str, Any]]:
         """Every retained record as a plain dict, in time order.

@@ -17,11 +17,9 @@ cell.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Callable, Dict, Union
+from typing import Dict
 
-from repro.sim.monitor import Gauge, ProbeSet, Tally
+from repro.sim.monitor import ProbeSet, Tally
 
 
 def _validate_path(path: str) -> str:
@@ -46,16 +44,6 @@ class MetricsRegistry:
             probes = self._nodes[_validate_path(path)] = ProbeSet()
         return probes
 
-    def nodes(self) -> Dict[str, ProbeSet]:
-        """A copy of the node map (path -> probe set)."""
-        return dict(self._nodes)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     # ------------------------------------------------------------------
     # probe addressing: "<node path>.<probe name>"
     # ------------------------------------------------------------------
@@ -72,10 +60,6 @@ class MetricsRegistry:
         node_path, name = self._split(path)
         return self.node(node_path).tally(name)
 
-    def gauge(self, path: str, fn: Callable[[], float]) -> Gauge:
-        node_path, name = self._split(path)
-        return self.node(node_path).gauge(name, fn)
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -85,8 +69,3 @@ class MetricsRegistry:
             path: probes.snapshot()
             for path, probes in sorted(self._nodes.items())
         }
-
-    def write_json(self, path: Union[str, "os.PathLike[str]"]) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.snapshot(), stream, indent=2, sort_keys=True)
-            stream.write("\n")

@@ -124,21 +124,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def filter(
-        self,
-        category: Optional[str] = None,
-        component: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> List[TraceRecord]:
-        """Records matching every given field exactly."""
-        return [
-            r
-            for r in self.records
-            if (category is None or r.category == category)
-            and (component is None or r.component == component)
-            and (name is None or r.name == name)
-        ]
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -152,14 +137,3 @@ class Tracer:
     def write_jsonl(self, path: Union[str, "os.PathLike[str]"]) -> int:
         with open(path, "w", encoding="utf-8") as stream:
             return self.dump_jsonl(stream)
-
-
-def read_jsonl(path: Union[str, "os.PathLike[str]"]) -> List[Dict[str, Any]]:
-    """Load a trace written by :meth:`Tracer.write_jsonl` as plain dicts."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

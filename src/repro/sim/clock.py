@@ -35,11 +35,6 @@ class DriftingClock:
         if self._rate <= 0:
             raise ValueError(f"drift {drift_ppm} ppm gives non-positive rate")
 
-    @property
-    def rate(self) -> float:
-        """Local seconds per global second."""
-        return self._rate
-
     def local_now(self) -> float:
         """This node's local time, in microseconds."""
         return self.offset + self.sim.now * self._rate
@@ -65,12 +60,6 @@ class DriftingClock:
         self.drift_ppm = drift_ppm
         self._rate = rate
         self.offset = local - self.sim.now * rate
-
-    def local_delay(self, global_delay: float) -> float:
-        """Local duration that elapses over a global (simulator) delay."""
-        if global_delay < 0:
-            raise ValueError(f"negative delay {global_delay}")
-        return global_delay * self._rate
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DriftingClock drift={self.drift_ppm}ppm offset={self.offset}>"

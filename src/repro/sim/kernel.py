@@ -61,10 +61,6 @@ class Event(list):
     callback = property(itemgetter(2), doc="The callable (``None`` once cancelled).")
     args = property(itemgetter(3), doc="Positional arguments for the callback.")
 
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
     def cancel(self) -> None:
         """Prevent the event from firing.  A no-op once it fired or was
         cancelled, so it is safe to call more than once."""
@@ -101,7 +97,7 @@ class Simulator:
 
     def __init__(self) -> None:
         #: current simulated time in microseconds.  A plain attribute:
-        #: only :meth:`run` (which :meth:`step` runs) writes it.
+        #: only :meth:`run` writes it.
         self.now = 0.0
         #: heap of :class:`Event` entries ``[time, seq, callback, args,
         #: sim]``, ordered on ``(time, seq)`` by heapq's list comparison.
@@ -145,8 +141,8 @@ class Simulator:
     # instrumentation (run digest + profiler hook)
     # ------------------------------------------------------------------
     # Attaching a digest or a profiler swaps a per-instance instrumented
-    # implementation of run (which step runs too) into the instance dict;
-    # detaching both removes it so lookups fall back to the class method.
+    # implementation of run into the instance dict; detaching both
+    # removes it so lookups fall back to the class method.
     # The uninstrumented bytecode therefore contains no digest/profiler
     # checks at all -- the disabled hot path is the original hot path,
     # byte for byte.
@@ -196,11 +192,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of events executed so far (a work metric)."""
         return self._events_executed
-
-    @property
-    def heap_size(self) -> int:
-        """Entries in the heap, including not-yet-reaped cancelled ones."""
-        return len(self._queue)
 
     @property
     def compactions(self) -> int:
@@ -262,15 +253,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        """
-        executed = self._events_executed
-        self.run(max_events=1)
-        return self._events_executed > executed
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
@@ -367,13 +349,6 @@ class Simulator:
         finally:
             self._events_executed += executed
             self._running = False
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0][2] is None:
-            heapq.heappop(self._queue)
-            self._cancelled_in_heap -= 1
-        return self._queue[0][0] if self._queue else None
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""

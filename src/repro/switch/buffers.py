@@ -50,19 +50,9 @@ class VcQueues:
     def occupancy(self) -> int:
         return self._occupancy
 
-    def occupancy_for(self, out_port: int) -> int:
-        group = self._queues.get(out_port)
-        if not group:
-            return 0
-        return sum(len(q) for q in group.values())
-
     def queued_vcs(self, out_port: int) -> List[VcId]:
         group = self._queues.get(out_port, {})
         return [vc for vc, q in group.items() if q]
-
-    def holds(self, out_port: int, vc: VcId) -> bool:
-        """Has ``vc`` a queue (possibly empty now) toward ``out_port``?"""
-        return vc in self._queues.get(out_port, ())
 
     def requests(self, out_port: int) -> bool:
         """Is some circuit ready for ``out_port`` (the request bit)?"""

@@ -51,9 +51,6 @@ class RoutingTable:
     def lookup(self, vc: VcId) -> Optional[RouteEntry]:
         return self._entries.get(vc)
 
-    def __contains__(self, vc: VcId) -> bool:
-        return vc in self._entries
-
     def entries(self) -> List[RouteEntry]:
         return list(self._entries.values())
 
@@ -86,6 +83,3 @@ class RoutingTable:
 
     def take_pending(self, vc: VcId) -> List[Cell]:
         return self._pending.pop(vc, [])
-
-    def pending_count(self, vc: VcId) -> int:
-        return len(self._pending.get(vc, []))

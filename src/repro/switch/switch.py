@@ -541,7 +541,7 @@ class AN2Switch(SwitchNode):
         normally one card, two while a circuit rerouted upstream comes
         back in through another port."""
         for card in self.cards:
-            # VcQueues.holds, without a call per card.
+            # Has the card a queue (possibly empty now) for vc here?
             if vc in card.vc_queues._queues.get(out_port, ()):
                 self._refresh(card, out_port, vc)
 

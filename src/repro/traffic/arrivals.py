@@ -45,11 +45,6 @@ class ArrivalProcess:
         """Cells arriving at the start of ``slot``."""
         raise NotImplementedError
 
-    @property
-    def offered_load(self) -> float:  # pragma: no cover - interface
-        """Average cells per input per slot this process generates."""
-        raise NotImplementedError
-
 
 class BernoulliUniform(ArrivalProcess):
     """Each input receives a cell with probability ``load``; destination
@@ -63,10 +58,6 @@ class BernoulliUniform(ArrivalProcess):
             raise ValueError(f"load {load} out of [0, 1]")
         self.load = load
         self.rng = rng if rng is not None else derived_stream("arrivals.bernoulli")
-
-    @property
-    def offered_load(self) -> float:
-        return self.load
 
     def arrivals(self, slot: int) -> List[Arrival]:
         cells: List[Arrival] = []
@@ -98,10 +89,6 @@ class Hotspot(ArrivalProcess):
         self.hot_output = hot_output
         self.hot_fraction = hot_fraction
         self.rng = rng if rng is not None else derived_stream("arrivals.hotspot")
-
-    @property
-    def offered_load(self) -> float:
-        return self.load
 
     def arrivals(self, slot: int) -> List[Arrival]:
         cells: List[Arrival] = []
@@ -147,10 +134,6 @@ class BurstyOnOff(ArrivalProcess):
         self._on: List[bool] = [False] * n_ports
         self._dest: List[int] = [0] * n_ports
 
-    @property
-    def offered_load(self) -> float:
-        return self.load
-
     def arrivals(self, slot: int) -> List[Arrival]:
         cells: List[Arrival] = []
         for input_port in range(self.n_ports):
@@ -191,10 +174,6 @@ class Permutation(ArrivalProcess):
             raise ValueError("mapping must be a permutation of the outputs")
         self.mapping = list(mapping)
 
-    @property
-    def offered_load(self) -> float:
-        return self.load
-
     def arrivals(self, slot: int) -> List[Arrival]:
         return [
             (input_port, self.mapping[input_port])
@@ -218,11 +197,6 @@ class StarvationPattern(ArrivalProcess):
         super().__init__(n_ports)
         if n_ports < 5:
             raise ValueError("pattern uses ports 1..4; need n_ports >= 5")
-
-    @property
-    def offered_load(self) -> float:
-        # Three cells per slot over n_ports inputs.
-        return 3.0 / self.n_ports
 
     def arrivals(self, slot: int) -> List[Arrival]:
         return [(1, 2), (1, 3), (4, 3)]

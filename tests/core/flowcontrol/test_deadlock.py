@@ -56,8 +56,7 @@ class TestWaitForGraph:
         graph = WaitForGraph()
         graph.add_edge("a", "b")
         graph.add_node("c")
-        assert graph.n_nodes == 3
-        assert graph.n_edges == 1
+        assert graph._edges == {"a": {"b"}, "b": set(), "c": set()}
 
 
 class TestFifoDeadlock:

@@ -16,8 +16,8 @@ class TestPlacement:
         schedule.place(0, 1, 2)
         assert schedule.output_of(0, 1) == 2
         assert schedule.input_of(0, 2) == 1
-        assert schedule.input_load(1) == 1
-        assert schedule.output_load(2) == 1
+        assert schedule._input_total[1] == 1
+        assert schedule._output_total[2] == 1
 
     def test_input_conflict_rejected(self):
         schedule = FrameSchedule(4, 3)
@@ -42,7 +42,7 @@ class TestPlacement:
         schedule = FrameSchedule(4, 3)
         schedule.place(1, 2, 3)
         assert schedule.clear(1, 2) == (2, 3)
-        assert schedule.input_load(2) == 0
+        assert schedule._input_total[2] == 0
         with pytest.raises(ScheduleError):
             schedule.clear(1, 2)
 
@@ -126,10 +126,11 @@ class TestConsistency:
             schedule.check_consistent()
 
     def test_render_matches_figure2_layout(self):
-        text = figure2_schedule().render()
-        assert "Slot 1: 1->3  2->1  3->2" in text
-        assert "Slot 2: 1->4  2->1  3->2  4->3" in text
-        assert "Slot 3: 1->2  3->4  4->1" in text
+        """Figure 2's slots, 1-based in the paper, 0-based here."""
+        schedule = figure2_schedule()
+        assert schedule.slot_assignments(0) == {0: 2, 1: 0, 2: 1}
+        assert schedule.slot_assignments(1) == {0: 3, 1: 0, 2: 1, 3: 2}
+        assert schedule.slot_assignments(2) == {0: 1, 2: 3, 3: 0}
 
 
 class TestTickQueries:

@@ -162,8 +162,8 @@ def assert_same(sparse: FrameSchedule, dense: DenseSchedule) -> None:
     assert sparse.total_reserved() == dense.total_reserved()
     assert sparse.slots_used() == dense.slots_used()
     for port in range(sparse.n_ports):
-        assert sparse.input_load(port) == dense.input_load(port)
-        assert sparse.output_load(port) == dense.output_load(port)
+        assert sparse._input_total[port] == dense.input_load(port)
+        assert sparse._output_total[port] == dense.output_load(port)
     for input_port in range(sparse.n_ports):
         for output_port in range(sparse.n_ports):
             for start in range(sparse.n_slots):

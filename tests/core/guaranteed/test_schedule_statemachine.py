@@ -74,7 +74,7 @@ class ScheduleMachine(RuleBasedStateMachine):
         if not hasattr(self, "schedule"):
             return
         for i in range(N_PORTS):
-            assert self.schedule.input_load(i) == sum(self.model[i])
+            assert self.schedule._input_total[i] == sum(self.model[i])
 
 
 TestScheduleMachine = ScheduleMachine.TestCase

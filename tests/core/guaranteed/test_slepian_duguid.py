@@ -120,7 +120,7 @@ class TestTheorem:
         schedule, _ = build_schedule(n, slots, matrix)
         schedule.check_consistent()
         assert schedule.reservation_matrix() == matrix
-        assert all(schedule.input_load(i) == slots for i in range(n))
+        assert all(sum(row) == slots for row in schedule.reservation_matrix())
 
     def test_displacements_bounded_by_2n(self):
         """Each insertion's chain touches each input at most twice."""

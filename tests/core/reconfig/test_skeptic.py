@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
+from repro.core.reconfig.skeptic import LinkVerdict, Skeptic, _State
 
 
 def make(**kwargs):
@@ -120,12 +120,15 @@ def test_verdict_history_records_timestamps():
     ]
 
 
-def test_probation_remaining():
+def test_recovery_starts_a_timed_probation():
+    """Recovery at t=10 under level 1 starts a 200 us probation: it ends
+    at t=210, 100 us after t=110."""
     skeptic = make()
-    assert skeptic.probation_remaining(0.0) is None
+    assert skeptic._state is _State.WORKING
     skeptic.report_failure(0.0)
     skeptic.report_recovery(10.0)
-    assert skeptic.probation_remaining(110.0) == pytest.approx(100.0)
+    assert skeptic._state is _State.PROBATION
+    assert skeptic._probation_ends - 110.0 == pytest.approx(100.0)
 
 
 def test_validation():

@@ -71,5 +71,6 @@ class TestCircuits:
             traffic_class=TrafficClass.GUARANTEED,
             cells_per_frame=8,
         )
-        assert circuit.is_guaranteed
+        assert circuit.traffic_class is TrafficClass.GUARANTEED
+        assert circuit.cells_per_frame == 8
         assert circuit.state is CircuitState.SETTING_UP

@@ -5,11 +5,11 @@ invariant violation must leave a JSONL dump that ``tools/trace_report.py``
 renders as per-component timelines (including the failing switch's).
 """
 
+import json
 import sys
 from pathlib import Path
 
 from repro.faults import ErrorRateStep, FaultPlan, ScenarioRunner, TrafficLoad
-from repro.obs import read_jsonl
 
 from tests.faults.test_runner import ring_net
 
@@ -49,7 +49,7 @@ def test_forced_violation_dumps_flight_recorder(tmp_path):
     assert dump.exists() and dump.parent == tmp_path
     assert str(dump) in result.report()
 
-    rows = read_jsonl(dump)
+    rows = [json.loads(line) for line in dump.read_text().splitlines()]
     meta = rows[0]
     assert meta["cat"] == "flight.meta"
     assert "invariant violation" in meta["data"]["reason"]
@@ -88,7 +88,10 @@ def test_dump_renders_as_a_settled_timeline(tmp_path, capsys):
 
 def test_trace_report_component_filter(tmp_path, capsys):
     result = _force_violation(tmp_path)
-    rows = read_jsonl(result.flight_dump)
+    rows = [
+        json.loads(line)
+        for line in Path(result.flight_dump).read_text().splitlines()
+    ]
     switch_comp = sorted(
         {r["comp"] for r in rows if r["comp"].startswith("switch.")}
     )[0]

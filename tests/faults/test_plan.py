@@ -95,7 +95,6 @@ class TestPlan:
                      down_us=100.0, up_us=100.0),
         )
         assert plan.end_us == 500.0
-        assert plan.last_onset_us == 100.0
 
     def test_empty_plan(self):
         plan = FaultPlan()

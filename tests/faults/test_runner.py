@@ -323,7 +323,7 @@ class TestObservability:
         run(net, FaultPlan.of(LinkFlap(at_us=10_000.0, a="s0", b="s2",
                                        flaps=1, down_us=1_000.0,
                                        up_us=1_000.0)))
-        assert "faults" in net.registry
+        assert "faults" in net.metrics_snapshot()
         gauges = net.metrics_snapshot()["faults"]["gauges"]
         assert gauges["events_applied"] >= 2
 

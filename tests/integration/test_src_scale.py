@@ -38,7 +38,7 @@ def test_boot_converges_within_budget(src_net):
     view = src_net.converged_view()
     assert view == src_net.expected_view()
     assert len(view.switches()) == 30
-    assert len(view.hosts()) == 100
+    assert len(view.host_ports()) == 100
 
 
 def test_many_circuits_deliver(src_net):

@@ -3,7 +3,13 @@
 import pytest
 
 from repro._types import host_id
-from repro.net.cell import Cell, CellKind, TrafficClass, make_control_cell
+from repro.net.cell import (
+    GUARANTEED,
+    Cell,
+    CellKind,
+    TrafficClass,
+    make_control_cell,
+)
 from repro.net.packet import Packet
 
 
@@ -11,16 +17,16 @@ class TestCell:
     def test_defaults(self):
         cell = Cell(vc=5)
         assert cell.is_data
-        assert not cell.is_guaranteed
+        assert cell.traffic_class is TrafficClass.BEST_EFFORT
         assert cell.kind is CellKind.DATA
 
     def test_uids_unique(self):
         assert Cell(vc=1).uid != Cell(vc=1).uid
 
     def test_control_kinds_flagged(self):
-        assert CellKind.CREDIT.is_control
-        assert CellKind.PING.is_control
-        assert not CellKind.DATA.is_control
+        assert not make_control_cell(1, CellKind.CREDIT, None).is_data
+        assert not make_control_cell(1, CellKind.PING, None).is_data
+        assert Cell(vc=1).is_data
 
     def test_make_control_cell_rejects_data(self):
         with pytest.raises(ValueError):
@@ -28,7 +34,7 @@ class TestCell:
 
     def test_guaranteed_flag(self):
         cell = Cell(vc=1, traffic_class=TrafficClass.GUARANTEED)
-        assert cell.is_guaranteed
+        assert cell.traffic_class is GUARANTEED
 
     def test_unknown_attribute_refused(self):
         cell = Cell(vc=1)

@@ -6,6 +6,7 @@ import pytest
 
 from repro._types import switch_id
 from repro.constants import CELL_BITS
+from repro.core.flowcontrol.sizing import round_trip_us
 from repro.net.cell import Cell
 from repro.net.link import Link, LinkState
 from repro.net.node import Node
@@ -129,7 +130,10 @@ def test_error_rate_validation():
 def test_round_trip_includes_both_directions():
     sim = Simulator()
     _, _, link = make_pair(sim, length_km=2.0)
-    assert link.round_trip_us == pytest.approx(2 * (10.0 + link.cell_time_us))
+    assert link.latency_us == pytest.approx(10.0)
+    assert round_trip_us(link.length_km, link.bps) == pytest.approx(
+        2 * (link.latency_us + link.cell_time_us)
+    )
 
 
 def test_port_send_unconnected_raises():

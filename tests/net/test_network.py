@@ -21,6 +21,10 @@ class TestAssembly:
         assert len(net.switches) == 3
         assert len(net.hosts) == 2
         assert len(net.links) == 4
+        # no trace unless one is assigned; probes register at build time
+        assert net.sim.tracer is None
+        snapshot = net.metrics_snapshot()
+        assert "switch.s0" in snapshot and "host.h0" in snapshot
 
     def test_node_lookup_by_string(self):
         net = line_with_hosts(2)
@@ -64,7 +68,7 @@ class TestAssembly:
         assert schedule.slot_view(999_998) == {0: 1}
         assert schedule.slot_assignments(999_998) == {0: 1}
         assert schedule.next_slot(0, 1, 5) == 999_998
-        assert schedule.render() == "Slot 999999: 1->2"
+        assert list(schedule.reserved_pairs()) == [(999_998, 0, 1)]
         switch.remove_reservation(0, 1, 1)
         assert schedule.total_reserved() == 0
         assert schedule.slot_view(999_998) == {}
@@ -289,10 +293,10 @@ class TestFaultInjection:
         net = Network(
             topo, seed=9, switch_config=fast_switch_config(), drift_ppm=500.0
         )
-        rates = {s.clock.rate for s in net.switches.values()}
-        assert len(rates) == 3  # each switch got its own drift
-        for rate in rates:
-            assert 1 - 600e-6 < rate < 1 + 600e-6
+        drifts = {s.clock.drift_ppm for s in net.switches.values()}
+        assert len(drifts) == 3  # each switch got its own drift
+        for drift in drifts:
+            assert -600.0 < drift < 600.0
 
 
 class TestCircuitApi:

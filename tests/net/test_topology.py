@@ -163,7 +163,7 @@ class TestTopologyView:
     def test_view_matches_description(self):
         topo = Topology.line(3)
         view = topo.view()
-        assert len(view) == 2
+        assert len(view.edges) == 2
         assert view.switches() == [switch_id(0), switch_id(1), switch_id(2)]
 
     def test_equality_is_structural(self):

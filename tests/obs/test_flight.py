@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder, next_dump_path, read_jsonl
+from repro.obs import FlightRecorder, next_dump_path
 from repro.sim.kernel import Simulator
 
 from tests.conftest import converged_line
@@ -19,9 +19,9 @@ def test_rings_are_bounded_per_component():
         recorder.record(float(k), "reconfig", "switch.s0", "event", k=k)
     recorder.record(0.5, "reconfig", "switch.s1", "other")
     assert recorder.records_total == 11
-    assert len(recorder) == 5  # 4 retained for s0 + 1 for s1
-    assert recorder.components() == ["switch.s0", "switch.s1"]
     rows = recorder.snapshot()
+    assert len(rows) == 5  # 4 retained for s0 + 1 for s1
+    assert sorted({r["comp"] for r in rows}) == ["switch.s0", "switch.s1"]
     s0_ks = [r["data"]["k"] for r in rows if r["comp"] == "switch.s0"]
     assert s0_ks == [6, 7, 8, 9]  # oldest evicted first
 
@@ -44,7 +44,7 @@ def test_dump_writes_meta_then_rows(tmp_path):
     recorder = FlightRecorder()
     recorder.record(1.0, "reconfig", "switch.s0", "epoch.begin", tag="e1@s0")
     path = recorder.dump(tmp_path / "sub" / "flight.jsonl", reason="unit test")
-    rows = read_jsonl(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows[0]["cat"] == "flight.meta"
     assert rows[0]["data"]["reason"] == "unit test"
     assert rows[0]["data"]["retained"] == 1
@@ -116,7 +116,7 @@ def test_kernel_exception_without_dump_dir_only_records():
 def test_network_records_epochs_and_link_state():
     net = converged_line(3)
     assert net.recorder is net.sim.recorder
-    components = set(net.recorder.components())
+    components = {r["comp"] for r in net.recorder.snapshot()}
     assert any(c.startswith("switch.") for c in components)
     names = {r["name"] for r in net.recorder.snapshot()}
     assert "epoch.trigger" in names

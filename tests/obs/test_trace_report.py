@@ -1,9 +1,8 @@
-"""End-to-end: capture a reconfiguration experiment, render the report.
+"""End-to-end: trace a reconfiguration experiment, render the report.
 
-This is the acceptance path for the observability PR: a bench_e4-style
-run (converge, crash a switch, reconfigure) captured with ``repro.obs``
-must produce a trace that ``tools/trace_report.py`` renders as a
-reconfiguration timeline plus a per-VC latency table.
+A bench_e4-style run (converge, crash a switch, reconfigure) with a
+:class:`~repro.obs.Tracer` on its simulator must produce a trace that
+``tools/trace_report.py`` renders as a reconfiguration timeline.
 """
 
 import json
@@ -26,30 +25,27 @@ import trace_report  # noqa: E402
 @pytest.fixture(scope="module")
 def captured_run(tmp_path_factory):
     """Converge a 4-switch line, push traffic, crash an interior switch,
-    reconfigure, and write the trace + metrics snapshot to disk."""
+    reconfigure, and write the trace to disk."""
     out = tmp_path_factory.mktemp("trace")
+    net = line_with_hosts(4)
     # keep per-cell journeys out so the protocol trace stays small
-    tracer = obs.Tracer(categories=["reconfig", "flowcontrol"])
-    with obs.capture(tracer) as cap:
-        net = line_with_hosts(4)
-        net.start()
-        net.run_until_converged(timeout_us=500_000)
-        circuit = net.setup_circuit("h0", "h1")
-        net.host("h0").send_raw_cells(circuit.vc, 40)
-        net.run(5_000.0)
-        net.crash_switch("s1")
-        net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
-        trace_path = out / "run.trace.jsonl"
-        metrics_path = out / "run.metrics.json"
-        cap.tracer.write_jsonl(trace_path)
-        with open(metrics_path, "w", encoding="utf-8") as stream:
-            json.dump(cap.snapshot(), stream)
-    return trace_path, metrics_path
+    tracer = net.sim.tracer = obs.Tracer(categories=["reconfig", "flowcontrol"])
+    net.start()
+    net.run_until_converged(timeout_us=500_000)
+    circuit = net.setup_circuit("h0", "h1")
+    net.host("h0").send_raw_cells(circuit.vc, 40)
+    net.run(5_000.0)
+    net.crash_switch("s1")
+    net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+    trace_path = out / "run.trace.jsonl"
+    tracer.write_jsonl(trace_path)
+    return trace_path
 
 
 def test_trace_contains_the_reconfiguration_story(captured_run):
-    trace_path, _ = captured_run
-    records = obs.read_jsonl(trace_path)
+    records = [
+        json.loads(line) for line in captured_run.read_text().splitlines()
+    ]
     names = {r["name"] for r in records}
     assert "epoch.trigger" in names
     assert "epoch.begin" in names
@@ -57,13 +53,14 @@ def test_trace_contains_the_reconfiguration_story(captured_run):
     assert "skeptic.verdict" in names
     assert "monitor.timeout" in names  # the crashed switch's neighbours
     assert "credit.grant" in names
-    # every record in this capture is protocol-level (journeys filtered out)
+    # every record in this trace is protocol-level (journeys filtered out)
     assert {r["cat"] for r in records} <= {"reconfig", "flowcontrol"}
 
 
-def test_report_renders_timeline_and_latency_table(captured_run, capsys):
-    trace_path, metrics_path = captured_run
-    rc = trace_report.main([str(trace_path), "--metrics", str(metrics_path)])
+def test_report_renders_timeline_and_latency_table(
+    captured_run, journey_trace, capsys
+):
+    rc = trace_report.main([str(captured_run)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "Reconfiguration timeline" in out
@@ -71,28 +68,33 @@ def test_report_renders_timeline_and_latency_table(captured_run, capsys):
     assert "settled" in out
     assert "Skeptic verdicts" in out
     assert "Port-monitor timeouts" in out
-    assert "Per-VC latency" in out
-    # the circuit's cells show up as a vc<k> row under the receiving host
-    assert "host.h1" in out
-    assert "vc" in out
-
-
-def test_report_sections_can_be_selected(captured_run, capsys):
-    trace_path, metrics_path = captured_run
-    trace_report.main(
-        [str(trace_path), "--metrics", str(metrics_path), "--section", "latency"]
-    )
+    # per-VC latency comes from the journey records: one row per circuit
+    rc = trace_report.main([str(journey_trace)])
+    assert rc == 0
     out = capsys.readouterr().out
-    assert "Per-VC latency" in out
-    assert "Reconfiguration timeline" not in out
+    assert "Cell journeys (critical path)" in out
+    assert "Mean end-to-end latency decomposition per VC" in out
 
 
 def test_report_without_metrics_still_renders_timeline(captured_run, capsys):
-    trace_path, _ = captured_run
-    rc = trace_report.main([str(trace_path)])
+    """A protocol-only trace renders its timeline under ``all`` and no
+    journey section."""
+    rc = trace_report.main([str(captured_run), "--section", "all"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "Reconfiguration timeline" in out
+    assert "Cell journeys" not in out
+
+
+def test_report_sections_can_be_selected(journey_trace, capsys):
+    trace_report.main([str(journey_trace), "--section", "journey"])
+    out = capsys.readouterr().out
+    assert "Cell journeys (critical path)" in out
+    assert "Reconfiguration timeline" not in out
+    trace_report.main([str(journey_trace), "--section", "timeline"])
+    out = capsys.readouterr().out
+    assert "Reconfiguration timeline" in out
+    assert "Cell journeys (critical path)" not in out
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +185,6 @@ def test_journey_section_decomposes_critical_path(journey_trace, capsys):
 
 
 def test_journey_section_without_journey_records(captured_run, capsys):
-    trace_path, _ = captured_run
-    rc = trace_report.main([str(trace_path), "--section", "journey"])
+    rc = trace_report.main([str(captured_run), "--section", "journey"])
     assert rc == 0
     assert "no journey records" in capsys.readouterr().out

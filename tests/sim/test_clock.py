@@ -32,7 +32,9 @@ def test_global_delay_inverse_of_local_delay():
     sim = Simulator()
     clock = DriftingClock(sim, drift_ppm=250.0)
     local = 12345.0
-    assert clock.local_delay(clock.global_delay(local)) == pytest.approx(local)
+    start = clock.local_now()
+    sim.run(until=clock.global_delay(local))
+    assert clock.local_now() - start == pytest.approx(local)
 
 
 def test_offset_applies():
@@ -54,8 +56,6 @@ def test_negative_delays_rejected():
     clock = DriftingClock(sim)
     with pytest.raises(ValueError):
         clock.global_delay(-1.0)
-    with pytest.raises(ValueError):
-        clock.local_delay(-1.0)
 
 
 def test_absurd_drift_rejected():

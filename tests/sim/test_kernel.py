@@ -133,25 +133,34 @@ def test_equal_times_are_fifo_and_events_are_never_compared():
     assert [event.seq for event in events] == list(range(7))
     assert [event.time for event in events] == [2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 0.0]
     events[3].cancel()
-    assert sim.peek() == 0.0
     sim.run()
     assert seen == [(0.0, 6), (1.0, 1), (1.0, 4), (2.0, 0), (2.0, 2), (2.0, 5)]
 
 
 def test_step_returns_false_when_idle():
+    """``run(max_events=1)`` on an empty queue runs nothing; with one
+    event queued it runs exactly that one."""
     sim = Simulator()
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_executed == 0
     sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_executed == 1
+    sim.run(max_events=1)
+    assert sim.events_executed == 1
 
 
 def test_peek_skips_cancelled():
+    """The next event to run is the first live one: a cancelled earlier
+    event neither fires nor counts."""
     sim = Simulator()
-    event = sim.schedule(5.0, lambda: None)
-    sim.schedule(9.0, lambda: None)
+    seen = []
+    event = sim.schedule(5.0, seen.append, 5.0)
+    sim.schedule(9.0, seen.append, 9.0)
     event.cancel()
-    assert sim.peek() == 9.0
+    sim.run(max_events=1)
+    assert seen == [9.0] and sim.now == 9.0
+    assert sim.events_executed == 1
 
 
 def test_pending_counts_live_events():
@@ -191,7 +200,7 @@ def test_not_reentrant():
 
 
 def test_cancel_after_firing_is_a_no_op():
-    """A fired event stays fired: ``cancel()`` neither marks it cancelled
+    """A fired event stays fired: ``cancel()`` neither drops its callback
     nor moves ``pending()``."""
     sim = Simulator()
     fired = sim.schedule(1.0, lambda: None)
@@ -199,7 +208,7 @@ def test_cancel_after_firing_is_a_no_op():
     sim.run(until=2.0)
     assert sim.pending() == 1
     fired.cancel()
-    assert not fired.cancelled
+    assert fired.callback is not None
     assert sim.pending() == 1
     sim.run()
     assert sim.events_executed == 2 and sim.pending() == 0
@@ -213,11 +222,11 @@ def test_an_event_is_its_own_heap_entry():
     assert (event.time, event.seq, event.callback, event.args) == (
         3.0, 0, callback, ("x",),
     )
-    assert not event.cancelled
+    assert event.callback is callback
     with pytest.raises(AttributeError):
         event.time = 4.0
     event.cancel()
-    assert event.cancelled and sim.pending() == 0
+    assert event.callback is None and sim.pending() == 0
 
 
 @pytest.mark.parametrize("instrumented", [False, True])

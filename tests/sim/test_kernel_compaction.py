@@ -5,7 +5,7 @@ lazily on pop, and ``Simulator`` compacts wholesale once more than half
 of a large heap is cancelled.  ``pending()`` is the heap size less
 its cancelled entries, not a heap scan.  These tests pin the counter bookkeeping (including
 double-cancel and cancel-after-execution) and the compaction trigger,
-ordering preservation, and observability via ``heap_size`` /
+ordering preservation, and observability via the heap's length and
 ``compactions``.
 """
 
@@ -52,7 +52,7 @@ def test_cancel_after_execution_is_harmless():
 def test_compaction_triggers_and_shrinks_heap():
     sim = Simulator()
     events = [sim.schedule(i + 1.0, lambda: None) for i in range(200)]
-    assert sim.heap_size == 200
+    assert len(sim._queue) == 200
     assert sim.compactions == 0
     # Cancel three quarters: crosses the >50%-cancelled threshold
     # mid-loop (at 101 of 200), compacting down to the 99 then-live
@@ -61,7 +61,7 @@ def test_compaction_triggers_and_shrinks_heap():
         event.cancel()
     assert sim.compactions == 1
     assert sim.pending() == 50
-    assert sim.heap_size == 99
+    assert len(sim._queue) == 99
     sim.run()
     assert sim.events_executed == 50
 
@@ -137,6 +137,6 @@ def test_compaction_inside_a_running_loop():
     assert sim.compactions >= 1
     survivors = [index for index in range(200) if index % 4 == 0]
     assert fired == sorted(survivors, key=lambda index: (index % 3, index))
-    assert sim.heap_size == 0 and sim.pending() == 0
+    assert len(sim._queue) == 0 and sim.pending() == 0
     sim.run()
     assert len(fired) == len(survivors)

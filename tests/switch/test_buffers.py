@@ -8,6 +8,11 @@ def cell(vc):
     return Cell(vc=vc)
 
 
+def holds(queues, out_port, vc):
+    """Has ``vc`` a queue (possibly empty now) toward ``out_port``?"""
+    return vc in queues._queues.get(out_port, ())
+
+
 def push_ready(queues, out_port, vc, cell_):
     """Queue a cell of a circuit that has credit to send it."""
     queues.push(out_port, vc, cell_)
@@ -85,18 +90,18 @@ class TestVcQueues:
 
     def test_push_reports_the_first_cell_edge(self):
         queues = VcQueues()
-        assert not queues.holds(1, 20)
+        assert not holds(queues, 1, 20)
         assert queues.push(1, 20, cell(20))  # queue went non-empty
         assert not queues.push(1, 20, cell(20))
         assert queues.push(1, 21, cell(21))
-        assert queues.holds(1, 20) and not queues.holds(2, 20)
+        assert holds(queues, 1, 20) and not holds(queues, 2, 20)
         assert not queues.requests(1)
         queues.set_ready(1, 20, True)
         assert queues.requests(1) and not queues.requests(2)
         queues.pop(1)
         queues.pop(1)
         assert not queues.requests(1)
-        assert queues.holds(1, 20)  # the empty queue keeps its turn
+        assert holds(queues, 1, 20)  # the empty queue keeps its turn
         assert queues.push(1, 20, cell(20))
 
     def test_set_ready_is_idempotent(self):
@@ -113,7 +118,7 @@ class TestVcQueues:
         push_ready(queues, 0, 20, cell(20))
         push_ready(queues, 1, 21, cell(21))
         assert queues.occupancy == 2
-        assert queues.occupancy_for(0) == 1
+        assert sum(map(len, queues._queues[0].values())) == 1
         assert queues.peak_occupancy == 2
         queues.pop(0)
         assert queues.occupancy == 1

@@ -23,7 +23,7 @@ class TestRoutingTable:
         assert table.lookup(20) is entry
         assert entry.out_port == 3
         assert entry.installed_at == 5.0
-        assert 20 in table
+        assert table.lookup(21) is None
 
     def test_remove(self):
         table = RoutingTable()
@@ -38,9 +38,9 @@ class TestRoutingTable:
         cells = [Cell(vc=20) for _ in range(3)]
         for cell in cells:
             assert table.buffer_pending(20, cell)
-        assert table.pending_count(20) == 3
+        assert table._pending[20] == cells
         assert table.take_pending(20) == cells
-        assert table.pending_count(20) == 0
+        assert 20 not in table._pending
 
     def test_pending_cap_drops(self):
         table = RoutingTable(pending_cap=2)

@@ -24,7 +24,7 @@ DESIGN.md, "Determinism contract"):
   across runs; ordering by them is never replayable.
 - ``clock-write`` -- an assignment to an attribute named ``now`` outside
   ``sim/kernel.py``.  ``Simulator.now`` is a plain attribute that only
-  the kernel's step and run loops may advance; a clock set anywhere else
+  the kernel's run loops may advance; a clock set anywhere else
   would run events out of their time order.
 
 Sorting the iterable (``for x in sorted(s)``) silences the iteration
@@ -422,7 +422,7 @@ class _Analyzer(ast.NodeVisitor):
             self._emit(
                 target,
                 "clock-write",
-                "assigns .now; only the kernel's step/run loops advance "
+                "assigns .now; only the kernel's run loops advance "
                 "the simulated clock",
             )
 

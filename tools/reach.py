@@ -169,6 +169,10 @@ def read_allowlist() -> Dict[str, str]:
                 f"{ALLOWLIST.name}:{number}: want '<file>::<qualname>"
                 f" <reason>' with a reason in {', '.join(REASONS)}: {line!r}"
             )
+        if fields[0] in entries:
+            raise SystemExit(
+                f"{ALLOWLIST.name}:{number}: {fields[0]} is listed twice"
+            )
         entries[fields[0]] = fields[1]
     return entries
 

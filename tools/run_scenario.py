@@ -18,7 +18,7 @@ reproducible from the seed)::
 
 The exit code is 0 only if every invariant passed, so CI can gate on
 it.  ``--trace-out FILE`` additionally writes the JSONL trace
-(categories: reconfig, flowcontrol, faults) for
+(categories: reconfig, flowcontrol, faults, journey) for
 ``tools/trace_report.py``; the reconfiguration timeline is rendered
 inline either way.
 """
@@ -44,7 +44,7 @@ from repro.obs import Tracer  # noqa: E402
 
 from trace_report import build_timeline  # noqa: E402
 
-TRACE_CATEGORIES = ("reconfig", "flowcontrol", "faults")
+TRACE_CATEGORIES = ("reconfig", "flowcontrol", "faults", "journey")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

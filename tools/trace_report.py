@@ -1,16 +1,15 @@
 #!/usr/bin/env python
-"""Render a captured trace + metrics snapshot as human-readable reports.
+"""Render a JSONL trace as human-readable reports.
 
-Input is what the observability layer writes (see ``repro.obs``): a JSON
-Lines trace from :meth:`Tracer.write_jsonl` and, optionally, a metrics
-snapshot from :meth:`MetricsRegistry.write_json` (or
-``Network.metrics_snapshot()`` dumped to JSON).  Every ``bench_e*``
-experiment produces both when run with ``--trace-out=DIR``::
+Input is a JSON Lines trace from :meth:`Tracer.write_jsonl` (see
+``repro.obs``) or a :class:`~repro.obs.FlightRecorder` dump.  A trace
+is attached to one network by assigning ``net.sim.tracer``;
+``tools/run_scenario.py --trace-out`` does that for a chaos scenario::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_e4_reconfiguration.py \\
-        --trace-out=/tmp/traces
+    PYTHONPATH=src python tools/run_scenario.py pull_the_plug \\
+        --no-timeline --trace-out /tmp/pull_the_plug.trace.jsonl
     PYTHONPATH=src python tools/trace_report.py \\
-        /tmp/traces/<test>.trace.jsonl --metrics /tmp/traces/<test>.metrics.json
+        /tmp/pull_the_plug.trace.jsonl --section all
 
 Reports:
 
@@ -25,8 +24,6 @@ Reports:
   a :class:`~repro.obs.FlightRecorder` dump (``--component`` filters to,
   say, the switch that failed an invariant).  A dump is an ordinary
   trace, so the other sections render it too.
-- **per-VC latency table**: from the metrics snapshot's
-  ``vc<k>.cell_latency`` tallies (any node), plus packet latency.
 
 The loader is deliberately tolerant: dumps written by a crashing run
 may end mid-line, so malformed lines are skipped with a warning rather
@@ -435,52 +432,6 @@ def build_flight(
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# per-VC latency
-# ----------------------------------------------------------------------
-def build_vc_latency(snapshot: Dict[str, Any]) -> str:
-    lines = ["Per-VC latency", "=============="]
-    table = Table(
-        ["node", "vc", "cells", "mean (us)", "p50", "p90", "p99", "max"]
-    )
-    found = 0
-    for path in sorted(snapshot):
-        tallies = snapshot[path].get("tallies", {})
-        for name in sorted(tallies):
-            if not name.endswith(".cell_latency"):
-                continue
-            stats = tallies[name]
-            if not stats.get("count"):
-                continue
-            found += 1
-            vc = name.split(".", 1)[0]
-            table.add_row(
-                path, vc, stats["count"], stats["mean"],
-                stats["p50"], stats["p90"], stats["p99"], stats["max"],
-            )
-    if found:
-        lines.append(table.render())
-    else:
-        lines.append("(no cell-latency tallies in snapshot)")
-
-    packet = Table(["node", "packets", "mean (us)", "p50", "p99", "max"],
-                   title="Packet latency")
-    have_packets = 0
-    for path in sorted(snapshot):
-        stats = snapshot[path].get("tallies", {}).get("packet_latency")
-        if not stats or not stats.get("count"):
-            continue
-        have_packets += 1
-        packet.add_row(
-            path, stats["count"], stats["mean"], stats["p50"],
-            stats["p99"], stats["max"],
-        )
-    if have_packets:
-        lines.append("")
-        lines.append(packet.render())
-    return "\n".join(lines)
-
-
 def build_trace_summary(records: List[Dict[str, Any]]) -> str:
     by_cat: Dict[str, int] = {}
     for record in records:
@@ -497,16 +448,12 @@ def build_trace_summary(records: List[Dict[str, Any]]) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Render a JSONL trace and metrics snapshot as reports."
+        description="Render a JSONL trace as reports."
     )
     parser.add_argument("trace", help="JSONL trace file (Tracer.write_jsonl)")
     parser.add_argument(
-        "--metrics", default=None,
-        help="metrics snapshot JSON (MetricsRegistry.write_json)",
-    )
-    parser.add_argument(
         "--section",
-        choices=["timeline", "journey", "flight", "latency", "all"],
+        choices=["timeline", "journey", "flight", "all"],
         default="all",
     )
     parser.add_argument(
@@ -541,15 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         is_dump = any(r.get("cat") == "flight.meta" for r in records)
         if is_dump or args.section == "flight":
             sections.append(build_flight(records, component=args.component))
-    snapshot: Dict[str, Any] = {}
-    if args.metrics:
-        with open(args.metrics, "r", encoding="utf-8") as stream:
-            snapshot = json.load(stream)
-    if args.section in ("latency", "all"):
-        if snapshot:
-            sections.append(build_vc_latency(snapshot))
-        elif args.section == "latency":
-            sections.append("(no metrics snapshot given: use --metrics)")
     print("\n\n".join(sections))
     return 0
 
