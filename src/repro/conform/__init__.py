@@ -13,7 +13,9 @@ assuming it:
   this package and the tests imports;
 - :mod:`repro.conform.oracle` -- differential checks that drive those
   reference matchers and the bitmask kernel from identical seeds, cell
-  by cell, and cross-check AN1 against AN2 routing on shared topologies.
+  by cell, cross-check AN1 against AN2 routing on shared topologies,
+  and run each whole-``Network`` fast path against its reference as a
+  row of one case table.
 
 The AST nondeterminism lint lives in ``tools/lint_determinism.py`` (it
 inspects source, not runtime state); ``tools/run_conformance.py`` is the

@@ -1,6 +1,6 @@
 """Differential oracles: reference vs kernel, AN1 vs AN2.
 
-Four families of cross-checks, each reporting the *first* divergence it
+Five families of cross-checks, each reporting the *first* divergence it
 finds as a :class:`Divergence` (never just a boolean -- a conformance
 failure must say exactly where the implementations disagreed):
 
@@ -20,34 +20,55 @@ failure must say exactly where the implementations disagreed):
   must terminate, stay legal, and be exactly as short as the end-to-end
   path; and the end-to-end answer must be identical across independently
   constructed orientations (no hash-order sensitivity).
-- **Slot driver** -- :func:`compare_slot_driver` runs the digest gate's
-  replay scenario on the default ``Network`` (fabric-wide slot wave) and
-  with every switch detached onto its private slot timer: same traffic
-  outcomes, strictly fewer kernel events.
-- **Parking** -- :func:`compare_parking` runs a whole-``Network`` case
-  with the slot wave walking only the switches that can move a cell and
-  with it walking every armed switch at every wave: the same kernel
-  events to the ``(time, seq, callback)`` and the same end state.
+- **Whole-Network twins** -- :func:`compare` runs a row of the case
+  table :data:`TWINS` on its reference side and on the fast path and
+  reports the first of its sections that does not hold: the slot wave
+  against private slot timers (``slot-driver``), the sparse walk
+  against the dense one (``parking``), the closed-form link monitors
+  against :class:`~repro.conform.reference.EagerPortMonitor`
+  (``monitor``).
 
-:func:`matcher_sweep` / :func:`routing_sweep` run these over a seeded
-grid of sizes and load patterns and also return plain-data records
-(including a hash of every slot's matching) suitable for committing as a
-regression corpus.
+The sweeps run these over seeded grids and also return plain-data
+records (the matcher and routing ones hash every slot's matching and
+every path) suitable for committing as a regression corpus.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.conform.reference import IslipMatcher, ParallelIterativeMatcher
+from repro.conform.digest import (
+    RunDigest,
+    canonical_bytes,
+    fingerprint_network,
+    replay_network,
+    run_replay_traffic,
+)
+from repro.conform.reference import (
+    EagerPortMonitor,
+    IslipMatcher,
+    ParallelIterativeMatcher,
+)
+from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim, MatchResult
 from repro.core.routing.updown import UpDownOrientation
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import build_random_scenario
+from repro.net.cell import PING, PING_ACK, CellKind
+from repro.net.host import HostConfig
+from repro.net.network import Network
+from repro.net.packet import Packet
+from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
 from repro.sim.random import derived_stream
 from repro.switch.fabric import VoqFabric
+from repro.switch.switch import SwitchConfig
 from repro.traffic.arrivals import (
     ArrivalProcess,
     BernoulliUniform,
@@ -55,6 +76,7 @@ from repro.traffic.arrivals import (
     Hotspot,
     Permutation,
 )
+from repro.traffic.workload import PoissonPacketWorkload
 
 
 @dataclass(frozen=True)
@@ -377,117 +399,237 @@ def routing_sweep(
 
 
 # ======================================================================
-# slot-driver differential (fabric-wide wave vs private slot timers)
-# ======================================================================
-def _scrub_tick_phase(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop the fields the slot driver is allowed to change.
-
-    Wave coalescing re-phases per-switch slot timers onto one fabric-wide
-    tick and replaces N timer events with one, so ``slot_index`` and
-    ``events_executed`` differ by design; every traffic-visible outcome
-    (forwarding counts, queue occupancy, credits, epochs, link and host
-    state) must be byte-identical.
-    """
-    scrubbed = dict(fingerprint)
-    scrubbed.pop("events_executed", None)
-    scrubbed["switches"] = [
-        dict(switch, slot_index=0) for switch in scrubbed["switches"]
-    ]
-    return scrubbed
-
-
-def compare_slot_driver(
-    seed: int = 0, duration_us: float = 40_000.0
-) -> Tuple[Optional[Divergence], Dict[str, Any]]:
-    """Run the replay scenario on private slot timers and on the wave.
-
-    Builds the digest gate's
-    :func:`~repro.conform.digest.replay_network` twice: the reference
-    has every switch detached from the network's slot driver right after
-    construction (``_slot_driver`` cleared, so ``_kick`` arms the
-    per-switch timer), the candidate is the default ``Network``.
-    Compares the end-of-run
-    :func:`~repro.conform.digest.fingerprint_network` with the tick phase
-    scrubbed (see :func:`_scrub_tick_phase`).  The wave must also
-    *reduce* the kernel event count -- that is the whole point of
-    coalescing -- so equal-or-more events is reported as a divergence
-    too.  Returns ``(divergence, record)``.
-    """
-    from repro.conform.digest import (
-        canonical_bytes,
-        fingerprint_network,
-        replay_network,
-        run_replay_traffic,
-    )
-
-    def run_scenario(detach: bool):
-        net = replay_network(seed)
-        if detach:
-            for switch in net.switches.values():
-                switch._slot_driver = None
-        run_replay_traffic(net, duration_us)
-        return fingerprint_network(net), net.sim.events_executed
-
-    baseline, events_off = run_scenario(detach=True)
-    driven, events_on = run_scenario(detach=False)
-    ref_scrubbed = _scrub_tick_phase(baseline)
-    cand_scrubbed = _scrub_tick_phase(driven)
-    ref_sha = hashlib.sha256(canonical_bytes(ref_scrubbed)).hexdigest()
-    cand_sha = hashlib.sha256(canonical_bytes(cand_scrubbed)).hexdigest()
-    record = {
-        "kind": "slot-driver",
-        "seed": seed,
-        "duration_us": duration_us,
-        "events_off": events_off,
-        "events_on": events_on,
-        "state_sha256": ref_sha,
-        "agreed": ref_sha == cand_sha and events_on < events_off,
-    }
-    if ref_sha != cand_sha:
-        case, reference, candidate = "replay-scenario", ref_sha, cand_sha
-    elif events_on >= events_off:
-        case, reference, candidate = "event-count", f"<{events_off}", events_on
-    else:
-        return None, record
-    divergence = Divergence(
-        kind="fastpath",
-        pair="slot-driver",
-        seed=seed,
-        size=len(baseline["switches"]),
-        case=case,
-        round=-1,
-        port=-1,
-        reference=reference,
-        candidate=candidate,
-    )
-    return divergence, record
-
-
-def slot_driver_sweep(
-    seeds: Sequence[int], duration_us: float = 40_000.0
-) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """:func:`compare_slot_driver` over a seed list."""
-    divergences: List[Divergence] = []
-    records: List[Dict[str, Any]] = []
-    for seed in seeds:
-        divergence, record = compare_slot_driver(
-            seed, duration_us=duration_us
-        )
-        if divergence is not None:
-            divergences.append(divergence)
-        records.append(record)
-    return divergences, records
-
-
-# ======================================================================
-# parking differential (sparse walk vs every armed switch every wave)
+# whole-Network twins: one harness, one case table
 # ======================================================================
 # A *case* is ``case(seed, prepare) -> Network``: build the network, call
-# ``prepare(net)`` before anything runs, drive it, return it.
+# ``prepare(net)`` before anything runs, drive it, return it.  A *twin*
+# is a row of :data:`TWINS`.  Each reference trick is written once, here.
+def detach_slot_driver(net) -> None:
+    """Every switch on its private slot timer instead of the wave."""
+    for switch in net.switches.values():
+        switch._slot_driver = None
+
+
+def walk_densely(driver) -> None:
+    """Every armed switch due at every wave: ``park`` overridden on the
+    driver instance (what the wave did before switches could park)."""
+    driver.park = lambda switch, waves: driver.request_tick(switch)
+
+
+def eager_monitors(net) -> None:
+    """Every monitor ``net`` starts is an :class:`EagerPortMonitor`,
+    from before its first ack could let it rest."""
+    start = net.start
+
+    def start_eagerly() -> None:
+        start()
+        for node in (*net.switches.values(), *net.hosts.values()):
+            for monitor in node.monitors.values():
+                monitor.__class__ = EagerPortMonitor
+
+    net.start = start_eagerly
+
+
+class Twin(NamedTuple):
+    """A fast path and the reference it must agree with, on a Network."""
+
+    name: str
+    cases: Dict[str, Callable[..., Any]]
+    #: ``prepare(net, reference)`` readies a just-built network, the
+    #: reference side on if ``reference``; what it returns is handed to
+    #: ``observe`` with the finished network.
+    prepare: Callable[[Any, bool], Any]
+    #: ``(net, prepared) -> {section: value}`` of a finished run, in order.
+    observe: Callable[[Any, Any], Dict[str, Any]]
+    #: ``holds(reference, candidate)`` for sections not held to equality.
+    holds: Dict[str, Callable[[Any, Any], bool]] = {}
+
+
+def run_twin(row: Twin, case, seed: int, reference: bool):
+    """One side of ``row`` on ``case``: ``(network, {section: value})``."""
+    prepared = []
+    net = case(seed, lambda net: prepared.append(row.prepare(net, reference)))
+    return net, row.observe(net, *prepared)
+
+
+def compare(
+    row: Twin, label: str, case, seed: int = 0
+) -> Tuple[Optional[Divergence], Dict[str, Any]]:
+    """Run ``case`` (called ``label``) on the reference side and on the
+    fast path: the first section that does not hold as a
+    :class:`Divergence` (``None`` if all do), and the record of both
+    sides' sections."""
+    _, reference = run_twin(row, case, seed, reference=True)
+    net, candidate = run_twin(row, case, seed, reference=False)
+    record = {
+        "row": row.name, "case": label, "seed": seed,
+        "reference": reference, "candidate": candidate, "agreed": True,
+    }
+    for name, expected in reference.items():
+        if not row.holds.get(name, operator.eq)(expected, candidate[name]):
+            record["agreed"] = False
+            return Divergence(
+                kind="fastpath", pair=row.name, seed=seed,
+                size=len(net.switches), case=f"{label}:{name}", round=-1,
+                port=-1, reference=expected, candidate=candidate[name],
+            ), record
+    return None, record
+
+
+def sweep(
+    seeds: Sequence[int],
+) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
+    """:func:`compare` over every row of :data:`TWINS`, each case on the
+    row's share of ``seeds``."""
+    runs = [
+        compare(row, label, case, seed) for row, share in TWINS
+        for label, case in row.cases.items() for seed in seeds[:share]
+    ]
+    return [d for d, _ in runs if d], [record for _, record in runs]
+
+
+# ----------------------------------------------------------------------
+# the one action vocabulary
+# ----------------------------------------------------------------------
+def plain_credit_filter(rng: random.Random, probability: float):
+    """A ``Link.drop_filter`` that drops plain credit returns (not resync
+    messages) with the given probability -- resync must survive to do
+    its job, as it would in the real design where resync exchanges are
+    retried anyway."""
+
+    def predicate(cell):
+        if cell.kind is not CellKind.CREDIT:
+            return False
+        if isinstance(cell.payload, (ResyncRequest, ResyncReply)):
+            return False
+        return rng.random() < probability
+
+    return predicate
+
+
+def send_cells(net, circuit, cells: int, copies: int = 1) -> None:
+    """``copies`` packets of ``cells`` cells each on ``circuit``."""
+    for _ in range(copies):
+        net.host(circuit.source).send_packet(circuit.vc, Packet(
+            source=circuit.source, destination=circuit.destination,
+            size=48 * cells,
+        ))
+
+
+def release(net, reservation, cells: int) -> None:
+    for switch, in_port, out_port in reservation.switch_hops:
+        net.switches[switch].remove_reservation(in_port, out_port, cells)
+
+
+#: the steps :func:`play` draws from: bursts and runs weigh four times
+#: the rest.
+ACTIONS = ("burst", "run") * 4 + (
+    "open", "close", "remove", "page_out", "fail", "restore", "crash",
+    "credit_loss", "hook", "corrupt", "reserve", "release", "stream",
+    "drift",
+)
+
+
+def play(
+    net, actions, links=None, crashable=None, concurrent=False, words=None,
+    after=lambda: None,
+) -> None:
+    """Interpret ``(action, n)`` steps over a running ``net``, ``n``
+    choosing what each acts on (``("at", t)`` runs it until ``t`` us),
+    and call ``after()`` after each.  Every step is a function of the
+    list and of simulated state only, so both sides of a twin take it.
+    ``links`` are the cables steps cut and disturb (default: all),
+    ``crashable`` the switches they crash (default: all).  One cable is
+    cut at a time, and a switch crashes only while none is, unless
+    ``concurrent``: then any number are down at once, and ``restore``
+    mends the cable ``n`` picks.  ``words`` adds steps: ``words[name](
+    net, circuit, n)`` acts on an open circuit ``n`` picks."""
+
+    def pick(items, n):
+        return items[int(n) % len(items)]
+
+    hosts = sorted(str(host) for host in net.hosts)
+    links = links or sorted(net.links.values(), key=lambda link: link.label)
+    switches = [switch for _, switch in sorted(net.switches.items())]
+    crashable = crashable or sorted(net.switches)
+    words = words or {}
+    unicast, held, failed, crashed = [], [], [], []
+    for name, n in actions:
+        link = pick(links, n)
+        if name == "at":
+            net.run(max(n - net.now, 0.0))
+        elif hosts and (name == "open" or name == "burst" and not unicast):
+            src = pick(hosts, n)
+            dst = pick([h for h in hosts if h != src], n // 7)
+            try:
+                unicast.append(net.setup_circuit(src, dst))
+            except Exception:
+                pass  # no route while views disagree
+        elif name == "burst" and unicast:
+            circuit = pick(unicast, n)
+            if circuit.vc in net.host(circuit.source).senders:
+                send_cells(net, circuit, 1 + n % 12, copies=1 + n % 4)
+        elif name == "run":
+            net.run(20 + n % 3_000)
+        elif name == "close" and unicast:
+            circuit = unicast.pop(n % len(unicast))
+            net.host(circuit.source).close_circuit(circuit.vc)
+        elif name == "remove" and unicast:
+            pick(switches, n // 5).remove_circuit(pick(unicast, n).vc)
+        elif name == "page_out" and unicast:
+            for switch in switches:
+                switch.page_out(pick(unicast, n).vc)
+        elif name == "fail" and (concurrent or not failed):
+            failed.append(link)
+            link.fail()
+        elif name == "restore" and concurrent:
+            link.restore()
+        elif name == "restore":
+            if failed:
+                failed.pop().restore()
+            if crashed:
+                net.restore_switch(crashed.pop())
+        elif name == "crash" and (concurrent or not crashed and not failed):
+            crashed.append(pick(crashable, n))
+            net.crash_switch(crashed[-1])
+        elif name in ("credit_loss", "hook"):  # a hook drops nothing
+            link.drop_filter = None if link.drop_filter else (
+                plain_credit_filter(
+                    random.Random(n), 0.4 if name == "credit_loss" else 0.0
+                )
+            )
+        elif name == "corrupt":
+            link.set_error_rate(0.0 if link.error_rate else 0.3)
+        elif name == "reserve" and hosts and len(held) < 3 and not failed:
+            cells = 1 + n % 6
+            try:
+                circuit, reservation = net.reserve_bandwidth(
+                    pick(hosts[:-1], n), hosts[-1], cells
+                )
+            except Exception:
+                pass  # views disagree, or the link is full
+            else:
+                held.append((circuit, reservation, cells))
+                net.run(100)  # the hops install it, one control delay each
+        elif name == "stream" and held:
+            circuit = pick(held, n)[0]
+            net.host(circuit.source).send_raw_cells(circuit.vc, 1 + n % 40)
+        elif name == "release" and held:
+            release(net, *held.pop(n % len(held))[1:])
+        elif name == "drift":
+            pick(switches, n).set_clock_drift(
+                pick([0.0, 120.0, 0.0, -60.0], n // 3)
+            )
+        elif name in words and unicast:
+            words[name](net, pick(unicast, n), n)
+        after()
+
+
+# ----------------------------------------------------------------------
+# the rows
+# ----------------------------------------------------------------------
 def replay_case(seed: int, prepare, duration_us: float = 40_000.0):
     """The digest gate's replay scenario."""
-    from repro.conform.digest import replay_network, run_replay_traffic
-
     net = replay_network(seed)
     prepare(net)
     run_replay_traffic(net, duration_us)
@@ -498,25 +640,16 @@ def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
     """The replay installation carrying a paced reserved stream one way
     and best-effort bursts the other, the reservation released half way:
     reserved-idle, slot-waiting and credit-blocked switches all park."""
-    from repro.conform.digest import replay_network
-    from repro.net.packet import Packet
-
     net = replay_network(seed)
     prepare(net)
     net.start()
     net.run_until(net.converged, timeout_us=duration_us)
     stream, reservation = net.reserve_bandwidth("h0", "h1", 4)
     bursts = net.setup_circuit("h1", "h0")
-    h0, h1 = net.host("h0"), net.host("h1")
-    h0.send_raw_cells(stream.vc, 300)
-    for _ in range(12):
-        h1.send_packet(
-            bursts.vc,
-            Packet(source=h1.node_id, destination=h0.node_id, size=960),
-        )
+    net.host("h0").send_raw_cells(stream.vc, 300)
+    send_cells(net, bursts, 20, copies=12)
     net.run(duration_us / 2)
-    for switch, in_port, out_port in reservation.switch_hops:
-        net.switches[switch].remove_reservation(in_port, out_port, 4)
+    release(net, reservation, 4)
     net.run(duration_us / 2)
     return net
 
@@ -524,86 +657,178 @@ def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
 def chaos_case(seed: int, prepare):
     """A random fault plan (link, switch, credit and clock-drift faults)
     on a random topology."""
-    from repro.faults.runner import ScenarioRunner
-    from repro.faults.scenarios import build_random_scenario
-
     net, plan, loads = build_random_scenario(seed)
     prepare(net)
     ScenarioRunner(net, plan, loads, settle_us=20_000.0).run()
     return net
 
 
-PARKING_CASES = {
-    "replay": replay_case, "reserved": reserved_case, "chaos": chaos_case,
-}
+def _sha(fingerprint: Dict[str, Any]) -> str:
+    return hashlib.sha256(canonical_bytes(fingerprint)).hexdigest()
 
 
-def compare_parking(
-    case: Callable[[int, Callable[[Any], None]], Any], label: str, seed: int = 0
-) -> Tuple[Optional[Divergence], Dict[str, Any]]:
-    """Run ``case`` on the default ``Network`` and on the dense walk.
+def _traffic_outcomes(net, _) -> Dict[str, Any]:
+    """The fingerprint scrubbed of what the wave changes by design: it
+    re-phases per-switch timers onto one fabric-wide tick
+    (``slot_index``) and replaces N timer events with one -- which must
+    leave strictly fewer events."""
+    fingerprint = fingerprint_network(net)
+    events = fingerprint.pop("events_executed")
+    for switch in fingerprint["switches"]:
+        switch["slot_index"] = 0
+    return {"state": _sha(fingerprint), "fewer-events": events}
 
-    The reference run
-    has its slot driver's ``park`` overridden on the instance so that
-    every armed switch is due at every wave (what the driver did before
-    switches could park).  The kernel run digest -- every event's
-    ``(time, seq, callback)`` -- and the un-scrubbed end-of-run
-    fingerprint must be byte-equal, and the walks the candidate skipped
-    must be exactly the ones it accounts for as ``parked``.
-    """
-    from repro.conform.digest import RunDigest, fingerprint_network
 
-    def run(dense: bool):
-        digest = RunDigest()
+SLOT_DRIVER = Twin(
+    "slot-driver", {"replay": replay_case},
+    lambda net, reference: reference and detach_slot_driver(net),
+    _traffic_outcomes,
+    holds={"fewer-events": lambda reference, candidate: candidate < reference},
+)
 
-        def prepare(net) -> None:
-            if dense:
-                driver = net.slot_driver
-                driver.park = lambda switch, waves: driver.request_tick(switch)
-            net.sim.digest = digest
 
-        net = case(seed, prepare)
-        net.sim.digest = None
-        digest.absorb("network-state", fingerprint_network(net))
-        return digest.hexdigest(), net.slot_driver, len(net.switches)
+def _prepare_parking(net, reference) -> RunDigest:
+    if reference:
+        walk_densely(net.slot_driver)
+    net.sim.digest = RunDigest()
+    return net.sim.digest
 
-    ref_sha, dense, size = run(dense=True)
-    cand_sha, sparse, _ = run(dense=False)
-    walks = (dense.waves, dense.ticks)
-    accounted = (sparse.waves, sparse.ticks + sparse.parked)
-    record = {
-        "kind": "parking",
-        "case": label,
-        "seed": seed,
-        "digest": ref_sha,
-        "ticks_dense": dense.ticks,
-        "ticks": sparse.ticks,
-        "parked": sparse.parked,
-        "agreed": ref_sha == cand_sha and walks == accounted,
+
+def _kernel_events(net, digest) -> Dict[str, Any]:
+    """The kernel run digest, the un-scrubbed fingerprint, and the
+    driver's ``(waves, ticks, parked)``: the waves must match, and the
+    walks the sparse run skipped be the ones it counts as parked."""
+    driver = net.slot_driver
+    return {
+        "run-digest": digest.hexdigest(),
+        "state": _sha(fingerprint_network(net)),
+        "walks": (driver.waves, driver.ticks, driver.parked),
     }
-    if record["agreed"]:
-        return None, record
-    if ref_sha != cand_sha:
-        where, reference, candidate = "run-digest", ref_sha, cand_sha
-    else:
-        where, reference, candidate = "waves,ticks+parked", walks, accounted
-    return Divergence(
-        kind="fastpath", pair="parking", seed=seed, size=size,
-        case=f"{label}:{where}", round=-1, port=-1,
-        reference=reference, candidate=candidate,
-    ), record
 
 
-def parking_sweep(
-    seeds: Sequence[int],
-) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """:func:`compare_parking` over ``PARKING_CASES`` and a seed list."""
-    divergences: List[Divergence] = []
-    records: List[Dict[str, Any]] = []
-    for seed in seeds:
-        for label, case in PARKING_CASES.items():
-            divergence, record = compare_parking(case, label, seed)
-            if divergence is not None:
-                divergences.append(divergence)
-            records.append(record)
-    return divergences, records
+PARKING = Twin(
+    "parking",
+    {"replay": replay_case, "reserved": reserved_case, "chaos": chaos_case},
+    _prepare_parking, _kernel_events,
+    holds={"walks": lambda reference, candidate: (
+        reference[0] == candidate[0]
+        and sum(reference[1:]) == sum(candidate[1:])
+    )},
+)
+
+
+#: what a monitor schedule's steps do: cut or mend a cable, crash a
+#: switch, toggle a cable's error rate or a drop filter that drops nothing.
+FAULTS = ("fail", "restore", "corrupt", "crash", "hook")
+MONITOR_SPAN_US = 40_000.0
+
+
+def monitor_case(seed: int, prepare, topology: str, schedule):
+    """Boot ``ring4`` or ``fattree4`` (one host per edge switch and a
+    packet stream between two of them) on monitors fast enough for
+    skeptics to come back to rest, and play each ``(at_us, fault, n)``
+    step of ``schedule`` at its time -- any number of cables cut and
+    switches crashed at once -- over :data:`MONITOR_SPAN_US`."""
+    monitoring = dict(
+        ping_interval_us=500.0, ack_timeout_us=200.0, miss_threshold=2,
+        skeptic_base_wait_us=2_000.0, skeptic_decay_us=8_000.0,
+    )
+    net = Network(
+        Topology.ring(4) if topology == "ring4"
+        else fat_tree(4, hosts_per_edge=1).topology,
+        seed=seed,
+        switch_config=SwitchConfig(
+            control_delay_us=10.0, boot_reconfig_delay_us=1_500.0,
+            **monitoring,
+        ),
+        host_config=HostConfig(**monitoring),
+    )
+    prepare(net)
+    net.start()
+    if net.hosts:
+        net.run_until(net.converged, timeout_us=MONITOR_SPAN_US)
+        hosts = sorted(net.hosts)
+        circuit = net.setup_circuit(hosts[0], hosts[-1])
+        PoissonPacketWorkload(
+            net.sim, net.hosts[hosts[0]], circuit.vc, circuit.destination,
+            mean_interval_us=1_000.0, packet_bytes=240,
+            rng=net.streams.stream("conform.monitor"),
+            duration_us=MONITOR_SPAN_US,
+        ).start()
+    play(net, [
+        step for at, fault, n in sorted(schedule)
+        for step in (("at", at), (fault, n))
+    ], concurrent=True)
+    net.run(MONITOR_SPAN_US - net.now)
+    return net
+
+
+def drawn_monitor_case(seed: int, prepare):
+    """:func:`monitor_case` on a topology and one to six faults between
+    2 and 30 ms, drawn from ``seed``."""
+    rng = derived_stream("conform.oracle/monitor", seed)
+    topology = rng.choice(("ring4", "fattree4"))
+    schedule = [
+        (rng.uniform(2_000.0, 30_000.0), rng.choice(FAULTS), rng.randrange(64))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return monitor_case(seed, prepare, topology, schedule)
+
+
+def _prepare_monitors(net, reference) -> List[Any]:
+    """The eager monitors if ``reference``, and a log of every non-ping
+    cell a node is handed: when, on which port, its kind, and how many
+    cells that port's link has delivered by then."""
+    if reference:
+        eager_monitors(net)
+    cells: List[Any] = []
+    for node in (*net.switches.values(), *net.hosts.values()):
+        def on_cell(port, cell, handle=node.on_cell) -> None:
+            if cell.kind is not PING and cell.kind is not PING_ACK:
+                cells.append([
+                    net.now, port.label, cell.kind.value,
+                    port.link.cells_delivered,
+                ])
+            handle(port, cell)
+
+        node.on_cell = on_cell
+    return cells
+
+
+def _monitor_outcomes(net, cells) -> Dict[str, Any]:
+    """What the monitors decided and counted, the link counters, and
+    every non-ping cell a node was handed."""
+    nodes = sorted((*net.switches.items(), *net.hosts.items()))
+    monitors = [
+        (f"{node_id}.p{index}", monitor) for node_id, node in nodes
+        for index, monitor in sorted(node.monitors.items())
+    ]
+    links = sorted(net.links.values(), key=lambda link: link.label)
+    return {
+        "verdicts": sorted(
+            [at, port, verdict.value] for port, monitor in monitors
+            for at, verdict in monitor.skeptic.verdict_changes
+        ),
+        "monitors": [
+            [port, monitor.pings_sent, monitor.acks_received, monitor._seq,
+             monitor._misses] for port, monitor in monitors
+        ],
+        "links": [
+            [link.label, link.state.value, link.cells_delivered,
+             link.cells_dropped, link.cells_corrupted, link.port_a.cells_sent,
+             link.port_a.cells_received, link.port_b.cells_sent,
+             link.port_b.cells_received] for link in links
+        ],
+        "cells": cells,
+    }
+
+
+MONITOR = Twin(
+    "monitor", {"drawn": drawn_monitor_case}, _prepare_monitors,
+    _monitor_outcomes,
+)
+#: the case table: each whole-Network twin, and how many of the gate's
+#: seeds :func:`sweep` runs its cases on (``None``: all).  A slot-driver
+#: or parking case is two whole-Network replays; a few seeds keep those
+#: rows proportionate to the matcher sweep.
+TWINS = ((SLOT_DRIVER, 2), (PARKING, 3), (MONITOR, None))

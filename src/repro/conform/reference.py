@@ -306,7 +306,7 @@ class IslipMatcher:
 class EagerPortMonitor(PortMonitor):
     """Section 2's ping loop with every ping, delivery, ack and timeout
     a kernel event: the reference the monitor's closed form is checked
-    against (``tests/conform/monitor_oracle.py``)."""
+    against (the ``monitor`` row of :data:`repro.conform.oracle.TWINS`)."""
 
     def can_rest(self) -> bool:
         return False

@@ -41,7 +41,7 @@ from repro.net.cell import (
     SIGNALING, Cell, TrafficClass,
 )
 from repro.obs.journey import attach_journey
-from repro.net.node import Node, validate_device_config
+from repro.net.node import MonitorConfig, Node
 from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
@@ -53,21 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.switch.switch import SwitchConfig
 
 
-@dataclass
-class HostConfig:
+@dataclass(kw_only=True)
+class HostConfig(MonitorConfig):
     """What a host decides for itself: how it watches its links and what
     it does when one dies.  What both ends of a link must agree on is
     not here; a host reads it from the installation's ``SwitchConfig``."""
-
-    ping_interval_us: float = 1_000.0
-    ack_timeout_us: float = 400.0
-    miss_threshold: int = 3
-    skeptic_base_wait_us: float = 10_000.0
-    skeptic_max_level: int = 8
-    skeptic_decay_us: float = 1_000_000.0
-
-    def __post_init__(self) -> None:
-        validate_device_config(self)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import dataclasses
 import functools
 import math
 import typing
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro._types import NodeId, PortIndex
 from repro.core.reconfig.monitor import PingAckPayload, PingPayload, PortMonitor
@@ -16,17 +16,6 @@ from repro.net.cell import BEST_EFFORT, PING_ACK, Cell, CellKind
 from repro.net.port import Port
 from repro.net.topology import Edge
 from repro.sim.kernel import Simulator
-
-
-#: monitoring fields the device configs share, each ``>= 0`` where
-#: present (``miss_threshold``, which all have, must be ``>= 1``).
-_MONITOR_FIELDS = (
-    "ping_interval_us",
-    "ack_timeout_us",
-    "skeptic_base_wait_us",
-    "skeptic_decay_us",
-    "skeptic_max_level",
-)
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,13 +38,12 @@ def validate_device_config(
     at_least_one: Sequence[str] = (),
     non_negative: Sequence[str] = (),
 ) -> None:
-    """Reject a nonsensical device config (``SwitchConfig``,
-    ``HostConfig``, ``An1Config``, a scenario's ``TrafficLoad``) at
-    construction with a ``ValueError`` naming the field, instead of a
-    hang or a ``ZeroDivisionError`` deep in a run.  Every ``int`` field
-    must hold an ``int`` (not a ``bool``) and every ``float`` field a
-    finite number; the monitoring fields a config has are range-checked
-    here, the arguments name the rest."""
+    """Reject a nonsensical device config (a :class:`MonitorConfig`, a
+    scenario's ``TrafficLoad``) at construction with a ``ValueError``
+    naming the field, instead of a hang or a ``ZeroDivisionError`` deep
+    in a run.  Every ``int`` field must hold an ``int`` (not a ``bool``)
+    and every ``float`` field a finite number; the arguments name the
+    fields whose range is checked."""
     kind = type(config).__name__
 
     def reject(name, rule) -> None:
@@ -80,11 +68,37 @@ def validate_device_config(
             if value is not None and not ok(value):
                 reject(name, rule)
 
-    shared = [name for name in _MONITOR_FIELDS if hasattr(config, name)]
-    at_least = ["miss_threshold"] if hasattr(config, "miss_threshold") else []
     check(positive, lambda v: v > 0, "> 0")
-    check((*at_least, *at_least_one), lambda v: v >= 1, ">= 1")
-    check((*shared, *non_negative), lambda v: v >= 0, ">= 0")
+    check(at_least_one, lambda v: v >= 1, ">= 1")
+    check(non_negative, lambda v: v >= 0, ">= 0")
+
+
+@dataclasses.dataclass(kw_only=True)
+class MonitorConfig:
+    """Section 2's link monitor, which every device runs
+    (:meth:`Node.start_monitors`): the ping period, the ack timeout, the
+    misses that make a failure and the skeptic's hold-down.  Each device
+    config extends it, and extends the three range rules with its own
+    fields; :func:`validate_device_config` checks them all at once."""
+
+    ping_interval_us: float = 1_000.0
+    ack_timeout_us: float = 400.0
+    miss_threshold: int = 3
+    skeptic_base_wait_us: float = 10_000.0
+    skeptic_max_level: int = 8
+    skeptic_decay_us: float = 1_000_000.0
+
+    POSITIVE: ClassVar[Tuple[str, ...]] = ()
+    AT_LEAST_ONE: ClassVar[Tuple[str, ...]] = ("miss_threshold",)
+    NON_NEGATIVE: ClassVar[Tuple[str, ...]] = (
+        "ping_interval_us", "ack_timeout_us", "skeptic_base_wait_us",
+        "skeptic_decay_us", "skeptic_max_level",
+    )
+
+    def __post_init__(self) -> None:
+        validate_device_config(
+            self, self.POSITIVE, self.AT_LEAST_ONE, self.NON_NEGATIVE
+        )
 
 
 class Node:

@@ -46,38 +46,20 @@ from repro.constants import (
 from repro.core.routing.signaling import choose_output
 from repro.net.cell import DATA, PING, PING_ACK, RECONFIG, Cell
 from repro.net.installation import Installation
-from repro.net.node import Node, validate_device_config
+from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Tally
 from repro.sim.random import RandomStreams
-from repro.switch.control import SwitchNode
+from repro.switch.control import SwitchNode, SwitchNodeConfig
 
 
-@dataclass
-class An1Config:
+@dataclass(kw_only=True)
+class An1Config(SwitchNodeConfig):
     n_ports: int = AN1_SWITCH_PORTS
-    control_delay_us: float = 20.0
-    ping_interval_us: float = 1_000.0
-    ack_timeout_us: float = 400.0
-    miss_threshold: int = 3
-    skeptic_base_wait_us: float = 10_000.0
-    skeptic_max_level: int = 8
-    skeptic_decay_us: float = 1_000_000.0
-    boot_reconfig_delay_us: float = 3_500.0
-    reconfig_watchdog_us: float = 100_000.0
 
-    def __post_init__(self) -> None:
-        validate_device_config(
-            self,
-            at_least_one=("n_ports",),
-            non_negative=(
-                "control_delay_us",
-                "boot_reconfig_delay_us",
-                "reconfig_watchdog_us",
-            ),
-        )
+    AT_LEAST_ONE = SwitchNodeConfig.AT_LEAST_ONE + ("n_ports",)
 
 
 @dataclass

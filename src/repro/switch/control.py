@@ -12,6 +12,7 @@ plane and its receive path.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro._types import NodeId
@@ -19,19 +20,35 @@ from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.paths import RouteComputer
 from repro.net.cell import BEST_EFFORT, RECONFIG, Cell
-from repro.net.node import Node
+from repro.net.node import MonitorConfig, Node
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
+
+
+@dataclass(kw_only=True)
+class SwitchNodeConfig(MonitorConfig):
+    """What the control software of both switch generations is tuned
+    by: the link monitors, and the fields below."""
+
+    #: line-card software latency per control message.
+    control_delay_us: float = 20.0
+    #: delay after boot before triggering the initial reconfiguration
+    #: (long enough for neighbor discovery pings to complete).
+    boot_reconfig_delay_us: float = 3_500.0
+    reconfig_watchdog_us: float = 100_000.0
+
+    NON_NEGATIVE = MonitorConfig.NON_NEGATIVE + (
+        "control_delay_us", "boot_reconfig_delay_us", "reconfig_watchdog_us",
+    )
 
 
 class SwitchNode(Node):
     """Port monitors, the reconfiguration agent and the epoch's routes.
 
-    ``config`` is the device config: its monitoring fields,
-    ``control_delay_us``, ``boot_reconfig_delay_us``,
-    ``reconfig_watchdog_us`` and (unless ``n_ports`` is given)
-    ``n_ports`` are read here.  ``route_computers`` is the installation's
-    shared map of epoch route computers (see :meth:`_on_topology_ready`).
+    ``config`` is a :class:`SwitchNodeConfig` with an ``n_ports`` (read
+    here unless ``n_ports`` is given).  ``route_computers`` is the
+    installation's shared map of epoch route computers (see
+    :meth:`_on_topology_ready`).
     """
 
     def __init__(

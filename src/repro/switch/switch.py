@@ -62,12 +62,11 @@ from repro.net.cell import (
     BEST_EFFORT, CREDIT, DATA, GUARANTEED, PING, PING_ACK, RECONFIG,
     SIGNALING, Cell, TrafficClass,
 )
-from repro.net.node import validate_device_config
 from repro.net.port import Port
 from repro.sim.kernel import Simulator
 from repro.sim.clock import DriftingClock
 from repro.sim.random import RandomStreams
-from repro.switch.control import SwitchNode
+from repro.switch.control import SwitchNode, SwitchNodeConfig
 from repro.switch.crossbar import Crossbar
 from repro.switch.linecard import LineCard
 
@@ -77,26 +76,14 @@ from repro.switch.linecard import LineCard
 FLOW_CONTROL_MODES = ("credits", "drop")
 
 
-@dataclass
-class SwitchConfig:
+@dataclass(kw_only=True)
+class SwitchConfig(SwitchNodeConfig):
     """Tunable parameters of one switch (defaults follow the paper).
     A ``Network``'s hosts read the link-level ones from here too."""
 
     n_ports: int = 16
     slot_time_us: float = FAST_CELL_TIME_US
     frame_slots: int = FRAME_SLOTS
-    #: line-card software latency per control message.
-    control_delay_us: float = 20.0
-    ping_interval_us: float = 1_000.0
-    ack_timeout_us: float = 400.0
-    miss_threshold: int = 3
-    skeptic_base_wait_us: float = 10_000.0
-    skeptic_max_level: int = 8
-    skeptic_decay_us: float = 1_000_000.0
-    #: delay after boot before triggering the initial reconfiguration
-    #: (long enough for neighbor discovery pings to complete).
-    boot_reconfig_delay_us: float = 3_500.0
-    reconfig_watchdog_us: float = 100_000.0
     #: per-VC credit allocation; ``None`` derives it from each link's
     #: round trip (section 5's sizing rule).
     credit_allocation: Optional[int] = None
@@ -117,22 +104,16 @@ class SwitchConfig:
     nested_subframe_slots: Optional[int] = None
     clock_drift_ppm: float = 0.0
 
+    POSITIVE = ("slot_time_us",)
+    AT_LEAST_ONE = SwitchNodeConfig.AT_LEAST_ONE + (
+        "n_ports", "nested_subframe_slots", "frame_slots", "credit_allocation",
+    )
+    NON_NEGATIVE = SwitchNodeConfig.NON_NEGATIVE + (
+        "resync_interval_us", "paging_idle_us",
+    )
+
     def __post_init__(self) -> None:
-        validate_device_config(
-            self,
-            positive=("slot_time_us",),
-            at_least_one=(
-                "n_ports", "nested_subframe_slots", "frame_slots",
-                "credit_allocation",
-            ),
-            non_negative=(
-                "control_delay_us",
-                "boot_reconfig_delay_us",
-                "reconfig_watchdog_us",
-                "resync_interval_us",
-                "paging_idle_us",
-            ),
-        )
+        super().__post_init__()
         if self.flow_control not in FLOW_CONTROL_MODES:
             raise ValueError(
                 f"SwitchConfig.flow_control={self.flow_control!r} must be "

@@ -7,19 +7,29 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.conform.oracle as oracle
-from tests.conform import monitor_oracle
 from repro.conform.oracle import (
+    FAULTS,
     MATCHER_KINDS,
+    MONITOR,
+    PARKING,
+    SLOT_DRIVER,
     Divergence,
+    compare,
     compare_matchers,
     compare_routing,
+    drawn_monitor_case,
     matcher_sweep,
+    monitor_case,
+    replay_case,
+    reserved_case,
     routing_sweep,
 )
 from repro.conform.reference import IslipMatcher
@@ -186,35 +196,27 @@ class TestCorpus:
 
 
 # ----------------------------------------------------------------------
-# slot-driver differential (fabric-wide wave vs private slot timers)
+# whole-Network twins
 # ----------------------------------------------------------------------
 class TestFastpathOracle:
-    def test_slot_driver_scenario_agrees(self):
-        from repro.conform.oracle import compare_slot_driver
-
-        divergence, record = compare_slot_driver(seed=1)
+    @pytest.mark.parametrize("row, case, seed", [
+        *((SLOT_DRIVER, "replay", seed) for seed in (1, 3)),
+        *((PARKING, "replay", seed) for seed in range(5)),
+        (PARKING, "reserved", 4),
+        (PARKING, "chaos", 4),
+    ], ids=lambda value: getattr(value, "name", value))
+    def test_twin_agrees(self, row, case, seed):
+        divergence, record = compare(row, case, row.cases[case], seed)
         assert divergence is None, str(divergence)
         assert record["agreed"]
-        assert record["events_on"] < record["events_off"]
-
-    def test_parking_sweep_agrees(self):
-        """Sparse walk vs every armed switch every wave, on the cases
-        ``tools/run_conformance.py`` sweeps (the wider family is
-        ``tests/fastpath/test_parking.py``)."""
-        from repro.conform.oracle import parking_sweep
-
-        divergences, records = parking_sweep([4])
-        assert not divergences, str(divergences[0])
-        assert [r["case"] for r in records] == ["replay", "reserved", "chaos"]
-        assert all(r["agreed"] for r in records)
-        assert sum(r["parked"] for r in records) > 10_000
+        if case == "reserved":  # not vacuous: switches did park
+            assert record["candidate"]["walks"][2] > 10_000
 
     def test_parking_oracle_catches_a_missing_kick(self, monkeypatch):
         """``remove_reservation`` did not kick before switches could
         park.  Without it a switch whose last reservation goes while it
         is parked keeps the wave chain alive for good: more waves, other
         seqs -- the differential must say so."""
-        from repro.conform.oracle import compare_parking, reserved_case
         from repro.core.guaranteed.slepian_duguid import remove_cell
         from repro.switch.switch import AN2Switch
 
@@ -225,17 +227,44 @@ class TestFastpathOracle:
         monkeypatch.setattr(
             AN2Switch, "remove_reservation", remove_without_kick
         )
-        divergence, record = compare_parking(reserved_case, "reserved")
-        assert divergence is not None and not record["agreed"]
-        assert divergence.pair == "parking"
-        assert divergence.case == "reserved:run-digest"
+        divergence, record = compare(PARKING, "reserved", reserved_case)
+        assert not record["agreed"]
+        assert (divergence.pair, divergence.case) == (
+            "parking", "reserved:run-digest"
+        )
+
+    def test_slot_driver_oracle_catches_a_late_wave(self, monkeypatch):
+        """A wave scheduled two slots out instead of one: cells cross
+        the fabric at half the rate the private timers give them."""
+        from repro.fastpath.driver import FabricSlotDriver
+
+        def schedule_late(driver):
+            driver._scheduled = True
+            driver.sim.schedule(2 * driver.slot_time_us, driver._fire)
+
+        monkeypatch.setattr(FabricSlotDriver, "_schedule", schedule_late)
+        divergence, _ = compare(SLOT_DRIVER, "replay", replay_case, 1)
+        assert (divergence.pair, divergence.case) == (
+            "slot-driver", "replay:state"
+        )
 
 
 class TestMonitorOracle:
     @settings(max_examples=12, deadline=None)
-    @given(monitor_oracle.monitor_schedules())
-    def test_closed_form_agrees_with_the_eager_loop(self, case):
-        divergence = monitor_oracle.compare_monitors(*case)
+    @given(
+        st.sampled_from(("ring4", "fattree4")),
+        st.lists(
+            st.tuples(
+                st.floats(2_000.0, 30_000.0), st.sampled_from(FAULTS),
+                st.integers(0, 63),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_closed_form_agrees_with_the_eager_loop(self, topology, schedule):
+        divergence, _ = compare(MONITOR, topology, partial(
+            monitor_case, topology=topology, schedule=schedule,
+        ))
         assert divergence is None, str(divergence)
 
     def test_monitor_oracle_catches_a_cut_the_closed_form_missed(
@@ -249,13 +278,43 @@ class TestMonitorOracle:
             link.state = state
 
         monkeypatch.setattr(Link, "_set_state", cut_quietly)
-        divergence = monitor_oracle.compare_monitors(
-            "ring4", [(6_000.0, "fail", 0)]
+        divergence, _ = compare(MONITOR, "ring4", partial(
+            monitor_case, topology="ring4", schedule=[(6_000.0, "fail", 0)],
+        ))
+        assert (divergence.pair, divergence.case) == (
+            "monitor", "ring4:verdicts"
         )
-        assert divergence is not None
-        assert divergence.pair == "monitor"
-        assert divergence.case.startswith("ring4:verdicts")
         assert LinkState.DEAD.value in str(divergence.reference)
+
+    @pytest.mark.parametrize(
+        "mutation", ["ping-ignores-backlog", "ack-with-ping-delay"]
+    )
+    def test_monitor_oracle_catches_a_mistimed_phantom(
+        self, monkeypatch, mutation
+    ):
+        """A phantom ping that starts on a busy wire without waiting
+        for it, or an ack handled as late as a ping would be: the next
+        real cell leaves earlier, or a counter read just after an ack
+        arrives reads one short (seen through the delivered count each
+        cell's entry carries)."""
+        from repro.core.reconfig.monitor import PortMonitor
+        from repro.net.cell import PING
+
+        launch = PortMonitor._launch
+
+        def mistimed(monitor, link, direction, kind):
+            wire = link._next_free
+            if mutation == "ping-ignores-backlog" and kind is PING:
+                wire[direction] = min(wire[direction], monitor._due)
+            launch(monitor, link, direction, kind)
+            if mutation == "ack-with-ping-delay":
+                monitor._due = (
+                    monitor._arrival + link._delays[direction][PING.index]
+                )
+
+        monkeypatch.setattr(PortMonitor, "_launch", mistimed)
+        divergence, _ = compare(MONITOR, "drawn", drawn_monitor_case, 4)
+        assert (divergence.pair, divergence.case) == ("monitor", "drawn:cells")
 
 
 def test_runtime_import_graph_excludes_the_oracle():

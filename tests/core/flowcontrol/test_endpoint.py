@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro._types import switch_id
 from repro.core.flowcontrol.credits import conservation_holds
 from repro.core.flowcontrol.endpoint import CreditEndpoint
+from repro.conform.oracle import plain_credit_filter
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.link import Link
@@ -24,7 +25,6 @@ from repro.net.node import Node
 from repro.obs import Tracer
 from repro.sim.kernel import Simulator
 from repro.switch.switch import SwitchConfig
-from tests.conftest import plain_credit_filter
 
 VC = 7
 

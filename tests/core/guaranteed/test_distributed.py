@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._types import host_id, switch_id
+from repro._types import host_id
 from repro.core.guaranteed.frames import ScheduleError
 from repro.core.routing.circuits import CircuitState
 from repro.net.network import Network

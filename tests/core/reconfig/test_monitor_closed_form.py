@@ -4,18 +4,18 @@ On a quiet line the monitors schedule nothing and the link folds their
 phantom pings and acks into the wire.  Every real cell must still start
 where it starts under :class:`~repro.conform.reference.EagerPortMonitor`,
 and every counter must read what the eager loop's reads at the same
-instant.  The fault-schedule differential is
-``tests/conform/test_oracle.py``'s monitor family.
+instant.  The fault-schedule differential is the harness's ``monitor``
+row (``repro.conform.oracle``).
 """
 
 import pytest
 
 from repro._types import switch_id
+from repro.conform.oracle import eager_monitors
 from repro.constants import PING_REPLY_DELAY_US
 from repro.net.cell import CREDIT, DATA, RECONFIG, Cell
 from repro.net.network import Network
 from repro.net.topogen import fat_tree
-from tests.conform.monitor_oracle import eager_monitors
 from tests.conftest import line_with_hosts
 
 
@@ -24,9 +24,9 @@ def _converged_pair():
     nets = []
     for eager in (True, False):
         net = line_with_hosts(2)
-        net.start()
         if eager:
             eager_monitors(net)
+        net.start()
         net.run_until_converged(timeout_us=500_000)
         nets.append(net)
     return nets

@@ -17,11 +17,8 @@ The driver's contract has four legs:
 4. **One schedule per Network** -- every ``Network`` builds a driver:
    drift-free switches tick on its wave, drifting ones (from
    construction or after a mid-run clock fault) on their private timer.
-   Against the detached private-timer reference the wave delivers
-   byte-identical traffic outcomes (forwarding counts, queues, credits,
-   epochs, link/host state) in strictly fewer kernel events; only the
-   per-switch tick phase (``slot_index``) may differ, because the wave
-   models one fabric-wide slot clock.
+   The harness's ``slot-driver`` row (``tests/conform/test_oracle.py``)
+   holds the wave to its detached private-timer reference.
 """
 
 from types import SimpleNamespace
@@ -30,10 +27,10 @@ import pytest
 
 from repro._types import switch_id
 from repro.conform.oracle import (
-    compare_parking,
-    compare_slot_driver,
-    replay_case,
+    PARKING,
     reserved_case,
+    run_twin,
+    walk_densely,
 )
 from repro.constants import CELL_BITS
 from repro.faults import ClockDriftStep, FaultPlan, ScenarioRunner, TrafficLoad
@@ -152,11 +149,6 @@ class Fabric:
         self.request(name)
         self.then(name, step)
 
-    def walk_densely(self):
-        """The reference: every armed switch due at every wave."""
-        driver = self.driver
-        driver.park = lambda switch, waves: driver.request_tick(switch)
-
     def run_waves(self, n):
         self.sim.run(until=self.sim.now + n * self.driver.slot_time_us)
 
@@ -243,7 +235,7 @@ class TestParking:
         def script(dense):
             fabric = Fabric(0, 1, 2)
             if dense:
-                fabric.walk_densely()
+                walk_densely(fabric.driver)
             kicked = []
 
             def until_kicked():
@@ -299,7 +291,7 @@ class TestParking:
         def script(dense):
             fabric = Fabric(0, 1, 2)
             if dense:
-                fabric.walk_densely()
+                walk_densely(fabric.driver)
             log = []  # waves and tick-scheduled events, in dispatch order
             fire = fabric.driver._fire
 
@@ -504,14 +496,6 @@ class TestNetwork:
         assert driver.is_parked(s1)
         assert driver.ticks == ticks + 2  # back through one tick on it
 
-    def test_traffic_neutral_with_fewer_events(self):
-        """The oracle's statement end to end: the default Network and its
-        detached private-timer reference have identical scrubbed
-        fingerprints, and the wave executes strictly fewer events."""
-        divergence, record = compare_slot_driver(seed=3)
-        assert divergence is None, str(divergence)
-        assert record["events_on"] < record["events_off"]
-
 
 def parked_on_a_busy_wire():
     """s1 of a converged line, with a best-effort circuit each way and a
@@ -602,29 +586,16 @@ class TestWhatUnparks:
         assert driver.ticks == ticks + 1
         assert s1.stats.empty_ticks == empty + 1
 
-    def test_replay_ticks_plus_parked_is_the_dense_walk(self):
-        divergence, record = compare_parking(replay_case, "replay", seed=3)
-        assert divergence is None, str(divergence)
-        assert record["ticks"] + record["parked"] == record["ticks_dense"]
-
     def test_every_walk_skipped_is_an_empty_tick(self):
         """The sparse walk skips only ticks the dense walk makes and
         that move nothing: the empty ticks differ by exactly ``parked``."""
-
-        def run(dense):
-            def prepare(net):
-                if dense:
-                    driver = net.slot_driver
-                    driver.park = (
-                        lambda switch, waves: driver.request_tick(switch)
-                    )
-
-            net = reserved_case(1, prepare)
-            return net.slot_driver, sum(
-                switch.stats.empty_ticks for switch in net.switches.values()
-            )
-
-        sparse, sparse_empty = run(dense=False)
-        _, dense_empty = run(dense=True)
-        assert sparse.parked > 0
-        assert dense_empty - sparse_empty == sparse.parked
+        nets = [
+            run_twin(PARKING, reserved_case, 1, reference)[0]
+            for reference in (False, True)
+        ]
+        sparse, dense = (
+            sum(s.stats.empty_ticks for s in net.switches.values())
+            for net in nets
+        )
+        assert nets[0].slot_driver.parked > 0
+        assert dense - sparse == nets[0].slot_driver.parked

@@ -2,13 +2,12 @@
 
 The slot wave walks only the switches that can move a cell; the others
 park until their next useful slot or until an edge kicks them.  The
-reference here is the same ``Network`` with its driver's ``park``
-overridden on the instance so that every armed switch is due at every
-wave (:func:`repro.conform.oracle.compare_parking`).  Both runs must
-dispatch the same kernel events -- every ``(time, seq, callback)`` --
-and end in the same un-scrubbed ``fingerprint_network`` (slot indices
-and event counts included), and the walks the sparse run skipped must
-be exactly the ones it reports as ``parked``.
+reference is the same ``Network`` with every armed switch due at every
+wave: :data:`repro.conform.oracle.PARKING`, the harness's parking row.
+Both runs must dispatch the same kernel events -- every ``(time, seq,
+callback)`` -- and end in the same un-scrubbed ``fingerprint_network``
+(slot indices and event counts included), and the walks the sparse run
+skipped must be exactly the ones it reports as ``parked``.
 
 Each named case puts one kind of edge under a parked switch: the kick
 that edge owes is what keeps the two runs equal.
@@ -21,17 +20,24 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro.conform.oracle import compare_parking, replay_case, reserved_case
+from repro.conform.oracle import (
+    ACTIONS,
+    PARKING,
+    compare,
+    play,
+    plain_credit_filter,
+    release,
+    reserved_case,
+    send_cells,
+)
 from repro.net.cell import CellKind
 from repro.net.network import Network
-from repro.net.packet import Packet
 from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
 from tests.conftest import (
     fast_host_config,
     fast_switch_config,
     line_with_hosts,
-    plain_credit_filter,
 )
 
 
@@ -60,23 +66,6 @@ def grid(seed, prepare, **overrides):
     return boot(net, prepare)
 
 
-def send(net, circuit, cells, copies=1):
-    source = net.host(circuit.source)
-    for _ in range(copies):
-        source.send_packet(
-            circuit.vc,
-            Packet(
-                source=circuit.source, destination=circuit.destination,
-                size=48 * cells,
-            ),
-        )
-
-
-def release(net, reservation, cells):
-    for switch, in_port, out_port in reservation.switch_hops:
-        net.switches[switch].remove_reservation(in_port, out_port, cells)
-
-
 # ======================================================================
 # named cases
 # ======================================================================
@@ -96,14 +85,14 @@ def reservations_come_and_go(seed, prepare, nested=False):
     best = net.setup_circuit("h0", "h1")
     net.run(500)
     net.host("h0").send_raw_cells(first.vc, 120)
-    send(net, best, cells=20, copies=3)
+    send_cells(net, best, cells=20, copies=3)
     net.run(1_500)
     second, also_held = net.reserve_bandwidth("h0", "h1", 8)
     net.run(300)
     net.host("h0").send_raw_cells(second.vc, 60)
     net.run(2_000)
     release(net, held, 4)
-    send(net, best, cells=10)
+    send_cells(net, best, cells=10)
     net.run(4_000)
     release(net, also_held, 8)
     net.run(3_000)
@@ -124,17 +113,17 @@ def faults_under_wanted_outputs(seed, prepare):
     )
     circuits = [net.setup_circuit(f"h{h}", "h3") for h in range(3)]
     for circuit in circuits:
-        send(net, circuit, cells=12, copies=4)
+        send_cells(net, circuit, cells=12, copies=4)
     net.run(150)
     net.fail_link("s1", "s3")
     net.run(6_000)
     for circuit in circuits:
-        send(net, circuit, cells=12, copies=2)
+        send_cells(net, circuit, cells=12, copies=2)
     net.run(400)
     net.restore_link("s1", "s3")
     net.run(12_000)
     net.crash_switch("s2")
-    send(net, circuits[0], cells=12, copies=2)
+    send_cells(net, circuits[0], cells=12, copies=2)
     net.run(10_000)
     net.restore_switch("s2")
     net.run(30_000)
@@ -150,7 +139,7 @@ def teardown_and_page_out_with_cells_queued(seed, prepare):
     closed = net.setup_circuit("h1", "h3")
     paged = net.setup_circuit("h2", "h3")
     for circuit in (victim, closed, paged):
-        send(net, circuit, cells=20, copies=3)
+        send_cells(net, circuit, cells=20, copies=3)
     net.run(120)
     s0 = net.switch("s0")
     assert s0._queued > 0
@@ -160,7 +149,7 @@ def teardown_and_page_out_with_cells_queued(seed, prepare):
     net.run(20_000)
     assert net.switch("s2").page_out(paged.vc)
     net.run(3_000)
-    send(net, paged, cells=8)  # pages the circuit back in
+    send_cells(net, paged, cells=8)  # pages the circuit back in
     net.run(40_000)
     return net
 
@@ -179,7 +168,7 @@ def release_empties_a_credit_blocked_switch(seed, prepare, release):
     net.link_between("s0", "s1").drop_filter = (
         lambda cell: cell.kind is CellKind.CREDIT
     )
-    send(net, circuit, cells=8)
+    send_cells(net, circuit, cells=8)
     net.run(500)
     assert s0._queued and not s0.crossbar.want  # rule (iii): parks
     other = next(
@@ -206,10 +195,10 @@ def lost_credits_with_resync(seed, prepare):
     circuit = net.setup_circuit("h0", "h1")
     trunk = net.link_between("s1", "s2")
     trunk.drop_filter = plain_credit_filter(random.Random(seed), 0.5)
-    send(net, circuit, cells=20, copies=6)
+    send_cells(net, circuit, cells=20, copies=6)
     net.run(15_000)  # windows close; resync rounds re-open them
     trunk.drop_filter = None
-    send(net, circuit, cells=20, copies=2)
+    send_cells(net, circuit, cells=20, copies=2)
     net.run(30_000)
     assert len(net.host("h1").delivered) == 8
     return net
@@ -229,7 +218,7 @@ def drift_steps_on_a_parked_switch(seed, prepare):
         net.sim.schedule(at, s1.set_clock_drift, ppm)
     net.run(500)  # the first step finds s1 idle under its reservation
     net.host("h0").send_raw_cells(stream.vc, 200)
-    send(net, best, cells=15, copies=4)
+    send_cells(net, best, cells=15, copies=4)
     net.run(12_000)
     assert net.host("h1").cells_received == 260
     return net
@@ -263,14 +252,14 @@ def fat_tree_mixed(seed, prepare):
     for stream in streams:
         net.host(stream.source).send_raw_cells(stream.vc, 80)
     for circuit in incast:
-        send(net, circuit, cells=20, copies=3)
+        send_cells(net, circuit, cells=20, copies=3)
     net.run(1_000)
     victim = fabric.switches_in_tier("core")[seed % 4]
     net.crash_switch(victim)
     net.run(15_000)
     net.restore_switch(victim)
     for circuit in incast:
-        send(net, circuit, cells=10)
+        send_cells(net, circuit, cells=10)
     net.run(40_000)
     return net
 
@@ -297,116 +286,28 @@ CASES = {
 @pytest.mark.parametrize("seed", [2, 5])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_named_case_is_event_identical(name, seed):
-    divergence, record = compare_parking(CASES[name], name, seed)
+    divergence, record = compare(PARKING, name, CASES[name], seed)
     assert divergence is None, str(divergence)
-    # Not vacuous: switches did park, and the ledger adds up.
-    assert record["parked"] > 0
-    assert record["ticks"] + record["parked"] == record["ticks_dense"]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_replay_scenario_is_event_identical(seed):
-    divergence, record = compare_parking(replay_case, "replay", seed)
-    assert divergence is None, str(divergence)
+    assert record["candidate"]["walks"][2] > 0  # not vacuous: switches parked
 
 
 # ======================================================================
 # random action sequences
 # ======================================================================
-ACTIONS = st.lists(
-    st.tuples(
-        st.sampled_from([
-            "burst", "burst", "burst", "run", "run", "run", "open",
-            "close", "remove", "page_out", "fail", "restore",
-            "crash", "credit_loss", "reserve", "release", "stream", "drift",
-        ]),
-        st.integers(min_value=0, max_value=10**6),
-    ),
-    min_size=8, max_size=20,
-)
-
-
 def scripted(seed, prepare, actions):
-    """``actions`` interpreted against the grid: every step a function
-    of the list and of simulated state only, so both runs take it."""
-
-    def pick(items, n):
-        return items[n % len(items)]
-
+    """``actions`` played on the grid: trunks fail one at a time, and
+    only the two middle switches crash."""
     net = grid(
         seed, prepare, credit_allocation=3,
         enable_paging=True, paging_idle_us=2_000.0,
         enable_local_reroute=True, resync_interval_us=3_000.0,
         nested_subframe_slots=8 if seed % 2 else None,
     )
-    hosts = ["h0", "h1", "h2", "h3"]
     trunks = [("s0", "s1"), ("s0", "s2"), ("s1", "s3"), ("s2", "s3")]
-    unicast, held, failed, crashed = [], [], [], []
-    for name, n in actions:
-        if name == "open" or (name == "burst" and not unicast):
-            src = pick(hosts, n)
-            dst = pick([h for h in hosts if h != src], n // 7)
-            try:
-                unicast.append(net.setup_circuit(src, dst))
-            except Exception:
-                pass  # no route while views disagree
-        elif name == "burst":
-            circuit = pick(unicast, n)
-            if circuit.vc in net.host(circuit.source).senders:
-                send(net, circuit, cells=1 + n % 12, copies=1 + n % 4)
-        elif name == "run":
-            net.run(20 + n % 3_000)
-        elif name == "close" and unicast:
-            circuit = unicast.pop(n % len(unicast))
-            net.host(circuit.source).close_circuit(circuit.vc)
-        elif name == "remove" and unicast:
-            circuit = pick(unicast, n)
-            pick(sorted(net.switches.items()), n // 5)[1].remove_circuit(
-                circuit.vc
-            )
-        elif name == "page_out" and unicast:
-            circuit = pick(unicast, n)
-            for _, switch in sorted(net.switches.items()):
-                switch.page_out(circuit.vc)
-        elif name == "fail" and not failed:
-            failed.append(pick(trunks, n))
-            net.fail_link(*failed[-1])
-        elif name == "restore":
-            if failed:
-                net.restore_link(*failed.pop())
-            if crashed:
-                net.restore_switch(crashed.pop())
-        elif name == "crash" and not crashed and not failed:
-            crashed.append(pick(["s1", "s2"], n))
-            net.crash_switch(crashed[-1])
-        elif name == "credit_loss":
-            link = net.link_between(*pick(trunks, n))
-            link.drop_filter = (
-                None if link.drop_filter is not None
-                else plain_credit_filter(random.Random(n), 0.4)
-            )
-        elif name == "reserve" and len(held) < 3 and not failed:
-            cells = 1 + n % 6
-            try:
-                circuit, reservation = net.reserve_bandwidth(
-                    pick(hosts[:3], n), "h3", cells
-                )
-            except Exception:
-                continue  # views disagree, or the link is full
-            held.append((circuit, reservation, cells))
-            net.run(100)  # the hops install it, one control delay each
-        elif name == "stream" and held:
-            circuit, _, _ = pick(held, n)
-            net.host(circuit.source).send_raw_cells(
-                circuit.vc, 1 + n % 40
-            )
-        elif name == "release" and held:
-            _, reservation, cells = held.pop(n % len(held))
-            release(net, reservation, cells)
-        elif name == "drift":
-            pick(sorted(net.switches.items()), n)[1].set_clock_drift(
-                pick([0.0, 120.0, 0.0, -60.0], n // 3)
-            )
+    play(
+        net, actions, links=[net.link_between(*trunk) for trunk in trunks],
+        crashable=["s1", "s2"],
+    )
     net.run(8_000)
     return net
 
@@ -417,7 +318,13 @@ def scripted(seed, prepare, actions):
     phases=[Phase.explicit, Phase.generate],
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(seed=st.integers(min_value=0, max_value=50), actions=ACTIONS)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    actions=st.lists(
+        st.tuples(st.sampled_from(ACTIONS), st.integers(0, 10**6)),
+        min_size=8, max_size=20,
+    ),
+)
 @example(
     # A drift step and the release of the last reservation in one
     # instant, on a switch parked reserved-idle.
@@ -426,7 +333,7 @@ def scripted(seed, prepare, actions):
     + [("reserve", 0), ("drift", 178), ("release", 0)],
 )
 def test_random_control_actions_are_event_identical(seed, actions):
-    divergence, _ = compare_parking(
-        partial(scripted, actions=actions), "scripted", seed
+    divergence, _ = compare(
+        PARKING, "scripted", partial(scripted, actions=actions), seed
     )
     assert divergence is None, str(divergence)

@@ -11,14 +11,10 @@ import random
 import pytest
 
 from repro._types import host_id
+from repro.conform.oracle import plain_credit_filter
 from repro.faults.invariants import check_credit_conservation
 from repro.net.packet import Packet
-from tests.conftest import (
-    fast_host_config,
-    fast_switch_config,
-    line_with_hosts,
-    plain_credit_filter,
-)
+from tests.conftest import line_with_hosts
 
 
 def resync_net(**overrides):

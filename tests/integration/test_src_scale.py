@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro._types import host_id, switch_id
+from repro._types import host_id
 from repro.constants import RECONFIGURATION_BUDGET_US
 from repro.net.network import Network
 from repro.net.packet import Packet

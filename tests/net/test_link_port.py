@@ -10,7 +10,7 @@ from repro.core.flowcontrol.sizing import round_trip_us
 from repro.net.cell import Cell
 from repro.net.link import Link, LinkState
 from repro.net.node import Node
-from repro.net.port import Port, PortError
+from repro.net.port import PortError
 from repro.sim.kernel import Simulator
 
 

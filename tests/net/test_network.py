@@ -450,6 +450,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="An1Config.miss_threshold="):
             An1Config(miss_threshold=float("nan"))
 
+    @pytest.mark.parametrize("config", [SwitchConfig, HostConfig, An1Config])
+    def test_configs_take_keywords_only(self, config):
+        """The shared monitor fields come first in every config, so a
+        positional ``SwitchConfig(8)`` would set the ping interval."""
+        with pytest.raises(TypeError):
+            config(8)
+
     def test_defaults_and_disabling_zeros_are_accepted(self):
         SwitchConfig()
         HostConfig()

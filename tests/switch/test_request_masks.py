@@ -27,16 +27,13 @@ from hypothesis import strategies as st
 from repro._types import host_id
 from repro.conform.reference import ParallelIterativeMatcher
 from repro.core.flowcontrol.resync import ResyncReply
+from repro.conform.oracle import ACTIONS, plain_credit_filter, play
 from repro.core.matching.bitmask import bits_of
 from repro.net.cell import Cell, CellKind
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from tests.conftest import (
-    fast_host_config,
-    fast_switch_config,
-    plain_credit_filter,
-)
+from tests.conftest import fast_host_config, fast_switch_config
 from tests.switch.crossbar_audit import assert_crossbar_mirrors
 
 
@@ -586,17 +583,29 @@ def test_switch_wider_than_the_masks_is_rejected():
 # ======================================================================
 # random action sequences
 # ======================================================================
-ACTIONS = st.lists(
-    st.tuples(
-        st.sampled_from([
-            "burst", "burst", "burst", "run", "run", "open", "open", "close",
-            "remove", "page_out", "fail", "restore", "credit_loss",
-            "duplicate_credit", "reserve", "reinstall",
-        ]),
-        st.integers(min_value=0, max_value=10**6),
-    ),
-    min_size=8, max_size=24,
-)
+def duplicate_credit(net, circuit, n):
+    """One more credit for ``circuit`` on every card that sends it on."""
+    for switch in net.switches.values():
+        for card in switch.cards:
+            if circuit.vc in card.upstream:
+                switch.on_cell(card.port, Cell(
+                    vc=circuit.vc, kind=CellKind.CREDIT, payload=1,
+                ))
+
+
+def reinstall(net, circuit, n):
+    """A repeated setup arriving on another port / leaving by another
+    port than the one the circuit is installed on."""
+    for switch in net.switches.values():
+        if circuit.vc in switch._vc_in_port:
+            card, entry = in_card_and_entry(switch, circuit.vc)
+            if entry is not None:
+                wired = [c.index for c in switch.cards if c.port.connected]
+                switch.install_circuit(
+                    circuit.vc, wired[n % len(wired)],
+                    wired[n // 3 % len(wired)], entry.request,
+                )
+            break
 
 
 @settings(
@@ -606,87 +615,28 @@ ACTIONS = st.lists(
 @given(
     flow_control=st.sampled_from(["credits", "drop"]),
     seed=st.integers(min_value=0, max_value=50),
-    actions=ACTIONS,
+    actions=st.lists(
+        st.tuples(
+            st.sampled_from(ACTIONS + ("duplicate_credit", "reinstall")),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        min_size=8, max_size=24,
+    ),
 )
 def test_random_control_actions(flow_control, seed, actions):
+    """:func:`repro.conform.oracle.play`'s steps and two of this
+    file's own, the masks audited after each."""
     net = grid_net(
         seed=seed, flow_control=flow_control, credit_allocation=3,
         enable_paging=True, paging_idle_us=2_000.0,
         enable_local_reroute=True, resync_interval_us=3_000.0,
     )
     audit = MaskAudit(net)
-    hosts = ["h0", "h1", "h2", "h3"]
     trunks = [("s0", "s1"), ("s0", "s2"), ("s1", "s3"), ("s2", "s3")]
-    unicast = []  # (circuit, src, dst)
-    failed = []
-    reserved = False
-
-    def pick(items, n):
-        return items[n % len(items)]
-
-    for name, n in actions:
-        if name == "open" or (name == "burst" and not unicast):
-            src = pick(hosts, n)
-            dst = pick([h for h in hosts if h != src], n // 7)
-            try:
-                unicast.append((net.setup_circuit(src, dst), src, dst))
-            except Exception:
-                pass  # no route while a trunk is down and views disagree
-        elif name == "burst":
-            circuit, src, dst = pick(unicast, n)
-            if circuit.vc in net.host(src).senders:
-                send(net, circuit, src, dst, cells=1 + n % 12, copies=1 + n % 5)
-        elif name == "run":
-            net.run(20 + n % 4_000)
-        elif name == "close" and unicast:
-            circuit, src, _ = unicast.pop(n % len(unicast))
-            net.host(src).close_circuit(circuit.vc)
-        elif name == "remove" and unicast:
-            circuit, _, _ = pick(unicast, n)
-            pick(list(net.switches.values()), n // 5).remove_circuit(circuit.vc)
-        elif name == "page_out" and unicast:
-            circuit, _, _ = pick(unicast, n)
-            for switch in net.switches.values():
-                switch.page_out(circuit.vc)
-        elif name == "fail" and not failed:
-            a, b = pick(trunks, n)
-            net.fail_link(a, b)
-            failed.append((a, b))
-        elif name == "restore" and failed:
-            net.restore_link(*failed.pop())
-        elif name == "credit_loss":
-            link = net.link_between(*pick(trunks, n))
-            link.drop_filter = (
-                None if link.drop_filter is not None
-                else plain_credit_filter(random.Random(n), 0.4)
-            )
-        elif name == "duplicate_credit" and unicast:
-            circuit, _, _ = pick(unicast, n)
-            for switch in net.switches.values():
-                for card in switch.cards:
-                    if circuit.vc in card.upstream:
-                        switch.on_cell(card.port, Cell(
-                            vc=circuit.vc, kind=CellKind.CREDIT, payload=1,
-                        ))
-        elif name == "reinstall" and unicast:
-            # A repeated setup arriving on another port / leaving by
-            # another port than the one the circuit is installed on.
-            circuit, _, _ = pick(unicast, n)
-            for switch in net.switches.values():
-                if circuit.vc in switch._vc_in_port:
-                    card, entry = in_card_and_entry(switch, circuit.vc)
-                    if entry is not None:
-                        wired = [c.index for c in switch.cards if c.port.connected]
-                        switch.install_circuit(
-                            circuit.vc, pick(wired, n), pick(wired, n // 3),
-                            entry.request,
-                        )
-                    break
-        elif name == "reserve" and not reserved and not failed:
-            reserved = True
-            circuit, outcome = net.reserve_bandwidth("h0", "h3", 4)
-            if outcome == "granted":
-                net.host("h0").send_raw_cells(circuit.vc, 40)
-        audit.check_all()
+    play(
+        net, actions, links=[net.link_between(*trunk) for trunk in trunks],
+        crashable=["s1", "s2"], after=audit.check_all,
+        words={"duplicate_credit": duplicate_credit, "reinstall": reinstall},
+    )
     net.run(6_000)
     audit.check_all()

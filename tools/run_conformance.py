@@ -12,15 +12,12 @@ contract") in three stages:
    matchers (``Pim``/``Islip``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
-   random topologies, checks the default ``Network`` (slot wave,
-   :mod:`repro.fastpath`) against its detached private-timer reference
-   -- same traffic outcomes, strictly fewer kernel events -- checks
-   the wave's sparse walk (parked switches) against walking every armed
-   switch at every wave: the same kernel events, byte for byte -- and
-   runs the eager link monitors against their closed form under
-   hypothesis-drawn fault schedules on ``ring(4)`` and ``fat_tree(4)``:
-   the same verdicts, counters and cell deliveries.  Any divergence is
-   reported as the first divergent case and fails the gate.
+   random topologies, and runs the rows of the whole-``Network`` case
+   table (:data:`repro.conform.oracle.TWINS`): the slot wave against
+   private timers, the sparse walk against the dense one, and the
+   closed-form link monitors against the eager loop under seeded
+   fault schedules.  Any divergence is reported as the first divergent
+   case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -28,7 +25,7 @@ Exit status 0 iff all three pass.
 
 Usage::
 
-    python tools/run_conformance.py [--seeds N] [--runs N] [--quick]
+    python tools/run_conformance.py [--quick]
 """
 
 from __future__ import annotations
@@ -43,16 +40,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
-sys.path.insert(0, str(REPO))
 
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
+    TWINS,
     matcher_sweep,
-    parking_sweep,
     routing_sweep,
-    slot_driver_sweep,
+    sweep,
 )
-from tests.conform.monitor_oracle import monitor_sweep  # noqa: E402
 
 HASHSEEDS = ("0", "1", "12345", "random")
 
@@ -111,23 +106,18 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     seeds = list(range(n_seeds))
     divergences, corpus = matcher_sweep(seeds, n_slots=n_slots)
     routing_div, routing_corpus = routing_sweep(seeds)
-    # Each slot-driver case is two whole-Network replays; two seeds keep
-    # the stage proportionate to the matcher sweep.
-    driver_div, driver_corpus = slot_driver_sweep(seeds[:2])
-    # Three whole-Network cases a seed (replay, reserved, chaos), twice.
-    parking_div, parking_corpus = parking_sweep(seeds[:3])
-    # One hypothesis-drawn fault schedule a seed, eager vs closed form.
-    monitor_div = monitor_sweep(n_seeds)
-    found = (
-        divergences + routing_div + driver_div + parking_div + monitor_div
-    )
+    twin_div, twin_records = sweep(seeds)
+    found = divergences + routing_div + twin_div
+    counts = [
+        sum(record["row"] == row.name for record in twin_records)
+        for row, _ in TWINS
+    ]
     label = "OK" if not found else "FAIL"
     print(
         f"      5 families: {len(corpus)} matcher cases + "
         f"{len(routing_corpus)} routing cases + "
-        f"{len(driver_corpus)} slot-driver cases + "
-        f"{len(parking_corpus)} parking cases + "
-        f"{n_seeds} monitor schedules -> "
+        f"{counts[0]} slot-driver cases + {counts[1]} parking cases + "
+        f"{counts[2]} monitor schedules -> "
         f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
     for div in found:
@@ -152,32 +142,14 @@ def check_lint() -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--seeds", type=int, default=20,
-        help="seeds per differential sweep (default 20)",
-    )
-    parser.add_argument(
-        "--runs", type=int, default=3,
-        help="in-process digest repetitions (default 3)",
-    )
-    parser.add_argument(
-        "--scenario-seed", type=int, default=1,
-        help="seed for the digest scenario (default 1)",
-    )
-    parser.add_argument(
-        "--slots", type=int, default=200,
-        help="cell slots per matcher case (default 200)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="reduced sweep for local iteration (5 seeds, 60 slots)",
     )
     args = parser.parse_args(argv)
-    if args.quick:
-        args.seeds, args.slots = 5, 60
-
+    seeds, slots = (5, 60) if args.quick else (20, 200)
     results = [
-        check_digest_stability(args.runs, args.scenario_seed),
-        check_differential(args.seeds, args.slots),
+        check_digest_stability(runs=3, scenario_seed=1),
+        check_differential(seeds, slots),
         check_lint(),
     ]
     if all(results):
