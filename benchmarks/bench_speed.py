@@ -131,7 +131,7 @@ def _run_obs_overhead(traced: bool) -> SpeedResult:
     The conformance replay network (a 2x2 grid with two dual-homed
     hosts) boots and converges untimed; the timed region carries
     Poisson packet traffic over one circuit.
-    The ``traced`` variant attaches a live :class:`~repro.obs.Tracer`
+    The ``traced`` variant attaches a live :class:`~repro.obs.trace.Tracer`
     with every category enabled (protocol records + journey contexts on
     every cell) *after* boot, so the pair measures exactly what
     always-on diagnosis costs a hot simulation.  The
@@ -142,7 +142,7 @@ def _run_obs_overhead(traced: bool) -> SpeedResult:
     a change that silently alters what gets traced fails the comparison.
     """
     from repro.conform.digest import replay_network
-    from repro.obs import Tracer
+    from repro.obs.trace import Tracer
     from repro.traffic.workload import PoissonPacketWorkload
 
     net = replay_network(TRACE_SEED)

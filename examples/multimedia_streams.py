@@ -12,9 +12,11 @@ bound.
 Run:  python examples/multimedia_streams.py
 """
 
-from repro import Network, Packet, Topology
 from repro.constants import FAST_CELL_TIME_US
 from repro.core.guaranteed.latency import guaranteed_latency_bound_us
+from repro.net.network import Network
+from repro.net.packet import Packet
+from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
 from repro.traffic.cbr import interarrival_jitter, latency_jitter
 

@@ -13,8 +13,10 @@ switch back in and watch the skeptic make it earn its way back.
 Run:  python examples/pull_the_plug.py
 """
 
-from repro import Network, Packet, Topology
 from repro.constants import RECONFIGURATION_BUDGET_US
+from repro.net.network import Network
+from repro.net.packet import Packet
+from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
 
 

@@ -9,7 +9,9 @@ sends packets across it.
 Run:  python examples/quickstart.py
 """
 
-from repro import Network, Packet, Topology
+from repro.net.network import Network
+from repro.net.packet import Packet
+from repro.net.topology import Topology
 
 
 def main() -> None:

@@ -15,7 +15,8 @@ restored, not merely patched.
 Run:  PYTHONPATH=src python examples/scenario_credit_loss.py
 """
 
-from repro.faults import ScenarioRunner, build_credit_loss
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import build_credit_loss
 
 
 def main() -> None:

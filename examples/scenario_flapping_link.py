@@ -16,7 +16,8 @@ the network still converged to reality once the link calmed down.
 Run:  PYTHONPATH=src python examples/scenario_flapping_link.py
 """
 
-from repro.faults import ScenarioRunner, build_flapping_link
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import build_flapping_link
 
 
 def main() -> None:

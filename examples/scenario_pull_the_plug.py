@@ -11,7 +11,8 @@ balances, and not one silently corrupted packet.
 Run:  PYTHONPATH=src python examples/scenario_pull_the_plug.py
 """
 
-from repro.faults import ScenarioRunner, build_pull_the_plug
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import build_pull_the_plug
 
 
 def main() -> None:

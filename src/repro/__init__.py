@@ -7,7 +7,9 @@ rebuilt as a simulated distributed system, mechanism by mechanism.
 
 Quick start::
 
-    from repro import Network, Topology
+    from repro.net.network import Network
+    from repro.net.packet import Packet
+    from repro.net.topology import Topology
 
     topo = Topology.src_lan(n_switches=8, n_hosts=6)
     net = Network(topo, seed=1)
@@ -15,7 +17,6 @@ Quick start::
     net.run_until_converged()          # distributed topology acquisition
 
     circuit = net.setup_circuit("h0", "h1")   # hop-by-hop signaling
-    from repro.net.packet import Packet
     net.host("h0").send_packet(circuit.vc, Packet(
         source=circuit.source, destination=circuit.destination,
         payload=b"hello AN2"))
@@ -32,29 +33,14 @@ Subpackages:
 - :mod:`repro.core` -- the paper's algorithms: reconfiguration, skeptic,
   up*/down* routing, signaling, PIM, Slepian-Duguid, bandwidth central,
   credit flow control
+- :mod:`repro.fastpath` -- the fabric-wide slot wave
 - :mod:`repro.traffic` -- workload generators
+- :mod:`repro.obs` -- tracing, cell journeys, flight recorder, metrics
+- :mod:`repro.faults` -- fault plans, the scenario runner, invariants
+- :mod:`repro.conform` -- run digests and differential oracles
 - :mod:`repro.analysis` -- statistics and benchmark table rendering
+
+Package ``__init__`` files hold docstrings, not re-exports (only
+:mod:`repro.traffic` keeps two names the end-to-end benchmark imports):
+import each name from the module that defines it.
 """
-
-from repro._types import NodeId, host_id, parse_node_id, switch_id
-from repro.net.network import Network, NetworkError
-from repro.net.packet import Packet
-from repro.net.topology import Topology, TopologyView
-from repro.switch.switch import AN2Switch, SwitchConfig
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AN2Switch",
-    "Network",
-    "NetworkError",
-    "NodeId",
-    "Packet",
-    "SwitchConfig",
-    "Topology",
-    "TopologyView",
-    "host_id",
-    "parse_node_id",
-    "switch_id",
-    "__version__",
-]

@@ -1,12 +1,7 @@
-"""Statistics helpers and benchmark-output formatting."""
+"""Statistics helpers and benchmark-output formatting.
 
-from repro.analysis.stats import jain_fairness, mean
-from repro.analysis.tables import Table
-from repro.analysis.experiments import ExperimentReport
-
-__all__ = [
-    "ExperimentReport",
-    "Table",
-    "jain_fairness",
-    "mean",
-]
+- :mod:`repro.analysis.stats` -- small statistics helpers,
+- :mod:`repro.analysis.tables` -- fixed-width table rendering,
+- :mod:`repro.analysis.experiments` -- the paper-vs-measured report
+  every benchmark prints.
+"""

@@ -21,31 +21,3 @@ The AST nondeterminism lint lives in ``tools/lint_determinism.py`` (it
 inspects source, not runtime state); ``tools/run_conformance.py`` is the
 one-shot gate that runs all three.
 """
-
-from repro.conform.digest import (
-    RunDigest,
-    canonical_bytes,
-    digest_scenario,
-    fingerprint_network,
-    fingerprint_switch,
-)
-from repro.conform.oracle import (
-    Divergence,
-    compare_matchers,
-    compare_routing,
-    matcher_sweep,
-    routing_sweep,
-)
-
-__all__ = [
-    "RunDigest",
-    "canonical_bytes",
-    "digest_scenario",
-    "fingerprint_network",
-    "fingerprint_switch",
-    "Divergence",
-    "compare_matchers",
-    "compare_routing",
-    "matcher_sweep",
-    "routing_sweep",
-]

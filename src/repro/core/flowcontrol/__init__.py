@@ -23,21 +23,3 @@ Cells are only transmitted for circuits with non-zero credit balances."
   cycle detection, used to demonstrate why AN1 needed up*/down* routing
   and why AN2's per-VC buffers are deadlock-free.
 """
-
-from repro.core.flowcontrol.credits import CreditError, DownstreamCredits, UpstreamCredits
-from repro.core.flowcontrol.deadlock import WaitForGraph
-from repro.core.flowcontrol.endpoint import CreditEndpoint
-from repro.core.flowcontrol.sizing import (
-    credits_for_link,
-    round_trip_cells,
-)
-
-__all__ = [
-    "CreditEndpoint",
-    "CreditError",
-    "DownstreamCredits",
-    "UpstreamCredits",
-    "WaitForGraph",
-    "credits_for_link",
-    "round_trip_cells",
-]

@@ -20,30 +20,3 @@ plus legality/maximality analysis helpers in
 renderings of PIM and iSLIP that the kernel is bit-identical to live
 with the oracle, in :mod:`repro.conform.reference`.
 """
-
-from repro.core.matching.analysis import (
-    is_legal_matching,
-    is_maximal_matching,
-)
-from repro.core.matching.bitmask import (
-    BitmaskIslip,
-    BitmaskPim,
-    MatchResult,
-    iter_bits,
-    mask_of,
-)
-from repro.core.matching.fifo import FifoScheduler
-from repro.core.matching.maximum import MaximumMatcher, hopcroft_karp
-
-__all__ = [
-    "BitmaskIslip",
-    "BitmaskPim",
-    "FifoScheduler",
-    "MatchResult",
-    "MaximumMatcher",
-    "hopcroft_karp",
-    "is_legal_matching",
-    "is_maximal_matching",
-    "iter_bits",
-    "mask_of",
-]

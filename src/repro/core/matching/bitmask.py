@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -142,11 +141,6 @@ def bits_of(mask: int) -> Tuple[int, ...]:
         mask >>= 16
         base += 16
     return out
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    return iter(bits_of(mask))
 
 
 def _as_masks(requests: RequestsLike, n_ports: int) -> List[int]:

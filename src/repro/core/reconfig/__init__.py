@@ -12,22 +12,3 @@
 - :mod:`repro.core.reconfig.skeptic` -- the escalating hold-down state
   machine that keeps flapping links from melting the network.
 """
-
-from repro.core.reconfig.epoch import EpochTag
-from repro.core.reconfig.messages import (
-    Invitation,
-    InvitationAck,
-    TopologyDistribute,
-    TopologyReport,
-)
-from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
-
-__all__ = [
-    "EpochTag",
-    "Invitation",
-    "InvitationAck",
-    "LinkVerdict",
-    "Skeptic",
-    "TopologyDistribute",
-    "TopologyReport",
-]

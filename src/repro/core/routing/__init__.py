@@ -18,22 +18,3 @@ The paper's speculative load balancing ("algorithms to determine when
 and where circuits should be moved have yet to be considered", section
 2) is not reproduced.
 """
-
-from repro.core.routing.circuits import (
-    SIGNALING_VC,
-    CircuitState,
-    VcAllocator,
-    VirtualCircuit,
-)
-from repro.core.routing.paths import RouteComputer, RoutingError
-from repro.core.routing.updown import UpDownOrientation
-
-__all__ = [
-    "CircuitState",
-    "RouteComputer",
-    "RoutingError",
-    "SIGNALING_VC",
-    "UpDownOrientation",
-    "VcAllocator",
-    "VirtualCircuit",
-]

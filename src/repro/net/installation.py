@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from repro._types import NodeId, NodeRef, parse_node_id
 from repro.net.link import Link
 from repro.net.topology import Edge, Topology, TopologyView
-from repro.obs import FlightRecorder, MetricsRegistry
+from repro.obs.flight import FlightRecorder
+from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 

@@ -56,7 +56,7 @@ class Network(Installation):
                 network regime of section 4).
 
         Drift-free switches tick together on one
-        :class:`~repro.fastpath.FabricSlotDriver` wave event per slot
+        :class:`~repro.fastpath.driver.FabricSlotDriver` wave event per slot
         (section 4's synchronized network); a switch whose clock drifts
         keeps its private slot timer (DESIGN §13).
         """

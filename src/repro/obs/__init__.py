@@ -22,24 +22,7 @@ Per-event profiling is not here: ``Simulator.profiler`` takes any object
 with ``dispatch(callback, args)``, and ``benchmarks/e2e/spans.py`` owns
 the one that builds the per-layer table.
 
-A trace is attached in one way: assign a :class:`Tracer` to one
+A trace is attached in one way: assign a :class:`~repro.obs.trace.Tracer` to one
 network's ``sim.tracer`` (``tools/run_scenario.py --trace-out`` does
 this for a chaos scenario).
 """
-
-from __future__ import annotations
-
-from repro.obs.flight import FlightRecorder, next_dump_path
-from repro.obs.journey import JourneyContext, attach_journey
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TraceRecord, Tracer
-
-__all__ = [
-    "FlightRecorder",
-    "JourneyContext",
-    "MetricsRegistry",
-    "TraceRecord",
-    "Tracer",
-    "attach_journey",
-    "next_dump_path",
-]

@@ -21,19 +21,3 @@ paper's constants (2 us cut-through delay, ~0.5 us cell slots at
 622 Mbit/s, sub-200 ms reconfiguration) are expressed directly in these
 units.
 """
-
-from repro.sim.clock import DriftingClock
-from repro.sim.kernel import Event, Simulator
-from repro.sim.monitor import Gauge, Tally
-from repro.sim.random import RandomStreams
-from repro.sim.signal import Signal
-
-__all__ = [
-    "DriftingClock",
-    "Event",
-    "Gauge",
-    "RandomStreams",
-    "Signal",
-    "Simulator",
-    "Tally",
-]

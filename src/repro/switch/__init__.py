@@ -15,27 +15,3 @@ request matrix kept on edges plus the bitmask PIM kernel that reads it
   guaranteed frames; the core driven by ports, credits and the frame
   schedule.
 """
-
-from repro.switch.an1 import An1Config, An1Host, An1Network, An1Switch
-from repro.switch.fabric import (
-    FabricMetrics,
-    FifoFabric,
-    OutputQueueFabric,
-    VoqFabric,
-    run_fabric,
-)
-from repro.switch.switch import AN2Switch, SwitchConfig
-
-__all__ = [
-    "AN2Switch",
-    "An1Config",
-    "An1Host",
-    "An1Network",
-    "An1Switch",
-    "FabricMetrics",
-    "FifoFabric",
-    "OutputQueueFabric",
-    "SwitchConfig",
-    "VoqFabric",
-    "run_fabric",
-]

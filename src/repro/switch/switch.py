@@ -245,7 +245,7 @@ class AN2Switch(SwitchNode):
         self._parked_want: Optional[int] = None
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
-        #: the Network's repro.fastpath.FabricSlotDriver once adopted;
+        #: the Network's repro.fastpath.driver.FabricSlotDriver once adopted;
         #: while the local clock is drift-free, slot ticks ride its wave.
         self._slot_driver = None
         if registry is not None:

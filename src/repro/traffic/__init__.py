@@ -6,29 +6,6 @@ streams (:mod:`repro.traffic.cbr`), and host-level packet workloads
 (:mod:`repro.traffic.workload`).
 """
 
-from repro.traffic.arq import ArqTransfer
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    BernoulliUniform,
-    BurstyOnOff,
-    Hotspot,
-    Permutation,
-    StarvationPattern,
-)
-from repro.traffic.cbr import CbrSource, interarrival_jitter, latency_jitter
-from repro.traffic.workload import PoissonPacketWorkload, RpcWorkload
-
-__all__ = [
-    "ArqTransfer",
-    "ArrivalProcess",
-    "BernoulliUniform",
-    "BurstyOnOff",
-    "CbrSource",
-    "Hotspot",
-    "Permutation",
-    "PoissonPacketWorkload",
-    "RpcWorkload",
-    "StarvationPattern",
-    "interarrival_jitter",
-    "latency_jitter",
-]
+# Kept because benchmarks/e2e/workloads.py imports these two from the package.
+from repro.traffic.cbr import CbrSource
+from repro.traffic.workload import RpcWorkload

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.conform.oracle as oracle
 from repro.conform.oracle import (
     FAULTS,
@@ -34,6 +35,8 @@ from repro.conform.oracle import (
 )
 from repro.conform.reference import IslipMatcher
 from repro.switch.fabric import VoqFabric
+
+from benchmarks.e2e.run import PROGRAM_MODULES
 
 CORPUS_PATH = Path(__file__).parent / "corpus.json"
 
@@ -317,21 +320,63 @@ class TestMonitorOracle:
         assert (divergence.pair, divergence.case) == ("monitor", "drawn:cells")
 
 
-def test_runtime_import_graph_excludes_the_oracle():
-    """``import repro`` loads neither ``repro.conform`` nor any module
-    that defines a reference matcher: the oracle is test-only."""
+#: What a ``Network`` never runs, though the packages that hold it do.
+NOT_IN_A_NETWORK = (
+    "repro.switch.fabric",
+    "repro.switch.an1",
+    "repro.traffic.arq",
+    "repro.traffic.arrivals",
+    "repro.core.matching.analysis",
+    "repro.core.matching.fifo",
+    "repro.core.matching.maximum",
+    "repro.core.flowcontrol.deadlock",
+    "repro.core.guaranteed.latency",
+    "repro.core.guaranteed.packing",
+)
+
+#: (modules imported, none loaded may be or lie under these, most
+#: ``repro`` modules loaded).
+IMPORT_GRAPH = [
+    pytest.param(("repro",), (), 1, id="repro"),
+    pytest.param(
+        ("repro.sim.kernel",), ("repro.net", "repro.switch", "repro.core"), 3,
+        id="kernel",
+    ),
+    pytest.param(
+        PROGRAM_MODULES, ("repro.faults", "repro.analysis", *NOT_IN_A_NETWORK),
+        63, id="e2e-program",
+    ),
+]
+
+
+@pytest.mark.parametrize("imports, excluded, most", IMPORT_GRAPH)
+def test_import_graph(imports, excluded, most):
+    """Importing a module loads its own imports and nothing else: no
+    package ``__init__`` pulls in modules its caller does not use.  The
+    oracle is test-only, so no row loads ``repro.conform`` or a module
+    that defines a reference matcher."""
     code = (
-        "import sys, repro\n"
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
         "names = ('ParallelIterativeMatcher', 'IslipMatcher')\n"
-        "print(sorted(name for name, module in sys.modules.items()\n"
-        "    if name.startswith('repro') and (\n"
-        "        name.startswith('repro.conform')\n"
-        "        or any(hasattr(module, n) for n in names))))"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'repro':\n"
+        "        print(name, any(hasattr(module, n) for n in names))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    # Resolve ``repro`` in the child exactly where this process found it.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *imports],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    loaded = dict(line.split() for line in out.stdout.splitlines())
+    assert [name for name, ref in loaded.items() if ref == "True"] == []
+    assert [
+        name for name in loaded
+        if any(
+            name == x or name.startswith(x + ".")
+            for x in ("repro.conform", *excluded)
+        )
+    ] == []
+    assert len(loaded) <= most, sorted(loaded)

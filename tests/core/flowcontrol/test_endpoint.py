@@ -22,7 +22,7 @@ from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 from repro.sim.kernel import Simulator
 from repro.switch.switch import SwitchConfig
 

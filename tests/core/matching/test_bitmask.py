@@ -36,7 +36,6 @@ from repro.core.matching.bitmask import (
     BitmaskIslip,
     BitmaskPim,
     bits_of,
-    iter_bits,
     mask_of,
 )
 
@@ -58,7 +57,6 @@ class TestBitHelpers:
         for ports in ([], [0], [3, 1, 7], [0, 15], [16, 31, 63]):
             mask = mask_of(ports)
             assert bits_of(mask) == tuple(sorted(ports))
-            assert list(iter_bits(mask)) == sorted(ports)
 
     def test_bits_of_wide_masks(self):
         rng = random.Random(0)
@@ -95,7 +93,7 @@ class TestBitTable:
 
     def test_table_grows_in_place_to_the_widest_radix(self):
         run_fresh(
-            "from repro.core.matching import bitmask\n"
+            "import repro.core.matching.bitmask as bitmask\n"
             "table = bitmask._BITS16\n"
             "assert len(table) < 1024, len(table)\n"
             "bitmask.BitmaskPim(10)\n"
@@ -111,7 +109,7 @@ class TestBitTable:
         allocated = int(run_fresh(
             "import tracemalloc\n"
             "tracemalloc.start()\n"
-            "import repro\n"
+            "import repro.net.network\n"
             "print(tracemalloc.get_traced_memory()[0])\n"
         ))
         assert allocated < 5 * 2**20

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.reconfig.skeptic import Skeptic
-from repro.faults import max_verdict_changes
+from repro.faults.invariants import max_verdict_changes
 
 BASE_WAIT_US = 2_000.0
 MAX_LEVEL = 6

@@ -33,7 +33,8 @@ from repro.conform.oracle import (
     walk_densely,
 )
 from repro.constants import CELL_BITS
-from repro.faults import ClockDriftStep, FaultPlan, ScenarioRunner, TrafficLoad
+from repro.faults.plan import ClockDriftStep, FaultPlan
+from repro.faults.runner import ScenarioRunner, TrafficLoad
 from repro.fastpath.driver import FabricSlotDriver
 from repro.net.cell import Cell, CellKind, TrafficClass
 from repro.sim.kernel import Simulator

@@ -9,7 +9,8 @@ and traffic pattern.  A failing seed reproduces exactly with
 
 import pytest
 
-from repro.faults import ScenarioRunner, build_random_scenario
+from repro.faults.runner import ScenarioRunner
+from repro.faults.scenarios import build_random_scenario
 
 CHAOS_SEEDS = (1, 2, 3, 4, 5)
 

@@ -9,7 +9,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.faults import ErrorRateStep, FaultPlan, ScenarioRunner, TrafficLoad
+from repro.faults.plan import ErrorRateStep, FaultPlan
+from repro.faults.runner import ScenarioRunner, TrafficLoad
 
 from tests.faults.test_runner import ring_net
 

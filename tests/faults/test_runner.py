@@ -4,24 +4,22 @@ observability wiring, and the invariant checker."""
 import pytest
 
 from repro.conform.digest import RunDigest, fingerprint_network
-from repro.faults import (
-    CANNED,
+from repro.faults.invariants import max_verdict_changes
+from repro.faults.plan import (
     ClockDriftStep,
     CreditLossBurst,
     ErrorRateStep,
     FaultPlan,
     LinkCut,
     LinkFlap,
-    ScenarioError,
-    ScenarioRunner,
     SwitchCrash,
-    TrafficLoad,
-    max_verdict_changes,
 )
+from repro.faults.runner import ScenarioError, ScenarioRunner, TrafficLoad
+from repro.faults.scenarios import CANNED
 from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 from repro.switch.switch import SwitchConfig
 
 from tests.conftest import fast_host_config, fast_switch_config
@@ -245,7 +243,7 @@ class TestTrafficAndDeterminism:
         )
 
     def test_boot_failure_is_a_scenario_error(self):
-        from repro.faults import ScenarioError
+        from repro.faults.runner import ScenarioError
 
         # A timeout too short for even fast configs to reconfigure in.
         net = Network(Topology.line(2), switch_config=fast_switch_config())

@@ -7,7 +7,7 @@ and a flight dump is an ordinary trace.
 
 from repro.conform.digest import replay_network
 from repro.net.packet import Packet
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 
 from tests.conftest import converged_line
 from tests.switch.test_an1 import hosted_grid

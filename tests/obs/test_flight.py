@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder, next_dump_path
+from repro.obs.flight import FlightRecorder, next_dump_path
 from repro.sim.kernel import Simulator
 
 from tests.conftest import converged_line

@@ -1,6 +1,6 @@
 """Cell-journey tracing: per-hop causal records for traced cells."""
 
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 
 from tests.conftest import converged_line
 

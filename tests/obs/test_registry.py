@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.sim.monitor import ProbeSet
 
 

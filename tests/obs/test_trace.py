@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 
 
 class TestEmit:

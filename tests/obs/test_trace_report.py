@@ -1,7 +1,7 @@
 """End-to-end: trace a reconfiguration experiment, render the report.
 
 A bench_e4-style run (converge, crash a switch, reconfigure) with a
-:class:`~repro.obs.Tracer` on its simulator must produce a trace that
+:class:`~repro.obs.trace.Tracer` on its simulator must produce a trace that
 ``tools/trace_report.py`` renders as a reconfiguration timeline.
 """
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.obs as obs
+from repro.obs.trace import Tracer
 
 from tests.conftest import line_with_hosts
 
@@ -29,7 +29,7 @@ def captured_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("trace")
     net = line_with_hosts(4)
     # keep per-cell journeys out so the protocol trace stays small
-    tracer = net.sim.tracer = obs.Tracer(categories=["reconfig", "flowcontrol"])
+    tracer = net.sim.tracer = Tracer(categories=["reconfig", "flowcontrol"])
     net.start()
     net.run_until_converged(timeout_us=500_000)
     circuit = net.setup_circuit("h0", "h1")
@@ -149,7 +149,7 @@ def journey_trace(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("journey")
     net = converged_line(3)
-    tracer = obs.Tracer(categories=["journey"])
+    tracer = Tracer(categories=["journey"])
     net.sim.tracer = tracer
     circuit = net.setup_circuit("h0", "h1")
     host = net.host("h0")

@@ -10,7 +10,7 @@ must allocate *nothing* from ``repro/obs`` code.
 
 import tracemalloc
 
-from repro.obs import FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.sim.kernel import Simulator
 
 from tests.conftest import converged_line

@@ -235,7 +235,7 @@ def test_recorder_sees_events_run_before_a_callback_raised(instrumented):
     ``events_executed`` before the flight recorder reads it, and it
     includes the event whose callback raised."""
     from repro.conform.digest import RunDigest
-    from repro.obs import FlightRecorder
+    from repro.obs.flight import FlightRecorder
 
     def boom():
         raise RuntimeError("boom")

@@ -1,6 +1,6 @@
 """Tests for the kernel's zero-overhead tracer attachment."""
 
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 from repro.sim.kernel import Simulator
 
 

@@ -1,7 +1,8 @@
 """Regression-gate logic in ``tools/run_speed_bench.py``.
 
 ``check_against_baseline`` fails when a workload runs more than the
-tolerance slower than its baseline entry, or when its work checksum
+tolerance slower than its baseline entry scaled by the calibration
+loop's seconds now over its recorded seconds, or when its work checksum
 differs (the timed work itself changed).  These tests drive it with
 canned timings so no real workload runs.
 """
@@ -37,16 +38,22 @@ def baseline(tmp_path):
     path = tmp_path / "BENCH_speed.json"
     path.write_text(
         json.dumps(
-            {"schema": 1, "workloads": canned({"a": 1.0, "b": 0.2})}
+            {
+                "schema": 1,
+                "calibration_s": 0.5,
+                "workloads": canned({"a": 1.0, "b": 0.2}),
+            }
         )
     )
     return path
 
 
-def check(monkeypatch, baseline, current):
+def check(monkeypatch, baseline, current, calibration_s=0.5):
     monkeypatch.setattr(
         run_speed_bench, "time_workloads",
-        lambda repeats, verbose=True, quick_only=False: current,
+        lambda repeats, verbose=True, quick_only=False: (
+            current, calibration_s
+        ),
     )
     return run_speed_bench.check_against_baseline(
         baseline, repeats=1, tolerance=0.25
@@ -71,6 +78,31 @@ class TestSpeedGate:
     def test_missing_baseline_is_an_error(self, monkeypatch, tmp_path):
         missing = tmp_path / "absent.json"
         assert check(monkeypatch, missing, canned({"a": 1.0})) == 2
+
+    def test_uncalibrated_baseline_is_an_error(self, monkeypatch, tmp_path):
+        path = tmp_path / "BENCH_speed.json"
+        path.write_text(json.dumps({"schema": 1, "workloads": canned({})}))
+        assert check(monkeypatch, path, canned({"a": 1.0})) == 2
+
+
+class TestCalibratedLimits:
+    """Each limit moves with the calibration loop: a uniformly slower
+    machine passes, and a regression still fails on a faster one."""
+
+    def test_slower_machine_passes(self, monkeypatch, baseline):
+        current = canned({"a": 1.9, "b": 0.38})  # everything 1.9x
+        assert check(monkeypatch, baseline, current, calibration_s=1.0) == 0
+
+    def test_regression_on_a_slower_machine_fails(
+        self, monkeypatch, baseline, capsys
+    ):
+        current = canned({"a": 2.0, "b": 0.6})  # b 1.5x beyond the machine
+        assert check(monkeypatch, baseline, current, calibration_s=1.0) == 1
+        assert "FAIL b:" in capsys.readouterr().out
+
+    def test_faster_machine_tightens_the_limit(self, monkeypatch, baseline):
+        current = canned({"a": 0.7, "b": 0.2})  # a 1.4x beyond the machine
+        assert check(monkeypatch, baseline, current, calibration_s=0.25) == 1
 
 
 class TestCpuAwareGate:

@@ -46,7 +46,7 @@ FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.faults import CANNED  # noqa: E402
+from repro.faults.scenarios import CANNED  # noqa: E402
 
 # Imported first by every process the slice starts (it is put on
 # PYTHONPATH as sitecustomize): record each code object that runs, and

@@ -35,12 +35,9 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.faults import (  # noqa: E402
-    CANNED,
-    ScenarioRunner,
-    build_random_scenario,
-)
-from repro.obs import Tracer  # noqa: E402
+from repro.faults.runner import ScenarioRunner  # noqa: E402
+from repro.faults.scenarios import CANNED, build_random_scenario  # noqa: E402
+from repro.obs.trace import Tracer  # noqa: E402
 
 from trace_report import build_timeline  # noqa: E402
 

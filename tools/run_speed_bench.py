@@ -18,9 +18,11 @@ Two modes:
     its baseline vanished is no gate.  Combine with ``--quick`` to time
     only the workloads marked cheap enough for every-push smoke runs.
 
-Timings are wall-clock and machine-dependent; the baseline is only
-meaningful against timings taken on the same machine, which is exactly
-the regression-gate use case.
+Timings are wall-clock and machine-dependent, and a machine's core
+speed drifts between sessions.  So every round also times a fixed
+pure-Python loop (``calibrate()`` of ``benchmarks/e2e/run.py``); the
+baseline records its best seconds, and ``--compare`` scales each limit
+by that loop's best seconds now over its recorded seconds.
 """
 
 from __future__ import annotations
@@ -39,14 +41,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.bench_speed import SPEEDUP_PAIRS, WORKLOADS  # noqa: E402
+from benchmarks.e2e.run import calibrate  # noqa: E402
 
 SCHEMA = 1
 
 
 def time_workloads(
     repeats: int, verbose: bool = True, quick_only: bool = False
-) -> dict:
-    """Best-of-``repeats`` seconds per workload, interleaved.
+) -> tuple[dict, float]:
+    """Best-of-``repeats`` seconds per workload, interleaved, and the
+    best seconds of the calibration loop timed once per round.
 
     Interleaving the rounds (round 1 of every workload, then round 2,
     ...) spreads machine noise evenly across workloads instead of
@@ -55,10 +59,12 @@ def time_workloads(
     """
     workloads = [w for w in WORKLOADS if w.quick or not quick_only]
     results: dict = {}
+    calibration_s = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for round_index in range(repeats):
+            calibration_s = min(calibration_s, calibrate())
             for workload in workloads:
                 outcome = workload.run()
                 entry = results.setdefault(
@@ -84,7 +90,7 @@ def time_workloads(
     finally:
         if gc_was_enabled:
             gc.enable()
-    return results
+    return results, calibration_s
 
 
 def derive_speedups(results: dict) -> dict:
@@ -97,9 +103,10 @@ def derive_speedups(results: dict) -> dict:
     return speedups
 
 
-def write_baseline(path: Path, results: dict) -> dict:
+def write_baseline(path: Path, results: dict, calibration_s: float) -> dict:
     document = {
         "schema": SCHEMA,
+        "calibration_s": calibration_s,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": results,
@@ -113,14 +120,23 @@ def check_against_baseline(
     path: Path, repeats: int, tolerance: float, quick_only: bool = False
 ) -> int:
     """Re-time the workloads against the baseline at ``path``;
-    ``tolerance`` is a fraction (0.25 = 25% slower fails)."""
+    ``tolerance`` is a fraction (0.25 = 25% slower fails) of the
+    baseline seconds scaled to this machine's calibration loop."""
     if not path.exists():
         print(f"FAIL no baseline at {path}; the regression gate needs one")
         return 2
     baseline = json.loads(path.read_text())
+    if "calibration_s" not in baseline:
+        print(f"FAIL {path} records no calibration_s; re-record it")
+        return 2
     base_workloads = baseline.get("workloads", {})
     print(f"checking against baseline {path} (tolerance {tolerance:.0%})")
-    current = time_workloads(repeats, quick_only=quick_only)
+    current, calibration_s = time_workloads(repeats, quick_only=quick_only)
+    scale = calibration_s / baseline["calibration_s"]
+    print(
+        f"  calibration loop {calibration_s:.3f}s vs baseline "
+        f"{baseline['calibration_s']:.3f}s -> limits x{scale:.2f}"
+    )
     failures = []
     for name, entry in current.items():
         base = base_workloads.get(name)
@@ -134,16 +150,17 @@ def check_against_baseline(
                 "deliberately if intended)"
             )
             continue
-        limit = base["seconds"] * (1.0 + tolerance)
+        scaled = base["seconds"] * scale
+        limit = scaled * (1.0 + tolerance)
         verdict = "ok" if entry["seconds"] <= limit else "REGRESSION"
         print(
-            f"  {name}: {entry['seconds']:.3f}s vs baseline "
-            f"{base['seconds']:.3f}s -> {verdict}"
+            f"  {name}: {entry['seconds']:.3f}s vs scaled baseline "
+            f"{scaled:.3f}s -> {verdict}"
         )
         if entry["seconds"] > limit:
             failures.append(
                 f"{name}: {entry['seconds']:.3f}s exceeds "
-                f"{base['seconds']:.3f}s by more than {tolerance:.0%}"
+                f"{scaled:.3f}s by more than {tolerance:.0%}"
             )
     for line in failures:
         print(f"FAIL {line}")
@@ -203,9 +220,9 @@ def main(argv=None) -> int:
         parser.error("--quick only applies to --compare runs "
                      "(a quick-only baseline would gut the full gate)")
     print(f"timing {len(WORKLOADS)} workloads, best of {args.repeats} rounds")
-    results = time_workloads(args.repeats)
-    document = write_baseline(args.output, results)
-    print(f"wrote {args.output}")
+    results, calibration_s = time_workloads(args.repeats)
+    document = write_baseline(args.output, results, calibration_s)
+    print(f"wrote {args.output} (calibration loop {calibration_s:.3f}s)")
     for name, value in sorted(document["speedups"].items()):
         print(f"  {name}: {value}x")
     return 0

@@ -2,7 +2,7 @@
 """Render a JSONL trace as human-readable reports.
 
 Input is a JSON Lines trace from :meth:`Tracer.write_jsonl` (see
-``repro.obs``) or a :class:`~repro.obs.FlightRecorder` dump.  A trace
+``repro.obs.trace``) or a :class:`~repro.obs.flight.FlightRecorder` dump.  A trace
 is attached to one network by assigning ``net.sim.tracer``;
 ``tools/run_scenario.py --trace-out`` does that for a chaos scenario::
 
@@ -21,7 +21,7 @@ Reports:
   into a per-VC critical-path table (queueing / matching / wire /
   reassembly / residual) plus a hop-by-hop timeline of the slowest cell.
 - **flight recorder**: per-component timelines of any records, made for
-  a :class:`~repro.obs.FlightRecorder` dump (``--component`` filters to,
+  a :class:`~repro.obs.flight.FlightRecorder` dump (``--component`` filters to,
   say, the switch that failed an invariant).  A dump is an ordinary
   trace, so the other sections render it too.
 
