@@ -81,7 +81,6 @@ def an2_run():
         seed=112,
         switch_config=SwitchConfig(
             frame_slots=32,
-            enable_local_reroute=True,
             ping_interval_us=500.0,
             ack_timeout_us=200.0,
             miss_threshold=2,

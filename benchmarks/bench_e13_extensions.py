@@ -110,7 +110,6 @@ def reroute_experiment():
         seed=62,
         switch_config=SwitchConfig(
             frame_slots=32,
-            enable_local_reroute=True,
             boot_reconfig_delay_us=2_000.0,
             ping_interval_us=800.0,
             ack_timeout_us=300.0,

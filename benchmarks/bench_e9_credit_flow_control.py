@@ -231,7 +231,7 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
             s.signaling.teardowns_handled - handled[s.node_id]
             for s in net.switches.values()
         ]
-        return (
+        best_effort = (
             held,
             partial,
             vc_holders(net, circuit.vc),
@@ -239,10 +239,26 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
             len(h1.delivered),
             teardowns,
         )
+        # The guaranteed twin: its frame slots go with its entries.
+        stream, _ = net.reserve_bandwidth("h0", "h1", 4)
+        net.run(100.0)
+        h0.send_raw_cells(stream.vc, 40)
+        net.run(100.0)
+        reserved = [
+            s.frame_schedule.total_reserved() for s in net.switches.values()
+        ]
+        h0.close_circuit(stream.vc)
+        net.run(5_000.0)
+        return (
+            *best_effort,
+            reserved,
+            [s.frame_schedule.total_reserved() for s in net.switches.values()],
+        )
 
-    held, partial, left, h1_partial, delivered, teardowns = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    (
+        held, partial, left, h1_partial, delivered, teardowns, reserved,
+        slots_left,
+    ) = benchmark.pedantic(run, rounds=1, iterations=1)
     report = ExperimentReport(
         "E9d", f"circuit teardown mid-transfer ({TRANSFER_CELLS}-cell packet)"
     )
@@ -264,6 +280,12 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
         "setup/teardown signaling, hop by hop",
         f"{teardowns}",
         holds=teardowns == [1] * len(teardowns),
+    )
+    report.check(
+        "teardown frees a guaranteed circuit's frame slots",
+        "no hop holds a frame slot for the closed circuit",
+        f"slots per hop {reserved} before close, {slots_left} after",
+        holds=all(reserved) and not any(slots_left),
     )
     report_sink(report)
     assert report.all_hold

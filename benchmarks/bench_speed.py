@@ -22,12 +22,9 @@ measured end to end by ``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
-
-from repro.sim.kernel import Simulator
 
 TRACE_SEED = 42
 
@@ -53,76 +50,6 @@ class SpeedWorkload:
     description: str
     run: Callable[[], SpeedResult]
     quick: bool = False
-
-
-def _run_kernel_storm(n_events: int, cancel_every: int) -> SpeedResult:
-    """Schedule/cancel storm: the credit-timer / skeptic-hold-down shape.
-
-    Schedules ``n_events`` timers and cancels all but every
-    ``cancel_every``-th before running, so the lazy-cancel compaction and
-    the O(1) ``pending()`` counter are both on the timed path.
-    """
-    sim = Simulator()
-    executed = [0]
-
-    def fire() -> None:
-        executed[0] += 1
-
-    rng = random.Random(TRACE_SEED)
-    start = time.perf_counter()
-    events = [
-        sim.schedule_at(rng.random() * 1000.0, fire) for _ in range(n_events)
-    ]
-    for index, event in enumerate(events):
-        if index % cancel_every:
-            event.cancel()
-        _ = sim.pending()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    checksum = executed[0] * 1_000_000 + sim.compactions
-    return SpeedResult(elapsed, checksum)
-
-
-def _run_route_queries(
-    n_switches: int, rounds: int, cached: bool
-) -> SpeedResult:
-    """Circuit-setup-heavy routing: every ordered switch pair queried
-    ``rounds`` times over one epoch's orientation.
-
-    This is the signaling layer's shape -- each circuit setup asks the
-    same RouteComputer for a path, and popular pairs repeat constantly
-    within an epoch.  The ``cached=False`` leg replaces the orientation's
-    epoch-keyed path memo with a straight call to the BFS; the checksum
-    (total path edges) must be identical either way, because the memo
-    may only change how often the BFS runs.
-    """
-    from repro.core.routing.paths import RouteComputer
-    from repro.net.topology import Topology
-    from repro.sim.random import derived_stream
-
-    topo = Topology.random_connected(
-        n_switches,
-        extra_edges=n_switches // 2,
-        rng=derived_stream("bench/route_cache", TRACE_SEED),
-    )
-    view = topo.view()
-    switches = view.switches()
-    pairs = [(a, b) for a in switches for b in switches if a != b]
-    computer = RouteComputer(view, switches[0])
-    if not cached:
-        computer.orientation._cached = (
-            lambda kind, source, destination, compute: compute(
-                source, destination
-            )
-        )
-    shortest_legal_path = computer.orientation.shortest_legal_path
-    checksum = 0
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for source, destination in pairs:
-            checksum += len(shortest_legal_path(source, destination)[1])
-    elapsed = time.perf_counter() - start
-    return SpeedResult(elapsed, checksum)
 
 
 def _run_obs_overhead(traced: bool) -> SpeedResult:
@@ -173,23 +100,6 @@ def _run_obs_overhead(traced: bool) -> SpeedResult:
 
 WORKLOADS: List[SpeedWorkload] = [
     SpeedWorkload(
-        "kernel_schedule_cancel_storm",
-        "Simulator: 200k timers, 90% cancelled, pending() polled per cancel",
-        lambda: _run_kernel_storm(200_000, 10),
-    ),
-    SpeedWorkload(
-        "route_cache_off_n24",
-        "RouteComputer: all switch pairs x40 rounds, N=24, path memo off",
-        lambda: _run_route_queries(24, 40, cached=False),
-        quick=True,
-    ),
-    SpeedWorkload(
-        "route_cache_on_n24",
-        "RouteComputer: all switch pairs x40 rounds, N=24, path memo on",
-        lambda: _run_route_queries(24, 40, cached=True),
-        quick=True,
-    ),
-    SpeedWorkload(
         "obs_overhead_untraced",
         "Network: 2x2 grid + 2 hosts, Poisson traffic, no tracer attached",
         lambda: _run_obs_overhead(False),
@@ -206,6 +116,5 @@ WORKLOADS: List[SpeedWorkload] = [
 # (slow workload, fast workload) pairs whose best-time ratio the runner
 # derives and stores alongside the raw timings.
 SPEEDUP_PAIRS: Dict[str, Tuple[str, str]] = {
-    "route_cache_speedup_n24": ("route_cache_off_n24", "route_cache_on_n24"),
     "obs_overhead_traced_cost": ("obs_overhead_traced", "obs_overhead_untraced"),
 }

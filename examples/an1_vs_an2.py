@@ -83,7 +83,7 @@ def run_an2() -> None:
         build_topology(),
         seed=2,
         switch_config=SwitchConfig(
-            frame_slots=32, enable_local_reroute=True,
+            frame_slots=32,
             ping_interval_us=500.0, ack_timeout_us=200.0, miss_threshold=2,
             skeptic_base_wait_us=2_000.0, boot_reconfig_delay_us=1_500.0,
         ),

@@ -34,7 +34,6 @@ def main() -> None:
         seed=7,
         switch_config=SwitchConfig(
             frame_slots=64,
-            enable_local_reroute=True,
             skeptic_base_wait_us=5_000.0,
         ),
     )

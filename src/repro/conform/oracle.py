@@ -516,9 +516,11 @@ def send_cells(net, circuit, cells: int, copies: int = 1) -> None:
         ))
 
 
-def release(net, reservation, cells: int) -> None:
-    for switch, in_port, out_port in reservation.switch_hops:
-        net.switches[switch].remove_reservation(in_port, out_port, cells)
+def release(net, circuit, reservation) -> None:
+    """Free ``circuit``'s frame slots on every hop of ``reservation``;
+    the routing entries forget them, so a teardown frees nothing more."""
+    for switch, in_port, _ in reservation.switch_hops:
+        net.switches[switch].release_reservation(in_port, circuit.vc)
 
 
 #: the steps :func:`play` draws from: bursts and runs weigh four times
@@ -609,13 +611,13 @@ def play(
             except Exception:
                 pass  # views disagree, or the link is full
             else:
-                held.append((circuit, reservation, cells))
+                held.append((circuit, reservation))
                 net.run(100)  # the hops install it, one control delay each
         elif name == "stream" and held:
             circuit = pick(held, n)[0]
             net.host(circuit.source).send_raw_cells(circuit.vc, 1 + n % 40)
         elif name == "release" and held:
-            release(net, *held.pop(n % len(held))[1:])
+            release(net, *held.pop(n % len(held)))
         elif name == "drift":
             pick(switches, n).set_clock_drift(
                 pick([0.0, 120.0, 0.0, -60.0], n // 3)
@@ -649,7 +651,7 @@ def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
     net.host("h0").send_raw_cells(stream.vc, 300)
     send_cells(net, bursts, 20, copies=12)
     net.run(duration_us / 2)
-    release(net, reservation, 4)
+    release(net, stream, reservation)
     net.run(duration_us / 2)
     return net
 

@@ -149,7 +149,10 @@ class DistributedAdmissionAgent:
             traffic_class=TrafficClass.GUARANTEED,
             gone_down=request.gone_down, hop_count=request.hop_count,
         )
-        self.switch.install_circuit(request.vc, in_port, out_port, entry_request)
+        self.switch.install_circuit(
+            request.vc, in_port, out_port, entry_request,
+            request.cells_per_frame,
+        )
         self._holds[request.vc] = _PendingHold(
             in_port, out_port, request.cells_per_frame
         )
@@ -186,7 +189,7 @@ class DistributedAdmissionAgent:
 
     # ------------------------------------------------------------------
     def _rollback(self, vc: VcId, hold: _PendingHold) -> None:
-        self.switch.remove_reservation(hold.in_port, hold.out_port, hold.cells)
+        # The teardown frees the circuit's frame slots with its entry.
         self._residual[hold.out_port] += hold.cells
         self.switch.remove_circuit(vc)
 

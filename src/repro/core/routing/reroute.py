@@ -6,14 +6,16 @@ cells only when the path of their virtual circuit goes through a failed
 link.  In this case, the virtual circuit can be rerouted by sending a new
 circuit setup cell from the point where the path was broken."
 
-The mechanism lives in :meth:`repro.switch.switch.AN2Switch._reroute_port`
-(enabled with ``SwitchConfig(enable_local_reroute=True)``).  A reroute
-is the setup's own decision, :func:`repro.core.routing.signaling.choose_output`,
+This is every switch's only behaviour on a DEAD verdict, in
+:meth:`repro.switch.switch.AN2Switch._reroute_port`.  A reroute is the
+setup's own decision, :func:`repro.core.routing.signaling.choose_output`,
 with the failed cable blocked and the circuit's gone-down bit kept, so a
-circuit that has already gone down takes a down-only detour.  Guaranteed
-circuits are not moved: the detour has no frame reservation, so the
-switch counts them in ``broken_circuits`` and their re-admission is left
-to the application.  This module provides :func:`installed_path`, the
+circuit that has already gone down takes a down-only detour.  A circuit
+that cannot move -- a guaranteed one, whose detour has no frame
+reservation, or one with no legal detour -- is broken: the switch
+counts it in ``broken_circuits`` and drops (and counts) its cells for
+the dead output until a later epoch's repair moves it or the cable's
+WORKING verdict returns.  This module provides :func:`installed_path`, the
 ground truth the tests use to verify the selectivity claim: only
 circuits whose path crossed the failed link see any disruption.
 """

@@ -93,14 +93,12 @@ class FabricSlotDriver:
         """Route ``switch``'s slot timers through this driver.
 
         Returns False (and leaves the switch on its private timer) when
-        the switch's clock drifts or its slot time differs -- the wave
-        boundary only stands in for timers it exactly replaces.  Ranks
-        are re-dealt on every adoption, so adopt before any switch arms.
+        the switch's clock drifts -- the wave boundary only stands in
+        for timers it exactly replaces.  Ranks are re-dealt on every
+        adoption, so adopt before any switch arms.
         """
         if switch.clock.drift_ppm != 0.0:
             self.refused_drift += 1
-            return False
-        if switch.config.slot_time_us != self.slot_time_us:
             return False
         if self._due or self._asleep:
             raise RuntimeError("adopt switches before the wave is armed")

@@ -1,7 +1,7 @@
 """Post-scenario invariant checks.
 
 A fault scenario is only a reproduction of the paper's claims if the
-network *provably* recovered.  Four checks, each mapped to a claim:
+network *provably* recovered.  Five checks, each mapped to a claim:
 
 - **convergence** -- "The network reconfigures in less than 200
   milliseconds" (section 1): after the last fault clears, the largest
@@ -20,6 +20,9 @@ network *provably* recovered.  Four checks, each mapped to a claim:
   plausible packets: every delivered packet is byte-identical to what
   was sent, no packet is delivered twice, and every missing packet is
   accounted for by observed loss.
+- **no wait on a dead wire** -- "drop cells only when the path of their
+  virtual circuit goes through a failed link" (section 2): after
+  reconvergence no switch holds or wants a cell for a down output.
 
 Each check returns an :class:`InvariantResult`; the runner aggregates
 them into the scenario verdict.
@@ -320,6 +323,39 @@ def check_no_misassembly(
 
 
 # ======================================================================
+# no wait on a dead wire
+# ======================================================================
+def check_no_wait_on_dead_wire(net: Network) -> InvariantResult:
+    """After reconvergence no switch holds a cell queued for an output
+    whose cable is down, and none is parked wanting one: each switch's
+    DEAD verdict moved or dropped (and counted) every such cell, so no
+    armed switch waits on a dead wire.  A per-node check: each switch is
+    judged on its own queues and ports."""
+    offenders: List[str] = []
+    for node_id, switch in sorted(net.switches.items()):
+        dead = [p.index for p in switch.ports if p.connected and not p.up]
+        for card in switch.cards:
+            for port in dead:
+                if card.vc_queues.queued_vcs(port) or (
+                    port in card.guaranteed_queues.waiting()
+                ):
+                    offenders.append(
+                        f"{node_id}.p{card.index} holds cells for p{port}"
+                    )
+        driver = switch._slot_driver
+        if driver is not None and driver.is_parked(switch):
+            for port in dead:
+                if switch.crossbar.want >> port & 1:
+                    offenders.append(f"{node_id} is parked wanting p{port}")
+    name = "no wait on a dead wire"
+    if offenders:
+        return InvariantResult(name, False, "; ".join(offenders[:5]))
+    return InvariantResult(
+        name, True, "no switch holds or wants a cell for a down output"
+    )
+
+
+# ======================================================================
 def check_all(
     net: Network,
     sent: Dict[int, List[Packet]],
@@ -332,4 +368,5 @@ def check_all(
         check_skeptic_bounded(net),
         check_credit_conservation(net, exact=conservation_exact),
         check_no_misassembly(net, sent),
+        check_no_wait_on_dead_wire(net),
     ]

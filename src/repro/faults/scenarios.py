@@ -67,7 +67,6 @@ def scenario_switch_config(**overrides) -> SwitchConfig:
         boot_reconfig_delay_us=1_500.0,
         reconfig_watchdog_us=50_000.0,
         resync_interval_us=5_000.0,
-        enable_local_reroute=True,
     )
     defaults.update(overrides)
     return SwitchConfig(**defaults)

@@ -16,7 +16,7 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro._types import NodeId, NodeRef, parse_node_id
-from repro.net.link import Link
+from repro.net.link import Link, LinkState
 from repro.net.topology import Edge, Topology, TopologyView
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
@@ -76,11 +76,15 @@ class Installation:
 
     def _watch_link(self, link: Link) -> None:
         """On every state change of ``link``: note it and drop the
-        ground truth worked out before it."""
+        ground truth worked out before it; on its restore, tell both
+        ends (a switch parked on the dead wire has no other wake)."""
 
         def observer(_link: Link, state) -> None:
             self._ground_truth = None
             self.sim.note("link", link.label, "link.state", state=state.value)
+            if state is LinkState.WORKING:
+                for port in (link.port_a, link.port_b):
+                    port.node.wire_restored(port.index)
 
         link.state_observers.append(observer)
 

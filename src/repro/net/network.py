@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro._types import NodeRef, parse_node_id
-from repro.constants import FAST_LINK_BPS
+from repro.constants import FAST_CELL_TIME_US, FAST_LINK_BPS
 from repro.core.guaranteed.bandwidth_central import (
     BandwidthCentral,
     Reservation,
@@ -69,7 +69,7 @@ class Network(Installation):
         self.vc_allocator = VcAllocator()
         self.circuits: Dict[int, VirtualCircuit] = {}
         drift_rng = self.streams.stream("clock_drift")
-        driver = FabricSlotDriver(self.sim, base_config.slot_time_us)
+        driver = FabricSlotDriver(self.sim, FAST_CELL_TIME_US)
         self.slot_driver = driver
         # Whether the wave was engaged, and why a switch was refused, as
         # snapshot-time reads of the driver's plain ints.
@@ -194,7 +194,7 @@ class Network(Installation):
             )
             self.sim.schedule(
                 notify_at, switch.install_circuit, vc, in_port, out_port,
-                request,
+                request, cells_per_frame,
             )
         # The sending host paces at the reserved rate; the receiving host
         # learns of the circuit like any setup.

@@ -192,6 +192,11 @@ class Node:
         """The skeptic on ``port_index`` published a new verdict.  The
         queries below read it either way; subclasses act on it."""
 
+    def wire_restored(self, port_index: PortIndex) -> None:
+        """The cable on ``port_index`` came back up (the line card sees
+        light again, before any verdict).  Subclasses that wait on a
+        wire act on it."""
+
     def _send_ping_ack(self, port_index: PortIndex, ping: PingPayload) -> None:
         """Answer a ping with our identity (the neighbour query)."""
         port = self.ports[port_index]

@@ -44,6 +44,12 @@ class Port:
         return self.link is not None
 
     @property
+    def up(self) -> bool:
+        """Cabled, and the cable is working."""
+        link = self.link
+        return link is not None and link.state is WORKING
+
+    @property
     def label(self) -> str:
         return f"{self.node.node_id}.p{self.index}"
 

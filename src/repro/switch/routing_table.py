@@ -28,6 +28,12 @@ class RouteEntry:
     installed_at: float = 0.0
     cells_forwarded: int = 0
     last_activity: float = 0.0
+    #: frame slots reserved for this (guaranteed) circuit at
+    #: (card, ``out_port``); its teardown frees them.
+    cells_per_frame: int = 0
+    #: its output's cable is dead and the switch could not move it: its
+    #: cells are dropped here until a repair or the cable's restore.
+    broken: bool = False
 
 
 class RoutingTable:

@@ -5,10 +5,11 @@ It wires together every mechanism of the paper:
 
 - **control plane** (line-card software, modelled with a per-message
   processing delay): port monitors + skeptics (section 2), the
-  reconfiguration agent (section 2), the signaling agent (section 2), and
-  the extension hooks -- circuit paging and local reroute (the setup's
-  own next-hop decision, ``signaling.choose_output``, with the broken
-  cable blocked; guaranteed circuits are refused, not moved),
+  reconfiguration agent (section 2), the signaling agent (section 2),
+  circuit paging (an extension), and local reroute on every DEAD verdict
+  (the setup's own next-hop decision, ``signaling.choose_output``, with
+  the dead cable blocked; a circuit that cannot move, guaranteed ones
+  included, is broken and its cells dropped and counted),
 - **best-effort data plane** (section 3): per-VC random-access input
   buffers, parallel iterative matching across the crossbar every cell
   slot, and credit-based flow control (section 5) with periodic
@@ -82,7 +83,6 @@ class SwitchConfig(SwitchNodeConfig):
     A ``Network``'s hosts read the link-level ones from here too."""
 
     n_ports: int = 16
-    slot_time_us: float = FAST_CELL_TIME_US
     frame_slots: int = FRAME_SLOTS
     #: per-VC credit allocation; ``None`` derives it from each link's
     #: round trip (section 5's sizing rule).
@@ -97,14 +97,12 @@ class SwitchConfig(SwitchNodeConfig):
     #: enable the section-2 extensions.
     enable_paging: bool = False
     paging_idle_us: float = 50_000.0
-    enable_local_reroute: bool = False
     #: section-4 extension: restrict guaranteed-cell re-ordering to
     #: subframes of this many slots (must divide ``frame_slots``);
     #: ``None`` keeps the flat frame schedule.
     nested_subframe_slots: Optional[int] = None
     clock_drift_ppm: float = 0.0
 
-    POSITIVE = ("slot_time_us",)
     AT_LEAST_ONE = SwitchNodeConfig.AT_LEAST_ONE + (
         "n_ports", "nested_subframe_slots", "frame_slots", "credit_allocation",
     )
@@ -232,7 +230,7 @@ class AN2Switch(SwitchNode):
         #: link in real hardware, so a switch whose clock runs a few ppm
         #: fast must not see its own back-to-back slots as "link busy";
         #: the link model still enforces the true line rate.
-        self._slack = 0.5 * self.config.slot_time_us
+        self._slack = 0.5 * FAST_CELL_TIME_US
         self._credit_mode = self.config.flow_control == "credits"
         #: ticks made plus, on the wave, slots sat out parked: the frame
         #: position.  Short of :attr:`slot_index` while parked.
@@ -290,32 +288,42 @@ class AN2Switch(SwitchNode):
         self, port_index: int, verdict: LinkVerdict, now: float
     ) -> None:
         super()._on_verdict(port_index, verdict, now)
-        if verdict is LinkVerdict.DEAD and self.config.enable_local_reroute:
+        if verdict is LinkVerdict.DEAD:
             self.sim.schedule(
                 self.config.control_delay_us, self._reroute_port, port_index
             )
+        elif verdict is LinkVerdict.WORKING:
+            # The cable is back: circuits broken on it carry cells again.
+            for card in self.cards:
+                for entry in card.routing_table.entries():
+                    if entry.out_port == port_index:
+                        entry.broken = False
 
     def _on_topology_ready(self, value) -> None:
         if super()._on_topology_ready(value):
             self.stats.route_installs_full += 1
         if self._route_computer is None:
             return
-        if self.config.enable_local_reroute:
-            # A detour that was illegal under the old up*/down* tree may
-            # be legal under the new one: retry circuits still pointed at
-            # dead ports.
-            self.sim.schedule(
-                self.config.control_delay_us, self._repair_broken_circuits
-            )
+        # A detour that was illegal under the old up*/down* tree may be
+        # legal under the new one: retry circuits still pointed at dead
+        # ports.
+        self.sim.schedule(
+            self.config.control_delay_us, self._repair_broken_circuits
+        )
 
     # ==================================================================
     # SignalingTransport interface
     # ==================================================================
     def install_circuit(
-        self, vc: VcId, in_port: int, out_port: int, request: SetupRequest
+        self, vc: VcId, in_port: int, out_port: int, request: SetupRequest,
+        cells_per_frame: int = 0,
     ) -> None:
+        """Install the routing entry; a guaranteed circuit names the
+        frame slots reserved for it at (``in_port``, ``out_port``)."""
         card = self.cards[in_port]
-        card.routing_table.install(vc, out_port, request, self.sim.now)
+        card.routing_table.install(
+            vc, out_port, request, self.sim.now
+        ).cells_per_frame = cells_per_frame
         card.routing_table.paged.pop(vc, None)
         self._vc_in_port[vc] = in_port
         if request.traffic_class is TrafficClass.BEST_EFFORT:
@@ -329,13 +337,14 @@ class AN2Switch(SwitchNode):
         self._kick()
 
     def remove_circuit(self, vc: VcId) -> Optional[int]:
-        """Free the circuit's state on its input and output cards;
-        returns the out port released (``None`` when the circuit or its
-        routing entry is already gone)."""
+        """Free the circuit's state on its input and output cards, its
+        frame slots included; returns the out port released (``None``
+        when the circuit or its routing entry is already gone)."""
         in_port = self._vc_in_port.pop(vc, None)
         if in_port is None:
             return None
         card = self.cards[in_port]
+        self.release_reservation(in_port, vc)
         entry = card.routing_table.lookup(vc)
         discarded = card.release_vc(vc)
         self.stats.cells_dropped += discarded
@@ -374,6 +383,14 @@ class AN2Switch(SwitchNode):
         )
         self._kick()
         return sum(t.displacements for t in traces)
+
+    def release_reservation(self, in_port: int, vc: VcId) -> None:
+        """Free the frame slots circuit ``vc`` (arriving on ``in_port``)
+        was installed with, once: its entry forgets them."""
+        entry = self.cards[in_port].routing_table.lookup(vc)
+        if entry is not None and entry.cells_per_frame:
+            cells, entry.cells_per_frame = entry.cells_per_frame, 0
+            self.remove_reservation(in_port, entry.out_port, cells)
 
     def remove_reservation(
         self, in_port: int, out_port: int, cells_per_frame: int
@@ -457,6 +474,9 @@ class AN2Switch(SwitchNode):
                     state.free()
             else:
                 self.stats.pending_buffered += 1
+            return
+        if entry.broken:
+            self._drop_stranded(card, cell.vc, 1)
             return
         self._enqueue(card, entry, cell)
         if best_effort:
@@ -553,7 +573,7 @@ class AN2Switch(SwitchNode):
         # mid-run clock-drift fault) or a switch outside any Network:
         # a private timer at the local clock's own rate.
         self.sim.schedule(
-            self.clock.global_delay(self.config.slot_time_us), self._slot_tick
+            self.clock.global_delay(FAST_CELL_TIME_US), self._slot_tick
         )
 
     def _nudge(self) -> None:
@@ -660,30 +680,35 @@ class AN2Switch(SwitchNode):
         if want:
             # Wave times add up as the kernel's ``now + delay`` does, so
             # each comparison is the one the tick at that wave will make.
-            slot_time = self.config.slot_time_us
+            slot_time = FAST_CELL_TIME_US
             wave_at = now + slot_time
             ports = self.ports
             free_at = None
             for out_port in bits_of(want):
+                # ``None``: the wire is down.  Its restore kicks this
+                # switch (:meth:`wire_restored`), its DEAD verdict moves
+                # or drops what waits for it.
                 port_free_at = ports[out_port].free_at()
-                if port_free_at is None:
-                    # Down, and no edge will tell this switch when it is
-                    # back: as good as free, keep looking every slot.
-                    port_free_at = now
-                if free_at is None or port_free_at < free_at:
+                if port_free_at is not None and (
+                    free_at is None or port_free_at < free_at
+                ):
                     free_at = port_free_at
                     if free_at <= wave_at + slack:
                         break
-            waves = 1
-            while free_at > wave_at + slack:
-                wave_at += slot_time
-                waves += 1
+            if free_at is not None:
+                waves = 1
+                while free_at > wave_at + slack:
+                    wave_at += slot_time
+                    waves += 1
         if reserved and self._queued and waves != 1:
             frame_slots = self.config.frame_slots
             next_slot = self._slot_index % frame_slots
             schedule = self.frame_schedule
+            ports = self.ports
             for card in self.cards:
                 for out_port in card.guaranteed_queues.waiting():
+                    if not ports[out_port].up:
+                        continue
                     slot = schedule.next_slot(card.index, out_port, next_slot)
                     if slot is not None:
                         until = (slot - next_slot) % frame_slots + 1
@@ -788,10 +813,10 @@ class AN2Switch(SwitchNode):
         return idle
 
     # ==================================================================
-    # extensions: local reroute (section 2)
+    # local reroute (section 2): one fate for a circuit on a dead cable
     # ==================================================================
     def _reroute_port(self, dead_port: int) -> None:
-        """Reroute circuits leaving through a dead port.
+        """Move every circuit leaving through a dead port, or break it.
 
         "the virtual circuit can be rerouted by sending a new circuit
         setup cell from the point where the path was broken."  Circuits
@@ -799,12 +824,8 @@ class AN2Switch(SwitchNode):
         """
         for card in self.cards:
             for entry in card.routing_table.entries():
-                if entry.out_port != dead_port:
-                    continue
-                if self._reroute_entry(card, entry):
-                    self.stats.reroutes += 1
-                else:
-                    self.stats.broken_circuits += 1
+                if entry.out_port == dead_port:
+                    self._move_or_break(card, entry)
 
     def _repair_broken_circuits(self) -> None:
         """Retry local reroute for circuits still routed at dead ports."""
@@ -813,8 +834,38 @@ class AN2Switch(SwitchNode):
                 monitor = self.monitors.get(entry.out_port)
                 if monitor is None or monitor.verdict is LinkVerdict.WORKING:
                     continue
-                if self._reroute_entry(card, entry):
-                    self.stats.reroutes += 1
+                self._move_or_break(card, entry)
+
+    def _move_or_break(self, card: LineCard, entry) -> None:
+        """Reroute a circuit off its dead output; one that cannot move
+        (guaranteed, or no legal detour) is broken: the cells it holds
+        for that output are dropped and counted, and so is every later
+        one, until a repair moves it or the cable's WORKING verdict."""
+        if self._reroute_entry(card, entry):
+            entry.broken = False
+            self.stats.reroutes += 1
+            return
+        if entry.broken:
+            return
+        entry.broken = True
+        self.stats.broken_circuits += 1
+        vc = entry.vc
+        stranded = card.guaranteed_queues.drop_vc(entry.out_port, vc) + len(
+            card.vc_queues.drain_vc(vc)
+        )
+        self._queued -= stranded
+        self._drop_stranded(card, vc, stranded)
+        self._forget(card, vc)
+        self._kick()  # the cells that kept this switch armed may be gone
+
+    def _drop_stranded(self, card: LineCard, vc: VcId, cells: int) -> None:
+        """Count ``cells`` best-effort or guaranteed cells of a broken
+        circuit as dropped, freeing their buffers as a forwarded cell's
+        (a credit each goes back upstream)."""
+        self.stats.cells_dropped += cells
+        if vc in card.downstream:
+            for _ in range(cells):
+                self._send_credit(card.index, vc)
 
     def _reroute_entry(self, card: LineCard, entry) -> bool:
         """Point ``entry`` at a new output avoiding the cable it leaves
@@ -860,6 +911,18 @@ class AN2Switch(SwitchNode):
         if driver is None:
             return self._slot_index
         return self._slot_index + driver.sat_out(self)
+
+    def wire_restored(self, port_index: int) -> None:
+        """The cable on ``port_index`` works again.  A switch parked
+        with cells for it had no wake for a dead wire: kick it."""
+        driver = self._slot_driver
+        if driver is None or not driver.is_parked(self):
+            return
+        if self._parked_want >> port_index & 1 or any(
+            port_index in card.guaranteed_queues.waiting()
+            for card in self.cards
+        ):
+            self._kick()
 
     def set_clock_drift(self, drift_ppm: float) -> None:
         """Step the local oscillator (a clock-drift fault).  A switch

@@ -120,7 +120,7 @@ def diamond_net(**overrides):
     net = Network(
         topo,
         seed=7,
-        switch_config=fast_switch_config(enable_local_reroute=True, **overrides),
+        switch_config=fast_switch_config(**overrides),
         host_config=fast_host_config(),
     )
     net.start()
@@ -174,7 +174,7 @@ class TestLocalReroute:
                 assert unused_mid not in installed_path(net, vc, host_id(0))
 
     def test_broken_counted_when_no_detour(self):
-        net = line_with_hosts(3, enable_local_reroute=True)
+        net = line_with_hosts(3)
         net.start()
         net.run_until_converged(timeout_us=500_000)
         circuit = net.setup_circuit("h0", "h1")

@@ -91,10 +91,10 @@ def reservations_come_and_go(seed, prepare, nested=False):
     net.run(300)
     net.host("h0").send_raw_cells(second.vc, 60)
     net.run(2_000)
-    release(net, held, 4)
+    release(net, first, held)
     send_cells(net, best, cells=10)
     net.run(4_000)
-    release(net, also_held, 8)
+    release(net, second, also_held)
     net.run(3_000)
     assert all(
         s.frame_schedule.total_reserved() == 0
@@ -109,7 +109,7 @@ def faults_under_wanted_outputs(seed, prepare):
     then a switch on the path crashes and restarts."""
     net = grid(
         seed, prepare, credit_allocation=3,
-        enable_local_reroute=True, resync_interval_us=3_000.0,
+        resync_interval_us=3_000.0,
     )
     circuits = [net.setup_circuit(f"h{h}", "h3") for h in range(3)]
     for circuit in circuits:
@@ -232,7 +232,7 @@ def fat_tree_mixed(seed, prepare):
         Network(
             fabric.topology, seed=seed,
             switch_config=fast_switch_config(
-                enable_local_reroute=True, resync_interval_us=4_000.0,
+                resync_interval_us=4_000.0,
             ),
             host_config=fast_host_config(),
         ),
@@ -300,7 +300,7 @@ def scripted(seed, prepare, actions):
     net = grid(
         seed, prepare, credit_allocation=3,
         enable_paging=True, paging_idle_us=2_000.0,
-        enable_local_reroute=True, resync_interval_us=3_000.0,
+        resync_interval_us=3_000.0,
         nested_subframe_slots=8 if seed % 2 else None,
     )
     trunks = [("s0", "s1"), ("s0", "s2"), ("s1", "s3"), ("s2", "s3")]

@@ -35,7 +35,6 @@ def ring_net(seed: int = 1, **overrides) -> Network:
     topo.connect("h1", "s2", port_a=0, bps=622_000_000)
     topo.connect("h1", "s1", port_a=1, bps=622_000_000)
     overrides.setdefault("resync_interval_us", 5_000.0)
-    overrides.setdefault("enable_local_reroute", True)
     return Network(
         topo,
         seed=seed,

@@ -29,7 +29,7 @@ def src_style_net(seed=11):
     net = Network(
         topo,
         seed=seed,
-        switch_config=fast_switch_config(enable_local_reroute=True),
+        switch_config=fast_switch_config(),
         host_config=fast_host_config(),
     )
     net.start()

@@ -25,7 +25,7 @@ def src_net():
     net = Network(
         topo,
         seed=7,
-        switch_config=fast_switch_config(enable_local_reroute=True),
+        switch_config=fast_switch_config(),
         host_config=fast_host_config(),
     )
     net.start()

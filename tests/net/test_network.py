@@ -396,8 +396,6 @@ class TestConfigValidation:
         "field, value",
         [
             ("flow_control", "credit"),
-            ("slot_time_us", 0.0),
-            ("slot_time_us", -0.68),
             ("frame_slots", 0),
             ("n_ports", 0),
             ("credit_allocation", 0),
@@ -419,7 +417,6 @@ class TestConfigValidation:
             ("frame_slots", True),
             ("credit_allocation", 2.5),
             ("clock_drift_ppm", float("nan")),
-            ("slot_time_us", float("inf")),
             ("ping_interval_us", float("inf")),
             ("skeptic_max_level", -1),
         ],

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro._types import host_id
 from repro.conform.reference import ParallelIterativeMatcher
+from repro.constants import FAST_CELL_TIME_US
 from repro.core.flowcontrol.resync import ResyncReply
 from repro.conform.oracle import ACTIONS, plain_credit_filter, play
 from repro.core.matching.bitmask import bits_of
@@ -121,7 +122,7 @@ class MaskAudit:
             self.schedules += 1
             pre = dict(pre_matched)
             now = switch.sim.now
-            slack = 0.5 * switch.config.slot_time_us
+            slack = 0.5 * FAST_CELL_TIME_US
             expected = slot_requests(switch, pre, now, slack)
             masks = [row & available for row in crossbar.rows]
             for in_port, wanted in enumerate(expected):
@@ -278,7 +279,7 @@ def test_page_out_and_page_in():
 
 
 def test_local_reroute_moves_queued_cells():
-    net = grid_net(enable_local_reroute=True, credit_allocation=2)
+    net = grid_net(credit_allocation=2)
     audit = MaskAudit(net)
     circuit = net.setup_circuit("h0", "h3")
     s0 = net.switch("s0")
@@ -370,7 +371,7 @@ def reentered_circuit(switch_ref):
     original input card of ``switch_ref`` while a repeated setup (the
     circuit was rerouted upstream and comes back in through another
     port) has re-installed it on a second card for the same output."""
-    net = grid_net(credit_allocation=2, hosts=2, enable_local_reroute=True)
+    net = grid_net(credit_allocation=2, hosts=2)
     audit = MaskAudit(net)
     vc = net.setup_circuit("h0", "h1").vc
     switch = net.switch(switch_ref)
@@ -497,7 +498,7 @@ def test_reroute_after_reinstall_drops_the_stranded_request():
     repeated setup points the circuit somewhere else, and a local
     reroute then moves it to the host port and carries *all* queued
     cells along -- the trunk's request bit must go."""
-    net = grid_net(credit_allocation=2, hosts=2, enable_local_reroute=True)
+    net = grid_net(credit_allocation=2, hosts=2)
     audit = MaskAudit(net)
     vc = net.setup_circuit("h0", "h1").vc
     s1 = net.switch("s1")
@@ -629,7 +630,7 @@ def test_random_control_actions(flow_control, seed, actions):
     net = grid_net(
         seed=seed, flow_control=flow_control, credit_allocation=3,
         enable_paging=True, paging_idle_us=2_000.0,
-        enable_local_reroute=True, resync_interval_us=3_000.0,
+        resync_interval_us=3_000.0,
     )
     audit = MaskAudit(net)
     trunks = [("s0", "s1"), ("s0", "s2"), ("s1", "s3"), ("s2", "s3")]

@@ -242,7 +242,7 @@ class TestLocalRerouteState:
         net = Network(
             topo, seed=3,
             switch_config=fast_switch_config(
-                enable_local_reroute=True, resync_interval_us=2_000.0
+                resync_interval_us=2_000.0
             ),
             host_config=fast_host_config(),
         )

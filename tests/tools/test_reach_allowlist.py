@@ -48,7 +48,7 @@ def test_no_entry_is_listed_twice():
 
 def test_a_duplicated_line_is_refused(tmp_path, monkeypatch):
     allowlist = tmp_path / "reach_allowlist.txt"
-    entry = "sim/kernel.py::Simulator.pending hatch"
+    entry = "sim/kernel.py::Simulator.pending oracle"
     allowlist.write_text(f"{entry}\n{entry}\n")
     monkeypatch.setattr(reach, "ALLOWLIST", allowlist)
     with pytest.raises(SystemExit, match="listed twice"):
