@@ -24,7 +24,7 @@ LINK_KM = 2.0  # long enough that the round trip spans several cells
 TRANSFER_CELLS = 600
 
 
-def build_net(credit_allocation, seed=50, resync_us=0.0):
+def build_net(credit_allocation, seed=50, resync_us=0.0, frame_slots=32):
     topo = Topology.line(2)
     topo.add_host(0)
     topo.add_host(1)
@@ -35,7 +35,7 @@ def build_net(credit_allocation, seed=50, resync_us=0.0):
         topo,
         seed=seed,
         switch_config=SwitchConfig(
-            frame_slots=32,
+            frame_slots=frame_slots,
             credit_allocation=credit_allocation,
             resync_interval_us=resync_us,
             boot_reconfig_delay_us=2_000.0,
@@ -239,25 +239,31 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
             len(h1.delivered),
             teardowns,
         )
-        # The guaranteed twin: its frame slots go with its entries.
-        stream, _ = net.reserve_bandwidth("h0", "h1", 4)
+        # The guaranteed twin: its frame slots go with its entries.  A
+        # long frame makes a cell wait for its slot longer than the
+        # teardown's signalling delay, so one is queued when it lands.
+        net = build_net(2 * round_trip_cells(LINK_KM), frame_slots=256)
+        h0 = net.host("h0")
+        switches = list(net.switches.values())
+        stream, _ = net.reserve_bandwidth("h0", "h1", 2)
         net.run(100.0)
-        h0.send_raw_cells(stream.vc, 40)
-        net.run(100.0)
-        reserved = [
-            s.frame_schedule.total_reserved() for s in net.switches.values()
-        ]
+        h0.send_raw_cells(stream.vc, 20)
+        net.run(1_750.0)
+        reserved = [s.frame_schedule.total_reserved() for s in switches]
+        dropped = sum(s.stats.cells_dropped for s in switches)
         h0.close_circuit(stream.vc)
         net.run(5_000.0)
-        return (
-            *best_effort,
+        guaranteed = (
             reserved,
-            [s.frame_schedule.total_reserved() for s in net.switches.values()],
+            [s.frame_schedule.total_reserved() for s in switches],
+            sum(s.stats.cells_dropped for s in switches) - dropped,
+            [s.buffered_cells() for s in switches],
         )
+        return best_effort, guaranteed
 
     (
-        held, partial, left, h1_partial, delivered, teardowns, reserved,
-        slots_left,
+        (held, partial, left, h1_partial, delivered, teardowns),
+        (reserved, slots_left, discarded, buffered),
     ) = benchmark.pedantic(run, rounds=1, iterations=1)
     report = ExperimentReport(
         "E9d", f"circuit teardown mid-transfer ({TRANSFER_CELLS}-cell packet)"
@@ -286,6 +292,12 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
         "no hop holds a frame slot for the closed circuit",
         f"slots per hop {reserved} before close, {slots_left} after",
         holds=all(reserved) and not any(slots_left),
+    )
+    report.check(
+        "and the cells still waiting for one",
+        "discarded and counted; no hop keeps a cell buffered",
+        f"{discarded} discarded at the teardown, buffered per hop {buffered}",
+        holds=discarded > 0 and not any(buffered),
     )
     report_sink(report)
     assert report.all_hold

@@ -163,16 +163,18 @@ class GuaranteedQueues:
         self._occupancy -= 1
         return queue.popleft()
 
-    def drop_vc(self, out_port: int, vc: VcId) -> int:
-        """Remove the cells of one circuit queued for ``out_port``;
-        returns how many."""
+    def drop_vc(self, out_port: int, vc: VcId) -> List[Cell]:
+        """Remove and return the cells of one circuit queued for
+        ``out_port``."""
         queue = self._queues.get(out_port)
         if not queue:
-            return 0
-        kept = deque(cell for cell in queue if cell.vc != vc)
-        dropped = len(queue) - len(kept)
-        self._queues[out_port] = kept
-        self._occupancy -= dropped
+            return []
+        dropped = [cell for cell in queue if cell.vc == vc]
+        if dropped:
+            self._queues[out_port] = deque(
+                cell for cell in queue if cell.vc != vc
+            )
+            self._occupancy -= len(dropped)
         return dropped
 
     def waiting(self) -> List[int]:

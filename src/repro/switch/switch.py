@@ -344,9 +344,14 @@ class AN2Switch(SwitchNode):
         if in_port is None:
             return None
         card = self.cards[in_port]
-        self.release_reservation(in_port, vc)
         entry = card.routing_table.lookup(vc)
-        discarded = card.release_vc(vc)
+        # A guaranteed cell still waiting for its frame slot has none
+        # once the reservation goes: it is discarded with the circuit.
+        discarded = 0 if entry is None else len(
+            card.guaranteed_queues.drop_vc(entry.out_port, vc)
+        )
+        self.release_reservation(in_port, vc)
+        discarded += card.release_vc(vc)
         self.stats.cells_dropped += discarded
         self._queued -= discarded
         self._forget(card, vc)
@@ -476,7 +481,7 @@ class AN2Switch(SwitchNode):
                 self.stats.pending_buffered += 1
             return
         if entry.broken:
-            self._drop_stranded(card, cell.vc, 1)
+            self._drop_stranded(card, vc, [cell])
             return
         self._enqueue(card, entry, cell)
         if best_effort:
@@ -850,21 +855,29 @@ class AN2Switch(SwitchNode):
         entry.broken = True
         self.stats.broken_circuits += 1
         vc = entry.vc
-        stranded = card.guaranteed_queues.drop_vc(entry.out_port, vc) + len(
-            card.vc_queues.drain_vc(vc)
-        )
-        self._queued -= stranded
+        stranded = card.guaranteed_queues.drop_vc(
+            entry.out_port, vc
+        ) + card.vc_queues.drain_vc(vc)
+        self._queued -= len(stranded)
         self._drop_stranded(card, vc, stranded)
         self._forget(card, vc)
         self._kick()  # the cells that kept this switch armed may be gone
 
-    def _drop_stranded(self, card: LineCard, vc: VcId, cells: int) -> None:
-        """Count ``cells`` best-effort or guaranteed cells of a broken
-        circuit as dropped, freeing their buffers as a forwarded cell's
-        (a credit each goes back upstream)."""
-        self.stats.cells_dropped += cells
-        if vc in card.downstream:
-            for _ in range(cells):
+    def _drop_stranded(
+        self, card: LineCard, vc: VcId, cells: List[Cell]
+    ) -> None:
+        """Drop and count best-effort or guaranteed ``cells`` of a broken
+        circuit, freeing their buffers as a forwarded cell's (a credit
+        each goes back upstream)."""
+        self.stats.cells_dropped += len(cells)
+        credited = vc in card.downstream
+        for cell in cells:
+            if cell.trace_ctx is not None:
+                cell.trace_ctx.record(
+                    self.sim.now, self.node_id.label, "drop",
+                    in_port=card.index, reason="broken",
+                )
+            if credited:
                 self._send_credit(card.index, vc)
 
     def _reroute_entry(self, card: LineCard, entry) -> bool:

@@ -23,11 +23,12 @@ from repro.faults.invariants import check_no_wait_on_dead_wire
 from repro.net.network import Network
 from repro.net.port import Port
 from repro.net.topology import Topology
+from repro.obs.trace import Tracer
 from repro.switch.switch import AN2Switch
 from tests.conftest import fast_host_config, fast_switch_config
 
 
-def probe(guaranteed: bool) -> dict:
+def probe(guaranteed: bool, tracer: Tracer = None) -> dict:
     topo = Topology.ring(4)
     topo.add_host(0)
     topo.add_host(1)
@@ -38,6 +39,7 @@ def probe(guaranteed: bool) -> dict:
         switch_config=fast_switch_config(),
         host_config=fast_host_config(),
     )
+    net.sim.tracer = tracer
     net.start()
     net.run_until(net.fully_reconfigured, timeout_us=500_000)
     if guaranteed:
@@ -100,6 +102,17 @@ def test_guaranteed_circuit_is_broken_and_counted():
     assert run["dropped_after"] == 50  # every cell sent after the verdict
     assert s0.buffered_cells() == 0
     assert run["wait"].passed, run["wait"].detail
+
+
+def test_a_broken_circuits_cells_each_end_in_a_drop_record():
+    tracer = Tracer()
+    run = probe(guaranteed=True, tracer=tracer)
+    drops = [
+        r for r in tracer.records
+        if r.category == "journey" and r.name == "drop"
+        and r.payload.get("reason") == "broken"
+    ]
+    assert len(drops) == run["s0"].stats.cells_dropped >= 50
 
 
 def test_a_restore_before_the_verdict_kicks_the_parked_switch():
