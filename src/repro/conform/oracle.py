@@ -22,11 +22,10 @@ failure must say exactly where the implementations disagreed):
   constructed orientations (no hash-order sensitivity).
 - **Whole-Network twins** -- :func:`compare` runs a row of the case
   table :data:`TWINS` on its reference side and on the fast path and
-  reports the first of its sections that does not hold: the slot wave
-  against private slot timers (``slot-driver``), the sparse walk
-  against the dense one (``parking``), the closed-form link monitors
-  against :class:`~repro.conform.reference.EagerPortMonitor`
-  (``monitor``).
+  reports the first of its sections that does not hold: the sparse
+  walk of every slot wave against the dense one (``parking``), the
+  closed-form link monitors against
+  :class:`~repro.conform.reference.EagerPortMonitor` (``monitor``).
 
 The sweeps run these over seeded grids and also return plain-data
 records (the matcher and routing ones hash every slot's matching and
@@ -84,7 +83,7 @@ class Divergence:
     """The first point where two implementations disagreed."""
 
     kind: str        # "matcher", "routing" or "fastpath"
-    pair: str        # e.g. "pim", "an1-vs-an2", "slot-driver"
+    pair: str        # e.g. "pim", "an1-vs-an2", "parking"
     seed: int
     size: int        # fabric ports / topology switches
     case: str        # load pattern name / "src->dst" switch pair
@@ -404,16 +403,21 @@ def routing_sweep(
 # A *case* is ``case(seed, prepare) -> Network``: build the network, call
 # ``prepare(net)`` before anything runs, drive it, return it.  A *twin*
 # is a row of :data:`TWINS`.  Each reference trick is written once, here.
-def detach_slot_driver(net) -> None:
-    """Every switch on its private slot timer instead of the wave."""
-    for switch in net.switches.values():
-        switch._slot_driver = None
-
-
 def walk_densely(driver) -> None:
     """Every armed switch due at every wave: ``park`` overridden on the
-    driver instance (what the wave did before switches could park)."""
+    driver instance (what the wave did before switches could park), and
+    on every wave it spawned for a drifting switch or spawns later."""
     driver.park = lambda switch, waves: driver.request_tick(switch)
+    for wave in driver.own_waves:
+        walk_densely(wave)
+    spawn = driver.spawn
+
+    def spawn_dense(switch, slot_time_us):
+        wave = spawn(switch, slot_time_us)
+        walk_densely(wave)
+        return wave
+
+    driver.spawn = spawn_dense
 
 
 def eager_monitors(net) -> None:
@@ -669,26 +673,6 @@ def _sha(fingerprint: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(fingerprint)).hexdigest()
 
 
-def _traffic_outcomes(net, _) -> Dict[str, Any]:
-    """The fingerprint scrubbed of what the wave changes by design: it
-    re-phases per-switch timers onto one fabric-wide tick
-    (``slot_index``) and replaces N timer events with one -- which must
-    leave strictly fewer events."""
-    fingerprint = fingerprint_network(net)
-    events = fingerprint.pop("events_executed")
-    for switch in fingerprint["switches"]:
-        switch["slot_index"] = 0
-    return {"state": _sha(fingerprint), "fewer-events": events}
-
-
-SLOT_DRIVER = Twin(
-    "slot-driver", {"replay": replay_case},
-    lambda net, reference: reference and detach_slot_driver(net),
-    _traffic_outcomes,
-    holds={"fewer-events": lambda reference, candidate: candidate < reference},
-)
-
-
 def _prepare_parking(net, reference) -> RunDigest:
     if reference:
         walk_densely(net.slot_driver)
@@ -698,13 +682,12 @@ def _prepare_parking(net, reference) -> RunDigest:
 
 def _kernel_events(net, digest) -> Dict[str, Any]:
     """The kernel run digest, the un-scrubbed fingerprint, and the
-    driver's ``(waves, ticks, parked)``: the waves must match, and the
-    walks the sparse run skipped be the ones it counts as parked."""
-    driver = net.slot_driver
+    ``(waves, ticks, parked)`` of every wave: the waves must match, and
+    the walks the sparse run skipped be the ones it counts as parked."""
     return {
         "run-digest": digest.hexdigest(),
         "state": _sha(fingerprint_network(net)),
-        "walks": (driver.waves, driver.ticks, driver.parked),
+        "walks": net.slot_driver.counts(),
     }
 
 
@@ -830,7 +813,7 @@ MONITOR = Twin(
     _monitor_outcomes,
 )
 #: the case table: each whole-Network twin, and how many of the gate's
-#: seeds :func:`sweep` runs its cases on (``None``: all).  A slot-driver
-#: or parking case is two whole-Network replays; a few seeds keep those
-#: rows proportionate to the matcher sweep.
-TWINS = ((SLOT_DRIVER, 2), (PARKING, 3), (MONITOR, None))
+#: seeds :func:`sweep` runs its cases on (``None``: all).  A parking
+#: case is two whole-Network replays; a few seeds keep that row
+#: proportionate to the matcher sweep.
+TWINS = ((PARKING, 3), (MONITOR, None))

@@ -1,23 +1,24 @@
-"""One kernel slot event for the whole fabric, walking only the switches
-that can move a cell.
+"""One kernel slot event for a whole wave of switches, walking only the
+ones that can move a cell.
 
-On private timers every :class:`~repro.switch.switch.AN2Switch` with
-backlog schedules its *own* ``_slot_tick``, so a busy S-switch network
-pays S heap pushes + S heap pops + S callback dispatches per cell slot.
+Were every :class:`~repro.switch.switch.AN2Switch` with backlog to
+schedule its *own* ``_slot_tick``, a busy S-switch network would pay S
+heap pushes + S heap pops + S callback dispatches per cell slot.
 :class:`FabricSlotDriver` replaces that with a single *wave* event:
 switches asking for a tick in the same slot window are batched and
-advanced together when the wave fires.  Every
-:class:`~repro.net.network.Network` builds one; it is how drift-free
-switches tick.
+advanced together when the wave fires.  It is the only slot schedule,
+for section 4's two clock regimes: a ``Network``'s drift-free switches
+share one wave (the synchronized network's global slot clock), and a
+switch whose oscillator drifts rides a one-member wave of its own
+(:meth:`FabricSlotDriver.spawn`) at its local slot time.
 
-Semantics: the driver models a **fabric-wide synchronized slot clock**
--- all adopted switches tick on one shared slot boundary instead of S
-individually-phased ones.  A switch that requests a tick mid-window is
-advanced at the wave boundary (up to one slot earlier than its private
-timer would have fired); that is safe because ``_slot_tick`` re-checks
-``can_transmit_at`` on every output port before sending, so no switch
-ever transmits faster than the line rate.  Dispatch within a wave is
-ordered by node id, keeping runs deterministic.
+Semantics: a shared wave ticks all its switches on one slot boundary
+instead of S individually-phased ones.  A switch that requests a tick
+mid-window is advanced at the wave boundary; that is safe because
+``_slot_tick`` re-checks ``can_transmit_at`` on every output port
+before sending, so no switch ever transmits faster than the line rate.
+Dispatch within a wave is ordered by node id, keeping runs
+deterministic.
 
 An *armed* switch -- one with cells queued or slots reserved, whose
 slot counter is running -- is in one of two states.  **Due**
@@ -42,29 +43,25 @@ armed switch in node-id order re-arms -- so every event keeps its
 ``(time, seq)``.  Ranks (positions in node-id order) and bitmasks over
 them make that point, and the walk order, free of ``NodeId`` hashing
 and sorting.
-
-Only switches on the shared zero-drift clock are adopted
-(:meth:`adopt` refuses the rest): a drifting oscillator is *supposed*
-to tick at its own rate, and collapsing it onto the shared boundary
-would change what the drift machinery measures.  Those switches keep
-their per-switch timers, ticking every slot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["FabricSlotDriver"]
 
 
 class FabricSlotDriver:
-    """Coalesce per-switch slot timers into one wave event per slot."""
+    """Coalesce the slot ticks of its member switches into one wave
+    event per slot."""
 
     def __init__(self, sim, slot_time_us: float) -> None:
         self.sim = sim
         self.slot_time_us = slot_time_us
-        #: adopted switches in node-id order.  A switch's position is
-        #: its *rank* (``switch._slot_rank``): its bit in the masks.
+        #: member switches in node-id order.  A switch's position is
+        #: its *rank* (``switch._slot_rank`` while it rides this wave):
+        #: its bit in the masks.
         self._switches: List = []
         self._due = 0  # ranks walked at the next wave
         self._asleep = 0  # ranks parked: armed, not walked
@@ -85,32 +82,48 @@ class FabricSlotDriver:
         self.ticks = 0
         self.parked = 0
         self.adopted = 0
-        #: switches :meth:`adopt` left on their private timer because
-        #: their clock drifts.
-        self.refused_drift = 0
+        #: the one-member waves :meth:`spawn` built, in order.
+        self.own_waves: List["FabricSlotDriver"] = []
 
-    def adopt(self, switch) -> bool:
-        """Route ``switch``'s slot timers through this driver.
-
-        Returns False (and leaves the switch on its private timer) when
-        the switch's clock drifts -- the wave boundary only stands in
-        for timers it exactly replaces.  Ranks are re-dealt on every
-        adoption, so adopt before any switch arms.
-        """
-        if switch.clock.drift_ppm != 0.0:
-            self.refused_drift += 1
-            return False
+    def adopt(self, switch) -> None:
+        """Make ``switch`` a member and tick it on this wave.  Ranks are
+        re-dealt on every adoption, so adopt before the wave is armed;
+        a member may leave (:meth:`spawn`) and come back (:meth:`ride`)
+        at any time."""
         if self._due or self._asleep:
             raise RuntimeError("adopt switches before the wave is armed")
         switch._slot_driver = self
         self._switches.append(switch)
         self._switches.sort(key=lambda member: member.node_id)
         for rank, member in enumerate(self._switches):
-            member._slot_rank = rank
+            if member._slot_driver is self:
+                member._slot_rank = rank
         self._parked_at.append(0)
         self._wake_at.append(0)
         self.adopted += 1
-        return True
+
+    def ride(self, switch) -> None:
+        """Tick member ``switch`` on this wave from its next arming."""
+        switch._slot_driver = self
+        switch._slot_rank = self._switches.index(switch)
+
+    def spawn(self, switch, slot_time_us: float) -> "FabricSlotDriver":
+        """Tick ``switch`` from its next arming on a one-member wave of
+        its own, ``slot_time_us`` apart (a drifting oscillator's slot);
+        :meth:`counts` includes the new wave."""
+        wave = FabricSlotDriver(self.sim, slot_time_us)
+        wave.adopt(switch)
+        self.own_waves.append(wave)
+        return wave
+
+    def counts(self) -> Tuple[int, ...]:
+        """``(waves, ticks, parked)`` of this wave and every wave it
+        spawned."""
+        waves = (self, *self.own_waves)
+        return tuple(
+            sum(getattr(wave, name) for wave in waves)
+            for name in ("waves", "ticks", "parked")
+        )
 
     def request_tick(self, switch) -> None:
         """Walk ``switch`` at the next wave (idempotent per wave),
@@ -128,8 +141,9 @@ class FabricSlotDriver:
         ``waves``-th wave from the one being walked (``None``: until
         :meth:`request_tick`).  Returns whether it parked: one wave is
         no wait, and horizons count from the wave being walked, so a
-        switch asking from anywhere else -- its first tick back from a
-        private timer -- is simply due at the next wave."""
+        switch asking from anywhere else -- its first tick after a
+        clock step moved it here from another wave -- is simply due at
+        the next wave."""
         if waves == 1 or not self._walking:
             self.request_tick(switch)
             return False
@@ -146,14 +160,16 @@ class FabricSlotDriver:
         return True
 
     def is_parked(self, switch) -> bool:
-        return bool(self._asleep >> switch._slot_rank & 1)
+        """Whether ``switch`` rides this wave and is parked on it."""
+        return switch._slot_driver is self and bool(
+            self._asleep >> switch._slot_rank & 1
+        )
 
     def sat_out(self, switch) -> int:
-        """Waves ``switch`` has sat out since it parked (0: not parked):
-        what its ``_slot_index`` is short of its slot clock."""
-        rank = switch._slot_rank
-        if self._asleep >> rank & 1:
-            return self.waves - self._parked_at[rank]
+        """Waves ``switch`` has sat out since it parked (0: not parked
+        here): what its ``_slot_index`` is short of its slot clock."""
+        if self.is_parked(switch):
+            return self.waves - self._parked_at[switch._slot_rank]
         return 0
 
     def _unpark(self, rank: int) -> None:

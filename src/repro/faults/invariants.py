@@ -342,8 +342,7 @@ def check_no_wait_on_dead_wire(net: Network) -> InvariantResult:
                     offenders.append(
                         f"{node_id}.p{card.index} holds cells for p{port}"
                     )
-        driver = switch._slot_driver
-        if driver is not None and driver.is_parked(switch):
+        if switch._slot_driver.is_parked(switch):
             for port in dead:
                 if switch.crossbar.want >> port & 1:
                     offenders.append(f"{node_id} is parked wanting p{port}")

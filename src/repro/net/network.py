@@ -58,7 +58,7 @@ class Network(Installation):
         Drift-free switches tick together on one
         :class:`~repro.fastpath.driver.FabricSlotDriver` wave event per slot
         (section 4's synchronized network); a switch whose clock drifts
-        keeps its private slot timer (DESIGN §13).
+        rides a wave of its own at its local slot time (DESIGN §13).
         """
         super().__init__(topology, seed)
         base_config = switch_config if switch_config is not None else SwitchConfig()
@@ -71,11 +71,12 @@ class Network(Installation):
         drift_rng = self.streams.stream("clock_drift")
         driver = FabricSlotDriver(self.sim, FAST_CELL_TIME_US)
         self.slot_driver = driver
-        # Whether the wave was engaged, and why a switch was refused, as
-        # snapshot-time reads of the driver's plain ints.
+        # How much the waves walked, drifting switches' own included, as
+        # snapshot-time reads of the drivers' plain ints.
         driver_probes = self.registry.node("fabric.slot_driver")
-        for name in ("adopted", "refused_drift", "waves", "ticks", "parked"):
-            driver_probes.gauge(name, lambda name=name: getattr(driver, name))
+        driver_probes.gauge("adopted", lambda: driver.adopted)
+        for at, name in enumerate(("waves", "ticks", "parked")):
+            driver_probes.gauge(name, lambda at=at: driver.counts()[at])
         for node in topology.switches():
             config = base_config
             if drift_ppm:
@@ -91,8 +92,8 @@ class Network(Installation):
                 n_ports=topology.ports_of(node),
                 registry=self.registry,
                 route_computers=self.route_computers,
+                slot_driver=driver,
             )
-            driver.adopt(self.switches[node])
         for node in topology.hosts():
             self.hosts[node] = Host(
                 self.sim,

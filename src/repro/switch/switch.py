@@ -59,6 +59,7 @@ from repro.core.routing.signaling import (
     SignalingAgent,
     choose_output,
 )
+from repro.fastpath.driver import FabricSlotDriver
 from repro.net.cell import (
     BEST_EFFORT, CREDIT, DATA, GUARANTEED, PING, PING_ACK, RECONFIG,
     SIGNALING, Cell, TrafficClass,
@@ -170,6 +171,7 @@ class AN2Switch(SwitchNode):
         n_ports: Optional[int] = None,
         registry=None,
         route_computers=None,
+        slot_driver: Optional[FabricSlotDriver] = None,
     ) -> None:
         super().__init__(
             sim, node_id, streams,
@@ -243,9 +245,14 @@ class AN2Switch(SwitchNode):
         self._parked_want: Optional[int] = None
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
-        #: the Network's repro.fastpath.driver.FabricSlotDriver once adopted;
-        #: while the local clock is drift-free, slot ticks ride its wave.
-        self._slot_driver = None
+        #: the wave slot ticks ride while the clock is drift-free: the
+        #: Network's shared one or, built alone, one of its own; the one
+        #: they ride now is ``_slot_driver`` (:meth:`_ride_clock`).
+        self._fabric_wave = slot_driver or FabricSlotDriver(
+            sim, FAST_CELL_TIME_US
+        )
+        self._fabric_wave.adopt(self)
+        self._ride_clock()
         if registry is not None:
             # Re-pointed at the epoch's (shared) RouteComputer on every
             # reconfiguration.
@@ -558,32 +565,17 @@ class AN2Switch(SwitchNode):
         """Tick at the next slot boundary.  Every edge that can make a
         tick useful (a guaranteed cell in, a circuit or reservation
         installed, a reroute) or end the arming (the last reservation or
-        queued cell removed) calls this; on a switch parked on the wave
+        queued cell removed) calls this; on a switch parked on its wave
         (:meth:`_rearm`) it is what un-parks it.  Best-effort cells and
         credits go through :meth:`_nudge`."""
         if self._tick_scheduled:
             return
         self._tick_scheduled = True
-        driver = self._slot_driver
-        if driver is not None and (
-            self.clock.drift_ppm == 0.0 or driver.is_parked(self)
-        ):
-            # Section 4's synchronized network: one kernel wave event
-            # ticks every drift-free switch due this slot.  (A switch
-            # that parked before its clock began to drift leaves the
-            # wave through one last tick on it.)
-            driver.request_tick(self)
-            return
-        # The asynchronous regime (a drifting oscillator, also after a
-        # mid-run clock-drift fault) or a switch outside any Network:
-        # a private timer at the local clock's own rate.
-        self.sim.schedule(
-            self.clock.global_delay(FAST_CELL_TIME_US), self._slot_tick
-        )
+        self._slot_driver.request_tick(self)
 
     def _nudge(self) -> None:
         """:meth:`_kick` for a best-effort cell in or a credit moved: a
-        switch parked on the wave stays parked unless ``crossbar.want``
+        switch parked on its wave stays parked unless ``crossbar.want``
         gained an output it parked without.  Exact: its wake was worked
         out over a superset of today's wanted outputs, and a wire's
         ``next_free`` only grows, so no wanted wire falls free before
@@ -670,22 +662,18 @@ class AN2Switch(SwitchNode):
             self._rearm(now, slack, reserved)
 
     def _rearm(self, now: float, slack: float, reserved: int) -> None:
-        """Arm the tick after this one.  On a private timer that is the
-        next slot.  On the wave it is the first slot in which a cell can
-        move, by the tests :meth:`_slot_tick` itself applies: (i) some
-        wanted output's wire is free, (ii) the frame serves an (input,
-        output) pair with a guaranteed cell queued; with neither in
-        sight the switch parks until an edge kicks it."""
+        """Arm the tick after this one: the first slot of its wave in
+        which a cell can move, by the tests :meth:`_slot_tick` itself
+        applies: (i) some wanted output's wire is free, (ii) the frame
+        serves an (input, output) pair with a guaranteed cell queued;
+        with neither in sight the switch parks until an edge kicks it."""
         driver = self._slot_driver
-        if driver is None or self.clock.drift_ppm != 0.0:
-            self._kick()
-            return
         waves: Optional[int] = None
         want = self.crossbar.want
         if want:
             # Wave times add up as the kernel's ``now + delay`` does, so
             # each comparison is the one the tick at that wave will make.
-            slot_time = FAST_CELL_TIME_US
+            slot_time = driver.slot_time_us
             wave_at = now + slot_time
             ports = self.ports
             free_at = None
@@ -764,9 +752,9 @@ class AN2Switch(SwitchNode):
         entry = card.routing_table.lookup(vc)
         if entry is None:
             return False
-        if vc in card.vc_queues.queued_vcs(entry.out_port):
-            return False  # never page out a circuit with cells queued
         out_port = entry.out_port
+        if entry.cells_per_frame or vc in card.vc_queues.queued_vcs(out_port):
+            return False  # cells queued, or frame slots no page-in restores
         card.routing_table.paged[vc] = entry.request
         discarded = card.release_vc(vc)
         self._queued -= discarded
@@ -920,16 +908,12 @@ class AN2Switch(SwitchNode):
     def slot_index(self) -> int:
         """Cell slots this switch's clock has counted while armed: one
         per tick, and one per wave sat out parked."""
-        driver = self._slot_driver
-        if driver is None:
-            return self._slot_index
-        return self._slot_index + driver.sat_out(self)
+        return self._slot_index + self._slot_driver.sat_out(self)
 
     def wire_restored(self, port_index: int) -> None:
         """The cable on ``port_index`` works again.  A switch parked
         with cells for it had no wake for a dead wire: kick it."""
-        driver = self._slot_driver
-        if driver is None or not driver.is_parked(self):
+        if not self._slot_driver.is_parked(self):
             return
         if self._parked_want >> port_index & 1 or any(
             port_index in card.guaranteed_queues.waiting()
@@ -938,13 +922,25 @@ class AN2Switch(SwitchNode):
             self._kick()
 
     def set_clock_drift(self, drift_ppm: float) -> None:
-        """Step the local oscillator (a clock-drift fault).  A switch
-        parked on the wave is un-parked, so it leaves the wave at the
+        """Step the local oscillator (a clock-drift fault).  The switch
+        leaves its wave through one last tick on it, if one is due: a
+        parked switch is kicked, so it re-plans on the new wave at its
         next slot, as one walked every slot would."""
         self.clock.set_drift(drift_ppm)
-        driver = self._slot_driver
-        if driver is not None and driver.is_parked(self):
+        if self._slot_driver.is_parked(self):
             self._kick()
+        self._ride_clock()
+
+    def _ride_clock(self) -> None:
+        """Tick on the wave the local clock calls for: the drift-free
+        one (section 4's synchronized network), or, while the
+        oscillator drifts, a wave of this switch's own at its local slot
+        time (the asynchronous network)."""
+        fabric = self._fabric_wave
+        if self.clock.drift_ppm == 0.0:
+            fabric.ride(self)
+        else:
+            fabric.spawn(self, self.clock.global_delay(FAST_CELL_TIME_US))
 
     def buffered_cells(self) -> int:
         return self._queued

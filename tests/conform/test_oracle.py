@@ -21,7 +21,6 @@ from repro.conform.oracle import (
     MATCHER_KINDS,
     MONITOR,
     PARKING,
-    SLOT_DRIVER,
     Divergence,
     compare,
     compare_matchers,
@@ -29,7 +28,6 @@ from repro.conform.oracle import (
     drawn_monitor_case,
     matcher_sweep,
     monitor_case,
-    replay_case,
     reserved_case,
     routing_sweep,
 )
@@ -203,7 +201,6 @@ class TestCorpus:
 # ----------------------------------------------------------------------
 class TestFastpathOracle:
     @pytest.mark.parametrize("row, case, seed", [
-        *((SLOT_DRIVER, "replay", seed) for seed in (1, 3)),
         *((PARKING, "replay", seed) for seed in range(5)),
         (PARKING, "reserved", 4),
         (PARKING, "chaos", 4),
@@ -234,21 +231,6 @@ class TestFastpathOracle:
         assert not record["agreed"]
         assert (divergence.pair, divergence.case) == (
             "parking", "reserved:run-digest"
-        )
-
-    def test_slot_driver_oracle_catches_a_late_wave(self, monkeypatch):
-        """A wave scheduled two slots out instead of one: cells cross
-        the fabric at half the rate the private timers give them."""
-        from repro.fastpath.driver import FabricSlotDriver
-
-        def schedule_late(driver):
-            driver._scheduled = True
-            driver.sim.schedule(2 * driver.slot_time_us, driver._fire)
-
-        monkeypatch.setattr(FabricSlotDriver, "_schedule", schedule_late)
-        divergence, _ = compare(SLOT_DRIVER, "replay", replay_case, 1)
-        assert (divergence.pair, divergence.case) == (
-            "slot-driver", "replay:state"
         )
 
 

@@ -3,7 +3,9 @@ reroute."""
 
 import pytest
 
+from benchmarks.bench_e9_credit_flow_control import LINK_KM, build_net
 from repro._types import host_id, switch_id
+from repro.core.flowcontrol.sizing import round_trip_cells
 from repro.core.routing.paging import PagingDaemon
 from repro.core.routing.paths import RouteComputer
 from repro.core.routing.reroute import installed_path
@@ -80,6 +82,21 @@ class TestPaging:
         net.run(30_000)
         assert daemon.pages_initiated == 0
         assert len(net.host("h1").delivered) == 1
+
+    def test_guaranteed_circuit_is_not_paged_out(self):
+        """A page-in regenerates the setup, not the frame slots: paging
+        out a circuit that holds them would leak them for good (E9d's
+        line network, 2 cells per frame)."""
+        net = build_net(2 * round_trip_cells(LINK_KM))
+        switches = list(net.switches.values())
+        stream, _ = net.reserve_bandwidth("h0", "h1", 2)
+        net.run(100.0)
+        assert not switches[0].page_out(stream.vc)
+        assert [s.frame_schedule.total_reserved() for s in switches] == [2, 2]
+        assert switches[0].stats.page_outs == 0
+        net.host("h0").close_circuit(stream.vc)
+        net.run(5_000.0)
+        assert [s.frame_schedule.total_reserved() for s in switches] == [0, 0]
 
     def test_daemon_validation(self):
         net = paging_net()

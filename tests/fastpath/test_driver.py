@@ -2,9 +2,10 @@
 
 The driver's contract has four legs:
 
-1. **Adoption is conservative** -- only drift-free switches with the
-   driver's exact slot time are adopted; everything else keeps its
-   private timer.
+1. **Membership** -- a switch adopted by a wave keeps its rank there
+   (its place in node-id order) while it rides a wave of its own
+   (``spawn``) and when it comes back (``ride``); waves fire exactly
+   their slot time apart.
 2. **Waves coalesce** -- S switches requesting ticks in one slot window
    cost one kernel event, dispatched in node-id order.
 3. **Parked switches are armed but not walked** -- until their wave or
@@ -14,11 +15,10 @@ The driver's contract has four legs:
    it, so kernel events keep their ``(time, seq)``.  A best-effort cell
    or a credit un-parks a switch only when it adds a wanted output to
    the ones the switch parked with; a tick skipped is an empty tick.
-4. **One schedule per Network** -- every ``Network`` builds a driver:
-   drift-free switches tick on its wave, drifting ones (from
-   construction or after a mid-run clock fault) on their private timer.
-   The harness's ``slot-driver`` row (``tests/conform/test_oracle.py``)
-   holds the wave to its detached private-timer reference.
+4. **One schedule for both clock regimes** -- every ``Network`` builds
+   a driver: drift-free switches tick on its wave, drifting ones (from
+   construction or after a mid-run clock fault) on a one-member wave of
+   their own at their local slot time, parking like every other switch.
 """
 
 from types import SimpleNamespace
@@ -32,7 +32,7 @@ from repro.conform.oracle import (
     run_twin,
     walk_densely,
 )
-from repro.constants import CELL_BITS
+from repro.constants import CELL_BITS, FAST_CELL_TIME_US
 from repro.faults.plan import ClockDriftStep, FaultPlan
 from repro.faults.runner import ScenarioRunner, TrafficLoad
 from repro.fastpath.driver import FabricSlotDriver
@@ -42,12 +42,8 @@ from repro.sim.kernel import Simulator
 from tests.conftest import converged_line, line_with_hosts
 
 
-def fake_switch(node_id, order, drift=0.0):
-    switch = SimpleNamespace(
-        node_id=node_id,
-        clock=SimpleNamespace(drift_ppm=drift),
-        _slot_index=0,
-    )
+def fake_switch(node_id, order):
+    switch = SimpleNamespace(node_id=node_id, _slot_index=0)
 
     def tick():
         switch._slot_index += 1
@@ -60,13 +56,37 @@ def fake_switch(node_id, order, drift=0.0):
 
 
 class TestWaves:
-    def test_adopt_refuses_drift(self):
-        driver = FabricSlotDriver(Simulator(), slot_time_us=1.0)
+    def test_a_member_rides_its_own_wave_and_comes_back(self):
+        """s2 leaves for a wave of its own (its oscillator drifts) before
+        s0 is adopted: the re-dealt ranks skip it, it ticks at its own
+        slot time, and riding back it takes its node-id place."""
+        sim = Simulator()
+        driver = FabricSlotDriver(sim, slot_time_us=1.0)
         order = []
-        assert not driver.adopt(fake_switch("s0", order, drift=50.0))
-        assert driver.adopt(fake_switch("s2", order))
-        assert driver.adopted == 1
-        assert driver.refused_drift == 1
+        s0, s2, s5 = (fake_switch(switch_id(n), order) for n in (0, 2, 5))
+        driver.adopt(s5)
+        driver.adopt(s2)
+        own = driver.spawn(s2, 1.25)
+        driver.adopt(s0)
+        assert s2._slot_driver is own and own.slot_time_us == 1.25
+        assert (s0._slot_rank, s2._slot_rank, s5._slot_rank) == (0, 0, 2)
+        for switch in (s0, s2, s5):
+            switch._slot_driver.request_tick(switch)
+        sim.run(until=1.1)
+        assert [str(n) for n in order] == ["s0", "s5"]
+        sim.run(until=1.3)
+        assert [str(n) for n in order] == ["s0", "s5", "s2"]
+        driver.ride(s2)
+        assert s2._slot_driver is driver and s2._slot_rank == 1
+        for switch in (s5, s2):
+            driver.request_tick(switch)
+        sim.run(until=3.0)
+        assert [str(n) for n in order[3:]] == ["s2", "s5"]
+        assert driver.adopted == 3 and driver.own_waves == [own]
+        assert (driver.waves, driver.ticks, own.waves, own.ticks) == (
+            2, 4, 1, 1,
+        )
+        assert driver.counts() == (3, 5, 0)
 
     def test_one_wave_many_ticks_sorted(self):
         sim = Simulator()
@@ -74,7 +94,7 @@ class TestWaves:
         order = []
         switches = [fake_switch(f"s{i}", order) for i in (3, 1, 2, 0)]
         for switch in switches:
-            assert driver.adopt(switch)
+            driver.adopt(switch)
         for switch in switches:
             driver.request_tick(switch)
         # re-requesting within the same window is idempotent
@@ -113,7 +133,7 @@ class Fabric:
             switch = fake_switch(switch_id(num), [])
             switch.after_tick = lambda name=name: self._ticked(name)
             self.switches[name] = switch
-            assert self.driver.adopt(switch)
+            self.driver.adopt(switch)
         self.plan = {}
 
     def _ticked(self, name):
@@ -320,7 +340,8 @@ class TestParking:
 
     def test_park_outside_a_walk_is_a_request(self):
         """Horizons count from the wave being walked; a switch parking
-        from anywhere else (back from a private timer) is due next wave."""
+        from anywhere else (its first tick after a clock step moved it to
+        this wave) is due next wave."""
         fabric = Fabric(0)
         fabric.park("s0", 5)
         assert not fabric.driver.is_parked(fabric.switches["s0"])
@@ -358,10 +379,7 @@ class TestNetwork:
             for switch in net.switches.values()
         )
         gauges = net.metrics_snapshot()["fabric.slot_driver"]["gauges"]
-        assert gauges == {
-            "adopted": 3, "refused_drift": 0, "waves": 0, "ticks": 0,
-            "parked": 0,
-        }
+        assert gauges == {"adopted": 3, "waves": 0, "ticks": 0, "parked": 0}
 
     def test_driver_coalesces_events_on_a_live_network(self):
         """Slot waves only fire when cells actually queue -- drive a
@@ -376,22 +394,33 @@ class TestNetwork:
         assert gauges["ticks"] == driver.ticks
         assert gauges["parked"] == driver.parked
 
-    def test_drifted_switches_keep_private_timers(self):
-        """Clock drift is the regime the wave must not paper over."""
+    def test_drifted_switches_ride_waves_of_their_own(self):
+        """Clock drift is the regime the shared wave must not paper
+        over: each drifting switch ticks on a one-member wave at its
+        local slot time, and the snapshot counts those waves too."""
         net = line_with_hosts(3, drift_ppm=40.0)
-        assert all(
-            switch._slot_driver is None for switch in net.switches.values()
-        )
-        run(net)  # still runs, on private timers
+        driver = net.slot_driver
+        own = [switch._slot_driver for switch in net.switches.values()]
+        assert own == driver.own_waves and driver not in own
+        for switch, wave in zip(net.switches.values(), own):
+            assert switch.clock.drift_ppm != 0.0
+            assert wave.slot_time_us == switch.clock.global_delay(
+                FAST_CELL_TIME_US
+            )
+        run(net)
+        assert driver.waves == 0 and all(wave.ticks for wave in own)
         gauges = net.metrics_snapshot()["fabric.slot_driver"]["gauges"]
         assert gauges == {
-            "adopted": 0, "refused_drift": 3, "waves": 0, "ticks": 0,
-            "parked": 0,
+            "adopted": 3,
+            "waves": sum(wave.waves for wave in own),
+            "ticks": sum(wave.ticks for wave in own),
+            "parked": sum(wave.parked for wave in own),
         }
 
     def test_mid_run_drift_leaves_and_rejoins_the_wave(self):
-        """A clock-drift fault takes exactly that switch off the wave at
-        its next arming; stepping back to 0 ppm returns it."""
+        """A clock-drift fault takes exactly that switch off the shared
+        wave, onto one of its own, at its next arming; stepping back to
+        0 ppm returns it."""
         net = line_with_hosts(3)
         driver = net.slot_driver
         armings = []  # (time, node_id) of every arming on the wave
@@ -411,10 +440,10 @@ class TestNetwork:
 
         driver._fire = recording_fire
         wave_ticks = {}  # node_id -> ticks the wave made / made off it
-        private_ticks = {}
+        own_ticks = {}
         for node_id, switch in net.switches.items():
             def recording_tick(node=str(node_id), tick=switch._slot_tick):
-                made = wave_ticks if in_wave else private_ticks
+                made = wave_ticks if in_wave else own_ticks
                 made.setdefault(node, []).append(net.now)
                 tick()
 
@@ -445,33 +474,34 @@ class TestNetwork:
         assert armed("s1", drifted_until, net.now) > 0
         for neighbor in ("s0", "s2"):
             assert armed(neighbor, drifted_from, drifted_until) > 0
-        # s1 kept forwarding through the window on its private timer,
-        # and only there and then; s0 and s2 never ticked off the wave.
+        # s1 kept forwarding through the window on its own wave, and
+        # only there and then; s0 and s2 never ticked off the shared one.
         slot = net.slot_driver.slot_time_us
-        assert private_ticks.keys() == {"s1"}
+        (own,) = driver.own_waves
+        assert own.slot_time_us == slot / (1 + 150.0e-6)
+        assert own_ticks.keys() == {"s1"} and len(own_ticks["s1"]) == own.ticks
         assert all(
             drifted_from < at <= drifted_until + 2 * slot
-            for at in private_ticks["s1"]
+            for at in own_ticks["s1"]
         )
         assert not any(
             drifted_from + slot < at <= drifted_until
             for at in wave_ticks["s1"]
         )
-        # Every slot a switch counted is a tick the wave made, a wave it
-        # sat out parked, or a tick of its private timer -- per switch
-        # where the switch never parked, in total where they did.
+        # Every slot a switch counted is a tick a wave made or a wave it
+        # sat out parked, the own wave's included.
         assert driver.ticks == sum(len(made) for made in wave_ticks.values())
-        assert sum(s.slot_index for s in net.switches.values()) == (
-            driver.ticks + driver.parked + len(private_ticks["s1"])
+        assert sum(s.slot_index for s in net.switches.values()) == sum(
+            driver.counts()[1:]
         )
         assert net.switch("s1").slot_index > len(wave_ticks["s1"])
 
     def test_drift_step_on_a_parked_switch_unparks_it(self):
         """A switch holding a reservation and nothing to send is parked
         until kicked.  A clock-drift step must take it off the wave at
-        the next wave -- one last tick there, then its private timer --
-        as it would a switch walked every slot; stepping back to 0 ppm
-        re-parks it."""
+        the next wave -- one last tick there, then one on its own wave,
+        where it parks again -- as it would a switch walked every slot;
+        stepping back to 0 ppm re-parks it on the shared wave."""
         net = line_with_hosts(3)
         net.start()
         net.run_until_converged(timeout_us=500_000)
@@ -485,15 +515,87 @@ class TestNetwork:
         assert s1._slot_index < s1.slot_index
         ticks = driver.ticks
         s1.set_clock_drift(150.0)
-        assert not driver.is_parked(s1)
+        assert not driver.is_parked(s1) and s1._tick_scheduled
         net.run(50 * driver.slot_time_us)
         assert driver.ticks == ticks + 1  # the last one on the wave
-        assert not driver.is_parked(s1) and s1._tick_scheduled
+        own = s1._slot_driver
+        assert own is not driver and own.is_parked(s1)
+        assert own.ticks == 1 and own.parked > 40
         assert driver.is_parked(net.switch("s0"))
         s1.set_clock_drift(0.0)
         net.run(5 * driver.slot_time_us)
-        assert driver.is_parked(s1)
-        assert driver.ticks == ticks + 2  # back through one tick on it
+        assert driver.is_parked(s1) and s1._slot_driver is driver
+        assert own.ticks == 2  # it left its own wave through one tick
+        assert driver.ticks == ticks + 2  # and is back through one tick
+
+    def test_drifting_switch_armed_by_a_reservation_alone_parks(self):
+        """Stepped to 120 ppm, a switch armed only by a 2-slot
+        reservation with nothing queued has nothing to move: it parks on
+        its own wave instead of ticking every slot for good."""
+        net = converged_line(3)
+        net.reserve_bandwidth("h0", "h1", 2)
+        net.run(1_000)
+        s1 = net.switch("s1")
+        assert s1.frame_schedule.total_reserved() and not s1.buffered_cells()
+        s1.set_clock_drift(120.0)
+        ticks = []
+        tick = s1._slot_tick
+        s1._slot_tick = lambda: ticks.append(net.now) or tick()
+        net.run(10_000)
+        assert len(ticks) <= 10
+        assert s1._slot_driver.is_parked(s1)
+        assert s1.slot_index - s1._slot_index > 14_000  # slots sat out
+
+    def test_consecutive_waves_fire_one_slot_apart(self):
+        assert waves_keep_their_slot_time(*wave_fires())
+
+    def test_a_late_wave_is_caught(self, monkeypatch):
+        """The mutation the harness's retired private-timer row caught:
+        a wave scheduled two slots out instead of one."""
+
+        def schedule_late(driver):
+            driver._scheduled = True
+            driver.sim.schedule(2 * driver.slot_time_us, driver._fire)
+
+        monkeypatch.setattr(FabricSlotDriver, "_schedule", schedule_late)
+        assert not waves_keep_their_slot_time(*wave_fires())
+
+
+def wave_fires():
+    """Fire times of the shared wave and of s1's own, over 2 ms of a line
+    that a reservation keeps armed: all three switches park on it, and
+    s1, stepped to 120 ppm, on its own.  Returns ``(waves, fires)``."""
+    net = converged_line(3)
+    net.reserve_bandwidth("h0", "h1", 2)
+    net.run(1_000)
+    net.switch("s1").set_clock_drift(120.0)
+    net.run(10)
+    driver = net.slot_driver
+    waves = (driver, net.switch("s1")._slot_driver)
+    fires = {wave: [] for wave in waves}
+    for wave in waves:
+        def recording_fire(wave=wave, fire=wave._fire):
+            fires[wave].append(net.now)
+            fire()
+
+        wave._fire = recording_fire
+    net.run(2_000)
+    return waves, fires
+
+
+def waves_keep_their_slot_time(waves, fires) -> bool:
+    """Each wave fired every slot of the span, each fire exactly its
+    ``slot_time_us`` after the one before (the kernel's ``now + delay``),
+    and the drifting switch's wave at its own rate."""
+    shared, own = waves
+    return own.slot_time_us != shared.slot_time_us and all(
+        len(fires[wave]) > 2_000 / wave.slot_time_us - 2
+        and all(
+            later == earlier + wave.slot_time_us
+            for earlier, later in zip(fires[wave], fires[wave][1:])
+        )
+        for wave in waves
+    )
 
 
 def parked_on_a_busy_wire():

@@ -8,15 +8,14 @@ contract") in three stages:
    (:func:`repro.conform.digest.digest_scenario`) several times in this
    process and once per ``PYTHONHASHSEED`` value in a subprocess; every
    run must produce the identical hex digest.
-2. **Differential sweep** -- five families: drives the reference
+2. **Differential sweep** -- four families: drives the reference
    matchers (``Pim``/``Islip``) against their bitmask fast-path
    counterparts cell-by-cell from identical seeds across fabric sizes
    and load patterns, cross-checks AN1 against AN2 routing on shared
    random topologies, and runs the rows of the whole-``Network`` case
-   table (:data:`repro.conform.oracle.TWINS`): the slot wave against
-   private timers, the sparse walk against the dense one, and the
-   closed-form link monitors against the eager loop under seeded
-   fault schedules.  Any divergence is reported as the first divergent
+   table (:data:`repro.conform.oracle.TWINS`): the sparse walk of the
+   slot waves against the dense one, and the closed-form link monitors
+   against the eager loop under seeded fault schedules.  Any divergence is reported as the first divergent
    case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
@@ -114,10 +113,9 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     ]
     label = "OK" if not found else "FAIL"
     print(
-        f"      5 families: {len(corpus)} matcher cases + "
+        f"      4 families: {len(corpus)} matcher cases + "
         f"{len(routing_corpus)} routing cases + "
-        f"{counts[0]} slot-driver cases + {counts[1]} parking cases + "
-        f"{counts[2]} monitor schedules -> "
+        f"{counts[0]} parking cases + {counts[1]} monitor schedules -> "
         f"{len(found)} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
     for div in found:
