@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-speed speed-smoke e2e-smoke reach examples all clean
+.PHONY: install test bench e2e-smoke reach examples all clean
 
 install:
 	pip install -e .
@@ -13,17 +13,7 @@ test:
 # The reproduction record: every experiment bench (E1-E14, A1-A6)
 # asserts its paper claim; exit non-zero when one no longer holds.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Wall-clock regression gate: fails if any frozen speed workload runs
-# >25% slower than the committed BENCH_speed.json baseline, or if the
-# baseline is missing.
-bench-speed:
-	$(PYTHON) tools/run_speed_bench.py --compare BENCH_speed.json --tolerance 25
-
-# The CI smoke subset: quick workloads only, wider tolerance.
-speed-smoke:
-	$(PYTHON) tools/run_speed_bench.py --compare BENCH_speed.json --quick --tolerance 60 --repeats 2
+	$(PYTHON) -m pytest benchmarks/
 
 # End-to-end benchmark smoke (BENCHMARK.json, benchmarks/e2e): every
 # whole-Network workload at 1/10 duration, one round, traced pass
@@ -49,4 +39,4 @@ all: test bench examples
 
 clean:
 	find . -type d -name __pycache__ -exec rm -rf {} +
-	rm -rf .pytest_cache .hypothesis .benchmarks build *.egg-info
+	rm -rf .pytest_cache .hypothesis build *.egg-info

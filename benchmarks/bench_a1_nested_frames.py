@@ -66,8 +66,8 @@ def run_experiment():
     return flat, nested
 
 
-def test_a1_nested_frames(benchmark, report_sink):
-    flat, nested = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a1_nested_frames(report_sink):
+    flat, nested = run_experiment()
     frame_time = FRAME_SLOTS * FAST_CELL_TIME_US
     subframe_time = SUBFRAME_SLOTS * FAST_CELL_TIME_US
 

@@ -91,10 +91,8 @@ def run_experiment():
     return central_granted, distributed_granted, latencies
 
 
-def test_a2_distributed_admission(benchmark, report_sink):
-    central_granted, distributed_granted, latencies = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_a2_distributed_admission(report_sink):
+    central_granted, distributed_granted, latencies = run_experiment()
     # Capacity accounting: the host link admits 4 requests of 8 into a
     # 32-slot frame; the two core arms together admit 8.  The binding
     # constraint is the single host link: 4 grants max -- UNLESS the

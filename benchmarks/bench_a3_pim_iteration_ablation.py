@@ -45,8 +45,8 @@ def run_experiment():
     return rows
 
 
-def test_a3_pim_iteration_knee(benchmark, report_sink):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a3_pim_iteration_knee(report_sink):
+    rows = run_experiment()
 
     report = ExperimentReport(
         "A3", "PIM iteration count vs throughput (16x16, saturated uniform)"

@@ -54,8 +54,8 @@ def run_experiment():
     return rows
 
 
-def test_a4_reconfiguration_scaling(benchmark, report_sink):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a4_reconfiguration_scaling(report_sink):
+    rows = run_experiment()
 
     report = ExperimentReport(
         "A4", "reconfiguration time vs topology shape (protocol time only)"

@@ -112,9 +112,9 @@ def run_experiment():
     return an1_run(), an2_run()
 
 
-def test_a5_an1_vs_an2_disruption(benchmark, report_sink):
+def test_a5_an1_vs_an2_disruption(report_sink):
     (an1_delivered, an1_dropped), (an2_delivered, an2_errors) = (
-        benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+        run_experiment()
     )
 
     report = ExperimentReport(

@@ -95,8 +95,8 @@ def run_experiment():
     return run_mode("credits", seed=121), run_mode("drop", seed=122)
 
 
-def test_a6_credits_vs_drop(benchmark, report_sink):
-    credits, drop = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a6_credits_vs_drop(report_sink):
+    credits, drop = run_experiment()
 
     report = ExperimentReport(
         "A6", "best-effort flow control: credits vs drop-and-retransmit"

@@ -84,10 +84,8 @@ def run_experiment():
     return fifo_cycle, per_vc_cycle, legal_cycle, inflation_rows
 
 
-def test_e10_deadlock_and_route_restriction(benchmark, report_sink):
-    fifo_cycle, per_vc_cycle, legal_cycle, inflation_rows = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_e10_deadlock_and_route_restriction(report_sink):
+    fifo_cycle, per_vc_cycle, legal_cycle, inflation_rows = run_experiment()
 
     report = ExperimentReport(
         "E10", "deadlock avoidance: up*/down* (AN1) and per-VC buffers (AN2)"

@@ -46,8 +46,8 @@ def run_experiment():
     }
 
 
-def test_e11_starvation(benchmark, report_sink):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e11_starvation(report_sink):
+    results = run_experiment()
 
     report = ExperimentReport(
         "E11", "the paper's starvation pattern (1->{2,3}, 4->{3})"

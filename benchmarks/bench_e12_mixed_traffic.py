@@ -101,8 +101,8 @@ def run_experiment():
     }
 
 
-def test_e12_mixed_traffic_packing(benchmark, report_sink):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e12_mixed_traffic_packing(report_sink):
+    results = run_experiment()
 
     report = ExperimentReport(
         "E12", "best-effort performance under frame-schedule arrangement"

@@ -146,8 +146,8 @@ def run_experiment():
     return paging_experiment(), reroute_experiment()
 
 
-def test_e13_paging_and_local_reroute(benchmark, report_sink):
-    paging, reroute = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e13_paging_and_local_reroute(report_sink):
+    paging, reroute = run_experiment()
     buffers_before, buffers_after, paged_out, page_ins, revived_delivered = paging
     old_mid, new_mid, new_path, delivered, reroutes, broken = reroute
 

@@ -85,8 +85,8 @@ def run_experiment():
     return single_cell_transit(), load_sweep()
 
 
-def test_e14_cut_through(benchmark, report_sink):
-    transit_us, rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e14_cut_through(report_sink):
+    transit_us, rows = run_experiment()
 
     report = ExperimentReport(
         "E14", "cut-through transit and best-effort delay vs load"

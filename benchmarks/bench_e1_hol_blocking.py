@@ -51,8 +51,8 @@ def run_sweep():
     return rows
 
 
-def test_e1_hol_blocking(benchmark, report_sink):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_e1_hol_blocking(report_sink):
+    rows = run_sweep()
 
     report = ExperimentReport(
         "E1", "FIFO head-of-line blocking vs PIM (16x16, uniform arrivals)"

@@ -69,10 +69,8 @@ def run_experiment():
     return pattern_rows, size_rows, (islip_mean, islip_within4)
 
 
-def test_e2_pim_iterations(benchmark, report_sink):
-    pattern_rows, size_rows, islip = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_e2_pim_iterations(report_sink):
+    pattern_rows, size_rows, islip = run_experiment()
 
     report = ExperimentReport("E2", "PIM iterations to a maximal match")
     table = Table(

@@ -52,8 +52,8 @@ def run_experiment():
     return rows
 
 
-def test_e3_pim_vs_output_queueing(benchmark, report_sink):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e3_pim_vs_output_queueing(report_sink):
+    rows = run_experiment()
 
     report = ExperimentReport(
         "E3", "PIM (3 iterations) vs output queueing (k=16, unbounded)"

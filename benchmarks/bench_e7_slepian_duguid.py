@@ -118,10 +118,8 @@ def run_experiment():
     return figure2, trace, final, stats, independence
 
 
-def test_e7_slepian_duguid(benchmark, report_sink):
-    figure2, trace, final, stats, independence = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_e7_slepian_duguid(report_sink):
+    figure2, trace, final, stats, independence = run_experiment()
 
     report = ExperimentReport("E7", "Slepian-Duguid schedule insertion")
     report.check(

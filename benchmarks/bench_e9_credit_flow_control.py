@@ -93,8 +93,8 @@ def run_experiment():
     return needed, sweep
 
 
-def test_e9_credit_sizing(benchmark, report_sink):
-    needed, sweep = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e9_credit_sizing(report_sink):
+    needed, sweep = run_experiment()
 
     report = ExperimentReport(
         "E9", f"credit flow control on a {LINK_KM} km trunk"
@@ -145,7 +145,7 @@ def test_e9_credit_sizing(benchmark, report_sink):
     assert report.all_hold
 
 
-def test_e9_resync_recovers_performance(benchmark, report_sink):
+def test_e9_resync_recovers_performance(report_sink):
     def run():
         net = build_net(credit_allocation=8, seed=51, resync_us=3_000.0)
         circuit = net.setup_circuit("h0", "h1")
@@ -168,9 +168,7 @@ def test_e9_resync_recovers_performance(benchmark, report_sink):
         recovered = sum(r.credits_recovered for r in card.upstream.values())
         return degraded, upstream.allocation, recovered
 
-    degraded, allocation, recovered = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    degraded, allocation, recovered = run()
     report = ExperimentReport("E9b", "credit resynchronization")
     report.check(
         "lost credits shrink the window",
@@ -205,7 +203,7 @@ def vc_holders(net, vc):
     return holders
 
 
-def test_e9_teardown_releases_circuit(benchmark, report_sink):
+def test_e9_teardown_releases_circuit(report_sink):
     def run():
         net = build_net(2 * round_trip_cells(LINK_KM))
         circuit = net.setup_circuit("h0", "h1")
@@ -264,7 +262,7 @@ def test_e9_teardown_releases_circuit(benchmark, report_sink):
     (
         (held, partial, left, h1_partial, delivered, teardowns),
         (reserved, slots_left, discarded, buffered),
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
+    ) = run()
     report = ExperimentReport(
         "E9d", f"circuit teardown mid-transfer ({TRANSFER_CELLS}-cell packet)"
     )

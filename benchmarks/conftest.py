@@ -3,8 +3,9 @@
 Each benchmark builds an :class:`repro.analysis.experiments.
 ExperimentReport` (paper claim vs measured value) and registers it here;
 the reports are printed in the terminal summary so that
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
-the full paper-vs-measured tables alongside pytest-benchmark's timings.
+``pytest benchmarks/ | tee bench_output.txt`` captures the full
+paper-vs-measured tables.  No bench here times anything: wall-clock
+cost is measured end to end by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

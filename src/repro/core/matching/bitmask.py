@@ -65,10 +65,6 @@ class MatchResult:
     iterations_to_maximal: Optional[int]
     new_matches_per_iteration: List[int] = field(default_factory=list)
 
-    @property
-    def size(self) -> int:
-        return len(self.matching)
-
 
 # _BITS16[m] is the tuple of set-bit positions of m in ascending order,
 # for every m below 1 << w: w is the widest radix (at most 16) a matcher

@@ -205,20 +205,17 @@ def _iter_credit_pairs(net: Network):
             )
 
 
-def check_credit_conservation(
-    net: Network, exact: Optional[bool] = None
-) -> InvariantResult:
+def check_credit_conservation(net: Network) -> InvariantResult:
     """At quiescence every balance equals the counter-derived value.
 
-    ``exact=None`` auto-detects: the exact check needs periodic
-    resynchronization (otherwise a lost credit legitimately leaves the
-    balance low forever) -- without it only the bounds
-    ``0 <= balance <= allocation`` are enforced.
+    The exact check needs periodic resynchronization on every switch
+    (otherwise a lost credit legitimately leaves the balance low
+    forever); without it only the bounds ``0 <= balance <= allocation``
+    are enforced.
     """
-    if exact is None:
-        exact = all(
-            s.config.resync_interval_us > 0 for s in net.switches.values()
-        ) and bool(net.switches)
+    exact = all(
+        s.config.resync_interval_us > 0 for s in net.switches.values()
+    ) and bool(net.switches)
     checked = skipped = 0
     violations: List[str] = []
     total_excess = 0
@@ -359,13 +356,12 @@ def check_all(
     net: Network,
     sent: Dict[int, List[Packet]],
     settled_at_us: Optional[float],
-    conservation_exact: Optional[bool] = None,
 ) -> List[InvariantResult]:
     """Run every scenario invariant; order is the reporting order."""
     return [
         check_convergence(net, settled_at_us),
         check_skeptic_bounded(net),
-        check_credit_conservation(net, exact=conservation_exact),
+        check_credit_conservation(net),
         check_no_misassembly(net, sent),
         check_no_wait_on_dead_wire(net),
     ]

@@ -194,6 +194,9 @@ def _check_overlaps(net: Network, plan: FaultPlan) -> None:
         claims.append((event, family, cables, end))
 
 
+#: How often the runner checks the credit bounds during a scenario.
+SAMPLE_INTERVAL_US = 10_000.0
+
 #: The ``faults`` node's gauges, one per count the runner keeps.
 _FAULT_COUNTS = (
     "events_applied",
@@ -217,8 +220,6 @@ class ScenarioRunner:
         loads: Sequence[TrafficLoad] = (),
         settle_us: float = 200_000.0,
         convergence_timeout_us: float = 2_000_000.0,
-        sample_interval_us: float = 10_000.0,
-        conservation_exact: Optional[bool] = None,
         flight_dir: Optional[str] = None,
     ) -> None:
         _check_targets(net, plan)
@@ -228,8 +229,6 @@ class ScenarioRunner:
         self.loads = tuple(loads)
         self.settle_us = settle_us
         self.convergence_timeout_us = convergence_timeout_us
-        self.sample_interval_us = sample_interval_us
-        self.conservation_exact = conservation_exact
         if flight_dir is None:
             flight_dir = os.environ.get("REPRO_FLIGHT_DIR") or None
         #: directory for flight-recorder dumps on invariant failure (and,
@@ -465,10 +464,10 @@ class ScenarioRunner:
                     )
 
     def _schedule_samples(self, t0: float, horizon: float) -> None:
-        t = t0 + self.sample_interval_us
+        t = t0 + SAMPLE_INTERVAL_US
         while t < horizon:
             self.net.sim.schedule_at(t, self._sample)
-            t += self.sample_interval_us
+            t += SAMPLE_INTERVAL_US
 
     # ------------------------------------------------------------------
     def run(self) -> ScenarioResult:
@@ -507,12 +506,7 @@ class ScenarioRunner:
             undo()
         end_scenario(settled=settled_at is not None)
 
-        invariants = check_all(
-            net,
-            self.sent,
-            settled_at,
-            conservation_exact=self.conservation_exact,
-        )
+        invariants = check_all(net, self.sent, settled_at)
         if self.sampled_violations:
             invariants.append(
                 InvariantResult(
@@ -526,7 +520,7 @@ class ScenarioRunner:
                 InvariantResult(
                     "credit bounds held throughout (sampled)",
                     True,
-                    f"sampled every {self.sample_interval_us / 1000:.0f} ms",
+                    f"sampled every {SAMPLE_INTERVAL_US / 1000:.0f} ms",
                 )
             )
         delivered = sum(len(h.delivered) for h in net.hosts.values())

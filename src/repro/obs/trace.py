@@ -121,10 +121,6 @@ class Tracer:
         self.records.append(TraceRecord(t, category, component, name, payload))
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.records)
-
-    # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
     def dump_jsonl(self, stream: TextIO) -> int:

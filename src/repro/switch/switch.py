@@ -47,9 +47,7 @@ from repro.core.guaranteed.distributed import (
     ReserveRelease,
     ReserveRequest,
 )
-from repro.core.guaranteed.frames import FrameSchedule
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
-from repro.core.guaranteed.slepian_duguid import insert_reservation, remove_cell
 from repro.core.matching.bitmask import BitmaskPim, bits_of
 from repro.core.reconfig.monitor import PingPayload
 from repro.core.reconfig.skeptic import LinkVerdict
@@ -100,7 +98,7 @@ class SwitchConfig(SwitchNodeConfig):
     paging_idle_us: float = 50_000.0
     #: section-4 extension: restrict guaranteed-cell re-ordering to
     #: subframes of this many slots (must divide ``frame_slots``);
-    #: ``None`` keeps the flat frame schedule.
+    #: ``None`` keeps the flat frame, one subframe of ``frame_slots``.
     nested_subframe_slots: Optional[int] = None
     clock_drift_ppm: float = 0.0
 
@@ -216,14 +214,12 @@ class AN2Switch(SwitchNode):
                 else None
             ),
         )
-        if self.config.nested_subframe_slots is not None:
-            self.frame_schedule: object = NestedFrameSchedule(
-                ports,
-                frame_slots=self.config.frame_slots,
-                subframe_slots=self.config.nested_subframe_slots,
-            )
-        else:
-            self.frame_schedule = FrameSchedule(ports, self.config.frame_slots)
+        frame_slots = self.config.frame_slots
+        self.frame_schedule = NestedFrameSchedule(
+            ports,
+            frame_slots=frame_slots,
+            subframe_slots=self.config.nested_subframe_slots or frame_slots,
+        )
         self.signaling = SignalingAgent(node_id, transport=self)
         self.admission = DistributedAdmissionAgent(self)
         self.stats = SwitchStats()
@@ -384,17 +380,9 @@ class AN2Switch(SwitchNode):
     ) -> int:
         """Revise the frame schedule for a new reservation; returns the
         total Slepian-Duguid displacements performed."""
-        if isinstance(self.frame_schedule, NestedFrameSchedule):
-            moves = self.frame_schedule.reserve(
-                in_port, out_port, cells_per_frame
-            )
-            self._kick()
-            return moves
-        traces = insert_reservation(
-            self.frame_schedule, in_port, out_port, cells_per_frame
-        )
+        moves = self.frame_schedule.reserve(in_port, out_port, cells_per_frame)
         self._kick()
-        return sum(t.displacements for t in traces)
+        return moves
 
     def release_reservation(self, in_port: int, vc: VcId) -> None:
         """Free the frame slots circuit ``vc`` (arriving on ``in_port``)
@@ -407,11 +395,7 @@ class AN2Switch(SwitchNode):
     def remove_reservation(
         self, in_port: int, out_port: int, cells_per_frame: int
     ) -> None:
-        if isinstance(self.frame_schedule, NestedFrameSchedule):
-            self.frame_schedule.release(in_port, out_port, cells_per_frame)
-        else:
-            for _ in range(cells_per_frame):
-                remove_cell(self.frame_schedule, in_port, out_port)
+        self.frame_schedule.release(in_port, out_port, cells_per_frame)
         # A reservation keeps its switch armed, so this one is: the kick
         # un-parks it to notice that its last reservation may be gone.
         self._kick()

@@ -217,12 +217,10 @@ class TestFastpathOracle:
         park.  Without it a switch whose last reservation goes while it
         is parked keeps the wave chain alive for good: more waves, other
         seqs -- the differential must say so."""
-        from repro.core.guaranteed.slepian_duguid import remove_cell
         from repro.switch.switch import AN2Switch
 
         def remove_without_kick(self, in_port, out_port, cells_per_frame):
-            for _ in range(cells_per_frame):
-                remove_cell(self.frame_schedule, in_port, out_port)
+            self.frame_schedule.release(in_port, out_port, cells_per_frame)
 
         monkeypatch.setattr(
             AN2Switch, "remove_reservation", remove_without_kick

@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.guaranteed.frames import FrameSchedule, ScheduleError
 from repro.core.guaranteed.nested_frames import NestedFrameSchedule
-from repro.core.guaranteed.slepian_duguid import insert_reservation
+from repro.core.guaranteed.slepian_duguid import (
+    insert_reservation,
+    remove_cell,
+)
 
 
 def test_shares_split_evenly():
@@ -165,3 +168,57 @@ def test_tick_queries_match_a_scan_of_the_outer_frame():
     nested._total += 1
     with pytest.raises(ScheduleError):
         nested.check_consistent()
+
+
+def test_one_subframe_is_the_flat_frame():
+    """A switch without nested subframes runs a one-subframe
+    :class:`NestedFrameSchedule`: under seeded reserve/release churn it
+    agrees with a :class:`FrameSchedule` driven by ``insert_reservation``
+    / ``remove_cell`` on every slot, every ``next_slot`` query and the
+    displacements each reservation costs."""
+    ports, slots = 16, 64
+
+    def port(rng):  # four hot ports fill up, so insertions must displace
+        return rng.randrange(ports) if rng.random() < 0.5 else rng.randrange(4)
+
+    moves = [0, 0]
+    for seed in range(1, 5):
+        rng = random.Random(seed)
+        nested = NestedFrameSchedule(
+            ports, frame_slots=slots, subframe_slots=slots
+        )
+        flat = FrameSchedule(ports, slots)
+        held = []
+        for _ in range(30):
+            if held and rng.random() < 0.3:
+                i, o, cells = held.pop(rng.randrange(len(held)))
+                nested.release(i, o, cells)
+                for _ in range(cells):
+                    remove_cell(flat, i, o)
+            else:
+                i, o = port(rng), port(rng)
+                room = slots - max(
+                    sum(c for held_i, _, c in held if held_i == i),
+                    sum(c for _, held_o, c in held if held_o == o),
+                )
+                if not room:
+                    continue
+                cells = rng.randint(1, room)
+                assert nested.admits(i, o, cells) and flat.admits(i, o, cells)
+                moves[0] += nested.reserve(i, o, cells)
+                moves[1] += sum(
+                    trace.displacements
+                    for trace in insert_reservation(flat, i, o, cells)
+                )
+                held.append((i, o, cells))
+            assert moves[0] == moves[1]
+            assert nested.total_reserved() == flat.total_reserved()
+            for slot in range(slots):
+                assert nested.slot_view(slot) == flat.slot_view(slot), slot
+            for i in range(ports):
+                for o in range(ports):
+                    starts = range(slots)
+                    assert [nested.next_slot(i, o, s) for s in starts] == [
+                        flat.next_slot(i, o, s) for s in starts
+                    ], (seed, i, o)
+    assert moves[0] > 0  # the churn forced Slepian-Duguid chains

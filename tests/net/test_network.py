@@ -64,11 +64,13 @@ class TestAssembly:
         assert peak < 8 * 2**20
         switch = net.switch("s0")
         schedule = switch.frame_schedule
-        schedule.place(999_998, 0, 1)
+        (frame,) = schedule.subframes  # a flat frame: one subframe
+        switch.add_reservation(0, 1, 1)
+        frame.move(0, 999_998, 0)
         assert schedule.slot_view(999_998) == {0: 1}
         assert schedule.slot_assignments(999_998) == {0: 1}
         assert schedule.next_slot(0, 1, 5) == 999_998
-        assert list(schedule.reserved_pairs()) == [(999_998, 0, 1)]
+        assert list(frame.reserved_pairs()) == [(999_998, 0, 1)]
         switch.remove_reservation(0, 1, 1)
         assert schedule.total_reserved() == 0
         assert schedule.slot_view(999_998) == {}

@@ -10,7 +10,7 @@ class TestEmit:
         tracer = Tracer()
         tracer.emit(1.0, "fabric", "s0", "match.round", matched=3)
         tracer.emit(2.0, "reconfig", "s1", "epoch.trigger")
-        assert len(tracer) == 2
+        assert len(tracer.records) == 2
         first = tracer.records[0]
         assert first.time == 1.0
         assert first.category == "fabric"

@@ -5,9 +5,7 @@ Runs the claim-producing slice with a profile hook in every Python
 process it starts, then walks ``src/repro`` with ``ast`` and lists each
 function that none of the runs called.  The slice:
 
-- the experiment benches (``pytest benchmarks/ --benchmark-disable``;
-  pytest-benchmark's timer clears the profile hook while it times a
-  call, so timing stays off),
+- the experiment benches (``pytest benchmarks/``),
 - the end-to-end benchmark smoke (``benchmarks/e2e/run.py --smoke``),
 - every script in ``examples/``,
 - the four canned scenarios and ``--random 1..5`` with ``--trace-out``,
@@ -39,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 ALLOWLIST = REPO / "tools" / "reach_allowlist.txt"
-REASONS = ("failure-only", "oracle", "fixture", "safety", "hatch")
+REASONS = ("failure-only", "oracle", "fixture", "safety")
 EXEMPT_NAMES = ("__repr__", "__str__")
 EXEMPT_MARK = "# pragma: no cover - interface"
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -76,8 +74,7 @@ def _dump():
 def slice_commands(traces: Path) -> List[List[str]]:
     py = sys.executable
     commands = [
-        [py, "-m", "pytest", "benchmarks/", "--benchmark-disable", "-q",
-         "-p", "no:cacheprovider"],
+        [py, "-m", "pytest", "benchmarks/", "-q", "-p", "no:cacheprovider"],
         [py, "benchmarks/e2e/run.py", "--smoke"],
     ]
     examples = sorted((REPO / "examples").glob("*.py"))
