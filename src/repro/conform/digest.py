@@ -197,7 +197,10 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
             {
                 "index": card.index,
                 "routing": routing,
-                "paged": sorted(int(vc) for vc in table.paged),
+                "paged": sorted(
+                    int(c.vc) for c in switch.circuits.values()
+                    if c.state == "paged" and c.card is card
+                ),
                 "pending": sorted(
                     [int(vc), len(cells)]
                     for vc, cells in table._pending.items()
@@ -224,7 +227,8 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
         "node": str(switch.node_id),
         "slot_index": switch.slot_index,
         "vc_in_port": sorted(
-            [int(vc), port] for vc, port in switch._vc_in_port.items()
+            [int(vc), c.in_port] for vc, c in switch.circuits.items()
+            if c.state == "active"
         ),
         "epoch": {
             "stored_tag": str(agent.stored_tag),

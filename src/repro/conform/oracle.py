@@ -522,9 +522,11 @@ def send_cells(net, circuit, cells: int, copies: int = 1) -> None:
 
 def release(net, circuit, reservation) -> None:
     """Free ``circuit``'s frame slots on every hop of ``reservation``;
-    the routing entries forget them, so a teardown frees nothing more."""
-    for switch, in_port, _ in reservation.switch_hops:
-        net.switches[switch].release_reservation(in_port, circuit.vc)
+    the records forget them, so a teardown frees nothing more."""
+    for switch, _, _ in reservation.switch_hops:
+        hop = net.switches[switch].circuits.get(circuit.vc)
+        if hop is not None:
+            hop.release_slots()
 
 
 #: the steps :func:`play` draws from: bursts and runs weigh four times
@@ -577,14 +579,18 @@ def play(
                 send_cells(net, circuit, 1 + n % 12, copies=1 + n % 4)
         elif name == "run":
             net.run(20 + n % 3_000)
-        elif name == "close" and unicast:
-            circuit = unicast.pop(n % len(unicast))
-            net.host(circuit.source).close_circuit(circuit.vc)
-        elif name == "remove" and unicast:
-            pick(switches, n // 5).remove_circuit(pick(unicast, n).vc)
-        elif name == "page_out" and unicast:
-            for switch in switches:
-                switch.page_out(pick(unicast, n).vc)
+        elif name in ("close", "remove", "page_out") and (unicast or held):
+            # Best-effort and reserved circuits alike go through each exit.
+            circuit = pick(unicast + [c for c, _ in held], n)
+            if name == "close":
+                unicast[:] = [c for c in unicast if c is not circuit]
+                held[:] = [h for h in held if h[0] is not circuit]
+                net.host(circuit.source).close_circuit(circuit.vc)
+            elif name == "remove":
+                pick(switches, n // 5).remove_circuit(circuit.vc)
+            else:
+                for switch in switches:
+                    switch.page_out(circuit.vc)
         elif name == "fail" and (concurrent or not failed):
             failed.append(link)
             link.fail()

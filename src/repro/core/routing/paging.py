@@ -62,8 +62,10 @@ class PagingDaemon:
     def scan_once(self) -> List[VcId]:
         """One scan pass; returns the circuits paged out."""
         paged: List[VcId] = []
-        for vc in self.switch.idle_circuits(self.idle_threshold_us):
-            if self.switch.page_out(vc):
+        now = self.switch.sim.now
+        for vc, circuit in list(self.switch.circuits.items()):
+            idle_for = now - circuit.last_activity
+            if idle_for >= self.idle_threshold_us and self.switch.page_out(vc):
                 paged.append(vc)
                 self.pages_initiated += 1
         return paged

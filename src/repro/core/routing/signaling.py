@@ -56,43 +56,6 @@ class PageOut:
     vc: VcId
 
 
-class SignalingTransport:
-    """What the signaling agent needs from its switch (duck-typed).
-
-    - ``route_computer()``: the current
-      :class:`~repro.core.routing.paths.RouteComputer` (or ``None`` before
-      the first reconfiguration completes),
-    - ``port_facing(host)``: local port whose working link reaches
-      ``host``, if any,
-    - ``install_circuit(vc, in_port, out_port, request)``: create the
-      routing-table entry and per-VC buffers,
-    - ``remove_circuit(vc)``: tear state down, returning the out port
-      the circuit used (``None`` if it or its routing entry is gone),
-    - ``send_signaling(port_index, message)``: transmit a signaling cell.
-    """
-
-    def route_computer(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def port_facing(
-        self, host: NodeId
-    ) -> Optional[int]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def install_circuit(
-        self, vc, in_port, out_port, request
-    ):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def remove_circuit(self, vc):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def send_signaling(
-        self, port_index, message
-    ):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 def choose_output(
     node,
     here: NodeId,
@@ -104,7 +67,7 @@ def choose_output(
     admission, local reroute) or an AN1 packet headed to ``destination``.
 
     ``node`` is any object with ``route_computer()`` and
-    ``port_facing(host)`` (a :class:`SignalingTransport`); ``here`` is its
+    ``port_facing(host)`` (a signaling transport); ``here`` is its
     switch.  A working cable straight to the host wins; otherwise the
     hop is the first of the shortest legal continuation to the host's
     switch.  Nothing crosses ``blocked_edges``.  Returns
@@ -140,9 +103,17 @@ def choose_output(
 
 
 class SignalingAgent:
-    """One switch's circuit-setup software."""
+    """One switch's circuit-setup software.
 
-    def __init__(self, node_id: NodeId, transport: SignalingTransport, max_hops: int = 64) -> None:
+    Its ``transport`` (the switch, duck-typed) offers
+    ``route_computer()`` and ``port_facing(host)`` for
+    :func:`choose_output`, ``install_circuit(vc, in_port, out_port,
+    request)``, ``remove_circuit(vc)`` -- which frees the circuit and
+    returns the out port a teardown goes on by, or ``None`` -- and
+    ``send_signaling(port_index, message)``.
+    """
+
+    def __init__(self, node_id: NodeId, transport, max_hops: int = 64) -> None:
         self.node_id = node_id
         self.transport = transport
         self.max_hops = max_hops

@@ -170,23 +170,23 @@ class Installation:
         groups: Dict[object, List] = {}
         for switch in self.switches.values():
             agent = switch.reconfig
-            if agent.active or agent.view_tag is None:
-                return False
             groups.setdefault(agent.view_tag, []).append(agent)
-        for agents in groups.values():
-            views = {a.view for a in agents}
-            if len(views) != 1:
-                return False
-            view = agents[0].view
-            assert view is not None
-            members = {a.node_id for a in agents}
-            view_switches = set(view.switches())
-            if view_switches:
-                if view_switches != members:
-                    return False
-            elif len(members) != 1:
-                return False
-        return True
+        return all(map(self._settled, groups.values()))
+
+    @staticmethod
+    def _settled(agents, view=None) -> bool:
+        """``agents`` are idle, on one epoch and on ``view`` or, without
+        one, on a view of exactly their switch set (one switch, if it
+        names none)."""
+        first = agents[0]
+        return (
+            not any(a.active for a in agents) and first.view_tag is not None
+            and len({a.view_tag for a in agents}) == 1
+            and len({a.view for a in agents}) == 1
+            and (first.view == view if view is not None else set(
+                first.view.switches() or [first.node_id]
+            ) == {a.node_id for a in agents})
+        )
 
     def main_component_switches(self) -> List[NodeId]:
         """Switches of the largest working partition (ground truth)."""
@@ -233,42 +233,40 @@ class Installation:
         """The largest working partition is idle and its shared view
         matches physical reality -- the success condition of the paper's
         pull-the-plug demo."""
+        agents, expected = self._main_partition()
+        return bool(agents) and self._settled(agents, expected)
+
+    def _main_partition(self) -> Tuple[list, TopologyView]:
+        """The agents of the largest working partition and the view they
+        should learn, kept until a cable changes state."""
         if self._ground_truth is None:
             component = self.main_component_switches()
             self._ground_truth = (
                 [self.switches[s].reconfig for s in component],
                 self.expected_view_for(component),
             )
-        agents, expected = self._ground_truth
-        if not agents:
-            return False
-        if any(a.active for a in agents):
-            return False
-        tags = {a.view_tag for a in agents}
-        if len(tags) != 1 or None in tags:
-            return False
-        views = {a.view for a in agents}
-        if len(views) != 1:
-            return False
-        return agents[0].view == expected
+        return self._ground_truth
 
     def run_until_converged(self, timeout_us: float = 1_000_000.0) -> float:
         return self.run_until(self.converged, timeout_us=timeout_us)
 
-    def converged_view(self) -> TopologyView:
-        if not self.converged():
+    def main_agent(self):
+        """The reconfiguration agent of a switch of the largest working
+        partition, once that partition has settled as :meth:`converged`
+        judges a group.  Switches cut off from it, a crashed one
+        included, are not judged."""
+        agents, _ = self._main_partition()
+        if not agents or not self._settled(agents):
             raise NetworkError("network has not converged")
-        view = next(iter(self.switches.values())).reconfig.view
-        assert view is not None
-        return view
+        return agents[0]
+
+    def converged_view(self) -> TopologyView:
+        """The view the largest working partition agreed on."""
+        return self.main_agent().view
 
     def reconfig_root(self) -> NodeId:
         """The root of the winning reconfiguration's spanning tree."""
-        if not self.converged():
-            raise NetworkError("network has not converged")
-        tag = next(iter(self.switches.values())).reconfig.view_tag
-        assert tag is not None
-        return tag.initiator
+        return self.main_agent().view_tag.initiator
 
     def expected_view(self) -> TopologyView:
         """Ground truth: the working cables (the oracle for tests)."""

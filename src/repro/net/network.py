@@ -304,8 +304,7 @@ class Network(Installation):
 
     def _epoch_central(self) -> BandwidthCentral:
         """The default admission service: one per epoch (view tag)."""
-        self.converged_view()  # raises unless converged
-        tag = next(iter(self.switches.values())).reconfig.view_tag
+        tag = self.main_agent().view_tag  # raises unless converged
         if self._central is None or self._central[0] != tag:
             self._central = (tag, self.bandwidth_central())
         return self._central[1]

@@ -21,7 +21,6 @@ node (:class:`~repro.net.node.Node`).
 
 from __future__ import annotations
 
-from repro._types import VcId
 from repro.core.flowcontrol.endpoint import CreditEndpoint
 from repro.net.port import Port
 from repro.switch.buffers import GuaranteedQueues, VcQueues
@@ -44,15 +43,6 @@ class LineCard:
         self.upstream = credits.upstream
         self.cells_dropped = 0
         self.cells_forwarded = 0
-
-    # ------------------------------------------------------------------
-    def release_vc(self, vc: VcId) -> int:
-        """Free all state for a circuit; returns cells discarded."""
-        discarded = len(self.vc_queues.drain_vc(vc))
-        self.downstream.pop(vc, None)
-        self.upstream.pop(vc, None)
-        self.routing_table.remove(vc)
-        return discarded
 
     def buffered_cells(self) -> int:
         return self.vc_queues.occupancy + self.guaranteed_queues.occupancy

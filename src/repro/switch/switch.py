@@ -69,6 +69,7 @@ from repro.sim.random import RandomStreams
 from repro.switch.control import SwitchNode, SwitchNodeConfig
 from repro.switch.crossbar import Crossbar
 from repro.switch.linecard import LineCard
+from repro.switch.routing_table import AWAITING, PAGED, HopCircuit
 
 
 #: best-effort flow control disciplines ``SwitchConfig.flow_control``
@@ -223,7 +224,9 @@ class AN2Switch(SwitchNode):
         self.signaling = SignalingAgent(node_id, transport=self)
         self.admission = DistributedAdmissionAgent(self)
         self.stats = SwitchStats()
-        self._vc_in_port: Dict[VcId, int] = {}
+        #: the one record of each circuit this switch holds anything for
+        #: (installed ones in install order).
+        self.circuits: Dict[VcId, HopCircuit] = {}
         #: Half a slot of slack: the transmitter's oscillator drives the
         #: link in real hardware, so a switch whose clock runs a few ppm
         #: fast must not see its own back-to-back slots as "link busy";
@@ -297,10 +300,9 @@ class AN2Switch(SwitchNode):
             )
         elif verdict is LinkVerdict.WORKING:
             # The cable is back: circuits broken on it carry cells again.
-            for card in self.cards:
-                for entry in card.routing_table.entries():
-                    if entry.out_port == port_index:
-                        entry.broken = False
+            for circuit in self.circuits.values():
+                if circuit.out_port == port_index:
+                    circuit.broken = False
 
     def _on_topology_ready(self, value) -> None:
         if super()._on_topology_ready(value):
@@ -315,57 +317,32 @@ class AN2Switch(SwitchNode):
         )
 
     # ==================================================================
-    # SignalingTransport interface
+    # the signaling agent's transport
     # ==================================================================
     def install_circuit(
         self, vc: VcId, in_port: int, out_port: int, request: SetupRequest,
         cells_per_frame: int = 0,
     ) -> None:
         """Install the routing entry; a guaranteed circuit names the
-        frame slots reserved for it at (``in_port``, ``out_port``)."""
+        frame slots reserved for it at (``in_port``, ``out_port``).  A
+        setup repeated on another card releases the old card's hold."""
         card = self.cards[in_port]
-        card.routing_table.install(
-            vc, out_port, request, self.sim.now
-        ).cells_per_frame = cells_per_frame
-        card.routing_table.paged.pop(vc, None)
-        self._vc_in_port[vc] = in_port
-        if request.traffic_class is TrafficClass.BEST_EFFORT:
-            card.credits.pool(vc)
-            self.cards[out_port].credits.open_window(vc)
-            self._refresh_output(out_port, vc)
-        entry = card.routing_table.lookup(vc)
-        assert entry is not None
-        for cell in card.routing_table.take_pending(vc):
-            self._enqueue(card, entry, cell)
-        self._kick()
+        circuit = self.circuits.get(vc)
+        if circuit is None:
+            circuit = HopCircuit(self, vc, card)
+        elif circuit.card is not card:
+            circuit.reenter(card)
+        circuit.install(out_port, request, cells_per_frame)
 
     def remove_circuit(self, vc: VcId) -> Optional[int]:
-        """Free the circuit's state on its input and output cards, its
-        frame slots included; returns the out port released (``None``
-        when the circuit or its routing entry is already gone)."""
-        in_port = self._vc_in_port.pop(vc, None)
-        if in_port is None:
+        """Free everything this switch holds for the circuit, paged or
+        not; returns the out port a teardown goes on by (``None`` when
+        the circuit is not here or never had one)."""
+        circuit = self.circuits.get(vc)
+        if circuit is None:
             return None
-        card = self.cards[in_port]
-        entry = card.routing_table.lookup(vc)
-        # A guaranteed cell still waiting for its frame slot has none
-        # once the reservation goes: it is discarded with the circuit.
-        discarded = 0 if entry is None else len(
-            card.guaranteed_queues.drop_vc(entry.out_port, vc)
-        )
-        self.release_reservation(in_port, vc)
-        discarded += card.release_vc(vc)
-        self.stats.cells_dropped += discarded
-        self._queued -= discarded
-        self._forget(card, vc)
-        if discarded:
-            self._kick()  # the queue that kept this switch armed may be gone
-        if entry is None:
-            return None
-        out_port = entry.out_port
-        self.cards[out_port].upstream.pop(vc, None)
-        self._refresh_output(out_port, vc)
-        return out_port
+        circuit.release("closed")
+        return circuit.out_port
 
     def send_signaling(self, port_index: int, message) -> None:
         self.ports[port_index].send(
@@ -383,14 +360,6 @@ class AN2Switch(SwitchNode):
         moves = self.frame_schedule.reserve(in_port, out_port, cells_per_frame)
         self._kick()
         return moves
-
-    def release_reservation(self, in_port: int, vc: VcId) -> None:
-        """Free the frame slots circuit ``vc`` (arriving on ``in_port``)
-        was installed with, once: its entry forgets them."""
-        entry = self.cards[in_port].routing_table.lookup(vc)
-        if entry is not None and entry.cells_per_frame:
-            cells, entry.cells_per_frame = entry.cells_per_frame, 0
-            self.remove_reservation(in_port, entry.out_port, cells)
 
     def remove_reservation(
         self, in_port: int, out_port: int, cells_per_frame: int
@@ -460,8 +429,21 @@ class AN2Switch(SwitchNode):
                 return
         entry = card.routing_table.lookup(vc)
         if entry is None:
-            if self.config.enable_paging and vc in card.routing_table.paged:
-                self._page_in(in_port, vc)
+            # Held until the setup, a repeated one's too if the record is
+            # on another card; a paged-out circuit is paged back in.  A
+            # card the record moved off drops what its old path still
+            # brings, with the credit back.
+            circuit = self.circuits.get(vc)
+            if circuit is None:
+                circuit = self.circuits[vc] = HopCircuit(self, vc, card)
+            elif card in circuit.left:
+                self._drop_stranded(card, vc, [cell], reason="moved")
+                return
+            elif (
+                self.config.enable_paging and circuit.state is PAGED
+                and circuit.card is card
+            ):
+                self._page_in(circuit)
             if not card.routing_table.buffer_pending(vc, cell):
                 self.stats.cells_dropped += 1
                 # The buffer the cell occupied is freed again.
@@ -523,24 +505,11 @@ class AN2Switch(SwitchNode):
         an unarmed one is still kicked (its tick moves nothing: one
         wave event the event-sparse data plane may drop)."""
         if crossed_zero:
-            self._refresh_output(out_port, vc)
+            # Only the circuit's one card can hold its cells.
+            circuit = self.circuits.get(vc)
+            if circuit is not None:
+                self._refresh(circuit.card, out_port, vc)
         self._nudge()
-
-    def _forget(self, card: LineCard, vc: VcId) -> None:
-        """``vc`` was drained from ``card``: drop the request bits it
-        alone was holding up, whichever outputs its cells waited for."""
-        for out_port in bits_of(self.crossbar.rows[card.index]):
-            self._refresh(card, out_port, vc)
-
-    def _refresh_output(self, out_port: int, vc: VcId) -> None:
-        """:meth:`_refresh` from the output side, where credits arrive.
-        Every card holding cells of ``vc`` shares that one balance:
-        normally one card, two while a circuit rerouted upstream comes
-        back in through another port."""
-        for card in self.cards:
-            # Has the card a queue (possibly empty now) for vc here?
-            if vc in card.vc_queues._queues.get(out_port, ()):
-                self._refresh(card, out_port, vc)
 
     # ==================================================================
     # crossbar loop
@@ -627,9 +596,7 @@ class AN2Switch(SwitchNode):
                     upstream = cards[out_port].upstream[vc]
                     upstream.consume()
                     ran_dry = upstream.balance == 0
-                if ran_dry:
-                    self._refresh_output(out_port, vc)
-                elif not card.vc_queues.requests(out_port):
+                if ran_dry or not card.vc_queues.requests(out_port):
                     self._refresh(card, out_port, vc)  # last ready cell
                 if vc in card.downstream:
                     self._send_credit(in_port, vc)
@@ -729,65 +696,53 @@ class AN2Switch(SwitchNode):
     def page_out(self, vc: VcId) -> bool:
         """Release an idle circuit's resources, keeping enough state to
         page it back in; notifies the downstream switch."""
-        in_port = self._vc_in_port.get(vc)
-        if in_port is None:
-            return False
-        card = self.cards[in_port]
-        entry = card.routing_table.lookup(vc)
-        if entry is None:
-            return False
-        out_port = entry.out_port
-        if entry.cells_per_frame or vc in card.vc_queues.queued_vcs(out_port):
-            return False  # cells queued, or frame slots no page-in restores
-        card.routing_table.paged[vc] = entry.request
-        discarded = card.release_vc(vc)
-        self._queued -= discarded
-        self._forget(card, vc)
-        self.cards[out_port].upstream.pop(vc, None)
-        self._refresh_output(out_port, vc)
-        self._vc_in_port.pop(vc, None)
-        if discarded:
-            self._kick()
-        self.send_signaling(out_port, PageOut(vc))
-        self.stats.page_outs += 1
-        return True
+        circuit = self.circuits.get(vc)
+        return circuit is not None and circuit.page_out()
 
     def _handle_page_out(self, in_port: int, message: PageOut) -> None:
         """The upstream switch paged this circuit out; cascade if it is
         idle here too."""
-        card = self.cards[in_port]
-        entry = card.routing_table.lookup(message.vc)
-        if entry is None:
-            return
-        idle_for = self.sim.now - entry.last_activity
-        if idle_for >= self.config.paging_idle_us:
-            self.page_out(message.vc)
+        entry = self.cards[in_port].routing_table.lookup(message.vc)
+        if entry is not None and (
+            self.sim.now - entry.last_activity >= self.config.paging_idle_us
+        ):
+            entry.page_out()
 
-    def _page_in(self, in_port: int, vc: VcId) -> None:
+    def _page_in(self, circuit: HopCircuit) -> None:
         """A cell arrived for a paged-out circuit: regenerate its setup."""
-        card = self.cards[in_port]
-        request = card.routing_table.paged.pop(vc, None)
-        if request is None:
-            return
+        circuit.state = AWAITING
         self.stats.page_ins += 1
         self.sim.schedule(
-            self.config.control_delay_us,
-            self.signaling.handle,
-            in_port,
-            request,
+            self.config.control_delay_us, self.signaling.handle,
+            circuit.in_port, circuit.request,
         )
 
-    def idle_circuits(self, older_than_us: float) -> List[VcId]:
-        """Circuits with no activity for ``older_than_us`` (paging input)."""
-        idle: List[VcId] = []
-        now = self.sim.now
-        for vc, in_port in self._vc_in_port.items():
-            entry = self.cards[in_port].routing_table.lookup(vc)
-            if entry is None:
-                continue
-            if now - entry.last_activity >= older_than_us:
-                idle.append(vc)
-        return idle
+    def holdings(self, vc: VcId) -> set:
+        """Where this switch holds state for ``vc``, walked from the
+        stores, not from its record: ``(what, card)``, or ``(what, card,
+        out)`` for a VC ``queue`` (empty too), a ``ready`` bit and
+        ``guaranteed`` cells.  A paged circuit's request is its record's;
+        frame slots are kept per pair, not per VC."""
+        circuit = self.circuits.get(vc)
+        paged = circuit is not None and circuit.state is PAGED
+        held = {("paged", circuit.in_port)} if paged else set()
+        for card in self.cards:
+            i, table, queues = card.index, card.routing_table, card.vc_queues
+            held.update((what, i) for what, store in (
+                ("entry", table._entries), ("pending", table._pending),
+                ("pool", card.downstream), ("window", card.upstream),
+            ) if vc in store)
+            for out, group in queues._queues.items():
+                if vc in group:
+                    held.add(("queue", i, out))
+                if vc in queues._ready[out]:
+                    held.add(("ready", i, out))
+            held.update(
+                ("guaranteed", i, out)
+                for out, cells in card.guaranteed_queues._queues.items()
+                if any(cell.vc == vc for cell in cells)
+            )
+        return held
 
     # ==================================================================
     # local reroute (section 2): one fate for a circuit on a dead cable
@@ -800,67 +755,57 @@ class AN2Switch(SwitchNode):
         whose path does not cross the failed link are untouched.
         """
         for card in self.cards:
-            for entry in card.routing_table.entries():
-                if entry.out_port == dead_port:
-                    self._move_or_break(card, entry)
+            for circuit in card.routing_table.entries():
+                if circuit.out_port == dead_port:
+                    self._move_or_break(circuit)
 
     def _repair_broken_circuits(self) -> None:
         """Retry local reroute for circuits still routed at dead ports."""
         for card in self.cards:
-            for entry in card.routing_table.entries():
-                monitor = self.monitors.get(entry.out_port)
+            for circuit in card.routing_table.entries():
+                monitor = self.monitors.get(circuit.out_port)
                 if monitor is None or monitor.verdict is LinkVerdict.WORKING:
                     continue
-                self._move_or_break(card, entry)
+                self._move_or_break(circuit)
 
-    def _move_or_break(self, card: LineCard, entry) -> None:
+    def _move_or_break(self, circuit: HopCircuit) -> None:
         """Reroute a circuit off its dead output; one that cannot move
         (guaranteed, or no legal detour) is broken: the cells it holds
         for that output are dropped and counted, and so is every later
         one, until a repair moves it or the cable's WORKING verdict."""
-        if self._reroute_entry(card, entry):
-            entry.broken = False
+        if self._reroute(circuit):
+            circuit.broken = False
             self.stats.reroutes += 1
-            return
-        if entry.broken:
-            return
-        entry.broken = True
-        self.stats.broken_circuits += 1
-        vc = entry.vc
-        stranded = card.guaranteed_queues.drop_vc(
-            entry.out_port, vc
-        ) + card.vc_queues.drain_vc(vc)
-        self._queued -= len(stranded)
-        self._drop_stranded(card, vc, stranded)
-        self._forget(card, vc)
-        self._kick()  # the cells that kept this switch armed may be gone
+        elif not circuit.broken:
+            circuit.strand()
 
     def _drop_stranded(
-        self, card: LineCard, vc: VcId, cells: List[Cell]
+        self, card: LineCard, vc: VcId, cells: List[Cell], reason="broken"
     ) -> None:
-        """Drop and count best-effort or guaranteed ``cells`` of a broken
-        circuit, freeing their buffers as a forwarded cell's (a credit
-        each goes back upstream)."""
+        """Drop and count ``cells`` of a broken or released circuit, or
+        of the path it moved off, freeing their buffers as a forwarded
+        cell's (a credit each goes upstream while ``card`` keeps a pool
+        for it)."""
         self.stats.cells_dropped += len(cells)
         credited = vc in card.downstream
         for cell in cells:
             if cell.trace_ctx is not None:
                 cell.trace_ctx.record(
                     self.sim.now, self.node_id.label, "drop",
-                    in_port=card.index, reason="broken",
+                    in_port=card.index, reason=reason,
                 )
             if credited:
                 self._send_credit(card.index, vc)
 
-    def _reroute_entry(self, card: LineCard, entry) -> bool:
-        """Point ``entry`` at a new output avoiding the cable it leaves
+    def _reroute(self, circuit: HopCircuit) -> bool:
+        """Move ``circuit`` to a new output avoiding the cable it leaves
         on now and send the setup on from there.  Guaranteed circuits are
         refused: the new path has no frame reservation, so their
         re-admission is left to the application."""
-        request = entry.request
+        request = circuit.request
         if request.traffic_class is TrafficClass.GUARANTEED:
             return False
-        edge = self.edge_on_port(entry.out_port)
+        edge = self.edge_on_port(circuit.out_port)
         decision = choose_output(
             self, self.node_id, request.destination, request.gone_down,
             frozenset() if edge is None else frozenset({edge}),
@@ -868,18 +813,7 @@ class AN2Switch(SwitchNode):
         if decision is None:
             return False
         new_port, gone_down = decision
-        vc = entry.vc
-        # Move queued cells to the new output group.
-        cells = card.vc_queues.drain_vc(vc)
-        self._forget(card, vc)
-        old_out = entry.out_port
-        entry.out_port = new_port
-        self.cards[old_out].upstream.pop(vc, None)
-        self._refresh_output(old_out, vc)
-        self.cards[new_port].credits.open_window(vc)
-        for cell in cells:
-            card.vc_queues.push(new_port, vc, cell)
-        self._refresh_output(new_port, vc)
+        circuit.move(new_port)
         forwarded = dataclasses.replace(
             request, gone_down=gone_down, hop_count=request.hop_count + 1
         )

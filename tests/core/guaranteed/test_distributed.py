@@ -23,7 +23,7 @@ class TestGrantPath:
         for sid in ("s0", "s1", "s2"):
             switch = net.switch(sid)
             assert switch.frame_schedule.total_reserved() == 8
-            assert circuit.vc in switch._vc_in_port
+            assert circuit.vc in switch.circuits
         assert circuit.vc in net.host("h1").incoming_circuits
 
     def test_granted_circuit_carries_cbr_traffic(self, net):
@@ -37,7 +37,7 @@ class TestGrantPath:
         s1 = net.switch("s1")
         before = {p: s1.admission.residual(p) for p in range(s1.n_ports)}
         circuit, _ = net.reserve_bandwidth_distributed("h0", "h1", 8)
-        in_port = s1._vc_in_port[circuit.vc]
+        in_port = s1.circuits[circuit.vc].in_port
         out_port = s1.cards[in_port].routing_table.lookup(circuit.vc).out_port
         assert s1.admission.residual(out_port) == before[out_port] - 8
 
@@ -53,7 +53,7 @@ class TestRejection:
         for sid in ("s0", "s1", "s2"):
             switch = net.switch(sid)
             assert switch.frame_schedule.total_reserved() == 20
-            assert b.vc not in switch._vc_in_port
+            assert b.vc not in switch.circuits
             holds = switch.admission._holds.values()
             assert sum(hold.cells for hold in holds) == 20
 

@@ -38,7 +38,7 @@ class TestPaging:
         s0 = net.switch("s0")
         net.run(20_000)
         assert s0.page_out(circuit.vc)
-        assert circuit.vc not in s0._vc_in_port
+        assert s0.circuits[circuit.vc].state == "paged"
         assert s0.stats.page_outs == 1
         # Downstream cascade (s1, s2 idle too).
         net.run(5_000)
@@ -66,7 +66,7 @@ class TestPaging:
         daemon.start()
         net.run(20_000)
         assert daemon.pages_initiated >= 1
-        assert circuit.vc not in net.switch("s0")._vc_in_port
+        assert net.switch("s0").circuits[circuit.vc].state == "paged"
 
     def test_active_circuit_not_paged(self):
         net = paging_net()
@@ -231,7 +231,7 @@ class TestLocalReroute:
         )
         net.run(20_000)
         assert s0.stats.reroutes == 0
-        assert circuit.vc not in other._vc_in_port
+        assert circuit.vc not in other.circuits
 
     def test_gone_down_circuit_takes_a_down_only_detour(self):
         """The circuit has already gone down where the cable breaks: the
@@ -255,7 +255,7 @@ class TestLocalReroute:
             switch_id(1), switch_id(2)
         ]
         s1 = net.switch("s1")
-        entry = s1.cards[s1._vc_in_port[circuit.vc]].routing_table.lookup(
+        entry = s1.cards[s1.circuits[circuit.vc].in_port].routing_table.lookup(
             circuit.vc
         )
         assert entry.request.gone_down

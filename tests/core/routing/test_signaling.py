@@ -7,6 +7,8 @@ from repro.core.routing.paths import RouteComputer
 from repro.core.routing.signaling import SetupRequest, TeardownRequest
 from repro.net.cell import Cell, CellKind
 from repro.net.packet import Packet
+from repro.obs.journey import JourneyContext
+from repro.obs.trace import Tracer
 from tests.conftest import converged_line, fast_host_config, fast_switch_config
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -16,8 +18,8 @@ def test_setup_installs_entries_hop_by_hop(small_net):
     circuit = small_net.setup_circuit("h0", "h1")
     for sid in ("s0", "s1", "s2"):
         switch = small_net.switch(sid)
-        in_port = switch._vc_in_port.get(circuit.vc)
-        assert in_port is not None
+        assert circuit.vc in switch.circuits
+        in_port = switch.circuits[circuit.vc].in_port
         entry = switch.cards[in_port].routing_table.lookup(circuit.vc)
         assert entry is not None
         assert entry.request.destination == host_id(1)
@@ -51,7 +53,7 @@ def test_teardown_removes_state(small_net):
     net.run(50_000)
     for sid in ("s0", "s1", "s2"):
         switch = net.switch(sid)
-        assert circuit.vc not in switch._vc_in_port
+        assert circuit.vc not in switch.circuits
     assert circuit.vc not in net.host("h1").incoming_circuits
 
 
@@ -63,7 +65,7 @@ def test_setup_toward_unknown_host_fails_cleanly(small_net):
     )
     net.run(20_000)
     assert net.switch("s0").signaling.setups_failed >= 1
-    assert 999 not in net.switch("s0")._vc_in_port
+    assert 999 not in net.switch("s0").circuits
 
 
 def test_multiple_circuits_share_links_independently(small_net):
@@ -168,8 +170,8 @@ def _vc_state(net, vc):
     """Every (switch, what) that still holds state for ``vc``."""
     held = []
     for name, switch in net.switches.items():
-        if vc in switch._vc_in_port:
-            held.append((str(name), "in_port"))
+        if vc in switch.circuits:
+            held.append((str(name), "record"))
         for card in switch.cards:
             if card.routing_table.lookup(vc) is not None:
                 held.append((str(name), f"route@{card.index}"))
@@ -197,7 +199,7 @@ def test_unicast_teardown_sends_one_request_per_hop():
     circuit = net.setup_circuit("h0", "h3")
     vc = circuit.vc
     on_path = sorted(
-        str(name) for name, s in net.switches.items() if vc in s._vc_in_port
+        str(name) for name, s in net.switches.items() if vc in s.circuits
     )
     assert len(on_path) == 3  # s0, one of s1/s2, s3
     sent = _record_teardowns(net)
@@ -214,7 +216,20 @@ def test_remove_circuit_without_entry_names_no_port():
     net = corner_hosts_net()
     s0 = net.switch("s0")
     assert s0.remove_circuit(999) is None
-    # In-port known but routing entry already gone: the agent forwards
-    # on the returned port, so a placeholder like -1 would be sent on.
-    s0._vc_in_port[998] = 0
+    # A cell that beat its setup is held by a record with no out port
+    # yet: the agent forwards a teardown on the returned port, so none
+    # is named, and the cell and its buffer go with the record: the
+    # cell is counted as dropped, with a journey record saying why.
+    port = s0.port_facing(host_id(0))
+    tracer = Tracer()
+    cell = Cell(vc=998)
+    cell.trace_ctx = JourneyContext(tracer, cell.uid, 1, 998)
+    s0.on_cell(s0.ports[port], cell)
+    assert s0.holdings(998) == {("pending", port), ("pool", port)}
+    dropped = s0.stats.cells_dropped
     assert s0.remove_circuit(998) is None
+    assert s0.holdings(998) == set() and 998 not in s0.circuits
+    assert s0.stats.cells_dropped == dropped + 1
+    assert [(r.name, r.payload["reason"]) for r in tracer.records] == [
+        ("drop", "closed")
+    ]

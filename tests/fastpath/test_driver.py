@@ -609,7 +609,7 @@ def parked_on_a_busy_wire():
     stream, _ = net.reserve_bandwidth("h0", "h1", 2)
     net.run(500)
     s1, driver = net.switch("s1"), net.slot_driver
-    in_port = s1._vc_in_port[east.vc]
+    in_port = s1.circuits[east.vc].in_port
     out_port = s1.cards[in_port].routing_table.lookup(east.vc).out_port
     s1.ports[out_port].send(
         Cell(vc=999, kind=CellKind.CREDIT, payload=1), bits=40 * CELL_BITS
@@ -673,7 +673,7 @@ class TestWhatUnparks:
         circuit = net.setup_circuit("h0", "h1")
         net.run(500)
         s1, driver = net.switch("s1"), net.slot_driver
-        out_port = s1.cards[s1._vc_in_port[circuit.vc]].routing_table.lookup(
+        out_port = s1.cards[s1.circuits[circuit.vc].in_port].routing_table.lookup(
             circuit.vc
         ).out_port
         assert not s1._tick_scheduled and not driver.is_parked(s1)

@@ -30,7 +30,7 @@ from repro.conform.oracle import (
     reserved_case,
     send_cells,
 )
-from repro.net.cell import CellKind
+from repro.net.cell import Cell, CellKind
 from repro.net.network import Network
 from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
@@ -156,21 +156,35 @@ def teardown_and_page_out_with_cells_queued(seed, prepare):
 
 def release_empties_a_credit_blocked_switch(seed, prepare, release):
     """s0 is parked on cells that wait for credits a filter eats.  A
-    repeated setup points the circuit at another output, so the release
-    (teardown or page-out) finds -- and discards -- cells under the old
-    one: the queue that kept s0 armed is gone, and only the release's
-    kick lets s0 notice."""
+    repeated setup points the circuit at another output and the cells go
+    along; the teardown then discards them -- the queue that kept s0
+    armed is gone, and only the release's kick lets s0 notice.  A
+    page-out is refused while they wait; once the filter is lifted and
+    they drained, s0 pages the circuit out and its teardown goes on
+    through the paged hop."""
     net = grid(seed, prepare, credit_allocation=2)
     circuit = net.setup_circuit("h0", "h1")
     s0 = net.switch("s0")
-    card = s0.cards[s0._vc_in_port[circuit.vc]]
+    card = s0.cards[s0.circuits[circuit.vc].in_port]
     entry = card.routing_table.lookup(circuit.vc)
-    net.link_between("s0", "s1").drop_filter = (
-        lambda cell: cell.kind is CellKind.CREDIT
-    )
+    trunk = net.link_between("s0", "s1")
+    trunk.drop_filter = lambda cell: cell.kind is CellKind.CREDIT
     send_cells(net, circuit, cells=8)
     net.run(500)
     assert s0._queued and not s0.crossbar.want  # rule (iii): parks
+    if release == "page_out":
+        assert not s0.page_out(circuit.vc)
+        trunk.drop_filter = None
+        # The two credits the filter ate, back.
+        s0.on_cell(s0.ports[entry.out_port], Cell(
+            vc=circuit.vc, kind=CellKind.CREDIT, payload=2,
+        ))
+        net.run(2_000)
+        assert s0.page_out(circuit.vc)
+        net.host("h0").close_circuit(circuit.vc)
+        net.run(5_000)
+        assert circuit.vc not in s0.circuits
+        return net
     other = next(
         c.index for c in s0.cards
         if c.index not in (card.index, entry.out_port) and c.port.connected
@@ -178,7 +192,7 @@ def release_empties_a_credit_blocked_switch(seed, prepare, release):
     s0.install_circuit(circuit.vc, card.index, other, entry.request)
     net.run(50)
     assert s0._queued and not s0.crossbar.want
-    getattr(s0, release)(circuit.vc)
+    s0.remove_circuit(circuit.vc)
     assert not s0._queued
     net.run(5_000)
     return net

@@ -72,6 +72,7 @@ def probe(guaranteed: bool, tracer: Tracer = None) -> dict:
     return {
         "net": net,
         "s0": s0,
+        "vc": circuit.vc,
         "wait": wait,
         "delivered_after": len(h1.delivered) - delivered,
         "dropped_after": s0.stats.cells_dropped - dropped,
@@ -102,6 +103,19 @@ def test_guaranteed_circuit_is_broken_and_counted():
     assert run["dropped_after"] == 50  # every cell sent after the verdict
     assert s0.buffered_cells() == 0
     assert run["wait"].passed, run["wait"].detail
+
+
+def test_closing_the_broken_circuit_frees_everything_s0_held():
+    """The break keeps the circuit's record, its 2 frame slots
+    included; its host's teardown then frees all of it at s0."""
+    run = probe(guaranteed=True)
+    net, s0, vc = run["net"], run["s0"], run["vc"]
+    assert s0.circuits[vc].broken
+    assert s0.frame_schedule.total_reserved() == 2
+    net.host("h0").close_circuit(vc)
+    net.run(5_000)
+    assert vc not in s0.circuits and s0.holdings(vc) == set()
+    assert s0.frame_schedule.total_reserved() == 0
 
 
 def test_a_broken_circuits_cells_each_end_in_a_drop_record():
@@ -163,7 +177,7 @@ def test_cells_kept_for_a_dead_wire_are_caught(monkeypatch):
     predicate names the switch that keeps cells for the dead output."""
     monkeypatch.setattr(
         AN2Switch, "_move_or_break",
-        lambda switch, card, entry: switch._reroute_entry(card, entry),
+        lambda switch, circuit: switch._reroute(circuit),
     )
     run = probe(guaranteed=True)
     assert not run["wait"].passed

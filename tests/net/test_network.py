@@ -1,5 +1,6 @@
 """Tests for network assembly and operations."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from repro.net.packet import Packet
 from repro.net.topogen import fat_tree
 from repro.net.topology import Topology
 from repro.switch.an1 import An1Config
+from benchmarks.bench_e4_reconfiguration import bench_config as e4_config
 from repro.switch.switch import SwitchConfig
 from tests.conftest import converged_line, fast_switch_config, line_with_hosts
 
@@ -101,6 +103,27 @@ class TestConvergencePredicates:
         root = net.reconfig_root()
         tag = net.switch("s0").reconfig.view_tag
         assert root == tag.initiator
+
+    @pytest.mark.parametrize("n_switches", [8, 24])
+    def test_view_and_root_come_from_the_survivors_when_s0_crashes(
+        self, n_switches
+    ):
+        """E4's setup with ``s0``, the first switch, as the crash victim:
+        the agreed view and the root are the largest working partition's,
+        not the crashed switch's one-switch view."""
+        topo = Topology.random_connected(
+            n_switches, extra_edges=n_switches,
+            rng=random.Random(n_switches),
+        )
+        net = Network(topo, seed=n_switches, switch_config=e4_config())
+        net.start()
+        net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+        net.crash_switch("s0")
+        net.run_until(net.fully_reconfigured, timeout_us=1_000_000)
+        survivors = net.main_component_switches()
+        assert switch_id(0) not in survivors
+        assert net.converged_view() == net.expected_view_for(survivors)
+        assert net.reconfig_root() in survivors
 
     def test_main_component_after_crash(self):
         net = line_with_hosts(4)

@@ -43,7 +43,7 @@ def test_reservation_spreads_across_subframes():
     schedule = net.switch("s0").frame_schedule
     assert schedule.total_reserved() == 8
     # One cell in every 8-slot subframe.
-    in_port = net.switch("s0")._vc_in_port[circuit.vc]
+    in_port = net.switch("s0").circuits[circuit.vc].in_port
     entry = net.switch("s0").cards[in_port].routing_table.lookup(circuit.vc)
     gap = schedule.max_gap_slots(in_port, entry.out_port)
     assert gap <= 2 * 8

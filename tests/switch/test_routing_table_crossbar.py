@@ -4,30 +4,31 @@ import random
 
 import pytest
 
-from repro._types import host_id
 from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
-from repro.core.routing.signaling import SetupRequest
 from repro.net.cell import Cell
 from repro.switch.crossbar import Crossbar
-from repro.switch.routing_table import RoutingTable
+from repro.switch.routing_table import HopCircuit, RoutingTable
 
 
-def request(vc=20):
-    return SetupRequest(vc=vc, source=host_id(0), destination=host_id(1))
+def entry(vc=20, out_port=3):
+    """A record as the switch installs it, without the switch."""
+    circuit = HopCircuit(None, vc, None)
+    circuit.out_port = out_port
+    return circuit
 
 
 class TestRoutingTable:
     def test_install_and_lookup(self):
         table = RoutingTable()
-        entry = table.install(20, 3, request(), now=5.0)
-        assert table.lookup(20) is entry
-        assert entry.out_port == 3
-        assert entry.installed_at == 5.0
+        installed = entry(20, 3)
+        table.install(installed)
+        assert table.lookup(20) is installed
+        assert installed.out_port == 3
         assert table.lookup(21) is None
 
     def test_remove(self):
         table = RoutingTable()
-        table.install(20, 3, request(), now=0.0)
+        table.install(entry(20, 3))
         removed = table.remove(20)
         assert removed is not None
         assert table.lookup(20) is None
@@ -51,15 +52,15 @@ class TestRoutingTable:
 
     def test_remove_clears_pending(self):
         table = RoutingTable()
-        table.install(20, 1, request(), now=0.0)
+        table.install(entry(20, 1))
         table.buffer_pending(20, Cell(vc=20))
         table.remove(20)
         assert table.take_pending(20) == []
 
     def test_entries_listing(self):
         table = RoutingTable()
-        table.install(20, 1, request(20), now=0.0)
-        table.install(21, 2, request(21), now=0.0)
+        table.install(entry(20, 1))
+        table.install(entry(21, 2))
         assert {e.vc for e in table.entries()} == {20, 21}
 
 

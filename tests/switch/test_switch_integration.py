@@ -205,7 +205,7 @@ class TestOverflowHandling:
         net = small_net
         circuit = net.setup_circuit("h0", "h1")
         s1 = net.switch("s1")
-        in_port = s1._vc_in_port[circuit.vc]
+        in_port = s1.circuits[circuit.vc].in_port
         allocation = s1.cards[in_port].downstream[circuit.vc].allocation
         dropped = s1.stats.cells_dropped
         for _ in range(allocation + 2):  # a byzantine upstream
@@ -219,7 +219,7 @@ class TestOverflowHandling:
         net = small_net
         circuit = net.setup_circuit("h0", "h1")
         s1 = net.switch("s1")
-        in_port = s1._vc_in_port[circuit.vc]
+        in_port = s1.circuits[circuit.vc].in_port
 
         def broken():
             raise RuntimeError("bookkeeping bug")
@@ -250,7 +250,7 @@ class TestLocalRerouteState:
         net.run_until_converged(timeout_us=500_000)
         circuit = net.setup_circuit("h0", "h1")
         s0 = net.switch("s0")
-        in_port = s0._vc_in_port[circuit.vc]
+        in_port = s0.circuits[circuit.vc].in_port
         old_out = s0.cards[in_port].routing_table.lookup(circuit.vc).out_port
         assert circuit.vc in s0.cards[old_out].upstream
         neighbor = s0.neighbor(old_out)[0]
