@@ -22,9 +22,9 @@ failure must say exactly where the implementations disagreed):
   constructed orientations (no hash-order sensitivity).
 - **Whole-Network twins** -- :func:`compare` runs a row of the case
   table :data:`TWINS` on its reference side and on the fast path and
-  reports the first of its sections that does not hold: the sparse
-  walk of every slot wave against the dense one (``parking``), the
-  closed-form link monitors against
+  reports the first of its sections that differs: the slot calendar
+  against walking every switch with a cell queued every slot
+  (``parking``), the closed-form link monitors against
   :class:`~repro.conform.reference.EagerPortMonitor` (``monitor``).
 
 The sweeps run these over seeded grids and also return plain-data
@@ -35,7 +35,6 @@ every path) suitable for committing as a regression corpus.
 from __future__ import annotations
 
 import hashlib
-import operator
 import random
 from dataclasses import dataclass
 from typing import (
@@ -43,7 +42,6 @@ from typing import (
 )
 
 from repro.conform.digest import (
-    RunDigest,
     canonical_bytes,
     fingerprint_network,
     replay_network,
@@ -403,21 +401,15 @@ def routing_sweep(
 # A *case* is ``case(seed, prepare) -> Network``: build the network, call
 # ``prepare(net)`` before anything runs, drive it, return it.  A *twin*
 # is a row of :data:`TWINS`.  Each reference trick is written once, here.
-def walk_densely(driver) -> None:
-    """Every armed switch due at every wave: ``park`` overridden on the
-    driver instance (what the wave did before switches could park), and
-    on every wave it spawned for a drifting switch or spawns later."""
-    driver.park = lambda switch, waves: driver.request_tick(switch)
-    for wave in driver.own_waves:
-        walk_densely(wave)
-    spawn = driver.spawn
+def walk_densely(net) -> None:
+    """The reference slot schedule: every switch with a cell queued is
+    walked every slot -- each tick that leaves a cell queued books the
+    next slot, on whichever clock the switch rides."""
+    for switch in net.switches.values():
+        def rearm(slot, slack, reserved, switch=switch) -> None:
+            switch._slot_driver.book(switch, slot + 1)
 
-    def spawn_dense(switch, slot_time_us):
-        wave = spawn(switch, slot_time_us)
-        walk_densely(wave)
-        return wave
-
-    driver.spawn = spawn_dense
+        switch._rearm = rearm
 
 
 def eager_monitors(net) -> None:
@@ -443,10 +435,9 @@ class Twin(NamedTuple):
     #: reference side on if ``reference``; what it returns is handed to
     #: ``observe`` with the finished network.
     prepare: Callable[[Any, bool], Any]
-    #: ``(net, prepared) -> {section: value}`` of a finished run, in order.
+    #: ``(net, prepared) -> {section: value}`` of a finished run, in
+    #: order; each section must equal the reference's.
     observe: Callable[[Any, Any], Dict[str, Any]]
-    #: ``holds(reference, candidate)`` for sections not held to equality.
-    holds: Dict[str, Callable[[Any, Any], bool]] = {}
 
 
 def run_twin(row: Twin, case, seed: int, reference: bool):
@@ -460,9 +451,10 @@ def compare(
     row: Twin, label: str, case, seed: int = 0
 ) -> Tuple[Optional[Divergence], Dict[str, Any]]:
     """Run ``case`` (called ``label``) on the reference side and on the
-    fast path: the first section that does not hold as a
-    :class:`Divergence` (``None`` if all do), and the record of both
-    sides' sections."""
+    fast path: the first section that differs as a :class:`Divergence`
+    (``None`` if none does), and the record of both sides' sections.
+    A list section's divergence is its first entry that differs, at
+    ``round`` (a side that ran out reads ``[]``)."""
     _, reference = run_twin(row, case, seed, reference=True)
     net, candidate = run_twin(row, case, seed, reference=False)
     record = {
@@ -470,12 +462,21 @@ def compare(
         "reference": reference, "candidate": candidate, "agreed": True,
     }
     for name, expected in reference.items():
-        if not row.holds.get(name, operator.eq)(expected, candidate[name]):
+        got = candidate[name]
+        if expected != got:
             record["agreed"] = False
+            at = -1
+            if isinstance(expected, list) and isinstance(got, list):
+                at = next(
+                    (i for i, pair in enumerate(zip(expected, got))
+                     if pair[0] != pair[1]),
+                    min(len(expected), len(got)),
+                )
+                expected, got = expected[at:at + 1], got[at:at + 1]
             return Divergence(
                 kind="fastpath", pair=row.name, seed=seed,
-                size=len(net.switches), case=f"{label}:{name}", round=-1,
-                port=-1, reference=expected, candidate=candidate[name],
+                size=len(net.switches), case=f"{label}:{name}", round=at,
+                port=-1, reference=expected, candidate=got,
             ), record
     return None, record
 
@@ -651,7 +652,9 @@ def replay_case(seed: int, prepare, duration_us: float = 40_000.0):
 def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
     """The replay installation carrying a paced reserved stream one way
     and best-effort bursts the other, the reservation released half way:
-    reserved-idle, slot-waiting and credit-blocked switches all park."""
+    slot-waiting, wire-busy and credit-blocked switches book ahead, and
+    reserved-idle ones book nothing.  Every reserved cell is delivered
+    before the release."""
     net = replay_network(seed)
     prepare(net)
     net.start()
@@ -661,6 +664,7 @@ def reserved_case(seed: int, prepare, duration_us: float = 30_000.0):
     net.host("h0").send_raw_cells(stream.vc, 300)
     send_cells(net, bursts, 20, copies=12)
     net.run(duration_us / 2)
+    assert net.host("h1").cells_received == 300, "reserved cells lost"
     release(net, stream, reservation)
     net.run(duration_us / 2)
     return net
@@ -679,32 +683,39 @@ def _sha(fingerprint: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(fingerprint)).hexdigest()
 
 
-def _prepare_parking(net, reference) -> RunDigest:
+def _prepare_parking(net, reference) -> List[Any]:
+    """The dense walk if ``reference``, and a log of every cell a switch
+    sends: when, which switch, in which slot of its clock, on which out
+    port, and its VC."""
     if reference:
-        walk_densely(net.slot_driver)
-    net.sim.digest = RunDigest()
-    return net.sim.digest
+        walk_densely(net)
+    sent: List[Any] = []
+    for node_id, switch in net.switches.items():
+        def transmit(
+            out_port, cell, guaranteed, node=str(node_id), switch=switch,
+            transmit=switch._transmit,
+        ) -> None:
+            sent.append([
+                net.now, node, switch.slot_index, out_port, int(cell.vc),
+            ])
+            transmit(out_port, cell, guaranteed)
+
+        switch._transmit = transmit
+    return sent
 
 
-def _kernel_events(net, digest) -> Dict[str, Any]:
-    """The kernel run digest, the un-scrubbed fingerprint, and the
-    ``(waves, ticks, parked)`` of every wave: the waves must match, and
-    the walks the sparse run skipped be the ones it counts as parked."""
-    return {
-        "run-digest": digest.hexdigest(),
-        "state": _sha(fingerprint_network(net)),
-        "walks": net.slot_driver.counts(),
-    }
+def _cells_and_state(net, sent) -> Dict[str, Any]:
+    """Every cell sent, and the end-state fingerprint without the count
+    of kernel events (the dense walk fires more)."""
+    state = fingerprint_network(net)
+    del state["events_executed"]
+    return {"cells": sent, "state": _sha(state)}
 
 
 PARKING = Twin(
     "parking",
     {"replay": replay_case, "reserved": reserved_case, "chaos": chaos_case},
-    _prepare_parking, _kernel_events,
-    holds={"walks": lambda reference, candidate: (
-        reference[0] == candidate[0]
-        and sum(reference[1:]) == sum(candidate[1:])
-    )},
+    _prepare_parking, _cells_and_state,
 )
 
 

@@ -130,9 +130,12 @@ class BandwidthCentral:
     # admission
     # ------------------------------------------------------------------
     def request(
-        self, source: NodeId, destination: NodeId, cells_per_frame: int
+        self, source: NodeId, destination: NodeId, cells_per_frame: int,
+        first_edge: Optional[Edge] = None,
     ) -> Reservation:
-        """Grant a reservation or raise :class:`ReservationDenied`."""
+        """Grant a reservation or raise :class:`ReservationDenied`.
+        ``first_edge`` is the cable the source sends on, where the path
+        must start (a dual-homed host sends on one of its two)."""
         if cells_per_frame <= 0:
             raise ValueError(
                 f"cells_per_frame must be positive, got {cells_per_frame}"
@@ -149,7 +152,9 @@ class BandwidthCentral:
             if node not in self._adjacency:
                 raise ReservationDenied(f"{node} is not attached to the network")
 
-        path = self._find_route(source, destination, cells_per_frame)
+        path = self._find_route(
+            source, destination, cells_per_frame, first_edge
+        )
         if path is None:
             self.requests_denied += 1
             raise ReservationDenied(
@@ -208,14 +213,22 @@ class BandwidthCentral:
     # routing
     # ------------------------------------------------------------------
     def _find_route(
-        self, source: NodeId, destination: NodeId, cells: int
+        self, source: NodeId, destination: NodeId, cells: int,
+        first_edge: Optional[Edge] = None,
     ) -> Optional[Tuple[List[NodeId], List[Edge]]]:
         """Shortest feasible path, tie-broken widest-first.
 
         Feasible means every directed link on the path has at least
-        ``cells`` unreserved.  BFS over the feasibility-filtered multigraph
-        finds distances; the tie-break walks best predecessors.
+        ``cells`` unreserved, and the first is ``first_edge`` if given.
+        BFS over the feasibility-filtered multigraph finds distances;
+        the tie-break walks best predecessors.
         """
+
+        def usable(node: NodeId, edge: Edge) -> bool:
+            return self.residual(edge, node) >= cells and (
+                node != source or first_edge in (None, edge)
+            )
+
         # BFS distances over feasible links.
         distance: Dict[NodeId, int] = {source: 0}
         queue = deque([source])
@@ -227,7 +240,7 @@ class BandwidthCentral:
             if node.is_host and node != source:
                 continue
             for neighbor, edge in self._adjacency.get(node, []):
-                if self.residual(edge, node) < cells:
+                if not usable(node, edge):
                     continue
                 if neighbor not in distance:
                     distance[neighbor] = distance[node] + 1
@@ -243,7 +256,7 @@ class BandwidthCentral:
                     continue
                 if neighbor.is_host and neighbor != source:
                     continue
-                if self.residual(edge, neighbor) < cells:
+                if not usable(neighbor, edge):
                     continue
                 candidates.append((neighbor, edge))
             if not candidates:

@@ -22,7 +22,7 @@ network *provably* recovered.  Five checks, each mapped to a claim:
   accounted for by observed loss.
 - **no wait on a dead wire** -- "drop cells only when the path of their
   virtual circuit goes through a failed link" (section 2): after
-  reconvergence no switch holds or wants a cell for a down output.
+  reconvergence no switch holds a cell for a down output.
 
 Each check returns an :class:`InvariantResult`; the runner aggregates
 them into the scenario verdict.
@@ -324,10 +324,10 @@ def check_no_misassembly(
 # ======================================================================
 def check_no_wait_on_dead_wire(net: Network) -> InvariantResult:
     """After reconvergence no switch holds a cell queued for an output
-    whose cable is down, and none is parked wanting one: each switch's
-    DEAD verdict moved or dropped (and counted) every such cell, so no
-    armed switch waits on a dead wire.  A per-node check: each switch is
-    judged on its own queues and ports."""
+    whose cable is down: each switch's DEAD verdict moved or dropped
+    (and counted) every such cell, so no switch waits on a dead wire.
+    A per-node check: each switch is judged on its own queues and
+    ports."""
     offenders: List[str] = []
     for node_id, switch in sorted(net.switches.items()):
         dead = [p.index for p in switch.ports if p.connected and not p.up]
@@ -339,15 +339,11 @@ def check_no_wait_on_dead_wire(net: Network) -> InvariantResult:
                     offenders.append(
                         f"{node_id}.p{card.index} holds cells for p{port}"
                     )
-        if switch._slot_driver.is_parked(switch):
-            for port in dead:
-                if switch.crossbar.want >> port & 1:
-                    offenders.append(f"{node_id} is parked wanting p{port}")
     name = "no wait on a dead wire"
     if offenders:
         return InvariantResult(name, False, "; ".join(offenders[:5]))
     return InvariantResult(
-        name, True, "no switch holds or wants a cell for a down output"
+        name, True, "no switch holds a cell for a down output"
     )
 
 

@@ -77,7 +77,8 @@ class Installation:
     def _watch_link(self, link: Link) -> None:
         """On every state change of ``link``: note it and drop the
         ground truth worked out before it; on its restore, tell both
-        ends (a switch parked on the dead wire has no other wake)."""
+        ends (a switch with cells for the dead wire booked no slot for
+        it and has no other wake)."""
 
         def observer(_link: Link, state) -> None:
             self._ground_truth = None

@@ -75,7 +75,7 @@ class Network(Installation):
         # snapshot-time reads of the drivers' plain ints.
         driver_probes = self.registry.node("fabric.slot_driver")
         driver_probes.gauge("adopted", lambda: driver.adopted)
-        for at, name in enumerate(("waves", "ticks", "parked")):
+        for at, name in enumerate(("waves", "ticks")):
             driver_probes.gauge(name, lambda at=at: driver.counts()[at])
         for node in topology.switches():
             config = base_config
@@ -164,7 +164,11 @@ class Network(Installation):
         src, dst = parse_node_id(source), parse_node_id(destination)
         if central is None:
             central = self._epoch_central()
-        reservation = central.request(src, dst, cells_per_frame)
+        host = self.host(src)
+        reservation = central.request(
+            src, dst, cells_per_frame,
+            first_edge=host.edge_on_port(host.active_port_index),
+        )
         vc = self.vc_allocator.allocate()
         circuit = VirtualCircuit(
             vc=vc,

@@ -163,7 +163,6 @@ class HopCircuit:
         self.broken = True
         switch.stats.broken_circuits += 1
         switch._drop_stranded(card, self.vc, self._take_cells())
-        switch._kick()  # the cells that kept it armed may be gone
 
     def page_out(self) -> bool:
         """Active -> paged, for a best-effort circuit with no cell queued
@@ -178,11 +177,17 @@ class HopCircuit:
         self.switch.stats.page_outs += 1
         return True
 
-    def release_slots(self) -> None:
-        """Free the frame slots it was installed with, once."""
+    def release_slots(self, reason: str = "released") -> None:
+        """Free the frame slots it was installed with, once; its
+        guaranteed cells that waited for them are dropped and counted,
+        each with a journey ``drop`` record."""
         cells, self.cells_per_frame = self.cells_per_frame, 0
         if cells:
-            self.switch.remove_reservation(self.in_port, self.out_port, cells)
+            switch, card, vc = self.switch, self.card, self.vc
+            switch.remove_reservation(self.in_port, self.out_port, cells)
+            waiting = card.guaranteed_queues.drop_vc(self.out_port, vc)
+            switch._queued -= len(waiting)
+            switch._drop_stranded(card, vc, waiting, reason)
 
     def release(self, reason: str = "closed") -> None:
         """Free what the hop holds for the circuit: every exit ends here.
@@ -197,14 +202,11 @@ class HopCircuit:
         table = card.routing_table
         cells = table.take_pending(vc)
         table.remove(vc)
-        self.release_slots()
+        self.release_slots(reason)
         if reason != "reinstalled":
             card.downstream.pop(vc, None)
         if self.out_port is not None:
-            queued = self._take_cells()
-            if queued:
-                cells += queued
-                switch._kick()  # the queue that kept it armed may be gone
+            cells += self._take_cells()
             if reason != "reinstalled":
                 switch.cards[self.out_port].upstream.pop(vc, None)
         switch._drop_stranded(card, vc, cells, reason)

@@ -233,14 +233,13 @@ class AN2Switch(SwitchNode):
         #: the link model still enforces the true line rate.
         self._slack = 0.5 * FAST_CELL_TIME_US
         self._credit_mode = self.config.flow_control == "credits"
-        #: ticks made plus, on the wave, slots sat out parked: the frame
-        #: position.  Short of :attr:`slot_index` while parked.
-        self._slot_index = 0
-        #: a tick is coming at the next slot boundary (not set while
-        #: parked on the wave, so a kick then goes through).
-        self._tick_scheduled = False
-        #: while parked on the wave: ``crossbar.want`` as it parked
-        #: (:meth:`_nudge`); ``None`` otherwise.
+        #: the slot of its clock this switch is booked to be walked in
+        #: (``None``: none; kept by the driver).
+        self._booked: Optional[int] = None
+        #: the outputs a best-effort cell or a credit need not kick for
+        #: (:meth:`_nudge`): ``crossbar.want`` as the last tick booked
+        #: its next one, every output once a kick booked the next slot,
+        #: ``None`` (none) after a tick that left nothing queued.
         self._parked_want: Optional[int] = None
         #: cells in all VC and guaranteed queues of all cards.
         self._queued = 0
@@ -312,9 +311,10 @@ class AN2Switch(SwitchNode):
         # A detour that was illegal under the old up*/down* tree may be
         # legal under the new one: retry circuits still pointed at dead
         # ports.
-        self.sim.schedule(
-            self.config.control_delay_us, self._repair_broken_circuits
-        )
+        if self._on_dead_ports():
+            self.sim.schedule(
+                self.config.control_delay_us, self._repair_broken_circuits
+            )
 
     # ==================================================================
     # the signaling agent's transport
@@ -358,16 +358,13 @@ class AN2Switch(SwitchNode):
         """Revise the frame schedule for a new reservation; returns the
         total Slepian-Duguid displacements performed."""
         moves = self.frame_schedule.reserve(in_port, out_port, cells_per_frame)
-        self._kick()
+        self._kick()  # a waiting guaranteed cell may have a slot now
         return moves
 
     def remove_reservation(
         self, in_port: int, out_port: int, cells_per_frame: int
     ) -> None:
         self.frame_schedule.release(in_port, out_port, cells_per_frame)
-        # A reservation keeps its switch armed, so this one is: the kick
-        # un-parks it to notice that its last reservation may be gone.
-        self._kick()
 
     # ==================================================================
     # receive path
@@ -456,6 +453,10 @@ class AN2Switch(SwitchNode):
         if entry.broken:
             self._drop_stranded(card, vc, [cell])
             return
+        if not (best_effort or entry.cells_per_frame):
+            # No frame slot of this hop would ever serve it.
+            self._drop_stranded(card, vc, [cell], reason="unreserved")
+            return
         self._enqueue(card, entry, cell)
         if best_effort:
             self._nudge()
@@ -501,9 +502,7 @@ class AN2Switch(SwitchNode):
         """A credit cell moved the balance ``vc`` draws on at
         ``out_port``: a credit arrived, or a resync reply corrected it
         (up *or* down).  Only a move across zero can change a request
-        bit, so a move that does not leaves an armed switch as it is;
-        an unarmed one is still kicked (its tick moves nothing: one
-        wave event the event-sparse data plane may drop)."""
+        bit, so a move that does not leaves the switch as it is."""
         if crossed_zero:
             # Only the circuit's one card can hold its cells.
             circuit = self.circuits.get(vc)
@@ -515,35 +514,35 @@ class AN2Switch(SwitchNode):
     # crossbar loop
     # ==================================================================
     def _kick(self) -> None:
-        """Tick at the next slot boundary.  Every edge that can make a
-        tick useful (a guaranteed cell in, a circuit or reservation
-        installed, a reroute) or end the arming (the last reservation or
-        queued cell removed) calls this; on a switch parked on its wave
-        (:meth:`_rearm`) it is what un-parks it.  Best-effort cells and
-        credits go through :meth:`_nudge`."""
-        if self._tick_scheduled:
+        """Tick at the next slot, if anything is queued.  Every edge that
+        can make a tick useful (a guaranteed cell in, a circuit or
+        reservation installed, a move, a restored cable) calls this; a
+        booking it finds for a later slot (:meth:`_rearm`) is pulled
+        earlier.  Best-effort cells and credits go through
+        :meth:`_nudge`."""
+        if not self._queued:
             return
-        self._tick_scheduled = True
-        self._slot_driver.request_tick(self)
+        driver = self._slot_driver
+        slot = driver.slot_at(self.sim.now) + 1
+        booked = self._booked
+        if booked is None or slot < booked:
+            driver.book(self, slot)
+            self._parked_want = -1
 
     def _nudge(self) -> None:
-        """:meth:`_kick` for a best-effort cell in or a credit moved: a
-        switch parked on its wave stays parked unless ``crossbar.want``
-        gained an output it parked without.  Exact: its wake was worked
-        out over a superset of today's wanted outputs, and a wire's
-        ``next_free`` only grows, so no wanted wire falls free before
-        that wake; the edge added no guaranteed cell and no frame slot."""
-        if self._tick_scheduled:
-            return
+        """:meth:`_kick` for a best-effort cell in or a credit moved,
+        unless ``crossbar.want`` is inside ``_parked_want``.  Exact: the
+        booking was worked out over a superset of today's wanted
+        outputs, and a wire's ``next_free`` only grows, so no wanted
+        wire falls free before it; the edge added no guaranteed cell
+        and no frame slot."""
         parked_want = self._parked_want
         if parked_want is None or self.crossbar.want & ~parked_want:
             self._kick()
 
-    def _slot_tick(self) -> None:
-        self._tick_scheduled = False
+    def _slot_tick(self, slot: int) -> None:
+        """Walked in ``slot`` of its clock, which is its frame position."""
         self._parked_want = None
-        slot_index = self._slot_index
-        self._slot_index = slot_index + 1
         now = self.sim.now
         slack = self._slack
 
@@ -554,7 +553,7 @@ class AN2Switch(SwitchNode):
         reserved = self.frame_schedule.total_reserved()
         if reserved:
             for in_port, out_port in self.frame_schedule.slot_view(
-                slot_index % self.config.frame_slots
+                slot % self.config.frame_slots
             ).items():
                 if not ports[out_port].can_transmit_at(now, slack=slack):
                     continue
@@ -608,60 +607,55 @@ class AN2Switch(SwitchNode):
         elif not pre_matched:
             self.stats.empty_ticks += 1
 
-        # Stay armed while any work (or any reservation) remains.
-        if reserved or self._queued:
-            self._rearm(now, slack, reserved)
+        if self._queued:
+            self._rearm(slot, slack, reserved)
 
-    def _rearm(self, now: float, slack: float, reserved: int) -> None:
-        """Arm the tick after this one: the first slot of its wave in
-        which a cell can move, by the tests :meth:`_slot_tick` itself
-        applies: (i) some wanted output's wire is free, (ii) the frame
-        serves an (input, output) pair with a guaranteed cell queued;
-        with neither in sight the switch parks until an edge kicks it."""
+    def _rearm(self, slot: int, slack: float, reserved: int) -> None:
+        """Book the first slot after ``slot`` in which a cell can move,
+        by the tests :meth:`_slot_tick` itself applies: (i) some wanted
+        output's wire is free, ``free_at <= time_of(n) + slack``; (ii)
+        the frame serves an (input, output) pair with a guaranteed cell
+        queued.  With neither in sight it books nothing: an edge kicks
+        it."""
         driver = self._slot_driver
-        waves: Optional[int] = None
+        booking: Optional[int] = None
         want = self.crossbar.want
         if want:
-            # Wave times add up as the kernel's ``now + delay`` does, so
-            # each comparison is the one the tick at that wave will make.
-            slot_time = driver.slot_time_us
-            wave_at = now + slot_time
+            # ``None``: every wanted wire is down.  A restore kicks this
+            # switch (:meth:`wire_restored`), a DEAD verdict moves or
+            # drops what waits for it.
+            soonest = driver.time_of(slot + 1) + slack
             ports = self.ports
             free_at = None
             for out_port in bits_of(want):
-                # ``None``: the wire is down.  Its restore kicks this
-                # switch (:meth:`wire_restored`), its DEAD verdict moves
-                # or drops what waits for it.
                 port_free_at = ports[out_port].free_at()
                 if port_free_at is not None and (
                     free_at is None or port_free_at < free_at
                 ):
                     free_at = port_free_at
-                    if free_at <= wave_at + slack:
+                    if free_at <= soonest:
                         break
             if free_at is not None:
-                waves = 1
-                while free_at > wave_at + slack:
-                    wave_at += slot_time
-                    waves += 1
-        if reserved and self._queued and waves != 1:
+                booking = max(slot + 1, driver.slot_at(free_at - slack))
+                if free_at > driver.time_of(booking) + slack:
+                    booking += 1
+        if reserved and booking != slot + 1:
             frame_slots = self.config.frame_slots
-            next_slot = self._slot_index % frame_slots
+            position = (slot + 1) % frame_slots
             schedule = self.frame_schedule
             ports = self.ports
             for card in self.cards:
                 for out_port in card.guaranteed_queues.waiting():
                     if not ports[out_port].up:
                         continue
-                    slot = schedule.next_slot(card.index, out_port, next_slot)
-                    if slot is not None:
-                        until = (slot - next_slot) % frame_slots + 1
-                        if waves is None or until < waves:
-                            waves = until
-        if driver.park(self, waves):
-            self._parked_want = want
-        else:
-            self._tick_scheduled = True
+                    served = schedule.next_slot(card.index, out_port, position)
+                    if served is not None:
+                        at = slot + 1 + (served - position) % frame_slots
+                        if booking is None or at < booking:
+                            booking = at
+        self._parked_want = want
+        if booking is not None:
+            driver.book(self, booking)
 
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
         if cell.trace_ctx is not None:
@@ -759,14 +753,20 @@ class AN2Switch(SwitchNode):
                 if circuit.out_port == dead_port:
                     self._move_or_break(circuit)
 
+    def _on_dead_ports(self) -> List[HopCircuit]:
+        """Installed circuits whose output's cable is not WORKING."""
+        monitors = self.monitors
+        return [
+            circuit for card in self.cards
+            for circuit in card.routing_table.entries()
+            if circuit.out_port in monitors
+            and monitors[circuit.out_port].verdict is not LinkVerdict.WORKING
+        ]
+
     def _repair_broken_circuits(self) -> None:
         """Retry local reroute for circuits still routed at dead ports."""
-        for card in self.cards:
-            for circuit in card.routing_table.entries():
-                monitor = self.monitors.get(circuit.out_port)
-                if monitor is None or monitor.verdict is LinkVerdict.WORKING:
-                    continue
-                self._move_or_break(circuit)
+        for circuit in self._on_dead_ports():
+            self._move_or_break(circuit)
 
     def _move_or_break(self, circuit: HopCircuit) -> None:
         """Reroute a circuit off its dead output; one that cannot move
@@ -824,41 +824,40 @@ class AN2Switch(SwitchNode):
     # ==================================================================
     @property
     def slot_index(self) -> int:
-        """Cell slots this switch's clock has counted while armed: one
-        per tick, and one per wave sat out parked."""
-        return self._slot_index + self._slot_driver.sat_out(self)
+        """The slot of its clock this switch is in now."""
+        return self._slot_driver.slot_at(self.sim.now)
 
     def wire_restored(self, port_index: int) -> None:
-        """The cable on ``port_index`` works again.  A switch parked
-        with cells for it had no wake for a dead wire: kick it."""
-        if not self._slot_driver.is_parked(self):
-            return
-        if self._parked_want >> port_index & 1 or any(
+        """The cable on ``port_index`` works again.  A switch with cells
+        for it booked no slot for a dead wire: kick it."""
+        if self.crossbar.want >> port_index & 1 or any(
             port_index in card.guaranteed_queues.waiting()
             for card in self.cards
         ):
             self._kick()
 
     def set_clock_drift(self, drift_ppm: float) -> None:
-        """Step the local oscillator (a clock-drift fault).  The switch
-        leaves its wave through one last tick on it, if one is due: a
-        parked switch is kicked, so it re-plans on the new wave at its
-        next slot, as one walked every slot would."""
+        """Step the local oscillator (a clock-drift fault); a booked
+        tick moves to the next slot of the new clock."""
         self.clock.set_drift(drift_ppm)
-        if self._slot_driver.is_parked(self):
-            self._kick()
         self._ride_clock()
 
     def _ride_clock(self) -> None:
-        """Tick on the wave the local clock calls for: the drift-free
-        one (section 4's synchronized network), or, while the
-        oscillator drifts, a wave of this switch's own at its local slot
-        time (the asynchronous network)."""
+        """Tick on the clock the local oscillator calls for: the
+        drift-free one (section 4's synchronized network), or, while the
+        oscillator drifts, a clock of this switch's own at its local
+        slot time (the asynchronous network)."""
+        booked = self._booked is not None
+        if booked:
+            self._slot_driver.book(self, None)
         fabric = self._fabric_wave
         if self.clock.drift_ppm == 0.0:
             fabric.ride(self)
         else:
             fabric.spawn(self, self.clock.global_delay(FAST_CELL_TIME_US))
+        if booked:
+            self._parked_want = None
+            self._kick()
 
     def buffered_cells(self) -> int:
         return self._queued

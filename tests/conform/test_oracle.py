@@ -209,27 +209,30 @@ class TestFastpathOracle:
         divergence, record = compare(row, case, row.cases[case], seed)
         assert divergence is None, str(divergence)
         assert record["agreed"]
-        if case == "reserved":  # not vacuous: switches did park
-            assert record["candidate"]["walks"][2] > 10_000
+        if case == "reserved":  # not vacuous: 300 reserved cells, 2+ hops
+            assert len(record["candidate"]["cells"]) > 600
 
-    def test_parking_oracle_catches_a_missing_kick(self, monkeypatch):
-        """``remove_reservation`` did not kick before switches could
-        park.  Without it a switch whose last reservation goes while it
-        is parked keeps the wave chain alive for good: more waves, other
-        seqs -- the differential must say so."""
-        from repro.switch.switch import AN2Switch
+    def test_parking_oracle_catches_a_late_wake(self, monkeypatch):
+        """A switch that books ahead booking one slot too late: it
+        sends its cells a slot after the dense walk does, and the
+        differential names the first one."""
+        from repro.fastpath.driver import FabricSlotDriver
 
-        def remove_without_kick(self, in_port, out_port, cells_per_frame):
-            self.frame_schedule.release(in_port, out_port, cells_per_frame)
+        book = FabricSlotDriver.book
 
-        monkeypatch.setattr(
-            AN2Switch, "remove_reservation", remove_without_kick
-        )
+        def book_late(driver, switch, slot):
+            if slot is not None and slot > driver.slot_at(driver.sim.now) + 1:
+                slot += 1
+            book(driver, switch, slot)
+
+        monkeypatch.setattr(FabricSlotDriver, "book", book_late)
         divergence, record = compare(PARKING, "reserved", reserved_case)
         assert not record["agreed"]
         assert (divergence.pair, divergence.case) == (
-            "parking", "reserved:run-digest"
+            "parking", "reserved:cells"
         )
+        (sent,), (late,) = divergence.reference, divergence.candidate
+        assert late[0] > sent[0] and late[2] > sent[2]
 
 
 class TestMonitorOracle:

@@ -158,7 +158,7 @@ class TestTrafficAndDeterminism:
     #: Run digest (kernel events + final network state) of the canned
     #: ``corruption_burst`` scenario.
     CORRUPTION_BURST_DIGEST = (
-        "850a8464eeb2c77563f09eec96a5e6421cd9d8fc73369553d347a2d3db7c79c8"
+        "9a26a80114d5c06cd16489a50edf48abfcffe8e4f1ed933fe99060936656a57d"
     )
 
     def test_corruption_burst_digest_is_pinned(self):

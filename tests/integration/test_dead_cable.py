@@ -20,6 +20,7 @@ from repro.constants import FAST_CELL_TIME_US
 from repro.core.reconfig.skeptic import LinkVerdict
 from repro.core.routing.reroute import installed_path
 from repro.faults.invariants import check_no_wait_on_dead_wire
+from repro.fastpath.driver import FabricSlotDriver
 from repro.net.network import Network
 from repro.net.port import Port
 from repro.net.topology import Topology
@@ -62,6 +63,7 @@ def probe(guaranteed: bool, tracer: Tracer = None) -> dict:
     s0._on_verdict = spy
     h0.send_raw_cells(circuit.vc, 50)
     empty_before, cut_at = s0.stats.empty_ticks, net.now
+    events_before = net.sim.events_executed
     trunk.fail()
     net.run_until(net.fully_reconfigured, timeout_us=500_000)
     wait = check_no_wait_on_dead_wire(net)
@@ -77,6 +79,7 @@ def probe(guaranteed: bool, tracer: Tracer = None) -> dict:
         "delivered_after": len(h1.delivered) - delivered,
         "dropped_after": s0.stats.cells_dropped - dropped,
         "empty_after_cut": s0.stats.empty_ticks - empty_before,
+        "events_after_cut": net.sim.events_executed - events_before,
         "slots_to_verdict": (verdict_at - cut_at) / FAST_CELL_TIME_US,
     }
 
@@ -103,6 +106,28 @@ def test_guaranteed_circuit_is_broken_and_counted():
     assert run["dropped_after"] == 50  # every cell sent after the verdict
     assert s0.buffered_cells() == 0
     assert run["wait"].passed, run["wait"].detail
+
+
+@pytest.mark.parametrize("guaranteed", [False, True])
+def test_no_wave_walks_zero_switches(guaranteed, monkeypatch):
+    """A wave fires only at a slot some switch booked: each walks at
+    least one switch.  The guaranteed probe's broken reservation arms
+    nothing, so the 60 ms after the cut cost a few hundred events."""
+    fire = FabricSlotDriver._fire
+    empty = []
+
+    def counted_fire(driver):
+        ticks = driver.ticks
+        fire(driver)
+        if driver.ticks == ticks:
+            empty.append(driver.sim.now)
+
+    monkeypatch.setattr(FabricSlotDriver, "_fire", counted_fire)
+    run = probe(guaranteed=guaranteed)
+    assert run["net"].slot_driver.waves > 0
+    assert empty == []
+    if guaranteed:
+        assert run["events_after_cut"] < 2_000, run["events_after_cut"]
 
 
 def test_closing_the_broken_circuit_frees_everything_s0_held():
@@ -151,7 +176,7 @@ def test_a_restore_before_the_verdict_kicks_the_parked_switch():
     net.run(100)
     s0 = net.switch("s0")
     assert s0.buffered_cells() > 0
-    assert net.slot_driver.is_parked(s0)
+    assert s0._booked is None  # no slot booked for a dead wire
     trunk.restore()
     net.run(200)
     assert len(net.host("h1").delivered) == 20

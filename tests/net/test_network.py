@@ -356,6 +356,28 @@ class TestCircuitApi:
         assert net.circuits == circuits
         net.run(1_000)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_dual_homed_source_reserves_from_the_link_it_sends_on(
+        self, seed
+    ):
+        """Regression: bandwidth central could start the path on h0's
+        standby cable while h0 sends on its active one, so every
+        reserved cell waited at the first switch for a setup that
+        never came there."""
+        from repro.conform.digest import replay_network
+
+        net = replay_network(seed)
+        net.start()
+        net.run_until(net.converged, timeout_us=30_000)
+        h0 = net.host("h0")
+        circuit, reservation = net.reserve_bandwidth("h0", "h1", 4)
+        assert reservation.route_edges[0] == h0.edge_on_port(
+            h0.active_port_index
+        )
+        h0.send_raw_cells(circuit.vc, 50)
+        net.run(5_000)
+        assert net.host("h1").cells_received == 50
+
     def test_circuits_registry(self, small_net):
         circuit = small_net.setup_circuit("h0", "h1")
         assert small_net.circuits[circuit.vc] is circuit

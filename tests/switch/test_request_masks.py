@@ -29,7 +29,7 @@ from repro._types import host_id
 from repro.conform.reference import ParallelIterativeMatcher
 from repro.constants import FAST_CELL_TIME_US
 from repro.core.flowcontrol.resync import ResyncReply
-from repro.conform.oracle import ACTIONS, plain_credit_filter, play
+from repro.conform.oracle import ACTIONS, plain_credit_filter, play, release
 from repro.core.matching.bitmask import bits_of
 from repro.net.cell import BEST_EFFORT, Cell, CellKind
 from repro.net.network import Network
@@ -116,8 +116,8 @@ class MaskAudit:
         crossbar = switch.crossbar
         matcher = crossbar.matcher
 
-        def audited_tick():
-            tick()
+        def audited_tick(slot):
+            tick(slot)
             self.ticks += 1
             self.check(switch)
 
@@ -225,8 +225,9 @@ def stored_vcs(switch):
 
 def check_holdings(net):
     """Each hop's holdings equal its record's, a VC without a record
-    holds nothing, and the frame schedule holds exactly the slots of
-    the records."""
+    holds nothing, the frame schedule holds exactly the slots of the
+    records, and a non-empty guaranteed queue at (in, out) has a
+    reservation there."""
     for name, switch in net.switches.items():
         slots = {}
         for vc, circuit in switch.circuits.items():
@@ -245,6 +246,11 @@ def check_holdings(net):
                 "holdings", name, vc, switch.holdings(vc)
             )
         assert switch.frame_schedule._reservations == slots, ("slots", name)
+        for card in switch.cards:
+            for out in card.guaranteed_queues.waiting():
+                assert (card.index, out) in slots, (
+                    "unreserved", name, card.index, out
+                )
 
 
 # ======================================================================
@@ -712,29 +718,33 @@ def test_reroute_after_reinstall_drops_the_stranded_request():
 
 
 # ======================================================================
-# the four leaks of per-path releases, put back
+# the leaks of per-path releases, put back
 # ======================================================================
 def reserved_exit(exit):
     """A reserved circuit h0 -> h3 taken through ``exit``: closed by its
-    host with guaranteed cells still waiting for their slots, or paged
-    out at every hop (refused: it is guaranteed)."""
+    host, or its frame slots released on every hop while it stays
+    installed, with guaranteed cells still waiting for their slots; or
+    paged out at every hop (refused: it is guaranteed)."""
     net = grid_net(enable_paging=True)
     audit = MaskAudit(net)
-    circuit, _ = net.reserve_bandwidth("h0", "h3", 2)
+    circuit, reservation = net.reserve_bandwidth("h0", "h3", 2)
     net.run(200)
     dropped = sum(s.stats.cells_dropped for s in net.switches.values())
     paged = []
-    if exit == "close":
+    if exit in ("close", "release"):
         net.host("h0").send_raw_cells(circuit.vc, 30)
         net.run(300)
-        net.host("h0").close_circuit(circuit.vc)
+        if exit == "close":
+            net.host("h0").close_circuit(circuit.vc)
+        else:
+            release(net, circuit, reservation)
     else:
         paged = [s for s in net.switches.values() if s.page_out(circuit.vc)]
     net.run(2_000)
     audit.check_all()
     check_holdings(net)
     assert paged == []
-    if exit == "close":  # a waiting cell went with the circuit
+    if exit != "page_out":  # a waiting cell went with the slots
         assert sum(s.stats.cells_dropped for s in net.switches.values()) > dropped
 
 
@@ -752,6 +762,17 @@ def teardown_keeps_a_waiting_cell(monkeypatch):
     monkeypatch.setattr(
         GuaranteedQueues, "drop_vc", lambda queues, out_port, vc: []
     )
+
+
+def release_keeps_a_waiting_cell(monkeypatch):
+    def leaky(circuit, reason="released"):
+        cells, circuit.cells_per_frame = circuit.cells_per_frame, 0
+        if cells:
+            circuit.switch.remove_reservation(
+                circuit.in_port, circuit.out_port, cells
+            )
+
+    monkeypatch.setattr(HopCircuit, "release_slots", leaky)
 
 
 def page_out_leaks_its_slots(monkeypatch):
@@ -787,6 +808,10 @@ LEAKS = {
     "teardown-keeps-waiting-cell": (
         teardown_keeps_a_waiting_cell, lambda: reserved_exit("close"),
         "holdings",
+    ),
+    "release-keeps-waiting-cell": (
+        release_keeps_a_waiting_cell, lambda: reserved_exit("release"),
+        "unreserved",
     ),
     "page-out-leaks-slots": (
         page_out_leaks_its_slots, lambda: reserved_exit("page_out"),
